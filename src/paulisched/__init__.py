@@ -6,7 +6,7 @@ behind the grouping depends only on n, so it can be computed once and
 cached per register size.
 """
 
-from .baranyai import PartialState, Schedule, apply_step, build_schedule, build_step_network, pad_and_build
+from .baranyai import PartialState, Schedule, build_schedule, pad_and_build
 from .fermion import (
     FermionicTerm,
     JwPattern,
@@ -14,7 +14,6 @@ from .fermion import (
     jw_excitation,
     jw_ladder,
     jw_term,
-    matches_pattern,
     pattern_of,
 )
 from .flows import FlowNetwork, ScaledFlow, check_flow, flow_value, max_flow_integral, round_flow
@@ -37,7 +36,6 @@ from .pauli import (
     WeightedPauliString,
     anticommuting_index_count,
     commutes,
-    format_pauli,
     multiply,
     parse_pauli,
 )

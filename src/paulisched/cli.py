@@ -30,16 +30,11 @@ def _schedule_text(schedule: baranyai.Schedule) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _schedule_json(schedule: baranyai.Schedule) -> str:
-    payload = {"n": schedule.n, "rounds": [[list(s) for s in rnd] for rnd in schedule.rounds]}
-    return json.dumps(payload, separators=(",", ":")) + "\n"
-
-
 def _cmd_schedule(args) -> int:
     if args.n < 4:
         return _err(f"need at least 4 modes, got {args.n}")
-    schedule = partition.schedule_for(args.n, args.engine)
-    text = _schedule_json(schedule) if args.format == "json" else _schedule_text(schedule)
+    schedule = partition.schedule_for(args.n)
+    text = partition.schedule_json(schedule) if args.format == "json" else _schedule_text(schedule)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -60,7 +55,7 @@ def _cmd_families(args) -> int:
             return _err(str(exc))
         if coeffs.n != args.n:
             return _err(f"coefficients file is for n={coeffs.n}, not n={args.n}")
-    report = partition.build_partition(args.n, coeffs=coeffs, engine=args.engine)
+    report = partition.build_partition(args.n, coeffs=coeffs)
     if args.out:
         partition.save_families(list(report.families), args.out)
     summary = report.summary()
@@ -160,7 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sched.add_argument("--n", type=int, required=True, help="number of modes (>= 4)")
     p_sched.add_argument("--format", choices=("text", "json"), default="text")
     p_sched.add_argument("--out", help="write to this file instead of stdout")
-    p_sched.add_argument("--engine", choices=baranyai.ENGINES, default="rounding")
     p_sched.set_defaults(func=_cmd_schedule)
 
     p_fam = sub.add_parser("families", help="emit commuting measurement families")
@@ -168,7 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fam.add_argument("--hamiltonian", help="coefficients JSON used as zero filter and weights")
     p_fam.add_argument("--out", help="write the families JSON here")
     p_fam.add_argument("--format", choices=("text", "json"), default="text")
-    p_fam.add_argument("--engine", choices=baranyai.ENGINES, default="rounding")
     p_fam.set_defaults(func=_cmd_families)
 
     p_ver = sub.add_parser("verify", help="run the brute-force oracle suite")

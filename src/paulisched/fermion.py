@@ -25,7 +25,6 @@ __all__ = [
     "jw_excitation",
     "jw_ladder",
     "jw_term",
-    "matches_pattern",
     "pattern_of",
 ]
 
@@ -187,7 +186,3 @@ def pattern_of(term: FermionicTerm) -> JwPattern:
         raise UnsupportedTermError("pattern is defined for distinct-index two-body terms only")
     e0, e1, e2, e3 = term.support()
     return JwPattern(term.n, (e0, e1, e2, e3), ((e0, e1), (e2, e3)))
-
-
-def matches_pattern(p: PauliString, pattern: JwPattern) -> bool:
-    return pattern.matches(p)

@@ -1,5 +1,9 @@
 """Integer flow networks: Dinic max-flow and rounding of fractional flows.
 
+``max_flow_integral`` (Dinic) is the solver the schedule construction
+uses.  ``round_flow`` is the paper's rounding construction, kept as the
+reference the tests compare the construction with.
+
 All arithmetic in this module is integer arithmetic.  A fractional flow is
 carried as per-edge numerators over one shared denominator D
 (:class:`ScaledFlow`), so feasibility, conservation and rounding are exact;
@@ -73,9 +77,6 @@ class ScaledFlow:
         if any(not isinstance(f, int) or f < 0 for f in self.numerators):
             raise ValueError("flow numerators must be non-negative integers")
 
-    def edge_flow(self, index: int) -> Fraction:
-        return Fraction(self.numerators[index], self.denominator)
-
 
 def check_flow(net: FlowNetwork, flow: ScaledFlow) -> None:
     """Raise ValueError unless ``flow`` is feasible and exactly conservative on ``net``."""
@@ -104,6 +105,7 @@ def flow_value(net: FlowNetwork, flow: ScaledFlow) -> Fraction:
 def max_flow_integral(net: FlowNetwork) -> ScaledFlow:
     """Maximum integral flow via Dinic's algorithm (denominator 1).
 
+    This is the solver behind every insertion step of the schedule.
     Deterministic: adjacency follows edge declaration order.
     """
     m = len(net.edges)
@@ -158,6 +160,10 @@ def max_flow_integral(net: FlowNetwork) -> ScaledFlow:
 
 def round_flow(net: FlowNetwork, fractional: ScaledFlow) -> ScaledFlow:
     """Round a feasible fractional flow into an integral flow of equal value.
+
+    The reference construction: the schedule itself is built with
+    :func:`max_flow_integral`, and the tests check both on every insertion
+    network.
 
     Preconditions (violations raise ValueError): ``fractional`` is feasible
     and conservative on ``net``, and every edge touching the source or the

@@ -18,7 +18,7 @@ import numpy as np
 
 from .baranyai import SUBSET_SIZE, Schedule
 from .fermion import FermionicTerm, jw_excitation, jw_term
-from .pauli import PauliString, WeightedPauliString, anticommuting_index_count, commutes
+from .pauli import PauliString, WeightedPauliString, anticommuting_index_count, commutes, parse_pauli
 
 __all__ = [
     "OracleReport",
@@ -242,7 +242,7 @@ def anticommuting_chain_fixture(n: int) -> list[PauliString]:
     if n < 1:
         raise ValueError("need at least one qubit")
     return [
-        PauliString.from_text("Z" * k + letter + "I" * (n - 1 - k))
+        parse_pauli("Z" * k + letter + "I" * (n - 1 - k))
         for k in range(n)
         for letter in "XY"
     ]

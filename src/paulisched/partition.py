@@ -35,7 +35,7 @@ from pathlib import Path
 from .baranyai import Schedule, pad_and_build
 from .fermion import FermionicTerm, jw_excitation, jw_term
 from .oracles import validate_schedule
-from .pauli import ExactComplex, WeightedPauliString
+from .pauli import ExactComplex, WeightedPauliString, commutes
 
 __all__ = [
     "CommutingFamily",
@@ -53,6 +53,7 @@ __all__ = [
     "save_families",
     "save_schedule",
     "schedule_for",
+    "schedule_json",
 ]
 
 RESIDUAL_STRATEGY = "per-term Y-parity split; all-I/Z terms pooled (placeholder grouping)"
@@ -84,7 +85,7 @@ def _certified(strings, provenance, origin) -> CommutingFamily:
     words = [w.string for w in family.strings]
     for i, a in enumerate(words):
         for b in words[i + 1 :]:
-            if ((a.x & b.z) ^ (a.z & b.x)).bit_count() % 2:
+            if not commutes(a, b):
                 raise FamilyCertificationError(f"{a} and {b} do not commute in a {origin} family")
     return family
 
@@ -239,9 +240,15 @@ def load_coefficients(path) -> HamiltonianCoefficients:
     except (OSError, json.JSONDecodeError) as exc:
         raise CoefficientsLoadError(f"cannot read coefficients file {path}: {exc}") from exc
     try:
-        n = int(data["n"])
+        n = data["n"]
         one = [(tuple(entry["pq"]), entry["value"]) for entry in data.get("one_body", [])]
         two = [(tuple(entry["pqrs"]), entry["value"]) for entry in data.get("two_body", [])]
+        # bool is a subclass of int, but true/false are not JSON integers
+        if type(n) is not int:
+            raise ValueError(f"n must be an integer, got {n!r}")
+        for key, _ in one + two:
+            if any(type(t) is not int for t in key):
+                raise ValueError(f"mode indices must be integers, got {list(key)!r}")
         if any(len(k) != 2 for k, _ in one) or any(len(k) != 4 for k, _ in two):
             raise ValueError("index lists must have 2 (pq) or 4 (pqrs) entries")
         return HamiltonianCoefficients.from_entries(n, one, two)
@@ -306,10 +313,15 @@ def apply_coefficients(
 # Persistence
 
 
-def save_schedule(schedule: Schedule, path) -> None:
-    """Write the canonical schedule JSON (the bit-exact cache format)."""
+def schedule_json(schedule: Schedule) -> str:
+    """The canonical schedule JSON, one line; :func:`read_schedule_file` parses it."""
     payload = {"n": schedule.n, "rounds": [[list(s) for s in rnd] for rnd in schedule.rounds]}
-    Path(path).write_text(json.dumps(payload, separators=(",", ":")) + "\n")
+    return json.dumps(payload, separators=(",", ":")) + "\n"
+
+
+def save_schedule(schedule: Schedule, path) -> None:
+    """Write :func:`schedule_json` to ``path``."""
+    Path(path).write_text(schedule_json(schedule))
 
 
 def read_schedule_file(path) -> Schedule:
@@ -364,21 +376,19 @@ def save_families(families: list[CommutingFamily], path) -> None:
 # Top-level assembly
 
 
-_SCHEDULE_CACHE: dict[tuple[int, str], Schedule] = {}
+_SCHEDULE_CACHE: dict[int, Schedule] = {}
 
 
-def schedule_for(n: int, engine: str = "rounding") -> Schedule:
-    """Memoized schedule per (n, engine); schedules depend on nothing else."""
-    key = (n, engine)
-    if key not in _SCHEDULE_CACHE:
-        _SCHEDULE_CACHE[key] = pad_and_build(n, engine)
-    return _SCHEDULE_CACHE[key]
+def schedule_for(n: int) -> Schedule:
+    """Schedule for n, memoized per process; schedules depend on nothing else."""
+    if n not in _SCHEDULE_CACHE:
+        _SCHEDULE_CACHE[n] = pad_and_build(n)
+    return _SCHEDULE_CACHE[n]
 
 
 @dataclass(frozen=True)
 class PartitionReport:
     n: int
-    engine: str
     families: tuple[CommutingFamily, ...]
     weighted: bool
 
@@ -392,7 +402,6 @@ class PartitionReport:
         rounds_reference = comb(self.n - 1, 3)
         return {
             "n": self.n,
-            "engine": self.engine,
             "weighted": self.weighted,
             "family_count": self.family_count,
             "dominant_families": len(dominant),
@@ -407,19 +416,13 @@ class PartitionReport:
         }
 
 
-def build_partition(
-    n: int,
-    coeffs: HamiltonianCoefficients | None = None,
-    engine: str = "rounding",
-    include_residual: bool = True,
-) -> PartitionReport:
+def build_partition(n: int, coeffs: HamiltonianCoefficients | None = None) -> PartitionReport:
     """Schedule -> certified families, optionally filtered/weighted by coefficients."""
-    schedule = schedule_for(n, engine)
+    schedule = schedule_for(n)
     families = commuting_families(schedule)
     if coeffs is not None:
         if coeffs.n != n:
             raise ValueError(f"coefficients are for n={coeffs.n}, not n={n}")
         families = apply_coefficients(families, coeffs)
-    if include_residual:
-        families = families + residual_families(n, coeffs)
-    return PartitionReport(n, engine, tuple(families), coeffs is not None)
+    families = families + residual_families(n, coeffs)
+    return PartitionReport(n, tuple(families), coeffs is not None)

@@ -27,7 +27,6 @@ __all__ = [
     "WeightedPauliString",
     "anticommuting_index_count",
     "commutes",
-    "format_pauli",
     "multiply",
     "parse_pauli",
     "string_product",
@@ -111,10 +110,6 @@ class PauliString:
     def identity(cls, n: int) -> "PauliString":
         return cls(n, 0, 0)
 
-    @classmethod
-    def from_text(cls, text: str) -> "PauliString":
-        return parse_pauli(text)
-
     def letter(self, t: int) -> str:
         if not 0 <= t < self.n:
             raise IndexError(f"qubit index {t} out of range for n={self.n}")
@@ -159,11 +154,6 @@ def parse_pauli(text: str) -> PauliString:
         x |= xb << t
         z |= zb << t
     return PauliString(len(text), x, z)
-
-
-def format_pauli(p: PauliString) -> str:
-    """Inverse of :func:`parse_pauli`: format(parse(s)) == s."""
-    return p.text()
 
 
 def _require_same_length(p: PauliString, q: PauliString) -> None:

@@ -183,12 +183,8 @@ def test_criterion_6_flow_engine_equivalence(capsys):
         recomputed = max_flow_integral(net)
         assert flow_value(net, rounded) == flow_value(net, recomputed) == 35
         state = _apply(state, rounded, mapping)
-    for engine in ("rounding", "baseline"):
-        schedule = build_schedule(8, engine)
-        report = validate_schedule(schedule)
-        assert report.passed and len(schedule.rounds) == 35
     with capsys.disabled():
-        note(6, "all 8 insertion networks: rounded value == recomputed value == 35; both engines valid")
+        note(6, "all 8 insertion networks: rounded value == recomputed value == 35")
 
 
 def test_criterion_7_rounding_contract(capsys):

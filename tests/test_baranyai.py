@@ -8,9 +8,7 @@ from paulisched.baranyai import (
     Schedule,
     _apply,
     _step_parts,
-    apply_step,
     build_schedule,
-    build_step_network,
     pad_and_build,
 )
 from paulisched.flows import ScaledFlow, flow_value, round_flow
@@ -44,18 +42,11 @@ class TestBuildSchedule:
     def test_deterministic(self):
         assert build_schedule(8) == build_schedule(8)
 
-    def test_engines_both_valid(self):
-        for engine in ("rounding", "baseline"):
-            report = validate_schedule(build_schedule(8, engine))
-            assert report.passed, report.counterexample
-
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError):
             build_schedule(6)
         with pytest.raises(ValueError):
             build_schedule(0)
-        with pytest.raises(ValueError):
-            build_schedule(8, engine="quantum")
 
 
 class TestPartialState:
@@ -87,15 +78,10 @@ class TestPartialState:
 
     def test_first_insertion_network_shape(self):
         state = PartialState.initial(8)
-        net, seed = build_step_network(state)
+        net, seed, _ = _step_parts(state)
         type_nodes = net.node_count - 2 - len(state.rounds)
         assert type_nodes == 1  # only the empty slot type exists
         assert all(f % seed.denominator == 0 for f in seed.numerators)
-
-    def test_network_element_mismatch_rejected(self):
-        state = PartialState.initial(8)
-        with pytest.raises(ValueError):
-            build_step_network(state, 3)
 
     def test_apply_step_requires_single_unit_per_round(self):
         state = PartialState.initial(4)
@@ -103,13 +89,13 @@ class TestPartialState:
         # doctor a flow that routes nothing
         zero = ScaledFlow(1, tuple(0 for _ in net.edges))
         with pytest.raises(ValueError):
-            apply_step(state, zero)
+            _apply(state, zero, mapping)
 
     def test_apply_step_full_run_matches_build(self):
         state = PartialState.initial(4)
         for _ in range(4):
-            net, seed = build_step_network(state)
-            state = apply_step(state, round_flow(net, seed))
+            net, seed, mapping = _step_parts(state)
+            state = _apply(state, round_flow(net, seed), mapping)
         assert list(state.rounds[0]) == [(3, 2, 1, 0)]
 
 

@@ -43,20 +43,15 @@ class TestScheduleCommand:
         assert code == 0
         assert load_schedule(path, expected_n=8) == build_schedule(8)
 
-    def test_json_output_byte_identical(self, capsys):
+    def test_json_output_byte_identical(self, capsys, tmp_path):
         _, first, _ = run(capsys, "schedule", "--n", "8", "--format", "json")
         _, second, _ = run(capsys, "schedule", "--n", "8", "--format", "json")
         assert first == second
-
-    def test_baseline_engine_is_valid_too(self, capsys, tmp_path):
-        path = tmp_path / "baseline.json"
-        code, _, _ = run(
-            capsys, "schedule", "--n", "8", "--engine", "baseline", "--format", "json",
-            "--out", str(path),
-        )
-        assert code == 0
-        schedule = load_schedule(path, expected_n=8)  # load re-validates
-        assert len(schedule.rounds) == 35
+        # stdout, --out and save_schedule share one serializer
+        out, saved = tmp_path / "out.json", tmp_path / "saved.json"
+        run(capsys, "schedule", "--n", "8", "--format", "json", "--out", str(out))
+        save_schedule(build_schedule(8), saved)
+        assert out.read_text() == saved.read_text() == first
 
     def test_padded_size(self, capsys):
         code, out, _ = run(capsys, "schedule", "--n", "5")
@@ -90,10 +85,17 @@ class TestFamiliesCommand:
 
     def test_bad_coefficients_file(self, capsys, tmp_path):
         coeffs = tmp_path / "bad.json"
-        coeffs.write_text("{broken")
-        code, _, err = run(capsys, "families", "--n", "8", "--hamiltonian", str(coeffs))
-        assert code == 2
-        assert "coefficients" in err
+        for text in [
+            "{broken",
+            json.dumps({"n": 8.7, "one_body": [], "two_body": []}),
+            json.dumps({"n": "8", "one_body": [], "two_body": []}),
+            json.dumps({"n": 8, "one_body": [{"pq": [1.5, 0], "value": 1}]}),
+            json.dumps({"n": 8, "two_body": [{"pqrs": [7, 5, 3.0, 0], "value": 1}]}),
+        ]:
+            coeffs.write_text(text)
+            code, _, err = run(capsys, "families", "--n", "8", "--hamiltonian", str(coeffs))
+            assert code == 2, text
+            assert "coefficients" in err
 
     def test_wrong_n_in_coefficients(self, capsys, tmp_path):
         coeffs = tmp_path / "small.json"
@@ -172,6 +174,7 @@ class TestStatsCommand:
 
 
 def test_unknown_command_exits_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["frobnicate"])
-    assert exc.value.code == 2
+    for argv in (["frobnicate"], ["schedule", "--n", "8", "--engine", "baseline"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2

@@ -10,7 +10,6 @@ from paulisched.fermion import (
     jw_excitation,
     jw_ladder,
     jw_term,
-    matches_pattern,
     pattern_of,
 )
 from paulisched.oracles import ladder_matrix, term_matrix, weighted_sum_matrix
@@ -101,7 +100,7 @@ class TestExcitation:
         strings = jw_excitation(term)
         assert len(strings) == 16
         pattern = pattern_of(term)
-        assert all(matches_pattern(w.string, pattern) for w in strings)
+        assert all(pattern.matches(w.string) for w in strings)
         assert np.array_equal(weighted_sum_matrix(strings), term_matrix(term))
 
 

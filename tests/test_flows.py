@@ -43,12 +43,18 @@ class TestMaxFlow:
         assert flow_value(net, max_flow_integral(net)) == 3
 
     def test_scheduler_networks_reach_full_value(self):
-        state = PartialState.initial(8)
-        for _ in range(8):
-            net, seed, mapping = _step_parts(state)
-            flow = max_flow_integral(net)
-            assert flow_value(net, flow) == comb(7, 3) == flow_value(net, seed)
-            state = _apply(state, flow, mapping)
+        # Dinic, the construction's solver, against rounding of the seed, the
+        # reference: both must reach the seed's full value and be insertable.
+        for n in (8, 12):
+            state = PartialState.initial(n)
+            for _ in range(n):
+                net, seed, mapping = _step_parts(state)
+                flow = max_flow_integral(net)
+                rounded = round_flow(net, seed)
+                assert flow_value(net, flow) == flow_value(net, rounded) == comb(n - 1, 3)
+                assert flow_value(net, seed) == comb(n - 1, 3)
+                _apply(state, rounded, mapping)
+                state = _apply(state, flow, mapping)
 
 
 class TestCheckFlow:

@@ -10,8 +10,10 @@ from paulisched.fermion import FermionicTerm, jw_excitation
 from paulisched.oracles import validate_families
 from paulisched.partition import (
     CoefficientsLoadError,
+    FamilyCertificationError,
     HamiltonianCoefficients,
     ScheduleLoadError,
+    _certified,
     apply_coefficients,
     build_partition,
     commuting_families,
@@ -21,7 +23,7 @@ from paulisched.partition import (
     save_families,
     save_schedule,
 )
-from paulisched.pauli import commutes
+from paulisched.pauli import ExactComplex, WeightedPauliString, commutes, parse_pauli
 
 
 class TestDominantFamilies:
@@ -67,6 +69,11 @@ class TestResidualFamilies:
     def test_every_family_certified(self):
         families = residual_families(4)
         assert validate_families(families).passed
+
+    def test_anticommuting_pair_fails_certification(self):
+        strings = [WeightedPauliString(ExactComplex(1), parse_pauli(t)) for t in ("XI", "ZI")]
+        with pytest.raises(FamilyCertificationError):
+            _certified(strings, [], "residual")
 
     def test_off_diagonal_one_body_splits_into_two_pairs(self):
         families = residual_families(2)
@@ -208,6 +215,18 @@ class TestPersistence:
         path.write_text(json.dumps({"n": 8, "two_body": [{"pqrs": [1, 2], "value": 1}]}))
         with pytest.raises(CoefficientsLoadError):
             load_coefficients(path)
+        # n and every mode index must be JSON integers
+        for data in [
+            {"n": 8.7},
+            {"n": "8"},
+            {"n": True},
+            {"n": 8, "one_body": [{"pq": [1.5, 0], "value": 1}]},
+            {"n": 8, "one_body": [{"pq": [True, 0], "value": 1}]},
+            {"n": 8, "two_body": [{"pqrs": [7, 5, 3.0, 0], "value": 1}]},
+        ]:
+            path.write_text(json.dumps(data))
+            with pytest.raises(CoefficientsLoadError):
+                load_coefficients(path)
 
     def test_families_file_shape(self, tmp_path):
         report = build_partition(4)

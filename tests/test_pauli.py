@@ -11,7 +11,6 @@ from paulisched.pauli import (
     WeightedPauliString,
     anticommuting_index_count,
     commutes,
-    format_pauli,
     multiply,
     parse_pauli,
     string_product,
@@ -46,7 +45,7 @@ class TestParseFormat:
 
     @pytest.mark.parametrize("text", ["X", "XIYZ", "IIII", "ZZZZZY"])
     def test_round_trip(self, text):
-        assert format_pauli(parse_pauli(text)) == text
+        assert parse_pauli(text).text() == text
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
