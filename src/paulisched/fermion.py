@@ -1,10 +1,15 @@
 """Fermionic terms and their Jordan-Wigner images as weighted Pauli strings.
 
 A ladder operator on mode m maps to (X_m + iY_m)/2 (annihilation) or
-(X_m - iY_m)/2 (creation), times a Z chain on all lower modes.  Products of
-ladder operators are expanded symbolically with
-:func:`paulisched.pauli.multiply`; no sign or phase is ever hand-coded,
-which is what the dense-matrix oracles in :mod:`paulisched.oracles` verify.
+(X_m - iY_m)/2 (creation), times a Z chain on all lower modes
+(:func:`jw_ladder`, the one source of that encoding).  :func:`jw_term`
+expands a product of ladder operators exactly on integers: every
+coefficient is (a + ib) / 2**k for Gaussian integers a + ib and k ladder
+factors, so the expansion tracks an i-power per product path, takes each
+product's phase from the same rule :func:`paulisched.pauli.string_product`
+uses, and builds one :class:`~paulisched.pauli.ExactComplex` per output
+string.  No sign or phase is hand-coded, which is what the dense-matrix
+oracles in :mod:`paulisched.oracles` verify.
 
 For a two-body term with four distinct mode indices the expansion is always
 16 strings of coefficient magnitude 1/16, each matching a fixed shape: X or
@@ -15,8 +20,9 @@ identity elsewhere.  :class:`JwPattern` captures that shape.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
-from .pauli import ExactComplex, PauliString, WeightedPauliString, multiply
+from .pauli import ExactComplex, PauliString, WeightedPauliString, _product_phase
 
 __all__ = [
     "FermionicTerm",
@@ -31,6 +37,8 @@ __all__ = [
 _HALF = ExactComplex(Fraction(1, 2))
 _PLUS_I_HALF = ExactComplex(0, Fraction(1, 2))
 _MINUS_I_HALF = ExactComplex(0, Fraction(-1, 2))
+# ladder coefficient c -> k with c = i**k / 2
+_LADDER_I_POWER = {_HALF: 0, _PLUS_I_HALF: 1, _MINUS_I_HALF: 3}
 
 
 class UnsupportedTermError(ValueError):
@@ -106,6 +114,21 @@ def jw_ladder(mode: int, dagger: bool, n: int) -> tuple[WeightedPauliString, Wei
     )
 
 
+@lru_cache(maxsize=1024)
+def _ladder_ints(mode: int, dagger: bool, n: int) -> tuple[tuple[int, int, int], ...]:
+    """:func:`jw_ladder` as (x, z, k) per part: masks and coefficient i**k / 2."""
+    return tuple(
+        (w.string.x, w.string.z, _LADDER_I_POWER[w.coefficient])
+        for w in jw_ladder(mode, dagger, n)
+    )
+
+
+@lru_cache(maxsize=4096)
+def _dyadic(re: int, im: int, k: int) -> ExactComplex:
+    """(re + i im) / 2**k, interned: ExactComplex is immutable, so sharing is safe."""
+    return ExactComplex(Fraction(re, 1 << k), Fraction(im, 1 << k))
+
+
 def jw_term(term: FermionicTerm) -> list[WeightedPauliString]:
     """Expand a term's full ladder product into weighted Pauli strings.
 
@@ -113,19 +136,29 @@ def jw_term(term: FermionicTerm) -> list[WeightedPauliString]:
     coefficients dropped, so nilpotent products come back empty.  The result
     is sorted by string text, which makes downstream output reproducible.
     """
-    factors = [jw_ladder(m, True, term.n) for m in term.creates]
-    factors += [jw_ladder(m, False, term.n) for m in term.annihilates]
-    acc = [WeightedPauliString(ExactComplex(1), PauliString.identity(term.n))]
-    for factor in factors:
-        acc = [multiply(w, part) for w in acc for part in factor]
-    combined: dict[PauliString, ExactComplex] = {}
-    for w in acc:
-        combined[w.string] = combined.get(w.string, ExactComplex()) + w.coefficient
-    return [
-        WeightedPauliString(c, s)
-        for s, c in sorted(combined.items(), key=lambda item: item[0].text())
-        if c
+    n = term.n
+    factors = [_ladder_ints(m, True, n) for m in term.creates]
+    factors += [_ladder_ints(m, False, n) for m in term.annihilates]
+    # One (x, z, k) per product path: the string and its phase i**k; every
+    # path carries the common factor 1 / 2**len(factors).
+    paths = [(0, 0, 0)]
+    for parts in factors:
+        paths = [
+            (x ^ fx, z ^ fz, k + fk + _product_phase(x, z, fx, fz))
+            for x, z, k in paths
+            for fx, fz, fk in parts
+        ]
+    sums: dict[tuple[int, int], list[int]] = {}
+    for x, z, k in paths:
+        re_im = sums.setdefault((x, z), [0, 0])
+        re_im[k & 1] += -1 if k & 2 else 1  # i**k is 1, i, -1 or -i
+    out = [
+        WeightedPauliString(_dyadic(re, im, len(factors)), PauliString(n, x, z))
+        for (x, z), (re, im) in sums.items()
+        if re or im
     ]
+    out.sort(key=lambda w: w.string.text())
+    return out
 
 
 def jw_excitation(term: FermionicTerm) -> list[WeightedPauliString]:

@@ -35,7 +35,7 @@ from pathlib import Path
 from .baranyai import Schedule, pad_and_build
 from .fermion import FermionicTerm, jw_excitation, jw_term
 from .oracles import validate_schedule
-from .pauli import ExactComplex, WeightedPauliString, commutes
+from .pauli import ExactComplex, WeightedPauliString, _anticommuting_pair
 
 __all__ = [
     "CommutingFamily",
@@ -82,11 +82,10 @@ class CommutingFamily:
 
 def _certified(strings, provenance, origin) -> CommutingFamily:
     family = CommutingFamily(tuple(strings), tuple(provenance), origin)
-    words = [w.string for w in family.strings]
-    for i, a in enumerate(words):
-        for b in words[i + 1 :]:
-            if not commutes(a, b):
-                raise FamilyCertificationError(f"{a} and {b} do not commute in a {origin} family")
+    bad = _anticommuting_pair([w.string for w in family.strings])
+    if bad is not None:
+        a, b = bad
+        raise FamilyCertificationError(f"{a} and {b} do not commute in a {origin} family")
     return family
 
 
@@ -122,13 +121,13 @@ def _residual_structural_terms(n: int):
     """All canonical non-vanishing terms outside the dominant class, unweighted."""
     for p in range(n):
         for q in range(n):
-            yield FermionicTerm.one_body(p, q, n), ExactComplex(1)
+            yield FermionicTerm.one_body(p, q, n)
     for p, q in combinations(range(n), 2):
         for r, s in combinations(range(n), 2):
             creates = (q, p)  # descending
             annihilates = (s, r)
             if set(creates) & set(annihilates):
-                yield FermionicTerm(creates, annihilates, n), ExactComplex(1)
+                yield FermionicTerm(creates, annihilates, n)
 
 
 def residual_families(n: int, coeffs: "HamiltonianCoefficients | None" = None) -> list[CommutingFamily]:
@@ -142,7 +141,7 @@ def residual_families(n: int, coeffs: "HamiltonianCoefficients | None" = None) -
     if n < 1:
         raise ValueError("mode count must be positive")
     if coeffs is None:
-        weighted_terms = list(_residual_structural_terms(n))
+        weighted_terms = [(term, None) for term in _residual_structural_terms(n)]
     else:
         if coeffs.n != n:
             raise ValueError(f"coefficients are for n={coeffs.n}, not n={n}")
@@ -159,9 +158,9 @@ def residual_families(n: int, coeffs: "HamiltonianCoefficients | None" = None) -
     pooled_strings: list[WeightedPauliString] = []
     pooled_terms: list[FermionicTerm] = []
     for term, weight in weighted_terms:
-        strings = [
-            WeightedPauliString(w.coefficient * weight, w.string) for w in jw_term(term)
-        ]
+        strings = jw_term(term)
+        if weight is not None:
+            strings = [WeightedPauliString(w.coefficient * weight, w.string) for w in strings]
         if not strings:
             continue
         if all(w.string.x == 0 for w in strings):  # I/Z only
@@ -331,8 +330,15 @@ def read_schedule_file(path) -> Schedule:
     except (OSError, json.JSONDecodeError) as exc:
         raise ScheduleLoadError(f"cannot read schedule file {path}: {exc}") from exc
     try:
-        n = int(data["n"])
-        rounds = [[tuple(int(t) for t in s) for s in rnd] for rnd in data["rounds"]]
+        n = data["n"]
+        rounds = [[tuple(s) for s in rnd] for rnd in data["rounds"]]
+        # bool is a subclass of int, but true/false are not JSON integers
+        if type(n) is not int:
+            raise ValueError(f"n must be an integer, got {n!r}")
+        for rnd in rounds:
+            for subset in rnd:
+                if any(type(t) is not int for t in subset):
+                    raise ValueError(f"subset indices must be integers, got {list(subset)!r}")
     except (KeyError, TypeError, ValueError) as exc:
         raise ScheduleLoadError(f"malformed schedule file {path}: {exc}") from exc
     if any(len(s) != 4 for rnd in rounds for s in rnd):

@@ -4,9 +4,12 @@ Text convention: qubit 0 is the LEFTMOST character, so "XII" puts an X on
 qubit 0 of a three-qubit register.
 
 Internally a string is a pair of bitmasks (x, z); bit t encodes qubit t as
-I=(0,0), X=(1,0), Y=(1,1), Z=(0,1).  Commutation then reduces to a popcount
-of masked ANDs, which keeps the all-pairs certification done downstream
-cheap even for thousands of strings.
+I=(0,0), X=(1,0), Y=(1,1), Z=(0,1).  Two rules on these integers live here
+and nowhere else: the symplectic commutation test (the parity of a popcount
+of masked ANDs), which :func:`commutes` and the batched all-pairs
+certification of a whole family share, and the X^x Z^z normal-form phase of
+a product, which :func:`string_product` and the integer Jordan-Wigner
+kernel in :mod:`paulisched.fermion` share.
 
 Coefficients are exact complex numbers with rational real/imaginary parts
 (:class:`ExactComplex`); every value the encoding pipeline produces is a
@@ -34,6 +37,7 @@ __all__ = [
 
 _CHAR_TO_XZ = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _XZ_TO_CHAR = {bits: char for char, bits in _CHAR_TO_XZ.items()}
+_DIGIT_TO_CHAR = str.maketrans("0123", "IXZY")  # digit x + 2z per qubit
 
 
 @dataclass(frozen=True)
@@ -116,7 +120,11 @@ class PauliString:
         return _XZ_TO_CHAR[(self.x >> t) & 1, (self.z >> t) & 1]
 
     def text(self) -> str:
-        return "".join(self.letter(t) for t in range(self.n))
+        # Reading each mask's binary digits as hex digits puts qubit t in hex
+        # digit t as x_t + 2 z_t (no carries: every digit stays below 4).
+        # Base 16, unlike base 10, has no int/str digit limit.
+        digits = int(format(self.x, "b"), 16) + 2 * int(format(self.z, "b"), 16)
+        return format(digits, "x").zfill(self.n)[::-1].translate(_DIGIT_TO_CHAR)
 
     def __str__(self) -> str:
         return self.text()
@@ -172,29 +180,56 @@ def anticommuting_index_count(p: PauliString, q: PauliString) -> int:
     return ((p.x & q.z) ^ (p.z & q.x)).bit_count()
 
 
+def _anticommuting_pair(strings) -> tuple[PauliString, PauliString] | None:
+    """The first pair (a, b), a before b, of ``strings`` that anticommutes, or None.
+
+    The one commutation rule: a and b anticommute iff the symplectic product
+    (a.x & b.z) ^ (a.z & b.x) has odd popcount.  The register size is
+    checked once and the pairs are then tested on bare x/z ints, so a whole
+    family is certified in one loop.
+
+    Raises:
+        ValueError: if the strings act on different registers.
+    """
+    if not strings:
+        return None
+    n = strings[0].n
+    for s in strings:
+        if s.n != n:
+            raise ValueError(f"Pauli strings act on different registers: {n} != {s.n}")
+    masks = [(s.x, s.z) for s in strings]
+    for i, (ax, az) in enumerate(masks):
+        for j in range(i + 1, len(masks)):
+            bx, bz = masks[j]
+            if ((ax & bz) ^ (az & bx)).bit_count() & 1:
+                return strings[i], strings[j]
+    return None
+
+
 def commutes(p: PauliString, q: PauliString) -> bool:
     """True iff the two strings commute, i.e. the anticommuting-index count is even."""
-    _require_same_length(p, q)
-    return ((p.x & q.z) ^ (p.z & q.x)).bit_count() % 2 == 0
+    return _anticommuting_pair((p, q)) is None
+
+
+def _product_phase(px: int, pz: int, qx: int, qz: int) -> int:
+    """Exponent k in 0..3 with P*Q = i**k R for the IXYZ-letter strings P, Q, R.
+
+    Uses the X^x Z^z normal form: each letter is i^(x*z) X^x Z^z, commuting
+    Z past X contributes (-1)^(z1*x2) per position, and the result R, with
+    masks (px ^ qx, pz ^ qz), is folded back into the IXYZ alphabet.
+    """
+    return (
+        (px & pz).bit_count()
+        + (qx & qz).bit_count()
+        + 2 * (pz & qx).bit_count()
+        - ((px ^ qx) & (pz ^ qz)).bit_count()
+    ) & 3
 
 
 def string_product(p: PauliString, q: PauliString) -> tuple[PauliString, int]:
-    """Positionwise product p*q, returned as (string, k) with global phase i**k.
-
-    Uses the X^x Z^z normal form: each letter is i^(x*z) X^x Z^z, commuting
-    Z past X contributes (-1)^(z1*x2) per position, and the result is folded
-    back into the IXYZ alphabet.
-    """
+    """Positionwise product p*q, returned as (string, k) with global phase i**k."""
     _require_same_length(p, q)
-    x3 = p.x ^ q.x
-    z3 = p.z ^ q.z
-    k = (
-        (p.x & p.z).bit_count()
-        + (q.x & q.z).bit_count()
-        + 2 * (p.z & q.x).bit_count()
-        - (x3 & z3).bit_count()
-    )
-    return PauliString(p.n, x3, z3), k % 4
+    return PauliString(p.n, p.x ^ q.x, p.z ^ q.z), _product_phase(p.x, p.z, q.x, q.z)
 
 
 def multiply(p: WeightedPauliString, q: WeightedPauliString) -> WeightedPauliString:

@@ -6,7 +6,31 @@ from hypothesis import settings
 settings.register_profile("det", derandomize=True, deadline=None)
 settings.load_profile("det")
 
+from paulisched.fermion import FermionicTerm, jw_ladder
 from paulisched.flows import FlowNetwork, ScaledFlow
+from paulisched.pauli import ExactComplex, PauliString, WeightedPauliString, multiply
+
+
+def reference_jw_term(term: FermionicTerm) -> list[WeightedPauliString]:
+    """The symbolic Jordan-Wigner expansion that ``jw_term`` must reproduce exactly.
+
+    Folds the ``jw_ladder`` factors through ``pauli.multiply`` one weighted
+    string at a time, combines equal strings, drops zero sums and sorts by
+    string text.
+    """
+    factors = [jw_ladder(m, True, term.n) for m in term.creates]
+    factors += [jw_ladder(m, False, term.n) for m in term.annihilates]
+    acc = [WeightedPauliString(ExactComplex(1), PauliString.identity(term.n))]
+    for factor in factors:
+        acc = [multiply(w, part) for w in acc for part in factor]
+    combined: dict[PauliString, ExactComplex] = {}
+    for w in acc:
+        combined[w.string] = combined.get(w.string, ExactComplex()) + w.coefficient
+    return [
+        WeightedPauliString(c, s)
+        for s, c in sorted(combined.items(), key=lambda item: item[0].text())
+        if c
+    ]
 
 
 def make_fractional_case(rng: random.Random) -> tuple[FlowNetwork, ScaledFlow]:

@@ -139,6 +139,15 @@ class TestVerifyCommand:
         code, _, err = run(capsys, "verify", "--schedule-file", str(path))
         assert code == 2
 
+    def test_non_integer_schedule_file_is_usage_error(self, capsys, tmp_path):
+        rounds = [[list(s) for s in rnd] for rnd in build_schedule(8).rounds]
+        rounds[0][0] = [t + 0.5 for t in rounds[0][0]]
+        path = tmp_path / "floats.json"
+        path.write_text(json.dumps({"n": 8, "rounds": rounds}))
+        code, _, err = run(capsys, "verify", "--schedule-file", str(path))
+        assert code == 2
+        assert "integer" in err
+
     def test_deep_suite_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--deep", "--format", "json")
         assert code == 0

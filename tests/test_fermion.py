@@ -4,6 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from conftest import reference_jw_term
 from paulisched.fermion import (
     FermionicTerm,
     UnsupportedTermError,
@@ -157,6 +158,16 @@ class TestGeneralTerms:
         strings = jw_term(term)
         got = weighted_sum_matrix(strings) if strings else np.zeros((16, 16), dtype=complex)
         assert np.array_equal(got, term_matrix(term))
+
+    def test_equals_reference_expansion_exactly(self):
+        # strings, exact coefficients and order, for every canonical one-body
+        # and two-body term (repeated indices included) up to eight modes
+        for n in range(1, 9):
+            pairs = list(combinations(range(n), 2))
+            terms = [FermionicTerm.one_body(p, q, n) for p in range(n) for q in range(n)]
+            terms += [FermionicTerm((q, p), (s, r), n) for p, q in pairs for r, s in pairs]
+            for term in terms:
+                assert jw_term(term) == reference_jw_term(term), term
 
     def test_all_terms_dense_at_small_sizes(self):
         for n in (4, 5):

@@ -74,6 +74,12 @@ class TestResidualFamilies:
         strings = [WeightedPauliString(ExactComplex(1), parse_pauli(t)) for t in ("XI", "ZI")]
         with pytest.raises(FamilyCertificationError):
             _certified(strings, [], "residual")
+        # only the last pair of a longer family anticommutes
+        texts = ("ZIII", "IZII", "ZZII", "IIII", "ZIIZ", "IIXI", "IIZI")
+        strings = [WeightedPauliString(ExactComplex(1), parse_pauli(t)) for t in texts]
+        _certified(strings[:-1], [], "residual")
+        with pytest.raises(FamilyCertificationError, match="IIXI and IIZI"):
+            _certified(strings, [], "residual")
 
     def test_off_diagonal_one_body_splits_into_two_pairs(self):
         families = residual_families(2)
@@ -190,6 +196,24 @@ class TestPersistence:
         path.write_text(json.dumps({"n": 4, "rounds": [[[3, 2, 1]]]}))
         with pytest.raises(ScheduleLoadError):
             load_schedule(path)
+        rounds = [[list(s) for s in rnd] for rnd in build_schedule(8).rounds]
+        path.write_text(json.dumps({"n": 8, "rounds": rounds}))
+        assert load_schedule(path).n == 8
+
+        def with_subset(values):
+            members = sorted(int(v) for v in values)
+            return [[values if sorted(s) == members else s for s in rnd] for rnd in rounds]
+
+        # int() would accept each of these; none is a JSON integer
+        for bad in (
+            {"n": 8.9, "rounds": rounds},
+            {"n": 8, "rounds": with_subset([7.5, 2.5, 1.5, 0.5])},
+            {"n": 8, "rounds": with_subset(["7", "3", "1", "0"])},
+            {"n": 8, "rounds": with_subset([7, 3, 1, False])},
+        ):
+            path.write_text(json.dumps(bad))
+            with pytest.raises(ScheduleLoadError, match="integer"):
+                load_schedule(path)
 
     def test_coefficients_file_round_trip(self, tmp_path):
         path = tmp_path / "coeffs.json"

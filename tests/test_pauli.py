@@ -59,6 +59,16 @@ class TestParseFormat:
     def test_identity_constructor(self):
         assert str(PauliString.identity(4)) == "IIII"
 
+    def test_text_equals_letters_for_all_four_qubit_strings(self):
+        for x in range(16):
+            for z in range(16):
+                p = PauliString(4, x, z)
+                assert p.text() == "".join(p.letter(t) for t in range(4))
+
+    @given(pauli_strings(max_n=28))
+    def test_text_equals_letters(self, p):
+        assert p.text() == "".join(p.letter(t) for t in range(p.n))
+
 
 class TestCommutation:
     def test_counterexample_pair(self):
