@@ -16,10 +16,14 @@ family, since such strings always commute.  This residual grouping is a
 placeholder strategy and is flagged as such in report summaries.
 
 Grouping structure depends only on n, never on coefficient values.
-Coefficients, when supplied, act purely as a zero filter and a per-string
-weight: entries are brought to normal order (descending indices inside each
-operator kind, with the antisymmetry sign), accumulated per canonical term,
-and folded into the string weights of the families they touch.
+Coefficients, when supplied, are brought to normal order (descending
+indices inside each operator kind, with the antisymmetry sign) and
+accumulated per canonical term.  Each term's expansion is then scaled by
+its value and folded per string before the split: for the dominant class,
+every entry on one 4-subset folds into one list under the subset's
+canonical term.  Strings whose sum is zero never reach a family, so there
+is no filter pass; without coefficients every canonical term enters the
+same fold and split with value 1.
 
 Family construction per round is independent and is performed in round
 order; results are deterministic and bit-identical between runs.
@@ -35,7 +39,7 @@ from pathlib import Path
 from .baranyai import Schedule, pad_and_build
 from .fermion import FermionicTerm, jw_excitation, jw_term
 from .oracles import validate_schedule
-from .pauli import ExactComplex, WeightedPauliString, _anticommuting_pair
+from .pauli import ExactComplex, PauliString, WeightedPauliString, _anticommuting_pair
 
 __all__ = [
     "CommutingFamily",
@@ -44,7 +48,6 @@ __all__ = [
     "PartitionReport",
     "ScheduleLoadError",
     "CoefficientsLoadError",
-    "apply_coefficients",
     "build_partition",
     "commuting_families",
     "load_coefficients",
@@ -95,87 +98,128 @@ def _y_parity(w: WeightedPauliString) -> int:
     return (w.string.x & w.string.z).bit_count() & 1
 
 
+def _fold(entries) -> list[WeightedPauliString]:
+    """One text-sorted list of weighted strings from (expansion, value) entries.
+
+    Values are summed per string as exact real and imaginary parts, and
+    strings that sum to zero drop out.  A single entry with value 1 comes
+    back unchanged.
+    """
+    if len(entries) == 1 and entries[0][1] == 1:
+        return entries[0][0]
+    sums: dict[PauliString, list[Fraction]] = {}
+    for strings, value in entries:
+        for w in strings:
+            re_im = sums.setdefault(w.string, [Fraction(0), Fraction(0)])
+            # JW coefficients are real or imaginary: skipping the zero part
+            # halves the Fraction products
+            if w.coefficient.real:
+                re_im[0] += w.coefficient.real * value
+            if w.coefficient.imag:
+                re_im[1] += w.coefficient.imag * value
+    folded = [
+        WeightedPauliString(ExactComplex(re, im), string)
+        for string, (re, im) in sums.items()
+        if re or im
+    ]
+    folded.sort(key=lambda w: w.string.text())
+    return folded
+
+
+def _split(unit, origin: str) -> list[CommutingFamily]:
+    """The certified even-Y and odd-Y families of a unit of (term, strings) pairs.
+
+    A term is provenance of each half it puts a string into; empty halves
+    drop out.
+    """
+    halves: tuple[list, list] = ([], [])
+    terms: tuple[list, list] = ([], [])
+    for term, strings in unit:
+        sizes = [len(half) for half in halves]
+        for w in strings:
+            halves[_y_parity(w)].append(w)
+        for half, provenance, size in zip(halves, terms, sizes):
+            if len(half) > size:
+                provenance.append(term)
+    return [_certified(half, provenance, origin) for half, provenance in zip(halves, terms) if half]
+
+
 def dominant_term(subset, n: int) -> FermionicTerm:
     """Canonical representative for a 4-subset: create the two largest modes."""
     a, b, c, d = sorted(subset, reverse=True)
     return FermionicTerm.two_body(a, b, c, d, n)
 
 
-def commuting_families(schedule: Schedule) -> list[CommutingFamily]:
-    """Two certified families per round: the even-Y and odd-Y string halves."""
+def _term_table(n: int, coeffs: "HamiltonianCoefficients | None", dominant: bool):
+    """The (term, value) input of one class: dominant, or everything else.
+
+    Without coefficients every canonical non-vanishing term appears once
+    with value 1; with them, the table's entries in sorted key order.
+    """
+    if coeffs is None:
+        if dominant:
+            terms = [dominant_term(s, n) for s in combinations(range(n), 4)]
+        else:
+            terms = [FermionicTerm.one_body(p, q, n) for p in range(n) for q in range(n)]
+            terms += [
+                FermionicTerm((q, p), (s, r), n)  # descending
+                for p, q in combinations(range(n), 2)
+                for r, s in combinations(range(n), 2)
+                if {p, q} & {r, s}
+            ]
+        return [(term, 1) for term in terms]
+    if coeffs.n != n:
+        raise ValueError(f"coefficients are for n={coeffs.n}, not n={n}")
+    table = [] if dominant else [
+        (FermionicTerm.one_body(p, q, n), value) for (p, q), value in sorted(coeffs.one_body.items())
+    ]
+    for (p, q, r, s), value in sorted(coeffs.two_body.items()):
+        if (len({p, q, r, s}) == 4) == dominant:
+            table.append((FermionicTerm.two_body(p, q, r, s, n), value))
+    return table
+
+
+def commuting_families(
+    schedule: Schedule, coeffs: "HamiltonianCoefficients | None" = None
+) -> list[CommutingFamily]:
+    """Two certified families per round: the even-Y and odd-Y string halves.
+
+    A subset contributes the strings of every entry on it, folded, under
+    its canonical :func:`dominant_term`; subsets without entries and
+    families left empty drop out.
+    """
+    entries: dict[tuple[int, ...], list] = {}
+    for term, value in _term_table(schedule.n, coeffs, dominant=True):
+        entries.setdefault(term.support()[::-1], []).append((term, value))
     families = []
     for rnd in schedule.rounds:
-        halves: tuple[list, list] = ([], [])
-        terms = []
+        unit = []
         for subset in rnd:
-            term = dominant_term(subset, schedule.n)
-            terms.append(term)
-            for w in jw_excitation(term):
-                halves[_y_parity(w)].append(w)
-        for half in halves:
-            families.append(_certified(half, terms, "dominant"))
+            expansions = [(jw_excitation(term), value) for term, value in entries.get(subset, ())]
+            unit.append((dominant_term(subset, schedule.n), _fold(expansions)))
+        families += _split(unit, "dominant")
     return families
-
-
-def _residual_structural_terms(n: int):
-    """All canonical non-vanishing terms outside the dominant class, unweighted."""
-    for p in range(n):
-        for q in range(n):
-            yield FermionicTerm.one_body(p, q, n)
-    for p, q in combinations(range(n), 2):
-        for r, s in combinations(range(n), 2):
-            creates = (q, p)  # descending
-            annihilates = (s, r)
-            if set(creates) & set(annihilates):
-                yield FermionicTerm(creates, annihilates, n)
 
 
 def residual_families(n: int, coeffs: "HamiltonianCoefficients | None" = None) -> list[CommutingFamily]:
-    """Per-term families for everything Eq.-style outside the dominant class.
+    """Families for every term outside the dominant class.
 
-    With coefficients supplied, only terms carrying a nonzero accumulated
-    value are emitted and their strings are weighted by it; without, every
-    structurally non-vanishing term appears with its raw encoding weights.
-    The total family count is bounded by 2 n^3.
+    Each term is its own unit of the Y-parity split, except that terms
+    whose strings are all I/Z pool into one last family.  With coefficients
+    supplied, only the terms carrying a nonzero value appear, weighted by
+    it.  The total family count is bounded by 2 n^3.
     """
     if n < 1:
         raise ValueError("mode count must be positive")
-    if coeffs is None:
-        weighted_terms = [(term, None) for term in _residual_structural_terms(n)]
-    else:
-        if coeffs.n != n:
-            raise ValueError(f"coefficients are for n={coeffs.n}, not n={n}")
-        weighted_terms = []
-        for (p, q), value in sorted(coeffs.one_body.items()):
-            weighted_terms.append((FermionicTerm.one_body(p, q, n), ExactComplex(value)))
-        for key, value in sorted(coeffs.two_body.items()):
-            if len(set(key)) == 4:
-                continue  # dominant class, handled by the schedule
-            p, q, r, s = key
-            weighted_terms.append((FermionicTerm.two_body(p, q, r, s, n), ExactComplex(value)))
-
     families = []
-    pooled_strings: list[WeightedPauliString] = []
-    pooled_terms: list[FermionicTerm] = []
-    for term, weight in weighted_terms:
-        strings = jw_term(term)
-        if weight is not None:
-            strings = [WeightedPauliString(w.coefficient * weight, w.string) for w in strings]
-        if not strings:
-            continue
+    pool = []
+    for term, value in _term_table(n, coeffs, dominant=False):
+        strings = _fold([(jw_term(term), value)])
         if all(w.string.x == 0 for w in strings):  # I/Z only
-            pooled_strings.extend(strings)
-            pooled_terms.append(term)
-            continue
-        halves: tuple[list, list] = ([], [])
-        for w in strings:
-            halves[_y_parity(w)].append(w)
-        for half in halves:
-            if half:
-                families.append(_certified(half, [term], "residual"))
-    if pooled_strings:
-        families.append(_certified(pooled_strings, pooled_terms, "residual"))
-    return families
+            pool.append((term, strings))
+        else:
+            families += _split([(term, strings)], "residual")
+    return families + _split(pool, "residual")
 
 
 # ---------------------------------------------------------------------------
@@ -250,62 +294,21 @@ def load_coefficients(path) -> HamiltonianCoefficients:
                 raise ValueError(f"mode indices must be integers, got {list(key)!r}")
         if any(len(k) != 2 for k, _ in one) or any(len(k) != 4 for k, _ in two):
             raise ValueError("index lists must have 2 (pq) or 4 (pqrs) entries")
-        return HamiltonianCoefficients.from_entries(n, one, two)
+        coeffs = HamiltonianCoefficients.from_entries(n, one, two)
+        # With real values, H is Hermitian iff every normal-ordered entry
+        # equals the entry of its adjoint, whose key swaps the create and
+        # annihilate halves; an absent entry is 0.
+        for table in (coeffs.one_body, coeffs.two_body):
+            for key, value in sorted(table.items()):
+                adjoint = key[len(key) // 2:] + key[:len(key) // 2]
+                if table.get(adjoint, 0) != value:
+                    raise ValueError(
+                        f"not Hermitian: entry {list(key)} is {float(value)} but its adjoint "
+                        f"{list(adjoint)} is {float(table.get(adjoint, 0))}"
+                    )
+        return coeffs
     except (KeyError, TypeError, ValueError) as exc:
         raise CoefficientsLoadError(f"malformed coefficients file {path}: {exc}") from exc
-
-
-def _support_weight_maps(coeffs: HamiltonianCoefficients):
-    """Accumulated per-string weights of all dominant-class entries, by support."""
-    maps: dict[int, dict] = {}
-    for key, value in sorted(coeffs.two_body.items()):
-        if len(set(key)) != 4:
-            continue
-        p, q, r, s = key
-        term = FermionicTerm.two_body(p, q, r, s, coeffs.n)
-        mask = 0
-        for t in key:
-            mask |= 1 << t
-        acc = maps.setdefault(mask, {})
-        scale = ExactComplex(value)
-        for w in jw_excitation(term):
-            acc[w.string] = acc.get(w.string, ExactComplex()) + w.coefficient * scale
-    return maps
-
-
-def apply_coefficients(
-    families: list[CommutingFamily], coeffs: HamiltonianCoefficients
-) -> list[CommutingFamily]:
-    """Reweight dominant families by the coefficient tables.
-
-    Strings whose 4-subset has no nonzero entry drop out; fully emptied
-    families drop entirely.  Residual families pass through untouched (they
-    are built against the coefficients directly).
-    """
-    maps = _support_weight_maps(coeffs)
-    out = []
-    for family in families:
-        if family.origin != "dominant":
-            out.append(family)
-            continue
-        kept = []
-        touched_supports = set()
-        for w in family.strings:
-            weights = maps.get(w.string.x)  # x mask = endpoint mask = support
-            if not weights:
-                continue
-            c = weights.get(w.string)
-            if c:
-                kept.append(WeightedPauliString(c, w.string))
-                touched_supports.add(w.string.x)
-        if not kept:
-            continue
-        terms = tuple(
-            t for t in family.provenance
-            if sum(1 << m for m in t.support()) in touched_supports
-        )
-        out.append(CommutingFamily(tuple(kept), terms, "dominant"))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -423,12 +426,6 @@ class PartitionReport:
 
 
 def build_partition(n: int, coeffs: HamiltonianCoefficients | None = None) -> PartitionReport:
-    """Schedule -> certified families, optionally filtered/weighted by coefficients."""
-    schedule = schedule_for(n)
-    families = commuting_families(schedule)
-    if coeffs is not None:
-        if coeffs.n != n:
-            raise ValueError(f"coefficients are for n={coeffs.n}, not n={n}")
-        families = apply_coefficients(families, coeffs)
-    families = families + residual_families(n, coeffs)
+    """Schedule -> certified families, weighted by coefficients when supplied."""
+    families = commuting_families(schedule_for(n), coeffs) + residual_families(n, coeffs)
     return PartitionReport(n, tuple(families), coeffs is not None)

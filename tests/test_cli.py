@@ -91,6 +91,8 @@ class TestFamiliesCommand:
             json.dumps({"n": "8", "one_body": [], "two_body": []}),
             json.dumps({"n": 8, "one_body": [{"pq": [1.5, 0], "value": 1}]}),
             json.dumps({"n": 8, "two_body": [{"pqrs": [7, 5, 3.0, 0], "value": 1}]}),
+            # one-sided, so not Hermitian
+            json.dumps({"n": 8, "two_body": [{"pqrs": [7, 5, 3, 0], "value": 0.5}]}),
         ]:
             coeffs.write_text(text)
             code, _, err = run(capsys, "families", "--n", "8", "--hamiltonian", str(coeffs))

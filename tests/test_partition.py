@@ -1,12 +1,14 @@
 import json
+import random
 from fractions import Fraction
 from itertools import combinations
 from math import comb
 
 import pytest
 
+from conftest import reference_jw_term
 from paulisched.baranyai import build_schedule
-from paulisched.fermion import FermionicTerm, jw_excitation
+from paulisched.fermion import FermionicTerm, jw_excitation, jw_term
 from paulisched.oracles import validate_families
 from paulisched.partition import (
     CoefficientsLoadError,
@@ -14,14 +16,16 @@ from paulisched.partition import (
     HamiltonianCoefficients,
     ScheduleLoadError,
     _certified,
-    apply_coefficients,
+    _fold,
     build_partition,
     commuting_families,
+    dominant_term,
     load_coefficients,
     load_schedule,
     residual_families,
     save_families,
     save_schedule,
+    schedule_for,
 )
 from paulisched.pauli import ExactComplex, WeightedPauliString, commutes, parse_pauli
 
@@ -139,7 +143,7 @@ class TestCoefficients:
 
     def test_filtering_keeps_only_supported_subsets(self):
         coeffs = HamiltonianCoefficients.from_entries(8, [], [((7, 5, 3, 0), 0.5)])
-        families = apply_coefficients(commuting_families(build_schedule(8)), coeffs)
+        families = commuting_families(build_schedule(8), coeffs)
         assert len(families) == 2
         strings = [w for f in families for w in f.strings]
         assert len(strings) == 16
@@ -150,19 +154,152 @@ class TestCoefficients:
 
     def test_all_zero_filter_drops_everything(self):
         coeffs = HamiltonianCoefficients.from_entries(8, [], [])
-        assert apply_coefficients(commuting_families(build_schedule(8)), coeffs) == []
+        assert commuting_families(build_schedule(8), coeffs) == []
 
     def test_same_support_entries_accumulate_per_string(self):
         # two different dagger placements on one support add up string-wise
         coeffs = HamiltonianCoefficients.from_entries(
             8, [], [((7, 5, 3, 0), 1.0), ((7, 3, 5, 0), 1.0)]
         )
-        families = apply_coefficients(commuting_families(build_schedule(8)), coeffs)
+        families = commuting_families(build_schedule(8), coeffs)
         strings = [w for f in families for w in f.strings]
         # the two expansions share the 16-string support but interfere, so
         # some strings may cancel; whatever remains must still be certified
         assert 0 < len(strings) <= 16
         assert validate_families(families).passed
+
+    def test_coefficients_for_another_n_rejected(self):
+        coeffs = HamiltonianCoefficients.from_entries(4, [], [])
+        with pytest.raises(ValueError, match="n=4"):
+            commuting_families(build_schedule(8), coeffs)
+        with pytest.raises(ValueError, match="n=4"):
+            residual_families(8, coeffs)
+        with pytest.raises(ValueError, match="n=4"):
+            build_partition(8, coeffs)
+
+
+def _seeded_hermitian_entries(n, seed):
+    """A random real Hermitian table: each entry comes with its adjoint."""
+    rng = random.Random(seed)
+
+    def value():
+        return rng.choice([-1, 1]) * rng.randint(1, 16) / 8
+
+    one, two = [], []
+    for p, q in combinations(range(n), 2):
+        if rng.random() < 0.5:
+            v = value()
+            one += [((p, q), v), ((q, p), v)]
+    one += [((p, p), value()) for p in range(n) if rng.random() < 0.5]
+    for a, b, c, d in combinations(range(n - 1, -1, -1), 4):
+        # the six normal-ordered keys on {a, b, c, d} form three adjoint pairs
+        for creates, annihilates in (((a, b), (c, d)), ((a, c), (b, d)), ((a, d), (b, c))):
+            if rng.random() < 0.6:
+                v = value()
+                two += [(creates + annihilates, v), (annihilates + creates, v)]
+    for p, q, r in combinations(range(n), 3):
+        if rng.random() < 0.3:
+            v = value()  # n_q-dressed hopping p <- r
+            two += [((p, q, r, q), v), ((r, q, p, q), v)]
+    for p, q in combinations(range(n), 2):
+        if rng.random() < 0.5:
+            two.append(((p, q, p, q), value()))  # number-number, self-adjoint
+    return one, two
+
+
+def _scaled(term, value):
+    return [(w.string, w.coefficient * ExactComplex(value)) for w in reference_jw_term(term)]
+
+
+class TestWeightedFold:
+    """Weighted families against the symbolic reference expansion, exactly."""
+
+    def test_fold_sums_drops_zeros_and_sorts(self):
+        hop = FermionicTerm.one_body(1, 0, 2)
+        n0, n1 = FermionicTerm.one_body(0, 0, 2), FermionicTerm.one_body(1, 1, 2)
+        entries = [(hop, Fraction(2)), (n0, Fraction(1, 3)), (n1, Fraction(1)), (n0, Fraction(-1, 3))]
+        folded = _fold([(jw_term(t), v) for t, v in entries])
+        # n0 cancels, so ZI sums to zero; strings of later entries sort first
+        assert [str(w.string) for w in folded] == ["II", "IZ", "XX", "XY", "YX", "YY"]
+        want = {}
+        for term, value in entries:
+            for string, c in _scaled(term, value):
+                want[string] = want.get(string, ExactComplex()) + c
+        assert all(w.coefficient == want[w.string] for w in folded)
+        strings = jw_term(hop)
+        assert _fold([(strings, 1)]) is strings
+
+    @pytest.fixture(scope="class", params=["hermitian", "one-sided"])
+    def case(self, request):
+        one, two = _seeded_hermitian_entries(8, seed=11)
+        if request.param == "one-sided":
+            # every other entry, so odd-Y dominant strings survive as well
+            one, two = one[::2], two[::2]
+        coeffs = HamiltonianCoefficients.from_entries(8, one, two)
+        values = {FermionicTerm.one_body(p, q, 8): v for (p, q), v in coeffs.one_body.items()}
+        values.update({FermionicTerm.two_body(*k, 8): v for k, v in coeffs.two_body.items()})
+        return values, build_partition(8, coeffs).families
+
+    def test_hermitian_table_loads(self, tmp_path):
+        one, two = _seeded_hermitian_entries(8, seed=11)
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps({
+            "n": 8,
+            "one_body": [{"pq": list(k), "value": v} for k, v in one],
+            "two_body": [{"pqrs": list(k), "value": v} for k, v in two],
+        }))
+        assert load_coefficients(path) == HamiltonianCoefficients.from_entries(8, one, two)
+
+    def test_dominant_coefficients_are_exact_fold_sums(self, case):
+        values, families = case
+        expected = {}
+        for term, value in values.items():
+            if term.is_two_body and term.has_distinct_indices():
+                for string, c in _scaled(term, value):
+                    expected[string] = expected.get(string, ExactComplex()) + c
+        emitted = [(w.string, w.coefficient) for f in families if f.origin == "dominant" for w in f.strings]
+        assert dict(emitted) == {s: c for s, c in expected.items() if c}
+        assert len(dict(emitted)) == len(emitted)  # one slot per string
+        assert any(not c for c in expected.values())  # some strings do sum to zero
+
+        # per round, each half holds its subsets' strings in subset order,
+        # text-sorted within a subset; its provenance is the canonical terms
+        # of the subsets that put a string into it; empty halves are absent
+        rows = []
+        for rnd in schedule_for(8).rounds:
+            for parity in (0, 1):
+                strings, terms = [], []
+                for subset in rnd:
+                    mask = sum(1 << m for m in subset)
+                    mine = [s for s, c in expected.items()
+                            if c and s.x == mask and (s.x & s.z).bit_count() % 2 == parity]
+                    if mine:
+                        strings += sorted(mine, key=lambda s: s.text())
+                        terms.append(dominant_term(subset, 8))
+                if strings:
+                    rows.append((strings, terms))
+        dominant = [f for f in families if f.origin == "dominant"]
+        assert [([w.string for w in f.strings], list(f.provenance)) for f in dominant] == rows
+
+    def test_residual_coefficients_are_exact_term_multiples(self, case):
+        values, families = case
+        residual = [f for f in families if f.origin == "residual"]
+        listed = []
+        for family in residual:
+            parities = {(w.string.x & w.string.z).bit_count() % 2 for w in family.strings}
+            assert len(parities) == 1
+            got, want = {}, {}
+            for w in family.strings:
+                got[w.string] = got.get(w.string, ExactComplex()) + w.coefficient
+            for term in family.provenance:
+                for string, c in _scaled(term, values[term]):
+                    if (string.x & string.z).bit_count() % 2 in parities:
+                        want[string] = want.get(string, ExactComplex()) + c
+            assert got == want
+            if len(family.provenance) == 1:  # one term: its own scaled strings, once each
+                assert len(got) == len(family.strings)
+            listed += family.provenance
+        assert set(listed) == {t for t in values if not (t.is_two_body and t.has_distinct_indices())}
 
 
 class TestPersistence:
@@ -221,15 +358,21 @@ class TestPersistence:
             json.dumps(
                 {
                     "n": 8,
-                    "one_body": [{"pq": [1, 0], "value": 0.25}],
-                    "two_body": [{"pqrs": [7, 5, 3, 0], "value": 0.5}],
+                    "one_body": [
+                        {"pq": [1, 0], "value": 0.25},
+                        {"pq": [0, 1], "value": 0.25},
+                    ],
+                    "two_body": [
+                        {"pqrs": [7, 5, 3, 0], "value": 0.5},
+                        {"pqrs": [3, 0, 7, 5], "value": 0.5},
+                    ],
                 }
             )
         )
         coeffs = load_coefficients(path)
         assert coeffs.n == 8
-        assert coeffs.one_body == {(1, 0): Fraction(1, 4)}
-        assert coeffs.two_body == {(7, 5, 3, 0): Fraction(1, 2)}
+        assert coeffs.one_body == {(1, 0): Fraction(1, 4), (0, 1): Fraction(1, 4)}
+        assert coeffs.two_body == {(7, 5, 3, 0): Fraction(1, 2), (3, 0, 7, 5): Fraction(1, 2)}
 
     def test_malformed_coefficients_file(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -250,6 +393,22 @@ class TestPersistence:
         ]:
             path.write_text(json.dumps(data))
             with pytest.raises(CoefficientsLoadError):
+                load_coefficients(path)
+        # H must be Hermitian: each entry needs its adjoint, with the same value
+        for data in [
+            {"n": 8, "one_body": [{"pq": [1, 0], "value": 0.25}]},
+            {"n": 8, "one_body": [{"pq": [1, 0], "value": 0.25}, {"pq": [0, 1], "value": 0.5}]},
+            {"n": 8, "two_body": [{"pqrs": [7, 5, 3, 0], "value": 0.5}]},
+            # normal ordering turns [3, 0, 5, 7] into [3, 0, 7, 5] with a sign
+            # flip: the adjoint of [7, 5, 3, 0] with the opposite value
+            {"n": 8, "two_body": [
+                {"pqrs": [7, 5, 3, 0], "value": 0.5},
+                {"pqrs": [3, 0, 5, 7], "value": 0.5},
+            ]},
+            {"n": 8, "two_body": [{"pqrs": [7, 5, 5, 0], "value": 1}]},
+        ]:
+            path.write_text(json.dumps(data))
+            with pytest.raises(CoefficientsLoadError, match="not Hermitian"):
                 load_coefficients(path)
 
     def test_families_file_shape(self, tmp_path):
