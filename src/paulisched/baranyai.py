@@ -44,7 +44,7 @@ __all__ = [
 SUBSET_SIZE = 4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Schedule:
     """Rounds of disjoint 4-subsets; subsets are descending tuples.
 

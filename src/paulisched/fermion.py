@@ -45,7 +45,7 @@ class UnsupportedTermError(ValueError):
     """Raised for terms outside the supported one-body / two-body shapes."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FermionicTerm:
     """A normal-ordered product of creation then annihilation operators.
 
@@ -179,7 +179,7 @@ def jw_excitation(term: FermionicTerm) -> list[WeightedPauliString]:
     return strings
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JwPattern:
     """Shape of a distinct-index two-body encoding over an n-mode register.
 

@@ -4,6 +4,13 @@
 uses.  ``round_flow`` is the paper's rounding construction, kept as the
 reference the tests compare the construction with.
 
+``max_flow_integral`` is iterative: each phase levels the residual graph
+breadth-first only until the sink has its level, and the blocking flow
+walks a path held as a list of edge ids, with no recursion and no nested
+closure.  A solve therefore builds no reference cycles, and its adjacency
+lists are freed by reference counting as soon as it returns, whether or
+not the cyclic garbage collector runs.
+
 All arithmetic in this module is integer arithmetic.  A fractional flow is
 carried as per-edge numerators over one shared denominator D
 (:class:`ScaledFlow`), so feasibility, conservation and rounding are exact;
@@ -36,7 +43,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FlowNetwork:
     """Directed network with integer capacities; edges are (from, to, capacity)."""
 
@@ -63,7 +70,7 @@ class FlowNetwork:
                 raise ValueError(f"capacity of edge ({u}, {v}) must be a non-negative integer")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScaledFlow:
     """Per-edge flow numerators over one shared denominator (edge flow = numerator/denominator)."""
 
@@ -107,6 +114,16 @@ def max_flow_integral(net: FlowNetwork) -> ScaledFlow:
 
     This is the solver behind every insertion step of the schedule.
     Deterministic: adjacency follows edge declaration order.
+
+    Each phase levels the residual graph breadth-first and stops once the
+    sink has its level: a node no nearer the source than the sink cannot
+    lie on a shortest augmenting path.  The blocking flow is found by an
+    iterative depth-first walk that keeps the current path as a list of
+    edge ids and, after each augmentation, backs up to the tail of the
+    first saturated edge.  That is exactly where the recursive walk would
+    resume, so both augment along the same paths in the same order.  No
+    closure or self-reference is built, so a solve leaves no cyclic
+    garbage: everything it allocates is freed by reference counting.
     """
     m = len(net.edges)
     head: list[int] = []
@@ -121,38 +138,56 @@ def max_flow_integral(net: FlowNetwork) -> ScaledFlow:
         cap.append(0)
 
     s, t = net.source, net.sink
-    infinity = sum(c for _, _, c in net.edges) + 1
-
-    def bfs() -> list[int] | None:
+    while True:
         level = [-1] * net.node_count
         level[s] = 0
         queue = [s]
         for node in queue:
+            nxt_level = level[node] + 1
             for eid in adj[node]:
-                if cap[eid] > 0 and level[head[eid]] < 0:
-                    level[head[eid]] = level[node] + 1
-                    queue.append(head[eid])
-        return level if level[t] >= 0 else None
+                nxt = head[eid]
+                if cap[eid] and level[nxt] < 0:
+                    level[nxt] = nxt_level
+                    if nxt == t:
+                        break
+                    queue.append(nxt)
+            if level[t] >= 0:
+                break
+        if level[t] < 0:
+            break
 
-    def dfs(node: int, pushed: int, level: list[int], it: list[int]) -> int:
-        if node == t:
-            return pushed
-        while it[node] < len(adj[node]):
-            eid = adj[node][it[node]]
-            nxt = head[eid]
-            if cap[eid] > 0 and level[nxt] == level[node] + 1:
-                got = dfs(nxt, min(pushed, cap[eid]), level, it)
-                if got:
+        it = [0] * net.node_count
+        path: list[int] = []  # edge ids from s to node
+        node = s
+        while True:
+            if node == t:
+                got = min(cap[eid] for eid in path)
+                for eid in path:
                     cap[eid] -= got
                     cap[eid ^ 1] += got
-                    return got
-            it[node] += 1
-        return 0
-
-    while (level := bfs()) is not None:
-        it = [0] * net.node_count
-        while dfs(s, infinity, level, it):
-            pass
+                saturated = next(k for k, eid in enumerate(path) if not cap[eid])
+                del path[saturated:]
+                node = head[path[-1]] if path else s
+                continue
+            edges = adj[node]
+            end = len(edges)
+            nxt_level = level[node] + 1
+            i = it[node]
+            while i < end:
+                eid = edges[i]
+                if cap[eid] and level[head[eid]] == nxt_level:
+                    break
+                i += 1
+            it[node] = i
+            if i < end:
+                path.append(eid)
+                node = head[eid]
+            elif path:
+                # dead end: step the tail of the edge that led here past it
+                node = head[path.pop() ^ 1]
+                it[node] += 1
+            else:
+                break
 
     flows = tuple(net.edges[i][2] - cap[2 * i] for i in range(m))
     return ScaledFlow(1, flows)

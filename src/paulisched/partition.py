@@ -33,7 +33,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, isfinite
 from pathlib import Path
 
 from .baranyai import Schedule, pad_and_build
@@ -74,7 +74,7 @@ class CoefficientsLoadError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CommutingFamily:
     """Pauli strings certified pairwise-commuting, with the terms they came from."""
 
@@ -188,15 +188,24 @@ def commuting_families(
     its canonical :func:`dominant_term`; subsets without entries and
     families left empty drop out.
     """
-    entries: dict[tuple[int, ...], list] = {}
+    # subset -> (canonical term, entries); the canonical term is built only
+    # when the subset's first entry is not already it
+    entries: dict[tuple[int, ...], tuple[FermionicTerm, list]] = {}
     for term, value in _term_table(schedule.n, coeffs, dominant=True):
-        entries.setdefault(term.support()[::-1], []).append((term, value))
+        modes = term.creates + term.annihilates
+        subset = tuple(sorted(modes, reverse=True))
+        if subset not in entries:
+            canonical = term if modes == subset else dominant_term(subset, schedule.n)
+            entries[subset] = (canonical, [])
+        entries[subset][1].append((term, value))
     families = []
     for rnd in schedule.rounds:
         unit = []
         for subset in rnd:
-            expansions = [(jw_excitation(term), value) for term, value in entries.get(subset, ())]
-            unit.append((dominant_term(subset, schedule.n), _fold(expansions)))
+            if subset in entries:
+                canonical, subset_entries = entries[subset]
+                expansions = [(jw_excitation(term), value) for term, value in subset_entries]
+                unit.append((canonical, _fold(expansions)))
         families += _split(unit, "dominant")
     return families
 
@@ -226,7 +235,7 @@ def residual_families(n: int, coeffs: "HamiltonianCoefficients | None" = None) -
 # Hamiltonian coefficients
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HamiltonianCoefficients:
     """Normal-ordered coefficient tables; absent entries mean zero.
 
@@ -294,6 +303,11 @@ def load_coefficients(path) -> HamiltonianCoefficients:
                 raise ValueError(f"mode indices must be integers, got {list(key)!r}")
         if any(len(k) != 2 for k, _ in one) or any(len(k) != 4 for k, _ in two):
             raise ValueError("index lists must have 2 (pq) or 4 (pqrs) entries")
+        for _, value in one + two:
+            # JSON Infinity and NaN parse as floats, and strings or booleans
+            # would convert silently
+            if not (type(value) is int or (type(value) is float and isfinite(value))):
+                raise ValueError(f"coefficient values must be finite numbers, got {value!r}")
         coeffs = HamiltonianCoefficients.from_entries(n, one, two)
         # With real values, H is Hermitian iff every normal-ordered entry
         # equals the entry of its adjoint, whose key swaps the create and
@@ -395,7 +409,7 @@ def schedule_for(n: int) -> Schedule:
     return _SCHEDULE_CACHE[n]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PartitionReport:
     n: int
     families: tuple[CommutingFamily, ...]

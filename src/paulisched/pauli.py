@@ -18,7 +18,11 @@ with equality instead of tolerances.  Conversion to float happens only at
 serialization boundaries.
 
 All values are immutable and all operations pure, so everything here can be
-shared freely across threads.
+shared freely across threads.  The value types are slotted frozen
+dataclasses, as are the other value types of the package: an instance has
+no ``__dict__``, which keeps the hundreds of thousands of strings of a
+compile small and quick to allocate.  Attributes cannot be added to an
+instance, and ``functools.cached_property`` does not work on these classes.
 """
 
 from dataclasses import dataclass
@@ -40,7 +44,7 @@ _XZ_TO_CHAR = {bits: char for char, bits in _CHAR_TO_XZ.items()}
 _DIGIT_TO_CHAR = str.maketrans("0123", "IXZY")  # digit x + 2z per qubit
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExactComplex:
     """A complex number with exact rational real and imaginary parts.
 
@@ -95,7 +99,7 @@ class ExactComplex:
         return complex(float(self.real), float(self.imag))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PauliString:
     """An N-qubit Pauli word stored as x/z bitmasks (bit t = qubit t)."""
 
@@ -133,7 +137,7 @@ class PauliString:
         return f"PauliString({self.text()!r})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WeightedPauliString:
     """A Pauli string with a nonzero exact complex coefficient."""
 

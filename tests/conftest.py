@@ -33,6 +33,61 @@ def reference_jw_term(term: FermionicTerm) -> list[WeightedPauliString]:
     ]
 
 
+def reference_max_flow(net: FlowNetwork) -> ScaledFlow:
+    """The recursive Dinic that ``max_flow_integral`` must reproduce exactly.
+
+    A full breadth-first leveling per phase, then a recursive depth-first
+    walk that restarts from the source after every augmentation.
+    """
+    m = len(net.edges)
+    head: list[int] = []
+    cap: list[int] = []
+    adj: list[list[int]] = [[] for _ in range(net.node_count)]
+    for u, v, c in net.edges:
+        adj[u].append(len(head))
+        head.append(v)
+        cap.append(c)
+        adj[v].append(len(head))
+        head.append(u)
+        cap.append(0)
+
+    s, t = net.source, net.sink
+    infinity = sum(c for _, _, c in net.edges) + 1
+
+    def bfs() -> list[int] | None:
+        level = [-1] * net.node_count
+        level[s] = 0
+        queue = [s]
+        for node in queue:
+            for eid in adj[node]:
+                if cap[eid] > 0 and level[head[eid]] < 0:
+                    level[head[eid]] = level[node] + 1
+                    queue.append(head[eid])
+        return level if level[t] >= 0 else None
+
+    def dfs(node: int, pushed: int, level: list[int], it: list[int]) -> int:
+        if node == t:
+            return pushed
+        while it[node] < len(adj[node]):
+            eid = adj[node][it[node]]
+            nxt = head[eid]
+            if cap[eid] > 0 and level[nxt] == level[node] + 1:
+                got = dfs(nxt, min(pushed, cap[eid]), level, it)
+                if got:
+                    cap[eid] -= got
+                    cap[eid ^ 1] += got
+                    return got
+            it[node] += 1
+        return 0
+
+    while (level := bfs()) is not None:
+        it = [0] * net.node_count
+        while dfs(s, infinity, level, it):
+            pass
+
+    return ScaledFlow(1, tuple(net.edges[i][2] - cap[2 * i] for i in range(m)))
+
+
 def make_fractional_case(rng: random.Random) -> tuple[FlowNetwork, ScaledFlow]:
     """Random two-layer network with a feasible, conservative fractional flow.
 

@@ -1,10 +1,13 @@
+import gc
+import hashlib
 import json
 import re
 
 import pytest
 
+from paulisched import partition
 from paulisched.cli import main
-from paulisched.partition import load_schedule, save_schedule
+from paulisched.partition import load_schedule, save_schedule, schedule_json
 from paulisched.baranyai import build_schedule
 
 TERM = re.compile(r"^a\+(\d+) a\+(\d+) a-(\d+) a-(\d+)$")
@@ -93,6 +96,13 @@ class TestFamiliesCommand:
             json.dumps({"n": 8, "two_body": [{"pqrs": [7, 5, 3.0, 0], "value": 1}]}),
             # one-sided, so not Hermitian
             json.dumps({"n": 8, "two_body": [{"pqrs": [7, 5, 3, 0], "value": 0.5}]}),
+            # values must be finite JSON numbers
+            '{"n": 8, "one_body": [{"pq": [0, 0], "value": Infinity}]}',
+            '{"n": 8, "one_body": [{"pq": [0, 0], "value": -Infinity}]}',
+            '{"n": 8, "one_body": [{"pq": [0, 0], "value": NaN}]}',
+            '{"n": 8, "one_body": [{"pq": [0, 0], "value": "0.5"}]}',
+            '{"n": 8, "one_body": [{"pq": [0, 0], "value": true}]}',
+            '{"n": 8, "two_body": [{"pqrs": [1, 0, 1, 0], "value": Infinity}]}',
         ]:
             coeffs.write_text(text)
             code, _, err = run(capsys, "families", "--n", "8", "--hamiltonian", str(coeffs))
@@ -189,3 +199,51 @@ def test_unknown_command_exits_2(capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+
+class TestCollectorPause:
+    """``main`` runs a command with the cyclic collector off, then restores it."""
+
+    @pytest.fixture(autouse=True)
+    def restore_collector(self):
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_state_restored(self, capsys, enabled):
+        (gc.enable if enabled else gc.disable)()
+        assert run(capsys, "schedule", "--n", "4")[0] == 0
+        assert gc.isenabled() is enabled
+        assert run(capsys, "schedule", "--n", "3")[0] == 2
+        assert gc.isenabled() is enabled
+        with pytest.raises(SystemExit):
+            main(["no-such-command"])
+        assert gc.isenabled() is enabled
+
+    def test_paused_during_the_command(self, capsys, monkeypatch):
+        gc.enable()
+        seen = []
+        schedule_for = partition.schedule_for
+
+        def spy(n):
+            seen.append(gc.isenabled())
+            return schedule_for(n)
+
+        monkeypatch.setattr(partition, "schedule_for", spy)
+        assert run(capsys, "schedule", "--n", "8")[0] == 0
+        assert seen == [False]
+        assert gc.isenabled()
+
+
+# sha256 of outputs checked to be right; a change that alters these bytes
+# on purpose updates the digest and says why in CHANGES.md
+SCHEDULE_16_SHA256 = "705afd82788886e29fe9d73eb9f6a6bd6eb121bec15ab15084c45a4e62572464"
+FAMILIES_8_OUT_SHA256 = "29c0418ac0d2308ec7f03bb69d6d31e8ee763d1a38b48acdfeb50a259f9d5ea3"
+
+
+def test_output_bytes_pinned(capsys, tmp_path):
+    assert hashlib.sha256(schedule_json(build_schedule(16)).encode()).hexdigest() == SCHEDULE_16_SHA256
+    path = tmp_path / "families.json"
+    assert run(capsys, "families", "--n", "8", "--format", "json", "--out", str(path))[0] == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == FAMILIES_8_OUT_SHA256

@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from conftest import reference_max_flow
 from paulisched.baranyai import PartialState, _apply, _step_parts
 from paulisched.flows import (
     FlowNetwork,
@@ -55,6 +56,59 @@ class TestMaxFlow:
                 assert flow_value(net, seed) == comb(n - 1, 3)
                 _apply(state, rounded, mapping)
                 state = _apply(state, flow, mapping)
+
+
+class TestSameFlowsAsRecursiveDinic:
+    """``max_flow_integral`` augments along the reference's paths, in its order."""
+
+    @pytest.mark.parametrize("n", [8, 12, 16])
+    def test_insertion_networks(self, n):
+        state = PartialState.initial(n)
+        for _ in range(n):
+            net, _, mapping = _step_parts(state)
+            flow = max_flow_integral(net)
+            assert flow == reference_max_flow(net)
+            state = _apply(state, flow, mapping)
+
+    def test_random_two_layer_networks(self, fractional_case_maker):
+        rng = random.Random(7)
+        for _ in range(200):
+            net, _ = fractional_case_maker(rng)
+            assert max_flow_integral(net) == reference_max_flow(net)
+
+    def test_reverse_edge_augmentation(self):
+        # Phase 1 sends s -> a -> b -> t and blocks c -> b; phase 2 reaches t
+        # only as s -> c -> b -> a -> d -> e -> t, undoing a -> b.
+        s, a, b, c, d, e, t = range(7)
+        edges = ((s, a, 1), (s, c, 1), (a, b, 1), (c, b, 1), (b, t, 1), (a, d, 1), (d, e, 1), (e, t, 1))
+        net = FlowNetwork(7, s, t, edges)
+        flow = max_flow_integral(net)
+        assert flow == reference_max_flow(net)
+        assert flow.numerators == (1, 1, 0, 1, 1, 1, 1, 1)
+
+    def test_reverse_edge_with_partial_capacity(self):
+        # the middle edge carries 2 after phase 1 and gives 1 of it back
+        s, a, b, c, d, t = range(6)
+        edges = ((s, a, 2), (s, c, 1), (a, b, 2), (c, b, 1), (b, t, 2), (a, d, 1), (d, t, 1), (c, d, 0))
+        net = FlowNetwork(6, s, t, edges)
+        flow = max_flow_integral(net)
+        assert flow == reference_max_flow(net)
+        assert flow_value(net, flow) == 3
+        assert flow.numerators[2] == 1
+
+    def test_random_general_networks(self):
+        # parallel, antiparallel and zero-capacity edges, and cycles
+        rng = random.Random(3)
+        for _ in range(300):
+            size = rng.randint(2, 9)
+            edges = []
+            for _ in range(rng.randint(0, 3 * size)):
+                u, v = rng.sample(range(size), 2)
+                edges.append((u, v, rng.randint(0, 5)))
+            net = FlowNetwork(size, 0, size - 1, tuple(edges))
+            flow = max_flow_integral(net)
+            assert flow == reference_max_flow(net)
+            check_flow(net, flow)
 
 
 class TestCheckFlow:

@@ -1,5 +1,7 @@
+import gc
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -207,6 +209,16 @@ def _seeded_hermitian_entries(n, seed):
     return one, two
 
 
+def _write_coefficients(path, n, one, two):
+    """Write (key, value) entries as a coefficients JSON file; returns the path."""
+    path.write_text(json.dumps({
+        "n": n,
+        "one_body": [{"pq": list(k), "value": v} for k, v in one],
+        "two_body": [{"pqrs": list(k), "value": v} for k, v in two],
+    }))
+    return path
+
+
 def _scaled(term, value):
     return [(w.string, w.coefficient * ExactComplex(value)) for w in reference_jw_term(term)]
 
@@ -242,12 +254,7 @@ class TestWeightedFold:
 
     def test_hermitian_table_loads(self, tmp_path):
         one, two = _seeded_hermitian_entries(8, seed=11)
-        path = tmp_path / "h.json"
-        path.write_text(json.dumps({
-            "n": 8,
-            "one_body": [{"pq": list(k), "value": v} for k, v in one],
-            "two_body": [{"pqrs": list(k), "value": v} for k, v in two],
-        }))
+        path = _write_coefficients(tmp_path / "h.json", 8, one, two)
         assert load_coefficients(path) == HamiltonianCoefficients.from_entries(8, one, two)
 
     def test_dominant_coefficients_are_exact_fold_sums(self, case):
@@ -394,6 +401,14 @@ class TestPersistence:
             path.write_text(json.dumps(data))
             with pytest.raises(CoefficientsLoadError):
                 load_coefficients(path)
+        # every value must be a finite JSON number
+        for value in ["Infinity", "-Infinity", "NaN", '"0.5"', "true", "null", "[1]"]:
+            path.write_text(f'{{"n": 8, "one_body": [{{"pq": [0, 0], "value": {value}}}]}}')
+            with pytest.raises(CoefficientsLoadError, match="finite numbers"):
+                load_coefficients(path)
+            path.write_text(f'{{"n": 8, "two_body": [{{"pqrs": [1, 0, 1, 0], "value": {value}}}]}}')
+            with pytest.raises(CoefficientsLoadError, match="finite numbers"):
+                load_coefficients(path)
         # H must be Hermitian: each entry needs its adjoint, with the same value
         for data in [
             {"n": 8, "one_body": [{"pq": [1, 0], "value": 0.25}]},
@@ -421,6 +436,25 @@ class TestPersistence:
         assert set(first) == {"origin", "strings", "coefficients", "terms"}
         assert len(first["strings"]) == len(first["coefficients"])
         assert all(len(c) == 2 for c in first["coefficients"])
+
+
+def test_compile_leaves_no_cyclic_garbage(tmp_path):
+    # Everything the compile allocates must be freed by reference counting,
+    # which is what lets the command line pause the cyclic collector.
+    path = _write_coefficients(tmp_path / "h.json", 8, *_seeded_hermitian_entries(8, seed=11))
+    flags = gc.get_debug()
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        build_schedule(12)
+        report = build_partition(8)
+        weighted = build_partition(8, load_coefficients(path))
+        save_families(list(report.families + weighted.families), tmp_path / "families.json")
+        gc.collect()
+        assert not gc.garbage, Counter(type(o).__name__ for o in gc.garbage)
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
 
 
 class TestReport:
