@@ -36,7 +36,6 @@ from .pauli import (
     WeightedPauliString,
     anticommuting_index_count,
     commutes,
-    multiply,
     parse_pauli,
 )
 

@@ -67,7 +67,10 @@ def _cmd_families(args) -> int:
             return _err(f"coefficients file is for n={coeffs.n}, not n={args.n}")
     report = partition.build_partition(args.n, coeffs=coeffs)
     if args.out:
-        partition.save_families(list(report.families), args.out)
+        try:
+            partition.save_families(list(report.families), args.out)
+        except partition.FamiliesWriteError as exc:
+            return _err(str(exc))
     summary = report.summary()
     if args.format == "json":
         print(json.dumps(summary, separators=(",", ":")))
@@ -96,7 +99,9 @@ def _cmd_verify(args) -> int:
     schedule_report = oracles.validate_schedule(schedule)
     reports.append(schedule_report)
     if schedule_report.passed:
-        reports.append(oracles.validate_families(partition.commuting_families(schedule)))
+        families = partition.commuting_families(schedule) + partition.residual_families(schedule.n)
+        reports.append(oracles.validate_families(families))
+        reports.append(oracles.validate_partition(families, schedule.n))
     if args.deep:
         reports.append(oracles.verify_sliding_invariance())
 

@@ -18,7 +18,14 @@ import numpy as np
 
 from .baranyai import SUBSET_SIZE, Schedule
 from .fermion import FermionicTerm, jw_excitation, jw_term
-from .pauli import PauliString, WeightedPauliString, anticommuting_index_count, commutes, parse_pauli
+from .pauli import (
+    ExactComplex,
+    PauliString,
+    WeightedPauliString,
+    anticommuting_index_count,
+    commutes,
+    parse_pauli,
+)
 
 __all__ = [
     "OracleReport",
@@ -27,6 +34,7 @@ __all__ = [
     "string_matrix",
     "term_matrix",
     "validate_families",
+    "validate_partition",
     "validate_schedule",
     "verify_anticommuting_chains",
     "verify_disjoint_term_commutation",
@@ -334,3 +342,64 @@ def validate_families(families) -> OracleReport:
         details={"families": len(families), "pairs_checked": pairs},
         counterexample=bad,
     )
+
+
+def validate_partition(families, n: int, coeffs=None) -> OracleReport:
+    """The families are an exact partition of the Hamiltonian's JW image.
+
+    Recomputes the sum over terms of c_t * jw_term(t) in exact arithmetic:
+    over the entries of ``coeffs`` (normal-ordered ``one_body`` and
+    ``two_body`` tables) when given, else over every canonical
+    non-vanishing term at value 1 (every one-body term, every two-body term
+    whose create and annihilate pairs overlap, and per 4-subset the term
+    creating its two largest modes).  No string may appear twice, and the family strings
+    must sum exactly to that image.  For n <= 6 the families are also
+    summed as dense matrices against the occupation-basis terms.
+    """
+    families = list(families)
+    if coeffs is None:
+        pairs = [(a, b) for a in range(n) for b in range(a)]
+        table = [(FermionicTerm.one_body(p, q, n), 1) for p in range(n) for q in range(n)]
+        table += [(FermionicTerm.two_body(*c, *d, n), 1) for c in pairs for d in pairs if set(c) & set(d)]
+        table += [
+            (FermionicTerm.two_body(*sorted(sub, reverse=True), n), 1)
+            for sub in combinations(range(n), 4)
+        ]
+    else:
+        table = [(FermionicTerm.one_body(p, q, n), v) for (p, q), v in coeffs.one_body.items()]
+        table += [(FermionicTerm.two_body(*key, n), v) for key, v in coeffs.two_body.items()]
+    image: dict[PauliString, ExactComplex] = {}
+    for term, value in table:
+        for w in jw_term(term):
+            image[w.string] = image.get(w.string, ExactComplex()) + w.coefficient * ExactComplex(value)
+    image = {s: c for s, c in image.items() if c}
+
+    bad: str | None = None
+    emitted: dict[PauliString, ExactComplex] = {}
+    slots = 0
+    for idx, family in enumerate(families):
+        for w in family.strings:
+            slots += 1
+            if w.string in emitted and bad is None:
+                bad = f"family {idx}: {w.string} appears in an earlier family too"
+            emitted[w.string] = w.coefficient
+    if bad is None and emitted != image:
+        string = min(
+            (s for s in emitted.keys() | image.keys() if emitted.get(s) != image.get(s)),
+            key=PauliString.text,
+        )
+        bad = f"{string}: families sum to {emitted.get(string)}, the JW image is {image.get(string)}"
+    details = {"n": n, "families": len(families), "string_slots": slots, "image_strings": len(image)}
+
+    if n <= 6:
+        dim = 1 << n
+        want = np.zeros((dim, dim), dtype=complex)
+        for term, value in table:
+            want += float(value) * term_matrix(term)
+        strings = [w for family in families for w in family.strings]
+        got = weighted_sum_matrix(strings) if strings else np.zeros((dim, dim), dtype=complex)
+        deviation = float(np.max(np.abs(got - want)))
+        details["dense_max_deviation"] = deviation
+        if deviation > 1e-12 * (1 + float(np.max(np.abs(want)))) and bad is None:
+            bad = f"dense sum of the families deviates from the Hamiltonian by {deviation}"
+    return OracleReport(name="partition-validation", passed=bad is None, details=details, counterexample=bad)

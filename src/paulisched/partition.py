@@ -1,43 +1,38 @@
 """Assembly of measurement families, coefficient ingestion and persistence.
 
-The dominant O(n^4) class of Hamiltonian terms (two-body, four distinct
-mode indices) is grouped round by round from a schedule: within one term's
-16-string encoding, two strings commute exactly when they differ at an even
-number of endpoint letters, and the parity of the total Y count tracks that
-difference, so the even-Y and odd-Y halves are each internally commuting.
-Across terms of the same round commutation holds because the index sets are
-disjoint.  One round therefore yields two certified families of 2n strings,
-for 2 * C(n-1, 3) dominant families overall.
+One grouping rule serves both term classes.  Every JW string of a term has
+the same X mask, the XOR of the term's mode bits, so a class's terms are
+grouped into *blocks* keyed by that X-support.  Each block is folded once
+(its terms' scaled expansions summed per string, zero sums dropped), and
+units of blocks are split into an even-Y and an odd-Y family.  Each
+distinct string thus sits in exactly one family, whose provenance is every
+term of each block that puts a string into it.
 
-Everything not in the dominant class (one-body terms and two-body terms
-with a repeated index, O(n^3) of them) is grouped per term with the same
-Y-parity split; terms whose strings are all I/Z are pooled into a single
-family, since such strings always commute.  This residual grouping is a
-placeholder strategy and is flagged as such in report summaries.
+The dominant class (two-body, four distinct modes) has one block per
+4-subset and one unit per schedule round.  Within a block, two strings
+commute exactly when they differ at an even number of endpoint letters,
+which the Y-count parity tracks; blocks of one round have disjoint modes.
+So a round yields two certified families of 2n strings, 2 * C(n-1, 3) in
+all.  Every other term has X or Y on no mode or on one pair, and each of
+its blocks is a unit, in ascending X-mask order: two strings of a pair
+block with equal Y parity differ on both modes of the pair or on neither
+and carry only I or Z elsewhere, so they commute.
 
-Grouping structure depends only on n, never on coefficient values.
-Coefficients, when supplied, are brought to normal order (descending
-indices inside each operator kind, with the antisymmetry sign) and
-accumulated per canonical term.  Each term's expansion is then scaled by
-its value and folded per string before the split: for the dominant class,
-every entry on one 4-subset folds into one list under the subset's
-canonical term.  Strings whose sum is zero never reach a family, so there
-is no filter pass; without coefficients every canonical term enters the
-same fold and split with value 1.
-
-Family construction per round is independent and is performed in round
-order; results are deterministic and bit-identical between runs.
+Grouping depends only on n.  Coefficients are brought to normal order
+(descending indices per operator kind, with the antisymmetry sign) and
+accumulated per canonical term.  Output is bit-identical between runs.
 """
 
 import json
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb, isfinite
+from math import comb
 from pathlib import Path
 
 from .baranyai import Schedule, pad_and_build
-from .fermion import FermionicTerm, jw_excitation, jw_term
+from .fermion import FermionicTerm, jw_term
 from .oracles import validate_schedule
 from .pauli import ExactComplex, PauliString, WeightedPauliString, _anticommuting_pair
 
@@ -48,6 +43,7 @@ __all__ = [
     "PartitionReport",
     "ScheduleLoadError",
     "CoefficientsLoadError",
+    "FamiliesWriteError",
     "build_partition",
     "commuting_families",
     "load_coefficients",
@@ -58,8 +54,6 @@ __all__ = [
     "schedule_for",
     "schedule_json",
 ]
-
-RESIDUAL_STRATEGY = "per-term Y-parity split; all-I/Z terms pooled (placeholder grouping)"
 
 
 class FamilyCertificationError(RuntimeError):
@@ -72,6 +66,17 @@ class ScheduleLoadError(ValueError):
 
 class CoefficientsLoadError(ValueError):
     pass
+
+
+class FamiliesWriteError(ValueError):
+    pass
+
+
+_FLOAT_MAX = sys.float_info.max
+
+
+def _shown(value: Fraction) -> str:  # a float for a message, if it has one
+    return repr(float(value)) if abs(value) <= _FLOAT_MAX else str(value)
 
 
 @dataclass(frozen=True, slots=True)
@@ -110,13 +115,19 @@ def _fold(entries) -> list[WeightedPauliString]:
     sums: dict[PauliString, list[Fraction]] = {}
     for strings, value in entries:
         for w in strings:
-            re_im = sums.setdefault(w.string, [Fraction(0), Fraction(0)])
-            # JW coefficients are real or imaginary: skipping the zero part
-            # halves the Fraction products
-            if w.coefficient.real:
-                re_im[0] += w.coefficient.real * value
-            if w.coefficient.imag:
-                re_im[1] += w.coefficient.imag * value
+            # JW coefficients are real or imaginary and most strings occur once
+            # per block: only nonzero parts are scaled or added
+            re, im = w.coefficient.real, w.coefficient.imag
+            if value != 1:
+                re, im = re and re * value, im and im * value
+            re_im = sums.get(w.string)
+            if re_im is None:
+                sums[w.string] = [re, im]
+            else:
+                if re:
+                    re_im[0] += re
+                if im:
+                    re_im[1] += im
     folded = [
         WeightedPauliString(ExactComplex(re, im), string)
         for string, (re, im) in sums.items()
@@ -127,38 +138,29 @@ def _fold(entries) -> list[WeightedPauliString]:
 
 
 def _split(unit, origin: str) -> list[CommutingFamily]:
-    """The certified even-Y and odd-Y families of a unit of (term, strings) pairs.
+    """The certified even-Y and odd-Y families of a unit of blocks.
 
-    A term is provenance of each half it puts a string into; empty halves
-    drop out.
+    A block is a list of (term, value) entries, folded here; all its terms
+    are provenance of each half it puts a string into.  Empty halves drop.
     """
     halves: tuple[list, list] = ([], [])
     terms: tuple[list, list] = ([], [])
-    for term, strings in unit:
+    for block in unit:
         sizes = [len(half) for half in halves]
-        for w in strings:
+        for w in _fold([(jw_term(term), value) for term, value in block]):
             halves[_y_parity(w)].append(w)
         for half, provenance, size in zip(halves, terms, sizes):
             if len(half) > size:
-                provenance.append(term)
+                provenance += [term for term, _ in block]
     return [_certified(half, provenance, origin) for half, provenance in zip(halves, terms) if half]
 
 
-def dominant_term(subset, n: int) -> FermionicTerm:
-    """Canonical representative for a 4-subset: create the two largest modes."""
-    a, b, c, d = sorted(subset, reverse=True)
-    return FermionicTerm.two_body(a, b, c, d, n)
-
-
-def _term_table(n: int, coeffs: "HamiltonianCoefficients | None", dominant: bool):
-    """The (term, value) input of one class: dominant, or everything else.
-
-    Without coefficients every canonical non-vanishing term appears once
-    with value 1; with them, the table's entries in sorted key order.
-    """
+def _blocks(n: int, coeffs: "HamiltonianCoefficients | None", dominant: bool) -> dict[int, list]:
+    """One class's (term, value) entries keyed by X mask: without coefficients
+    every canonical non-vanishing term at value 1, else entries by sorted key."""
     if coeffs is None:
-        if dominant:
-            terms = [dominant_term(s, n) for s in combinations(range(n), 4)]
+        if dominant:  # one term per 4-subset, creating its two largest modes
+            terms = [FermionicTerm.two_body(d, c, b, a, n) for a, b, c, d in combinations(range(n), 4)]
         else:
             terms = [FermionicTerm.one_body(p, q, n) for p in range(n) for q in range(n)]
             terms += [
@@ -167,16 +169,22 @@ def _term_table(n: int, coeffs: "HamiltonianCoefficients | None", dominant: bool
                 for r, s in combinations(range(n), 2)
                 if {p, q} & {r, s}
             ]
-        return [(term, 1) for term in terms]
-    if coeffs.n != n:
+        table = [(term, 1) for term in terms]
+    elif coeffs.n != n:
         raise ValueError(f"coefficients are for n={coeffs.n}, not n={n}")
-    table = [] if dominant else [
-        (FermionicTerm.one_body(p, q, n), value) for (p, q), value in sorted(coeffs.one_body.items())
-    ]
-    for (p, q, r, s), value in sorted(coeffs.two_body.items()):
-        if (len({p, q, r, s}) == 4) == dominant:
-            table.append((FermionicTerm.two_body(p, q, r, s, n), value))
-    return table
+    else:
+        table = [] if dominant else [
+            (FermionicTerm.one_body(p, q, n), value) for (p, q), value in sorted(coeffs.one_body.items())
+        ]
+        for (p, q, r, s), value in sorted(coeffs.two_body.items()):
+            if (len({p, q, r, s}) == 4) == dominant:
+                table.append((FermionicTerm.two_body(p, q, r, s, n), value))
+    blocks: dict[int, list] = {}
+    for term, value in table:
+        # each side's modes are distinct, so its bits sum to their XOR
+        mask = sum(1 << m for m in term.creates) ^ sum(1 << m for m in term.annihilates)
+        blocks.setdefault(mask, []).append((term, value))
+    return blocks
 
 
 def commuting_families(
@@ -184,51 +192,26 @@ def commuting_families(
 ) -> list[CommutingFamily]:
     """Two certified families per round: the even-Y and odd-Y string halves.
 
-    A subset contributes the strings of every entry on it, folded, under
-    its canonical :func:`dominant_term`; subsets without entries and
-    families left empty drop out.
+    A round's unit is the blocks of its subsets in round order; subsets
+    without entries and families left empty drop out.
     """
-    # subset -> (canonical term, entries); the canonical term is built only
-    # when the subset's first entry is not already it
-    entries: dict[tuple[int, ...], tuple[FermionicTerm, list]] = {}
-    for term, value in _term_table(schedule.n, coeffs, dominant=True):
-        modes = term.creates + term.annihilates
-        subset = tuple(sorted(modes, reverse=True))
-        if subset not in entries:
-            canonical = term if modes == subset else dominant_term(subset, schedule.n)
-            entries[subset] = (canonical, [])
-        entries[subset][1].append((term, value))
+    blocks = _blocks(schedule.n, coeffs, dominant=True)
     families = []
     for rnd in schedule.rounds:
-        unit = []
-        for subset in rnd:
-            if subset in entries:
-                canonical, subset_entries = entries[subset]
-                expansions = [(jw_excitation(term), value) for term, value in subset_entries]
-                unit.append((canonical, _fold(expansions)))
-        families += _split(unit, "dominant")
+        masks = [sum(1 << m for m in subset) for subset in rnd]
+        families += _split([blocks[mask] for mask in masks if mask in blocks], "dominant")
     return families
 
 
 def residual_families(n: int, coeffs: "HamiltonianCoefficients | None" = None) -> list[CommutingFamily]:
-    """Families for every term outside the dominant class.
+    """Families for every term outside the dominant class: each block a unit.
 
-    Each term is its own unit of the Y-parity split, except that terms
-    whose strings are all I/Z pool into one last family.  With coefficients
-    supplied, only the terms carrying a nonzero value appear, weighted by
-    it.  The total family count is bounded by 2 n^3.
+    At most 1 + 2 * C(n, 2) families: one for the I/Z block, two per pair.
     """
     if n < 1:
         raise ValueError("mode count must be positive")
-    families = []
-    pool = []
-    for term, value in _term_table(n, coeffs, dominant=False):
-        strings = _fold([(jw_term(term), value)])
-        if all(w.string.x == 0 for w in strings):  # I/Z only
-            pool.append((term, strings))
-        else:
-            families += _split([(term, strings)], "residual")
-    return families + _split(pool, "residual")
+    blocks = _blocks(n, coeffs, dominant=False)
+    return [family for mask in sorted(blocks) for family in _split([blocks[mask]], "residual")]
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +272,8 @@ def load_coefficients(path) -> HamiltonianCoefficients:
     """
     try:
         data = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError covers JSONDecodeError and integer literals too long to parse
+    except (OSError, ValueError) as exc:
         raise CoefficientsLoadError(f"cannot read coefficients file {path}: {exc}") from exc
     try:
         n = data["n"]
@@ -304,10 +288,10 @@ def load_coefficients(path) -> HamiltonianCoefficients:
         if any(len(k) != 2 for k, _ in one) or any(len(k) != 4 for k, _ in two):
             raise ValueError("index lists must have 2 (pq) or 4 (pqrs) entries")
         for _, value in one + two:
-            # JSON Infinity and NaN parse as floats, and strings or booleans
-            # would convert silently
-            if not (type(value) is int or (type(value) is float and isfinite(value))):
-                raise ValueError(f"coefficient values must be finite numbers, got {value!r}")
+            # JSON Infinity and NaN parse as floats, integers can exceed the
+            # float range, and strings or booleans would convert silently
+            if not (type(value) in (int, float) and abs(value) <= _FLOAT_MAX):
+                raise ValueError(f"coefficient values must be finite numbers in float range, got {value!r}")
         coeffs = HamiltonianCoefficients.from_entries(n, one, two)
         # With real values, H is Hermitian iff every normal-ordered entry
         # equals the entry of its adjoint, whose key swaps the create and
@@ -317,8 +301,8 @@ def load_coefficients(path) -> HamiltonianCoefficients:
                 adjoint = key[len(key) // 2:] + key[:len(key) // 2]
                 if table.get(adjoint, 0) != value:
                     raise ValueError(
-                        f"not Hermitian: entry {list(key)} is {float(value)} but its adjoint "
-                        f"{list(adjoint)} is {float(table.get(adjoint, 0))}"
+                        f"not Hermitian: entry {list(key)} is {_shown(value)} but its adjoint "
+                        f"{list(adjoint)} is {_shown(table.get(adjoint, 0))}"
                     )
         return coeffs
     except (KeyError, TypeError, ValueError) as exc:
@@ -344,7 +328,8 @@ def read_schedule_file(path) -> Schedule:
     """Parse a schedule JSON file without validating its combinatorics."""
     try:
         data = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError covers JSONDecodeError and integer literals too long to parse
+    except (OSError, ValueError) as exc:
         raise ScheduleLoadError(f"cannot read schedule file {path}: {exc}") from exc
     try:
         n = data["n"]
@@ -377,21 +362,32 @@ def load_schedule(path, expected_n: int | None = None) -> Schedule:
 
 
 def save_families(families: list[CommutingFamily], path) -> None:
-    """Write the families JSON: text strings, [re, im] coefficients, term provenance."""
-    payload = [
-        {
-            "origin": family.origin,
-            "strings": [str(w.string) for w in family.strings],
-            "coefficients": [
-                [float(w.coefficient.real), float(w.coefficient.imag)] for w in family.strings
-            ],
-            "terms": [
-                {"creates": list(t.creates), "annihilates": list(t.annihilates)}
-                for t in family.provenance
-            ],
-        }
-        for family in families
-    ]
+    """Write the families JSON: text strings, [re, im] coefficients, term provenance.
+
+    A folded sum can leave the float range even when every input value fits:
+    then nothing is written and :class:`FamiliesWriteError` names the string.
+    """
+    try:
+        payload = [
+            {
+                "origin": family.origin,
+                "strings": [str(w.string) for w in family.strings],
+                "coefficients": [
+                    [float(w.coefficient.real), float(w.coefficient.imag)] for w in family.strings
+                ],
+                "terms": [
+                    {"creates": list(t.creates), "annihilates": list(t.annihilates)}
+                    for t in family.provenance
+                ],
+            }
+            for family in families
+        ]
+    except OverflowError:
+        worst = max((w for f in families for w in f.strings),
+                    key=lambda w: max(abs(w.coefficient.real), abs(w.coefficient.imag)))
+        raise FamiliesWriteError(f"cannot write families to {path}: the summed coefficient of "
+                                 f"{worst.string} is outside the float range; scale the "
+                                 "Hamiltonian coefficients down") from None
     Path(path).write_text(json.dumps(payload, separators=(",", ":")) + "\n")
 
 
@@ -435,7 +431,6 @@ class PartitionReport:
             "dominant_per_round_ratio": (
                 len(dominant) / rounds_reference if rounds_reference else None
             ),
-            "residual_strategy": RESIDUAL_STRATEGY,
         }
 
 

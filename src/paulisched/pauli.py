@@ -34,7 +34,6 @@ __all__ = [
     "WeightedPauliString",
     "anticommuting_index_count",
     "commutes",
-    "multiply",
     "parse_pauli",
     "string_product",
 ]
@@ -63,12 +62,6 @@ class ExactComplex:
     def __add__(self, other: "ExactComplex") -> "ExactComplex":
         return ExactComplex(self.real + other.real, self.imag + other.imag)
 
-    def __sub__(self, other: "ExactComplex") -> "ExactComplex":
-        return ExactComplex(self.real - other.real, self.imag - other.imag)
-
-    def __neg__(self) -> "ExactComplex":
-        return ExactComplex(-self.real, -self.imag)
-
     def __mul__(self, other: "ExactComplex") -> "ExactComplex":
         return ExactComplex(
             self.real * other.real - self.imag * other.imag,
@@ -77,17 +70,6 @@ class ExactComplex:
 
     def __bool__(self) -> bool:
         return bool(self.real) or bool(self.imag)
-
-    def times_i_power(self, k: int) -> "ExactComplex":
-        """Return self * i**k."""
-        k %= 4
-        if k == 0:
-            return self
-        if k == 1:
-            return ExactComplex(-self.imag, self.real)
-        if k == 2:
-            return ExactComplex(-self.real, -self.imag)
-        return ExactComplex(self.imag, -self.real)
 
     def conjugate(self) -> "ExactComplex":
         return ExactComplex(self.real, -self.imag)
@@ -234,9 +216,3 @@ def string_product(p: PauliString, q: PauliString) -> tuple[PauliString, int]:
     """Positionwise product p*q, returned as (string, k) with global phase i**k."""
     _require_same_length(p, q)
     return PauliString(p.n, p.x ^ q.x, p.z ^ q.z), _product_phase(p.x, p.z, q.x, q.z)
-
-
-def multiply(p: WeightedPauliString, q: WeightedPauliString) -> WeightedPauliString:
-    """Product of two weighted strings with the global phase folded into the coefficient."""
-    product, k = string_product(p.string, q.string)
-    return WeightedPauliString((p.coefficient * q.coefficient).times_i_power(k), product)

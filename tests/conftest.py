@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import settings
@@ -8,13 +9,31 @@ settings.load_profile("det")
 
 from paulisched.fermion import FermionicTerm, jw_ladder
 from paulisched.flows import FlowNetwork, ScaledFlow
-from paulisched.pauli import ExactComplex, PauliString, WeightedPauliString, multiply
+from paulisched.pauli import ExactComplex, PauliString, WeightedPauliString, string_product
+
+
+def times_i_power(c: ExactComplex, k: int) -> ExactComplex:
+    """Return c * i**k."""
+    k %= 4
+    if k == 0:
+        return c
+    if k == 1:
+        return ExactComplex(-c.imag, c.real)
+    if k == 2:
+        return ExactComplex(-c.real, -c.imag)
+    return ExactComplex(c.imag, -c.real)
+
+
+def multiply(p: WeightedPauliString, q: WeightedPauliString) -> WeightedPauliString:
+    """Product of two weighted strings with the global phase folded into the coefficient."""
+    product, k = string_product(p.string, q.string)
+    return WeightedPauliString(times_i_power(p.coefficient * q.coefficient, k), product)
 
 
 def reference_jw_term(term: FermionicTerm) -> list[WeightedPauliString]:
     """The symbolic Jordan-Wigner expansion that ``jw_term`` must reproduce exactly.
 
-    Folds the ``jw_ladder`` factors through ``pauli.multiply`` one weighted
+    Folds the ``jw_ladder`` factors through :func:`multiply` one weighted
     string at a time, combines equal strings, drops zero sums and sorts by
     string text.
     """
@@ -31,6 +50,35 @@ def reference_jw_term(term: FermionicTerm) -> list[WeightedPauliString]:
         for s, c in sorted(combined.items(), key=lambda item: item[0].text())
         if c
     ]
+
+
+def seeded_hermitian_entries(n, seed):
+    """A random real Hermitian table: each entry comes with its adjoint."""
+    rng = random.Random(seed)
+
+    def value():
+        return rng.choice([-1, 1]) * rng.randint(1, 16) / 8
+
+    one, two = [], []
+    for p, q in combinations(range(n), 2):
+        if rng.random() < 0.5:
+            v = value()
+            one += [((p, q), v), ((q, p), v)]
+    one += [((p, p), value()) for p in range(n) if rng.random() < 0.5]
+    for a, b, c, d in combinations(range(n - 1, -1, -1), 4):
+        # the six normal-ordered keys on {a, b, c, d} form three adjoint pairs
+        for creates, annihilates in (((a, b), (c, d)), ((a, c), (b, d)), ((a, d), (b, c))):
+            if rng.random() < 0.6:
+                v = value()
+                two += [(creates + annihilates, v), (annihilates + creates, v)]
+    for p, q, r in combinations(range(n), 3):
+        if rng.random() < 0.3:
+            v = value()  # n_q-dressed hopping p <- r
+            two += [((p, q, r, q), v), ((r, q, p, q), v)]
+    for p, q in combinations(range(n), 2):
+        if rng.random() < 0.5:
+            two.append(((p, q, p, q), value()))  # number-number, self-adjoint
+    return one, two
 
 
 def reference_max_flow(net: FlowNetwork) -> ScaledFlow:

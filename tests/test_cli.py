@@ -87,7 +87,7 @@ class TestFamiliesCommand:
         assert summary["family_count"] == 0
 
     def test_bad_coefficients_file(self, capsys, tmp_path):
-        coeffs = tmp_path / "bad.json"
+        coeffs, out = tmp_path / "bad.json", tmp_path / "families.json"
         for text in [
             "{broken",
             json.dumps({"n": 8.7, "one_body": [], "two_body": []}),
@@ -103,11 +103,17 @@ class TestFamiliesCommand:
             '{"n": 8, "one_body": [{"pq": [0, 0], "value": "0.5"}]}',
             '{"n": 8, "one_body": [{"pq": [0, 0], "value": true}]}',
             '{"n": 8, "two_body": [{"pqrs": [1, 0, 1, 0], "value": Infinity}]}',
+            # an integer past the float range
+            '{"n": 8, "one_body": [{"pq": [0, 0], "value": 1' + "0" * 400 + '}]}',
+            # each value fits, but the I coefficient sums past the float range
+            json.dumps({"n": 8, "one_body": [{"pq": [0, 0], "value": 1.7e308}, {"pq": [1, 1], "value": 1.7e308}],
+                        "two_body": [{"pqrs": [1, 0, 1, 0], "value": -1.7e308}]}),
         ]:
             coeffs.write_text(text)
-            code, _, err = run(capsys, "families", "--n", "8", "--hamiltonian", str(coeffs))
+            code, _, err = run(capsys, "families", "--n", "8", "--hamiltonian", str(coeffs), "--out", str(out))
             assert code == 2, text
             assert "coefficients" in err
+            assert not out.exists()
 
     def test_wrong_n_in_coefficients(self, capsys, tmp_path):
         coeffs = tmp_path / "small.json"
@@ -127,6 +133,15 @@ class TestVerifyCommand:
         assert code == 0
         reports = json.loads(out)
         assert all(r["passed"] for r in reports)
+
+    def test_checks_every_family_as_a_partition(self, capsys):
+        code, out, _ = run(capsys, "verify", "--format", "json")
+        assert code == 0
+        reports = {r["name"]: r for r in json.loads(out)}
+        # the 70 dominant and the 29 residual families of n = 8
+        assert reports["family-validation"]["details"]["families"] == 99
+        assert reports["partition-validation"]["details"]["families"] == 99
+        assert reports["partition-validation"]["passed"]
 
     def test_tampered_schedule_file_fails(self, capsys, tmp_path):
         schedule = build_schedule(8)
@@ -239,7 +254,7 @@ class TestCollectorPause:
 # sha256 of outputs checked to be right; a change that alters these bytes
 # on purpose updates the digest and says why in CHANGES.md
 SCHEDULE_16_SHA256 = "705afd82788886e29fe9d73eb9f6a6bd6eb121bec15ab15084c45a4e62572464"
-FAMILIES_8_OUT_SHA256 = "29c0418ac0d2308ec7f03bb69d6d31e8ee763d1a38b48acdfeb50a259f9d5ea3"
+FAMILIES_8_OUT_SHA256 = "b925e78d983b9e14248e35916d27dcb5fddc9311845acf73085f2a36307d4a48"
 
 
 def test_output_bytes_pinned(capsys, tmp_path):

@@ -1,9 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from conftest import seeded_hermitian_entries
 from paulisched.baranyai import Schedule, build_schedule
 from paulisched.fermion import FermionicTerm
-from paulisched.partition import CommutingFamily, commuting_families
+from paulisched.partition import (
+    CommutingFamily,
+    HamiltonianCoefficients,
+    build_partition,
+    commuting_families,
+)
 from paulisched.pauli import ExactComplex, WeightedPauliString, commutes, parse_pauli
 from paulisched.oracles import (
     anticommuting_chain_fixture,
@@ -11,6 +19,7 @@ from paulisched.oracles import (
     string_matrix,
     term_matrix,
     validate_families,
+    validate_partition,
     validate_schedule,
     verify_anticommuting_chains,
     verify_disjoint_term_commutation,
@@ -181,3 +190,64 @@ class TestValidateFamilies:
         report = validate_families([bad])
         assert not report.passed
         assert "do not commute" in report.counterexample
+
+
+class TestValidatePartition:
+    @staticmethod
+    def coefficients(n, kind):
+        if kind == "unweighted":
+            return None
+        one, two = seeded_hermitian_entries(n, seed=n)
+        if kind == "one-sided":
+            one, two = one[::2], two[::2]
+        return HamiltonianCoefficients.from_entries(n, one, two)
+
+    @pytest.mark.parametrize("kind", ["unweighted", "hermitian", "one-sided"])
+    @pytest.mark.parametrize("n", [4, 5, 8, 12])
+    def test_built_partitions_pass(self, n, kind):
+        coeffs = self.coefficients(n, kind)
+        families = build_partition(n, coeffs).families
+        report = validate_partition(families, n, coeffs)
+        assert report.passed, report.counterexample
+        strings = [w.string for f in families for w in f.strings]
+        assert len(strings) == len(set(strings)) == report.details["image_strings"]
+        assert ("dense_max_deviation" in report.details) == (n <= 6)
+        assert report.details.get("dense_max_deviation", 0.0) < 1e-12
+
+    @pytest.fixture(scope="class", params=[6, 8])
+    def built(self, request):
+        n = request.param
+        coeffs = self.coefficients(n, "one-sided")
+        return n, coeffs, build_partition(n, coeffs).families
+
+    def test_duplicated_string_fails(self, built):
+        n, coeffs, families = built
+        families = list(families)  # each test edits its own copy
+        first = families[0].strings[0]
+        families[1] = replace(families[1], strings=families[1].strings + (first,))
+        report = validate_partition(families, n, coeffs)
+        assert not report.passed
+        assert f"{first.string} appears in an earlier family" in report.counterexample
+
+    def test_dropped_string_fails(self, built):
+        n, coeffs, families = built
+        families = list(families)  # each test edits its own copy
+        dropped = families[-1].strings[-1]
+        families[-1] = replace(families[-1], strings=families[-1].strings[:-1])
+        report = validate_partition(families, n, coeffs)
+        assert not report.passed
+        assert report.counterexample.startswith(f"{dropped.string}: families sum to None")
+
+    def test_reweighted_string_fails(self, built):
+        n, coeffs, families = built
+        families = list(families)  # each test edits its own copy
+        w = families[0].strings[0]
+        doubled = replace(w, coefficient=w.coefficient + w.coefficient)
+        families[0] = replace(families[0], strings=(doubled,) + families[0].strings[1:])
+        report = validate_partition(families, n, coeffs)
+        assert not report.passed
+        assert report.counterexample.startswith(f"{w.string}: ")
+
+    def test_other_hamiltonian_fails(self, built):
+        n, coeffs, families = built
+        assert not validate_partition(families, n).passed

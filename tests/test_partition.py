@@ -1,6 +1,5 @@
 import gc
 import json
-import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -8,20 +7,22 @@ from math import comb
 
 import pytest
 
-from conftest import reference_jw_term
+from conftest import reference_jw_term, seeded_hermitian_entries
 from paulisched.baranyai import build_schedule
 from paulisched.fermion import FermionicTerm, jw_excitation, jw_term
 from paulisched.oracles import validate_families
 from paulisched.partition import (
     CoefficientsLoadError,
+    FamiliesWriteError,
     FamilyCertificationError,
     HamiltonianCoefficients,
     ScheduleLoadError,
+    _blocks,
     _certified,
     _fold,
+    _y_parity,
     build_partition,
     commuting_families,
-    dominant_term,
     load_coefficients,
     load_schedule,
     residual_families,
@@ -88,15 +89,18 @@ class TestResidualFamilies:
             _certified(strings, [], "residual")
 
     def test_off_diagonal_one_body_splits_into_two_pairs(self):
-        families = residual_families(2)
-        by_term = {}
-        for f in families:
-            for t in f.provenance:
-                by_term.setdefault((t.creates, t.annihilates), []).append(f)
-        halves = by_term[((1,), (0,))]
+        # unweighted, the hopping and its adjoint share one block and fold
+        # to (XX + YY) / 2: the odd-Y half cancels
+        (pair,) = [f for f in residual_families(2) if f.strings[0].string.x == 0b11]
+        assert [str(w.string) for w in pair.strings] == ["XX", "YY"]
+        assert [(t.creates, t.annihilates) for t in pair.provenance] == [((0,), (1,)), ((1,), (0,))]
+        # the hopping on its own keeps both halves
+        coeffs = HamiltonianCoefficients.from_entries(2, [((1, 0), 1)], [])
+        halves = residual_families(2, coeffs)
         assert [len(f.strings) for f in halves] == [2, 2]
         texts = {str(w.string) for f in halves for w in f.strings}
         assert texts == {"XX", "YY", "XY", "YX"}
+        assert all([(t.creates, t.annihilates) for t in f.provenance] == [((1,), (0,))] for f in halves)
 
     def test_diagonal_terms_pool_into_one_family(self):
         families = residual_families(3)
@@ -107,9 +111,27 @@ class TestResidualFamilies:
 
     def test_count_bound_and_frozen_count_at_8(self):
         families = residual_families(8)
-        # 2 per off-diagonal one-body (112) + 2 per overlap-1 two-body (672) + pooled (1)
-        assert len(families) == 785
-        assert len(families) <= 2 * 8**3
+        # the I/Z block (1) and one family per mode pair (28): unweighted, the
+        # sum is Hermitian and real, so every odd-Y string cancels
+        assert len(families) == 1 + comb(8, 2) == 29
+        assert len(families) <= 1 + 2 * comb(8, 2)
+        masks, strings = [], []
+        for family in families:
+            assert len({w.string.x for w in family.strings}) == 1
+            assert {_y_parity(w) for w in family.strings} == {0}
+            masks.append(family.strings[0].string.x)
+            strings += [w.string for w in family.strings]
+        assert masks == sorted(masks) and len(set(masks)) == len(masks)  # ascending X mask
+        assert {m.bit_count() for m in masks} == {0, 2}
+        assert len(strings) == len(set(strings)) == 419
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_every_string_of_a_block_has_its_x_mask(self, n):
+        for dominant in (True, False):
+            for mask, entries in _blocks(n, None, dominant).items():
+                assert mask.bit_count() in ((4,) if dominant else (0, 2))
+                for term, _ in entries:
+                    assert all(w.string.x == mask for w in jw_term(term))
 
     def test_zero_filter(self):
         coeffs = HamiltonianCoefficients.from_entries(
@@ -180,35 +202,6 @@ class TestCoefficients:
             build_partition(8, coeffs)
 
 
-def _seeded_hermitian_entries(n, seed):
-    """A random real Hermitian table: each entry comes with its adjoint."""
-    rng = random.Random(seed)
-
-    def value():
-        return rng.choice([-1, 1]) * rng.randint(1, 16) / 8
-
-    one, two = [], []
-    for p, q in combinations(range(n), 2):
-        if rng.random() < 0.5:
-            v = value()
-            one += [((p, q), v), ((q, p), v)]
-    one += [((p, p), value()) for p in range(n) if rng.random() < 0.5]
-    for a, b, c, d in combinations(range(n - 1, -1, -1), 4):
-        # the six normal-ordered keys on {a, b, c, d} form three adjoint pairs
-        for creates, annihilates in (((a, b), (c, d)), ((a, c), (b, d)), ((a, d), (b, c))):
-            if rng.random() < 0.6:
-                v = value()
-                two += [(creates + annihilates, v), (annihilates + creates, v)]
-    for p, q, r in combinations(range(n), 3):
-        if rng.random() < 0.3:
-            v = value()  # n_q-dressed hopping p <- r
-            two += [((p, q, r, q), v), ((r, q, p, q), v)]
-    for p, q in combinations(range(n), 2):
-        if rng.random() < 0.5:
-            two.append(((p, q, p, q), value()))  # number-number, self-adjoint
-    return one, two
-
-
 def _write_coefficients(path, n, one, two):
     """Write (key, value) entries as a coefficients JSON file; returns the path."""
     path.write_text(json.dumps({
@@ -221,6 +214,18 @@ def _write_coefficients(path, n, one, two):
 
 def _scaled(term, value):
     return [(w.string, w.coefficient * ExactComplex(value)) for w in reference_jw_term(term)]
+
+
+def _table_key(term):
+    """Table order: one-body entries, then two-body entries, each by sorted key."""
+    return term.is_two_body, term.creates + term.annihilates
+
+
+def _x_mask(term):
+    mask = 0
+    for m in term.creates + term.annihilates:
+        mask ^= 1 << m
+    return mask
 
 
 class TestWeightedFold:
@@ -243,22 +248,22 @@ class TestWeightedFold:
 
     @pytest.fixture(scope="class", params=["hermitian", "one-sided"])
     def case(self, request):
-        one, two = _seeded_hermitian_entries(8, seed=11)
+        one, two = seeded_hermitian_entries(8, seed=11)
         if request.param == "one-sided":
-            # every other entry, so odd-Y dominant strings survive as well
+            # every other entry, so odd-Y strings survive in both classes
             one, two = one[::2], two[::2]
         coeffs = HamiltonianCoefficients.from_entries(8, one, two)
         values = {FermionicTerm.one_body(p, q, 8): v for (p, q), v in coeffs.one_body.items()}
         values.update({FermionicTerm.two_body(*k, 8): v for k, v in coeffs.two_body.items()})
-        return values, build_partition(8, coeffs).families
+        return request.param, values, build_partition(8, coeffs).families
 
     def test_hermitian_table_loads(self, tmp_path):
-        one, two = _seeded_hermitian_entries(8, seed=11)
+        one, two = seeded_hermitian_entries(8, seed=11)
         path = _write_coefficients(tmp_path / "h.json", 8, one, two)
         assert load_coefficients(path) == HamiltonianCoefficients.from_entries(8, one, two)
 
     def test_dominant_coefficients_are_exact_fold_sums(self, case):
-        values, families = case
+        _, values, families = case
         expected = {}
         for term, value in values.items():
             if term.is_two_body and term.has_distinct_indices():
@@ -270,8 +275,9 @@ class TestWeightedFold:
         assert any(not c for c in expected.values())  # some strings do sum to zero
 
         # per round, each half holds its subsets' strings in subset order,
-        # text-sorted within a subset; its provenance is the canonical terms
-        # of the subsets that put a string into it; empty halves are absent
+        # text-sorted within a subset; its provenance is every entry on the
+        # subsets that put a string into it, in table order; empty halves
+        # are absent
         rows = []
         for rnd in schedule_for(8).rounds:
             for parity in (0, 1):
@@ -282,31 +288,51 @@ class TestWeightedFold:
                             if c and s.x == mask and (s.x & s.z).bit_count() % 2 == parity]
                     if mine:
                         strings += sorted(mine, key=lambda s: s.text())
-                        terms.append(dominant_term(subset, 8))
+                        terms += sorted(
+                            (t for t in values if t.is_two_body and set(t.support()) == set(subset)),
+                            key=_table_key,
+                        )
                 if strings:
                     rows.append((strings, terms))
         dominant = [f for f in families if f.origin == "dominant"]
         assert [([w.string for w in f.strings], list(f.provenance)) for f in dominant] == rows
 
     def test_residual_coefficients_are_exact_term_multiples(self, case):
-        values, families = case
-        residual = [f for f in families if f.origin == "residual"]
-        listed = []
-        for family in residual:
-            parities = {(w.string.x & w.string.z).bit_count() % 2 for w in family.strings}
-            assert len(parities) == 1
-            got, want = {}, {}
-            for w in family.strings:
-                got[w.string] = got.get(w.string, ExactComplex()) + w.coefficient
-            for term in family.provenance:
+        kind, values, families = case
+        # blocks: the residual terms keyed by the XOR of their mode bits
+        blocks = {}
+        for term in sorted(values, key=_table_key):
+            if not (term.is_two_body and term.has_distinct_indices()):
+                blocks.setdefault(_x_mask(term), []).append(term)
+        # per block in ascending mask order, the even-Y and then the odd-Y
+        # strings of its exact fold, text-sorted; each half's provenance is
+        # every term of the block; empty halves are absent
+        rows = []
+        for mask in sorted(blocks):
+            folded = {}
+            for term in blocks[mask]:
                 for string, c in _scaled(term, values[term]):
-                    if (string.x & string.z).bit_count() % 2 in parities:
-                        want[string] = want.get(string, ExactComplex()) + c
-            assert got == want
-            if len(family.provenance) == 1:  # one term: its own scaled strings, once each
-                assert len(got) == len(family.strings)
-            listed += family.provenance
-        assert set(listed) == {t for t in values if not (t.is_two_body and t.has_distinct_indices())}
+                    assert string.x == mask
+                    folded[string] = folded.get(string, ExactComplex()) + c
+            for parity in (0, 1):
+                mine = sorted(
+                    (s for s, c in folded.items() if c and (s.x & s.z).bit_count() % 2 == parity),
+                    key=lambda s: s.text(),
+                )
+                if mine:
+                    rows.append((mask, parity, [(s, folded[s]) for s in mine], blocks[mask]))
+        residual = [f for f in families if f.origin == "residual"]
+        got = [([(w.string, w.coefficient) for w in f.strings], list(f.provenance)) for f in residual]
+        assert got == [(strings, terms) for _, _, strings, terms in rows]
+        halves = Counter(mask for mask, _, _, _ in rows)
+        if kind == "hermitian":
+            # a real Hermitian sum has no odd-Y string
+            assert {parity for _, parity, _, _ in rows} == {0}
+        else:
+            # the one-sided table keeps both Y halves per pair
+            assert all(halves[mask] == 2 for mask in blocks if mask)
+        listed = {t for f in residual for t in f.provenance}
+        assert listed == {t for t in values if not (t.is_two_body and t.has_distinct_indices())}
 
 
 class TestPersistence:
@@ -358,6 +384,9 @@ class TestPersistence:
             path.write_text(json.dumps(bad))
             with pytest.raises(ScheduleLoadError, match="integer"):
                 load_schedule(path)
+        path.write_text('{"n": ' + "8" * 5000 + ', "rounds": []}')
+        with pytest.raises(ScheduleLoadError, match="cannot read"):
+            load_schedule(path)
 
     def test_coefficients_file_round_trip(self, tmp_path):
         path = tmp_path / "coeffs.json"
@@ -401,8 +430,9 @@ class TestPersistence:
             path.write_text(json.dumps(data))
             with pytest.raises(CoefficientsLoadError):
                 load_coefficients(path)
-        # every value must be a finite JSON number
-        for value in ["Infinity", "-Infinity", "NaN", '"0.5"', "true", "null", "[1]"]:
+        # every value must be a finite JSON number within the float range
+        too_big = "1" + "0" * 400
+        for value in ["Infinity", "-Infinity", "NaN", '"0.5"', "true", "null", "[1]", too_big, "-" + too_big]:
             path.write_text(f'{{"n": 8, "one_body": [{{"pq": [0, 0], "value": {value}}}]}}')
             with pytest.raises(CoefficientsLoadError, match="finite numbers"):
                 load_coefficients(path)
@@ -421,10 +451,29 @@ class TestPersistence:
                 {"pqrs": [3, 0, 5, 7], "value": 0.5},
             ]},
             {"n": 8, "two_body": [{"pqrs": [7, 5, 5, 0], "value": 1}]},
+            # duplicates sum past the float range, which the message survives
+            {"n": 8, "one_body": [{"pq": [1, 0], "value": 1.7e308}, {"pq": [1, 0], "value": 1.7e308}]},
         ]:
             path.write_text(json.dumps(data))
             with pytest.raises(CoefficientsLoadError, match="not Hermitian"):
                 load_coefficients(path)
+        # an integer literal too long for int() is unreadable, not a crash
+        path.write_text('{"n": 8, "one_body": [{"pq": [0, 0], "value": ' + "1" * 5000 + "}]}")
+        with pytest.raises(CoefficientsLoadError, match="cannot read"):
+            load_coefficients(path)
+
+    def test_sum_outside_float_range_is_a_write_error(self, tmp_path):
+        # every value fits a float, but the I/Z block folds them into an
+        # identity coefficient of about 2.1e308
+        path = _write_coefficients(
+            tmp_path / "h.json", 8,
+            [((0, 0), 1.7e308), ((1, 1), 1.7e308)], [((1, 0, 1, 0), -1.7e308)],
+        )
+        report = build_partition(8, load_coefficients(path))
+        out = tmp_path / "families.json"
+        with pytest.raises(FamiliesWriteError, match="IIIIIIII is outside the float range"):
+            save_families(list(report.families), out)
+        assert not out.exists()
 
     def test_families_file_shape(self, tmp_path):
         report = build_partition(4)
@@ -441,7 +490,7 @@ class TestPersistence:
 def test_compile_leaves_no_cyclic_garbage(tmp_path):
     # Everything the compile allocates must be freed by reference counting,
     # which is what lets the command line pause the cyclic collector.
-    path = _write_coefficients(tmp_path / "h.json", 8, *_seeded_hermitian_entries(8, seed=11))
+    path = _write_coefficients(tmp_path / "h.json", 8, *seeded_hermitian_entries(8, seed=11))
     flags = gc.get_debug()
     gc.collect()
     gc.set_debug(gc.DEBUG_SAVEALL)
@@ -463,9 +512,12 @@ class TestReport:
         summary = report.summary()
         assert summary["dominant_families"] == 70
         assert summary["dominant_strings"] == 1120
-        assert summary["residual_families"] == 785
+        assert summary["residual_families"] == 1 + comb(8, 2) == 29
+        assert summary["residual_strings"] == 419
+        assert summary["family_count"] == 70 + 29
+        assert summary["max_family_size"] == 1 + 8 + comb(8, 2)  # I, Z_p and Z_p Z_q
         assert summary["dominant_per_round_ratio"] == 2.0
-        assert "placeholder" in summary["residual_strategy"]
+        assert "residual_strategy" not in summary
 
     def test_weighted_report(self):
         coeffs = HamiltonianCoefficients.from_entries(8, [], [])
