@@ -15,7 +15,7 @@ For a two-body term with four distinct mode indices the expansion is always
 16 strings of coefficient magnitude 1/16, each matching a fixed shape: X or
 Y at the four endpoint modes, Z on the two open intervals between the first
 and second and between the third and fourth endpoint (in increasing order),
-identity elsewhere.  :class:`JwPattern` captures that shape.
+identity elsewhere; the test suite checks this shape.
 """
 
 from dataclasses import dataclass
@@ -26,12 +26,10 @@ from .pauli import ExactComplex, PauliString, WeightedPauliString, _product_phas
 
 __all__ = [
     "FermionicTerm",
-    "JwPattern",
     "UnsupportedTermError",
     "jw_excitation",
     "jw_ladder",
     "jw_term",
-    "pattern_of",
 ]
 
 _HALF = ExactComplex(Fraction(1, 2))
@@ -165,7 +163,7 @@ def jw_excitation(term: FermionicTerm) -> list[WeightedPauliString]:
     """Expansion of a two-body term whose four indices are all distinct.
 
     Exactly 16 strings, every coefficient of magnitude 1/16, every string
-    matching ``pattern_of(term)``.
+    of the fixed shape the module docstring describes.
 
     Raises:
         UnsupportedTermError: for one-body terms or repeated indices.
@@ -177,45 +175,3 @@ def jw_excitation(term: FermionicTerm) -> list[WeightedPauliString]:
     strings = jw_term(term)
     assert len(strings) == 16
     return strings
-
-
-@dataclass(frozen=True, slots=True)
-class JwPattern:
-    """Shape of a distinct-index two-body encoding over an n-mode register.
-
-    ``endpoints`` are the four touched modes in increasing order; the two
-    ``z_segments`` are the open intervals (endpoints[0], endpoints[1]) and
-    (endpoints[2], endpoints[3]) that carry repeated Z.
-    """
-
-    n: int
-    endpoints: tuple[int, int, int, int]
-    z_segments: tuple[tuple[int, int], tuple[int, int]]
-
-    def endpoint_mask(self) -> int:
-        mask = 0
-        for t in self.endpoints:
-            mask |= 1 << t
-        return mask
-
-    def z_mask(self) -> int:
-        mask = 0
-        for lo, hi in self.z_segments:
-            for t in range(lo + 1, hi):
-                mask |= 1 << t
-        return mask
-
-    def matches(self, p: PauliString) -> bool:
-        """True iff p has X|Y exactly at the endpoints, Z on the segments, I elsewhere."""
-        if p.n != self.n:
-            return False
-        e_mask = self.endpoint_mask()
-        return p.x == e_mask and (p.z & ~e_mask) == self.z_mask()
-
-
-def pattern_of(term: FermionicTerm) -> JwPattern:
-    """The :class:`JwPattern` matched by exactly the strings of ``jw_excitation(term)``."""
-    if not (term.is_two_body and term.has_distinct_indices()):
-        raise UnsupportedTermError("pattern is defined for distinct-index two-body terms only")
-    e0, e1, e2, e3 = term.support()
-    return JwPattern(term.n, (e0, e1, e2, e3), ((e0, e1), (e2, e3)))

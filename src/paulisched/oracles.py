@@ -7,14 +7,20 @@ pairs.  None of it reuses the bookkeeping of the modules it checks.
 
 Validators return :class:`OracleReport` values and never raise on bad
 input; reports serialize to plain dicts for CI consumption.
+
+numpy is imported only inside the functions that build a dense matrix
+(and the n <= 6 branch of :func:`validate_partition`).  The schedule and
+family validators are pure Python, so the compile path, which imports
+:func:`validate_schedule`, never loads numpy; ``paulisched verify`` and the
+tests do.
 """
 
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 from math import comb
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .baranyai import SUBSET_SIZE, Schedule
 from .fermion import FermionicTerm, jw_excitation, jw_term
@@ -43,12 +49,8 @@ __all__ = [
     "weighted_sum_matrix",
 ]
 
-PAULI_2X2 = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass
@@ -69,14 +71,35 @@ class OracleReport:
 # Dense-matrix constructions (qubit 0 = first Kronecker factor / MSB)
 
 
-def string_matrix(p: PauliString) -> np.ndarray:
+@lru_cache(maxsize=1)
+def _pauli_2x2() -> "dict[str, np.ndarray]":
+    """The four single-qubit matrices, built on first use and read-only."""
+    import numpy as np
+
+    matrices = {
+        "I": np.eye(2, dtype=complex),
+        "X": np.array([[0, 1], [1, 0]], dtype=complex),
+        "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+        "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+    }
+    for matrix in matrices.values():
+        matrix.setflags(write=False)
+    return matrices
+
+
+def string_matrix(p: PauliString) -> "np.ndarray":
+    import numpy as np
+
+    pauli_2x2 = _pauli_2x2()
     out = np.eye(1, dtype=complex)
     for t in range(p.n):
-        out = np.kron(out, PAULI_2X2[p.letter(t)])
+        out = np.kron(out, pauli_2x2[p.letter(t)])
     return out
 
 
-def weighted_sum_matrix(strings: list[WeightedPauliString]) -> np.ndarray:
+def weighted_sum_matrix(strings: list[WeightedPauliString]) -> "np.ndarray":
+    import numpy as np
+
     n = strings[0].string.n
     out = np.zeros((1 << n, 1 << n), dtype=complex)
     for w in strings:
@@ -84,14 +107,20 @@ def weighted_sum_matrix(strings: list[WeightedPauliString]) -> np.ndarray:
     return out
 
 
-def ladder_matrix(mode: int, dagger: bool, n: int) -> np.ndarray:
+@lru_cache(maxsize=64)
+def ladder_matrix(mode: int, dagger: bool, n: int) -> "np.ndarray":
     """Ladder operator in the occupation basis, built from its defining action.
 
     Basis state b has mode t occupied iff bit (n-1-t) of b is set, matching
     the Kronecker order of :func:`string_matrix`.  Annihilating mode m maps
     an occupied state to the cleared state with sign (-1)^(number of
     occupied modes below m); creation is the transpose action.
+
+    Each (mode, dagger, n) matrix is built once per process and shared, so
+    it is returned read-only.
     """
+    import numpy as np
+
     dim = 1 << n
     out = np.zeros((dim, dim), dtype=complex)
     bit = 1 << (n - 1 - mode)
@@ -102,10 +131,13 @@ def ladder_matrix(mode: int, dagger: bool, n: int) -> np.ndarray:
             continue
         sign = -1 if (b & below_mask).bit_count() % 2 else 1
         out[b ^ bit, b] = sign
+    out.setflags(write=False)
     return out
 
 
-def term_matrix(term: FermionicTerm) -> np.ndarray:
+def term_matrix(term: FermionicTerm) -> "np.ndarray":
+    import numpy as np
+
     out = np.eye(1 << term.n, dtype=complex)
     for m in term.creates:
         out = out @ ladder_matrix(m, True, term.n)
@@ -125,6 +157,8 @@ def verify_jw_against_matrices(n: int) -> OracleReport:
     ladder-operator product matrix; with exact coefficients the match is
     expected to be exact, and anything above 1e-12 elementwise fails.
     """
+    import numpy as np
+
     if n > 8:
         raise ValueError("dense check is meant for small registers")
     worst = 0.0
@@ -392,6 +426,8 @@ def validate_partition(families, n: int, coeffs=None) -> OracleReport:
     details = {"n": n, "families": len(families), "string_slots": slots, "image_strings": len(image)}
 
     if n <= 6:
+        import numpy as np
+
         dim = 1 << n
         want = np.zeros((dim, dim), dtype=complex)
         for term, value in table:

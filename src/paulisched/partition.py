@@ -24,6 +24,7 @@ accumulated per canonical term.  Output is bit-identical between runs.
 """
 
 import json
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -364,31 +365,42 @@ def load_schedule(path, expected_n: int | None = None) -> Schedule:
 def save_families(families: list[CommutingFamily], path) -> None:
     """Write the families JSON: text strings, [re, im] coefficients, term provenance.
 
-    A folded sum can leave the float range even when every input value fits:
-    then nothing is written and :class:`FamiliesWriteError` names the string.
+    The list is streamed one family at a time, so no payload of the whole
+    output is held in memory; the bytes are those of one ``json.dumps`` of
+    the list.  They go to a temporary file beside ``path``, which replaces
+    ``path`` only once every family is written: a failed write leaves an
+    existing file as it was and creates none.  A folded sum can leave the
+    float range even when every input value fits: then nothing is written
+    and :class:`FamiliesWriteError` names the string.
     """
+    target = Path(path)
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
     try:
-        payload = [
-            {
-                "origin": family.origin,
-                "strings": [str(w.string) for w in family.strings],
-                "coefficients": [
-                    [float(w.coefficient.real), float(w.coefficient.imag)] for w in family.strings
-                ],
-                "terms": [
-                    {"creates": list(t.creates), "annihilates": list(t.annihilates)}
-                    for t in family.provenance
-                ],
-            }
-            for family in families
-        ]
+        with open(tmp, "w") as fh:
+            fh.write("[")
+            for i, family in enumerate(families):
+                record = {
+                    "origin": family.origin,
+                    "strings": [str(w.string) for w in family.strings],
+                    "coefficients": [
+                        [float(w.coefficient.real), float(w.coefficient.imag)] for w in family.strings
+                    ],
+                    "terms": [
+                        {"creates": list(t.creates), "annihilates": list(t.annihilates)}
+                        for t in family.provenance
+                    ],
+                }
+                fh.write(("," if i else "") + json.dumps(record, separators=(",", ":")))
+            fh.write("]\n")
+        os.replace(tmp, target)
     except OverflowError:
         worst = max((w for f in families for w in f.strings),
                     key=lambda w: max(abs(w.coefficient.real), abs(w.coefficient.imag)))
         raise FamiliesWriteError(f"cannot write families to {path}: the summed coefficient of "
                                  f"{worst.string} is outside the float range; scale the "
                                  "Hamiltonian coefficients down") from None
-    Path(path).write_text(json.dumps(payload, separators=(",", ":")) + "\n")
+    finally:
+        tmp.unlink(missing_ok=True)  # already gone once replaced
 
 
 # ---------------------------------------------------------------------------

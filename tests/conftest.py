@@ -1,4 +1,6 @@
+import json
 import random
+from dataclasses import dataclass
 from itertools import combinations
 
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import settings
 settings.register_profile("det", derandomize=True, deadline=None)
 settings.load_profile("det")
 
-from paulisched.fermion import FermionicTerm, jw_ladder
+from paulisched.fermion import FermionicTerm, UnsupportedTermError, jw_ladder
 from paulisched.flows import FlowNetwork, ScaledFlow
 from paulisched.pauli import ExactComplex, PauliString, WeightedPauliString, string_product
 
@@ -50,6 +52,67 @@ def reference_jw_term(term: FermionicTerm) -> list[WeightedPauliString]:
         for s, c in sorted(combined.items(), key=lambda item: item[0].text())
         if c
     ]
+
+
+@dataclass(frozen=True, slots=True)
+class JwPattern:
+    """Shape of a distinct-index two-body encoding over an n-mode register.
+
+    ``endpoints`` are the four touched modes in increasing order; the two
+    ``z_segments`` are the open intervals (endpoints[0], endpoints[1]) and
+    (endpoints[2], endpoints[3]) that carry repeated Z.
+    """
+
+    n: int
+    endpoints: tuple[int, int, int, int]
+    z_segments: tuple[tuple[int, int], tuple[int, int]]
+
+    def endpoint_mask(self) -> int:
+        mask = 0
+        for t in self.endpoints:
+            mask |= 1 << t
+        return mask
+
+    def z_mask(self) -> int:
+        mask = 0
+        for lo, hi in self.z_segments:
+            for t in range(lo + 1, hi):
+                mask |= 1 << t
+        return mask
+
+    def matches(self, p: PauliString) -> bool:
+        """True iff p has X|Y exactly at the endpoints, Z on the segments, I elsewhere."""
+        if p.n != self.n:
+            return False
+        e_mask = self.endpoint_mask()
+        return p.x == e_mask and (p.z & ~e_mask) == self.z_mask()
+
+
+def pattern_of(term: FermionicTerm) -> JwPattern:
+    """The :class:`JwPattern` matched by exactly the strings of ``jw_excitation(term)``."""
+    if not (term.is_two_body and term.has_distinct_indices()):
+        raise UnsupportedTermError("pattern is defined for distinct-index two-body terms only")
+    e0, e1, e2, e3 = term.support()
+    return JwPattern(term.n, (e0, e1, e2, e3), ((e0, e1), (e2, e3)))
+
+
+def reference_save_families(families, path) -> None:
+    """The whole-payload families writer that ``save_families`` must match byte for byte."""
+    payload = [
+        {
+            "origin": family.origin,
+            "strings": [str(w.string) for w in family.strings],
+            "coefficients": [
+                [float(w.coefficient.real), float(w.coefficient.imag)] for w in family.strings
+            ],
+            "terms": [
+                {"creates": list(t.creates), "annihilates": list(t.annihilates)}
+                for t in family.provenance
+            ],
+        }
+        for family in families
+    ]
+    path.write_text(json.dumps(payload, separators=(",", ":")) + "\n")
 
 
 def seeded_hermitian_entries(n, seed):

@@ -12,11 +12,11 @@ from itertools import combinations
 from math import comb
 from time import perf_counter
 
-from conftest import make_fractional_case
+from conftest import make_fractional_case, pattern_of
 from paulisched import partition
 from paulisched.baranyai import PartialState, _apply, _step_parts, build_schedule, pad_and_build
 from paulisched.cli import main as cli_main
-from paulisched.fermion import FermionicTerm, jw_excitation, pattern_of
+from paulisched.fermion import FermionicTerm, jw_excitation
 from paulisched.flows import flow_value, max_flow_integral, round_flow
 from paulisched.oracles import (
     anticommuting_chain_fixture,

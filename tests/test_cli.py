@@ -1,7 +1,11 @@
 import gc
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -114,6 +118,15 @@ class TestFamiliesCommand:
             assert code == 2, text
             assert "coefficients" in err
             assert not out.exists()
+            assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
+        # the last file fails only in the writer: an existing --out keeps its
+        # bytes, and no temporary file remains beside it
+        out.write_bytes(b"earlier output\n")
+        code, _, err = run(capsys, "families", "--n", "8", "--hamiltonian", str(coeffs), "--out", str(out))
+        assert code == 2
+        assert "coefficients" in err
+        assert out.read_bytes() == b"earlier output\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json", "families.json"]
 
     def test_wrong_n_in_coefficients(self, capsys, tmp_path):
         coeffs = tmp_path / "small.json"
@@ -214,6 +227,40 @@ def test_unknown_command_exits_2(capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+class TestNumpyOffTheCompilePath:
+    """numpy is loaded by the dense-matrix oracles only, never by a compile.
+
+    The test process has numpy loaded already, so each case runs in a fresh
+    interpreter and reports its exit status and whether numpy was imported.
+    """
+
+    @pytest.mark.parametrize(
+        "code, loads_numpy",
+        [
+            ("import paulisched", False),
+            ("import paulisched.cli", False),
+            ("main(['families', '--n', '8', '--format', 'json', '--out', 'F'])", False),
+            ("main(['schedule', '--n', '8', '--format', 'json', '--out', 'S'])", False),
+            ("main(['stats', '--n-list', '8'])", False),
+            ("main(['verify'])", True),
+        ],
+    )
+    def test_numpy_import(self, tmp_path, code, loads_numpy):
+        if code.startswith("main("):
+            code = f"from paulisched.cli import main\nstatus = {code}\nassert status == 0, status"
+        probe = f"import sys\n{code}\nprint('numpy' in sys.modules)"
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", probe], cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True, text=True, timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == str(loads_numpy)
 
 
 class TestCollectorPause:

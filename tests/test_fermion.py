@@ -4,15 +4,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from conftest import reference_jw_term
-from paulisched.fermion import (
-    FermionicTerm,
-    UnsupportedTermError,
-    jw_excitation,
-    jw_ladder,
-    jw_term,
-    pattern_of,
-)
+from conftest import pattern_of, reference_jw_term
+from paulisched.fermion import FermionicTerm, UnsupportedTermError, jw_excitation, jw_ladder, jw_term
 from paulisched.oracles import ladder_matrix, term_matrix, weighted_sum_matrix
 from paulisched.pauli import ExactComplex
 

@@ -50,6 +50,14 @@ class TestLadderMatrixOracle:
                 ladder_matrix(mode, True, 3), ladder_matrix(mode, False, 3).conj().T
             )
 
+    def test_built_once_and_read_only(self):
+        a = ladder_matrix(1, True, 3)
+        assert ladder_matrix(1, True, 3) is a
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0, 0] = 1
+        assert np.array_equal(a, ladder_matrix(1, False, 3).conj().T)
+
     def test_number_operator_is_diagonal(self):
         n_op = ladder_matrix(1, True, 2) @ ladder_matrix(1, False, 2)
         assert np.array_equal(n_op, np.diag(np.diag(n_op)))

@@ -7,7 +7,7 @@ from math import comb
 
 import pytest
 
-from conftest import reference_jw_term, seeded_hermitian_entries
+from conftest import reference_jw_term, reference_save_families, seeded_hermitian_entries
 from paulisched.baranyai import build_schedule
 from paulisched.fermion import FermionicTerm, jw_excitation, jw_term
 from paulisched.oracles import validate_families
@@ -228,6 +228,14 @@ def _x_mask(term):
     return mask
 
 
+def _written_both_ways(families, tmp_path) -> tuple[bytes, bytes]:
+    """The bytes of ``save_families`` and of the whole-payload reference writer."""
+    streamed, reference = tmp_path / "streamed.json", tmp_path / "reference.json"
+    save_families(list(families), streamed)
+    reference_save_families(families, reference)
+    return streamed.read_bytes(), reference.read_bytes()
+
+
 class TestWeightedFold:
     """Weighted families against the symbolic reference expansion, exactly."""
 
@@ -261,6 +269,11 @@ class TestWeightedFold:
         one, two = seeded_hermitian_entries(8, seed=11)
         path = _write_coefficients(tmp_path / "h.json", 8, one, two)
         assert load_coefficients(path) == HamiltonianCoefficients.from_entries(8, one, two)
+
+    def test_writer_matches_whole_payload_dump(self, case, tmp_path):
+        _, _, families = case
+        streamed, reference = _written_both_ways(families, tmp_path)
+        assert streamed == reference
 
     def test_dominant_coefficients_are_exact_fold_sums(self, case):
         _, values, families = case
@@ -474,6 +487,21 @@ class TestPersistence:
         with pytest.raises(FamiliesWriteError, match="IIIIIIII is outside the float range"):
             save_families(list(report.families), out)
         assert not out.exists()
+        # an existing file keeps its bytes, and no temporary file remains
+        out.write_bytes(b"earlier output\n")
+        with pytest.raises(FamiliesWriteError, match="IIIIIIII is outside the float range"):
+            save_families(list(report.families), out)
+        assert out.read_bytes() == b"earlier output\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["families.json", "h.json"]
+
+    @pytest.mark.parametrize("kind", ["unweighted", "empty"])
+    def test_writer_matches_whole_payload_dump(self, tmp_path, kind):
+        families = build_partition(8).families if kind == "unweighted" else ()
+        streamed, reference = _written_both_ways(families, tmp_path)
+        assert streamed == reference
+        if not families:
+            assert streamed == b"[]\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["reference.json", "streamed.json"]
 
     def test_families_file_shape(self, tmp_path):
         report = build_partition(4)
