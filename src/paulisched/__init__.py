@@ -16,10 +16,7 @@ from .partition import (
     build_partition,
     commuting_families,
     load_coefficients,
-    load_schedule,
-    residual_families,
     save_families,
-    save_schedule,
     schedule_for,
 )
 from .pauli import (

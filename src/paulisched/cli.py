@@ -32,6 +32,11 @@ def _err(message: str) -> int:
     return 2
 
 
+def _cannot_write(path, exc: OSError) -> int:
+    # strerror leaves out the file name, which may be a temporary file's
+    return _err(f"cannot write {path}: {exc.strerror or exc}")
+
+
 def _schedule_text(schedule: baranyai.Schedule) -> str:
     lines = []
     for rnd in schedule.rounds:
@@ -46,8 +51,11 @@ def _cmd_schedule(args) -> int:
     schedule = partition.schedule_for(args.n)
     text = partition.schedule_json(schedule) if args.format == "json" else _schedule_text(schedule)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            return _cannot_write(args.out, exc)
         print(f"wrote {len(schedule.rounds)} rounds to {args.out}")
     else:
         sys.stdout.write(text)
@@ -68,9 +76,11 @@ def _cmd_families(args) -> int:
     report = partition.build_partition(args.n, coeffs=coeffs)
     if args.out:
         try:
-            partition.save_families(list(report.families), args.out)
+            partition.save_families(report.families, args.out)
         except partition.FamiliesWriteError as exc:
             return _err(str(exc))
+        except OSError as exc:
+            return _cannot_write(args.out, exc)
     summary = report.summary()
     if args.format == "json":
         print(json.dumps(summary, separators=(",", ":")))
@@ -99,7 +109,7 @@ def _cmd_verify(args) -> int:
     schedule_report = oracles.validate_schedule(schedule)
     reports.append(schedule_report)
     if schedule_report.passed:
-        families = partition.commuting_families(schedule) + partition.residual_families(schedule.n)
+        families = partition.commuting_families(schedule)
         reports.append(oracles.validate_families(families))
         reports.append(oracles.validate_partition(families, schedule.n))
     if args.deep:

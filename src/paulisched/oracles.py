@@ -308,8 +308,9 @@ def verify_anticommuting_chains(max_n: int = 8) -> OracleReport:
 
 
 def validate_schedule(schedule: Schedule) -> OracleReport:
-    """Recount a schedule from scratch: subset shapes, per-round disjointness,
-    exact cover of all C(n,4) subsets, and the round shape when 4 | n."""
+    """Recount a schedule from scratch: a positive n, subset shapes, per-round
+    disjointness, exact cover of all C(n,4) subsets, and the round shape
+    when 4 | n.  Never raises: a bad schedule fails with a counterexample."""
     n = schedule.n
     checks = {"subset_shape": True, "round_disjoint": True, "exact_cover": True}
     bad: str | None = None
@@ -334,13 +335,14 @@ def validate_schedule(schedule: Schedule) -> OracleReport:
                 fail("round_disjoint", f"round {r}: subsets overlap at {sorted(used & members)}")
             used |= members
             seen[members] = seen.get(members, 0) + 1
-    expected = comb(n, SUBSET_SIZE)
     duplicates = [s for s, k in seen.items() if k > 1]
-    if duplicates:
+    if n < 1:  # C(n, 4) is undefined for negative n
+        fail("mode_count", f"n={n}: a schedule needs a positive mode count")
+    elif duplicates:
         fail("exact_cover", f"subset {tuple(sorted(duplicates[0], reverse=True))} appears more than once")
-    elif len(seen) != expected:
-        fail("exact_cover", f"{len(seen)} distinct subsets covered, expected {expected}")
-    if n % 4 == 0:
+    elif len(seen) != comb(n, SUBSET_SIZE):
+        fail("exact_cover", f"{len(seen)} distinct subsets covered, expected {comb(n, SUBSET_SIZE)}")
+    if n % 4 == 0 and n > 0:
         checks["round_shape"] = True
         if len(schedule.rounds) != comb(n - 1, 3):
             fail("round_shape", f"{len(schedule.rounds)} rounds, expected {comb(n - 1, 3)}")

@@ -1,22 +1,29 @@
 """Assembly of measurement families, coefficient ingestion and persistence.
 
-One grouping rule serves both term classes.  Every JW string of a term has
-the same X mask, the XOR of the term's mode bits, so a class's terms are
-grouped into *blocks* keyed by that X-support.  Each block is folded once
-(its terms' scaled expansions summed per string, zero sums dropped), and
-units of blocks are split into an even-Y and an odd-Y family.  Each
-distinct string thus sits in exactly one family, whose provenance is every
-term of each block that puts a string into it.
+One pass builds the whole partition.  Every JW string of a term has the
+same X mask, the XOR of the term's mode bits, so all terms are grouped
+into *blocks* keyed by that X-support, in one table.  Each block is folded
+once (its terms' scaled expansions summed per string, zero sums dropped),
+and each unit of blocks is split into an even-Y and an odd-Y family.
 
-The dominant class (two-body, four distinct modes) has one block per
-4-subset and one unit per schedule round.  Within a block, two strings
-commute exactly when they differ at an even number of endpoint letters,
-which the Y-count parity tracks; blocks of one round have disjoint modes.
-So a round yields two certified families of 2n strings, 2 * C(n-1, 3) in
-all.  Every other term has X or Y on no mode or on one pair, and each of
-its blocks is a unit, in ascending X-mask order: two strings of a pair
-block with equal Y parity differ on both modes of the pair or on neither
-and carry only I or Z elsewhere, so they commute.
+The units are the schedule's rounds first, then every block the rounds
+leave, one unit each in ascending X-mask order.  A round takes the block
+of each of its 4-subsets (two-body terms on four distinct modes) out of
+the table.  Within such a block, two strings commute exactly when they
+differ at an even number of endpoint letters, which the Y-count parity
+tracks; blocks of one round have disjoint modes.  So a full schedule
+yields two certified families of 2n strings per round, 2 * C(n-1, 3) in
+all.  Every other term has X or Y on no mode or on one pair: two strings
+of such a block with equal Y parity differ on both modes of the pair or
+on neither and carry only I or Z elsewhere, so they commute.  A family is
+labelled "dominant" when its blocks have four-mode X-support, else
+"residual".
+
+Since each block is taken out of the table once, each distinct string sits
+in exactly one family, whose provenance is every term of each block that
+puts a string into it.  A schedule only decides how the four-mode blocks
+are packed into families: an incomplete one leaves more units, never
+fewer strings.
 
 Grouping depends only on n.  Coefficients are brought to normal order
 (descending indices per operator kind, with the antisymmetry sign) and
@@ -34,7 +41,6 @@ from pathlib import Path
 
 from .baranyai import Schedule, pad_and_build
 from .fermion import FermionicTerm, jw_term
-from .oracles import validate_schedule
 from .pauli import ExactComplex, PauliString, WeightedPauliString, _anticommuting_pair
 
 __all__ = [
@@ -48,10 +54,8 @@ __all__ = [
     "build_partition",
     "commuting_families",
     "load_coefficients",
-    "load_schedule",
-    "residual_families",
+    "read_schedule_file",
     "save_families",
-    "save_schedule",
     "schedule_for",
     "schedule_json",
 ]
@@ -156,30 +160,25 @@ def _split(unit, origin: str) -> list[CommutingFamily]:
     return [_certified(half, provenance, origin) for half, provenance in zip(halves, terms) if half]
 
 
-def _blocks(n: int, coeffs: "HamiltonianCoefficients | None", dominant: bool) -> dict[int, list]:
-    """One class's (term, value) entries keyed by X mask: without coefficients
-    every canonical non-vanishing term at value 1, else entries by sorted key."""
+def _blocks(n: int, coeffs: "HamiltonianCoefficients | None") -> dict[int, list]:
+    """Every (term, value) entry keyed by X mask: without coefficients every
+    canonical non-vanishing term at value 1, else the entries by sorted key."""
     if coeffs is None:
-        if dominant:  # one term per 4-subset, creating its two largest modes
-            terms = [FermionicTerm.two_body(d, c, b, a, n) for a, b, c, d in combinations(range(n), 4)]
-        else:
-            terms = [FermionicTerm.one_body(p, q, n) for p in range(n) for q in range(n)]
-            terms += [
-                FermionicTerm((q, p), (s, r), n)  # descending
-                for p, q in combinations(range(n), 2)
-                for r, s in combinations(range(n), 2)
-                if {p, q} & {r, s}
-            ]
+        terms = [FermionicTerm.one_body(p, q, n) for p in range(n) for q in range(n)]
+        terms += [
+            FermionicTerm((q, p), (s, r), n)  # descending
+            for p, q in combinations(range(n), 2)
+            for r, s in combinations(range(n), 2)
+            if {p, q} & {r, s}
+        ]
+        # one term per 4-subset, creating its two largest modes
+        terms += [FermionicTerm.two_body(d, c, b, a, n) for a, b, c, d in combinations(range(n), 4)]
         table = [(term, 1) for term in terms]
     elif coeffs.n != n:
         raise ValueError(f"coefficients are for n={coeffs.n}, not n={n}")
     else:
-        table = [] if dominant else [
-            (FermionicTerm.one_body(p, q, n), value) for (p, q), value in sorted(coeffs.one_body.items())
-        ]
-        for (p, q, r, s), value in sorted(coeffs.two_body.items()):
-            if (len({p, q, r, s}) == 4) == dominant:
-                table.append((FermionicTerm.two_body(p, q, r, s, n), value))
+        table = [(FermionicTerm.one_body(*key, n), value) for key, value in sorted(coeffs.one_body.items())]
+        table += [(FermionicTerm.two_body(*key, n), value) for key, value in sorted(coeffs.two_body.items())]
     blocks: dict[int, list] = {}
     for term, value in table:
         # each side's modes are distinct, so its bits sum to their XOR
@@ -191,28 +190,24 @@ def _blocks(n: int, coeffs: "HamiltonianCoefficients | None", dominant: bool) ->
 def commuting_families(
     schedule: Schedule, coeffs: "HamiltonianCoefficients | None" = None
 ) -> list[CommutingFamily]:
-    """Two certified families per round: the even-Y and odd-Y string halves.
+    """The whole partition: round units first, then every leftover block.
 
-    A round's unit is the blocks of its subsets in round order; subsets
-    without entries and families left empty drop out.
+    A round's unit is the blocks of its subsets in round order, split into
+    an even-Y and an odd-Y dominant family; a subset whose block is absent
+    or already taken adds nothing.  Each block the rounds leave is then a
+    unit of its own, in ascending X-mask order, labelled by its X-support.
+    Empty families drop out.
     """
-    blocks = _blocks(schedule.n, coeffs, dominant=True)
+    if schedule.n < 1:
+        raise ValueError("mode count must be positive")
+    blocks = _blocks(schedule.n, coeffs)
     families = []
     for rnd in schedule.rounds:
-        masks = [sum(1 << m for m in subset) for subset in rnd]
-        families += _split([blocks[mask] for mask in masks if mask in blocks], "dominant")
+        taken = [blocks.pop(sum(1 << m for m in subset), None) for subset in rnd]
+        families += _split([block for block in taken if block], "dominant")
+    for mask in sorted(blocks):
+        families += _split([blocks[mask]], "dominant" if mask.bit_count() == 4 else "residual")
     return families
-
-
-def residual_families(n: int, coeffs: "HamiltonianCoefficients | None" = None) -> list[CommutingFamily]:
-    """Families for every term outside the dominant class: each block a unit.
-
-    At most 1 + 2 * C(n, 2) families: one for the I/Z block, two per pair.
-    """
-    if n < 1:
-        raise ValueError("mode count must be positive")
-    blocks = _blocks(n, coeffs, dominant=False)
-    return [family for mask in sorted(blocks) for family in _split([blocks[mask]], "residual")]
 
 
 # ---------------------------------------------------------------------------
@@ -320,11 +315,6 @@ def schedule_json(schedule: Schedule) -> str:
     return json.dumps(payload, separators=(",", ":")) + "\n"
 
 
-def save_schedule(schedule: Schedule, path) -> None:
-    """Write :func:`schedule_json` to ``path``."""
-    Path(path).write_text(schedule_json(schedule))
-
-
 def read_schedule_file(path) -> Schedule:
     """Parse a schedule JSON file without validating its combinatorics."""
     try:
@@ -338,6 +328,8 @@ def read_schedule_file(path) -> Schedule:
         # bool is a subclass of int, but true/false are not JSON integers
         if type(n) is not int:
             raise ValueError(f"n must be an integer, got {n!r}")
+        if n < 1:
+            raise ValueError(f"n must be positive, got {n}")
         for rnd in rounds:
             for subset in rnd:
                 if any(type(t) is not int for t in subset):
@@ -347,19 +339,6 @@ def read_schedule_file(path) -> Schedule:
     if any(len(s) != 4 for rnd in rounds for s in rnd):
         raise ScheduleLoadError(f"malformed schedule file {path}: subsets must have 4 indices")
     return Schedule.from_rounds(n, rounds)
-
-
-def load_schedule(path, expected_n: int | None = None) -> Schedule:
-    """Read and re-validate a schedule file; invalid content raises ScheduleLoadError."""
-    schedule = read_schedule_file(path)
-    if expected_n is not None and schedule.n != expected_n:
-        raise ScheduleLoadError(
-            f"schedule file {path} is for n={schedule.n}, expected n={expected_n}"
-        )
-    report = validate_schedule(schedule)
-    if not report.passed:
-        raise ScheduleLoadError(f"schedule file {path} failed validation: {report.counterexample}")
-    return schedule
 
 
 def save_families(families: list[CommutingFamily], path) -> None:
@@ -423,10 +402,6 @@ class PartitionReport:
     families: tuple[CommutingFamily, ...]
     weighted: bool
 
-    @property
-    def family_count(self) -> int:
-        return len(self.families)
-
     def summary(self) -> dict:
         dominant = [f for f in self.families if f.origin == "dominant"]
         residual = [f for f in self.families if f.origin == "residual"]
@@ -434,7 +409,7 @@ class PartitionReport:
         return {
             "n": self.n,
             "weighted": self.weighted,
-            "family_count": self.family_count,
+            "family_count": len(self.families),
             "dominant_families": len(dominant),
             "residual_families": len(residual),
             "dominant_strings": sum(len(f.strings) for f in dominant),
@@ -448,5 +423,4 @@ class PartitionReport:
 
 def build_partition(n: int, coeffs: HamiltonianCoefficients | None = None) -> PartitionReport:
     """Schedule -> certified families, weighted by coefficients when supplied."""
-    families = commuting_families(schedule_for(n), coeffs) + residual_families(n, coeffs)
-    return PartitionReport(n, tuple(families), coeffs is not None)
+    return PartitionReport(n, tuple(commuting_families(schedule_for(n), coeffs)), coeffs is not None)

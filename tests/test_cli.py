@@ -11,7 +11,7 @@ import pytest
 
 from paulisched import partition
 from paulisched.cli import main
-from paulisched.partition import load_schedule, save_schedule, schedule_json
+from paulisched.partition import read_schedule_file, schedule_json
 from paulisched.baranyai import build_schedule
 
 TERM = re.compile(r"^a\+(\d+) a\+(\d+) a-(\d+) a-(\d+)$")
@@ -48,17 +48,16 @@ class TestScheduleCommand:
         path = tmp_path / "sched.json"
         code, _, _ = run(capsys, "schedule", "--n", "8", "--format", "json", "--out", str(path))
         assert code == 0
-        assert load_schedule(path, expected_n=8) == build_schedule(8)
+        assert read_schedule_file(path) == build_schedule(8)
 
     def test_json_output_byte_identical(self, capsys, tmp_path):
         _, first, _ = run(capsys, "schedule", "--n", "8", "--format", "json")
         _, second, _ = run(capsys, "schedule", "--n", "8", "--format", "json")
         assert first == second
-        # stdout, --out and save_schedule share one serializer
-        out, saved = tmp_path / "out.json", tmp_path / "saved.json"
+        # stdout and --out share one serializer
+        out = tmp_path / "out.json"
         run(capsys, "schedule", "--n", "8", "--format", "json", "--out", str(out))
-        save_schedule(build_schedule(8), saved)
-        assert out.read_text() == saved.read_text() == first
+        assert out.read_text() == schedule_json(build_schedule(8)) == first
 
     def test_padded_size(self, capsys):
         code, out, _ = run(capsys, "schedule", "--n", "5")
@@ -135,6 +134,21 @@ class TestFamiliesCommand:
         assert code == 2
 
 
+@pytest.mark.parametrize("command", [["schedule", "--n", "8"], ["families", "--n", "8"]])
+@pytest.mark.parametrize("target", ["missing/out.json", "a-directory"])
+def test_unwritable_out_is_usage_error(capsys, tmp_path, command, target):
+    (tmp_path / "a-directory").mkdir()
+    out = tmp_path / target
+    code, stdout, err = run(capsys, *command, "--out", str(out))
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith(f"error: cannot write {out}: ")
+    assert ".tmp" not in err
+    # nothing is left behind: no output and no temporary file
+    assert [p.name for p in tmp_path.iterdir()] == ["a-directory"]
+    assert list((tmp_path / "a-directory").iterdir()) == []
+
+
 class TestVerifyCommand:
     def test_default_suite_passes(self, capsys):
         code, out, _ = run(capsys, "verify")
@@ -169,7 +183,7 @@ class TestVerifyCommand:
 
     def test_good_schedule_file_passes(self, capsys, tmp_path):
         path = tmp_path / "good.json"
-        save_schedule(build_schedule(8), path)
+        path.write_text(schedule_json(build_schedule(8)))
         code, _, _ = run(capsys, "verify", "--schedule-file", str(path))
         assert code == 0
 
@@ -178,6 +192,15 @@ class TestVerifyCommand:
         path.write_text("{")
         code, _, err = run(capsys, "verify", "--schedule-file", str(path))
         assert code == 2
+
+    def test_non_positive_n_schedule_file_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "empty.json"
+        for n in (0, -4):
+            path.write_text(json.dumps({"n": n, "rounds": []}))
+            code, out, err = run(capsys, "verify", "--schedule-file", str(path))
+            assert code == 2
+            assert out == ""
+            assert "n must be positive" in err
 
     def test_non_integer_schedule_file_is_usage_error(self, capsys, tmp_path):
         rounds = [[list(s) for s in rnd] for rnd in build_schedule(8).rounds]
@@ -253,14 +276,23 @@ class TestNumpyOffTheCompilePath:
     def test_numpy_import(self, tmp_path, code, loads_numpy):
         if code.startswith("main("):
             code = f"from paulisched.cli import main\nstatus = {code}\nassert status == 0, status"
-        probe = f"import sys\n{code}\nprint('numpy' in sys.modules)"
-        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-        result = subprocess.run(
-            [sys.executable, "-c", probe], cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path),
-            capture_output=True, text=True, timeout=300,
-        )
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.splitlines()[-1] == str(loads_numpy)
+        assert _loads(code, "numpy", tmp_path) is loads_numpy
+
+
+def _loads(code: str, module: str, cwd) -> bool:
+    """Whether running ``code`` in a fresh interpreter imports ``module``."""
+    probe = f"import sys\n{code}\nprint({module!r} in sys.modules)"
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", probe], cwd=cwd, env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout.splitlines()[-1] == "True"
+
+
+def test_partition_does_not_load_the_oracles(tmp_path):
+    assert _loads("import paulisched.partition", "paulisched.oracles", tmp_path) is False
 
 
 class TestCollectorPause:

@@ -173,6 +173,13 @@ class TestValidateSchedule:
         report = validate_schedule(Schedule(8, schedule.rounds[:-1]))
         assert not report.passed
 
+    @pytest.mark.parametrize("n", [0, -4])
+    def test_non_positive_n_fails_without_raising(self, n):
+        report = validate_schedule(Schedule(n, ()))
+        assert not report.passed
+        assert f"n={n}" in report.counterexample
+        assert report.details["checks"]["mode_count"] is False
+
     def test_report_serializes(self):
         report = validate_schedule(build_schedule(4))
         as_dict = report.to_dict()

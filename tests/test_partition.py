@@ -8,9 +8,9 @@ from math import comb
 import pytest
 
 from conftest import reference_jw_term, reference_save_families, seeded_hermitian_entries
-from paulisched.baranyai import build_schedule
+from paulisched.baranyai import Schedule, build_schedule
 from paulisched.fermion import FermionicTerm, jw_excitation, jw_term
-from paulisched.oracles import validate_families
+from paulisched.oracles import validate_families, validate_partition, validate_schedule
 from paulisched.partition import (
     CoefficientsLoadError,
     FamiliesWriteError,
@@ -24,24 +24,31 @@ from paulisched.partition import (
     build_partition,
     commuting_families,
     load_coefficients,
-    load_schedule,
-    residual_families,
+    read_schedule_file,
     save_families,
-    save_schedule,
     schedule_for,
+    schedule_json,
 )
 from paulisched.pauli import ExactComplex, WeightedPauliString, commutes, parse_pauli
 
 
+def _dominant(schedule, coeffs=None):
+    return [f for f in commuting_families(schedule, coeffs) if f.origin == "dominant"]
+
+
+def _residual(schedule, coeffs=None):
+    return [f for f in commuting_families(schedule, coeffs) if f.origin == "residual"]
+
+
 class TestDominantFamilies:
     def test_single_round_register(self):
-        families = commuting_families(build_schedule(4))
+        families = _dominant(build_schedule(4))
         assert len(families) == 2
         assert all(len(f.strings) == 8 for f in families)
         assert validate_families(families).passed
 
     def test_eight_modes_counts_and_coverage(self):
-        families = commuting_families(build_schedule(8))
+        families = _dominant(build_schedule(8))
         assert len(families) == 2 * comb(7, 3) == 70
         assert all(len(f.strings) == 16 for f in families)
         covered = [w.string for f in families for w in f.strings]
@@ -61,7 +68,7 @@ class TestDominantFamilies:
         assert not any(commutes(a, b) for a in halves[0] for b in halves[1])
 
     def test_provenance_terms_create_top_modes(self):
-        families = commuting_families(build_schedule(8))
+        families = _dominant(build_schedule(8))
         for family in families:
             for term in family.provenance:
                 assert term.creates > term.annihilates
@@ -74,7 +81,7 @@ class TestDominantFamilies:
 
 class TestResidualFamilies:
     def test_every_family_certified(self):
-        families = residual_families(4)
+        families = _residual(build_schedule(4))
         assert validate_families(families).passed
 
     def test_anticommuting_pair_fails_certification(self):
@@ -91,26 +98,26 @@ class TestResidualFamilies:
     def test_off_diagonal_one_body_splits_into_two_pairs(self):
         # unweighted, the hopping and its adjoint share one block and fold
         # to (XX + YY) / 2: the odd-Y half cancels
-        (pair,) = [f for f in residual_families(2) if f.strings[0].string.x == 0b11]
+        (pair,) = [f for f in _residual(Schedule(2, ())) if f.strings[0].string.x == 0b11]
         assert [str(w.string) for w in pair.strings] == ["XX", "YY"]
         assert [(t.creates, t.annihilates) for t in pair.provenance] == [((0,), (1,)), ((1,), (0,))]
         # the hopping on its own keeps both halves
         coeffs = HamiltonianCoefficients.from_entries(2, [((1, 0), 1)], [])
-        halves = residual_families(2, coeffs)
+        halves = _residual(Schedule(2, ()), coeffs)
         assert [len(f.strings) for f in halves] == [2, 2]
         texts = {str(w.string) for f in halves for w in f.strings}
         assert texts == {"XX", "YY", "XY", "YX"}
         assert all([(t.creates, t.annihilates) for t in f.provenance] == [((1,), (0,))] for f in halves)
 
     def test_diagonal_terms_pool_into_one_family(self):
-        families = residual_families(3)
+        families = _residual(Schedule(3, ()))
         pooled = [f for f in families if all(w.string.x == 0 for w in f.strings)]
         assert len(pooled) == 1
         diag_terms = {t.creates for t in pooled[0].provenance if len(t.creates) == 1}
         assert diag_terms == {(0,), (1,), (2,)}
 
     def test_count_bound_and_frozen_count_at_8(self):
-        families = residual_families(8)
+        families = _residual(build_schedule(8))
         # the I/Z block (1) and one family per mode pair (28): unweighted, the
         # sum is Hermitian and real, so every odd-Y string cancels
         assert len(families) == 1 + comb(8, 2) == 29
@@ -127,23 +134,58 @@ class TestResidualFamilies:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_every_string_of_a_block_has_its_x_mask(self, n):
-        for dominant in (True, False):
-            for mask, entries in _blocks(n, None, dominant).items():
-                assert mask.bit_count() in ((4,) if dominant else (0, 2))
-                for term, _ in entries:
-                    assert all(w.string.x == mask for w in jw_term(term))
+        for mask, entries in _blocks(n, None).items():
+            assert mask.bit_count() in (0, 2, 4)
+            for term, _ in entries:
+                assert all(w.string.x == mask for w in jw_term(term))
 
     def test_zero_filter(self):
         coeffs = HamiltonianCoefficients.from_entries(
             4, [((1, 0), 0.5)], [(((3, 2, 2, 0)), 1.0)]
         )
-        families = residual_families(4, coeffs)
+        families = _residual(build_schedule(4), coeffs)
         kinds = sorted((t.creates, t.annihilates) for f in families for t in f.provenance)
         assert kinds == [((1,), (0,)), ((1,), (0,)), ((3, 2), (2, 0)), ((3, 2), (2, 0))]
 
     def test_requires_positive_n(self):
         with pytest.raises(ValueError):
-            residual_families(0)
+            commuting_families(Schedule(0, ()))
+
+
+class TestOnePass:
+    """Any schedule yields a true partition: it only decides the packing."""
+
+    def test_empty_schedule_leaves_every_block_a_unit(self):
+        families = commuting_families(Schedule(8, ()))
+        # two Y halves per 4-subset block, then the 29 residual families
+        assert len(families) == 2 * comb(8, 4) + 29 == 169
+        dominant = [f for f in families if f.origin == "dominant"]
+        assert len(dominant) == 140
+        masks = [f.strings[0].string.x for f in families]
+        assert masks == sorted(masks)  # one block per unit, ascending X mask
+        assert all(len({w.string.x for w in f.strings}) == 1 for f in families)
+        assert {f.strings[0].string.x.bit_count() for f in dominant} == {4}
+        assert validate_families(families).passed
+        report = validate_partition(families, 8)
+        assert report.passed, report.counterexample
+
+    def test_weighted_with_empty_schedule(self):
+        coeffs = HamiltonianCoefficients.from_entries(8, *seeded_hermitian_entries(8, seed=11))
+        families = commuting_families(Schedule(8, ()), coeffs)
+        assert {f.origin for f in families} == {"dominant", "residual"}
+        report = validate_partition(families, 8, coeffs)
+        assert report.passed, report.counterexample
+
+    def test_repeated_round_takes_its_blocks_once(self):
+        rounds = list(build_schedule(8).rounds)
+        rounds[1] = rounds[0]  # round 0 twice, round 1's subsets in none
+        schedule = Schedule(8, tuple(rounds))
+        assert not validate_schedule(schedule).passed
+        families = commuting_families(schedule)
+        # 34 distinct rounds and the two subsets left over, each a unit
+        assert len([f for f in families if f.origin == "dominant"]) == 2 * 34 + 2 * 2
+        report = validate_partition(families, 8)
+        assert report.passed, report.counterexample
 
 
 class TestCoefficients:
@@ -196,8 +238,6 @@ class TestCoefficients:
         coeffs = HamiltonianCoefficients.from_entries(4, [], [])
         with pytest.raises(ValueError, match="n=4"):
             commuting_families(build_schedule(8), coeffs)
-        with pytest.raises(ValueError, match="n=4"):
-            residual_families(8, coeffs)
         with pytest.raises(ValueError, match="n=4"):
             build_partition(8, coeffs)
 
@@ -352,9 +392,8 @@ class TestPersistence:
     def test_schedule_round_trip(self, tmp_path):
         schedule = build_schedule(8)
         path = tmp_path / "sched8.json"
-        save_schedule(schedule, path)
-        assert load_schedule(path) == schedule
-        assert load_schedule(path, expected_n=8) == schedule
+        path.write_text(schedule_json(schedule))
+        assert read_schedule_file(path) == schedule
 
     def test_duplicated_subset_fails_validation(self, tmp_path):
         schedule = build_schedule(8)
@@ -362,26 +401,21 @@ class TestPersistence:
         rounds[0][1] = rounds[1][0]
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"n": 8, "rounds": rounds}))
-        with pytest.raises(ScheduleLoadError):
-            load_schedule(path)
-
-    def test_expected_n_mismatch(self, tmp_path):
-        path = tmp_path / "sched4.json"
-        save_schedule(build_schedule(4), path)
-        with pytest.raises(ScheduleLoadError):
-            load_schedule(path, expected_n=8)
+        report = validate_schedule(read_schedule_file(path))
+        assert not report.passed
+        assert not report.details["checks"]["exact_cover"]
 
     def test_malformed_schedule_file(self, tmp_path):
         path = tmp_path / "garbage.json"
         path.write_text("{not json")
         with pytest.raises(ScheduleLoadError):
-            load_schedule(path)
+            read_schedule_file(path)
         path.write_text(json.dumps({"n": 4, "rounds": [[[3, 2, 1]]]}))
         with pytest.raises(ScheduleLoadError):
-            load_schedule(path)
+            read_schedule_file(path)
         rounds = [[list(s) for s in rnd] for rnd in build_schedule(8).rounds]
         path.write_text(json.dumps({"n": 8, "rounds": rounds}))
-        assert load_schedule(path).n == 8
+        assert read_schedule_file(path).n == 8
 
         def with_subset(values):
             members = sorted(int(v) for v in values)
@@ -396,10 +430,10 @@ class TestPersistence:
         ):
             path.write_text(json.dumps(bad))
             with pytest.raises(ScheduleLoadError, match="integer"):
-                load_schedule(path)
+                read_schedule_file(path)
         path.write_text('{"n": ' + "8" * 5000 + ', "rounds": []}')
         with pytest.raises(ScheduleLoadError, match="cannot read"):
-            load_schedule(path)
+            read_schedule_file(path)
 
     def test_coefficients_file_round_trip(self, tmp_path):
         path = tmp_path / "coeffs.json"
@@ -503,12 +537,19 @@ class TestPersistence:
             assert streamed == b"[]\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["reference.json", "streamed.json"]
 
+    @pytest.mark.parametrize("n", [0, -4])
+    def test_schedule_file_needs_a_positive_n(self, tmp_path, n):
+        path = tmp_path / "sched.json"
+        path.write_text(json.dumps({"n": n, "rounds": []}))
+        with pytest.raises(ScheduleLoadError, match="positive"):
+            read_schedule_file(path)
+
     def test_families_file_shape(self, tmp_path):
         report = build_partition(4)
         path = tmp_path / "families.json"
         save_families(list(report.families), path)
         data = json.loads(path.read_text())
-        assert len(data) == report.family_count
+        assert len(data) == len(report.families)
         first = data[0]
         assert set(first) == {"origin", "strings", "coefficients", "terms"}
         assert len(first["strings"]) == len(first["coefficients"])
