@@ -2,14 +2,16 @@
 
 A ladder operator on mode m maps to (X_m + iY_m)/2 (annihilation) or
 (X_m - iY_m)/2 (creation), times a Z chain on all lower modes
-(:func:`jw_ladder`, the one source of that encoding).  :func:`jw_term`
-expands a product of ladder operators exactly on integers: every
-coefficient is (a + ib) / 2**k for Gaussian integers a + ib and k ladder
-factors, so the expansion tracks an i-power per product path, takes each
-product's phase from the same rule :func:`paulisched.pauli.string_product`
-uses, and builds one :class:`~paulisched.pauli.ExactComplex` per output
-string.  No sign or phase is hand-coded, which is what the dense-matrix
-oracles in :mod:`paulisched.oracles` verify.
+(:func:`jw_ladder`, the one source of that encoding).  The kernel
+:func:`_jw_sums` expands a product of ladder operators exactly on
+integers: every coefficient is (a + ib) / 2**k for Gaussian integers a + ib
+and k ladder factors, so the expansion tracks an i-power per product path
+and takes each product's phase from the same rule
+:func:`paulisched.pauli.string_product` uses.  :func:`jw_term` wraps it,
+building one :class:`~paulisched.pauli.ExactComplex` per output string;
+the block fold in :mod:`paulisched.partition` sums the numerators directly.
+No sign or phase is hand-coded, which is what the dense-matrix oracles in
+:mod:`paulisched.oracles` verify.
 
 For a two-body term with four distinct mode indices the expansion is always
 16 strings of coefficient magnitude 1/16, each matching a fixed shape: X or
@@ -127,12 +129,13 @@ def _dyadic(re: int, im: int, k: int) -> ExactComplex:
     return ExactComplex(Fraction(re, 1 << k), Fraction(im, 1 << k))
 
 
-def jw_term(term: FermionicTerm) -> list[WeightedPauliString]:
-    """Expand a term's full ladder product into weighted Pauli strings.
+def _jw_sums(term: FermionicTerm) -> tuple[dict[tuple[int, int], list[int]], int]:
+    """The kernel: a term's JW image as {(x, z): [re, im]} over 2**k.
 
-    Equal strings arising from index repetition are combined and zero
-    coefficients dropped, so nilpotent products come back empty.  The result
-    is sorted by string text, which makes downstream output reproducible.
+    Each string (x, z) carries the Gaussian-integer numerator re + i im of
+    its coefficient (re + i im) / 2**k, with k the number of ladder
+    factors.  Equal strings arising from index repetition are already
+    combined; a string whose paths cancel keeps its entry at [0, 0].
     """
     n = term.n
     factors = [_ladder_ints(m, True, n) for m in term.creates]
@@ -150,8 +153,19 @@ def jw_term(term: FermionicTerm) -> list[WeightedPauliString]:
     for x, z, k in paths:
         re_im = sums.setdefault((x, z), [0, 0])
         re_im[k & 1] += -1 if k & 2 else 1  # i**k is 1, i, -1 or -i
+    return sums, len(factors)
+
+
+def jw_term(term: FermionicTerm) -> list[WeightedPauliString]:
+    """Expand a term's full ladder product into weighted Pauli strings.
+
+    Equal strings arising from index repetition are combined and zero
+    coefficients dropped, so nilpotent products come back empty.  The result
+    is sorted by string text, which makes downstream output reproducible.
+    """
+    sums, k = _jw_sums(term)
     out = [
-        WeightedPauliString(_dyadic(re, im, len(factors)), PauliString(n, x, z))
+        WeightedPauliString(_dyadic(re, im, k), PauliString(term.n, x, z))
         for (x, z), (re, im) in sums.items()
         if re or im
     ]

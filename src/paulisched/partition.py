@@ -3,21 +3,24 @@
 One pass builds the whole partition.  Every JW string of a term has the
 same X mask, the XOR of the term's mode bits, so all terms are grouped
 into *blocks* keyed by that X-support, in one table.  Each block is folded
-once (its terms' scaled expansions summed per string, zero sums dropped),
-and each unit of blocks is split into an even-Y and an odd-Y family.
+once: its terms' integer JW numerators, scaled to one common denominator
+for the block, are summed per string, zero sums drop, and one exact
+coefficient is built per remaining string.  Each unit of blocks is then
+split into an even-Y and an odd-Y family.
 
 The units are the schedule's rounds first, then every block the rounds
 leave, one unit each in ascending X-mask order.  A round takes the block
 of each of its 4-subsets (two-body terms on four distinct modes) out of
-the table.  Within such a block, two strings commute exactly when they
-differ at an even number of endpoint letters, which the Y-count parity
-tracks; blocks of one round have disjoint modes.  So a full schedule
-yields two certified families of 2n strings per round, 2 * C(n-1, 3) in
-all.  Every other term has X or Y on no mode or on one pair: two strings
-of such a block with equal Y parity differ on both modes of the pair or
-on neither and carry only I or Z elsewhere, so they commute.  A family is
-labelled "dominant" when its blocks have four-mode X-support, else
-"residual".
+the table, if the subset's modes are distinct, in range and unused by the
+round's earlier subsets.  Within such a block, two strings commute
+exactly when they differ at an even number of endpoint letters, which the
+Y-count parity tracks; blocks of one round have disjoint modes.  So a
+full schedule yields two certified families of 2n strings per round,
+2 * C(n-1, 3) in all.  Every other term has X or Y on no mode or on one
+pair: two strings of such a block with equal Y parity differ on both
+modes of the pair or on neither and carry only I or Z elsewhere, so they
+commute.  A family is labelled "dominant" when its blocks have four-mode
+X-support, else "residual".
 
 Since each block is taken out of the table once, each distinct string sits
 in exactly one family, whose provenance is every term of each block that
@@ -27,7 +30,8 @@ fewer strings.
 
 Grouping depends only on n.  Coefficients are brought to normal order
 (descending indices per operator kind, with the antisymmetry sign) and
-accumulated per canonical term.  Output is bit-identical between runs.
+summed once per canonical term, on integer numerators over one common
+denominator.  Output is bit-identical between runs.
 """
 
 import json
@@ -36,11 +40,11 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 from pathlib import Path
 
 from .baranyai import Schedule, pad_and_build
-from .fermion import FermionicTerm, jw_term
+from .fermion import FermionicTerm, _jw_sums, jw_term
 from .pauli import ExactComplex, PauliString, WeightedPauliString, _anticommuting_pair
 
 __all__ = [
@@ -108,34 +112,36 @@ def _y_parity(w: WeightedPauliString) -> int:
     return (w.string.x & w.string.z).bit_count() & 1
 
 
-def _fold(entries) -> list[WeightedPauliString]:
-    """One text-sorted list of weighted strings from (expansion, value) entries.
+def _fold(block) -> list[WeightedPauliString]:
+    """One text-sorted list of weighted strings from a block's (term, value) entries.
 
-    Values are summed per string as exact real and imaginary parts, and
-    strings that sum to zero drop out.  A single entry with value 1 comes
-    back unchanged.
+    The sum is made on integers over one common denominator D: the lcm of
+    the values' denominators times 2**k for the largest ladder count k in
+    the block.  Each entry's kernel numerators (over 2**k) are scaled to D
+    and added per string, then each nonzero sum becomes one exact
+    coefficient; strings that sum to zero drop out.  A single entry with
+    value 1 is its term's :func:`jw_term`.
     """
-    if len(entries) == 1 and entries[0][1] == 1:
-        return entries[0][0]
-    sums: dict[PauliString, list[Fraction]] = {}
-    for strings, value in entries:
-        for w in strings:
-            # JW coefficients are real or imaginary and most strings occur once
-            # per block: only nonzero parts are scaled or added
-            re, im = w.coefficient.real, w.coefficient.imag
-            if value != 1:
-                re, im = re and re * value, im and im * value
-            re_im = sums.get(w.string)
+    if len(block) == 1 and block[0][1] == 1:
+        return jw_term(block[0][0])
+    expanded = [(_jw_sums(term), value) for term, value in block]
+    denominator = lcm(*(value.denominator for _, value in block))
+    denominator <<= max(k for (_, k), _ in expanded)
+    sums: dict[tuple[int, int], list[int]] = {}
+    for (term_sums, k), value in expanded:
+        scale = value.numerator * (denominator // (value.denominator << k))
+        for xz, (re, im) in term_sums.items():
+            re_im = sums.get(xz)
             if re_im is None:
-                sums[w.string] = [re, im]
+                sums[xz] = [re * scale, im * scale]
             else:
-                if re:
-                    re_im[0] += re
-                if im:
-                    re_im[1] += im
+                re_im[0] += re * scale
+                re_im[1] += im * scale
+    n = block[0][0].n
     folded = [
-        WeightedPauliString(ExactComplex(re, im), string)
-        for string, (re, im) in sums.items()
+        WeightedPauliString(ExactComplex(Fraction(re, denominator), Fraction(im, denominator)),
+                            PauliString(n, x, z))
+        for (x, z), (re, im) in sums.items()
         if re or im
     ]
     folded.sort(key=lambda w: w.string.text())
@@ -152,7 +158,7 @@ def _split(unit, origin: str) -> list[CommutingFamily]:
     terms: tuple[list, list] = ([], [])
     for block in unit:
         sizes = [len(half) for half in halves]
-        for w in _fold([(jw_term(term), value) for term, value in block]):
+        for w in _fold(block):
             halves[_y_parity(w)].append(w)
         for half, provenance, size in zip(halves, terms, sizes):
             if len(half) > size:
@@ -193,18 +199,29 @@ def commuting_families(
     """The whole partition: round units first, then every leftover block.
 
     A round's unit is the blocks of its subsets in round order, split into
-    an even-Y and an odd-Y dominant family; a subset whose block is absent
-    or already taken adds nothing.  Each block the rounds leave is then a
-    unit of its own, in ascending X-mask order, labelled by its X-support.
-    Empty families drop out.
+    an even-Y and an odd-Y dominant family.  A subset adds its block only if
+    it names four distinct in-range modes that no earlier subset of its
+    round used, so a schedule built in the library needs no validation;
+    any other subset, or one whose block is absent or already taken, adds
+    nothing.  Each block the rounds leave is then a unit of its own, in
+    ascending X-mask order, labelled by its X-support.  Empty families drop
+    out.
     """
-    if schedule.n < 1:
+    n = schedule.n
+    if n < 1:
         raise ValueError("mode count must be positive")
-    blocks = _blocks(schedule.n, coeffs)
+    blocks = _blocks(n, coeffs)
     families = []
     for rnd in schedule.rounds:
-        taken = [blocks.pop(sum(1 << m for m in subset), None) for subset in rnd]
-        families += _split([block for block in taken if block], "dominant")
+        used, unit = 0, []
+        for subset in rnd:
+            mask = sum(1 << m for m in set(subset) if 0 <= m < n)
+            if len(subset) == 4 and mask.bit_count() == 4 and not mask & used:
+                used |= mask
+                block = blocks.pop(mask, None)
+                if block:
+                    unit.append(block)
+        families += _split(unit, "dominant")
     for mask in sorted(blocks):
         families += _split([blocks[mask]], "dominant" if mask.bit_count() == 4 else "residual")
     return families
@@ -231,30 +248,40 @@ class HamiltonianCoefficients:
 
     @classmethod
     def from_entries(cls, n, one_body_entries, two_body_entries) -> "HamiltonianCoefficients":
-        one: dict[tuple[int, int], Fraction] = {}
+        one: dict[tuple[int, int], list[tuple[int, int]]] = {}
         for (p, q), value in one_body_entries:
             if not (0 <= p < n and 0 <= q < n):
                 raise ValueError(f"one-body index ({p}, {q}) out of range for n={n}")
-            key = (p, q)
-            one[key] = one.get(key, Fraction(0)) + Fraction(value)
-        two: dict[tuple[int, int, int, int], Fraction] = {}
+            one.setdefault((p, q), []).append(_ratio(value))
+        two: dict[tuple[int, int, int, int], list[tuple[int, int]]] = {}
         for (p, q, r, s), value in two_body_entries:
             if not all(0 <= t < n for t in (p, q, r, s)):
                 raise ValueError(f"two-body index ({p}, {q}, {r}, {s}) out of range for n={n}")
             if p == q or r == s:
                 continue  # the operator vanishes
-            sign = 1
+            num, den = _ratio(value)
             if p < q:
-                p, q, sign = q, p, -sign
+                p, q, num = q, p, -num
             if r < s:
-                r, s, sign = s, r, -sign
-            key = (p, q, r, s)
-            two[key] = two.get(key, Fraction(0)) + sign * Fraction(value)
-        return cls(
-            n,
-            {k: v for k, v in one.items() if v},
-            {k: v for k, v in two.items() if v},
-        )
+                r, s, num = s, r, -num
+            two.setdefault((p, q, r, s), []).append((num, den))
+        return cls(n, _summed(one), _summed(two))
+
+
+def _ratio(value) -> tuple[int, int]:
+    """A value's exact (numerator, denominator); a non-float non-int goes through Fraction."""
+    return (value if type(value) in (int, float) else Fraction(value)).as_integer_ratio()
+
+
+def _summed(table: dict) -> dict:
+    """Each key's ratios summed over their lcm denominator, one Fraction per key; zeros drop."""
+    out = {}
+    for key, ratios in table.items():
+        denominator = lcm(*(den for _, den in ratios))
+        total = sum(num * (denominator // den) for num, den in ratios)
+        if total:
+            out[key] = Fraction(total, denominator)
+    return out
 
 
 def load_coefficients(path) -> HamiltonianCoefficients:

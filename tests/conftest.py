@@ -1,6 +1,7 @@
 import json
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -11,6 +12,7 @@ settings.load_profile("det")
 
 from paulisched.fermion import FermionicTerm, UnsupportedTermError, jw_ladder
 from paulisched.flows import FlowNetwork, ScaledFlow
+from paulisched.partition import HamiltonianCoefficients
 from paulisched.pauli import ExactComplex, PauliString, WeightedPauliString, string_product
 
 
@@ -94,6 +96,71 @@ def pattern_of(term: FermionicTerm) -> JwPattern:
         raise UnsupportedTermError("pattern is defined for distinct-index two-body terms only")
     e0, e1, e2, e3 = term.support()
     return JwPattern(term.n, (e0, e1, e2, e3), ((e0, e1), (e2, e3)))
+
+
+def reference_fold(entries) -> list[WeightedPauliString]:
+    """The per-string ``Fraction`` fold that ``partition._fold`` must reproduce exactly.
+
+    Takes (expansion, value) entries: each expanded string's coefficient is
+    scaled by its value and added per string as exact real and imaginary
+    parts; zero sums drop and the rest are sorted by string text.  A single
+    entry with value 1 comes back unchanged.
+    """
+    if len(entries) == 1 and entries[0][1] == 1:
+        return entries[0][0]
+    sums: dict[PauliString, list[Fraction]] = {}
+    for strings, value in entries:
+        for w in strings:
+            re, im = w.coefficient.real, w.coefficient.imag
+            if value != 1:
+                re, im = re and re * value, im and im * value
+            re_im = sums.get(w.string)
+            if re_im is None:
+                sums[w.string] = [re, im]
+            else:
+                if re:
+                    re_im[0] += re
+                if im:
+                    re_im[1] += im
+    folded = [
+        WeightedPauliString(ExactComplex(re, im), string)
+        for string, (re, im) in sums.items()
+        if re or im
+    ]
+    folded.sort(key=lambda w: w.string.text())
+    return folded
+
+
+def reference_from_entries(n, one_body_entries, two_body_entries) -> HamiltonianCoefficients:
+    """The one-``Fraction``-per-entry accumulation that ``from_entries`` must match.
+
+    Same index checks in the same order, same antisymmetry signs, same key
+    insertion order and the same zero-sum filter.
+    """
+    one: dict[tuple[int, int], Fraction] = {}
+    for (p, q), value in one_body_entries:
+        if not (0 <= p < n and 0 <= q < n):
+            raise ValueError(f"one-body index ({p}, {q}) out of range for n={n}")
+        key = (p, q)
+        one[key] = one.get(key, Fraction(0)) + Fraction(value)
+    two: dict[tuple[int, int, int, int], Fraction] = {}
+    for (p, q, r, s), value in two_body_entries:
+        if not all(0 <= t < n for t in (p, q, r, s)):
+            raise ValueError(f"two-body index ({p}, {q}, {r}, {s}) out of range for n={n}")
+        if p == q or r == s:
+            continue  # the operator vanishes
+        sign = 1
+        if p < q:
+            p, q, sign = q, p, -sign
+        if r < s:
+            r, s, sign = s, r, -sign
+        key = (p, q, r, s)
+        two[key] = two.get(key, Fraction(0)) + sign * Fraction(value)
+    return HamiltonianCoefficients(
+        n,
+        {k: v for k, v in one.items() if v},
+        {k: v for k, v in two.items() if v},
+    )
 
 
 def reference_save_families(families, path) -> None:

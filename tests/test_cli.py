@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import seeded_hermitian_entries
 from paulisched import partition
 from paulisched.cli import main
 from paulisched.partition import read_schedule_file, schedule_json
@@ -334,6 +335,7 @@ class TestCollectorPause:
 # on purpose updates the digest and says why in CHANGES.md
 SCHEDULE_16_SHA256 = "705afd82788886e29fe9d73eb9f6a6bd6eb121bec15ab15084c45a4e62572464"
 FAMILIES_8_OUT_SHA256 = "b925e78d983b9e14248e35916d27dcb5fddc9311845acf73085f2a36307d4a48"
+FAMILIES_8_WEIGHTED_SHA256 = "c45b56f806b37c5a8a5e51efa914f17bc6d909cad104e7d9180e941f814b4842"
 
 
 def test_output_bytes_pinned(capsys, tmp_path):
@@ -341,3 +343,17 @@ def test_output_bytes_pinned(capsys, tmp_path):
     path = tmp_path / "families.json"
     assert run(capsys, "families", "--n", "8", "--format", "json", "--out", str(path))[0] == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == FAMILIES_8_OUT_SHA256
+
+
+def test_weighted_output_bytes_pinned(capsys, tmp_path):
+    one, two = seeded_hermitian_entries(8, seed=11)
+    coeffs = tmp_path / "h.json"
+    coeffs.write_text(json.dumps({
+        "n": 8,
+        "one_body": [{"pq": list(k), "value": v} for k, v in one],
+        "two_body": [{"pqrs": list(k), "value": v} for k, v in two],
+    }))
+    path = tmp_path / "families.json"
+    argv = ["families", "--n", "8", "--hamiltonian", str(coeffs), "--format", "json", "--out", str(path)]
+    assert run(capsys, *argv)[0] == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == FAMILIES_8_WEIGHTED_SHA256

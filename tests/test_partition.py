@@ -7,7 +7,13 @@ from math import comb
 
 import pytest
 
-from conftest import reference_jw_term, reference_save_families, seeded_hermitian_entries
+from conftest import (
+    reference_fold,
+    reference_from_entries,
+    reference_jw_term,
+    reference_save_families,
+    seeded_hermitian_entries,
+)
 from paulisched.baranyai import Schedule, build_schedule
 from paulisched.fermion import FermionicTerm, jw_excitation, jw_term
 from paulisched.oracles import validate_families, validate_partition, validate_schedule
@@ -176,6 +182,19 @@ class TestOnePass:
         report = validate_partition(families, 8, coeffs)
         assert report.passed, report.counterexample
 
+    @pytest.mark.parametrize("rnd", [
+        ((7, 6, 5, 4), (7, 3, 2, 1)),  # the second subset overlaps the first
+        ((0, 0, 1, 1),),  # repeated modes: its bits sum to the pair mask 0b110
+    ])
+    def test_malformed_subset_adds_nothing(self, rnd):
+        families = commuting_families(Schedule(8, (rnd,)))
+        report = validate_partition(families, 8)
+        assert report.passed, report.counterexample
+        dominant = [f for f in families if f.origin == "dominant"]
+        assert all({w.string.x.bit_count() for w in f.strings} == {4} for f in dominant)
+        # every 4-subset block is in exactly two dominant families
+        assert len(dominant) == 2 * comb(8, 4)
+
     def test_repeated_round_takes_its_blocks_once(self):
         rounds = list(build_schedule(8).rounds)
         rounds[1] = rounds[0]  # round 0 twice, round 1's subsets in none
@@ -283,7 +302,7 @@ class TestWeightedFold:
         hop = FermionicTerm.one_body(1, 0, 2)
         n0, n1 = FermionicTerm.one_body(0, 0, 2), FermionicTerm.one_body(1, 1, 2)
         entries = [(hop, Fraction(2)), (n0, Fraction(1, 3)), (n1, Fraction(1)), (n0, Fraction(-1, 3))]
-        folded = _fold([(jw_term(t), v) for t, v in entries])
+        folded = _fold(entries)
         # n0 cancels, so ZI sums to zero; strings of later entries sort first
         assert [str(w.string) for w in folded] == ["II", "IZ", "XX", "XY", "YX", "YY"]
         want = {}
@@ -291,8 +310,7 @@ class TestWeightedFold:
             for string, c in _scaled(term, value):
                 want[string] = want.get(string, ExactComplex()) + c
         assert all(w.coefficient == want[w.string] for w in folded)
-        strings = jw_term(hop)
-        assert _fold([(strings, 1)]) is strings
+        assert _fold([(hop, 1)]) == jw_term(hop)
 
     @pytest.fixture(scope="class", params=["hermitian", "one-sided"])
     def case(self, request):
@@ -386,6 +404,125 @@ class TestWeightedFold:
             assert all(halves[mask] == 2 for mask in blocks if mask)
         listed = {t for f in residual for t in f.provenance}
         assert listed == {t for t in values if not (t.is_two_body and t.has_distinct_indices())}
+
+
+def _one_sided(one, two):
+    """Every other entry of a Hermitian table, so odd-Y strings survive."""
+    return one[::2], two[::2]
+
+
+class TestIntegerFold:
+    """``_fold`` on integer numerators against the per-string Fraction fold, exactly."""
+
+    @staticmethod
+    def _assert_matches_reference(block):
+        want = reference_fold([(jw_term(term), value) for term, value in block])
+        assert _fold(block) == want
+
+    @pytest.mark.parametrize("n", range(4, 9))
+    @pytest.mark.parametrize("kind", ["unweighted", "hermitian", "one-sided"])
+    def test_every_block(self, n, kind):
+        coeffs = None
+        if kind != "unweighted":
+            one, two = seeded_hermitian_entries(n, seed=n)
+            if kind == "one-sided":
+                one, two = _one_sided(one, two)
+            coeffs = HamiltonianCoefficients.from_entries(n, one, two)
+        blocks = _blocks(n, coeffs)
+        assert blocks
+        for block in blocks.values():
+            self._assert_matches_reference(block)
+
+    def _pair_block(self, values):
+        """Terms of X mask 0b11 on four modes, paired with ``values`` in turn."""
+        terms = [
+            FermionicTerm.one_body(1, 0, 4),
+            FermionicTerm.one_body(0, 1, 4),
+            FermionicTerm.two_body(2, 1, 2, 0, 4),
+            FermionicTerm.two_body(3, 0, 3, 1, 4),
+        ]
+        assert {_x_mask(t) for t in terms} == {0b11}
+        return list(zip(terms, values))
+
+    @pytest.mark.parametrize("values", [
+        [Fraction(1, 3), Fraction(-1, 6), Fraction(5, 7), Fraction(2)],
+        [Fraction(-1, 6), Fraction(1, 3), 1, Fraction(1, 10**9 + 7)],
+    ])
+    def test_non_dyadic_values(self, values):
+        self._assert_matches_reference(self._pair_block(values))
+
+    @pytest.mark.parametrize("big", [Fraction(1.7e308), Fraction(10**300)])
+    def test_values_at_the_float_range(self, big):
+        self._assert_matches_reference(self._pair_block([big, -big, big, Fraction(1, 3)]))
+        coeffs = HamiltonianCoefficients.from_entries(
+            6, [((1, 0), big), ((0, 1), -big)], [((4, 1, 4, 0), big), ((5, 3, 2, 0), -big)]
+        )
+        for block in _blocks(6, coeffs).values():
+            self._assert_matches_reference(block)
+
+    def test_entries_that_cancel(self):
+        hop, dressed = FermionicTerm.one_body(1, 0, 4), FermionicTerm.two_body(2, 1, 2, 0, 4)
+        third = Fraction(1, 3)
+        assert _fold([(hop, third), (hop, -third)]) == [] == reference_fold(
+            [(jw_term(hop), third), (jw_term(hop), -third)]
+        )
+        # a dressed hopping minus the bare one: only the Z-dressed part stays
+        self._assert_matches_reference([(hop, third), (dressed, third), (hop, -third)])
+        number = FermionicTerm.one_body(2, 2, 4)
+        assert _fold([(number, Fraction(1, 6)), (number, Fraction(-1, 6))]) == []
+
+
+class TestIntegerCoefficientSums:
+    """``from_entries`` summing once per key against the per-entry Fraction sum."""
+
+    @staticmethod
+    def _assert_matches_reference(n, one, two):
+        got = HamiltonianCoefficients.from_entries(n, one, two)
+        want = reference_from_entries(n, one, two)
+        for table, reference in ((got.one_body, want.one_body), (got.two_body, want.two_body)):
+            assert list(table.items()) == list(reference.items())  # insertion order too
+            assert all(type(v) is Fraction for v in table.values())
+        assert got == want
+
+    @pytest.mark.parametrize("n", [4, 8, 12])
+    def test_seeded_hermitian(self, n):
+        self._assert_matches_reference(n, *seeded_hermitian_entries(n, seed=n))
+
+    def test_duplicates_summing_to_zero(self):
+        one = [((1, 0), 0.25), ((2, 2), 1.5), ((1, 0), -0.125), ((1, 0), -0.125)]
+        two = [((3, 2, 1, 0), Fraction(1, 3)), ((3, 2, 1, 0), Fraction(-1, 3)), ((3, 1, 2, 0), 2)]
+        self._assert_matches_reference(4, one, two)
+        coeffs = HamiltonianCoefficients.from_entries(4, one, two)
+        assert coeffs.one_body == {(2, 2): Fraction(3, 2)}
+        assert coeffs.two_body == {(3, 1, 2, 0): Fraction(2)}
+
+    def test_antisymmetric_orders_that_cancel(self):
+        two = [((3, 2, 1, 0), 0.5), ((2, 3, 1, 0), 0.5), ((3, 1, 2, 0), 0.75), ((3, 1, 0, 2), 0.75),
+               ((1, 3, 0, 2), 0.75), ((2, 1, 3, 1), 1)]
+        self._assert_matches_reference(4, [], two)
+        coeffs = HamiltonianCoefficients.from_entries(4, [], two)
+        assert coeffs.two_body == {(3, 1, 2, 0): Fraction(3, 4), (2, 1, 3, 1): Fraction(1)}
+
+    def test_mixed_value_types(self):
+        one = [((0, 0), 1), ((0, 0), 0.1), ((0, 0), Fraction(1, 3)), ((1, 2), Fraction(-2, 7)),
+               ((1, 2), 3), ((2, 1), 2.5e-300), ((2, 1), 10**300), ((3, 3), True)]
+        two = [((3, 2, 1, 0), 0.1), ((2, 3, 1, 0), Fraction(1, 10)), ((3, 2, 0, 1), -7),
+               ((3, 1, 1, 0), 1.7e308), ((1, 3, 1, 0), 1.7e308)]
+        self._assert_matches_reference(4, one, two)
+
+    def test_negative_zero(self):
+        one = [((0, 1), -0.0), ((1, 1), -0.0), ((1, 1), 0.5)]
+        two = [((3, 2, 1, 0), -0.0), ((2, 2, 1, 0), -0.0)]
+        self._assert_matches_reference(4, one, two)
+        assert HamiltonianCoefficients.from_entries(4, one, two).one_body == {(1, 1): Fraction(1, 2)}
+
+    def test_same_error_for_a_bad_index(self):
+        two = [((3, 2, 1, 0), 0.5), ((3, 2, 1, 4), 0.5)]
+        with pytest.raises(ValueError) as got:
+            HamiltonianCoefficients.from_entries(4, [((1, 0), 1)], two)
+        with pytest.raises(ValueError) as want:
+            reference_from_entries(4, [((1, 0), 1)], two)
+        assert str(got.value) == str(want.value)
 
 
 class TestPersistence:
