@@ -7,7 +7,7 @@ cached per register size.
 """
 
 from .baranyai import PartialState, Schedule, build_schedule, pad_and_build
-from .fermion import FermionicTerm, UnsupportedTermError, jw_excitation, jw_ladder, jw_term
+from .fermion import FermionicTerm, UnsupportedTermError, jw_image, jw_ladder, jw_term
 from .flows import FlowNetwork, ScaledFlow, check_flow, flow_value, max_flow_integral, round_flow
 from .partition import (
     CommutingFamily,

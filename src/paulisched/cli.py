@@ -52,8 +52,7 @@ def _cmd_schedule(args) -> int:
     text = partition.schedule_json(schedule) if args.format == "json" else _schedule_text(schedule)
     if args.out:
         try:
-            with open(args.out, "w") as fh:
-                fh.write(text)
+            partition.write_replacing(args.out, [text])
         except OSError as exc:
             return _cannot_write(args.out, exc)
         print(f"wrote {len(schedule.rounds)} rounds to {args.out}")

@@ -7,9 +7,10 @@ A ladder operator on mode m maps to (X_m + iY_m)/2 (annihilation) or
 integers: every coefficient is (a + ib) / 2**k for Gaussian integers a + ib
 and k ladder factors, so the expansion tracks an i-power per product path
 and takes each product's phase from the same rule
-:func:`paulisched.pauli.string_product` uses.  :func:`jw_term` wraps it,
-building one :class:`~paulisched.pauli.ExactComplex` per output string;
-the block fold in :mod:`paulisched.partition` sums the numerators directly.
+:func:`paulisched.pauli.string_product` uses.  :func:`jw_image`, the one
+builder of weighted strings, sums those numerators for a weighted set of
+terms; :func:`jw_term` is its single-term case, and the block fold in
+:mod:`paulisched.partition` calls it once per block.
 No sign or phase is hand-coded, which is what the dense-matrix oracles in
 :mod:`paulisched.oracles` verify.
 
@@ -23,13 +24,14 @@ identity elsewhere; the test suite checks this shape.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .pauli import ExactComplex, PauliString, WeightedPauliString, _product_phase
 
 __all__ = [
     "FermionicTerm",
     "UnsupportedTermError",
-    "jw_excitation",
+    "jw_image",
     "jw_ladder",
     "jw_term",
 ]
@@ -124,9 +126,9 @@ def _ladder_ints(mode: int, dagger: bool, n: int) -> tuple[tuple[int, int, int],
 
 
 @lru_cache(maxsize=4096)
-def _dyadic(re: int, im: int, k: int) -> ExactComplex:
-    """(re + i im) / 2**k, interned: ExactComplex is immutable, so sharing is safe."""
-    return ExactComplex(Fraction(re, 1 << k), Fraction(im, 1 << k))
+def _coefficient(re: int, im: int, denominator: int) -> ExactComplex:
+    """(re + i im) / denominator, interned: ExactComplex is immutable, so sharing is safe."""
+    return ExactComplex(Fraction(re, denominator), Fraction(im, denominator))
 
 
 def _jw_sums(term: FermionicTerm) -> tuple[dict[tuple[int, int], list[int]], int]:
@@ -156,36 +158,46 @@ def _jw_sums(term: FermionicTerm) -> tuple[dict[tuple[int, int], list[int]], int
     return sums, len(factors)
 
 
-def jw_term(term: FermionicTerm) -> list[WeightedPauliString]:
-    """Expand a term's full ladder product into weighted Pauli strings.
+def jw_image(entries) -> list[WeightedPauliString]:
+    """The exact JW image of sum(value * term) over (term, value) entries.
 
-    Equal strings arising from index repetition are combined and zero
-    coefficients dropped, so nilpotent products come back empty.  The result
-    is sorted by string text, which makes downstream output reproducible.
+    ``entries`` is a non-empty list; values are ints or Fractions and all
+    terms share one register.  The sum is made on integers over one common
+    denominator D: the lcm of the values' denominators times 2**k for the
+    largest ladder count k among the terms.  Each entry's kernel numerators
+    (over 2**k) are scaled to D and added per string, then each nonzero sum
+    becomes one exact coefficient; strings that sum to zero drop out.  The
+    result is sorted by string text, which makes downstream output
+    reproducible.
     """
-    sums, k = _jw_sums(term)
-    out = [
-        WeightedPauliString(_dyadic(re, im, k), PauliString(term.n, x, z))
+    expanded = [(_jw_sums(term), value) for term, value in entries]
+    denominator = lcm(*(value.denominator for _, value in entries))
+    denominator <<= max(k for (_, k), _ in expanded)
+    sums: dict[tuple[int, int], list[int]] = {}
+    for (term_sums, k), value in expanded:
+        scale = value.numerator * (denominator // (value.denominator << k))
+        for xz, (re, im) in term_sums.items():
+            re_im = sums.get(xz)
+            if re_im is None:
+                sums[xz] = [re * scale, im * scale]
+            else:
+                re_im[0] += re * scale
+                re_im[1] += im * scale
+    n = entries[0][0].n
+    image = [
+        WeightedPauliString(_coefficient(re, im, denominator), PauliString(n, x, z))
         for (x, z), (re, im) in sums.items()
         if re or im
     ]
-    out.sort(key=lambda w: w.string.text())
-    return out
+    image.sort(key=lambda w: w.string.text())
+    return image
 
 
-def jw_excitation(term: FermionicTerm) -> list[WeightedPauliString]:
-    """Expansion of a two-body term whose four indices are all distinct.
+def jw_term(term: FermionicTerm) -> list[WeightedPauliString]:
+    """Expand a term's full ladder product into weighted Pauli strings.
 
-    Exactly 16 strings, every coefficient of magnitude 1/16, every string
-    of the fixed shape the module docstring describes.
-
-    Raises:
-        UnsupportedTermError: for one-body terms or repeated indices.
+    This is ``jw_image([(term, 1)])``: equal strings arising from index
+    repetition are combined and zero coefficients dropped, so nilpotent
+    products come back empty, and the result is sorted by string text.
     """
-    if not (term.is_two_body and term.has_distinct_indices()):
-        raise UnsupportedTermError(
-            f"not a distinct-index two-body term: {term.creates} / {term.annihilates}"
-        )
-    strings = jw_term(term)
-    assert len(strings) == 16
-    return strings
+    return jw_image([(term, 1)])

@@ -23,7 +23,7 @@ from math import comb
 from typing import TYPE_CHECKING
 
 from .baranyai import SUBSET_SIZE, Schedule
-from .fermion import FermionicTerm, jw_excitation, jw_term
+from .fermion import FermionicTerm, jw_term
 from .pauli import (
     ExactComplex,
     PauliString,
@@ -209,8 +209,8 @@ def verify_disjoint_term_commutation() -> OracleReport:
         term_a = FermionicTerm.two_body(*sorted(picked, reverse=True), 8)
         term_b = FermionicTerm.two_body(*sorted(rest, reverse=True), 8)
         counts = set()
-        for wa in jw_excitation(term_a):
-            for wb in jw_excitation(term_b):
+        for wa in jw_term(term_a):
+            for wb in jw_term(term_b):
                 c = anticommuting_index_count(wa.string, wb.string)
                 counts.add(c)
                 pairs += 1
@@ -274,8 +274,8 @@ def verify_sliding_invariance(trials: int = 200, max_n: int = 12, seed: int = 7)
 def _cross_parities(term_a: FermionicTerm, term_b: FermionicTerm) -> list[int]:
     return [
         anticommuting_index_count(wa.string, wb.string) % 2
-        for wa in jw_excitation(term_a)
-        for wb in jw_excitation(term_b)
+        for wa in jw_term(term_a)
+        for wb in jw_term(term_b)
     ]
 
 

@@ -3,10 +3,10 @@
 One pass builds the whole partition.  Every JW string of a term has the
 same X mask, the XOR of the term's mode bits, so all terms are grouped
 into *blocks* keyed by that X-support, in one table.  Each block is folded
-once: its terms' integer JW numerators, scaled to one common denominator
-for the block, are summed per string, zero sums drop, and one exact
-coefficient is built per remaining string.  Each unit of blocks is then
-split into an even-Y and an odd-Y family.
+once, by :func:`~paulisched.fermion.jw_image`, into the exact JW image of
+its weighted terms; :mod:`paulisched.fermion` sums the integer numerators
+and builds the strings, this module only groups and splits them.  Each
+unit of blocks is then split into an even-Y and an odd-Y family.
 
 The units are the schedule's rounds first, then every block the rounds
 leave, one unit each in ascending X-mask order.  A round takes the block
@@ -34,6 +34,7 @@ summed once per canonical term, on integer numerators over one common
 denominator.  Output is bit-identical between runs.
 """
 
+import errno
 import json
 import os
 import sys
@@ -44,8 +45,8 @@ from math import comb, lcm
 from pathlib import Path
 
 from .baranyai import Schedule, pad_and_build
-from .fermion import FermionicTerm, _jw_sums, jw_term
-from .pauli import ExactComplex, PauliString, WeightedPauliString, _anticommuting_pair
+from .fermion import FermionicTerm, jw_image
+from .pauli import WeightedPauliString, _anticommuting_pair
 
 __all__ = [
     "CommutingFamily",
@@ -62,6 +63,7 @@ __all__ = [
     "save_families",
     "schedule_for",
     "schedule_json",
+    "write_replacing",
 ]
 
 
@@ -112,53 +114,18 @@ def _y_parity(w: WeightedPauliString) -> int:
     return (w.string.x & w.string.z).bit_count() & 1
 
 
-def _fold(block) -> list[WeightedPauliString]:
-    """One text-sorted list of weighted strings from a block's (term, value) entries.
-
-    The sum is made on integers over one common denominator D: the lcm of
-    the values' denominators times 2**k for the largest ladder count k in
-    the block.  Each entry's kernel numerators (over 2**k) are scaled to D
-    and added per string, then each nonzero sum becomes one exact
-    coefficient; strings that sum to zero drop out.  A single entry with
-    value 1 is its term's :func:`jw_term`.
-    """
-    if len(block) == 1 and block[0][1] == 1:
-        return jw_term(block[0][0])
-    expanded = [(_jw_sums(term), value) for term, value in block]
-    denominator = lcm(*(value.denominator for _, value in block))
-    denominator <<= max(k for (_, k), _ in expanded)
-    sums: dict[tuple[int, int], list[int]] = {}
-    for (term_sums, k), value in expanded:
-        scale = value.numerator * (denominator // (value.denominator << k))
-        for xz, (re, im) in term_sums.items():
-            re_im = sums.get(xz)
-            if re_im is None:
-                sums[xz] = [re * scale, im * scale]
-            else:
-                re_im[0] += re * scale
-                re_im[1] += im * scale
-    n = block[0][0].n
-    folded = [
-        WeightedPauliString(ExactComplex(Fraction(re, denominator), Fraction(im, denominator)),
-                            PauliString(n, x, z))
-        for (x, z), (re, im) in sums.items()
-        if re or im
-    ]
-    folded.sort(key=lambda w: w.string.text())
-    return folded
-
-
 def _split(unit, origin: str) -> list[CommutingFamily]:
     """The certified even-Y and odd-Y families of a unit of blocks.
 
-    A block is a list of (term, value) entries, folded here; all its terms
-    are provenance of each half it puts a string into.  Empty halves drop.
+    A block is a list of (term, value) entries, folded here into its
+    :func:`~paulisched.fermion.jw_image`; all its terms are provenance of
+    each half it puts a string into.  Empty halves drop.
     """
     halves: tuple[list, list] = ([], [])
     terms: tuple[list, list] = ([], [])
     for block in unit:
         sizes = [len(half) for half in halves]
-        for w in _fold(block):
+        for w in jw_image(block):
             halves[_y_parity(w)].append(w)
         for half, provenance, size in zip(halves, terms, sizes):
             if len(half) > size:
@@ -368,45 +335,64 @@ def read_schedule_file(path) -> Schedule:
     return Schedule.from_rounds(n, rounds)
 
 
+def write_replacing(path, chunks) -> None:
+    """Write the text ``chunks`` to ``path``, replacing the file only once it is whole.
+
+    A symbolic link is followed, so the file it names is written and the
+    link stays; a loop of links is an error.  The chunks go to a temporary
+    file beside that file, named by the process id alone, which then
+    replaces it: a failed write, also one raised while the chunks are
+    produced, leaves an existing file as it was, creates none and leaves no
+    temporary file.
+    """
+    target = os.path.realpath(path)
+    if os.path.islink(target):  # resolution stopped in a loop
+        raise OSError(errno.ELOOP, os.strerror(errno.ELOOP), path)
+    tmp = os.path.join(os.path.dirname(target), f".paulisched-{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, target)
+    finally:
+        Path(tmp).unlink(missing_ok=True)  # already gone once replaced
+
+
+def _family_chunks(families):
+    """The families JSON, one family per chunk: ``[``, the records joined by ``,``, ``]``."""
+    yield "["
+    for i, family in enumerate(families):
+        record = {
+            "origin": family.origin,
+            "strings": [str(w.string) for w in family.strings],
+            "coefficients": [
+                [float(w.coefficient.real), float(w.coefficient.imag)] for w in family.strings
+            ],
+            "terms": [
+                {"creates": list(t.creates), "annihilates": list(t.annihilates)}
+                for t in family.provenance
+            ],
+        }
+        yield ("," if i else "") + json.dumps(record, separators=(",", ":"))
+    yield "]\n"
+
+
 def save_families(families: list[CommutingFamily], path) -> None:
     """Write the families JSON: text strings, [re, im] coefficients, term provenance.
 
-    The list is streamed one family at a time, so no payload of the whole
-    output is held in memory; the bytes are those of one ``json.dumps`` of
-    the list.  They go to a temporary file beside ``path``, which replaces
-    ``path`` only once every family is written: a failed write leaves an
-    existing file as it was and creates none.  A folded sum can leave the
-    float range even when every input value fits: then nothing is written
-    and :class:`FamiliesWriteError` names the string.
+    The list is streamed one family at a time through :func:`write_replacing`,
+    so no payload of the whole output is held in memory; the bytes are those
+    of one ``json.dumps`` of the list.  A folded sum can leave the float
+    range even when every input value fits: then nothing is written and
+    :class:`FamiliesWriteError` names the string.
     """
-    target = Path(path)
-    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w") as fh:
-            fh.write("[")
-            for i, family in enumerate(families):
-                record = {
-                    "origin": family.origin,
-                    "strings": [str(w.string) for w in family.strings],
-                    "coefficients": [
-                        [float(w.coefficient.real), float(w.coefficient.imag)] for w in family.strings
-                    ],
-                    "terms": [
-                        {"creates": list(t.creates), "annihilates": list(t.annihilates)}
-                        for t in family.provenance
-                    ],
-                }
-                fh.write(("," if i else "") + json.dumps(record, separators=(",", ":")))
-            fh.write("]\n")
-        os.replace(tmp, target)
+        write_replacing(path, _family_chunks(families))
     except OverflowError:
         worst = max((w for f in families for w in f.strings),
                     key=lambda w: max(abs(w.coefficient.real), abs(w.coefficient.imag)))
         raise FamiliesWriteError(f"cannot write families to {path}: the summed coefficient of "
                                  f"{worst.string} is outside the float range; scale the "
                                  "Hamiltonian coefficients down") from None
-    finally:
-        tmp.unlink(missing_ok=True)  # already gone once replaced
 
 
 # ---------------------------------------------------------------------------

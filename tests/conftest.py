@@ -91,7 +91,7 @@ class JwPattern:
 
 
 def pattern_of(term: FermionicTerm) -> JwPattern:
-    """The :class:`JwPattern` matched by exactly the strings of ``jw_excitation(term)``."""
+    """The :class:`JwPattern` matched by exactly the strings of ``jw_term(term)``."""
     if not (term.is_two_body and term.has_distinct_indices()):
         raise UnsupportedTermError("pattern is defined for distinct-index two-body terms only")
     e0, e1, e2, e3 = term.support()
@@ -99,7 +99,7 @@ def pattern_of(term: FermionicTerm) -> JwPattern:
 
 
 def reference_fold(entries) -> list[WeightedPauliString]:
-    """The per-string ``Fraction`` fold that ``partition._fold`` must reproduce exactly.
+    """The per-string ``Fraction`` fold that ``fermion.jw_image`` must reproduce exactly.
 
     Takes (expansion, value) entries: each expanded string's coefficient is
     scaled by its value and added per string as exact real and imaginary

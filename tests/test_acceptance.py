@@ -16,7 +16,7 @@ from conftest import make_fractional_case, pattern_of
 from paulisched import partition
 from paulisched.baranyai import PartialState, _apply, _step_parts, build_schedule, pad_and_build
 from paulisched.cli import main as cli_main
-from paulisched.fermion import FermionicTerm, jw_excitation
+from paulisched.fermion import FermionicTerm, jw_term
 from paulisched.flows import flow_value, max_flow_integral, round_flow
 from paulisched.oracles import (
     anticommuting_chain_fixture,
@@ -137,7 +137,7 @@ def test_criterion_3_jw_correctness(capsys):
         assert report.details["max_deviation"] <= 1e-12
         for subset in combinations(range(n), 4):
             term = FermionicTerm.two_body(*sorted(subset, reverse=True), n)
-            strings = jw_excitation(term)
+            strings = jw_term(term)
             assert len(strings) == 16
             assert all(w.coefficient.abs_squared() == Fraction(1, 256) for w in strings)
             pattern = pattern_of(term)

@@ -1,3 +1,4 @@
+import ast
 import gc
 import hashlib
 import json
@@ -150,6 +151,35 @@ def test_unwritable_out_is_usage_error(capsys, tmp_path, command, target):
     assert list((tmp_path / "a-directory").iterdir()) == []
 
 
+@pytest.mark.parametrize("command", [["schedule", "--n", "8"], ["families", "--n", "8"]])
+class TestOutPath:
+    """Both commands write ``--out`` through one writer: whole files, no temporary left."""
+
+    def test_long_file_name(self, capsys, tmp_path, command):
+        name = "f" * 245 + ".json"
+        assert len(name.encode()) == 250
+        code, _, err = run(capsys, *command, "--format", "json", "--out", str(tmp_path / name))
+        assert (code, err) == (0, "")
+        assert json.loads((tmp_path / name).read_text())
+        assert [p.name for p in tmp_path.iterdir()] == [name]
+
+    def test_symlink_target_written_through(self, capsys, tmp_path, command):
+        (tmp_path / "real").mkdir()
+        target = tmp_path / "real" / "out.json"
+        target.write_text("stale\n")
+        link = tmp_path / "link.json"
+        link.symlink_to(Path("real") / "out.json")
+        code, _, err = run(capsys, *command, "--format", "json", "--out", str(link))
+        assert (code, err) == (0, "")
+        assert link.is_symlink() and link.resolve() == target
+        expected = tmp_path / "expected.json"
+        run(capsys, *command, "--format", "json", "--out", str(expected))
+        assert target.read_bytes() == expected.read_bytes()
+        # the temporary file sat beside the resolved file and is gone
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["expected.json", "link.json", "real"]
+        assert [p.name for p in (tmp_path / "real").iterdir()] == ["out.json"]
+
+
 class TestVerifyCommand:
     def test_default_suite_passes(self, capsys):
         code, out, _ = run(capsys, "verify")
@@ -294,6 +324,20 @@ def _loads(code: str, module: str, cwd) -> bool:
 
 def test_partition_does_not_load_the_oracles(tmp_path):
     assert _loads("import paulisched.partition", "paulisched.oracles", tmp_path) is False
+
+
+def test_partition_imports_no_private_fermion_name():
+    # fermion builds the strings from its kernel numerators; partition only
+    # reaches it through public names
+    tree = ast.parse((SRC / "paulisched" / "partition.py").read_text())
+    imported = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "fermion"
+        for alias in node.names
+    ]
+    assert "jw_image" in imported
+    assert [name for name in imported if name.startswith("_")] == []
 
 
 class TestCollectorPause:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import pattern_of, reference_jw_term
-from paulisched.fermion import FermionicTerm, UnsupportedTermError, jw_excitation, jw_ladder, jw_term
+from paulisched.fermion import FermionicTerm, UnsupportedTermError, jw_image, jw_ladder, jw_term
 from paulisched.oracles import ladder_matrix, term_matrix, weighted_sum_matrix
 from paulisched.pauli import ExactComplex
 
@@ -63,7 +63,7 @@ class TestLadder:
 class TestExcitation:
     def test_adjacent_endpoints_have_no_z(self):
         term = FermionicTerm.two_body(3, 2, 1, 0, 4)
-        strings = jw_excitation(term)
+        strings = jw_term(term)
         assert len(strings) == 16
         assert {len(strings)} == {16}
         texts = {str(w.string) for w in strings}
@@ -73,25 +73,19 @@ class TestExcitation:
 
     def test_interior_z_segments(self):
         term = FermionicTerm.two_body(5, 3, 2, 0, 6)
-        for w in jw_excitation(term):
+        for w in jw_term(term):
             text = str(w.string)
             assert text[1] == "Z" and text[4] == "Z"
             assert all(text[t] in "XY" for t in (0, 2, 3, 5))
 
     def test_sum_equals_dense_operator(self):
         term = FermionicTerm.two_body(3, 2, 1, 0, 4)
-        assert np.array_equal(weighted_sum_matrix(jw_excitation(term)), term_matrix(term))
-
-    def test_repeated_indices_rejected(self):
-        with pytest.raises(UnsupportedTermError):
-            jw_excitation(FermionicTerm.two_body(3, 1, 3, 0, 4))
-        with pytest.raises(UnsupportedTermError):
-            jw_excitation(FermionicTerm.one_body(1, 0, 2))
+        assert np.array_equal(weighted_sum_matrix(jw_term(term)), term_matrix(term))
 
     def test_noncanonical_distinct_arrangement_also_16_strings(self):
         # creation modes need not dominate the annihilation modes
         term = FermionicTerm((5, 1), (4, 0), 6)
-        strings = jw_excitation(term)
+        strings = jw_term(term)
         assert len(strings) == 16
         pattern = pattern_of(term)
         assert all(pattern.matches(w.string) for w in strings)
@@ -121,7 +115,30 @@ class TestPattern:
             if pattern.matches(PauliString(8, x, z))
         ]
         assert len(matching) == 16
-        assert {str(s) for s in matching} == {str(w.string) for w in jw_excitation(term)}
+        assert {str(s) for s in matching} == {str(w.string) for w in jw_term(term)}
+
+
+def _canonical_terms(n):
+    """Every canonical one-body and two-body term on n modes, repeated indices included."""
+    pairs = list(combinations(range(n), 2))
+    terms = [FermionicTerm.one_body(p, q, n) for p in range(n) for q in range(n)]
+    return terms + [FermionicTerm((q, p), (s, r), n) for p, q in pairs for r, s in pairs]
+
+
+class TestImage:
+    """``jw_image``, the one builder of weighted strings from kernel numerators."""
+
+    def test_term_is_its_image_at_value_one(self):
+        for n in range(1, 7):
+            for term in _canonical_terms(n):
+                assert jw_term(term) == jw_image([(term, 1)]), term
+
+    def test_int_and_fraction_one_agree(self):
+        # the int and the Fraction spelling of 1 build the same exact list
+        for n in (2, 4):
+            for term in _canonical_terms(n):
+                want = reference_jw_term(term)
+                assert jw_image([(term, 1)]) == jw_image([(term, Fraction(1))]) == want, term
 
 
 class TestGeneralTerms:
@@ -156,10 +173,7 @@ class TestGeneralTerms:
         # strings, exact coefficients and order, for every canonical one-body
         # and two-body term (repeated indices included) up to eight modes
         for n in range(1, 9):
-            pairs = list(combinations(range(n), 2))
-            terms = [FermionicTerm.one_body(p, q, n) for p in range(n) for q in range(n)]
-            terms += [FermionicTerm((q, p), (s, r), n) for p, q in pairs for r, s in pairs]
-            for term in terms:
+            for term in _canonical_terms(n):
                 assert jw_term(term) == reference_jw_term(term), term
 
     def test_all_terms_dense_at_small_sizes(self):

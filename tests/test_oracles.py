@@ -94,14 +94,14 @@ class TestExhaustiveDisjointCheck:
         assert report.details["max_count"] == 6
 
     def test_non_interleaved_case_has_zero_count(self):
-        from paulisched.fermion import jw_excitation
+        from paulisched.fermion import jw_term
         from paulisched.pauli import anticommuting_index_count
 
         upper = FermionicTerm.two_body(7, 6, 5, 4, 8)
         lower = FermionicTerm.two_body(3, 2, 1, 0, 8)
         all_x = {
             str(w.string): w.string
-            for w in jw_excitation(upper) + jw_excitation(lower)
+            for w in jw_term(upper) + jw_term(lower)
         }
         assert anticommuting_index_count(all_x["IIIIXXXX"], all_x["XXXXIIII"]) == 0
 

@@ -15,7 +15,7 @@ from conftest import (
     seeded_hermitian_entries,
 )
 from paulisched.baranyai import Schedule, build_schedule
-from paulisched.fermion import FermionicTerm, jw_excitation, jw_term
+from paulisched.fermion import FermionicTerm, jw_image, jw_term
 from paulisched.oracles import validate_families, validate_partition, validate_schedule
 from paulisched.partition import (
     CoefficientsLoadError,
@@ -25,7 +25,6 @@ from paulisched.partition import (
     ScheduleLoadError,
     _blocks,
     _certified,
-    _fold,
     _y_parity,
     build_partition,
     commuting_families,
@@ -34,6 +33,7 @@ from paulisched.partition import (
     save_families,
     schedule_for,
     schedule_json,
+    write_replacing,
 )
 from paulisched.pauli import ExactComplex, WeightedPauliString, commutes, parse_pauli
 
@@ -64,7 +64,7 @@ class TestDominantFamilies:
     def test_parity_halves_of_one_term_each_commute(self):
         term = FermionicTerm.two_body(7, 5, 3, 0, 8)
         halves = ([], [])
-        for w in jw_excitation(term):
+        for w in jw_term(term):
             y_count = (w.string.x & w.string.z).bit_count()
             halves[y_count % 2].append(w.string)
         assert len(halves[0]) == len(halves[1]) == 8
@@ -302,7 +302,7 @@ class TestWeightedFold:
         hop = FermionicTerm.one_body(1, 0, 2)
         n0, n1 = FermionicTerm.one_body(0, 0, 2), FermionicTerm.one_body(1, 1, 2)
         entries = [(hop, Fraction(2)), (n0, Fraction(1, 3)), (n1, Fraction(1)), (n0, Fraction(-1, 3))]
-        folded = _fold(entries)
+        folded = jw_image(entries)
         # n0 cancels, so ZI sums to zero; strings of later entries sort first
         assert [str(w.string) for w in folded] == ["II", "IZ", "XX", "XY", "YX", "YY"]
         want = {}
@@ -310,7 +310,7 @@ class TestWeightedFold:
             for string, c in _scaled(term, value):
                 want[string] = want.get(string, ExactComplex()) + c
         assert all(w.coefficient == want[w.string] for w in folded)
-        assert _fold([(hop, 1)]) == jw_term(hop)
+        assert jw_image([(hop, 1)]) == jw_term(hop)
 
     @pytest.fixture(scope="class", params=["hermitian", "one-sided"])
     def case(self, request):
@@ -412,12 +412,14 @@ def _one_sided(one, two):
 
 
 class TestIntegerFold:
-    """``_fold`` on integer numerators against the per-string Fraction fold, exactly."""
+    """``jw_image`` on integer numerators against the per-string Fraction fold, exactly."""
 
     @staticmethod
     def _assert_matches_reference(block):
-        want = reference_fold([(jw_term(term), value) for term, value in block])
-        assert _fold(block) == want
+        # the symbolic expansions, so a block of one term at value 1 checks
+        # the builder too, not jw_term against itself
+        want = reference_fold([(reference_jw_term(term), value) for term, value in block])
+        assert jw_image(block) == want
 
     @pytest.mark.parametrize("n", range(4, 9))
     @pytest.mark.parametrize("kind", ["unweighted", "hermitian", "one-sided"])
@@ -463,13 +465,13 @@ class TestIntegerFold:
     def test_entries_that_cancel(self):
         hop, dressed = FermionicTerm.one_body(1, 0, 4), FermionicTerm.two_body(2, 1, 2, 0, 4)
         third = Fraction(1, 3)
-        assert _fold([(hop, third), (hop, -third)]) == [] == reference_fold(
+        assert jw_image([(hop, third), (hop, -third)]) == [] == reference_fold(
             [(jw_term(hop), third), (jw_term(hop), -third)]
         )
         # a dressed hopping minus the bare one: only the Z-dressed part stays
         self._assert_matches_reference([(hop, third), (dressed, third), (hop, -third)])
         number = FermionicTerm.one_body(2, 2, 4)
-        assert _fold([(number, Fraction(1, 6)), (number, Fraction(-1, 6))]) == []
+        assert jw_image([(number, Fraction(1, 6)), (number, Fraction(-1, 6))]) == []
 
 
 class TestIntegerCoefficientSums:
@@ -673,6 +675,38 @@ class TestPersistence:
         if not families:
             assert streamed == b"[]\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["reference.json", "streamed.json"]
+
+    def test_failed_write_keeps_the_existing_file(self, tmp_path):
+        out = tmp_path / "out.txt"
+        out.write_text("earlier\n")
+
+        def chunks():
+            yield "partial"
+            raise RuntimeError("producer failed")
+
+        with pytest.raises(RuntimeError, match="producer failed"):
+            write_replacing(out, chunks())
+        assert out.read_text() == "earlier\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+        write_replacing(out, ["a", "b\n"])
+        assert out.read_text() == "ab\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_dangling_symlink_creates_its_target(self, tmp_path):
+        link = tmp_path / "link.txt"
+        link.symlink_to("missing.txt")
+        write_replacing(link, ["new\n"])
+        assert link.is_symlink()
+        assert (tmp_path / "missing.txt").read_text() == "new\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "missing.txt"]
+
+    def test_symlink_loop_is_an_error(self, tmp_path):
+        (tmp_path / "a").symlink_to("b")
+        (tmp_path / "b").symlink_to("a")
+        with pytest.raises(OSError, match="symbolic links"):
+            write_replacing(tmp_path / "a", ["new\n"])
+        assert all(p.is_symlink() for p in tmp_path.iterdir())
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "b"]
 
     @pytest.mark.parametrize("n", [0, -4])
     def test_schedule_file_needs_a_positive_n(self, tmp_path, n):
