@@ -6,7 +6,7 @@ behind the grouping depends only on n, so it can be computed once and
 cached per register size.
 """
 
-from .baranyai import PartialState, Schedule, build_schedule, pad_and_build
+from .baranyai import PartialState, Schedule, build_schedule
 from .fermion import FermionicTerm, UnsupportedTermError, jw_image, jw_ladder, jw_term
 from .flows import FlowNetwork, ScaledFlow, check_flow, flow_value, max_flow_integral, round_flow
 from .partition import (

@@ -1,29 +1,32 @@
-"""Constructive Baranyai 1-factorization of the 4-subsets of {0..n-1}.
+"""Constructive Baranyai factorization of the 4-subsets of {0..n-1}.
 
-For n divisible by 4 the C(n,4) four-element subsets split into C(n-1,3)
-rounds of n/4 pairwise-disjoint subsets, each subset appearing exactly
-once.  The construction inserts elements 0, 1, ..., n-1 one at a time into
-a table of partially filled slots, choosing the destination slots of each
-element with a max-flow computation per insertion.
+For every n >= 4 the C(n,4) four-element subsets split into
+t = ceil(C(n,4) / floor(n/4)) rounds of disjoint subsets, each subset
+appearing exactly once (Baranyai, 1975); no schedule has fewer rounds.
+Round r holds a_r subsets, floor(n/4) in all but the last
+(:func:`round_sizes`).  Elements 0, 1, ..., n-1 are inserted one at a time
+into a table of partially filled slots, each along a max flow.
 
 State invariants (PartialState, after inserting elements 0..i-1):
-  * every round holds exactly n/4 slots, each a subset of {0..i-1} of size
-    at most 4;
-  * within a round the slots are disjoint and their union is {0..i-1};
-  * globally, every distinct partial subset S occurs in exactly
-    C(n-i, 4-|S|) slots.
+  * round r holds a_r disjoint slots, subsets of {0..i-1} of size at most
+    4; a round covers the elements it took;
+  * round r still needs R_r = sum of 4-|S| over its slots S, R_r <= n-i;
+  * every partial subset S occurs in exactly C(n-i, 4-|S|) slots.
 
-The per-insertion network has a source, one node per round, one node per
-distinct partial subset S with |S| < 4, and a sink.  Capacities are 1 on
-source->round edges, the slot multiplicity on round->S edges and
-C(n-i-1, 3-|S|) on S->sink edges.  The fractional seed that sends
-(4-|S|)/(n-i) through each slot saturates both terminal layers, so it is a
-maximum flow of value C(n-1,3) with all terminal edges integral.  An
-integral flow of that value therefore exists; any integral max flow picks
-one slot per round, and inserting the element there restores every
-invariant with i+1 elements placed.  The construction solves each network
-with Dinic's algorithm; rounding the seed (``flows.round_flow``) is the
-reference that the tests compare it with.
+With d = n-i elements left, round r must take element i when R_r = d and
+may take it when 0 < R_r < d.  The network has a source, one node per
+round, one per distinct partial subset S with |S| < 4, a sink and a hub.
+Round r's in-edge (capacity 1) comes from the source when the round must
+take the element and from the hub when it may; a complete round's has
+capacity 0.  The source feeds the hub C(n-1,3) minus the forced rounds.
+Round->S edges carry the slot multiplicity, S->sink edges
+C(n-i-1, 3-|S|).  Sending (4-|S|)/d through each slot, so R_r/d into
+round r, is a flow of value C(n-1,3), all the source can send.  So an
+integral flow of that value exists (Dinic finds it), and any such flow
+serves every forced round and gives each other round at most one element.
+Inserting the element into the chosen slots restores every invariant.
+When 4 | n every round is forced at every step and the hub edge has
+capacity 0.
 
 Construction is sequential across insertions; schedules for distinct n may
 be built concurrently, and finished Schedule values are immutable.
@@ -38,10 +41,20 @@ __all__ = [
     "PartialState",
     "Schedule",
     "build_schedule",
-    "pad_and_build",
+    "round_sizes",
 ]
 
 SUBSET_SIZE = 4
+
+
+def round_sizes(n: int) -> tuple[int, ...]:
+    """Subsets per round for n modes: t = ceil(C(n,4) / floor(n/4)) rounds,
+    all of floor(n/4) subsets but the last, which holds the remainder."""
+    if n < SUBSET_SIZE:
+        raise ValueError(f"need at least {SUBSET_SIZE} modes, got {n}")
+    per_round = n // SUBSET_SIZE
+    full, rest = divmod(comb(n, SUBSET_SIZE), per_round)
+    return (per_round,) * full + ((rest,) if rest else ())
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,13 +77,14 @@ class Schedule:
         canon.sort()
         return cls(n, tuple(canon))
 
-    def all_subsets(self):
-        for rnd in self.rounds:
-            yield from rnd
-
     @property
     def subset_count(self) -> int:
         return sum(len(rnd) for rnd in self.rounds)
+
+
+def _needed(slots: dict[tuple[int, ...], int]) -> int:
+    """Elements a round still needs: 4-|S| for each of its slots S."""
+    return sum((SUBSET_SIZE - len(s)) * mult for s, mult in slots.items())
 
 
 class PartialState:
@@ -88,19 +102,17 @@ class PartialState:
 
     @classmethod
     def initial(cls, n: int) -> "PartialState":
-        if n < 4 or n % 4:
-            raise ValueError(f"mode count must be a positive multiple of 4, got {n}")
-        slots_per_round = n // SUBSET_SIZE
-        return cls(n, 0, [{(): slots_per_round} for _ in range(comb(n - 1, 3))])
+        return cls(n, 0, [{(): size} for size in round_sizes(n)])
 
     def check(self) -> None:
         """Full recount of every invariant; raises ValueError on the first breach."""
         n, i = self.n, self.inserted
-        if len(self.rounds) != comb(n - 1, 3):
+        sizes = round_sizes(n)
+        if len(self.rounds) != len(sizes):
             raise ValueError("wrong round count")
-        expected_elements = set(range(i))
+        inserted_elements = set(range(i))
         global_mult: dict[tuple[int, ...], int] = {}
-        for r, slots in enumerate(self.rounds):
+        for r, (slots, size) in enumerate(zip(self.rounds, sizes)):
             seen: set[int] = set()
             total_slots = 0
             for subset, mult in slots.items():
@@ -114,10 +126,12 @@ class PartialState:
                 seen |= members
                 total_slots += mult
                 global_mult[subset] = global_mult.get(subset, 0) + mult
-            if total_slots != n // SUBSET_SIZE:
-                raise ValueError(f"round {r} has {total_slots} slots")
-            if seen != expected_elements:
-                raise ValueError(f"round {r} covers {sorted(seen)} instead of 0..{i - 1}")
+            if total_slots != size:
+                raise ValueError(f"round {r} has {total_slots} slots, expected {size}")
+            if not seen <= inserted_elements:
+                raise ValueError(f"round {r} holds uninserted {sorted(seen - inserted_elements)}")
+            if _needed(slots) > n - i:
+                raise ValueError(f"round {r} needs {_needed(slots)} elements, {n - i} are left")
         for subset, mult in global_mult.items():
             want = comb(n - i, SUBSET_SIZE - len(subset))
             if mult != want:
@@ -125,7 +139,8 @@ class PartialState:
 
 
 def _step_parts(state: PartialState):
-    """Network, fractional seed and the (round, subset) map of the middle edges."""
+    """Network (edges: round in-edges, middle, sink, source->hub) and the
+    (round, subset) map of its middle edges."""
     n, i = state.n, state.inserted
     if i >= n:
         raise ValueError("all elements already inserted")
@@ -137,26 +152,29 @@ def _step_parts(state: PartialState):
     )
     type_node = {s: 1 + m + k for k, s in enumerate(types)}
     sink = 1 + m + len(types)
+    hub = sink + 1
 
     edges: list[tuple[int, int, int]] = []
-    seed: list[int] = []
     middle_map: list[tuple[int, tuple[int, ...]]] = []
-    for r in range(m):
-        edges.append((0, 1 + r, 1))
-        seed.append(d)
+    forced = 0
+    for r, slots in enumerate(state.rounds):
+        needed = _needed(slots)
+        if needed == d:
+            edges.append((0, 1 + r, 1))
+            forced += 1
+        elif needed:
+            edges.append((hub, 1 + r, 1))
+        else:
+            edges.append((0, 1 + r, 0))
     for r, slots in enumerate(state.rounds):
         for s in sorted((k for k in slots if len(k) < SUBSET_SIZE), key=lambda k: (len(k), k)):
-            mult = slots[s]
-            edges.append((1 + r, type_node[s], mult))
-            seed.append((SUBSET_SIZE - len(s)) * mult)
+            edges.append((1 + r, type_node[s], slots[s]))
             middle_map.append((r, s))
     for s in types:
-        cap = comb(n - i - 1, SUBSET_SIZE - 1 - len(s))
-        edges.append((type_node[s], sink, cap))
-        seed.append(d * cap)
+        edges.append((type_node[s], sink, comb(n - i - 1, SUBSET_SIZE - 1 - len(s))))
+    edges.append((0, hub, comb(n - 1, 3) - forced))
 
-    net = FlowNetwork(sink + 1, 0, sink, tuple(edges))
-    return net, ScaledFlow(d, tuple(seed)), middle_map
+    return FlowNetwork(hub + 1, 0, sink, tuple(edges)), middle_map
 
 
 def _apply(state: PartialState, flow: ScaledFlow, middle_map) -> PartialState:
@@ -171,13 +189,16 @@ def _apply(state: PartialState, flow: ScaledFlow, middle_map) -> PartialState:
         if f == 0:
             continue
         if f != 1 or r in chosen:
-            raise ValueError(f"round {r} must send exactly one unit of flow")
+            raise ValueError(f"round {r} must take at most one unit of flow")
         chosen[r] = s
-    if len(chosen) != m:
-        raise ValueError("some round received no element")
     new_rounds = []
     for r, slots in enumerate(state.rounds):
-        s = chosen[r]
+        s = chosen.get(r)
+        if s is None:
+            if _needed(slots) == n - i:
+                raise ValueError(f"round {r} must take element {i} but received none")
+            new_rounds.append(slots)
+            continue
         assert len(s) < SUBSET_SIZE
         updated = dict(slots)
         if updated[s] == 1:
@@ -191,38 +212,16 @@ def _apply(state: PartialState, flow: ScaledFlow, middle_map) -> PartialState:
 
 
 def build_schedule(n: int) -> Schedule:
-    """Full 1-factorization for n divisible by 4; deterministic.
+    """The schedule of round_sizes(n) rounds for any n >= 4; deterministic.
 
     Each insertion network is solved with Dinic's algorithm.
     """
     state = PartialState.initial(n)
     for _ in range(n):
-        net, seed, middle_map = _step_parts(state)
+        net, middle_map = _step_parts(state)
         state = _apply(state, max_flow_integral(net), middle_map)
         # Free this step's network before the next one is built: holding
         # both raises the peak RSS of an n=28 build by about 3.5 MB.
-        del net, seed, middle_map
+        del net, middle_map
     rounds = [list(slots) for slots in state.rounds]
     return Schedule.from_rounds(n, rounds)
-
-
-def pad_and_build(n: int) -> Schedule:
-    """Schedule for any n >= 4: pad to the next multiple of 4, then drop
-    every subset containing a virtual mode.
-
-    Rounds of a padded schedule may hold fewer than n'/4 subsets but stay
-    internally disjoint, and the C(n,4) real subsets are still covered
-    exactly once.
-    """
-    if n < 4:
-        raise ValueError(f"need at least 4 modes, got {n}")
-    padded = -(-n // 4) * 4
-    schedule = build_schedule(padded)
-    if padded == n:
-        return schedule
-    kept = []
-    for rnd in schedule.rounds:
-        real = [s for s in rnd if s[0] < n]  # descending tuples: s[0] is the max
-        if real:
-            kept.append(real)
-    return Schedule.from_rounds(n, kept)

@@ -22,7 +22,7 @@ from itertools import combinations
 from math import comb
 from typing import TYPE_CHECKING
 
-from .baranyai import SUBSET_SIZE, Schedule
+from .baranyai import SUBSET_SIZE, Schedule, round_sizes
 from .fermion import FermionicTerm, jw_term
 from .pauli import (
     ExactComplex,
@@ -309,8 +309,9 @@ def verify_anticommuting_chains(max_n: int = 8) -> OracleReport:
 
 def validate_schedule(schedule: Schedule) -> OracleReport:
     """Recount a schedule from scratch: a positive n, subset shapes, per-round
-    disjointness, exact cover of all C(n,4) subsets, and the round shape
-    when 4 | n.  Never raises: a bad schedule fails with a counterexample."""
+    disjointness, exact cover of all C(n,4) subsets, and for n >= 4 the
+    round shape: ceil(C(n,4) / floor(n/4)) rounds of at most floor(n/4)
+    subsets.  Never raises: a bad schedule fails with a counterexample."""
     n = schedule.n
     checks = {"subset_shape": True, "round_disjoint": True, "exact_cover": True}
     bad: str | None = None
@@ -342,12 +343,13 @@ def validate_schedule(schedule: Schedule) -> OracleReport:
         fail("exact_cover", f"subset {tuple(sorted(duplicates[0], reverse=True))} appears more than once")
     elif len(seen) != comb(n, SUBSET_SIZE):
         fail("exact_cover", f"{len(seen)} distinct subsets covered, expected {comb(n, SUBSET_SIZE)}")
-    if n % 4 == 0 and n > 0:
+    if n >= SUBSET_SIZE:
         checks["round_shape"] = True
-        if len(schedule.rounds) != comb(n - 1, 3):
-            fail("round_shape", f"{len(schedule.rounds)} rounds, expected {comb(n - 1, 3)}")
-        elif any(len(rnd) != n // SUBSET_SIZE for rnd in schedule.rounds):
-            fail("round_shape", "a round does not hold n/4 subsets")
+        rounds = len(round_sizes(n))
+        if len(schedule.rounds) != rounds:
+            fail("round_shape", f"{len(schedule.rounds)} rounds, expected {rounds}")
+        elif any(len(rnd) > n // SUBSET_SIZE for rnd in schedule.rounds):
+            fail("round_shape", "a round holds more than floor(n/4) subsets")
     return OracleReport(
         name="schedule-validation",
         passed=all(checks.values()),

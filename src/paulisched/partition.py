@@ -15,9 +15,9 @@ the table, if the subset's modes are distinct, in range and unused by the
 round's earlier subsets.  Within such a block, two strings commute
 exactly when they differ at an even number of endpoint letters, which the
 Y-count parity tracks; blocks of one round have disjoint modes.  So a
-full schedule yields two certified families of 2n strings per round,
-2 * C(n-1, 3) in all.  Every other term has X or Y on no mode or on one
-pair: two strings of such a block with equal Y parity differ on both
+full schedule of t rounds yields two certified families of at most 2n
+strings per round, 2t in all.  Every other term has X or Y on no mode or
+on one pair: two strings of such a block with equal Y parity differ on both
 modes of the pair or on neither and carry only I or Z elsewhere, so they
 commute.  A family is labelled "dominant" when its blocks have four-mode
 X-support, else "residual".
@@ -41,10 +41,10 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb, lcm
+from math import lcm
 from pathlib import Path
 
-from .baranyai import Schedule, pad_and_build
+from .baranyai import Schedule, build_schedule, round_sizes
 from .fermion import FermionicTerm, jw_image
 from .pauli import WeightedPauliString, _anticommuting_pair
 
@@ -405,7 +405,7 @@ _SCHEDULE_CACHE: dict[int, Schedule] = {}
 def schedule_for(n: int) -> Schedule:
     """Schedule for n, memoized per process; schedules depend on nothing else."""
     if n not in _SCHEDULE_CACHE:
-        _SCHEDULE_CACHE[n] = pad_and_build(n)
+        _SCHEDULE_CACHE[n] = build_schedule(n)
     return _SCHEDULE_CACHE[n]
 
 
@@ -418,7 +418,6 @@ class PartitionReport:
     def summary(self) -> dict:
         dominant = [f for f in self.families if f.origin == "dominant"]
         residual = [f for f in self.families if f.origin == "residual"]
-        rounds_reference = comb(self.n - 1, 3)
         return {
             "n": self.n,
             "weighted": self.weighted,
@@ -428,9 +427,7 @@ class PartitionReport:
             "dominant_strings": sum(len(f.strings) for f in dominant),
             "residual_strings": sum(len(f.strings) for f in residual),
             "max_family_size": max((len(f.strings) for f in self.families), default=0),
-            "dominant_per_round_ratio": (
-                len(dominant) / rounds_reference if rounds_reference else None
-            ),
+            "dominant_per_round_ratio": len(dominant) / len(round_sizes(self.n)),
         }
 
 

@@ -266,6 +266,29 @@ def reference_max_flow(net: FlowNetwork) -> ScaledFlow:
     return ScaledFlow(1, tuple(net.edges[i][2] - cap[2 * i] for i in range(m)))
 
 
+def insertion_seed(state, net: FlowNetwork, middle_map) -> ScaledFlow:
+    """The fractional flow of value C(n-1,3) that proves an insertion network solvable.
+
+    ``net`` and ``middle_map`` are ``baranyai._step_parts(state)``.  With d
+    elements left, each slot S sends (4-|S|)/d, so round r's in-edge
+    carries R_r/d, the elements the round still needs over d; each sink
+    edge is saturated and the hub edge, the last, carries the in-edges it
+    feeds.  ``check_flow`` on the result checks every capacity.
+    """
+    d = state.n - state.inserted
+    m = len(state.rounds)
+    num = [0] * len(net.edges)
+    for k, (r, s) in enumerate(middle_map):
+        num[m + k] = (4 - len(s)) * state.rounds[r][s]
+        num[r] += num[m + k]
+    for k, (_, v, cap) in enumerate(net.edges):
+        if v == net.sink:
+            num[k] = d * cap
+    hub = net.edges[-1][1]
+    num[-1] = sum(num[r] for r in range(m) if net.edges[r][0] == hub)
+    return ScaledFlow(d, tuple(num))
+
+
 def make_fractional_case(rng: random.Random) -> tuple[FlowNetwork, ScaledFlow]:
     """Random two-layer network with a feasible, conservative fractional flow.
 

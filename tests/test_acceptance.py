@@ -12,15 +12,18 @@ from itertools import combinations
 from math import comb
 from time import perf_counter
 
-from conftest import make_fractional_case, pattern_of
+import pytest
+
+from conftest import insertion_seed, make_fractional_case, pattern_of
 from paulisched import partition
-from paulisched.baranyai import PartialState, _apply, _step_parts, build_schedule, pad_and_build
+from paulisched.baranyai import PartialState, _apply, _step_parts, build_schedule
 from paulisched.cli import main as cli_main
 from paulisched.fermion import FermionicTerm, jw_term
 from paulisched.flows import flow_value, max_flow_integral, round_flow
 from paulisched.oracles import (
     anticommuting_chain_fixture,
     validate_families,
+    validate_partition,
     validate_schedule,
     verify_disjoint_term_commutation,
     verify_jw_against_matrices,
@@ -178,8 +181,8 @@ def test_criterion_5_scaling(capsys):
 def test_criterion_6_flow_engine_equivalence(capsys):
     state = PartialState.initial(8)
     for _ in range(8):
-        net, seed, mapping = _step_parts(state)
-        rounded = round_flow(net, seed)
+        net, mapping = _step_parts(state)
+        rounded = round_flow(net, insertion_seed(state, net, mapping))
         recomputed = max_flow_integral(net)
         assert flow_value(net, rounded) == flow_value(net, recomputed) == 35
         state = _apply(state, rounded, mapping)
@@ -213,12 +216,27 @@ def test_criterion_8_negative_fixture(capsys):
 
 def test_criterion_9_padding(capsys):
     for n in (5, 6, 7, 9):
-        schedule = pad_and_build(n)
+        schedule = build_schedule(n)
         report = validate_schedule(schedule)
         assert report.passed, report.counterexample
         assert schedule.subset_count == comb(n, 4)
     with capsys.disabled():
-        note(9, "padded builds for n in {5,6,7,9} exact-cover with disjoint rounds")
+        note(9, "builds for n in {5,6,7,9} exact-cover with disjoint rounds")
+
+
+@pytest.mark.parametrize("n", range(4, 23))
+def test_criterion_9_counting_bound(capsys, n):
+    schedule = schedule_for(n)
+    assert schedule.n == n
+    assert len(schedule.rounds) == math.ceil(comb(n, 4) / (n // 4))
+    report = validate_schedule(schedule)
+    assert report.passed, report.counterexample
+    assert schedule.subset_count == comb(n, 4)
+    if n <= 14:
+        partition_report = validate_partition(commuting_families(schedule), n)
+        assert partition_report.passed, partition_report.counterexample
+    with capsys.disabled():
+        note(9, f"n={n}: ceil(C(n,4)/floor(n/4)) = {len(schedule.rounds)} disjoint rounds, exact cover")
 
 
 def test_criterion_10_runtime_scaling(capsys):

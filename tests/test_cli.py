@@ -258,13 +258,14 @@ class TestStatsCommand:
         assert len(lines) == 3  # header + two rows
 
     def test_json_rows(self, capsys):
-        code, out, _ = run(capsys, "stats", "--n-list", "4,8", "--format", "json")
+        code, out, _ = run(capsys, "stats", "--n-list", "4,8,10", "--format", "json")
         rows = json.loads(out)
         assert rows[0]["n"] == 4
         assert rows[0]["terms"] == 1
         assert rows[0]["strings"] == 16
         assert rows[0]["dominant_families"] == 2
         assert rows[1]["dominant_families"] == 70
+        assert rows[2]["dominant_families"] == 210  # 2 * ceil(C(10,4) / 2)
         assert all(row["families_per_round"] == 2.0 for row in rows)
 
     def test_bad_list(self, capsys):
@@ -380,6 +381,7 @@ class TestCollectorPause:
 SCHEDULE_16_SHA256 = "705afd82788886e29fe9d73eb9f6a6bd6eb121bec15ab15084c45a4e62572464"
 FAMILIES_8_OUT_SHA256 = "b925e78d983b9e14248e35916d27dcb5fddc9311845acf73085f2a36307d4a48"
 FAMILIES_8_WEIGHTED_SHA256 = "c45b56f806b37c5a8a5e51efa914f17bc6d909cad104e7d9180e941f814b4842"
+SCHEDULE_10_OUT_SHA256 = "f333fff09e4845d152e060917c8614208362fc1de9abc8cc3ba79c05460ba890"
 
 
 def test_output_bytes_pinned(capsys, tmp_path):
@@ -387,6 +389,9 @@ def test_output_bytes_pinned(capsys, tmp_path):
     path = tmp_path / "families.json"
     assert run(capsys, "families", "--n", "8", "--format", "json", "--out", str(path))[0] == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == FAMILIES_8_OUT_SHA256
+    path = tmp_path / "schedule.json"
+    assert run(capsys, "schedule", "--n", "10", "--format", "json", "--out", str(path))[0] == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SCHEDULE_10_OUT_SHA256
 
 
 def test_weighted_output_bytes_pinned(capsys, tmp_path):

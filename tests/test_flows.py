@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from conftest import reference_max_flow
+from conftest import insertion_seed, reference_max_flow
 from paulisched.baranyai import PartialState, _apply, _step_parts
 from paulisched.flows import (
     FlowNetwork,
@@ -49,7 +49,8 @@ class TestMaxFlow:
         for n in (8, 12):
             state = PartialState.initial(n)
             for _ in range(n):
-                net, seed, mapping = _step_parts(state)
+                net, mapping = _step_parts(state)
+                seed = insertion_seed(state, net, mapping)
                 flow = max_flow_integral(net)
                 rounded = round_flow(net, seed)
                 assert flow_value(net, flow) == flow_value(net, rounded) == comb(n - 1, 3)
@@ -61,11 +62,11 @@ class TestMaxFlow:
 class TestSameFlowsAsRecursiveDinic:
     """``max_flow_integral`` augments along the reference's paths, in its order."""
 
-    @pytest.mark.parametrize("n", [8, 12, 16])
+    @pytest.mark.parametrize("n", [8, 10, 12, 16])
     def test_insertion_networks(self, n):
         state = PartialState.initial(n)
         for _ in range(n):
-            net, _, mapping = _step_parts(state)
+            net, mapping = _step_parts(state)
             flow = max_flow_integral(net)
             assert flow == reference_max_flow(net)
             state = _apply(state, flow, mapping)
@@ -157,7 +158,8 @@ class TestRoundFlow:
     def test_scheduler_seeds_round_to_full_value(self):
         state = PartialState.initial(8)
         for _ in range(8):
-            net, seed, mapping = _step_parts(state)
+            net, mapping = _step_parts(state)
+            seed = insertion_seed(state, net, mapping)
             rounded = round_flow(net, seed)
             check_flow(net, rounded)
             assert flow_value(net, rounded) == flow_value(net, seed) == comb(7, 3)

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -172,6 +173,15 @@ class TestValidateSchedule:
         schedule = build_schedule(8)
         report = validate_schedule(Schedule(8, schedule.rounds[:-1]))
         assert not report.passed
+
+    def test_round_shape_checked_for_every_n(self):
+        # an exact cover of n=9 with one subset per round: 126 rounds, not 63
+        rounds = [[s] for s in combinations(range(9), 4)]
+        report = validate_schedule(Schedule.from_rounds(9, rounds))
+        assert not report.passed
+        assert report.details["checks"]["exact_cover"]
+        assert not report.details["checks"]["round_shape"]
+        assert "126 rounds, expected 63" in report.counterexample
 
     @pytest.mark.parametrize("n", [0, -4])
     def test_non_positive_n_fails_without_raising(self, n):

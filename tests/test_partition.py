@@ -758,6 +758,9 @@ class TestReport:
         assert summary["max_family_size"] == 1 + 8 + comb(8, 2)  # I, Z_p and Z_p Z_q
         assert summary["dominant_per_round_ratio"] == 2.0
         assert "residual_strategy" not in summary
+        summary = build_partition(10).summary()
+        assert summary["dominant_families"] == 210  # two per round, ceil(C(10,4) / 2) rounds
+        assert summary["dominant_per_round_ratio"] == 2.0
 
     def test_weighted_report(self):
         coeffs = HamiltonianCoefficients.from_entries(8, [], [])
