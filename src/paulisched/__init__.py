@@ -8,7 +8,7 @@ cached per register size.
 
 from .baranyai import PartialState, Schedule, build_schedule
 from .fermion import FermionicTerm, UnsupportedTermError, jw_image, jw_ladder, jw_term
-from .flows import FlowNetwork, ScaledFlow, check_flow, flow_value, max_flow_integral, round_flow
+from .flows import FlowNetwork, max_flow_integral
 from .partition import (
     CommutingFamily,
     HamiltonianCoefficients,

@@ -35,7 +35,7 @@ be built concurrently, and finished Schedule values are immutable.
 from dataclasses import dataclass
 from math import comb
 
-from .flows import FlowNetwork, ScaledFlow, max_flow_integral
+from .flows import FlowNetwork, max_flow_integral
 
 __all__ = [
     "PartialState",
@@ -104,39 +104,6 @@ class PartialState:
     def initial(cls, n: int) -> "PartialState":
         return cls(n, 0, [{(): size} for size in round_sizes(n)])
 
-    def check(self) -> None:
-        """Full recount of every invariant; raises ValueError on the first breach."""
-        n, i = self.n, self.inserted
-        sizes = round_sizes(n)
-        if len(self.rounds) != len(sizes):
-            raise ValueError("wrong round count")
-        inserted_elements = set(range(i))
-        global_mult: dict[tuple[int, ...], int] = {}
-        for r, (slots, size) in enumerate(zip(self.rounds, sizes)):
-            seen: set[int] = set()
-            total_slots = 0
-            for subset, mult in slots.items():
-                if mult <= 0 or len(subset) > SUBSET_SIZE:
-                    raise ValueError(f"bad slot {subset} x{mult} in round {r}")
-                if subset and mult > 1:
-                    raise ValueError(f"non-empty slot {subset} repeated in round {r}")
-                members = set(subset)
-                if len(subset) and (members & seen):
-                    raise ValueError(f"round {r} slots overlap at {members & seen}")
-                seen |= members
-                total_slots += mult
-                global_mult[subset] = global_mult.get(subset, 0) + mult
-            if total_slots != size:
-                raise ValueError(f"round {r} has {total_slots} slots, expected {size}")
-            if not seen <= inserted_elements:
-                raise ValueError(f"round {r} holds uninserted {sorted(seen - inserted_elements)}")
-            if _needed(slots) > n - i:
-                raise ValueError(f"round {r} needs {_needed(slots)} elements, {n - i} are left")
-        for subset, mult in global_mult.items():
-            want = comb(n - i, SUBSET_SIZE - len(subset))
-            if mult != want:
-                raise ValueError(f"subset {subset} occurs {mult} times, expected {want}")
-
 
 def _step_parts(state: PartialState):
     """Network (edges: round in-edges, middle, sink, source->hub) and the
@@ -177,15 +144,13 @@ def _step_parts(state: PartialState):
     return FlowNetwork(hub + 1, 0, sink, tuple(edges)), middle_map
 
 
-def _apply(state: PartialState, flow: ScaledFlow, middle_map) -> PartialState:
+def _apply(state: PartialState, flow: tuple[int, ...], middle_map) -> PartialState:
     n, i = state.n, state.inserted
     m = len(state.rounds)
-    if flow.denominator != 1:
-        raise ValueError("insertion needs an integral flow")
-    if sum(flow.numerators[:m]) != comb(n - 1, 3):
+    if sum(flow[:m]) != comb(n - 1, 3):
         raise ValueError("integral flow does not have full value")
     chosen: dict[int, tuple[int, ...]] = {}
-    for (r, s), f in zip(middle_map, flow.numerators[m : m + len(middle_map)]):
+    for (r, s), f in zip(middle_map, flow[m : m + len(middle_map)]):
         if f == 0:
             continue
         if f != 1 or r in chosen:

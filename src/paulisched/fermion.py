@@ -6,8 +6,8 @@ A ladder operator on mode m maps to (X_m + iY_m)/2 (annihilation) or
 :func:`_jw_sums` expands a product of ladder operators exactly on
 integers: every coefficient is (a + ib) / 2**k for Gaussian integers a + ib
 and k ladder factors, so the expansion tracks an i-power per product path
-and takes each product's phase from the same rule
-:func:`paulisched.pauli.string_product` uses.  :func:`jw_image`, the one
+and takes each product's phase from the one phase rule of
+:mod:`paulisched.pauli`.  :func:`jw_image`, the one
 builder of weighted strings, sums those numerators for a weighted set of
 terms; :func:`jw_term` is its single-term case, and the block fold in
 :mod:`paulisched.partition` calls it once per block.
@@ -81,21 +81,6 @@ class FermionicTerm:
     @classmethod
     def two_body(cls, p: int, q: int, r: int, s: int, n: int) -> "FermionicTerm":
         return cls((p, q), (r, s), n)
-
-    @property
-    def is_two_body(self) -> bool:
-        return len(self.creates) == 2
-
-    def support(self) -> tuple[int, ...]:
-        """Distinct touched modes, ascending."""
-        return tuple(sorted(set(self.creates) | set(self.annihilates)))
-
-    def has_distinct_indices(self) -> bool:
-        return len(self.support()) == len(self.creates) + len(self.annihilates)
-
-    def adjoint(self) -> "FermionicTerm":
-        """Hermitian conjugate: daggers swap and the factor order reverses."""
-        return FermionicTerm(self.annihilates, self.creates, self.n)
 
 
 def jw_ladder(mode: int, dagger: bool, n: int) -> tuple[WeightedPauliString, WeightedPauliString]:

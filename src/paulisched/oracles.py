@@ -10,9 +10,8 @@ input; reports serialize to plain dicts for CI consumption.
 
 numpy is imported only inside the functions that build a dense matrix
 (and the n <= 6 branch of :func:`validate_partition`).  The schedule and
-family validators are pure Python, so the compile path, which imports
-:func:`validate_schedule`, never loads numpy; ``paulisched verify`` and the
-tests do.
+family validators are pure Python.  No compile calls this module; only
+``paulisched verify`` and the tests do.
 """
 
 import random

@@ -38,6 +38,7 @@ import errno
 import json
 import os
 import sys
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -340,15 +341,19 @@ def write_replacing(path, chunks) -> None:
 
     A symbolic link is followed, so the file it names is written and the
     link stays; a loop of links is an error.  The chunks go to a temporary
-    file beside that file, named by the process id alone, which then
+    file beside that file, named by the process and thread ids, which then
     replaces it: a failed write, also one raised while the chunks are
     produced, leaves an existing file as it was, creates none and leaves no
-    temporary file.
+    temporary file.  Concurrent calls from distinct threads or processes
+    never share a temporary file, and its name does not grow with the
+    target's.
     """
     target = os.path.realpath(path)
     if os.path.islink(target):  # resolution stopped in a loop
         raise OSError(errno.ELOOP, os.strerror(errno.ELOOP), path)
-    tmp = os.path.join(os.path.dirname(target), f".paulisched-{os.getpid()}.tmp")
+    tmp = os.path.join(
+        os.path.dirname(target), f".paulisched-{os.getpid()}-{threading.get_ident()}.tmp"
+    )
     try:
         with open(tmp, "w") as fh:
             fh.writelines(chunks)

@@ -8,8 +8,13 @@ I=(0,0), X=(1,0), Y=(1,1), Z=(0,1).  Two rules on these integers live here
 and nowhere else: the symplectic commutation test (the parity of a popcount
 of masked ANDs), which :func:`commutes` and the batched all-pairs
 certification of a whole family share, and the X^x Z^z normal-form phase of
-a product, which :func:`string_product` and the integer Jordan-Wigner
-kernel in :mod:`paulisched.fermion` share.
+a product, which the integer Jordan-Wigner kernel in
+:mod:`paulisched.fermion` takes for every product path.  Both rules stay
+private although :mod:`paulisched.fermion` imports ``_product_phase`` and
+:mod:`paulisched.partition` imports ``_anticommuting_pair``: they are
+per-path and per-pair helpers on bare ints, and every ``__all__`` name is a
+boundary the benchmark tracer wraps, so making either public would add one
+span per product path to a traced run.
 
 Coefficients are exact complex numbers with rational real/imaginary parts
 (:class:`ExactComplex`); every value the encoding pipeline produces is a
@@ -35,7 +40,6 @@ __all__ = [
     "anticommuting_index_count",
     "commutes",
     "parse_pauli",
-    "string_product",
 ]
 
 _CHAR_TO_XZ = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
@@ -71,12 +75,6 @@ class ExactComplex:
     def __bool__(self) -> bool:
         return bool(self.real) or bool(self.imag)
 
-    def conjugate(self) -> "ExactComplex":
-        return ExactComplex(self.real, -self.imag)
-
-    def abs_squared(self) -> Fraction:
-        return self.real * self.real + self.imag * self.imag
-
     def as_complex(self) -> complex:
         return complex(float(self.real), float(self.imag))
 
@@ -95,10 +93,6 @@ class PauliString:
         limit = 1 << self.n
         if not (0 <= self.x < limit and 0 <= self.z < limit):
             raise ValueError(f"bitmasks out of range for n={self.n}")
-
-    @classmethod
-    def identity(cls, n: int) -> "PauliString":
-        return cls(n, 0, 0)
 
     def letter(self, t: int) -> str:
         if not 0 <= t < self.n:
@@ -210,9 +204,3 @@ def _product_phase(px: int, pz: int, qx: int, qz: int) -> int:
         + 2 * (pz & qx).bit_count()
         - ((px ^ qx) & (pz ^ qz)).bit_count()
     ) & 3
-
-
-def string_product(p: PauliString, q: PauliString) -> tuple[PauliString, int]:
-    """Positionwise product p*q, returned as (string, k) with global phase i**k."""
-    _require_same_length(p, q)
-    return PauliString(p.n, p.x ^ q.x, p.z ^ q.z), _product_phase(p.x, p.z, q.x, q.z)

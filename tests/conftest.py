@@ -1,8 +1,10 @@
+import heapq
 import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import settings
@@ -10,10 +12,11 @@ from hypothesis import settings
 settings.register_profile("det", derandomize=True, deadline=None)
 settings.load_profile("det")
 
+from paulisched.baranyai import round_sizes
 from paulisched.fermion import FermionicTerm, UnsupportedTermError, jw_ladder
-from paulisched.flows import FlowNetwork, ScaledFlow
+from paulisched.flows import FlowNetwork
 from paulisched.partition import HamiltonianCoefficients
-from paulisched.pauli import ExactComplex, PauliString, WeightedPauliString, string_product
+from paulisched.pauli import ExactComplex, PauliString, WeightedPauliString, _product_phase
 
 
 def times_i_power(c: ExactComplex, k: int) -> ExactComplex:
@@ -26,6 +29,22 @@ def times_i_power(c: ExactComplex, k: int) -> ExactComplex:
     if k == 2:
         return ExactComplex(-c.real, -c.imag)
     return ExactComplex(c.imag, -c.real)
+
+
+def abs_squared(c: ExactComplex) -> Fraction:
+    return c.real * c.real + c.imag * c.imag
+
+
+def string_product(p: PauliString, q: PauliString) -> tuple[PauliString, int]:
+    """Positionwise product p*q, returned as (string, k) with global phase i**k.
+
+    The test reference for ``pauli._product_phase``, the phase rule the
+    Jordan-Wigner kernel takes per product path; the dense-matrix tests of
+    :func:`multiply` check it.
+    """
+    if p.n != q.n:
+        raise ValueError(f"Pauli strings act on different registers: {p.n} != {q.n}")
+    return PauliString(p.n, p.x ^ q.x, p.z ^ q.z), _product_phase(p.x, p.z, q.x, q.z)
 
 
 def multiply(p: WeightedPauliString, q: WeightedPauliString) -> WeightedPauliString:
@@ -43,7 +62,7 @@ def reference_jw_term(term: FermionicTerm) -> list[WeightedPauliString]:
     """
     factors = [jw_ladder(m, True, term.n) for m in term.creates]
     factors += [jw_ladder(m, False, term.n) for m in term.annihilates]
-    acc = [WeightedPauliString(ExactComplex(1), PauliString.identity(term.n))]
+    acc = [WeightedPauliString(ExactComplex(1), PauliString(term.n))]
     for factor in factors:
         acc = [multiply(w, part) for w in acc for part in factor]
     combined: dict[PauliString, ExactComplex] = {}
@@ -54,6 +73,24 @@ def reference_jw_term(term: FermionicTerm) -> list[WeightedPauliString]:
         for s, c in sorted(combined.items(), key=lambda item: item[0].text())
         if c
     ]
+
+
+def is_two_body(term: FermionicTerm) -> bool:
+    return len(term.creates) == 2
+
+
+def support(term: FermionicTerm) -> tuple[int, ...]:
+    """Distinct touched modes, ascending."""
+    return tuple(sorted(set(term.creates) | set(term.annihilates)))
+
+
+def has_distinct_indices(term: FermionicTerm) -> bool:
+    return len(support(term)) == len(term.creates) + len(term.annihilates)
+
+
+def adjoint(term: FermionicTerm) -> FermionicTerm:
+    """Hermitian conjugate: daggers swap and the factor order reverses."""
+    return FermionicTerm(term.annihilates, term.creates, term.n)
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,9 +129,9 @@ class JwPattern:
 
 def pattern_of(term: FermionicTerm) -> JwPattern:
     """The :class:`JwPattern` matched by exactly the strings of ``jw_term(term)``."""
-    if not (term.is_two_body and term.has_distinct_indices()):
+    if not (is_two_body(term) and has_distinct_indices(term)):
         raise UnsupportedTermError("pattern is defined for distinct-index two-body terms only")
-    e0, e1, e2, e3 = term.support()
+    e0, e1, e2, e3 = support(term)
     return JwPattern(term.n, (e0, e1, e2, e3), ((e0, e1), (e2, e3)))
 
 
@@ -211,7 +248,58 @@ def seeded_hermitian_entries(n, seed):
     return one, two
 
 
-def reference_max_flow(net: FlowNetwork) -> ScaledFlow:
+@dataclass(frozen=True, slots=True)
+class ScaledFlow:
+    """Per-edge flow numerators over one shared denominator (edge flow = numerator/denominator).
+
+    A fractional flow is carried this way so that feasibility, conservation
+    and rounding stay exact integer arithmetic.
+    """
+
+    denominator: int
+    numerators: tuple[int, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "numerators", tuple(self.numerators))
+        if self.denominator < 1:
+            raise ValueError("denominator must be a positive integer")
+        if any(not isinstance(f, int) or f < 0 for f in self.numerators):
+            raise ValueError("flow numerators must be non-negative integers")
+
+
+def _as_scaled(flow) -> ScaledFlow:
+    """A ScaledFlow as it is; an integral flow (one int per edge, as
+    ``max_flow_integral`` returns it) over denominator 1."""
+    return flow if isinstance(flow, ScaledFlow) else ScaledFlow(1, flow)
+
+
+def check_flow(net: FlowNetwork, flow) -> None:
+    """Raise ValueError unless ``flow`` is feasible and exactly conservative on ``net``."""
+    flow = _as_scaled(flow)
+    if len(flow.numerators) != len(net.edges):
+        raise ValueError(
+            f"flow has {len(flow.numerators)} entries for {len(net.edges)} edges"
+        )
+    balance = [0] * net.node_count
+    for (u, v, c), f in zip(net.edges, flow.numerators):
+        if f > c * flow.denominator:
+            raise ValueError(f"flow {f}/{flow.denominator} exceeds capacity {c} on edge ({u}, {v})")
+        balance[u] -= f
+        balance[v] += f
+    for node, b in enumerate(balance):
+        if node not in (net.source, net.sink) and b != 0:
+            raise ValueError(f"flow not conserved at node {node} (imbalance {b}/{flow.denominator})")
+
+
+def flow_value(net: FlowNetwork, flow) -> Fraction:
+    """Net flow out of the source."""
+    flow = _as_scaled(flow)
+    out = sum(f for (u, _, _), f in zip(net.edges, flow.numerators) if u == net.source)
+    back = sum(f for (_, v, _), f in zip(net.edges, flow.numerators) if v == net.source)
+    return Fraction(out - back, flow.denominator)
+
+
+def reference_max_flow(net: FlowNetwork) -> tuple[int, ...]:
     """The recursive Dinic that ``max_flow_integral`` must reproduce exactly.
 
     A full breadth-first leveling per phase, then a recursive depth-first
@@ -263,7 +351,43 @@ def reference_max_flow(net: FlowNetwork) -> ScaledFlow:
         while dfs(s, infinity, level, it):
             pass
 
-    return ScaledFlow(1, tuple(net.edges[i][2] - cap[2 * i] for i in range(m)))
+    return tuple(net.edges[i][2] - cap[2 * i] for i in range(m))
+
+
+def check_invariants(state) -> None:
+    """Full recount of every ``PartialState`` invariant of the ``baranyai``
+    module docstring; raises ValueError on the first breach."""
+    n, i = state.n, state.inserted
+    sizes = round_sizes(n)
+    if len(state.rounds) != len(sizes):
+        raise ValueError("wrong round count")
+    inserted_elements = set(range(i))
+    global_mult: dict[tuple[int, ...], int] = {}
+    for r, (slots, size) in enumerate(zip(state.rounds, sizes)):
+        seen: set[int] = set()
+        total_slots = 0
+        for subset, mult in slots.items():
+            if mult <= 0 or len(subset) > 4:
+                raise ValueError(f"bad slot {subset} x{mult} in round {r}")
+            if subset and mult > 1:
+                raise ValueError(f"non-empty slot {subset} repeated in round {r}")
+            members = set(subset)
+            if len(subset) and (members & seen):
+                raise ValueError(f"round {r} slots overlap at {members & seen}")
+            seen |= members
+            total_slots += mult
+            global_mult[subset] = global_mult.get(subset, 0) + mult
+        if total_slots != size:
+            raise ValueError(f"round {r} has {total_slots} slots, expected {size}")
+        if not seen <= inserted_elements:
+            raise ValueError(f"round {r} holds uninserted {sorted(seen - inserted_elements)}")
+        needed = sum((4 - len(s)) * mult for s, mult in slots.items())
+        if needed > n - i:
+            raise ValueError(f"round {r} needs {needed} elements, {n - i} are left")
+    for subset, mult in global_mult.items():
+        want = comb(n - i, 4 - len(subset))
+        if mult != want:
+            raise ValueError(f"subset {subset} occurs {mult} times, expected {want}")
 
 
 def insertion_seed(state, net: FlowNetwork, middle_map) -> ScaledFlow:
@@ -287,6 +411,117 @@ def insertion_seed(state, net: FlowNetwork, middle_map) -> ScaledFlow:
     hub = net.edges[-1][1]
     num[-1] = sum(num[r] for r in range(m) if net.edges[r][0] == hub)
     return ScaledFlow(d, tuple(num))
+
+
+def round_flow(net: FlowNetwork, fractional: ScaledFlow) -> ScaledFlow:
+    """Round a feasible fractional flow into an integral flow of equal value.
+
+    The paper's rounding construction, the reference for Dinic: the
+    schedule itself is built with ``max_flow_integral``, and the tests
+    check both on every insertion network.  It repeatedly finds an
+    undirected cycle among the edges with non-integral flow and pushes the
+    smallest slack around it until at least one edge lands on a multiple of
+    the denominator; each push strictly shrinks the fractional edge set, so the loop
+    terminates.  Such a cycle always exists: conservation forces every node
+    touching one fractional edge to touch at least two.
+
+    Preconditions (violations raise ValueError): ``fractional`` is feasible
+    and conservative on ``net``, and every edge touching the source or the
+    sink already carries an integral flow.
+
+    Cycle search walks the fractional-edge subgraph depth-first, always
+    taking the live edge with the smallest (neighbor id, edge id) pair, so
+    the result is deterministic.
+    """
+    check_flow(net, fractional)
+    d = fractional.denominator
+    num = list(fractional.numerators)
+    edges = net.edges
+    terminals = (net.source, net.sink)
+    for idx, (u, v, _) in enumerate(edges):
+        if (u in terminals or v in terminals) and num[idx] % d:
+            raise ValueError(
+                f"edge ({u}, {v}) touches a terminal but carries fractional flow "
+                f"{num[idx]}/{d}"
+            )
+
+    live = [f % d != 0 for f in num]
+    remaining = sum(live)
+    # Lazy-deletion heaps of (neighbor, edge id) per node; dead entries are
+    # skipped on access, live edges may be looked at many times.
+    heaps: list[list[tuple[int, int]]] = [[] for _ in range(net.node_count)]
+    for eid, (u, v, _) in enumerate(edges):
+        if live[eid]:
+            heapq.heappush(heaps[u], (v, eid))
+            heapq.heappush(heaps[v], (u, eid))
+
+    def pick(node: int, banned: int) -> int | None:
+        """Smallest live edge at ``node`` other than ``banned``."""
+        h = heaps[node]
+        while h and not live[h[0][1]]:
+            heapq.heappop(h)
+        if not h:
+            return None
+        if h[0][1] != banned:
+            return h[0][1]
+        top = heapq.heappop(h)
+        while h and not live[h[0][1]]:
+            heapq.heappop(h)
+        alt = h[0][1] if h else None
+        heapq.heappush(h, top)
+        return alt
+
+    start = 0
+    stack: list[tuple[int, int]] = []  # (node, edge used to enter it)
+    pos: dict[int, int] = {}
+    while remaining:
+        if not stack:
+            while pick(start, -1) is None:
+                start += 1
+            stack.append((start, -1))
+            pos[start] = 0
+            continue
+        node, entry = stack[-1]
+        eid = pick(node, entry)
+        if eid is None:
+            pos.pop(node)
+            stack.pop()
+            continue
+        u, v, _ = edges[eid]
+        nxt = v if u == node else u
+        if nxt not in pos:
+            stack.append((nxt, eid))
+            pos[nxt] = len(stack) - 1
+            continue
+
+        # Cycle: nxt -> ... -> node -> nxt.  Push the smallest slack around
+        # it; traversal-forward edges gain flow, traversal-backward lose.
+        j = pos[nxt]
+        path_nodes = [stack[k][0] for k in range(j, len(stack))]
+        cycle = [stack[k][1] for k in range(j + 1, len(stack))] + [eid]
+        delta = None
+        for step, e in enumerate(cycle):
+            tail = path_nodes[step]
+            room = d - num[e] % d if edges[e][0] == tail else num[e] % d
+            if delta is None or room < delta:
+                delta = room
+        assert delta is not None and delta > 0
+        for step, e in enumerate(cycle):
+            tail = path_nodes[step]
+            if edges[e][0] == tail:
+                num[e] += delta
+            else:
+                num[e] -= delta
+            assert 0 <= num[e] <= edges[e][2] * d
+            if live[e] and num[e] % d == 0:
+                live[e] = False
+                remaining -= 1
+        for k in range(j + 1, len(stack)):
+            pos.pop(stack[k][0])
+        del stack[j + 1 :]
+
+    assert all(f % d == 0 for f in num)
+    return ScaledFlow(1, tuple(f // d for f in num))
 
 
 def make_fractional_case(rng: random.Random) -> tuple[FlowNetwork, ScaledFlow]:

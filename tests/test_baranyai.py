@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from conftest import insertion_seed
+from conftest import check_flow, check_invariants, flow_value, insertion_seed, round_flow
 from paulisched.baranyai import (
     PartialState,
     Schedule,
@@ -11,7 +11,7 @@ from paulisched.baranyai import (
     _step_parts,
     build_schedule,
 )
-from paulisched.flows import ScaledFlow, check_flow, flow_value, max_flow_integral, round_flow
+from paulisched.flows import max_flow_integral
 from paulisched.oracles import validate_schedule
 
 
@@ -50,8 +50,8 @@ class TestBuildSchedule:
 
 class TestPartialState:
     def test_initial_state_checks(self):
-        PartialState.initial(8).check()
-        PartialState.initial(6).check()
+        check_invariants(PartialState.initial(8))
+        check_invariants(PartialState.initial(6))
         with pytest.raises(ValueError):
             PartialState.initial(3)
 
@@ -66,8 +66,8 @@ class TestPartialState:
             for r, slots in enumerate(state.rounds):
                 spread = sum((4 - len(s)) * m for s, m in slots.items() if len(s) < 4)
                 assert spread == n - i == seed.denominator
-            state = _apply(state, round_flow(net, seed), mapping)
-            state.check()
+            state = _apply(state, round_flow(net, seed).numerators, mapping)
+            check_invariants(state)
             # every grown subset now appears the freshly required number of times
             mult = Counter()
             for slots in state.rounds:
@@ -89,15 +89,39 @@ class TestPartialState:
         state = PartialState.initial(4)
         net, mapping = _step_parts(state)
         # doctor a flow that routes nothing
-        zero = ScaledFlow(1, tuple(0 for _ in net.edges))
-        with pytest.raises(ValueError):
+        zero = tuple(0 for _ in net.edges)
+        with pytest.raises(ValueError, match="full value"):
             _apply(state, zero, mapping)
+
+    def test_apply_step_rejects_two_units_into_one_round(self):
+        # keep the full value on the in-edges but route two middle units into
+        # round 0: once down one middle edge, once down each of two
+        n = 8
+        state = PartialState.initial(n)
+        net, mapping = _step_parts(state)
+        m = len(state.rounds)
+        flow = list(max_flow_integral(net))
+        assert [r for r, _ in mapping] == list(range(m))  # one slot type per round
+        flow[m], flow[m + 1] = 2, 0
+        with pytest.raises(ValueError, match="at most one unit"):
+            _apply(state, tuple(flow), mapping)
+
+        state = _apply(state, max_flow_integral(net), mapping)
+        net, mapping = _step_parts(state)
+        flow = list(max_flow_integral(net))
+        round0 = [m + k for k, (r, _) in enumerate(mapping) if r == 0]
+        assert len(round0) == 2 and sum(flow[e] for e in round0) == 1
+        for e in round0:
+            flow[e] = 1
+        with pytest.raises(ValueError, match="at most one unit"):
+            _apply(state, tuple(flow), mapping)
 
     def test_apply_step_full_run_matches_build(self):
         state = PartialState.initial(4)
         for _ in range(4):
             net, mapping = _step_parts(state)
-            state = _apply(state, round_flow(net, insertion_seed(state, net, mapping)), mapping)
+            seed = insertion_seed(state, net, mapping)
+            state = _apply(state, round_flow(net, seed).numerators, mapping)
         assert list(state.rounds[0]) == [(3, 2, 1, 0)]
 
     def test_apply_step_rejects_a_starved_forced_round(self):
@@ -108,7 +132,7 @@ class TestPartialState:
         state = _apply(state, max_flow_integral(net), mapping)
         net, mapping = _step_parts(state)
         m = len(state.rounds)
-        flow = list(max_flow_integral(net).numerators)
+        flow = list(max_flow_integral(net))
         forced = [r for r in range(m) if net.edges[r][0] == net.source and net.edges[r][2]]
         idle = [r for r in range(m) if net.edges[r][0] != net.source and not flow[r]]
         assert len(forced) == 1 and idle
@@ -118,7 +142,7 @@ class TestPartialState:
         flow[forced[0]] = 0
         flow[idle[0]] = flow[m + next(k for k, (r, _) in enumerate(mapping) if r == idle[0])] = 1
         with pytest.raises(ValueError, match="must take element 1"):
-            _apply(state, ScaledFlow(1, tuple(flow)), mapping)
+            _apply(state, tuple(flow), mapping)
 
     @pytest.mark.parametrize("n", range(4, 15))
     def test_hub_network_has_full_fractional_flow(self, n):
@@ -130,7 +154,7 @@ class TestPartialState:
             check_flow(net, seed)
             assert flow_value(net, seed) == comb(n - 1, 3)
             state = _apply(state, max_flow_integral(net), mapping)
-            state.check()
+            check_invariants(state)
 
 
 class TestPadding:

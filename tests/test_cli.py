@@ -327,18 +327,58 @@ def test_partition_does_not_load_the_oracles(tmp_path):
     assert _loads("import paulisched.partition", "paulisched.oracles", tmp_path) is False
 
 
-def test_partition_imports_no_private_fermion_name():
-    # fermion builds the strings from its kernel numerators; partition only
-    # reaches it through public names
-    tree = ast.parse((SRC / "paulisched" / "partition.py").read_text())
-    imported = [
-        alias.name
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "fermion"
-        for alias in node.names
-    ]
-    assert "jw_image" in imported
-    assert [name for name in imported if name.startswith("_")] == []
+def _module_trees():
+    return {path.stem: ast.parse(path.read_text()) for path in sorted((SRC / "paulisched").glob("*.py"))}
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # the two integer rules of pauli stay private although fermion runs one
+    # per product path and partition one per family (see the pauli
+    # docstring); every other name one module takes from another is public
+    imported = set()
+    for module, tree in _module_trees().items():
+        siblings = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                for alias in node.names:
+                    if node.module:
+                        if alias.name.startswith("_"):
+                            imported.add((module, node.module, alias.name))
+                    else:
+                        siblings.add(alias.asname or alias.name)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in siblings and node.attr.startswith("_")):
+                imported.add((module, node.value.id, node.attr))
+    assert imported == {
+        ("fermion", "pauli", "_product_phase"),
+        ("partition", "pauli", "_anticommuting_pair"),
+    }
+
+
+def test_every_exported_name_is_used_in_the_package():
+    # a name only the tests call belongs in the tests; the package
+    # __init__ re-exports names and does not count as a use
+    trees = _module_trees()
+    unused = []
+    for module, tree in trees.items():
+        exported = [
+            elt.value
+            for node in tree.body
+            if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["__all__"]
+            for elt in node.value.elts
+        ]
+        for name in exported:
+            used = any(
+                (isinstance(node, ast.Name) and node.id == name)
+                or (isinstance(node, ast.Attribute) and node.attr == name)
+                or (isinstance(node, ast.alias) and node.name == name and other != module)
+                for other, other_tree in trees.items() if other != "__init__"
+                for node in ast.walk(other_tree)
+            )
+            if not used:
+                unused.append(f"{module}.{name}")
+    assert unused == []
 
 
 class TestCollectorPause:

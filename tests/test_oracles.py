@@ -4,7 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from conftest import seeded_hermitian_entries
+from conftest import adjoint, seeded_hermitian_entries
 from paulisched.baranyai import Schedule, build_schedule
 from paulisched.fermion import FermionicTerm
 from paulisched.partition import (
@@ -74,7 +74,7 @@ class TestDenseChecks:
 
     def test_term_plus_adjoint_is_hermitian(self):
         term = FermionicTerm.two_body(3, 2, 1, 0, 4)
-        total = term_matrix(term) + term_matrix(term.adjoint())
+        total = term_matrix(term) + term_matrix(adjoint(term))
         assert np.array_equal(total, total.conj().T)
 
     def test_string_matrix_uses_qubit0_as_first_factor(self):

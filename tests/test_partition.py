@@ -1,5 +1,6 @@
 import gc
 import json
+import threading
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -8,11 +9,15 @@ from math import comb
 import pytest
 
 from conftest import (
+    abs_squared,
+    has_distinct_indices,
+    is_two_body,
     reference_fold,
     reference_from_entries,
     reference_jw_term,
     reference_save_families,
     seeded_hermitian_entries,
+    support,
 )
 from paulisched.baranyai import Schedule, build_schedule
 from paulisched.fermion import FermionicTerm, jw_image, jw_term
@@ -233,9 +238,9 @@ class TestCoefficients:
         strings = [w for f in families for w in f.strings]
         assert len(strings) == 16
         assert all(w.string.x == 0b10101001 for w in strings)
-        assert all(w.coefficient.abs_squared() == Fraction(1, 1024) for w in strings)
+        assert all(abs_squared(w.coefficient) == Fraction(1, 1024) for w in strings)
         for family in families:
-            assert [t.support() for t in family.provenance] == [(0, 3, 5, 7)]
+            assert [support(t) for t in family.provenance] == [(0, 3, 5, 7)]
 
     def test_all_zero_filter_drops_everything(self):
         coeffs = HamiltonianCoefficients.from_entries(8, [], [])
@@ -277,7 +282,7 @@ def _scaled(term, value):
 
 def _table_key(term):
     """Table order: one-body entries, then two-body entries, each by sorted key."""
-    return term.is_two_body, term.creates + term.annihilates
+    return is_two_body(term), term.creates + term.annihilates
 
 
 def _x_mask(term):
@@ -337,7 +342,7 @@ class TestWeightedFold:
         _, values, families = case
         expected = {}
         for term, value in values.items():
-            if term.is_two_body and term.has_distinct_indices():
+            if is_two_body(term) and has_distinct_indices(term):
                 for string, c in _scaled(term, value):
                     expected[string] = expected.get(string, ExactComplex()) + c
         emitted = [(w.string, w.coefficient) for f in families if f.origin == "dominant" for w in f.strings]
@@ -360,7 +365,7 @@ class TestWeightedFold:
                     if mine:
                         strings += sorted(mine, key=lambda s: s.text())
                         terms += sorted(
-                            (t for t in values if t.is_two_body and set(t.support()) == set(subset)),
+                            (t for t in values if is_two_body(t) and set(support(t)) == set(subset)),
                             key=_table_key,
                         )
                 if strings:
@@ -373,7 +378,7 @@ class TestWeightedFold:
         # blocks: the residual terms keyed by the XOR of their mode bits
         blocks = {}
         for term in sorted(values, key=_table_key):
-            if not (term.is_two_body and term.has_distinct_indices()):
+            if not (is_two_body(term) and has_distinct_indices(term)):
                 blocks.setdefault(_x_mask(term), []).append(term)
         # per block in ascending mask order, the even-Y and then the odd-Y
         # strings of its exact fold, text-sorted; each half's provenance is
@@ -403,7 +408,7 @@ class TestWeightedFold:
             # the one-sided table keeps both Y halves per pair
             assert all(halves[mask] == 2 for mask in blocks if mask)
         listed = {t for f in residual for t in f.provenance}
-        assert listed == {t for t in values if not (t.is_two_body and t.has_distinct_indices())}
+        assert listed == {t for t in values if not (is_two_body(t) and has_distinct_indices(t))}
 
 
 def _one_sided(one, two):
@@ -691,6 +696,37 @@ class TestPersistence:
         write_replacing(out, ["a", "b\n"])
         assert out.read_text() == "ab\n"
         assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_concurrent_writes_in_one_directory_stay_apart(self, tmp_path):
+        # each producer waits for the other after its first chunk, so both
+        # temporary files are open at once
+        barrier = threading.Barrier(2, timeout=30)
+        errors = []
+
+        def chunks(text):
+            yield text
+            barrier.wait()
+            yield text + "\n"
+
+        def write(name, text):
+            try:
+                write_replacing(tmp_path / name, chunks(text))
+            except Exception as exc:  # collected for the assertion below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=write, args=(name, text))
+            for name, text in (("a.json", "A"), ("b.json", "B"))
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert (tmp_path / "a.json").read_text() == "AA\n"
+        assert (tmp_path / "b.json").read_text() == "BB\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "b.json"]
 
     def test_dangling_symlink_creates_its_target(self, tmp_path):
         link = tmp_path / "link.txt"
