@@ -7,7 +7,7 @@ cached per register size.
 """
 
 from .baranyai import PartialState, Schedule, build_schedule
-from .fermion import FermionicTerm, UnsupportedTermError, jw_image, jw_ladder, jw_term
+from .fermion import FermionicTerm, UnsupportedTermError, jw_image, jw_term
 from .flows import FlowNetwork, max_flow_integral
 from .partition import (
     CommutingFamily,

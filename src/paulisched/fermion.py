@@ -1,16 +1,16 @@
 """Fermionic terms and their Jordan-Wigner images as weighted Pauli strings.
 
 A ladder operator on mode m maps to (X_m + iY_m)/2 (annihilation) or
-(X_m - iY_m)/2 (creation), times a Z chain on all lower modes
-(:func:`jw_ladder`, the one source of that encoding).  The kernel
-:func:`_jw_sums` expands a product of ladder operators exactly on
-integers: every coefficient is (a + ib) / 2**k for Gaussian integers a + ib
-and k ladder factors, so the expansion tracks an i-power per product path
-and takes each product's phase from the one phase rule of
-:mod:`paulisched.pauli`.  :func:`jw_image`, the one
-builder of weighted strings, sums those numerators for a weighted set of
-terms; :func:`jw_term` is its single-term case, and the block fold in
-:mod:`paulisched.partition` calls it once per block.
+(X_m - iY_m)/2 (creation), times a Z chain on all lower modes.  The
+integer ladder table :func:`_ladder` is the one source of that encoding:
+each part is a pair of masks (x, z) and a weight i**k / 2.
+:func:`jw_image`, the one builder of weighted strings, expands each
+term's ladder product exactly on integers in one pass: every coefficient
+is (a + ib) / 2**f for Gaussian integers a + ib and f ladder factors, so
+each product path carries an i-power, takes its phase from the one phase
+rule of :mod:`paulisched.pauli`, and is added straight into the sums of
+the whole weighted set.  :func:`jw_term` is its single-term case, and the
+block fold in :mod:`paulisched.partition` calls it once per block.
 No sign or phase is hand-coded, which is what the dense-matrix oracles in
 :mod:`paulisched.oracles` verify.
 
@@ -32,15 +32,8 @@ __all__ = [
     "FermionicTerm",
     "UnsupportedTermError",
     "jw_image",
-    "jw_ladder",
     "jw_term",
 ]
-
-_HALF = ExactComplex(Fraction(1, 2))
-_PLUS_I_HALF = ExactComplex(0, Fraction(1, 2))
-_MINUS_I_HALF = ExactComplex(0, Fraction(-1, 2))
-# ladder coefficient c -> k with c = i**k / 2
-_LADDER_I_POWER = {_HALF: 0, _PLUS_I_HALF: 1, _MINUS_I_HALF: 3}
 
 
 class UnsupportedTermError(ValueError):
@@ -83,31 +76,11 @@ class FermionicTerm:
         return cls((p, q), (r, s), n)
 
 
-def jw_ladder(mode: int, dagger: bool, n: int) -> tuple[WeightedPauliString, WeightedPauliString]:
-    """The two weighted strings encoding one ladder operator on ``mode``.
-
-    Returns ((1/2) X_mode Zchain, (+-i/2) Y_mode Zchain) with -i/2 for a
-    creation operator and +i/2 for an annihilation operator; the Z chain
-    covers every mode below ``mode``.
-    """
-    if not 0 <= mode < n:
-        raise ValueError(f"mode {mode} out of range [0, {n})")
+def _ladder(mode: int, dagger: bool) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
+    """A ladder operator's parts (x, z, k), each weighted i**k / 2: X_mode, and
+    Y_mode with k = 3 (creation) or 1, times the Z chain below ``mode``."""
     chain = (1 << mode) - 1
-    x_part = PauliString(n, 1 << mode, chain)
-    y_part = PauliString(n, 1 << mode, chain | (1 << mode))
-    return (
-        WeightedPauliString(_HALF, x_part),
-        WeightedPauliString(_MINUS_I_HALF if dagger else _PLUS_I_HALF, y_part),
-    )
-
-
-@lru_cache(maxsize=1024)
-def _ladder_ints(mode: int, dagger: bool, n: int) -> tuple[tuple[int, int, int], ...]:
-    """:func:`jw_ladder` as (x, z, k) per part: masks and coefficient i**k / 2."""
-    return tuple(
-        (w.string.x, w.string.z, _LADDER_I_POWER[w.coefficient])
-        for w in jw_ladder(mode, dagger, n)
-    )
+    return ((1 << mode, chain, 0), (1 << mode, chain | 1 << mode, 3 if dagger else 1))
 
 
 @lru_cache(maxsize=4096)
@@ -116,58 +89,37 @@ def _coefficient(re: int, im: int, denominator: int) -> ExactComplex:
     return ExactComplex(Fraction(re, denominator), Fraction(im, denominator))
 
 
-def _jw_sums(term: FermionicTerm) -> tuple[dict[tuple[int, int], list[int]], int]:
-    """The kernel: a term's JW image as {(x, z): [re, im]} over 2**k.
-
-    Each string (x, z) carries the Gaussian-integer numerator re + i im of
-    its coefficient (re + i im) / 2**k, with k the number of ladder
-    factors.  Equal strings arising from index repetition are already
-    combined; a string whose paths cancel keeps its entry at [0, 0].
-    """
-    n = term.n
-    factors = [_ladder_ints(m, True, n) for m in term.creates]
-    factors += [_ladder_ints(m, False, n) for m in term.annihilates]
-    # One (x, z, k) per product path: the string and its phase i**k; every
-    # path carries the common factor 1 / 2**len(factors).
-    paths = [(0, 0, 0)]
-    for parts in factors:
-        paths = [
-            (x ^ fx, z ^ fz, k + fk + _product_phase(x, z, fx, fz))
-            for x, z, k in paths
-            for fx, fz, fk in parts
-        ]
-    sums: dict[tuple[int, int], list[int]] = {}
-    for x, z, k in paths:
-        re_im = sums.setdefault((x, z), [0, 0])
-        re_im[k & 1] += -1 if k & 2 else 1  # i**k is 1, i, -1 or -i
-    return sums, len(factors)
-
-
 def jw_image(entries) -> list[WeightedPauliString]:
     """The exact JW image of sum(value * term) over (term, value) entries.
 
     ``entries`` is a non-empty list; values are ints or Fractions and all
     terms share one register.  The sum is made on integers over one common
-    denominator D: the lcm of the values' denominators times 2**k for the
-    largest ladder count k among the terms.  Each entry's kernel numerators
-    (over 2**k) are scaled to D and added per string, then each nonzero sum
-    becomes one exact coefficient; strings that sum to zero drop out.  The
-    result is sorted by string text, which makes downstream output
-    reproducible.
+    denominator D: the lcm of the values' denominators times 2**f for the
+    largest ladder count f among the terms.  Each product path of a term's
+    ladder factors adds its value, scaled to D, times its phase i**k to the
+    numerators of its string; each nonzero sum then becomes one exact
+    coefficient, and strings that sum to zero drop out.  The result is
+    sorted by string text, which makes downstream output reproducible.
     """
-    expanded = [(_jw_sums(term), value) for term, value in entries]
     denominator = lcm(*(value.denominator for _, value in entries))
-    denominator <<= max(k for (_, k), _ in expanded)
+    denominator <<= max(len(term.creates) + len(term.annihilates) for term, _ in entries)
     sums: dict[tuple[int, int], list[int]] = {}
-    for (term_sums, k), value in expanded:
-        scale = value.numerator * (denominator // (value.denominator << k))
-        for xz, (re, im) in term_sums.items():
-            re_im = sums.get(xz)
+    for term, value in entries:
+        factors = [_ladder(m, True) for m in term.creates]
+        factors += [_ladder(m, False) for m in term.annihilates]
+        scale = value.numerator * (denominator // (value.denominator << len(factors)))
+        paths = [(0, 0, 0)]
+        for parts in factors:
+            paths = [
+                (x ^ fx, z ^ fz, k + fk + _product_phase(x, z, fx, fz))
+                for x, z, k in paths
+                for fx, fz, fk in parts
+            ]
+        for x, z, k in paths:
+            re_im = sums.get((x, z))
             if re_im is None:
-                sums[xz] = [re * scale, im * scale]
-            else:
-                re_im[0] += re * scale
-                re_im[1] += im * scale
+                re_im = sums[x, z] = [0, 0]
+            re_im[k & 1] += -scale if k & 2 else scale  # i**k is 1, i, -1 or -i
     n = entries[0][0].n
     image = [
         WeightedPauliString(_coefficient(re, im, denominator), PauliString(n, x, z))

@@ -21,7 +21,7 @@ from itertools import combinations
 from math import comb
 from typing import TYPE_CHECKING
 
-from .baranyai import SUBSET_SIZE, Schedule, round_sizes
+from .baranyai import SUBSET_SIZE, Schedule
 from .fermion import FermionicTerm, jw_term
 from .pauli import (
     ExactComplex,
@@ -91,8 +91,8 @@ def string_matrix(p: PauliString) -> "np.ndarray":
 
     pauli_2x2 = _pauli_2x2()
     out = np.eye(1, dtype=complex)
-    for t in range(p.n):
-        out = np.kron(out, pauli_2x2[p.letter(t)])
+    for char in p.text():
+        out = np.kron(out, pauli_2x2[char])
     return out
 
 
@@ -344,7 +344,7 @@ def validate_schedule(schedule: Schedule) -> OracleReport:
         fail("exact_cover", f"{len(seen)} distinct subsets covered, expected {comb(n, SUBSET_SIZE)}")
     if n >= SUBSET_SIZE:
         checks["round_shape"] = True
-        rounds = len(round_sizes(n))
+        rounds = -(-comb(n, SUBSET_SIZE) // (n // SUBSET_SIZE))
         if len(schedule.rounds) != rounds:
             fail("round_shape", f"{len(schedule.rounds)} rounds, expected {rounds}")
         elif any(len(rnd) > n // SUBSET_SIZE for rnd in schedule.rounds):

@@ -362,16 +362,23 @@ def write_replacing(path, chunks) -> None:
         Path(tmp).unlink(missing_ok=True)  # already gone once replaced
 
 
-def _family_chunks(families):
+def _family_chunks(families, path):
     """The families JSON, one family per chunk: ``[``, the records joined by ``,``, ``]``."""
     yield "["
     for i, family in enumerate(families):
+        coefficients = []
+        try:
+            for w in family.strings:
+                coefficients.append([float(w.coefficient.real), float(w.coefficient.imag)])
+        except OverflowError:
+            raise FamiliesWriteError(
+                f"cannot write families to {path}: the summed coefficient of {w.string} is "
+                "outside the float range; scale the Hamiltonian coefficients down"
+            ) from None
         record = {
             "origin": family.origin,
             "strings": [str(w.string) for w in family.strings],
-            "coefficients": [
-                [float(w.coefficient.real), float(w.coefficient.imag)] for w in family.strings
-            ],
+            "coefficients": coefficients,
             "terms": [
                 {"creates": list(t.creates), "annihilates": list(t.annihilates)}
                 for t in family.provenance
@@ -388,16 +395,10 @@ def save_families(families: list[CommutingFamily], path) -> None:
     so no payload of the whole output is held in memory; the bytes are those
     of one ``json.dumps`` of the list.  A folded sum can leave the float
     range even when every input value fits: then nothing is written and
-    :class:`FamiliesWriteError` names the string.
+    :class:`FamiliesWriteError` names the first such string in output order.
+    ``families`` may be any iterable, a one-pass one too.
     """
-    try:
-        write_replacing(path, _family_chunks(families))
-    except OverflowError:
-        worst = max((w for f in families for w in f.strings),
-                    key=lambda w: max(abs(w.coefficient.real), abs(w.coefficient.imag)))
-        raise FamiliesWriteError(f"cannot write families to {path}: the summed coefficient of "
-                                 f"{worst.string} is outside the float range; scale the "
-                                 "Hamiltonian coefficients down") from None
+    write_replacing(path, _family_chunks(families, path))
 
 
 # ---------------------------------------------------------------------------

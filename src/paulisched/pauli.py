@@ -43,7 +43,6 @@ __all__ = [
 ]
 
 _CHAR_TO_XZ = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
-_XZ_TO_CHAR = {bits: char for char, bits in _CHAR_TO_XZ.items()}
 _DIGIT_TO_CHAR = str.maketrans("0123", "IXZY")  # digit x + 2z per qubit
 
 
@@ -93,11 +92,6 @@ class PauliString:
         limit = 1 << self.n
         if not (0 <= self.x < limit and 0 <= self.z < limit):
             raise ValueError(f"bitmasks out of range for n={self.n}")
-
-    def letter(self, t: int) -> str:
-        if not 0 <= t < self.n:
-            raise IndexError(f"qubit index {t} out of range for n={self.n}")
-        return _XZ_TO_CHAR[(self.x >> t) & 1, (self.z >> t) & 1]
 
     def text(self) -> str:
         # Reading each mask's binary digits as hex digits puts qubit t in hex

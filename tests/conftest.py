@@ -13,7 +13,7 @@ settings.register_profile("det", derandomize=True, deadline=None)
 settings.load_profile("det")
 
 from paulisched.baranyai import round_sizes
-from paulisched.fermion import FermionicTerm, UnsupportedTermError, jw_ladder
+from paulisched.fermion import FermionicTerm, UnsupportedTermError
 from paulisched.flows import FlowNetwork
 from paulisched.partition import HamiltonianCoefficients
 from paulisched.pauli import ExactComplex, PauliString, WeightedPauliString, _product_phase
@@ -51,6 +51,34 @@ def multiply(p: WeightedPauliString, q: WeightedPauliString) -> WeightedPauliStr
     """Product of two weighted strings with the global phase folded into the coefficient."""
     product, k = string_product(p.string, q.string)
     return WeightedPauliString(times_i_power(p.coefficient * q.coefficient, k), product)
+
+
+_BITS_TO_LETTER = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
+
+
+def letter(p: PauliString, t: int) -> str:
+    """The letter on qubit ``t`` of ``p``, read from bit t of each mask: the
+    per-qubit reference for ``PauliString.text``."""
+    return _BITS_TO_LETTER[(p.x >> t) & 1, (p.z >> t) & 1]
+
+
+def jw_ladder(mode: int, dagger: bool, n: int) -> tuple[WeightedPauliString, WeightedPauliString]:
+    """The two weighted strings encoding one ladder operator on ``mode``.
+
+    Returns ((1/2) X_mode Zchain, (+-i/2) Y_mode Zchain) with -i/2 for a
+    creation operator and +i/2 for an annihilation operator; the Z chain
+    covers every mode below ``mode``.  The weighted spelling of
+    ``fermion._ladder`` that :func:`reference_jw_term` folds.
+    """
+    if not 0 <= mode < n:
+        raise ValueError(f"mode {mode} out of range [0, {n})")
+    chain = (1 << mode) - 1
+    x_part = PauliString(n, 1 << mode, chain)
+    y_part = PauliString(n, 1 << mode, chain | (1 << mode))
+    return (
+        WeightedPauliString(ExactComplex(Fraction(1, 2)), x_part),
+        WeightedPauliString(ExactComplex(0, Fraction(-1 if dagger else 1, 2)), y_part),
+    )
 
 
 def reference_jw_term(term: FermionicTerm) -> list[WeightedPauliString]:

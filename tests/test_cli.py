@@ -356,6 +356,34 @@ def test_no_module_imports_a_private_name_of_another():
     }
 
 
+def test_weighted_strings_are_built_only_in_jw_image():
+    # one Jordan-Wigner kernel: the only place that multiplies out product
+    # paths and the only place that makes weighted strings
+    names = {"WeightedPauliString", "_product_phase"}
+
+    def calls(tree):
+        return [
+            node for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and (getattr(node.func, "id", None) in names or getattr(node.func, "attr", None) in names)
+        ]
+
+    trees = _module_trees()
+    jw_image = next(
+        node for node in trees["fermion"].body
+        if isinstance(node, ast.FunctionDef) and node.name == "jw_image"
+    )
+    inside = calls(jw_image)
+    assert {ast.unparse(call.func) for call in inside} == names
+    outside = [
+        f"{module}:{call.lineno} {ast.unparse(call.func)}"
+        for module, tree in trees.items()
+        for call in calls(tree)
+        if call not in inside
+    ]
+    assert outside == []
+
+
 def test_every_exported_name_is_used_in_the_package():
     # a name only the tests call belongs in the tests; the package
     # __init__ re-exports names and does not count as a use

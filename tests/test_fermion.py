@@ -4,10 +4,10 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from conftest import abs_squared, pattern_of, reference_jw_term
-from paulisched.fermion import FermionicTerm, UnsupportedTermError, jw_image, jw_ladder, jw_term
+from conftest import abs_squared, jw_ladder, pattern_of, reference_jw_term, times_i_power
+from paulisched.fermion import FermionicTerm, UnsupportedTermError, _ladder, jw_image, jw_term
 from paulisched.oracles import ladder_matrix, term_matrix, weighted_sum_matrix
-from paulisched.pauli import ExactComplex
+from paulisched.pauli import ExactComplex, PauliString, WeightedPauliString
 
 
 class TestFermionicTerm:
@@ -51,8 +51,12 @@ class TestLadder:
     @pytest.mark.parametrize("mode", range(3))
     @pytest.mark.parametrize("dagger", [False, True])
     def test_matches_occupation_basis_matrix(self, mode, dagger):
-        parts = jw_ladder(mode, dagger, 3)
-        assert np.array_equal(weighted_sum_matrix(list(parts)), ladder_matrix(mode, dagger, 3))
+        half = ExactComplex(Fraction(1, 2))
+        parts = [
+            WeightedPauliString(times_i_power(half, k), PauliString(3, x, z))
+            for x, z, k in _ladder(mode, dagger)
+        ]
+        assert np.array_equal(weighted_sum_matrix(parts), ladder_matrix(mode, dagger, 3))
 
 
 class TestExcitation:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import adjoint, seeded_hermitian_entries
-from paulisched.baranyai import Schedule, build_schedule
+from paulisched.baranyai import Schedule, build_schedule, round_sizes
 from paulisched.fermion import FermionicTerm
 from paulisched.partition import (
     CommutingFamily,
@@ -189,6 +189,21 @@ class TestValidateSchedule:
         assert not report.passed
         assert f"n={n}" in report.counterexample
         assert report.details["checks"]["mode_count"] is False
+
+    @pytest.mark.parametrize("n", range(4, 21))
+    def test_round_count_is_that_of_round_sizes(self, n):
+        rounds = len(round_sizes(n))
+        assert validate_schedule(Schedule(n, ((),) * rounds)).details["checks"]["round_shape"]
+        report = validate_schedule(Schedule(n, ((),) * (rounds + 1)))
+        assert not report.details["checks"]["round_shape"]
+
+    def test_huge_n_fails_without_listing_its_rounds(self):
+        # about 1.7e17 rounds for n = 10**6: the count is computed, never listed
+        report = validate_schedule(Schedule(10**6, ()))
+        assert not report.passed
+        assert not report.details["checks"]["exact_cover"]
+        assert not report.details["checks"]["round_shape"]
+        assert report.counterexample.startswith("0 distinct subsets covered")
 
     def test_report_serializes(self):
         report = validate_schedule(build_schedule(4))

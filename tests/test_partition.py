@@ -671,6 +671,11 @@ class TestPersistence:
             save_families(list(report.families), out)
         assert out.read_bytes() == b"earlier output\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["families.json", "h.json"]
+        # a one-pass iterable is consumed once and named the same way
+        out.unlink()
+        with pytest.raises(FamiliesWriteError, match="IIIIIIII is outside the float range"):
+            save_families((family for family in report.families), out)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["h.json"]
 
     @pytest.mark.parametrize("kind", ["unweighted", "empty"])
     def test_writer_matches_whole_payload_dump(self, tmp_path, kind):
