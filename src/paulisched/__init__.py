@@ -24,6 +24,7 @@ from .pauli import (
     PauliString,
     WeightedPauliString,
     anticommuting_index_count,
+    anticommuting_pair,
     commutes,
     parse_pauli,
 )

@@ -37,6 +37,13 @@ def _cannot_write(path, exc: OSError) -> int:
     return _err(f"cannot write {path}: {exc.strerror or exc}")
 
 
+def _path(text: str) -> str:
+    """The argparse type of every path option: any string but the empty one."""
+    if not text:
+        raise argparse.ArgumentTypeError("a path cannot be empty")
+    return text
+
+
 def _schedule_text(schedule: baranyai.Schedule) -> str:
     lines = []
     for rnd in schedule.rounds:
@@ -178,20 +185,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_sched = sub.add_parser("schedule", help="emit the round schedule of disjoint 4-subsets")
     p_sched.add_argument("--n", type=int, required=True, help="number of modes (>= 4)")
     p_sched.add_argument("--format", choices=("text", "json"), default="text")
-    p_sched.add_argument("--out", help="write to this file instead of stdout")
+    p_sched.add_argument("--out", type=_path, help="write to this file instead of stdout")
     p_sched.set_defaults(func=_cmd_schedule)
 
     p_fam = sub.add_parser("families", help="emit commuting measurement families")
     p_fam.add_argument("--n", type=int, required=True)
-    p_fam.add_argument("--hamiltonian", help="coefficients JSON used as zero filter and weights")
-    p_fam.add_argument("--out", help="write the families JSON here")
+    p_fam.add_argument("--hamiltonian", type=_path, help="coefficients JSON used as zero filter and weights")
+    p_fam.add_argument("--out", type=_path, help="write the families JSON here")
     p_fam.add_argument("--format", choices=("text", "json"), default="text")
     p_fam.set_defaults(func=_cmd_families)
 
     p_ver = sub.add_parser("verify", help="run the brute-force oracle suite")
     p_ver.add_argument("--deep", action="store_true", help="add 6-mode dense checks and sliding tests")
     p_ver.add_argument("--n", type=int, default=8, help="schedule size to validate")
-    p_ver.add_argument("--schedule-file", help="validate this schedule file instead of building one")
+    p_ver.add_argument("--schedule-file", type=_path, help="validate this schedule file instead of building one")
     p_ver.add_argument("--format", choices=("text", "json"), default="text")
     p_ver.set_defaults(func=_cmd_verify)
 

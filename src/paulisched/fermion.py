@@ -8,8 +8,8 @@ each part is a pair of masks (x, z) and a weight i**k / 2.
 term's ladder product exactly on integers in one pass: every coefficient
 is (a + ib) / 2**f for Gaussian integers a + ib and f ladder factors, so
 each product path carries an i-power, takes its phase from the one phase
-rule of :mod:`paulisched.pauli`, and is added straight into the sums of
-the whole weighted set.  :func:`jw_term` is its single-term case, and the
+rule :func:`_product_phase`, and is added straight into the sums of the
+whole weighted set.  :func:`jw_term` is its single-term case, and the
 block fold in :mod:`paulisched.partition` calls it once per block.
 No sign or phase is hand-coded, which is what the dense-matrix oracles in
 :mod:`paulisched.oracles` verify.
@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .pauli import ExactComplex, PauliString, WeightedPauliString, _product_phase
+from .pauli import ExactComplex, PauliString, WeightedPauliString
 
 __all__ = [
     "FermionicTerm",
@@ -81,6 +81,21 @@ def _ladder(mode: int, dagger: bool) -> tuple[tuple[int, int, int], tuple[int, i
     Y_mode with k = 3 (creation) or 1, times the Z chain below ``mode``."""
     chain = (1 << mode) - 1
     return ((1 << mode, chain, 0), (1 << mode, chain | 1 << mode, 3 if dagger else 1))
+
+
+def _product_phase(px: int, pz: int, qx: int, qz: int) -> int:
+    """Exponent k in 0..3 with P*Q = i**k R for the IXYZ-letter strings P, Q, R.
+
+    Uses the X^x Z^z normal form: each letter is i^(x*z) X^x Z^z, commuting
+    Z past X contributes (-1)^(z1*x2) per position, and the result R, with
+    masks (px ^ qx, pz ^ qz), is folded back into the IXYZ alphabet.
+    """
+    return (
+        (px & pz).bit_count()
+        + (qx & qz).bit_count()
+        + 2 * (pz & qx).bit_count()
+        - ((px ^ qx) & (pz ^ qz)).bit_count()
+    ) & 3
 
 
 @lru_cache(maxsize=4096)

@@ -28,6 +28,7 @@ from .pauli import (
     PauliString,
     WeightedPauliString,
     anticommuting_index_count,
+    anticommuting_pair,
     commutes,
     parse_pauli,
 )
@@ -369,10 +370,10 @@ def validate_families(families) -> OracleReport:
     pairs = 0
     for idx, family in enumerate(families):
         strings = [w.string for w in family.strings]
-        for a, b in combinations(strings, 2):
-            pairs += 1
-            if not commutes(a, b) and bad is None:
-                bad = f"family {idx}: {a} and {b} do not commute"
+        pairs += comb(len(strings), 2)
+        pair = anticommuting_pair(strings)
+        if pair is not None and bad is None:
+            bad = f"family {idx}: {pair[0]} and {pair[1]} do not commute"
     return OracleReport(
         name="family-validation",
         passed=bad is None,

@@ -47,7 +47,7 @@ from pathlib import Path
 
 from .baranyai import Schedule, build_schedule, round_sizes
 from .fermion import FermionicTerm, jw_image
-from .pauli import WeightedPauliString, _anticommuting_pair
+from .pauli import WeightedPauliString, anticommuting_pair
 
 __all__ = [
     "CommutingFamily",
@@ -102,7 +102,7 @@ class CommutingFamily:
 
 def _certified(strings, provenance, origin) -> CommutingFamily:
     family = CommutingFamily(tuple(strings), tuple(provenance), origin)
-    bad = _anticommuting_pair([w.string for w in family.strings])
+    bad = anticommuting_pair([w.string for w in family.strings])
     if bad is not None:
         a, b = bad
         raise FamilyCertificationError(f"{a} and {b} do not commute in a {origin} family")

@@ -1,20 +1,15 @@
-"""N-qubit Pauli strings: parsing, commutation tests, phase-tracked products.
+"""N-qubit Pauli strings: parsing, exact coefficients and the one commutation rule.
 
 Text convention: qubit 0 is the LEFTMOST character, so "XII" puts an X on
 qubit 0 of a three-qubit register.
 
 Internally a string is a pair of bitmasks (x, z); bit t encodes qubit t as
-I=(0,0), X=(1,0), Y=(1,1), Z=(0,1).  Two rules on these integers live here
-and nowhere else: the symplectic commutation test (the parity of a popcount
-of masked ANDs), which :func:`commutes` and the batched all-pairs
-certification of a whole family share, and the X^x Z^z normal-form phase of
-a product, which the integer Jordan-Wigner kernel in
-:mod:`paulisched.fermion` takes for every product path.  Both rules stay
-private although :mod:`paulisched.fermion` imports ``_product_phase`` and
-:mod:`paulisched.partition` imports ``_anticommuting_pair``: they are
-per-path and per-pair helpers on bare ints, and every ``__all__`` name is a
-boundary the benchmark tracer wraps, so making either public would add one
-span per product path to a traced run.
+I=(0,0), X=(1,0), Y=(1,1), Z=(0,1).  One integer rule on these masks
+decides commutation: the parity of the popcount of the symplectic product
+(a.x & b.z) ^ (a.z & b.x).  :func:`anticommuting_pair` applies it to every
+pair of a list at once, and :func:`commutes` is its two-string case; the
+certification in :mod:`paulisched.partition` and the family audit in
+:mod:`paulisched.oracles` both call it once per family.
 
 Coefficients are exact complex numbers with rational real/imaginary parts
 (:class:`ExactComplex`); every value the encoding pipeline produces is a
@@ -38,6 +33,7 @@ __all__ = [
     "PauliString",
     "WeightedPauliString",
     "anticommuting_index_count",
+    "anticommuting_pair",
     "commutes",
     "parse_pauli",
 ]
@@ -154,23 +150,18 @@ def anticommuting_index_count(p: PauliString, q: PauliString) -> int:
     return ((p.x & q.z) ^ (p.z & q.x)).bit_count()
 
 
-def _anticommuting_pair(strings) -> tuple[PauliString, PauliString] | None:
+def anticommuting_pair(strings) -> tuple[PauliString, PauliString] | None:
     """The first pair (a, b), a before b, of ``strings`` that anticommutes, or None.
 
-    The one commutation rule: a and b anticommute iff the symplectic product
-    (a.x & b.z) ^ (a.z & b.x) has odd popcount.  The register size is
-    checked once and the pairs are then tested on bare x/z ints, so a whole
-    family is certified in one loop.
+    Pairs are taken in (i, j) order, i < j.  Every register is checked
+    against the first, and the pairs are then tested on bare x/z ints, so a
+    whole family is certified in one loop.
 
     Raises:
         ValueError: if the strings act on different registers.
     """
-    if not strings:
-        return None
-    n = strings[0].n
-    for s in strings:
-        if s.n != n:
-            raise ValueError(f"Pauli strings act on different registers: {n} != {s.n}")
+    for s in strings[1:]:
+        _require_same_length(strings[0], s)
     masks = [(s.x, s.z) for s in strings]
     for i, (ax, az) in enumerate(masks):
         for j in range(i + 1, len(masks)):
@@ -182,19 +173,4 @@ def _anticommuting_pair(strings) -> tuple[PauliString, PauliString] | None:
 
 def commutes(p: PauliString, q: PauliString) -> bool:
     """True iff the two strings commute, i.e. the anticommuting-index count is even."""
-    return _anticommuting_pair((p, q)) is None
-
-
-def _product_phase(px: int, pz: int, qx: int, qz: int) -> int:
-    """Exponent k in 0..3 with P*Q = i**k R for the IXYZ-letter strings P, Q, R.
-
-    Uses the X^x Z^z normal form: each letter is i^(x*z) X^x Z^z, commuting
-    Z past X contributes (-1)^(z1*x2) per position, and the result R, with
-    masks (px ^ qx, pz ^ qz), is folded back into the IXYZ alphabet.
-    """
-    return (
-        (px & pz).bit_count()
-        + (qx & qz).bit_count()
-        + 2 * (pz & qx).bit_count()
-        - ((px ^ qx) & (pz ^ qz)).bit_count()
-    ) & 3
+    return anticommuting_pair((p, q)) is None

@@ -13,10 +13,10 @@ settings.register_profile("det", derandomize=True, deadline=None)
 settings.load_profile("det")
 
 from paulisched.baranyai import round_sizes
-from paulisched.fermion import FermionicTerm, UnsupportedTermError
+from paulisched.fermion import FermionicTerm, UnsupportedTermError, _product_phase
 from paulisched.flows import FlowNetwork
 from paulisched.partition import HamiltonianCoefficients
-from paulisched.pauli import ExactComplex, PauliString, WeightedPauliString, _product_phase
+from paulisched.pauli import ExactComplex, PauliString, WeightedPauliString
 
 
 def times_i_power(c: ExactComplex, k: int) -> ExactComplex:
@@ -38,7 +38,7 @@ def abs_squared(c: ExactComplex) -> Fraction:
 def string_product(p: PauliString, q: PauliString) -> tuple[PauliString, int]:
     """Positionwise product p*q, returned as (string, k) with global phase i**k.
 
-    The test reference for ``pauli._product_phase``, the phase rule the
+    The test reference for ``fermion._product_phase``, the phase rule the
     Jordan-Wigner kernel takes per product path; the dense-matrix tests of
     :func:`multiply` check it.
     """

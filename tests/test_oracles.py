@@ -231,6 +231,15 @@ class TestValidateFamilies:
         assert not report.passed
         assert "do not commute" in report.counterexample
 
+    def test_only_the_last_pair_anticommutes(self):
+        # the family of test_anticommuting_pair_fails_certification
+        texts = ("ZIII", "IZII", "ZZII", "IIII", "ZIIZ", "IIXI", "IIZI")
+        strings = tuple(WeightedPauliString(ExactComplex(1), parse_pauli(t)) for t in texts)
+        report = validate_families([CommutingFamily(strings, (), "residual")])
+        assert not report.passed
+        assert report.counterexample == "family 0: IIXI and IIZI do not commute"
+        assert report.details["pairs_checked"] == 21  # C(7, 2)
+
 
 class TestValidatePartition:
     @staticmethod

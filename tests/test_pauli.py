@@ -11,6 +11,7 @@ from paulisched.pauli import (
     PauliString,
     WeightedPauliString,
     anticommuting_index_count,
+    anticommuting_pair,
     commutes,
     parse_pauli,
 )
@@ -119,6 +120,22 @@ class TestCommutation:
         p, q = pair
         pm, qm = string_matrix(p), string_matrix(q)
         assert commutes(p, q) == bool(np.array_equal(pm @ qm, qm @ pm))
+
+
+class TestAnticommutingPair:
+    def test_first_pair_in_index_order(self):
+        # (0, 3) and (1, 2) both anticommute; (i, j) order reaches (0, 3) first
+        strings = [parse_pauli(t) for t in ("ZI", "IZ", "IX", "XI")]
+        assert anticommuting_pair(strings) == (strings[0], strings[3])
+        assert anticommuting_pair(strings[1:]) == (strings[1], strings[2])
+
+    def test_none_for_zero_and_one_string(self):
+        assert anticommuting_pair([]) is None
+        assert anticommuting_pair([parse_pauli("XYZ")]) is None
+
+    def test_length_mismatch_raises(self):
+        with pytest.raises(ValueError, match=r"^Pauli strings act on different registers: 2 != 1$"):
+            anticommuting_pair([parse_pauli("XX"), parse_pauli("ZZ"), parse_pauli("X")])
 
 
 class TestMultiply:
