@@ -22,7 +22,7 @@ import sys
 import time
 from math import comb
 
-from . import baranyai, oracles, partition
+from . import baranyai, partition
 
 __all__ = ["main"]
 
@@ -97,6 +97,8 @@ def _cmd_families(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import oracles  # the one command that loads numpy
+
     reports = [oracles.verify_disjoint_term_commutation()]
     dense_sizes = (4, 5, 6) if args.deep else (4, 5)
     reports += [oracles.verify_jw_against_matrices(n) for n in dense_sizes]

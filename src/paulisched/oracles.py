@@ -1,17 +1,20 @@
-"""Independent brute-force checks for the algebra, the encoding and the schedules.
+"""Brute-force checks for the algebra, the encoding and the schedules.
 
-Everything in here recomputes from first principles: dense matrices are
-assembled from 2x2 constants and the occupation-number action of ladder
-operators, coverage is recounted from scratch, commutation audits touch all
-pairs.  None of it reuses the bookkeeping of the modules it checks.
+Dense matrices are assembled from 2x2 constants and the occupation-number
+action of ladder operators, coverage is recounted from scratch, and
+commutation audits touch all pairs.  Not every check is independent of the
+compile: :func:`validate_families` certifies with
+:func:`pauli.anticommuting_pair`, the compile's own certifier, and
+:func:`validate_partition` builds its reference image with
+:func:`fermion.jw_term`, the compile's kernel.  Only the dense checks,
+:func:`verify_jw_against_matrices` and the n <= 6 sum of
+:func:`validate_partition`, test that kernel independently.
 
 Validators return :class:`OracleReport` values and never raise on bad
 input; reports serialize to plain dicts for CI consumption.
 
-numpy is imported only inside the functions that build a dense matrix
-(and the n <= 6 branch of :func:`validate_partition`).  The schedule and
-family validators are pure Python.  No compile calls this module; only
-``paulisched verify`` and the tests do.
+No compile imports this module, and with it numpy: only ``paulisched
+verify`` and the tests do.
 """
 
 import random
@@ -19,7 +22,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 from math import comb
-from typing import TYPE_CHECKING
+
+import numpy as np
 
 from .baranyai import SUBSET_SIZE, Schedule
 from .fermion import FermionicTerm, jw_term
@@ -49,10 +53,6 @@ __all__ = [
     "weighted_sum_matrix",
 ]
 
-if TYPE_CHECKING:
-    import numpy as np
-
-
 @dataclass
 class OracleReport:
     name: str
@@ -71,35 +71,25 @@ class OracleReport:
 # Dense-matrix constructions (qubit 0 = first Kronecker factor / MSB)
 
 
-@lru_cache(maxsize=1)
-def _pauli_2x2() -> "dict[str, np.ndarray]":
-    """The four single-qubit matrices, built on first use and read-only."""
-    import numpy as np
-
-    matrices = {
-        "I": np.eye(2, dtype=complex),
-        "X": np.array([[0, 1], [1, 0]], dtype=complex),
-        "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-        "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-    }
-    for matrix in matrices.values():
-        matrix.setflags(write=False)
-    return matrices
+# shared by every string_matrix call, so read-only
+_PAULI_2X2 = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+for _matrix in _PAULI_2X2.values():
+    _matrix.setflags(write=False)
 
 
-def string_matrix(p: PauliString) -> "np.ndarray":
-    import numpy as np
-
-    pauli_2x2 = _pauli_2x2()
+def string_matrix(p: PauliString) -> np.ndarray:
     out = np.eye(1, dtype=complex)
     for char in p.text():
-        out = np.kron(out, pauli_2x2[char])
+        out = np.kron(out, _PAULI_2X2[char])
     return out
 
 
-def weighted_sum_matrix(strings: list[WeightedPauliString]) -> "np.ndarray":
-    import numpy as np
-
+def weighted_sum_matrix(strings: list[WeightedPauliString]) -> np.ndarray:
     n = strings[0].string.n
     out = np.zeros((1 << n, 1 << n), dtype=complex)
     for w in strings:
@@ -108,7 +98,7 @@ def weighted_sum_matrix(strings: list[WeightedPauliString]) -> "np.ndarray":
 
 
 @lru_cache(maxsize=64)
-def ladder_matrix(mode: int, dagger: bool, n: int) -> "np.ndarray":
+def ladder_matrix(mode: int, dagger: bool, n: int) -> np.ndarray:
     """Ladder operator in the occupation basis, built from its defining action.
 
     Basis state b has mode t occupied iff bit (n-1-t) of b is set, matching
@@ -119,8 +109,6 @@ def ladder_matrix(mode: int, dagger: bool, n: int) -> "np.ndarray":
     Each (mode, dagger, n) matrix is built once per process and shared, so
     it is returned read-only.
     """
-    import numpy as np
-
     dim = 1 << n
     out = np.zeros((dim, dim), dtype=complex)
     bit = 1 << (n - 1 - mode)
@@ -135,9 +123,7 @@ def ladder_matrix(mode: int, dagger: bool, n: int) -> "np.ndarray":
     return out
 
 
-def term_matrix(term: FermionicTerm) -> "np.ndarray":
-    import numpy as np
-
+def term_matrix(term: FermionicTerm) -> np.ndarray:
     out = np.eye(1 << term.n, dtype=complex)
     for m in term.creates:
         out = out @ ladder_matrix(m, True, term.n)
@@ -157,8 +143,6 @@ def verify_jw_against_matrices(n: int) -> OracleReport:
     ladder-operator product matrix; with exact coefficients the match is
     expected to be exact, and anything above 1e-12 elementwise fails.
     """
-    import numpy as np
-
     if n > 8:
         raise ValueError("dense check is meant for small registers")
     worst = 0.0
@@ -371,9 +355,14 @@ def validate_families(families) -> OracleReport:
     for idx, family in enumerate(families):
         strings = [w.string for w in family.strings]
         pairs += comb(len(strings), 2)
-        pair = anticommuting_pair(strings)
-        if pair is not None and bad is None:
-            bad = f"family {idx}: {pair[0]} and {pair[1]} do not commute"
+        try:
+            pair = anticommuting_pair(strings)
+        except ValueError as exc:  # the strings act on different registers
+            problem = str(exc)
+        else:
+            problem = pair and f"{pair[0]} and {pair[1]} do not commute"
+        if problem and bad is None:
+            bad = f"family {idx}: {problem}"
     return OracleReport(
         name="family-validation",
         passed=bad is None,
@@ -390,9 +379,10 @@ def validate_partition(families, n: int, coeffs=None) -> OracleReport:
     ``two_body`` tables) when given, else over every canonical
     non-vanishing term at value 1 (every one-body term, every two-body term
     whose create and annihilate pairs overlap, and per 4-subset the term
-    creating its two largest modes).  No string may appear twice, and the family strings
-    must sum exactly to that image.  For n <= 6 the families are also
-    summed as dense matrices against the occupation-basis terms.
+    creating its two largest modes).  Every string must act on n qubits, no
+    string may appear twice, and the family strings must sum exactly to that
+    image.  For n <= 6 the families are also summed as dense matrices
+    against the occupation-basis terms.
     """
     families = list(families)
     if coeffs is None:
@@ -412,7 +402,11 @@ def validate_partition(families, n: int, coeffs=None) -> OracleReport:
             image[w.string] = image.get(w.string, ExactComplex()) + w.coefficient * ExactComplex(value)
     image = {s: c for s, c in image.items() if c}
 
-    bad: str | None = None
+    foreign = next(
+        ((idx, w.string) for idx, family in enumerate(families) for w in family.strings if w.string.n != n),
+        None,
+    )
+    bad = foreign and f"family {foreign[0]}: {foreign[1]} acts on {foreign[1].n} qubits, not {n}"
     emitted: dict[PauliString, ExactComplex] = {}
     slots = 0
     for idx, family in enumerate(families):
@@ -429,9 +423,7 @@ def validate_partition(families, n: int, coeffs=None) -> OracleReport:
         bad = f"{string}: families sum to {emitted.get(string)}, the JW image is {image.get(string)}"
     details = {"n": n, "families": len(families), "string_slots": slots, "image_strings": len(image)}
 
-    if n <= 6:
-        import numpy as np
-
+    if n <= 6 and foreign is None:
         dim = 1 << n
         want = np.zeros((dim, dim), dtype=complex)
         for term, value in table:

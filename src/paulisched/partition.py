@@ -39,6 +39,7 @@ import json
 import os
 import sys
 import threading
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -388,7 +389,7 @@ def _family_chunks(families, path):
     yield "]\n"
 
 
-def save_families(families: list[CommutingFamily], path) -> None:
+def save_families(families: Iterable[CommutingFamily], path) -> None:
     """Write the families JSON: text strings, [re, im] coefficients, term provenance.
 
     The list is streamed one family at a time through :func:`write_replacing`,

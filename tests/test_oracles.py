@@ -240,6 +240,12 @@ class TestValidateFamilies:
         assert report.counterexample == "family 0: IIXI and IIZI do not commute"
         assert report.details["pairs_checked"] == 21  # C(7, 2)
 
+    def test_mixed_registers_fail_without_raising(self):
+        strings = tuple(WeightedPauliString(ExactComplex(1), parse_pauli(t)) for t in ("X", "XX"))
+        report = validate_families([CommutingFamily(strings, (), "residual")])
+        assert not report.passed
+        assert report.counterexample == "family 0: Pauli strings act on different registers: 1 != 2"
+
 
 class TestValidatePartition:
     @staticmethod
@@ -300,3 +306,12 @@ class TestValidatePartition:
     def test_other_hamiltonian_fails(self, built):
         n, coeffs, families = built
         assert not validate_partition(families, n).passed
+
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_string_on_another_register_fails_without_raising(self, n):
+        # at n <= 6 the dense sum would subtract matrices of different shapes
+        family = CommutingFamily((WeightedPauliString(ExactComplex(1), parse_pauli("XXIIIIIIII")),), (), "residual")
+        report = validate_partition([family], n)
+        assert not report.passed
+        assert report.counterexample == f"family 0: XXIIIIIIII acts on 10 qubits, not {n}"
+        assert "dense_max_deviation" not in report.details
