@@ -79,15 +79,26 @@ def _cmd_families(args) -> int:
             return _err(str(exc))
         if coeffs.n != args.n:
             return _err(f"coefficients file is for n={coeffs.n}, not n={args.n}")
-    report = partition.build_partition(args.n, coeffs=coeffs)
+    families = partition.commuting_families(partition.schedule_for(args.n), coeffs)
+    shapes = []
+
+    def recorded():
+        # the summary needs only each family's origin and size, so no family is held
+        for family in families:
+            shapes.append((family.origin, len(family.strings)))
+            yield family
+
     if args.out:
         try:
-            partition.save_families(report.families, args.out)
+            partition.save_families(recorded(), args.out)
         except partition.FamiliesWriteError as exc:
             return _err(str(exc))
         except OSError as exc:
             return _cannot_write(args.out, exc)
-    summary = report.summary()
+    else:
+        for _ in recorded():
+            pass
+    summary = partition.summarize(args.n, coeffs is not None, shapes)
     if args.format == "json":
         print(json.dumps(summary, separators=(",", ":")))
     else:
@@ -97,7 +108,10 @@ def _cmd_families(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from . import oracles  # the one command that loads numpy
+    try:
+        from . import oracles  # the one command that loads numpy
+    except ModuleNotFoundError as exc:
+        return _err(f"verify cannot load its dense-matrix checks: {exc}")
 
     reports = [oracles.verify_disjoint_term_commutation()]
     dense_sizes = (4, 5, 6) if args.deep else (4, 5)
@@ -117,7 +131,7 @@ def _cmd_verify(args) -> int:
     schedule_report = oracles.validate_schedule(schedule)
     reports.append(schedule_report)
     if schedule_report.passed:
-        families = partition.commuting_families(schedule)
+        families = list(partition.commuting_families(schedule))  # both validators read it
         reports.append(oracles.validate_families(families))
         reports.append(oracles.validate_partition(families, schedule.n))
     if args.deep:

@@ -1,12 +1,16 @@
 """Assembly of measurement families, coefficient ingestion and persistence.
 
-One pass builds the whole partition.  Every JW string of a term has the
-same X mask, the XOR of the term's mode bits, so all terms are grouped
-into *blocks* keyed by that X-support, in one table.  Each block is folded
-once, by :func:`~paulisched.fermion.jw_image`, into the exact JW image of
-its weighted terms; :mod:`paulisched.fermion` sums the integer numerators
-and builds the strings, this module only groups and splits them.  Each
-unit of blocks is then split into an even-Y and an odd-Y family.
+One pass yields the partition unit by unit.  Every JW string of a term
+has the same X mask, the XOR of the term's mode bits, so all terms are
+grouped into *blocks* keyed by that X-support, in one table.  Each block is
+folded once, by :func:`~paulisched.fermion.jw_image`, into the exact JW
+image of its weighted terms; :mod:`paulisched.fermion` sums the integer
+numerators and builds the strings, this module only groups and splits them.
+Each unit of blocks is then split into an even-Y and an odd-Y family, and
+both are yielded before the next unit is folded: a caller that writes the
+families as they come, as the command line does, holds the block table and
+one unit's families, never the whole partition, and the table shrinks as
+its blocks are taken.
 
 The units are the schedule's rounds first, then every block the rounds
 leave, one unit each in ascending X-mask order.  A round takes the block
@@ -39,7 +43,7 @@ import json
 import os
 import sys
 import threading
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -65,6 +69,7 @@ __all__ = [
     "save_families",
     "schedule_for",
     "schedule_json",
+    "summarize",
     "write_replacing",
 ]
 
@@ -149,8 +154,6 @@ def _blocks(n: int, coeffs: "HamiltonianCoefficients | None") -> dict[int, list]
         # one term per 4-subset, creating its two largest modes
         terms += [FermionicTerm.two_body(d, c, b, a, n) for a, b, c, d in combinations(range(n), 4)]
         table = [(term, 1) for term in terms]
-    elif coeffs.n != n:
-        raise ValueError(f"coefficients are for n={coeffs.n}, not n={n}")
     else:
         table = [(FermionicTerm.one_body(*key, n), value) for key, value in sorted(coeffs.one_body.items())]
         table += [(FermionicTerm.two_body(*key, n), value) for key, value in sorted(coeffs.two_body.items())]
@@ -164,8 +167,8 @@ def _blocks(n: int, coeffs: "HamiltonianCoefficients | None") -> dict[int, list]
 
 def commuting_families(
     schedule: Schedule, coeffs: "HamiltonianCoefficients | None" = None
-) -> list[CommutingFamily]:
-    """The whole partition: round units first, then every leftover block.
+) -> Iterator[CommutingFamily]:
+    """The partition, yielded unit by unit: round units first, then every leftover block.
 
     A round's unit is the blocks of its subsets in round order, split into
     an even-Y and an odd-Y dominant family.  A subset adds its block only if
@@ -175,12 +178,24 @@ def commuting_families(
     nothing.  Each block the rounds leave is then a unit of its own, in
     ascending X-mask order, labelled by its X-support.  Empty families drop
     out.
+
+    The arguments are checked and the block table is built at the call; the
+    families are folded, split and certified as the iterator is advanced,
+    each unit's only once the previous unit's have been taken, and every
+    block leaves the table as its unit is folded.  The iterator is one-pass:
+    take ``list()`` of it to index or reuse the families.
     """
     n = schedule.n
     if n < 1:
         raise ValueError("mode count must be positive")
-    blocks = _blocks(n, coeffs)
-    families = []
+    if coeffs is not None and coeffs.n != n:
+        raise ValueError(f"coefficients are for n={coeffs.n}, not n={n}")
+    return _units(schedule, _blocks(n, coeffs))
+
+
+def _units(schedule: Schedule, blocks: dict[int, list]) -> Iterator[CommutingFamily]:
+    """The families of :func:`commuting_families`, popping each block from ``blocks`` as it is used."""
+    n = schedule.n
     for rnd in schedule.rounds:
         used, unit = 0, []
         for subset in rnd:
@@ -190,10 +205,9 @@ def commuting_families(
                 block = blocks.pop(mask, None)
                 if block:
                     unit.append(block)
-        families += _split(unit, "dominant")
+        yield from _split(unit, "dominant")
     for mask in sorted(blocks):
-        families += _split([blocks[mask]], "dominant" if mask.bit_count() == 4 else "residual")
-    return families
+        yield from _split([blocks.pop(mask)], "dominant" if mask.bit_count() == 4 else "residual")
 
 
 # ---------------------------------------------------------------------------
@@ -416,6 +430,27 @@ def schedule_for(n: int) -> Schedule:
     return _SCHEDULE_CACHE[n]
 
 
+def summarize(n: int, weighted: bool, shapes: list[tuple[str, int]]) -> dict:
+    """The summary of a partition of n modes from each family's (origin, string count).
+
+    ``shapes`` may be in any order; the command line records it as the
+    families stream past, so the summary needs no family held.
+    """
+    dominant = [size for origin, size in shapes if origin == "dominant"]
+    residual = [size for origin, size in shapes if origin == "residual"]
+    return {
+        "n": n,
+        "weighted": weighted,
+        "family_count": len(shapes),
+        "dominant_families": len(dominant),
+        "residual_families": len(residual),
+        "dominant_strings": sum(dominant),
+        "residual_strings": sum(residual),
+        "max_family_size": max((size for _, size in shapes), default=0),
+        "dominant_per_round_ratio": len(dominant) / len(round_sizes(n)),
+    }
+
+
 @dataclass(frozen=True, slots=True)
 class PartitionReport:
     n: int
@@ -423,19 +458,7 @@ class PartitionReport:
     weighted: bool
 
     def summary(self) -> dict:
-        dominant = [f for f in self.families if f.origin == "dominant"]
-        residual = [f for f in self.families if f.origin == "residual"]
-        return {
-            "n": self.n,
-            "weighted": self.weighted,
-            "family_count": len(self.families),
-            "dominant_families": len(dominant),
-            "residual_families": len(residual),
-            "dominant_strings": sum(len(f.strings) for f in dominant),
-            "residual_strings": sum(len(f.strings) for f in residual),
-            "max_family_size": max((len(f.strings) for f in self.families), default=0),
-            "dominant_per_round_ratio": len(dominant) / len(round_sizes(self.n)),
-        }
+        return summarize(self.n, self.weighted, [(f.origin, len(f.strings)) for f in self.families])
 
 
 def build_partition(n: int, coeffs: HamiltonianCoefficients | None = None) -> PartitionReport:

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -134,6 +135,63 @@ class TestFamiliesCommand:
         coeffs.write_text(json.dumps({"n": 4, "one_body": [], "two_body": []}))
         code, _, err = run(capsys, "families", "--n", "8", "--hamiltonian", str(coeffs))
         assert code == 2
+
+
+class TestStreamedFamilies:
+    """``families`` writes each family as it is certified and holds none of them."""
+
+    @pytest.mark.parametrize("n, seed", [(8, None), (9, None), (12, None), (8, 5)])
+    def test_matches_the_library(self, capsys, tmp_path, n, seed):
+        argv = ["families", "--n", str(n), "--format", "json", "--out", str(tmp_path / "F")]
+        coeffs = None
+        if seed is not None:
+            path = _seeded_coefficients(tmp_path / "h.json", n, seed)
+            argv += ["--hamiltonian", str(path)]
+            coeffs = partition.load_coefficients(path)
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        report = partition.build_partition(n, coeffs)
+        partition.save_families(report.families, tmp_path / "G")
+        assert (tmp_path / "F").read_bytes() == (tmp_path / "G").read_bytes()
+        assert out == json.dumps(report.summary(), separators=(",", ":")) + "\n"
+
+    def test_peak_memory_under_half_of_the_held_partition(self, capsys, tmp_path):
+        partition.schedule_for(12)  # neither side counts the schedule
+
+        def peak(compile_and_write):
+            tracemalloc.start()
+            try:
+                compile_and_write()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        held = peak(lambda: partition.save_families(partition.build_partition(12).families, tmp_path / "G"))
+        streamed = peak(lambda: main(["families", "--n", "12", "--format", "json", "--out", str(tmp_path / "F")]))
+        capsys.readouterr()
+        assert (tmp_path / "F").read_bytes() == (tmp_path / "G").read_bytes()
+        assert streamed < held / 2, (streamed, held)
+
+    def test_failure_mid_stream_keeps_the_existing_out(self, capsys, tmp_path, monkeypatch):
+        out = tmp_path / "families.json"
+        out.write_bytes(b"earlier output\n")
+        certify, calls, temporaries = partition.anticommuting_pair, [], []
+
+        def reject_tenth(strings):
+            calls.append(len(strings))
+            if len(calls) < 10:
+                return certify(strings)
+            temporaries.extend(p.name for p in tmp_path.glob(".paulisched-*.tmp"))
+            return strings[0], strings[-1]
+
+        monkeypatch.setattr(partition, "anticommuting_pair", reject_tenth)
+        with pytest.raises(partition.FamilyCertificationError):
+            main(["families", "--n", "8", "--format", "json", "--out", str(out)])
+        assert capsys.readouterr().out == ""
+        # the first nine families were already being written when the tenth failed
+        assert len(calls) == 10 and len(temporaries) == 1
+        assert out.read_bytes() == b"earlier output\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["families.json"]
 
 
 @pytest.mark.parametrize("command", [["schedule", "--n", "8"], ["families", "--n", "8"]])
@@ -332,15 +390,30 @@ class TestNumpyOffTheCompilePath:
             code = f"from paulisched.cli import main\nstatus = {code}\nassert status == 0, status"
         assert _loads(code, "numpy", tmp_path) is loads_numpy
 
+    def test_verify_without_numpy_is_usage_error(self, tmp_path):
+        result = _python(
+            "import sys\nsys.modules['numpy'] = None  # as if numpy were not installed\n"
+            "from paulisched.cli import main\nsys.exit(main(['verify']))",
+            tmp_path,
+        )
+        assert result.returncode == 2, result.stderr
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: verify cannot load its dense-matrix checks: ")
+        assert "numpy" in result.stderr and "Traceback" not in result.stderr
+
+
+def _python(code: str, cwd) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports the package from ``src``."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code], cwd=cwd, env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=300,
+    )
+
 
 def _loads(code: str, module: str, cwd) -> bool:
     """Whether running ``code`` in a fresh interpreter imports ``module``."""
-    probe = f"import sys\n{code}\nprint({module!r} in sys.modules)"
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-c", probe], cwd=cwd, env=dict(os.environ, PYTHONPATH=path),
-        capture_output=True, text=True, timeout=300,
-    )
+    result = _python(f"import sys\n{code}\nprint({module!r} in sys.modules)", cwd)
     assert result.returncode == 0, result.stderr
     return result.stdout.splitlines()[-1] == "True"
 
@@ -416,8 +489,11 @@ def test_weighted_strings_are_built_only_in_jw_image():
 
 def test_every_exported_name_is_used_in_the_package():
     # a name only the tests call belongs in the tests; the package
-    # __init__ re-exports names and does not count as a use
+    # __init__ re-exports names and does not count as a use, the library
+    # sweep of the benchmark (the package's one caller outside it) does
     trees = _module_trees()
+    callers = {module: tree for module, tree in trees.items() if module != "__init__"}
+    callers["batch"] = ast.parse((SRC.parent / "perfbench" / "batch.py").read_text())
     unused = []
     for module, tree in trees.items():
         exported = [
@@ -431,7 +507,7 @@ def test_every_exported_name_is_used_in_the_package():
                 (isinstance(node, ast.Name) and node.id == name)
                 or (isinstance(node, ast.Attribute) and node.attr == name)
                 or (isinstance(node, ast.alias) and node.name == name and other != module)
-                for other, other_tree in trees.items() if other != "__init__"
+                for other, other_tree in callers.items()
                 for node in ast.walk(other_tree)
             )
             if not used:
@@ -492,14 +568,19 @@ def test_output_bytes_pinned(capsys, tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == SCHEDULE_10_OUT_SHA256
 
 
-def test_weighted_output_bytes_pinned(capsys, tmp_path):
-    one, two = seeded_hermitian_entries(8, seed=11)
-    coeffs = tmp_path / "h.json"
-    coeffs.write_text(json.dumps({
-        "n": 8,
+def _seeded_coefficients(path, n, seed):
+    """Write the seeded Hermitian table of ``seeded_hermitian_entries`` as a coefficients file."""
+    one, two = seeded_hermitian_entries(n, seed)
+    path.write_text(json.dumps({
+        "n": n,
         "one_body": [{"pq": list(k), "value": v} for k, v in one],
         "two_body": [{"pqrs": list(k), "value": v} for k, v in two],
     }))
+    return path
+
+
+def test_weighted_output_bytes_pinned(capsys, tmp_path):
+    coeffs = _seeded_coefficients(tmp_path / "h.json", 8, seed=11)
     path = tmp_path / "families.json"
     argv = ["families", "--n", "8", "--hamiltonian", str(coeffs), "--format", "json", "--out", str(path)]
     assert run(capsys, *argv)[0] == 0

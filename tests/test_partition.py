@@ -20,6 +20,7 @@ from conftest import (
     support,
 )
 from paulisched.baranyai import Schedule, build_schedule
+from paulisched.cli import build_parser
 from paulisched.fermion import FermionicTerm, jw_image, jw_term
 from paulisched.oracles import validate_families, validate_partition, validate_schedule
 from paulisched.partition import (
@@ -85,8 +86,8 @@ class TestDominantFamilies:
                 assert term.creates > term.annihilates
 
     def test_bit_identical_between_runs(self):
-        first = commuting_families(build_schedule(8))
-        second = commuting_families(build_schedule(8))
+        first = list(commuting_families(build_schedule(8)))
+        second = list(commuting_families(build_schedule(8)))
         assert first == second
 
 
@@ -167,7 +168,7 @@ class TestOnePass:
     """Any schedule yields a true partition: it only decides the packing."""
 
     def test_empty_schedule_leaves_every_block_a_unit(self):
-        families = commuting_families(Schedule(8, ()))
+        families = list(commuting_families(Schedule(8, ())))
         # two Y halves per 4-subset block, then the 29 residual families
         assert len(families) == 2 * comb(8, 4) + 29 == 169
         dominant = [f for f in families if f.origin == "dominant"]
@@ -182,7 +183,7 @@ class TestOnePass:
 
     def test_weighted_with_empty_schedule(self):
         coeffs = HamiltonianCoefficients.from_entries(8, *seeded_hermitian_entries(8, seed=11))
-        families = commuting_families(Schedule(8, ()), coeffs)
+        families = list(commuting_families(Schedule(8, ()), coeffs))
         assert {f.origin for f in families} == {"dominant", "residual"}
         report = validate_partition(families, 8, coeffs)
         assert report.passed, report.counterexample
@@ -192,7 +193,7 @@ class TestOnePass:
         ((0, 0, 1, 1),),  # repeated modes: its bits sum to the pair mask 0b110
     ])
     def test_malformed_subset_adds_nothing(self, rnd):
-        families = commuting_families(Schedule(8, (rnd,)))
+        families = list(commuting_families(Schedule(8, (rnd,))))
         report = validate_partition(families, 8)
         assert report.passed, report.counterexample
         dominant = [f for f in families if f.origin == "dominant"]
@@ -205,7 +206,7 @@ class TestOnePass:
         rounds[1] = rounds[0]  # round 0 twice, round 1's subsets in none
         schedule = Schedule(8, tuple(rounds))
         assert not validate_schedule(schedule).passed
-        families = commuting_families(schedule)
+        families = list(commuting_families(schedule))
         # 34 distinct rounds and the two subsets left over, each a unit
         assert len([f for f in families if f.origin == "dominant"]) == 2 * 34 + 2 * 2
         report = validate_partition(families, 8)
@@ -233,7 +234,7 @@ class TestCoefficients:
 
     def test_filtering_keeps_only_supported_subsets(self):
         coeffs = HamiltonianCoefficients.from_entries(8, [], [((7, 5, 3, 0), 0.5)])
-        families = commuting_families(build_schedule(8), coeffs)
+        families = list(commuting_families(build_schedule(8), coeffs))
         assert len(families) == 2
         strings = [w for f in families for w in f.strings]
         assert len(strings) == 16
@@ -244,14 +245,14 @@ class TestCoefficients:
 
     def test_all_zero_filter_drops_everything(self):
         coeffs = HamiltonianCoefficients.from_entries(8, [], [])
-        assert commuting_families(build_schedule(8), coeffs) == []
+        assert list(commuting_families(build_schedule(8), coeffs)) == []
 
     def test_same_support_entries_accumulate_per_string(self):
         # two different dagger placements on one support add up string-wise
         coeffs = HamiltonianCoefficients.from_entries(
             8, [], [((7, 5, 3, 0), 1.0), ((7, 3, 5, 0), 1.0)]
         )
-        families = commuting_families(build_schedule(8), coeffs)
+        families = list(commuting_families(build_schedule(8), coeffs))
         strings = [w for f in families for w in f.strings]
         # the two expansions share the 16-string support but interfere, so
         # some strings may cancel; whatever remains must still be certified
@@ -768,10 +769,27 @@ class TestPersistence:
         assert all(len(c) == 2 for c in first["coefficients"])
 
 
-def test_compile_leaves_no_cyclic_garbage(tmp_path):
+def test_compile_leaves_no_cyclic_garbage(capsys, tmp_path):
     # Everything the compile allocates must be freed by reference counting,
     # which is what lets the command line pause the cyclic collector.
-    path = _write_coefficients(tmp_path / "h.json", 8, *seeded_hermitian_entries(8, seed=11))
+    one, two = seeded_hermitian_entries(8, seed=11)
+    path = _write_coefficients(tmp_path / "h.json", 8, one, two)
+    # the I coefficient sums past the float range, so the writer stops
+    # mid-stream with residual blocks still in the table
+    huge = _write_coefficients(
+        tmp_path / "huge.json", 8, one + [((0, 0), 1.7e308), ((1, 1), 1.7e308)], two + [((1, 0, 1, 0), -1.7e308)]
+    )
+    out = str(tmp_path / "streamed.json")
+    # the argument parser holds cycles of its own (see paulisched.cli), so
+    # the commands are parsed before the check and run past the parser
+    commands = [
+        (build_parser().parse_args(argv), status)
+        for argv, status in [
+            (["families", "--n", "8", "--hamiltonian", str(path), "--out", out], 0),
+            (["families", "--n", "8"], 0),
+            (["families", "--n", "8", "--hamiltonian", str(huge), "--out", out], 2),
+        ]
+    ]
     flags = gc.get_debug()
     gc.collect()
     gc.set_debug(gc.DEBUG_SAVEALL)
@@ -780,6 +798,8 @@ def test_compile_leaves_no_cyclic_garbage(tmp_path):
         report = build_partition(8)
         weighted = build_partition(8, load_coefficients(path))
         save_families(list(report.families + weighted.families), tmp_path / "families.json")
+        assert [args.func(args) for args, _ in commands] == [status for _, status in commands]
+        assert "outside the float range" in capsys.readouterr().err
         gc.collect()
         assert not gc.garbage, Counter(type(o).__name__ for o in gc.garbage)
     finally:
