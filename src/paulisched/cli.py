@@ -111,6 +111,8 @@ def _cmd_verify(args) -> int:
     try:
         from . import oracles  # the one command that loads numpy
     except ModuleNotFoundError as exc:
+        if exc.name != "numpy":
+            raise
         return _err(f"verify cannot load its dense-matrix checks: {exc}")
 
     reports = [oracles.verify_disjoint_term_commutation()]

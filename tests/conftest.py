@@ -247,6 +247,16 @@ def reference_save_families(families, path) -> None:
     path.write_text(json.dumps(payload, separators=(",", ":")) + "\n")
 
 
+def write_coefficients(path, n, one, two):
+    """Write (key, value) entries as a coefficients JSON file; returns the path."""
+    path.write_text(json.dumps({
+        "n": n,
+        "one_body": [{"pq": list(k), "value": v} for k, v in one],
+        "two_body": [{"pqrs": list(k), "value": v} for k, v in two],
+    }))
+    return path
+
+
 def seeded_hermitian_entries(n, seed):
     """A random real Hermitian table: each entry comes with its adjoint."""
     rng = random.Random(seed)

@@ -18,6 +18,7 @@ from conftest import (
     reference_save_families,
     seeded_hermitian_entries,
     support,
+    write_coefficients,
 )
 from paulisched.baranyai import Schedule, build_schedule
 from paulisched.cli import build_parser
@@ -267,16 +268,6 @@ class TestCoefficients:
             build_partition(8, coeffs)
 
 
-def _write_coefficients(path, n, one, two):
-    """Write (key, value) entries as a coefficients JSON file; returns the path."""
-    path.write_text(json.dumps({
-        "n": n,
-        "one_body": [{"pq": list(k), "value": v} for k, v in one],
-        "two_body": [{"pqrs": list(k), "value": v} for k, v in two],
-    }))
-    return path
-
-
 def _scaled(term, value):
     return [(w.string, w.coefficient * ExactComplex(value)) for w in reference_jw_term(term)]
 
@@ -331,7 +322,7 @@ class TestWeightedFold:
 
     def test_hermitian_table_loads(self, tmp_path):
         one, two = seeded_hermitian_entries(8, seed=11)
-        path = _write_coefficients(tmp_path / "h.json", 8, one, two)
+        path = write_coefficients(tmp_path / "h.json", 8, one, two)
         assert load_coefficients(path) == HamiltonianCoefficients.from_entries(8, one, two)
 
     def test_writer_matches_whole_payload_dump(self, case, tmp_path):
@@ -657,7 +648,7 @@ class TestPersistence:
     def test_sum_outside_float_range_is_a_write_error(self, tmp_path):
         # every value fits a float, but the I/Z block folds them into an
         # identity coefficient of about 2.1e308
-        path = _write_coefficients(
+        path = write_coefficients(
             tmp_path / "h.json", 8,
             [((0, 0), 1.7e308), ((1, 1), 1.7e308)], [((1, 0, 1, 0), -1.7e308)],
         )
@@ -773,10 +764,10 @@ def test_compile_leaves_no_cyclic_garbage(capsys, tmp_path):
     # Everything the compile allocates must be freed by reference counting,
     # which is what lets the command line pause the cyclic collector.
     one, two = seeded_hermitian_entries(8, seed=11)
-    path = _write_coefficients(tmp_path / "h.json", 8, one, two)
+    path = write_coefficients(tmp_path / "h.json", 8, one, two)
     # the I coefficient sums past the float range, so the writer stops
     # mid-stream with residual blocks still in the table
-    huge = _write_coefficients(
+    huge = write_coefficients(
         tmp_path / "huge.json", 8, one + [((0, 0), 1.7e308), ((1, 1), 1.7e308)], two + [((1, 0, 1, 0), -1.7e308)]
     )
     out = str(tmp_path / "streamed.json")
