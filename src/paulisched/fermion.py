@@ -14,6 +14,15 @@ block fold in :mod:`paulisched.partition` calls it once per block.
 No sign or phase is hand-coded, which is what the dense-matrix oracles in
 :mod:`paulisched.oracles` verify.
 
+A term is the product of its creates side and its annihilates side, and
+each side is expanded once per process: ``_SIDES`` maps a side's
+``(modes, dagger)`` to its product paths, which do not depend on the
+register size.  A two-body term then takes 16 phases, one per pair of
+side paths, instead of the 30 of a factor-by-factor expansion.  A side
+names one mode or two distinct descending ones, so for modes below M the
+memo holds at most 2 * (M + C(M, 2)) keys.  Its lists are never changed
+once stored, so two threads that fill one key store equal values.
+
 For a two-body term with four distinct mode indices the expansion is always
 16 strings of coefficient magnitude 1/16, each matching a fixed shape: X or
 Y at the four endpoint modes, Z on the two open intervals between the first
@@ -98,6 +107,9 @@ def _product_phase(px: int, pz: int, qx: int, qz: int) -> int:
     ) & 3
 
 
+_SIDES: dict[tuple[tuple[int, ...], bool], list[tuple[int, int, int]]] = {}
+
+
 @lru_cache(maxsize=4096)
 def _coefficient(re: int, im: int, denominator: int) -> ExactComplex:
     """(re + i im) / denominator, interned: ExactComplex is immutable, so sharing is safe."""
@@ -120,21 +132,30 @@ def jw_image(entries) -> list[WeightedPauliString]:
     denominator <<= max(len(term.creates) + len(term.annihilates) for term, _ in entries)
     sums: dict[tuple[int, int], list[int]] = {}
     for term, value in entries:
-        factors = [_ladder(m, True) for m in term.creates]
-        factors += [_ladder(m, False) for m in term.annihilates]
-        scale = value.numerator * (denominator // (value.denominator << len(factors)))
-        paths = [(0, 0, 0)]
-        for parts in factors:
-            paths = [
-                (x ^ fx, z ^ fz, k + fk + _product_phase(x, z, fx, fz))
-                for x, z, k in paths
-                for fx, fz, fk in parts
-            ]
-        for x, z, k in paths:
-            re_im = sums.get((x, z))
-            if re_im is None:
-                re_im = sums[x, z] = [0, 0]
-            re_im[k & 1] += -scale if k & 2 else scale  # i**k is 1, i, -1 or -i
+        sides = []
+        for side in ((term.creates, True), (term.annihilates, False)):
+            paths = _SIDES.get(side)
+            if paths is None:
+                modes, dagger = side
+                paths = [(0, 0, 0)]
+                for mode in modes:
+                    paths = [
+                        (x ^ fx, z ^ fz, k + fk + _product_phase(x, z, fx, fz))
+                        for x, z, k in paths
+                        for fx, fz, fk in _ladder(mode, dagger)
+                    ]
+                _SIDES[side] = paths
+            sides.append(paths)
+        creates, annihilates = sides
+        ladders = len(term.creates) + len(term.annihilates)
+        scale = value.numerator * (denominator // (value.denominator << ladders))
+        for cx, cz, ck in creates:
+            for ax, az, ak in annihilates:
+                x, z, k = cx ^ ax, cz ^ az, ck + ak + _product_phase(cx, cz, ax, az)
+                re_im = sums.get((x, z))
+                if re_im is None:
+                    re_im = sums[x, z] = [0, 0]
+                re_im[k & 1] += -scale if k & 2 else scale  # i**k is 1, i, -1 or -i
     n = entries[0][0].n
     image = [
         WeightedPauliString(_coefficient(re, im, denominator), PauliString(n, x, z))

@@ -2,7 +2,7 @@
 
 Dense matrices are assembled from 2x2 constants and the occupation-number
 action of ladder operators, coverage is recounted from scratch, and
-commutation audits touch all pairs.  Not every check is independent of the
+commutation audits cover all pairs.  Not every check is independent of the
 compile: :func:`validate_families` certifies with
 :func:`pauli.anticommuting_pair`, the compile's own certifier, and
 :func:`validate_partition` builds its reference image with
@@ -348,7 +348,13 @@ def validate_schedule(schedule: Schedule) -> OracleReport:
 
 
 def validate_families(families) -> OracleReport:
-    """All-pairs commutation audit over every family (O(size^2) per family)."""
+    """Commutation audit of every pair of every family.
+
+    Each family goes through :func:`pauli.anticommuting_pair`, which tests
+    the pairs of a GF(2) basis of the family's strings; by bilinearity
+    that certifies every pair, so ``pairs_checked`` counts C(size, 2) pairs
+    per family, certified through the basis.
+    """
     families = list(families)
     bad: str | None = None
     pairs = 0

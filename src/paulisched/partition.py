@@ -75,7 +75,7 @@ __all__ = [
 
 
 class FamilyCertificationError(RuntimeError):
-    """A constructed family failed its all-pairs commutation check (a bug if it fires)."""
+    """A constructed family failed its commutation check (a bug if it fires)."""
 
 
 class ScheduleLoadError(ValueError):

@@ -6,9 +6,12 @@ qubit 0 of a three-qubit register.
 Internally a string is a pair of bitmasks (x, z); bit t encodes qubit t as
 I=(0,0), X=(1,0), Y=(1,1), Z=(0,1).  One integer rule on these masks
 decides commutation: the parity of the popcount of the symplectic product
-(a.x & b.z) ^ (a.z & b.x).  :func:`anticommuting_pair` applies it to every
-pair of a list at once, and :func:`commutes` is its two-string case; the
-certification in :mod:`paulisched.partition` and the family audit in
+(a.x & b.z) ^ (a.z & b.x).  That product is bilinear over GF(2), so a list
+commutes pairwise exactly when a basis of its (x, z) vectors does
+(Aaronson and Gottesman, quant-ph/0406196).  :func:`anticommuting_pair`
+certifies a list on such a basis, picked out of the list itself, and
+:func:`commutes` is its two-string case; the certification in
+:mod:`paulisched.partition` and the family audit in
 :mod:`paulisched.oracles` both call it once per family.
 
 Coefficients are exact complex numbers with rational real/imaginary parts
@@ -22,10 +25,14 @@ shared freely across threads.  The value types are slotted frozen
 dataclasses, as are the other value types of the package: an instance has
 no ``__dict__``, which keeps the hundreds of thousands of strings of a
 compile small and quick to allocate.  Attributes cannot be added to an
-instance, and ``functools.cached_property`` does not work on these classes.
+instance, and ``functools.cached_property`` does not work on these classes,
+so a :class:`PauliString` builds its text once, at construction, into a
+field of its own that takes no part in ``==``, ``hash`` or ``repr``: the
+sort of a Jordan-Wigner image and the writer of a families file read the
+same text.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 __all__ = [
@@ -81,6 +88,7 @@ class PauliString:
     n: int
     x: int = 0
     z: int = 0
+    _text: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -88,19 +96,21 @@ class PauliString:
         limit = 1 << self.n
         if not (0 <= self.x < limit and 0 <= self.z < limit):
             raise ValueError(f"bitmasks out of range for n={self.n}")
-
-    def text(self) -> str:
         # Reading each mask's binary digits as hex digits puts qubit t in hex
         # digit t as x_t + 2 z_t (no carries: every digit stays below 4).
         # Base 16, unlike base 10, has no int/str digit limit.
         digits = int(format(self.x, "b"), 16) + 2 * int(format(self.z, "b"), 16)
-        return format(digits, "x").zfill(self.n)[::-1].translate(_DIGIT_TO_CHAR)
+        text = format(digits, "x").zfill(self.n)[::-1].translate(_DIGIT_TO_CHAR)
+        object.__setattr__(self, "_text", text)
+
+    def text(self) -> str:
+        return self._text
 
     def __str__(self) -> str:
-        return self.text()
+        return self._text
 
     def __repr__(self) -> str:
-        return f"PauliString({self.text()!r})"
+        return f"PauliString({self._text!r})"
 
 
 @dataclass(frozen=True, slots=True)
@@ -154,20 +164,34 @@ def anticommuting_pair(strings) -> tuple[PauliString, PauliString] | None:
     """The first pair (a, b), a before b, of ``strings`` that anticommutes, or None.
 
     Pairs are taken in (i, j) order, i < j.  Every register is checked
-    against the first, and the pairs are then tested on bare x/z ints, so a
-    whole family is certified in one loop.
+    against the first.  Each string's vector ``(x << n) | z`` is then
+    reduced against pivots keyed by their leading bit, so the strings
+    that do not reduce to zero are a basis of the list, each independent
+    of the strings before it.  Only the pairs of that basis are tested,
+    on bare x/z ints.  This is exact because the symplectic product is
+    bilinear: a string that is a sum of earlier strings commutes with
+    every string that all of those commute with.  So the first
+    anticommuting pair of the list joins two basis strings (any pair
+    before it commutes), and it is also the first pair of the basis.
 
     Raises:
         ValueError: if the strings act on different registers.
     """
     for s in strings[1:]:
         _require_same_length(strings[0], s)
-    masks = [(s.x, s.z) for s in strings]
-    for i, (ax, az) in enumerate(masks):
-        for j in range(i + 1, len(masks)):
-            bx, bz = masks[j]
+    pivots: dict[int, int] = {}
+    basis = []
+    for s in strings:
+        v = s.x << s.n | s.z
+        while v and (pivot := pivots.get(v.bit_length())):
+            v ^= pivot
+        if v:
+            pivots[v.bit_length()] = v
+            basis.append((s, s.x, s.z))
+    for i, (a, ax, az) in enumerate(basis):
+        for b, bx, bz in basis[i + 1:]:
             if ((ax & bz) ^ (az & bx)).bit_count() & 1:
-                return strings[i], strings[j]
+                return a, b
     return None
 
 

@@ -62,6 +62,19 @@ def letter(p: PauliString, t: int) -> str:
     return _BITS_TO_LETTER[(p.x >> t) & 1, (p.z >> t) & 1]
 
 
+def reference_anticommuting_pair(strings) -> tuple[PauliString, PauliString] | None:
+    """The first pair (a, b), a before b, that anticommutes, by a plain scan of
+    every (i, j), i < j: the reference for ``pauli.anticommuting_pair``."""
+    for s in strings[1:]:
+        if s.n != strings[0].n:
+            raise ValueError(f"Pauli strings act on different registers: {strings[0].n} != {s.n}")
+    for i, a in enumerate(strings):
+        for b in strings[i + 1:]:
+            if ((a.x & b.z) ^ (a.z & b.x)).bit_count() & 1:
+                return a, b
+    return None
+
+
 def jw_ladder(mode: int, dagger: bool, n: int) -> tuple[WeightedPauliString, WeightedPauliString]:
     """The two weighted strings encoding one ladder operator on ``mode``.
 

@@ -1,10 +1,13 @@
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
 
-from conftest import abs_squared, jw_ladder, pattern_of, reference_jw_term, times_i_power
+from conftest import abs_squared, jw_ladder, letter, pattern_of, reference_jw_term, times_i_power
+from paulisched import fermion
+from paulisched.cli import main
 from paulisched.fermion import FermionicTerm, UnsupportedTermError, _ladder, jw_image, jw_term
 from paulisched.oracles import ladder_matrix, term_matrix, weighted_sum_matrix
 from paulisched.pauli import ExactComplex, PauliString, WeightedPauliString
@@ -132,6 +135,16 @@ class TestImage:
             for term in _canonical_terms(n):
                 assert jw_term(term) == jw_image([(term, 1)]), term
 
+    def test_sorted_by_the_letter_reference(self):
+        def text(s):
+            return "".join(letter(s, t) for t in range(s.n))
+
+        for n in range(1, 7):
+            terms = _canonical_terms(n)
+            for entries in [[(term, 1)] for term in terms] + [[(term, 1) for term in terms]]:
+                strings = [w.string for w in jw_image(entries)]
+                assert strings == sorted(strings, key=text)
+
     def test_int_and_fraction_one_agree(self):
         # the int and the Fraction spelling of 1 build the same exact list
         for n in (2, 4):
@@ -190,3 +203,18 @@ class TestGeneralTerms:
                     else np.zeros((1 << n, 1 << n), dtype=complex)
                 )
                 assert np.array_equal(got, term_matrix(term)), term
+
+
+class TestSideMemo:
+    """Each (modes, dagger) side is expanded once per process, whatever the register."""
+
+    def test_bounded_after_a_compile_and_reused_at_every_size(self, capsys, monkeypatch):
+        monkeypatch.setattr(fermion, "_SIDES", {})
+        assert main(["families", "--n", "20"]) == 0
+        capsys.readouterr()
+        # every one- and two-mode side of either kind appears once
+        assert len(fermion._SIDES) == 2 * (20 + comb(20, 2))
+        for n in range(1, 7):
+            for term in _canonical_terms(n):
+                assert jw_term(term) == reference_jw_term(term), term
+        assert len(fermion._SIDES) == 2 * (20 + comb(20, 2))

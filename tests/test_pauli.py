@@ -1,11 +1,14 @@
+from dataclasses import replace
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import letter, multiply, string_product, times_i_power
+from conftest import letter, multiply, reference_anticommuting_pair, string_product, times_i_power
 from paulisched.oracles import string_matrix
+from paulisched.partition import build_partition
 from paulisched.pauli import (
     ExactComplex,
     PauliString,
@@ -136,6 +139,124 @@ class TestAnticommutingPair:
     def test_length_mismatch_raises(self):
         with pytest.raises(ValueError, match=r"^Pauli strings act on different registers: 2 != 1$"):
             anticommuting_pair([parse_pauli("XX"), parse_pauli("ZZ"), parse_pauli("X")])
+        # read on the first register, the longer string's x and z bits would
+        # overlap: the registers are checked before elimination
+        with pytest.raises(ValueError, match=r"^Pauli strings act on different registers: 1 != 3$"):
+            anticommuting_pair([parse_pauli("Z"), parse_pauli("Z"), parse_pauli("XZX")])
+
+
+def _same_pair(got, want) -> bool:
+    """The same pair of list entries: equal strings at other positions do not count."""
+    if got is None or want is None:
+        return got is want
+    return got[0] is want[0] and got[1] is want[1]
+
+
+@st.composite
+def rank_deficient_lists(draw):
+    """More strings than generators, each a product of some of the generators:
+    every string past the rank is dependent, and often the one that anticommutes."""
+    n = draw(st.integers(1, 6))
+    masks = st.integers(0, (1 << n) - 1)
+    generators = draw(st.lists(st.tuples(masks, masks), min_size=1, max_size=4))
+    picks = st.lists(st.booleans(), min_size=len(generators), max_size=len(generators))
+    strings = []
+    for chosen in draw(st.lists(picks, min_size=len(generators) + 1, max_size=12)):
+        x = z = 0
+        for (gx, gz), keep in zip(generators, chosen):
+            if keep:
+                x, z = x ^ gx, z ^ gz
+        strings.append(PauliString(n, x, z))
+    return strings
+
+
+def _diagonal_family(n):
+    """The residual I/Z family's shape: I, every Z_p and every Z_p Z_q (rank n)."""
+    masks = [0] + [1 << p for p in range(n)]
+    masks += [1 << p | 1 << q for p in range(n) for q in range(p + 1, n)]
+    return [PauliString(n, 0, z) for z in masks]
+
+
+@cache
+def _families(n):
+    """The compile's families at n: the dominant ones have rank n."""
+    return [[w.string for w in f.strings] for f in build_partition(n).families]
+
+
+class TestAnticommutingPairReference:
+    """``anticommuting_pair`` certifies on a basis and returns the plain scan's pair."""
+
+    @given(st.lists(pauli_strings(n=4), max_size=10))
+    def test_random_lists(self, strings):
+        got = anticommuting_pair(strings)
+        assert _same_pair(got, reference_anticommuting_pair(strings))
+
+    @given(rank_deficient_lists())
+    def test_rank_deficient_lists(self, strings):
+        got = anticommuting_pair(strings)
+        assert _same_pair(got, reference_anticommuting_pair(strings))
+
+    @pytest.mark.parametrize("n", [8, 12])
+    def test_compiled_families(self, n):
+        for family in _families(n):
+            assert anticommuting_pair(family) is None is reference_anticommuting_pair(family)
+
+    @given(st.sampled_from([8, 12, 20]), st.data())
+    def test_compiled_families_with_one_letter_changed(self, n, data):
+        family = _diagonal_family(n) if n == 20 else data.draw(st.sampled_from(_families(n)))
+        at = data.draw(st.integers(0, len(family) - 1))
+        qubit = data.draw(st.integers(0, n - 1))
+        bx, bz = data.draw(st.sampled_from([(1, 0), (1, 1), (0, 1), (0, 0)]))
+        s = family[at]
+        x = s.x & ~(1 << qubit) | bx << qubit
+        z = s.z & ~(1 << qubit) | bz << qubit
+        changed = family[:at] + [PauliString(n, x, z)] + family[at + 1:]
+        assert _same_pair(anticommuting_pair(changed), reference_anticommuting_pair(changed))
+
+    def test_the_largest_residual_family(self):
+        family = _diagonal_family(20)
+        assert len(family) == 211
+        assert anticommuting_pair(family) is None
+        changed = family + [parse_pauli("X" + "I" * 19)]
+        assert _same_pair(anticommuting_pair(changed), (family[1], changed[-1]))
+
+    @given(st.lists(pauli_strings(max_n=4), min_size=2, max_size=8))
+    def test_mixed_registers_raise_first(self, strings):
+        registers = {s.n for s in strings}
+        if len(registers) == 1:
+            assert _same_pair(anticommuting_pair(strings), reference_anticommuting_pair(strings))
+            return
+        with pytest.raises(ValueError) as want:
+            reference_anticommuting_pair(strings)
+        with pytest.raises(ValueError) as got:
+            anticommuting_pair(strings)
+        assert str(got.value) == str(want.value)
+
+
+class TestStoredText:
+    def test_equality_hash_and_repr_ignore_the_stored_text(self):
+        p = parse_pauli("XIZY")
+        q = PauliString(4, p.x, p.z)
+        assert p == q and p is not q
+        assert hash(p) == hash(q) == hash((4, p.x, p.z))
+        assert repr(p) == "PauliString('XIZY')"
+        assert p != PauliString(5, p.x, p.z)
+
+    def test_no_instance_dict(self):
+        assert not hasattr(parse_pauli("XZ"), "__dict__")
+        with pytest.raises((AttributeError, TypeError)):
+            parse_pauli("XZ").extra = 1
+
+    def test_replace_rebuilds_the_text(self):
+        p = parse_pauli("XIZY")
+        assert replace(p, x=0).text() == "IIZZ"
+        assert str(replace(p, n=6)) == "XIZYII"
+        with pytest.raises(ValueError):
+            replace(p, x=1 << 4)
+
+    def test_text_is_built_once(self):
+        p = parse_pauli("XIZY")
+        assert p.text() is p.text() is str(p)
 
 
 class TestMultiply:
