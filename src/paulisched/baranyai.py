@@ -28,11 +28,26 @@ Inserting the element into the chosen slots restores every invariant.
 When 4 | n every round is forced at every step and the hub edge has
 capacity 0.
 
+The state is kept in the order the network needs and updated at each step,
+not re-derived.  Each round keeps a slot row: its open slots in (size,
+subset) order, one entry per distinct subset with its multiplicity, and
+R_r is stored and decremented.  Elements are inserted in increasing order,
+so the slot grown at step i is (i,) + S: every element of S is below i, so
+this is already descending, and it sorts last among the round's slots of
+its size, since every other slot holds only elements below i.  Inserting
+it at the end of its size group keeps the row in order with no sort.
+Filled 4-subsets leave the row.  A step lays the rows end to end as the
+middle edges and numbers each type node by its first appearance there;
+Dinic never scans the sink's edges, so that numbering does not change the
+flow on any round or middle edge.
+
 Construction is sequential across insertions; schedules for distinct n may
 be built concurrently, and finished Schedule values are immutable.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain, compress, repeat
 from math import comb
 
 from .flows import FlowNetwork, max_flow_integral
@@ -82,27 +97,35 @@ class Schedule:
         return sum(len(rnd) for rnd in self.rounds)
 
 
-def _needed(slots: dict[tuple[int, ...], int]) -> int:
-    """Elements a round still needs: 4-|S| for each of its slots S."""
-    return sum((SUBSET_SIZE - len(s)) * mult for s, mult in slots.items())
-
-
 class PartialState:
     """Slot table during construction; see the module docstring for invariants.
 
-    Slots are bookkept as per-round multiplicity maps keyed by the sorted
-    (descending) partial subset; the flow construction only ever needs
-    multiplicities, never slot identity.
+    ``rows[r]`` is round r's slot row, its open slots (|S| < 4) in (size,
+    subset) order, and ``mults[r]`` their multiplicities (only the empty
+    slot repeats); ``needed[r]`` is R_r, and ``closed[r]`` lists the
+    round's 4-subsets filled so far.  A state is not changed once built:
+    ``_apply`` returns a new one that shares the rows it did not touch.
     """
 
-    def __init__(self, n: int, inserted: int, rounds: list[dict[tuple[int, ...], int]]):
+    def __init__(self, n, inserted, rows, mults, needed, closed):
         self.n = n
         self.inserted = inserted
-        self.rounds = rounds
+        self.rows: list[list[tuple[int, ...]]] = rows
+        self.mults: list[list[int]] = mults
+        self.needed: list[int] = needed
+        self.closed: list[list[tuple[int, ...]]] = closed
 
     @classmethod
     def initial(cls, n: int) -> "PartialState":
-        return cls(n, 0, [{(): size} for size in round_sizes(n)])
+        sizes = round_sizes(n)
+        return cls(
+            n,
+            0,
+            [[()] for _ in sizes],
+            [[size] for size in sizes],
+            [SUBSET_SIZE * size for size in sizes],
+            [[] for _ in sizes],
+        )
 
 
 def _step_parts(state: PartialState):
@@ -112,68 +135,77 @@ def _step_parts(state: PartialState):
     if i >= n:
         raise ValueError("all elements already inserted")
     d = n - i
-    m = len(state.rounds)
-    types = sorted(
-        {s for slots in state.rounds for s in slots if len(s) < SUBSET_SIZE},
-        key=lambda s: (len(s), s),
-    )
-    type_node = {s: 1 + m + k for k, s in enumerate(types)}
+    m = len(state.rows)
+    subsets = list(chain.from_iterable(state.rows))
+    types = dict.fromkeys(subsets)
     sink = 1 + m + len(types)
     hub = sink + 1
+    type_node = dict(zip(types, range(1 + m, sink)))
+    sink_cap = [comb(d - 1, SUBSET_SIZE - 1 - size) for size in range(SUBSET_SIZE)]
+    row_sizes = list(map(len, state.rows))
+    rounds = list(chain.from_iterable(map(repeat, range(m), row_sizes)))
 
-    edges: list[tuple[int, int, int]] = []
-    middle_map: list[tuple[int, tuple[int, ...]]] = []
-    forced = 0
-    for r, slots in enumerate(state.rounds):
-        needed = _needed(slots)
-        if needed == d:
-            edges.append((0, 1 + r, 1))
-            forced += 1
-        elif needed:
-            edges.append((hub, 1 + r, 1))
-        else:
-            edges.append((0, 1 + r, 0))
-    for r, slots in enumerate(state.rounds):
-        for s in sorted((k for k in slots if len(k) < SUBSET_SIZE), key=lambda k: (len(k), k)):
-            edges.append((1 + r, type_node[s], slots[s]))
-            middle_map.append((r, s))
-    for s in types:
-        edges.append((type_node[s], sink, comb(n - i - 1, SUBSET_SIZE - 1 - len(s))))
-    edges.append((0, hub, comb(n - 1, 3) - forced))
+    needed = state.needed
+    tails = [hub if 0 < r_needed < d else 0 for r_needed in needed]
+    heads = list(range(1, 1 + m))
+    caps = [1 if r_needed else 0 for r_needed in needed]
+    # one int object per round node, repeated, not one per middle edge
+    tails += chain.from_iterable(map(repeat, range(1, 1 + m), row_sizes))
+    heads += map(type_node.__getitem__, subsets)
+    caps += chain.from_iterable(state.mults)
+    tails += type_node.values()
+    heads += [sink] * len(types)
+    caps += [sink_cap[len(s)] for s in types]
+    tails.append(0)
+    heads.append(hub)
+    caps.append(comb(n - 1, 3) - needed.count(d))
 
-    return FlowNetwork(hub + 1, 0, sink, tuple(edges)), middle_map
+    return FlowNetwork(hub + 1, 0, sink, tails, heads, caps), list(zip(rounds, subsets))
 
 
 def _apply(state: PartialState, flow: tuple[int, ...], middle_map) -> PartialState:
+    """The state after inserting element i into the slots the flow chose.
+
+    Every check runs before anything is built, so a rejected flow leaves no
+    trace; ``state`` itself is never changed.
+    """
     n, i = state.n, state.inserted
-    m = len(state.rounds)
+    m = len(state.rows)
     if sum(flow[:m]) != comb(n - 1, 3):
         raise ValueError("integral flow does not have full value")
+    middle = flow[m : m + len(middle_map)]
     chosen: dict[int, tuple[int, ...]] = {}
-    for (r, s), f in zip(middle_map, flow[m : m + len(middle_map)]):
-        if f == 0:
-            continue
-        if f != 1 or r in chosen:
+    for k in compress(range(len(middle)), middle):
+        r, s = middle_map[k]
+        if middle[k] != 1 or r in chosen:
             raise ValueError(f"round {r} must take at most one unit of flow")
         chosen[r] = s
-    new_rounds = []
-    for r, slots in enumerate(state.rounds):
-        s = chosen.get(r)
-        if s is None:
-            if _needed(slots) == n - i:
-                raise ValueError(f"round {r} must take element {i} but received none")
-            new_rounds.append(slots)
-            continue
-        assert len(s) < SUBSET_SIZE
-        updated = dict(slots)
-        if updated[s] == 1:
-            del updated[s]
+    d = n - i
+    for r, r_needed in enumerate(state.needed):
+        if r_needed == d and r not in chosen:
+            raise ValueError(f"round {r} must take element {i} but received none")
+
+    rows, mults, needed = state.rows.copy(), state.mults.copy(), state.needed.copy()
+    closed = state.closed.copy()
+    for r, s in chosen.items():
+        row, mult = rows[r].copy(), mults[r].copy()
+        k = row.index(s)
+        if mult[k] == 1:
+            del row[k], mult[k]
         else:
-            updated[s] -= 1
-        grown = tuple(sorted(s + (i,), reverse=True))
-        updated[grown] = updated.get(grown, 0) + 1
-        new_rounds.append(updated)
-    return PartialState(n, i + 1, new_rounds)
+            mult[k] -= 1
+        # Every other slot holds only elements below i, so (i,) + s is
+        # descending and sorts last among the round's slots of its size.
+        grown = (i,) + s
+        if len(grown) == SUBSET_SIZE:
+            closed[r] = closed[r] + [grown]
+        else:
+            k = bisect_right(row, len(grown), key=len)
+            row.insert(k, grown)
+            mult.insert(k, 1)
+        rows[r], mults[r] = row, mult
+        needed[r] -= 1
+    return PartialState(n, i + 1, rows, mults, needed, closed)
 
 
 def build_schedule(n: int) -> Schedule:
@@ -188,5 +220,4 @@ def build_schedule(n: int) -> Schedule:
         # Free this step's network before the next one is built: holding
         # both raises the peak RSS of an n=28 build by about 3.5 MB.
         del net, middle_map
-    rounds = [list(slots) for slots in state.rounds]
-    return Schedule.from_rounds(n, rounds)
+    return Schedule.from_rounds(n, state.closed)

@@ -4,6 +4,12 @@
 the schedule construction.  A flow is a tuple of ints, one per edge in
 declaration order.
 
+A ``FlowNetwork`` holds its edges as three parallel int columns, ``tails``,
+``heads`` and ``caps``, not one tuple per edge: the schedule builds them a
+column at a time, validation runs over whole columns, and the solver fills
+its arc arrays from them by slice assignment.  ``edges`` is a read-only view
+that zips the columns back into (tail, head, capacity) triples.
+
 ``max_flow_integral`` is iterative: each phase levels the residual graph
 breadth-first only until the sink has its level, and the blocking flow
 walks a path held as a list of edge ids, with no recursion and no nested
@@ -16,6 +22,8 @@ and may be solved concurrently.
 """
 
 from dataclasses import dataclass
+from itertools import count
+from operator import eq, sub
 
 __all__ = [
     "FlowNetwork",
@@ -25,15 +33,25 @@ __all__ = [
 
 @dataclass(frozen=True, slots=True)
 class FlowNetwork:
-    """Directed network with integer capacities; edges are (from, to, capacity)."""
+    """Directed network with integer capacities.
+
+    Edge k runs from ``tails[k]`` to ``heads[k]`` with capacity ``caps[k]``;
+    the columns are stored as tuples.  ``edges`` zips them into
+    (tail, head, capacity) triples, built anew on each access.
+    """
 
     node_count: int
     source: int
     sink: int
-    edges: tuple[tuple[int, int, int], ...]
+    tails: tuple[int, ...]
+    heads: tuple[int, ...]
+    caps: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "edges", tuple(tuple(e) for e in self.edges))
+        tails, heads, caps = tuple(self.tails), tuple(self.heads), tuple(self.caps)
+        object.__setattr__(self, "tails", tails)
+        object.__setattr__(self, "heads", heads)
+        object.__setattr__(self, "caps", caps)
         if self.node_count < 2:
             raise ValueError("network needs at least a source and a sink")
         for name, node in (("source", self.source), ("sink", self.sink)):
@@ -41,13 +59,35 @@ class FlowNetwork:
                 raise ValueError(f"{name} id {node} out of range")
         if self.source == self.sink:
             raise ValueError("source and sink must differ")
-        for u, v, c in self.edges:
+        if not len(tails) == len(heads) == len(caps):
+            raise ValueError(
+                f"edge columns differ in length: {len(tails)} tails, "
+                f"{len(heads)} heads, {len(caps)} capacities"
+            )
+        # Whole-column checks in C; only a network they cannot clear is
+        # walked edge by edge, to name its first bad edge.
+        if not tails or (
+            0 <= min(tails)
+            and max(tails) < self.node_count
+            and 0 <= min(heads)
+            and max(heads) < self.node_count
+            and 0 <= min(caps)
+            and not any(map(eq, tails, heads))
+            and set(map(type, caps)) <= {int, bool}
+        ):
+            return
+        for u, v, c in zip(tails, heads, caps):
             if u == v:
                 raise ValueError(f"self-loop at node {u}")
             if not (0 <= u < self.node_count and 0 <= v < self.node_count):
                 raise ValueError(f"edge ({u}, {v}) out of range")
             if not isinstance(c, int) or c < 0:
                 raise ValueError(f"capacity of edge ({u}, {v}) must be a non-negative integer")
+
+    @property
+    def edges(self) -> tuple[tuple[int, int, int], ...]:
+        """The edges as (tail, head, capacity) triples, in declaration order."""
+        return tuple(zip(self.tails, self.heads, self.caps))
 
 
 def max_flow_integral(net: FlowNetwork) -> tuple[int, ...]:
@@ -65,17 +105,17 @@ def max_flow_integral(net: FlowNetwork) -> tuple[int, ...]:
     closure or self-reference is built, so a solve leaves no cyclic
     garbage: everything it allocates is freed by reference counting.
     """
-    m = len(net.edges)
-    head: list[int] = []
-    cap: list[int] = []
+    # Arc 2k is edge k and arc 2k+1 its reverse; each node lists the arcs
+    # leaving it in id order.
+    head = [0] * (2 * len(net.caps))
+    head[0::2] = net.heads
+    head[1::2] = net.tails
+    cap = [0] * len(head)
+    cap[0::2] = net.caps
     adj: list[list[int]] = [[] for _ in range(net.node_count)]
-    for u, v, c in net.edges:
-        adj[u].append(len(head))
-        head.append(v)
-        cap.append(c)
-        adj[v].append(len(head))
-        head.append(u)
-        cap.append(0)
+    for eid, u, v in zip(count(0, 2), net.tails, net.heads):
+        adj[u].append(eid)
+        adj[v].append(eid + 1)
 
     s, t = net.source, net.sink
     while True:
@@ -129,5 +169,5 @@ def max_flow_integral(net: FlowNetwork) -> tuple[int, ...]:
             else:
                 break
 
-    return tuple(net.edges[i][2] - cap[2 * i] for i in range(m))
+    return tuple(map(sub, net.caps, cap[0::2]))
 

@@ -321,7 +321,8 @@ def load_coefficients(path) -> HamiltonianCoefficients:
 
 def schedule_json(schedule: Schedule) -> str:
     """The canonical schedule JSON, one line; :func:`read_schedule_file` parses it."""
-    payload = {"n": schedule.n, "rounds": [[list(s) for s in rnd] for rnd in schedule.rounds]}
+    # json writes tuples as arrays, so the rounds need no list copies
+    payload = {"n": schedule.n, "rounds": schedule.rounds}
     return json.dumps(payload, separators=(",", ":")) + "\n"
 
 

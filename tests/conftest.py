@@ -299,6 +299,19 @@ def seeded_hermitian_entries(n, seed):
     return one, two
 
 
+def network(node_count: int, source: int, sink: int, edges) -> FlowNetwork:
+    """A ``FlowNetwork`` from (tail, head, capacity) triples, for hand-made cases."""
+    edges = tuple(edges)
+    return FlowNetwork(
+        node_count,
+        source,
+        sink,
+        tuple(e[0] for e in edges),
+        tuple(e[1] for e in edges),
+        tuple(e[2] for e in edges),
+    )
+
+
 @dataclass(frozen=True, slots=True)
 class ScaledFlow:
     """Per-edge flow numerators over one shared denominator (edge flow = numerator/denominator).
@@ -327,9 +340,9 @@ def _as_scaled(flow) -> ScaledFlow:
 def check_flow(net: FlowNetwork, flow) -> None:
     """Raise ValueError unless ``flow`` is feasible and exactly conservative on ``net``."""
     flow = _as_scaled(flow)
-    if len(flow.numerators) != len(net.edges):
+    if len(flow.numerators) != len(net.caps):
         raise ValueError(
-            f"flow has {len(flow.numerators)} entries for {len(net.edges)} edges"
+            f"flow has {len(flow.numerators)} entries for {len(net.caps)} edges"
         )
     balance = [0] * net.node_count
     for (u, v, c), f in zip(net.edges, flow.numerators):
@@ -356,11 +369,12 @@ def reference_max_flow(net: FlowNetwork) -> tuple[int, ...]:
     A full breadth-first leveling per phase, then a recursive depth-first
     walk that restarts from the source after every augmentation.
     """
-    m = len(net.edges)
+    edges = net.edges
+    m = len(edges)
     head: list[int] = []
     cap: list[int] = []
     adj: list[list[int]] = [[] for _ in range(net.node_count)]
-    for u, v, c in net.edges:
+    for u, v, c in edges:
         adj[u].append(len(head))
         head.append(v)
         cap.append(c)
@@ -369,7 +383,7 @@ def reference_max_flow(net: FlowNetwork) -> tuple[int, ...]:
         cap.append(0)
 
     s, t = net.source, net.sink
-    infinity = sum(c for _, _, c in net.edges) + 1
+    infinity = sum(c for _, _, c in edges) + 1
 
     def bfs() -> list[int] | None:
         level = [-1] * net.node_count
@@ -402,24 +416,52 @@ def reference_max_flow(net: FlowNetwork) -> tuple[int, ...]:
         while dfs(s, infinity, level, it):
             pass
 
-    return tuple(net.edges[i][2] - cap[2 * i] for i in range(m))
+    return tuple(edges[i][2] - cap[2 * i] for i in range(m))
+
+
+def slot_table(state) -> list[dict[tuple[int, ...], int]]:
+    """Each round's slots, open and closed, as a multiplicity map keyed by
+    the descending partial subset: the per-round view that the network
+    build and the invariant recount are written against."""
+    table = [dict(zip(row, mult)) for row, mult in zip(state.rows, state.mults)]
+    for slots, filled in zip(table, state.closed):
+        for subset in filled:
+            slots[subset] = slots.get(subset, 0) + 1
+    return table
 
 
 def check_invariants(state) -> None:
     """Full recount of every ``PartialState`` invariant of the ``baranyai``
-    module docstring; raises ValueError on the first breach."""
+    module docstring; raises ValueError on the first breach.
+
+    Also checks the stored form: each round's open slots in (size, subset)
+    order with positive multiplicities, closed slots of size 4 only, and
+    each stored R_r equal to its recount.
+    """
     n, i = state.n, state.inserted
     sizes = round_sizes(n)
-    if len(state.rounds) != len(sizes):
+    if not len(state.rows) == len(state.mults) == len(state.needed) == len(state.closed) == len(sizes):
         raise ValueError("wrong round count")
+    for r, (row, mult) in enumerate(zip(state.rows, state.mults)):
+        if len(row) != len(mult):
+            raise ValueError(f"round {r} has {len(row)} open slots and {len(mult)} multiplicities")
+        if list(row) != sorted(row, key=lambda s: (len(s), s)) or len(set(row)) != len(row):
+            raise ValueError(f"round {r} open slots {row} are not in (size, subset) order")
+        if any(len(s) >= 4 for s in row):
+            raise ValueError(f"round {r} keeps a full slot open")
+    for r, filled in enumerate(state.closed):
+        if any(len(subset) != 4 for subset in filled):
+            raise ValueError(f"round {r} closed slots {filled} are not all 4-subsets")
     inserted_elements = set(range(i))
     global_mult: dict[tuple[int, ...], int] = {}
-    for r, (slots, size) in enumerate(zip(state.rounds, sizes)):
+    for r, (slots, size) in enumerate(zip(slot_table(state), sizes)):
         seen: set[int] = set()
         total_slots = 0
         for subset, mult in slots.items():
             if mult <= 0 or len(subset) > 4:
                 raise ValueError(f"bad slot {subset} x{mult} in round {r}")
+            if list(subset) != sorted(subset, reverse=True):
+                raise ValueError(f"slot {subset} in round {r} is not descending")
             if subset and mult > 1:
                 raise ValueError(f"non-empty slot {subset} repeated in round {r}")
             members = set(subset)
@@ -435,10 +477,59 @@ def check_invariants(state) -> None:
         needed = sum((4 - len(s)) * mult for s, mult in slots.items())
         if needed > n - i:
             raise ValueError(f"round {r} needs {needed} elements, {n - i} are left")
+        if needed != state.needed[r]:
+            raise ValueError(f"round {r} stores R_r = {state.needed[r]}, recount {needed}")
     for subset, mult in global_mult.items():
         want = comb(n - i, 4 - len(subset))
         if mult != want:
             raise ValueError(f"subset {subset} occurs {mult} times, expected {want}")
+
+
+def reference_step_parts(state) -> tuple[FlowNetwork, list[tuple[int, tuple[int, ...]]]]:
+    """The insertion network built from scratch, the reference for
+    ``baranyai._step_parts``: it re-derives every round's R_r and re-sorts
+    every partial subset at each step.
+
+    Edges: round in-edges, each round's middle edges in (size, subset)
+    order, one sink edge per type in (size, subset) order, then the
+    source->hub edge.  Returns the network and the (round, subset) map of
+    its middle edges.
+    """
+    n, i = state.n, state.inserted
+    if i >= n:
+        raise ValueError("all elements already inserted")
+    d = n - i
+    rounds = slot_table(state)
+    m = len(rounds)
+    types = sorted(
+        {s for slots in rounds for s in slots if len(s) < 4},
+        key=lambda s: (len(s), s),
+    )
+    type_node = {s: 1 + m + k for k, s in enumerate(types)}
+    sink = 1 + m + len(types)
+    hub = sink + 1
+
+    edges: list[tuple[int, int, int]] = []
+    middle_map: list[tuple[int, tuple[int, ...]]] = []
+    forced = 0
+    for r, slots in enumerate(rounds):
+        needed = sum((4 - len(s)) * mult for s, mult in slots.items())
+        if needed == d:
+            edges.append((0, 1 + r, 1))
+            forced += 1
+        elif needed:
+            edges.append((hub, 1 + r, 1))
+        else:
+            edges.append((0, 1 + r, 0))
+    for r, slots in enumerate(rounds):
+        for s in sorted((k for k in slots if len(k) < 4), key=lambda k: (len(k), k)):
+            edges.append((1 + r, type_node[s], slots[s]))
+            middle_map.append((r, s))
+    for s in types:
+        edges.append((type_node[s], sink, comb(n - i - 1, 3 - len(s))))
+    edges.append((0, hub, comb(n - 1, 3) - forced))
+
+    return network(hub + 1, 0, sink, edges), middle_map
 
 
 def insertion_seed(state, net: FlowNetwork, middle_map) -> ScaledFlow:
@@ -451,16 +542,17 @@ def insertion_seed(state, net: FlowNetwork, middle_map) -> ScaledFlow:
     feeds.  ``check_flow`` on the result checks every capacity.
     """
     d = state.n - state.inserted
-    m = len(state.rounds)
-    num = [0] * len(net.edges)
+    m = len(state.rows)
+    slots = slot_table(state)
+    num = [0] * len(net.caps)
     for k, (r, s) in enumerate(middle_map):
-        num[m + k] = (4 - len(s)) * state.rounds[r][s]
+        num[m + k] = (4 - len(s)) * slots[r][s]
         num[r] += num[m + k]
-    for k, (_, v, cap) in enumerate(net.edges):
+    for k, (v, cap) in enumerate(zip(net.heads, net.caps)):
         if v == net.sink:
             num[k] = d * cap
-    hub = net.edges[-1][1]
-    num[-1] = sum(num[r] for r in range(m) if net.edges[r][0] == hub)
+    hub = net.heads[-1]
+    num[-1] = sum(num[r] for r in range(m) if net.tails[r] == hub)
     return ScaledFlow(d, tuple(num))
 
 
@@ -617,7 +709,7 @@ def make_fractional_case(rng: random.Random) -> tuple[FlowNetwork, ScaledFlow]:
         assert col % d == 0
         edges.append((1 + a + j, sink, col // d + rng.randint(0, 2)))
         nums.append(col)
-    return FlowNetwork(a + b + 2, source, sink, tuple(edges)), ScaledFlow(d, tuple(nums))
+    return network(a + b + 2, source, sink, edges), ScaledFlow(d, tuple(nums))
 
 
 @pytest.fixture

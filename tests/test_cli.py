@@ -558,12 +558,15 @@ SCHEDULE_16_SHA256 = "705afd82788886e29fe9d73eb9f6a6bd6eb121bec15ab15084c45a4e62
 FAMILIES_8_OUT_SHA256 = "b925e78d983b9e14248e35916d27dcb5fddc9311845acf73085f2a36307d4a48"
 FAMILIES_8_WEIGHTED_SHA256 = "c45b56f806b37c5a8a5e51efa914f17bc6d909cad104e7d9180e941f814b4842"
 SCHEDULE_10_OUT_SHA256 = "f333fff09e4845d152e060917c8614208362fc1de9abc8cc3ba79c05460ba890"
+# n % 4 == 3: hub edges and long augmenting paths in every insertion network
+SCHEDULE_23_SHA256 = "7fea85f0b698773882317754e6b7b9efb94a3d6eefb818b1d8c90670fc0b5f8d"
 # odd N: leftover dominant units and the residual families beside the rounds
 FAMILIES_13_OUT_SHA256 = "466db8446f90dff035e09aa36e4684e3e2de34d7836369e2e84040b971ca2cc2"
 
 
 def test_output_bytes_pinned(capsys, tmp_path):
     assert hashlib.sha256(schedule_json(build_schedule(16)).encode()).hexdigest() == SCHEDULE_16_SHA256
+    assert hashlib.sha256(schedule_json(build_schedule(23)).encode()).hexdigest() == SCHEDULE_23_SHA256
     path = tmp_path / "families.json"
     assert run(capsys, "families", "--n", "8", "--format", "json", "--out", str(path))[0] == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == FAMILIES_8_OUT_SHA256

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from math import comb
 
@@ -9,6 +10,7 @@ from conftest import (
     check_flow,
     flow_value,
     insertion_seed,
+    network,
     reference_max_flow,
     round_flow,
 )
@@ -18,29 +20,76 @@ from paulisched.flows import FlowNetwork, max_flow_integral
 
 def test_network_validation():
     with pytest.raises(ValueError):
-        FlowNetwork(2, 0, 0, ())
+        network(2, 0, 0, ())
     with pytest.raises(ValueError):
-        FlowNetwork(2, 0, 1, ((0, 0, 1),))
+        network(2, 0, 1, ((0, 0, 1),))
     with pytest.raises(ValueError):
-        FlowNetwork(2, 0, 1, ((0, 1, -1),))
+        network(2, 0, 1, ((0, 1, -1),))
     with pytest.raises(ValueError):
-        FlowNetwork(2, 0, 3, ((0, 1, 1),))
+        network(2, 0, 3, ((0, 1, 1),))
+
+
+@pytest.mark.parametrize(
+    "node_count, source, sink, edges, message",
+    [
+        (1, 0, 0, (), "network needs at least a source and a sink"),
+        (3, 3, 1, (), "source id 3 out of range"),
+        (3, -1, 1, (), "source id -1 out of range"),
+        (3, 0, 3, (), "sink id 3 out of range"),
+        (3, 0, -2, (), "sink id -2 out of range"),
+        (3, 1, 1, (), "source and sink must differ"),
+        (3, 0, 2, ((0, 1, 1), (1, 1, 1)), "self-loop at node 1"),
+        (3, 0, 2, ((0, 1, 1), (1, 3, 1)), "edge (1, 3) out of range"),
+        (3, 0, 2, ((-1, 1, 1),), "edge (-1, 1) out of range"),
+        (3, 0, 2, ((0, 1, -1),), "capacity of edge (0, 1) must be a non-negative integer"),
+        (3, 0, 2, ((0, 1, 1.5),), "capacity of edge (0, 1) must be a non-negative integer"),
+        (3, 0, 2, ((0, 1, 2.0),), "capacity of edge (0, 1) must be a non-negative integer"),
+        # two bad edges: the message names the first
+        (3, 0, 2, ((0, 1, 1), (1, 2, -1), (2, 2, 1)), "capacity of edge (1, 2) must be a non-negative integer"),
+        (3, 0, 2, ((0, 5, 1), (1, 2, -1)), "edge (0, 5) out of range"),
+        (3, 0, 2, ((2, 2, 1.5), (0, 1, -1)), "self-loop at node 2"),
+        # one edge, several faults: self-loop before range before capacity
+        (3, 0, 2, ((4, 4, -1),), "self-loop at node 4"),
+        (3, 0, 2, ((0, 4, -1),), "edge (0, 4) out of range"),
+    ],
+)
+def test_network_rejection_messages(node_count, source, sink, edges, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        network(node_count, source, sink, edges)
+
+
+def test_network_columns():
+    net = FlowNetwork(3, 0, 2, [0, 1], [1, 2], [4, 5])
+    assert (net.tails, net.heads, net.caps) == ((0, 1), (1, 2), (4, 5))
+    assert net.edges == ((0, 1, 4), (1, 2, 5))
+    assert net == network(3, 0, 2, ((0, 1, 4), (1, 2, 5)))
+    with pytest.raises(ValueError, match="^edge columns differ in length: 1 tails, 2 heads, 1 capacities$"):
+        FlowNetwork(3, 0, 2, (0,), (1, 2), (1,))
+
+
+def test_network_accepts_int_subclass_capacities():
+    class Capacity(int):
+        pass
+
+    net = network(3, 0, 2, ((0, 1, True), (1, 2, Capacity(3))))
+    assert net.edges == ((0, 1, True), (1, 2, 3))
+    assert max_flow_integral(net) == (1, 1)
 
 
 class TestMaxFlow:
     def test_single_edge(self):
-        net = FlowNetwork(2, 0, 1, ((0, 1, 5),))
+        net = network(2, 0, 1, ((0, 1, 5),))
         flow = max_flow_integral(net)
         assert flow_value(net, flow) == 5
 
     def test_two_disjoint_unit_paths(self):
-        net = FlowNetwork(4, 0, 3, ((0, 1, 1), (1, 3, 1), (0, 2, 1), (2, 3, 1)))
+        net = network(4, 0, 3, ((0, 1, 1), (1, 3, 1), (0, 2, 1), (2, 3, 1)))
         flow = max_flow_integral(net)
         assert flow_value(net, flow) == 2
         check_flow(net, flow)
 
     def test_bottleneck(self):
-        net = FlowNetwork(4, 0, 3, ((0, 1, 4), (0, 2, 4), (1, 3, 1), (2, 3, 2)))
+        net = network(4, 0, 3, ((0, 1, 4), (0, 2, 4), (1, 3, 1), (2, 3, 2)))
         assert flow_value(net, max_flow_integral(net)) == 3
 
     def test_scheduler_networks_reach_full_value(self):
@@ -82,7 +131,7 @@ class TestSameFlowsAsRecursiveDinic:
         # only as s -> c -> b -> a -> d -> e -> t, undoing a -> b.
         s, a, b, c, d, e, t = range(7)
         edges = ((s, a, 1), (s, c, 1), (a, b, 1), (c, b, 1), (b, t, 1), (a, d, 1), (d, e, 1), (e, t, 1))
-        net = FlowNetwork(7, s, t, edges)
+        net = network(7, s, t, edges)
         flow = max_flow_integral(net)
         assert flow == reference_max_flow(net)
         assert flow == (1, 1, 0, 1, 1, 1, 1, 1)
@@ -91,7 +140,7 @@ class TestSameFlowsAsRecursiveDinic:
         # the middle edge carries 2 after phase 1 and gives 1 of it back
         s, a, b, c, d, t = range(6)
         edges = ((s, a, 2), (s, c, 1), (a, b, 2), (c, b, 1), (b, t, 2), (a, d, 1), (d, t, 1), (c, d, 0))
-        net = FlowNetwork(6, s, t, edges)
+        net = network(6, s, t, edges)
         flow = max_flow_integral(net)
         assert flow == reference_max_flow(net)
         assert flow_value(net, flow) == 3
@@ -106,7 +155,7 @@ class TestSameFlowsAsRecursiveDinic:
             for _ in range(rng.randint(0, 3 * size)):
                 u, v = rng.sample(range(size), 2)
                 edges.append((u, v, rng.randint(0, 5)))
-            net = FlowNetwork(size, 0, size - 1, tuple(edges))
+            net = network(size, 0, size - 1, tuple(edges))
             flow = max_flow_integral(net)
             assert flow == reference_max_flow(net)
             check_flow(net, flow)
@@ -114,31 +163,31 @@ class TestSameFlowsAsRecursiveDinic:
 
 class TestCheckFlow:
     def test_capacity_violation(self):
-        net = FlowNetwork(2, 0, 1, ((0, 1, 1),))
+        net = network(2, 0, 1, ((0, 1, 1),))
         with pytest.raises(ValueError):
             check_flow(net, ScaledFlow(2, (3,)))
 
     def test_conservation_violation(self):
-        net = FlowNetwork(3, 0, 2, ((0, 1, 2), (1, 2, 2)))
+        net = network(3, 0, 2, ((0, 1, 2), (1, 2, 2)))
         with pytest.raises(ValueError):
             check_flow(net, ScaledFlow(1, (2, 1)))
 
     def test_length_mismatch(self):
-        net = FlowNetwork(2, 0, 1, ((0, 1, 1),))
+        net = network(2, 0, 1, ((0, 1, 1),))
         with pytest.raises(ValueError):
             check_flow(net, ScaledFlow(1, (1, 1)))
 
 
 class TestRoundFlow:
     def test_already_integral_returned_unchanged(self):
-        net = FlowNetwork(3, 0, 2, ((0, 1, 2), (1, 2, 2)))
+        net = network(3, 0, 2, ((0, 1, 2), (1, 2, 2)))
         rounded = round_flow(net, ScaledFlow(3, (6, 6)))
         assert rounded == ScaledFlow(1, (2, 2))
 
     def test_half_cycle_rounds_to_a_valid_assignment(self):
         # s -> a -> {b, c} -> d -> t with both middle routes at 1/2
         edges = ((0, 1, 1), (1, 2, 1), (1, 3, 1), (2, 4, 1), (3, 4, 1), (4, 5, 1))
-        net = FlowNetwork(6, 0, 5, edges)
+        net = network(6, 0, 5, edges)
         seed = ScaledFlow(2, (2, 1, 1, 1, 1, 2))
         rounded = round_flow(net, seed)
         check_flow(net, rounded)
@@ -146,12 +195,12 @@ class TestRoundFlow:
         assert rounded.numerators in ((1, 1, 0, 1, 0, 1), (1, 0, 1, 0, 1, 1))
 
     def test_fractional_terminal_edge_rejected(self):
-        net = FlowNetwork(3, 0, 2, ((0, 1, 1), (1, 2, 1)))
+        net = network(3, 0, 2, ((0, 1, 1), (1, 2, 1)))
         with pytest.raises(ValueError):
             round_flow(net, ScaledFlow(2, (1, 1)))
 
     def test_infeasible_seed_rejected(self):
-        net = FlowNetwork(3, 0, 2, ((0, 1, 1), (1, 2, 1)))
+        net = network(3, 0, 2, ((0, 1, 1), (1, 2, 1)))
         with pytest.raises(ValueError):
             round_flow(net, ScaledFlow(2, (4, 4)))
 
