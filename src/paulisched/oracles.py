@@ -8,7 +8,10 @@ compile: :func:`validate_families` certifies with
 :func:`validate_partition` builds its reference image with
 :func:`fermion.jw_term`, the compile's kernel.  Only the dense checks,
 :func:`verify_jw_against_matrices` and the n <= 6 sum of
-:func:`validate_partition`, test that kernel independently.
+:func:`validate_partition`, test that kernel independently.  Both read one
+list of canonical terms (every one-body term, every two-body term whose
+create and annihilate pairs overlap, and one term per 4-subset), and the
+per-term check compares each of them with its own matrix.
 
 Validators return :class:`OracleReport` values and never raise on bad
 input; reports serialize to plain dicts for CI consumption.
@@ -89,8 +92,8 @@ def string_matrix(p: PauliString) -> np.ndarray:
     return out
 
 
-def weighted_sum_matrix(strings: list[WeightedPauliString]) -> np.ndarray:
-    n = strings[0].string.n
+def weighted_sum_matrix(strings: list[WeightedPauliString], n: int) -> np.ndarray:
+    """The dense sum of the weighted strings on n qubits; no strings give zero."""
     out = np.zeros((1 << n, 1 << n), dtype=complex)
     for w in strings:
         out += w.coefficient.as_complex() * string_matrix(w.string)
@@ -136,10 +139,20 @@ def term_matrix(term: FermionicTerm) -> np.ndarray:
 # Oracles
 
 
-def verify_jw_against_matrices(n: int) -> OracleReport:
-    """Check every one-body term and every distinct-index two-body term at size n.
+def _canonical_terms(n: int) -> list[FermionicTerm]:
+    """Every canonical non-vanishing term on n modes: each one-body term, each
+    two-body term whose create and annihilate pairs overlap, and per 4-subset
+    the term creating its two largest modes."""
+    pairs = [(a, b) for a in range(n) for b in range(a)]
+    terms = [FermionicTerm.one_body(p, q, n) for p in range(n) for q in range(n)]
+    terms += [FermionicTerm.two_body(*c, *d, n) for c in pairs for d in pairs if set(c) & set(d)]
+    return terms + [FermionicTerm.two_body(*sorted(sub, reverse=True), n) for sub in combinations(range(n), 4)]
 
-    The weighted string expansion must reproduce the occupation-basis
+
+def verify_jw_against_matrices(n: int) -> OracleReport:
+    """Check every canonical term at size n, repeated-index two-body terms included.
+
+    Each term's weighted string expansion must reproduce its occupation-basis
     ladder-operator product matrix; with exact coefficients the match is
     expected to be exact, and anything above 1e-12 elementwise fails.
     """
@@ -149,20 +162,8 @@ def verify_jw_against_matrices(n: int) -> OracleReport:
     checked = 0
     exact = 0
     bad: str | None = None
-    terms = [FermionicTerm.one_body(p, q, n) for p in range(n) for q in range(n)]
-    terms += [
-        FermionicTerm.two_body(*sorted(sub, reverse=True), n)
-        for sub in combinations(range(n), 4)
-    ]
-    for term in terms:
-        strings = jw_term(term)
-        got = (
-            weighted_sum_matrix(strings)
-            if strings
-            else np.zeros((1 << n, 1 << n), dtype=complex)
-        )
-        want = term_matrix(term)
-        diff = float(np.max(np.abs(got - want)))
+    for term in _canonical_terms(n):
+        diff = float(np.max(np.abs(weighted_sum_matrix(jw_term(term), n) - term_matrix(term))))
         checked += 1
         if diff == 0.0:
             exact += 1
@@ -192,18 +193,12 @@ def verify_disjoint_term_commutation() -> OracleReport:
         rest = tuple(sorted(set(range(8)) - set(picked)))
         term_a = FermionicTerm.two_body(*sorted(picked, reverse=True), 8)
         term_b = FermionicTerm.two_body(*sorted(rest, reverse=True), 8)
-        counts = set()
-        for wa in jw_term(term_a):
-            for wb in jw_term(term_b):
-                c = anticommuting_index_count(wa.string, wb.string)
-                counts.add(c)
-                pairs += 1
-                if c % 2 and bad is None:
-                    bad = (
-                        f"{picked} vs {rest}: {wa.string} / {wb.string} "
-                        f"anticommute at {c} indices"
-                    )
-        case_counts.extend(sorted(counts))
+        cross = _cross_counts(term_a, term_b)
+        pairs += len(cross)
+        case_counts.extend(sorted({c for _, _, c in cross}))
+        odd = next((pair for pair in cross if pair[2] % 2), None)
+        if odd and bad is None:
+            bad = f"{picked} vs {rest}: {odd[0]} / {odd[1]} anticommute at {odd[2]} indices"
     histogram = {c: case_counts.count(c) for c in sorted(set(case_counts))}
     passed = bad is None and min(case_counts) == 0 and max(case_counts) == 6
     return OracleReport(
@@ -242,8 +237,10 @@ def verify_sliding_invariance(trials: int = 200, max_n: int = 12, seed: int = 7)
         target = rng.choice(free)
         slid = sorted((set(a) - {moving}) | {target}, reverse=True)
         term_b = FermionicTerm.two_body(*b, n)
-        before = _cross_parities(FermionicTerm.two_body(*a, n), term_b)
-        after = _cross_parities(FermionicTerm.two_body(*slid, n), term_b)
+        before, after = (
+            [c % 2 for _, _, c in _cross_counts(FermionicTerm.two_body(*modes, n), term_b)]
+            for modes in (a, slid)
+        )
         if before != after or any(p % 2 for p in before):
             bad = f"n={n}: {a} -> {slid} against {b} changed parity"
         done += 1
@@ -255,11 +252,14 @@ def verify_sliding_invariance(trials: int = 200, max_n: int = 12, seed: int = 7)
     )
 
 
-def _cross_parities(term_a: FermionicTerm, term_b: FermionicTerm) -> list[int]:
+def _cross_counts(term_a: FermionicTerm, term_b: FermionicTerm) -> list[tuple[PauliString, PauliString, int]]:
+    """Each cross pair of the two terms' JW strings with its anticommuting-index
+    count, in the order of ``term_a``'s strings; each term is expanded once."""
+    strings_b = [w.string for w in jw_term(term_b)]
     return [
-        anticommuting_index_count(wa.string, wb.string) % 2
+        (wa.string, b, anticommuting_index_count(wa.string, b))
         for wa in jw_term(term_a)
-        for wb in jw_term(term_b)
+        for b in strings_b
     ]
 
 
@@ -382,23 +382,15 @@ def validate_partition(families, n: int, coeffs=None) -> OracleReport:
 
     Recomputes the sum over terms of c_t * jw_term(t) in exact arithmetic:
     over the entries of ``coeffs`` (normal-ordered ``one_body`` and
-    ``two_body`` tables) when given, else over every canonical
-    non-vanishing term at value 1 (every one-body term, every two-body term
-    whose create and annihilate pairs overlap, and per 4-subset the term
-    creating its two largest modes).  Every string must act on n qubits, no
-    string may appear twice, and the family strings must sum exactly to that
-    image.  For n <= 6 the families are also summed as dense matrices
+    ``two_body`` tables) when given, else over every canonical term at
+    value 1, the terms :func:`verify_jw_against_matrices` checks.  Every
+    string must act on n qubits, no string may appear twice, and the family
+    strings must sum exactly to that image.  For n <= 6 the families are also summed as dense matrices
     against the occupation-basis terms.
     """
     families = list(families)
     if coeffs is None:
-        pairs = [(a, b) for a in range(n) for b in range(a)]
-        table = [(FermionicTerm.one_body(p, q, n), 1) for p in range(n) for q in range(n)]
-        table += [(FermionicTerm.two_body(*c, *d, n), 1) for c in pairs for d in pairs if set(c) & set(d)]
-        table += [
-            (FermionicTerm.two_body(*sorted(sub, reverse=True), n), 1)
-            for sub in combinations(range(n), 4)
-        ]
+        table = [(term, 1) for term in _canonical_terms(n)]
     else:
         table = [(FermionicTerm.one_body(p, q, n), v) for (p, q), v in coeffs.one_body.items()]
         table += [(FermionicTerm.two_body(*key, n), v) for key, v in coeffs.two_body.items()]
@@ -430,12 +422,10 @@ def validate_partition(families, n: int, coeffs=None) -> OracleReport:
     details = {"n": n, "families": len(families), "string_slots": slots, "image_strings": len(image)}
 
     if n <= 6 and foreign is None:
-        dim = 1 << n
-        want = np.zeros((dim, dim), dtype=complex)
+        want = np.zeros((1 << n, 1 << n), dtype=complex)
         for term, value in table:
             want += float(value) * term_matrix(term)
-        strings = [w for family in families for w in family.strings]
-        got = weighted_sum_matrix(strings) if strings else np.zeros((dim, dim), dtype=complex)
+        got = weighted_sum_matrix([w for family in families for w in family.strings], n)
         deviation = float(np.max(np.abs(got - want)))
         details["dense_max_deviation"] = deviation
         if deviation > 1e-12 * (1 + float(np.max(np.abs(want)))) and bad is None:

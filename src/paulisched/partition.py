@@ -385,7 +385,13 @@ def _family_chunks(families, path):
         coefficients = []
         try:
             for w in family.strings:
-                coefficients.append([float(w.coefficient.real), float(w.coefficient.imag)])
+                re, im = float(w.coefficient.real), float(w.coefficient.imag)
+                if not (re or im) and w.coefficient:  # it would read as a cancelled string
+                    raise FamiliesWriteError(
+                        f"cannot write families to {path}: the summed coefficient of {w.string} is "
+                        "nonzero but rounds to zero as a float; scale the Hamiltonian coefficients up"
+                    )
+                coefficients.append([re, im])
         except OverflowError:
             raise FamiliesWriteError(
                 f"cannot write families to {path}: the summed coefficient of {w.string} is "
@@ -410,7 +416,8 @@ def save_families(families: Iterable[CommutingFamily], path) -> None:
     The list is streamed one family at a time through :func:`write_replacing`,
     so no payload of the whole output is held in memory; the bytes are those
     of one ``json.dumps`` of the list.  A folded sum can leave the float
-    range even when every input value fits: then nothing is written and
+    range even when every input value fits, and a nonzero one can round to
+    zero in both parts: then nothing is written and
     :class:`FamiliesWriteError` names the first such string in output order.
     ``families`` may be any iterable, a one-pass one too.
     """

@@ -42,10 +42,12 @@ class TestScheduleCommand:
             assert len(terms) == 2
             assert all(TERM.match(t) for t in terms)
 
-    def test_too_small_register(self, capsys):
-        code, _, err = run(capsys, "schedule", "--n", "3")
+    @pytest.mark.parametrize("command", ["schedule", "families", "verify"])
+    def test_too_small_register(self, capsys, command):
+        code, out, err = run(capsys, command, "--n", "3")
         assert code == 2
         assert "at least 4" in err
+        assert out == ""
 
     def test_json_output_round_trips(self, capsys, tmp_path):
         path = tmp_path / "sched.json"
@@ -94,7 +96,7 @@ class TestFamiliesCommand:
 
     def test_bad_coefficients_file(self, capsys, tmp_path):
         coeffs, out = tmp_path / "bad.json", tmp_path / "families.json"
-        for text in [
+        texts = [
             "{broken",
             json.dumps({"n": 8.7, "one_body": [], "two_body": []}),
             json.dumps({"n": "8", "one_body": [], "two_body": []}),
@@ -114,21 +116,26 @@ class TestFamiliesCommand:
             # each value fits, but the I coefficient sums past the float range
             json.dumps({"n": 8, "one_body": [{"pq": [0, 0], "value": 1.7e308}, {"pq": [1, 1], "value": 1.7e308}],
                         "two_body": [{"pqrs": [1, 0, 1, 0], "value": -1.7e308}]}),
-        ]:
+            # the I and Z coefficients are +-2.5e-324, nonzero but zero as floats
+            json.dumps({"n": 8, "one_body": [{"pq": [0, 0], "value": 5e-324}]}),
+        ]
+        for text in texts:
             coeffs.write_text(text)
             code, _, err = run(capsys, "families", "--n", "8", "--hamiltonian", str(coeffs), "--out", str(out))
             assert code == 2, text
             assert "coefficients" in err
             assert not out.exists()
             assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
-        # the last file fails only in the writer: an existing --out keeps its
-        # bytes, and no temporary file remains beside it
+        # the last two files fail only in the writer: an existing --out keeps
+        # its bytes, and no temporary file remains beside it
         out.write_bytes(b"earlier output\n")
-        code, _, err = run(capsys, "families", "--n", "8", "--hamiltonian", str(coeffs), "--out", str(out))
-        assert code == 2
-        assert "coefficients" in err
-        assert out.read_bytes() == b"earlier output\n"
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json", "families.json"]
+        for text in texts[-2:]:
+            coeffs.write_text(text)
+            code, _, err = run(capsys, "families", "--n", "8", "--hamiltonian", str(coeffs), "--out", str(out))
+            assert code == 2, text
+            assert "coefficients" in err
+            assert out.read_bytes() == b"earlier output\n"
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json", "families.json"]
 
     def test_wrong_n_in_coefficients(self, capsys, tmp_path):
         coeffs = tmp_path / "small.json"
@@ -560,7 +567,7 @@ FAMILIES_8_WEIGHTED_SHA256 = "c45b56f806b37c5a8a5e51efa914f17bc6d909cad104e7d918
 SCHEDULE_10_OUT_SHA256 = "f333fff09e4845d152e060917c8614208362fc1de9abc8cc3ba79c05460ba890"
 # n % 4 == 3: hub edges and long augmenting paths in every insertion network
 SCHEDULE_23_SHA256 = "7fea85f0b698773882317754e6b7b9efb94a3d6eefb818b1d8c90670fc0b5f8d"
-# odd N: leftover dominant units and the residual families beside the rounds
+# odd N: a last round of one subset, hub edges, and the residual families after the rounds
 FAMILIES_13_OUT_SHA256 = "466db8446f90dff035e09aa36e4684e3e2de34d7836369e2e84040b971ca2cc2"
 
 

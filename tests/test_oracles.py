@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import adjoint, seeded_hermitian_entries
+from paulisched import fermion, oracles
 from paulisched.baranyai import Schedule, build_schedule, round_sizes
 from paulisched.fermion import FermionicTerm
 from paulisched.partition import (
@@ -69,8 +70,22 @@ class TestDenseChecks:
     def test_jw_matches_matrices(self, n):
         report = verify_jw_against_matrices(n)
         assert report.passed, report.counterexample
+        assert report.details["terms_checked"] == {4: 47, 5: 100, 6: 186}[n]
         assert report.details["exact_matches"] == report.details["terms_checked"]
         assert report.details["max_deviation"] == 0.0
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_canonical_terms_are_every_class(self, n):
+        # one-body terms, two-body terms whose sides share a mode, and the
+        # distinct-index terms that create their two largest modes
+        sides = [(a, b) for a in range(n) for b in range(a)]
+        want = {FermionicTerm.one_body(p, q, n) for p in range(n) for q in range(n)}
+        want |= {
+            FermionicTerm(c, d, n) for c in sides for d in sides if set(c) & set(d) or min(c) > max(d)
+        }
+        terms = oracles._canonical_terms(n)
+        assert len(terms) == len(set(terms))
+        assert set(terms) == want
 
     def test_term_plus_adjoint_is_hermitian(self):
         term = FermionicTerm.two_body(3, 2, 1, 0, 4)
@@ -315,3 +330,48 @@ class TestValidatePartition:
         assert not report.passed
         assert report.counterexample == f"family 0: XXIIIIIIII acts on 10 qubits, not {n}"
         assert "dense_max_deviation" not in report.details
+
+
+class TestOraclesFail:
+    """A fault in what an oracle checks fails its report with a counterexample."""
+
+    def test_jw_dense_check_catches_a_dropped_string(self, monkeypatch):
+        expand = oracles.jw_term
+        monkeypatch.setattr(oracles, "jw_term", lambda term: expand(term)[1:])
+        report = verify_jw_against_matrices(4)
+        assert report.passed is False
+        assert report.counterexample == "term (0,)/(0,): max deviation 0.5"
+        assert report.details["exact_matches"] == 0
+
+    def test_disjoint_check_catches_an_odd_count(self, monkeypatch):
+        count = oracles.anticommuting_index_count
+        monkeypatch.setattr(oracles, "anticommuting_index_count", lambda p, q: count(p, q) + 1)
+        report = verify_disjoint_term_commutation()
+        assert report.passed is False
+        assert report.counterexample == "(0, 1, 2, 3) vs (4, 5, 6, 7): XXXXIIII / IIIIXXXX anticommute at 1 indices"
+        assert report.details["cross_pairs"] == 70 * 256
+
+    def test_sliding_check_catches_an_odd_parity(self, monkeypatch):
+        count = oracles.anticommuting_index_count
+        monkeypatch.setattr(oracles, "anticommuting_index_count", lambda p, q: count(p, q) + 1)
+        report = verify_sliding_invariance(trials=100, max_n=12, seed=3)
+        assert report.passed is False
+        assert report.counterexample.endswith("changed parity")
+        assert report.details["trials"] == 1
+
+    def test_chain_check_catches_a_commuting_pair(self, monkeypatch):
+        monkeypatch.setattr(oracles, "commutes", lambda p, q: True)
+        report = verify_anticommuting_chains(max_n=3)
+        assert report.passed is False
+        assert report.counterexample == "n=1: X and Y commute"
+
+    def test_partition_dense_sum_catches_a_kernel_fault(self, monkeypatch):
+        # swapping creation and annihilation changes the compile and the
+        # exact reference image alike, so only the dense sum can see it
+        ladder = fermion._ladder
+        monkeypatch.setattr(fermion, "_ladder", lambda mode, dagger: ladder(mode, not dagger))
+        monkeypatch.setattr(fermion, "_SIDES", {})
+        report = validate_partition(build_partition(4).families, 4)
+        assert report.passed is False
+        assert report.counterexample == "dense sum of the families deviates from the Hamiltonian by 4.0"
+        assert not verify_jw_against_matrices(4).passed

@@ -669,6 +669,17 @@ class TestPersistence:
             save_families((family for family in report.families), out)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["h.json"]
 
+    def test_nonzero_sum_that_rounds_to_zero_is_a_write_error(self, tmp_path):
+        # the I and Z coefficients are +-2.5e-324: as floats both parts would
+        # be zero, and the strings would read as cancelled ones
+        path = write_coefficients(tmp_path / "h.json", 4, [((0, 0), 5e-324)], [])
+        report = build_partition(4, load_coefficients(path))
+        assert [str(w.string) for f in report.families for w in f.strings] == ["IIII", "ZIII"]
+        out = tmp_path / "families.json"
+        with pytest.raises(FamiliesWriteError, match="IIII is nonzero but rounds to zero as a float"):
+            save_families(report.families, out)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["h.json"]
+
     @pytest.mark.parametrize("kind", ["unweighted", "empty"])
     def test_writer_matches_whole_payload_dump(self, tmp_path, kind):
         families = build_partition(8).families if kind == "unweighted" else ()
