@@ -170,12 +170,33 @@ class TestGeneralTerms:
             ("IZI", ExactComplex(Fraction(-1, 2))),
         ]
 
+    @pytest.mark.parametrize(
+        "creates,annihilates",
+        [((3, 1), (1, 0)), ((3, 1), (3, 1)), ((2, 1), (2, 0)), ((3, 2), (2, 1))],
+    )
+    def test_overlapping_two_body_against_dense(self, creates, annihilates):
+        n = 4
+        term = FermionicTerm(creates, annihilates, n)
+        assert np.array_equal(weighted_sum_matrix(jw_term(term), n), term_matrix(term))
+
     def test_equals_reference_expansion_exactly(self):
         # strings, exact coefficients and order, for every canonical one-body
         # and two-body term (repeated indices included) up to eight modes
         for n in range(1, 9):
             for term in _canonical_terms(n):
                 assert jw_term(term) == reference_jw_term(term), term
+
+    def test_all_terms_dense_at_small_sizes(self):
+        for n in (4, 5):
+            terms = [FermionicTerm.one_body(p, q, n) for p in range(n) for q in range(n)]
+            terms += [
+                FermionicTerm.two_body(*sorted(sub, reverse=True), n)
+                for sub in combinations(range(n), 4)
+            ]
+            for term in terms:
+                assert np.array_equal(
+                    weighted_sum_matrix(jw_term(term), n), term_matrix(term)
+                ), term
 
 
 class TestSideMemo:
