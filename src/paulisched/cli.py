@@ -7,9 +7,9 @@ naturally vary between runs).
 
 :func:`main` pauses Python's cyclic garbage collector for the duration of
 a command and restores its previous state on the way out.  A compile
-allocates hundreds of thousands of long-lived, acyclic objects (Pauli
-strings, coefficients, families), so every full collection would walk all
-of them and free nothing.  This is safe because the library builds no
+allocates hundreds of thousands of long-lived, acyclic objects (the rows
+of ints and texts of its strings, terms, families), so every full
+collection would walk all of them and free nothing.  This is safe because the library builds no
 reference cycles (the test suite checks it): reference counting frees
 everything a command lets go of, collector or not.  Only the argument
 parser, a few hundred objects, waits for the collector to run again.
@@ -85,7 +85,7 @@ def _cmd_families(args) -> int:
     def recorded():
         # the summary needs only each family's origin and size, so no family is held
         for family in families:
-            shapes.append((family.origin, len(family.strings)))
+            shapes.append((family.origin, len(family)))
             yield family
 
     if args.out:

@@ -1,27 +1,34 @@
-"""Fermionic terms and their Jordan-Wigner images as weighted Pauli strings.
+"""Fermionic terms and their Jordan-Wigner images as integer rows.
 
 A ladder operator on mode m maps to (X_m + iY_m)/2 (annihilation) or
 (X_m - iY_m)/2 (creation), times a Z chain on all lower modes.  The
 integer ladder table :func:`_ladder` is the one source of that encoding:
 each part is a pair of masks (x, z) and a weight i**k / 2.
-:func:`jw_image`, the one builder of weighted strings, expands each
-term's ladder product exactly on integers in one pass: every coefficient
-is (a + ib) / 2**f for Gaussian integers a + ib and f ladder factors, so
-each product path carries an i-power, takes its phase from the one phase
-rule :func:`_product_phase`, and is added straight into the sums of the
-whole weighted set.  :func:`jw_term` is its single-term case, and the
-block fold in :mod:`paulisched.partition` calls it once per block.
-No sign or phase is hand-coded, which is what the dense-matrix oracles in
+:func:`jw_image` expands each term's ladder product exactly on integers in
+one pass: every coefficient is (a + ib) / 2**f for Gaussian integers a + ib
+and f ladder factors, so each product path carries an i-power and is added
+straight into the sums of the whole weighted set.  The image is one
+denominator and a list of rows ``(text, x, z, re, im)``: a string's text
+(:func:`paulisched.pauli.pauli_text`), its masks and the numerators of its
+coefficient.  The block fold in :mod:`paulisched.partition` calls it once
+per block and carries the rows to the writer as they are.
+:func:`weighted_strings`, the one builder of weighted strings, turns rows
+into :class:`~paulisched.pauli.WeightedPauliString` values: the view of a
+family, and :func:`jw_term`, the single-term image, read through it.  No
+sign or phase is hand-coded, which is what the dense-matrix oracles in
 :mod:`paulisched.oracles` verify.
 
 A term is the product of its creates side and its annihilates side, and
-each side is expanded once per process: ``_SIDES`` maps a side's
-``(modes, dagger)`` to its product paths, which do not depend on the
-register size.  A two-body term then takes 16 phases, one per pair of
-side paths, instead of the 30 of a factor-by-factor expansion.  A side
-names one mode or two distinct descending ones, so for modes below M the
-memo holds at most 2 * (M + C(M, 2)) keys.  Its lists are never changed
-once stored, so two threads that fill one key store equal values.
+each side is expanded once per process by the one phase rule
+:func:`_product_phase`: ``_SIDES`` maps a side's ``(modes, dagger)`` to its
+product paths, which do not depend on the register size.  A path stores
+its exponent in the X^x Z^z normal form, k + popcount(x & z), so that the
+phase of a product of two paths takes two popcounts.  A two-body term then
+takes 16 phases, one per pair of side paths, instead of the 30 of a
+factor-by-factor expansion.  A side names one mode or two distinct
+descending ones, so for modes below M the memo holds at most
+2 * (M + C(M, 2)) keys.  Its lists are never changed once stored, so two
+threads that fill one key store equal values.
 
 For a two-body term with four distinct mode indices the expansion is always
 16 strings of coefficient magnitude 1/16, each matching a fixed shape: X or
@@ -32,16 +39,16 @@ identity elsewhere; the test suite checks this shape.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm
 
-from .pauli import ExactComplex, PauliString, WeightedPauliString
+from .pauli import ExactComplex, PauliString, WeightedPauliString, pauli_text
 
 __all__ = [
     "FermionicTerm",
     "UnsupportedTermError",
     "jw_image",
     "jw_term",
+    "weighted_strings",
 ]
 
 
@@ -110,13 +117,7 @@ def _product_phase(px: int, pz: int, qx: int, qz: int) -> int:
 _SIDES: dict[tuple[tuple[int, ...], bool], list[tuple[int, int, int]]] = {}
 
 
-@lru_cache(maxsize=4096)
-def _coefficient(re: int, im: int, denominator: int) -> ExactComplex:
-    """(re + i im) / denominator, interned: ExactComplex is immutable, so sharing is safe."""
-    return ExactComplex(Fraction(re, denominator), Fraction(im, denominator))
-
-
-def jw_image(entries) -> list[WeightedPauliString]:
+def jw_image(entries) -> tuple[int, list[tuple[str, int, int, int, int]]]:
     """The exact JW image of sum(value * term) over (term, value) entries.
 
     ``entries`` is a non-empty list; values are ints or Fractions and all
@@ -124,9 +125,10 @@ def jw_image(entries) -> list[WeightedPauliString]:
     denominator D: the lcm of the values' denominators times 2**f for the
     largest ladder count f among the terms.  Each product path of a term's
     ladder factors adds its value, scaled to D, times its phase i**k to the
-    numerators of its string; each nonzero sum then becomes one exact
-    coefficient, and strings that sum to zero drop out.  The result is
-    sorted by string text, which makes downstream output reproducible.
+    numerators of its string.  Returns D and one row ``(text, x, z, re,
+    im)`` per string whose sum (re + i im) / D is nonzero; strings that sum
+    to zero drop out.  The rows are sorted by text, which makes downstream
+    output reproducible; texts are unique, so that is plain tuple order.
     """
     denominator = lcm(*(value.denominator for _, value in entries))
     denominator <<= max(len(term.creates) + len(term.annihilates) for term, _ in entries)
@@ -144,33 +146,48 @@ def jw_image(entries) -> list[WeightedPauliString]:
                         for x, z, k in paths
                         for fx, fz, fk in _ladder(mode, dagger)
                     ]
-                _SIDES[side] = paths
+                paths = _SIDES[side] = [(x, z, k + (x & z).bit_count()) for x, z, k in paths]
             sides.append(paths)
         creates, annihilates = sides
         ladders = len(term.creates) + len(term.annihilates)
         scale = value.numerator * (denominator // (value.denominator << ladders))
-        for cx, cz, ck in creates:
-            for ax, az, ak in annihilates:
-                x, z, k = cx ^ ax, cz ^ az, ck + ak + _product_phase(cx, cz, ax, az)
+        for cx, cz, ce in creates:
+            for ax, az, ae in annihilates:
+                # normal-form exponents add, Z^cz X^ax = (-1)^|cz & ax| X^ax Z^cz,
+                # and the product's own Y letters leave the normal form
+                x, z = cx ^ ax, cz ^ az
+                k = ce + ae + 2 * (cz & ax).bit_count() - (x & z).bit_count()
                 re_im = sums.get((x, z))
                 if re_im is None:
                     re_im = sums[x, z] = [0, 0]
                 re_im[k & 1] += -scale if k & 2 else scale  # i**k is 1, i, -1 or -i
     n = entries[0][0].n
-    image = [
-        WeightedPauliString(_coefficient(re, im, denominator), PauliString(n, x, z))
-        for (x, z), (re, im) in sums.items()
-        if re or im
+    rows = [(pauli_text(n, x, z), x, z, re, im) for (x, z), (re, im) in sums.items() if re or im]
+    rows.sort()
+    return denominator, rows
+
+
+def weighted_strings(n: int, denominator: int, rows) -> list[WeightedPauliString]:
+    """The rows of an n-qubit image over ``denominator`` as weighted Pauli strings.
+
+    The one builder of weighted strings: each row ``(text, x, z, re, im)``
+    becomes ``PauliString(n, x, z)`` with the exact coefficient
+    (re + i im) / denominator, in row order.
+    """
+    return [
+        WeightedPauliString(
+            ExactComplex(Fraction(re, denominator), Fraction(im, denominator)), PauliString(n, x, z)
+        )
+        for _, x, z, re, im in rows
     ]
-    image.sort(key=lambda w: w.string.text())
-    return image
 
 
 def jw_term(term: FermionicTerm) -> list[WeightedPauliString]:
     """Expand a term's full ladder product into weighted Pauli strings.
 
-    This is ``jw_image([(term, 1)])``: equal strings arising from index
-    repetition are combined and zero coefficients dropped, so nilpotent
-    products come back empty, and the result is sorted by string text.
+    This is ``jw_image([(term, 1)])`` read through :func:`weighted_strings`:
+    equal strings arising from index repetition are combined and zero
+    coefficients dropped, so nilpotent products come back empty, and the
+    result is sorted by string text.
     """
-    return jw_image([(term, 1)])
+    return weighted_strings(term.n, *jw_image([(term, 1)]))

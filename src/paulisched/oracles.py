@@ -2,10 +2,12 @@
 
 Dense matrices are assembled from 2x2 constants and the occupation-number
 action of ladder operators, coverage is recounted from scratch, and
-commutation audits cover all pairs.  Not every check is independent of the
-compile: :func:`validate_families` certifies with
-:func:`pauli.anticommuting_pair`, the compile's own certifier, and
-:func:`validate_partition` builds its reference image with
+commutation audits cover all pairs: :func:`validate_families` scans every
+pair of each family with :func:`anticommuting_pair_by_scan`, its own rule,
+not the compile's basis certifier.  The checks read a family through its
+``strings`` view, the :class:`~paulisched.pauli.WeightedPauliString`
+values built from its integer rows.  Not every check is independent of the
+compile: :func:`validate_partition` builds its reference image with
 :func:`fermion.jw_term`, the compile's kernel.  Only the dense checks,
 :func:`verify_jw_against_matrices` and the n <= 6 sum of
 :func:`validate_partition`, test that kernel independently.  Both read one
@@ -35,7 +37,6 @@ from .pauli import (
     PauliString,
     WeightedPauliString,
     anticommuting_index_count,
-    anticommuting_pair,
     commutes,
     parse_pauli,
 )
@@ -43,6 +44,7 @@ from .pauli import (
 __all__ = [
     "OracleReport",
     "anticommuting_chain_fixture",
+    "anticommuting_pair_by_scan",
     "ladder_matrix",
     "string_matrix",
     "term_matrix",
@@ -347,13 +349,32 @@ def validate_schedule(schedule: Schedule) -> OracleReport:
     )
 
 
+def anticommuting_pair_by_scan(strings) -> tuple[PauliString, PauliString] | None:
+    """The first pair (a, b), a before b, of ``strings`` that anticommutes, or None,
+    by a plain scan of every (i, j), i < j.
+
+    The audit's own rule: it shares no code with the basis certifier of
+    the compile, :func:`pauli.anticommuting_pair`, and returns the same pair.
+
+    Raises:
+        ValueError: if the strings act on different registers.
+    """
+    for s in strings[1:]:
+        if s.n != strings[0].n:
+            raise ValueError(f"Pauli strings act on different registers: {strings[0].n} != {s.n}")
+    for i, a in enumerate(strings):
+        for b in strings[i + 1:]:
+            if ((a.x & b.z) ^ (a.z & b.x)).bit_count() & 1:
+                return a, b
+    return None
+
+
 def validate_families(families) -> OracleReport:
     """Commutation audit of every pair of every family.
 
-    Each family goes through :func:`pauli.anticommuting_pair`, which tests
-    the pairs of a GF(2) basis of the family's strings; by bilinearity
-    that certifies every pair, so ``pairs_checked`` counts C(size, 2) pairs
-    per family, certified through the basis.
+    Each family's strings go through :func:`anticommuting_pair_by_scan`,
+    which tests every pair up to the first that anticommutes;
+    ``pairs_checked`` counts C(size, 2) pairs per family.
     """
     families = list(families)
     bad: str | None = None
@@ -362,7 +383,7 @@ def validate_families(families) -> OracleReport:
         strings = [w.string for w in family.strings]
         pairs += comb(len(strings), 2)
         try:
-            pair = anticommuting_pair(strings)
+            pair = anticommuting_pair_by_scan(strings)
         except ValueError as exc:  # the strings act on different registers
             problem = str(exc)
         else:

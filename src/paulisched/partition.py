@@ -4,9 +4,14 @@ One pass yields the partition unit by unit.  Every JW string of a term
 has the same X mask, the XOR of the term's mode bits, so all terms are
 grouped into *blocks* keyed by that X-support, in one table.  Each block is
 folded once, by :func:`~paulisched.fermion.jw_image`, into the exact JW
-image of its weighted terms; :mod:`paulisched.fermion` sums the integer
-numerators and builds the strings, this module only groups and splits them.
-Each unit of blocks is then split into an even-Y and an odd-Y family, and
+image of its weighted terms: one denominator and a row ``(text, x, z, re,
+im)`` per string.  :mod:`paulisched.fermion` sums the integer numerators,
+this module only groups and splits the rows, certifies them on their
+masks and writes their text and numerators: no Pauli object is built
+between the kernel and the file.  A family's ``strings`` view builds them
+for the oracles and the tests, and ``len(family)`` counts its strings
+without it.  Each unit of blocks is then split into an even-Y and an odd-Y
+family, and
 both are yielded before the next unit is folded: a caller that writes the
 families as they come, as the command line does, holds the block table and
 one unit's families, never the whole partition, and the table shrinks as
@@ -51,8 +56,8 @@ from math import lcm
 from pathlib import Path
 
 from .baranyai import Schedule, build_schedule, round_sizes
-from .fermion import FermionicTerm, jw_image
-from .pauli import WeightedPauliString, anticommuting_pair
+from .fermion import FermionicTerm, jw_image, weighted_strings
+from .pauli import WeightedPauliString, anticommuting_indices
 
 __all__ = [
     "CommutingFamily",
@@ -99,45 +104,72 @@ def _shown(value: Fraction) -> str:  # a float for a message, if it has one
 
 @dataclass(frozen=True, slots=True)
 class CommutingFamily:
-    """Pauli strings certified pairwise-commuting, with the terms they came from."""
+    """Pauli strings certified pairwise-commuting, with the terms they came from.
 
-    strings: tuple[WeightedPauliString, ...]
+    Each row ``(text, x, z, re, im)`` is an n-qubit string, its masks and
+    the numerators of its coefficient (re + i im) / ``denominator``.
+    """
+
+    n: int
+    denominator: int
+    rows: tuple[tuple[str, int, int, int, int], ...]
     provenance: tuple[FermionicTerm, ...]
     origin: str  # "dominant" or "residual"
 
+    def __len__(self) -> int:
+        return len(self.rows)
 
-def _certified(strings, provenance, origin) -> CommutingFamily:
-    family = CommutingFamily(tuple(strings), tuple(provenance), origin)
-    bad = anticommuting_pair([w.string for w in family.strings])
+    @property
+    def strings(self) -> tuple[WeightedPauliString, ...]:
+        """The rows as weighted Pauli strings, built anew at each read."""
+        return tuple(weighted_strings(self.n, self.denominator, self.rows))
+
+
+def _certified(family: CommutingFamily) -> CommutingFamily:
+    rows = family.rows
+    bad = anticommuting_indices(family.n, [(x, z) for _, x, z, _, _ in rows])
     if bad is not None:
-        a, b = bad
-        raise FamilyCertificationError(f"{a} and {b} do not commute in a {origin} family")
+        i, j = bad
+        raise FamilyCertificationError(f"{rows[i][0]} and {rows[j][0]} do not commute in a {family.origin} family")
     return family
 
 
-def _y_parity(w: WeightedPauliString) -> int:
+def _y_parity(x: int, z: int) -> int:
     # Y letters only ever sit on endpoint positions, so total Y parity is
     # exactly the endpoint Y parity the split needs.
-    return (w.string.x & w.string.z).bit_count() & 1
+    return (x & z).bit_count() & 1
 
 
-def _split(unit, origin: str) -> list[CommutingFamily]:
+def _split(n: int, unit, origin: str) -> list[CommutingFamily]:
     """The certified even-Y and odd-Y families of a unit of blocks.
 
     A block is a list of (term, value) entries, folded here into its
     :func:`~paulisched.fermion.jw_image`; all its terms are provenance of
-    each half it puts a string into.  Empty halves drop.
+    each half it puts a string into.  A half's denominator is the lcm of
+    the denominators of those blocks, and each block's numerators are
+    scaled up to it.  Empty halves drop.
     """
-    halves: tuple[list, list] = ([], [])
+    parts: tuple[list, list] = ([], [])  # per half, (denominator, rows) of each block
     terms: tuple[list, list] = ([], [])
     for block in unit:
-        sizes = [len(half) for half in halves]
-        for w in jw_image(block):
-            halves[_y_parity(w)].append(w)
-        for half, provenance, size in zip(halves, terms, sizes):
-            if len(half) > size:
+        denominator, rows = jw_image(block)
+        halves: tuple[list, list] = ([], [])
+        for row in rows:
+            halves[_y_parity(row[1], row[2])].append(row)
+        for half, part, provenance in zip(halves, parts, terms):
+            if half:
+                part.append((denominator, half))
                 provenance += [term for term, _ in block]
-    return [_certified(half, provenance, origin) for half, provenance in zip(halves, terms) if half]
+    families = []
+    for part, provenance in zip(parts, terms):
+        if part:
+            denominator = lcm(*(d for d, _ in part))
+            rows = []
+            for d, half in part:
+                scale = denominator // d
+                rows += half if scale == 1 else [(t, x, z, re * scale, im * scale) for t, x, z, re, im in half]
+            families.append(_certified(CommutingFamily(n, denominator, tuple(rows), tuple(provenance), origin)))
+    return families
 
 
 def _blocks(n: int, coeffs: "HamiltonianCoefficients | None") -> dict[int, list]:
@@ -205,9 +237,9 @@ def _units(schedule: Schedule, blocks: dict[int, list]) -> Iterator[CommutingFam
                 block = blocks.pop(mask, None)
                 if block:
                     unit.append(block)
-        yield from _split(unit, "dominant")
+        yield from _split(n, unit, "dominant")
     for mask in sorted(blocks):
-        yield from _split([blocks.pop(mask)], "dominant" if mask.bit_count() == 4 else "residual")
+        yield from _split(n, [blocks.pop(mask)], "dominant" if mask.bit_count() == 4 else "residual")
 
 
 # ---------------------------------------------------------------------------
@@ -379,27 +411,32 @@ def write_replacing(path, chunks) -> None:
 
 
 def _family_chunks(families, path):
-    """The families JSON, one family per chunk: ``[``, the records joined by ``,``, ``]``."""
+    """The families JSON, one family per chunk: ``[``, the records joined by ``,``, ``]``.
+
+    Each coefficient part is its numerator over the family's denominator by
+    int true division, which is correctly rounded, as ``float(Fraction)`` is.
+    """
     yield "["
     for i, family in enumerate(families):
+        denominator = family.denominator
         coefficients = []
         try:
-            for w in family.strings:
-                re, im = float(w.coefficient.real), float(w.coefficient.imag)
-                if not (re or im) and w.coefficient:  # it would read as a cancelled string
+            for text, _, _, re, im in family.rows:
+                real, imag = re / denominator, im / denominator
+                if not (real or imag) and (re or im):  # it would read as a cancelled string
                     raise FamiliesWriteError(
-                        f"cannot write families to {path}: the summed coefficient of {w.string} is "
+                        f"cannot write families to {path}: the summed coefficient of {text} is "
                         "nonzero but rounds to zero as a float; scale the Hamiltonian coefficients up"
                     )
-                coefficients.append([re, im])
+                coefficients.append([real, imag])
         except OverflowError:
             raise FamiliesWriteError(
-                f"cannot write families to {path}: the summed coefficient of {w.string} is "
+                f"cannot write families to {path}: the summed coefficient of {text} is "
                 "outside the float range; scale the Hamiltonian coefficients down"
             ) from None
         record = {
             "origin": family.origin,
-            "strings": [str(w.string) for w in family.strings],
+            "strings": [row[0] for row in family.rows],
             "coefficients": coefficients,
             "terms": [
                 {"creates": list(t.creates), "annihilates": list(t.annihilates)}
@@ -466,7 +503,7 @@ class PartitionReport:
     weighted: bool
 
     def summary(self) -> dict:
-        return summarize(self.n, self.weighted, [(f.origin, len(f.strings)) for f in self.families])
+        return summarize(self.n, self.weighted, [(f.origin, len(f)) for f in self.families])
 
 
 def build_partition(n: int, coeffs: HamiltonianCoefficients | None = None) -> PartitionReport:

@@ -1,35 +1,37 @@
-"""N-qubit Pauli strings: parsing, exact coefficients and the one commutation rule.
+"""N-qubit Pauli strings: their text, exact coefficients and the one commutation rule.
 
 Text convention: qubit 0 is the LEFTMOST character, so "XII" puts an X on
 qubit 0 of a three-qubit register.
 
-Internally a string is a pair of bitmasks (x, z); bit t encodes qubit t as
-I=(0,0), X=(1,0), Y=(1,1), Z=(0,1).  One integer rule on these masks
+A string is a pair of bitmasks (x, z); bit t encodes qubit t as I=(0,0),
+X=(1,0), Y=(1,1), Z=(0,1).  The compile carries strings as those ints and
+their text, never as objects: :func:`pauli_text` is the one text rule, so
+the sort of a Jordan-Wigner image, the writer of a families file and
+:class:`PauliString` read the same text.  One integer rule on the masks
 decides commutation: the parity of the popcount of the symplectic product
 (a.x & b.z) ^ (a.z & b.x).  That product is bilinear over GF(2), so a list
 commutes pairwise exactly when a basis of its (x, z) vectors does
-(Aaronson and Gottesman, quant-ph/0406196).  :func:`anticommuting_pair`
-certifies a list on such a basis, picked out of the list itself, and
-:func:`commutes` is its two-string case; the certification in
-:mod:`paulisched.partition` and the family audit in
-:mod:`paulisched.oracles` both call it once per family.
+(Aaronson and Gottesman, quant-ph/0406196).  :func:`anticommuting_indices`
+certifies a list of masks on such a basis, picked out of the list itself;
+the certification in :mod:`paulisched.partition` calls it once per family.
+:func:`anticommuting_pair` is its spelling on :class:`PauliString` values
+and :func:`commutes` its two-string case.
 
 Coefficients are exact complex numbers with rational real/imaginary parts
 (:class:`ExactComplex`); every value the encoding pipeline produces is a
 dyadic rational times a power of i, so algebraic identities can be asserted
-with equality instead of tolerances.  Conversion to float happens only at
-serialization boundaries.
+with equality instead of tolerances.
 
-All values are immutable and all operations pure, so everything here can be
-shared freely across threads.  The value types are slotted frozen
-dataclasses, as are the other value types of the package: an instance has
-no ``__dict__``, which keeps the hundreds of thousands of strings of a
-compile small and quick to allocate.  Attributes cannot be added to an
-instance, and ``functools.cached_property`` does not work on these classes,
-so a :class:`PauliString` builds its text once, at construction, into a
-field of its own that takes no part in ``==``, ``hash`` or ``repr``: the
-sort of a Jordan-Wigner image and the writer of a families file read the
-same text.
+:class:`PauliString`, :class:`WeightedPauliString` and
+:class:`ExactComplex` are the view that the oracles and the tests read:
+:func:`paulisched.fermion.weighted_strings` builds them from a block's
+integer rows, and no compile builds one.  All values are immutable and
+all operations pure, so everything here can be shared freely across
+threads.  The value types are slotted frozen dataclasses, as are the other
+value types of the package: an instance has no ``__dict__``, and
+attributes cannot be added to it.  So a :class:`PauliString` builds its
+text once, at construction, into a field of its own that takes no part in
+``==``, ``hash`` or ``repr``.
 """
 
 from dataclasses import dataclass, field
@@ -40,13 +42,24 @@ __all__ = [
     "PauliString",
     "WeightedPauliString",
     "anticommuting_index_count",
+    "anticommuting_indices",
     "anticommuting_pair",
     "commutes",
     "parse_pauli",
+    "pauli_text",
 ]
 
 _CHAR_TO_XZ = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _DIGIT_TO_CHAR = str.maketrans("0123", "IXZY")  # digit x + 2z per qubit
+
+
+def pauli_text(n: int, x: int, z: int) -> str:
+    """The text of the n-qubit string with masks (x, z), qubit 0 leftmost."""
+    # Reading each mask's binary digits as hex digits puts qubit t in hex
+    # digit t as x_t + 2 z_t (no carries: every digit stays below 4).
+    # Base 16, unlike base 10, has no int/str digit limit.
+    digits = int(format(x, "b"), 16) + 2 * int(format(z, "b"), 16)
+    return format(digits, "x").zfill(n)[::-1].translate(_DIGIT_TO_CHAR)
 
 
 @dataclass(frozen=True, slots=True)
@@ -96,12 +109,7 @@ class PauliString:
         limit = 1 << self.n
         if not (0 <= self.x < limit and 0 <= self.z < limit):
             raise ValueError(f"bitmasks out of range for n={self.n}")
-        # Reading each mask's binary digits as hex digits puts qubit t in hex
-        # digit t as x_t + 2 z_t (no carries: every digit stays below 4).
-        # Base 16, unlike base 10, has no int/str digit limit.
-        digits = int(format(self.x, "b"), 16) + 2 * int(format(self.z, "b"), 16)
-        text = format(digits, "x").zfill(self.n)[::-1].translate(_DIGIT_TO_CHAR)
-        object.__setattr__(self, "_text", text)
+        object.__setattr__(self, "_text", pauli_text(self.n, self.x, self.z))
 
     def text(self) -> str:
         return self._text
@@ -160,39 +168,49 @@ def anticommuting_index_count(p: PauliString, q: PauliString) -> int:
     return ((p.x & q.z) ^ (p.z & q.x)).bit_count()
 
 
+def anticommuting_indices(n: int, masks) -> tuple[int, int] | None:
+    """The first pair (i, j), i < j, of the (x, z) ``masks`` of n-qubit strings
+    that anticommutes, or None.
+
+    Pairs are taken in (i, j) order.  Each string's vector ``(x << n) | z``
+    is reduced against pivots keyed by their leading bit, so the strings
+    that do not reduce to zero are a basis of the list, each independent of
+    the strings before it.  Only the pairs of that basis are tested.  This
+    is exact because the symplectic product is bilinear: a string that is a
+    sum of earlier strings commutes with every string that all of those
+    commute with.  So the first anticommuting pair of the list joins two
+    basis strings (any pair before it commutes), and it is also the first
+    pair of the basis.
+    """
+    pivots: dict[int, int] = {}
+    basis = []
+    for i, (x, z) in enumerate(masks):
+        v = x << n | z
+        while v and (pivot := pivots.get(v.bit_length())):
+            v ^= pivot
+        if v:
+            pivots[v.bit_length()] = v
+            basis.append((i, x, z))
+    for k, (i, ax, az) in enumerate(basis):
+        for j, bx, bz in basis[k + 1:]:
+            if ((ax & bz) ^ (az & bx)).bit_count() & 1:
+                return i, j
+    return None
+
+
 def anticommuting_pair(strings) -> tuple[PauliString, PauliString] | None:
     """The first pair (a, b), a before b, of ``strings`` that anticommutes, or None.
 
-    Pairs are taken in (i, j) order, i < j.  Every register is checked
-    against the first.  Each string's vector ``(x << n) | z`` is then
-    reduced against pivots keyed by their leading bit, so the strings
-    that do not reduce to zero are a basis of the list, each independent
-    of the strings before it.  Only the pairs of that basis are tested,
-    on bare x/z ints.  This is exact because the symplectic product is
-    bilinear: a string that is a sum of earlier strings commutes with
-    every string that all of those commute with.  So the first
-    anticommuting pair of the list joins two basis strings (any pair
-    before it commutes), and it is also the first pair of the basis.
+    Every register is checked against the first, then the masks go through
+    :func:`anticommuting_indices`.
 
     Raises:
         ValueError: if the strings act on different registers.
     """
     for s in strings[1:]:
         _require_same_length(strings[0], s)
-    pivots: dict[int, int] = {}
-    basis = []
-    for s in strings:
-        v = s.x << s.n | s.z
-        while v and (pivot := pivots.get(v.bit_length())):
-            v ^= pivot
-        if v:
-            pivots[v.bit_length()] = v
-            basis.append((s, s.x, s.z))
-    for i, (a, ax, az) in enumerate(basis):
-        for b, bx, bz in basis[i + 1:]:
-            if ((ax & bz) ^ (az & bx)).bit_count() & 1:
-                return a, b
-    return None
+    pair = strings and anticommuting_indices(strings[0].n, [(s.x, s.z) for s in strings])
+    return (strings[pair[0]], strings[pair[1]]) if pair else None
 
 
 def commutes(p: PauliString, q: PauliString) -> bool:

@@ -4,7 +4,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 
 import pytest
 from hypothesis import settings
@@ -15,7 +15,7 @@ settings.load_profile("det")
 from paulisched.baranyai import round_sizes
 from paulisched.fermion import FermionicTerm, UnsupportedTermError, _product_phase
 from paulisched.flows import FlowNetwork
-from paulisched.partition import HamiltonianCoefficients
+from paulisched.partition import CommutingFamily, HamiltonianCoefficients
 from paulisched.pauli import ExactComplex, PauliString, WeightedPauliString
 
 
@@ -60,19 +60,6 @@ def letter(p: PauliString, t: int) -> str:
     """The letter on qubit ``t`` of ``p``, read from bit t of each mask: the
     per-qubit reference for ``PauliString.text``."""
     return _BITS_TO_LETTER[(p.x >> t) & 1, (p.z >> t) & 1]
-
-
-def reference_anticommuting_pair(strings) -> tuple[PauliString, PauliString] | None:
-    """The first pair (a, b), a before b, that anticommutes, by a plain scan of
-    every (i, j), i < j: the reference for ``pauli.anticommuting_pair``."""
-    for s in strings[1:]:
-        if s.n != strings[0].n:
-            raise ValueError(f"Pauli strings act on different registers: {strings[0].n} != {s.n}")
-    for i, a in enumerate(strings):
-        for b in strings[i + 1:]:
-            if ((a.x & b.z) ^ (a.z & b.x)).bit_count() & 1:
-                return a, b
-    return None
 
 
 def jw_ladder(mode: int, dagger: bool, n: int) -> tuple[WeightedPauliString, WeightedPauliString]:
@@ -239,6 +226,21 @@ def reference_from_entries(n, one_body_entries, two_body_entries) -> Hamiltonian
         {k: v for k, v in one.items() if v},
         {k: v for k, v in two.items() if v},
     )
+
+
+def family_of(strings, provenance=(), origin="residual") -> CommutingFamily:
+    """The family whose ``strings`` view reads back ``strings``, in order: each
+    coefficient's numerators over the lcm of every denominator, the register
+    of the first string.  For hand-made and doctored families."""
+    denominator = lcm(*(
+        part.denominator for w in strings for part in (w.coefficient.real, w.coefficient.imag)
+    ))
+    rows = tuple(
+        (w.string.text(), w.string.x, w.string.z,
+         int(w.coefficient.real * denominator), int(w.coefficient.imag * denominator))
+        for w in strings
+    )
+    return CommutingFamily(strings[0].string.n, denominator, rows, tuple(provenance), origin)
 
 
 def reference_save_families(families, path) -> None:

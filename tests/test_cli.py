@@ -4,9 +4,11 @@ import hashlib
 import json
 import os
 import re
+import runpy
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -14,7 +16,8 @@ import pytest
 from conftest import seeded_hermitian_entries, write_coefficients
 from paulisched import partition
 from paulisched.cli import main
-from paulisched.partition import read_schedule_file, schedule_json
+from paulisched.partition import HamiltonianCoefficients, read_schedule_file, schedule_json
+from paulisched.pauli import ExactComplex, PauliString, WeightedPauliString, parse_pauli
 from paulisched.baranyai import build_schedule
 
 TERM = re.compile(r"^a\+(\d+) a\+(\d+) a-(\d+) a-(\d+)$")
@@ -182,16 +185,16 @@ class TestStreamedFamilies:
     def test_failure_mid_stream_keeps_the_existing_out(self, capsys, tmp_path, monkeypatch):
         out = tmp_path / "families.json"
         out.write_bytes(b"earlier output\n")
-        certify, calls, temporaries = partition.anticommuting_pair, [], []
+        certify, calls, temporaries = partition.anticommuting_indices, [], []
 
-        def reject_tenth(strings):
-            calls.append(len(strings))
+        def reject_tenth(n, masks):
+            calls.append(len(masks))
             if len(calls) < 10:
-                return certify(strings)
+                return certify(n, masks)
             temporaries.extend(p.name for p in tmp_path.glob(".paulisched-*.tmp"))
-            return strings[0], strings[-1]
+            return 0, len(masks) - 1
 
-        monkeypatch.setattr(partition, "anticommuting_pair", reject_tenth)
+        monkeypatch.setattr(partition, "anticommuting_indices", reject_tenth)
         with pytest.raises(partition.FamilyCertificationError):
             main(["families", "--n", "8", "--format", "json", "--out", str(out)])
         assert capsys.readouterr().out == ""
@@ -467,29 +470,31 @@ def test_no_module_imports_a_private_name_of_another():
 
 
 def test_weighted_strings_are_built_only_in_jw_image():
-    # one Jordan-Wigner kernel: the only place that multiplies out product
-    # paths and the only place that makes weighted strings
-    names = {"WeightedPauliString", "_product_phase"}
+    # one Jordan-Wigner kernel: jw_image is the only place that multiplies
+    # out product paths, and weighted_strings, which reads the kernel's
+    # rows, the only place that makes weighted strings
+    owners = {"_product_phase": "jw_image", "WeightedPauliString": "weighted_strings"}
 
     def calls(tree):
         return [
             node for node in ast.walk(tree)
             if isinstance(node, ast.Call)
-            and (getattr(node.func, "id", None) in names or getattr(node.func, "attr", None) in names)
+            and (getattr(node.func, "id", None) in owners or getattr(node.func, "attr", None) in owners)
         ]
 
     trees = _module_trees()
-    jw_image = next(
-        node for node in trees["fermion"].body
-        if isinstance(node, ast.FunctionDef) and node.name == "jw_image"
-    )
-    inside = calls(jw_image)
-    assert {ast.unparse(call.func) for call in inside} == names
+    inside = {
+        node.name: calls(node) for node in trees["fermion"].body
+        if isinstance(node, ast.FunctionDef) and node.name in owners.values()
+    }
+    assert {owner: {ast.unparse(call.func) for call in found} for owner, found in inside.items()} == {
+        owner: {name} for name, owner in owners.items()
+    }
     outside = [
         f"{module}:{call.lineno} {ast.unparse(call.func)}"
         for module, tree in trees.items()
         for call in calls(tree)
-        if call not in inside
+        if not any(call in found for found in inside.values())
     ]
     assert outside == []
 
@@ -565,6 +570,9 @@ SCHEDULE_16_SHA256 = "705afd82788886e29fe9d73eb9f6a6bd6eb121bec15ab15084c45a4e62
 FAMILIES_8_OUT_SHA256 = "b925e78d983b9e14248e35916d27dcb5fddc9311845acf73085f2a36307d4a48"
 FAMILIES_8_WEIGHTED_SHA256 = "c45b56f806b37c5a8a5e51efa914f17bc6d909cad104e7d9180e941f814b4842"
 SCHEDULE_10_OUT_SHA256 = "f333fff09e4845d152e060917c8614208362fc1de9abc8cc3ba79c05460ba890"
+# families --n 12 --hamiltonian H for H = perfbench/hamiltonian.generate(12, 1, 0),
+# an input of the benchmark's weighted-batch workload
+FAMILIES_12_WEIGHTED_SHA256 = "bc5f2791306cb2783e5a3f9cbda12a709c172a47460df00c8d086de97a359a01"
 # n % 4 == 3: hub edges and long augmenting paths in every insertion network
 SCHEDULE_23_SHA256 = "7fea85f0b698773882317754e6b7b9efb94a3d6eefb818b1d8c90670fc0b5f8d"
 # odd N: a last round of one subset, hub edges, and the residual families after the rounds
@@ -591,3 +599,41 @@ def test_weighted_output_bytes_pinned(capsys, tmp_path):
     argv = ["families", "--n", "8", "--hamiltonian", str(coeffs), "--format", "json", "--out", str(path)]
     assert run(capsys, *argv)[0] == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == FAMILIES_8_WEIGHTED_SHA256
+
+
+def test_benchmark_weighted_output_bytes_pinned(capsys, tmp_path):
+    # the generator is stdlib-only and is read, not imported as a module
+    hamiltonian = runpy.run_path(str(SRC.parent / "perfbench" / "hamiltonian.py"))
+    coeffs = tmp_path / "h.json"
+    coeffs.write_text(json.dumps(hamiltonian["generate"](12, 1, 0)))
+    path = tmp_path / "families.json"
+    argv = ["families", "--n", "12", "--hamiltonian", str(coeffs), "--format", "json", "--out", str(path)]
+    assert run(capsys, *argv)[0] == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == FAMILIES_12_WEIGHTED_SHA256
+
+
+def test_no_pauli_objects_on_the_compile_path(capsys, tmp_path, monkeypatch):
+    # the compile carries ints and texts from the kernel to the file; only
+    # a family's strings view builds Pauli objects
+    built = Counter()
+    for cls in (PauliString, WeightedPauliString, ExactComplex):
+        def counted(self, name=cls.__name__, post_init=cls.__post_init__):
+            built[name] += 1
+            post_init(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    parse_pauli("XZ")
+    assert built == {"PauliString": 1}  # the count sees a construction
+    built.clear()
+
+    argv = ["families", "--n", "8", "--format", "json", "--out", str(tmp_path / "F")]
+    assert run(capsys, *argv)[0] == 0
+    coeffs = HamiltonianCoefficients.from_entries(8, *seeded_hermitian_entries(8, seed=11))
+    report = partition.build_partition(8, coeffs)
+    assert report.summary()["family_count"] == len(report.families)
+    partition.save_families(report.families, tmp_path / "G")
+    assert built == {}
+
+    family = report.families[0]
+    assert len(family.strings) == len(family)
+    assert built == {"PauliString": len(family), "WeightedPauliString": len(family), "ExactComplex": len(family)}

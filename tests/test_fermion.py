@@ -8,7 +8,7 @@ import pytest
 from conftest import abs_squared, jw_ladder, letter, pattern_of, reference_jw_term, times_i_power
 from paulisched import fermion
 from paulisched.cli import main
-from paulisched.fermion import FermionicTerm, UnsupportedTermError, _ladder, jw_image, jw_term
+from paulisched.fermion import FermionicTerm, UnsupportedTermError, _ladder, jw_image, jw_term, weighted_strings
 from paulisched.oracles import ladder_matrix, term_matrix, weighted_sum_matrix
 from paulisched.pauli import ExactComplex, PauliString, WeightedPauliString
 
@@ -120,37 +120,51 @@ class TestPattern:
         assert {str(s) for s in matching} == {str(w.string) for w in jw_term(term)}
 
 
-def _canonical_terms(n):
-    """Every canonical one-body and two-body term on n modes, repeated indices included."""
+def _all_terms(n):
+    """Every one-body term on n modes, and every two-body term: each descending
+    create pair with each descending annihilate pair, so every ordering of two
+    descending pairs, repeated indices included.  Unlike the canonical list of
+    the oracles, it keeps all six terms of each 4-subset, not one."""
     pairs = list(combinations(range(n), 2))
     terms = [FermionicTerm.one_body(p, q, n) for p in range(n) for q in range(n)]
     return terms + [FermionicTerm((q, p), (s, r), n) for p, q in pairs for r, s in pairs]
 
 
 class TestImage:
-    """``jw_image``, the one builder of weighted strings from kernel numerators."""
+    """``jw_image``, the rows of kernel numerators, and ``weighted_strings``, the one builder of weighted strings."""
 
     def test_term_is_its_image_at_value_one(self):
+        # jw_term reads back the rows: text, masks and numerators over one denominator
         for n in range(1, 7):
-            for term in _canonical_terms(n):
-                assert jw_term(term) == jw_image([(term, 1)]), term
+            for term in _all_terms(n):
+                denominator, rows = jw_image([(term, 1)])
+                read = [
+                    (w.string.text(), w.string.x, w.string.z,
+                     w.coefficient.real * denominator, w.coefficient.imag * denominator)
+                    for w in jw_term(term)
+                ]
+                assert read == rows, term
 
     def test_sorted_by_the_letter_reference(self):
         def text(s):
             return "".join(letter(s, t) for t in range(s.n))
 
         for n in range(1, 7):
-            terms = _canonical_terms(n)
+            terms = _all_terms(n)
             for entries in [[(term, 1)] for term in terms] + [[(term, 1) for term in terms]]:
-                strings = [w.string for w in jw_image(entries)]
+                denominator, rows = jw_image(entries)
+                strings = [w.string for w in weighted_strings(n, denominator, rows)]
                 assert strings == sorted(strings, key=text)
+                assert [row[0] for row in rows] == [text(s) for s in strings]
 
     def test_int_and_fraction_one_agree(self):
         # the int and the Fraction spelling of 1 build the same exact list
         for n in (2, 4):
-            for term in _canonical_terms(n):
+            for term in _all_terms(n):
                 want = reference_jw_term(term)
-                assert jw_image([(term, 1)]) == jw_image([(term, Fraction(1))]) == want, term
+                image = jw_image([(term, 1)])
+                assert image == jw_image([(term, Fraction(1))]), term
+                assert weighted_strings(n, *image) == want, term
 
 
 class TestGeneralTerms:
@@ -183,7 +197,7 @@ class TestGeneralTerms:
         # strings, exact coefficients and order, for every canonical one-body
         # and two-body term (repeated indices included) up to eight modes
         for n in range(1, 9):
-            for term in _canonical_terms(n):
+            for term in _all_terms(n):
                 assert jw_term(term) == reference_jw_term(term), term
 
     def test_all_terms_dense_at_small_sizes(self):
@@ -209,6 +223,6 @@ class TestSideMemo:
         # every one- and two-mode side of either kind appears once
         assert len(fermion._SIDES) == 2 * (20 + comb(20, 2))
         for n in range(1, 7):
-            for term in _canonical_terms(n):
+            for term in _all_terms(n):
                 assert jw_term(term) == reference_jw_term(term), term
         assert len(fermion._SIDES) == 2 * (20 + comb(20, 2))

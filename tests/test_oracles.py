@@ -1,15 +1,15 @@
 from dataclasses import replace
 from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from conftest import adjoint, seeded_hermitian_entries
+from conftest import adjoint, family_of, seeded_hermitian_entries
 from paulisched import fermion, oracles
 from paulisched.baranyai import Schedule, build_schedule, round_sizes
 from paulisched.fermion import FermionicTerm
 from paulisched.partition import (
-    CommutingFamily,
     HamiltonianCoefficients,
     build_partition,
     commuting_families,
@@ -234,7 +234,7 @@ class TestValidateFamilies:
 
     def test_doctored_family_fails_with_counterexample(self):
         one = ExactComplex(1)
-        bad = CommutingFamily(
+        bad = family_of(
             (
                 WeightedPauliString(one, parse_pauli("XI")),
                 WeightedPauliString(one, parse_pauli("YI")),
@@ -250,14 +250,16 @@ class TestValidateFamilies:
         # the family of test_anticommuting_pair_fails_certification
         texts = ("ZIII", "IZII", "ZZII", "IIII", "ZIIZ", "IIXI", "IIZI")
         strings = tuple(WeightedPauliString(ExactComplex(1), parse_pauli(t)) for t in texts)
-        report = validate_families([CommutingFamily(strings, (), "residual")])
+        report = validate_families([family_of(strings)])
         assert not report.passed
         assert report.counterexample == "family 0: IIXI and IIZI do not commute"
         assert report.details["pairs_checked"] == 21  # C(7, 2)
 
     def test_mixed_registers_fail_without_raising(self):
+        # a CommutingFamily holds one register, but the audit reads any
+        # family through its strings
         strings = tuple(WeightedPauliString(ExactComplex(1), parse_pauli(t)) for t in ("X", "XX"))
-        report = validate_families([CommutingFamily(strings, (), "residual")])
+        report = validate_families([SimpleNamespace(strings=strings)])
         assert not report.passed
         assert report.counterexample == "family 0: Pauli strings act on different registers: 1 != 2"
 
@@ -294,7 +296,7 @@ class TestValidatePartition:
         n, coeffs, families = built
         families = list(families)  # each test edits its own copy
         first = families[0].strings[0]
-        families[1] = replace(families[1], strings=families[1].strings + (first,))
+        families[1] = family_of(families[1].strings + (first,), families[1].provenance, families[1].origin)
         report = validate_partition(families, n, coeffs)
         assert not report.passed
         assert f"{first.string} appears in an earlier family" in report.counterexample
@@ -303,7 +305,7 @@ class TestValidatePartition:
         n, coeffs, families = built
         families = list(families)  # each test edits its own copy
         dropped = families[-1].strings[-1]
-        families[-1] = replace(families[-1], strings=families[-1].strings[:-1])
+        families[-1] = family_of(families[-1].strings[:-1], families[-1].provenance, families[-1].origin)
         report = validate_partition(families, n, coeffs)
         assert not report.passed
         assert report.counterexample.startswith(f"{dropped.string}: families sum to None")
@@ -313,7 +315,7 @@ class TestValidatePartition:
         families = list(families)  # each test edits its own copy
         w = families[0].strings[0]
         doubled = replace(w, coefficient=w.coefficient + w.coefficient)
-        families[0] = replace(families[0], strings=(doubled,) + families[0].strings[1:])
+        families[0] = family_of((doubled,) + families[0].strings[1:], families[0].provenance, families[0].origin)
         report = validate_partition(families, n, coeffs)
         assert not report.passed
         assert report.counterexample.startswith(f"{w.string}: ")
@@ -325,7 +327,7 @@ class TestValidatePartition:
     @pytest.mark.parametrize("n", [4, 8])
     def test_string_on_another_register_fails_without_raising(self, n):
         # at n <= 6 the dense sum would subtract matrices of different shapes
-        family = CommutingFamily((WeightedPauliString(ExactComplex(1), parse_pauli("XXIIIIIIII")),), (), "residual")
+        family = family_of((WeightedPauliString(ExactComplex(1), parse_pauli("XXIIIIIIII")),))
         report = validate_partition([family], n)
         assert not report.passed
         assert report.counterexample == f"family 0: XXIIIIIIII acts on 10 qubits, not {n}"

@@ -7,9 +7,11 @@ from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import (
     abs_squared,
+    family_of,
     has_distinct_indices,
     is_two_body,
     reference_fold,
@@ -22,16 +24,18 @@ from conftest import (
 )
 from paulisched.baranyai import Schedule, build_schedule
 from paulisched.cli import build_parser
-from paulisched.fermion import FermionicTerm, jw_image, jw_term
+from paulisched.fermion import FermionicTerm, jw_image, jw_term, weighted_strings
 from paulisched.oracles import validate_families, validate_partition, validate_schedule
 from paulisched.partition import (
     CoefficientsLoadError,
+    CommutingFamily,
     FamiliesWriteError,
     FamilyCertificationError,
     HamiltonianCoefficients,
     ScheduleLoadError,
     _blocks,
     _certified,
+    _family_chunks,
     _y_parity,
     build_partition,
     commuting_families,
@@ -100,13 +104,13 @@ class TestResidualFamilies:
     def test_anticommuting_pair_fails_certification(self):
         strings = [WeightedPauliString(ExactComplex(1), parse_pauli(t)) for t in ("XI", "ZI")]
         with pytest.raises(FamilyCertificationError):
-            _certified(strings, [], "residual")
+            _certified(family_of(strings))
         # only the last pair of a longer family anticommutes
         texts = ("ZIII", "IZII", "ZZII", "IIII", "ZIIZ", "IIXI", "IIZI")
         strings = [WeightedPauliString(ExactComplex(1), parse_pauli(t)) for t in texts]
-        _certified(strings[:-1], [], "residual")
+        _certified(family_of(strings[:-1]))
         with pytest.raises(FamilyCertificationError, match="IIXI and IIZI"):
-            _certified(strings, [], "residual")
+            _certified(family_of(strings))
 
     def test_off_diagonal_one_body_splits_into_two_pairs(self):
         # unweighted, the hopping and its adjoint share one block and fold
@@ -138,7 +142,7 @@ class TestResidualFamilies:
         masks, strings = [], []
         for family in families:
             assert len({w.string.x for w in family.strings}) == 1
-            assert {_y_parity(w) for w in family.strings} == {0}
+            assert {_y_parity(w.string.x, w.string.z) for w in family.strings} == {0}
             masks.append(family.strings[0].string.x)
             strings += [w.string for w in family.strings]
         assert masks == sorted(masks) and len(set(masks)) == len(masks)  # ascending X mask
@@ -299,7 +303,7 @@ class TestWeightedFold:
         hop = FermionicTerm.one_body(1, 0, 2)
         n0, n1 = FermionicTerm.one_body(0, 0, 2), FermionicTerm.one_body(1, 1, 2)
         entries = [(hop, Fraction(2)), (n0, Fraction(1, 3)), (n1, Fraction(1)), (n0, Fraction(-1, 3))]
-        folded = jw_image(entries)
+        folded = weighted_strings(2, *jw_image(entries))
         # n0 cancels, so ZI sums to zero; strings of later entries sort first
         assert [str(w.string) for w in folded] == ["II", "IZ", "XX", "XY", "YX", "YY"]
         want = {}
@@ -307,7 +311,7 @@ class TestWeightedFold:
             for string, c in _scaled(term, value):
                 want[string] = want.get(string, ExactComplex()) + c
         assert all(w.coefficient == want[w.string] for w in folded)
-        assert jw_image([(hop, 1)]) == jw_term(hop)
+        assert weighted_strings(2, *jw_image([(hop, 1)])) == jw_term(hop)
 
     @pytest.fixture(scope="class", params=["hermitian", "one-sided"])
     def case(self, request):
@@ -416,7 +420,7 @@ class TestIntegerFold:
         # the symbolic expansions, so a block of one term at value 1 checks
         # the builder too, not jw_term against itself
         want = reference_fold([(reference_jw_term(term), value) for term, value in block])
-        assert jw_image(block) == want
+        assert weighted_strings(block[0][0].n, *jw_image(block)) == want
 
     @pytest.mark.parametrize("n", range(4, 9))
     @pytest.mark.parametrize("kind", ["unweighted", "hermitian", "one-sided"])
@@ -462,13 +466,13 @@ class TestIntegerFold:
     def test_entries_that_cancel(self):
         hop, dressed = FermionicTerm.one_body(1, 0, 4), FermionicTerm.two_body(2, 1, 2, 0, 4)
         third = Fraction(1, 3)
-        assert jw_image([(hop, third), (hop, -third)]) == [] == reference_fold(
+        assert jw_image([(hop, third), (hop, -third)])[1] == [] == reference_fold(
             [(jw_term(hop), third), (jw_term(hop), -third)]
         )
         # a dressed hopping minus the bare one: only the Z-dressed part stays
         self._assert_matches_reference([(hop, third), (dressed, third), (hop, -third)])
         number = FermionicTerm.one_body(2, 2, 4)
-        assert jw_image([(number, Fraction(1, 6)), (number, Fraction(-1, 6))]) == []
+        assert jw_image([(number, Fraction(1, 6)), (number, Fraction(-1, 6))])[1] == []
 
 
 class TestIntegerCoefficientSums:
@@ -769,6 +773,56 @@ class TestPersistence:
         assert set(first) == {"origin", "strings", "coefficients", "terms"}
         assert len(first["strings"]) == len(first["coefficients"])
         assert all(len(c) == 2 for c in first["coefficients"])
+
+
+class TestWriterDivision:
+    """The writer divides each numerator by its family's denominator: the
+    floats must be those of the exact values, ``float(Fraction)``."""
+
+    @given(
+        st.integers(-(2**1100), 2**1100),
+        st.integers(-(2**1100), 2**1100),
+        st.one_of(
+            st.integers(1, 2**1100),
+            st.builds(lambda a, b: 3**a * 5**b, st.integers(0, 700), st.integers(0, 400)),
+        ),
+    )
+    def test_floats_of_the_exact_values(self, re, im, denominator):
+        family = CommutingFamily(2, denominator, (("XZ", 1, 2, re, im),), (), "residual")
+        try:
+            want = [float(Fraction(re, denominator)), float(Fraction(im, denominator))]
+        except OverflowError:
+            with pytest.raises(FamiliesWriteError, match="XZ is outside the float range"):
+                "".join(_family_chunks([family], "F"))
+            return
+        if want == [0.0, 0.0] and (re or im):
+            with pytest.raises(FamiliesWriteError, match="XZ is nonzero but rounds to zero"):
+                "".join(_family_chunks([family], "F"))
+            return
+        (record,) = json.loads("".join(_family_chunks([family], "F")))
+        assert repr(record["coefficients"]) == repr([want])  # the sign of a zero too
+
+    def test_a_round_joins_blocks_over_different_denominators(self, tmp_path):
+        # round 0 of the N=8 schedule holds the subsets (7, 2, 1, 0) and
+        # (6, 5, 4, 3): their blocks fold over 3 * 16 and 5 * 16
+        assert schedule_for(8).rounds[0] == ((7, 2, 1, 0), (6, 5, 4, 3))
+        values = {(7, 2, 1, 0): Fraction(1, 3), (6, 5, 4, 3): Fraction(1, 5)}
+        coeffs = HamiltonianCoefficients.from_entries(8, [], list(values.items()))
+        families = list(commuting_families(schedule_for(8), coeffs))
+        assert [(f.origin, f.denominator, len(f)) for f in families] == [("dominant", 240, 16)] * 2
+        expected = {}
+        for key, value in values.items():
+            for string, c in _scaled(FermionicTerm.two_body(*key, 8), value):
+                expected[string] = c
+        assert {w.string: w.coefficient for f in families for w in f.strings} == expected
+        out = tmp_path / "families.json"
+        save_families(families, out)
+        written = [record["coefficients"] for record in json.loads(out.read_text())]
+        assert written == [
+            [[float(w.coefficient.real), float(w.coefficient.imag)] for w in f.strings] for f in families
+        ]
+        streamed, reference = _written_both_ways(families, tmp_path)
+        assert streamed == reference
 
 
 def test_compile_leaves_no_cyclic_garbage(capsys, tmp_path):

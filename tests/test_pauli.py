@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import letter, multiply, reference_anticommuting_pair, string_product, times_i_power
-from paulisched.oracles import string_matrix
+from conftest import letter, multiply, string_product, times_i_power
+from paulisched.oracles import anticommuting_pair_by_scan, string_matrix
 from paulisched.partition import build_partition
 from paulisched.pauli import (
     ExactComplex,
@@ -189,17 +189,17 @@ class TestAnticommutingPairReference:
     @given(st.lists(pauli_strings(n=4), max_size=10))
     def test_random_lists(self, strings):
         got = anticommuting_pair(strings)
-        assert _same_pair(got, reference_anticommuting_pair(strings))
+        assert _same_pair(got, anticommuting_pair_by_scan(strings))
 
     @given(rank_deficient_lists())
     def test_rank_deficient_lists(self, strings):
         got = anticommuting_pair(strings)
-        assert _same_pair(got, reference_anticommuting_pair(strings))
+        assert _same_pair(got, anticommuting_pair_by_scan(strings))
 
     @pytest.mark.parametrize("n", [8, 12])
     def test_compiled_families(self, n):
         for family in _families(n):
-            assert anticommuting_pair(family) is None is reference_anticommuting_pair(family)
+            assert anticommuting_pair(family) is None is anticommuting_pair_by_scan(family)
 
     @given(st.sampled_from([8, 12, 20]), st.data())
     def test_compiled_families_with_one_letter_changed(self, n, data):
@@ -211,7 +211,7 @@ class TestAnticommutingPairReference:
         x = s.x & ~(1 << qubit) | bx << qubit
         z = s.z & ~(1 << qubit) | bz << qubit
         changed = family[:at] + [PauliString(n, x, z)] + family[at + 1:]
-        assert _same_pair(anticommuting_pair(changed), reference_anticommuting_pair(changed))
+        assert _same_pair(anticommuting_pair(changed), anticommuting_pair_by_scan(changed))
 
     def test_the_largest_residual_family(self):
         family = _diagonal_family(20)
@@ -224,10 +224,10 @@ class TestAnticommutingPairReference:
     def test_mixed_registers_raise_first(self, strings):
         registers = {s.n for s in strings}
         if len(registers) == 1:
-            assert _same_pair(anticommuting_pair(strings), reference_anticommuting_pair(strings))
+            assert _same_pair(anticommuting_pair(strings), anticommuting_pair_by_scan(strings))
             return
         with pytest.raises(ValueError) as want:
-            reference_anticommuting_pair(strings)
+            anticommuting_pair_by_scan(strings)
         with pytest.raises(ValueError) as got:
             anticommuting_pair(strings)
         assert str(got.value) == str(want.value)
