@@ -8,9 +8,11 @@ each part is a pair of masks (x, z) and a weight i**k / 2.
 one pass: every coefficient is (a + ib) / 2**f for Gaussian integers a + ib
 and f ladder factors, so each product path carries an i-power and is added
 straight into the sums of the whole weighted set.  The image is one
-denominator and a list of rows ``(text, x, z, re, im)``: a string's text
-(:func:`paulisched.pauli.pauli_text`), its masks and the numerators of its
-coefficient.  The block fold in :mod:`paulisched.partition` calls it once
+denominator and a list of rows ``(text, x, z, re, im)``: a string's text,
+its masks and the numerators of its coefficient.  The sums are keyed by a
+string's digits (:func:`paulisched.pauli.pauli_digits`), and each row's
+text is formatted from them by :func:`paulisched.pauli.pauli_text`, the
+one text rule.  The block fold in :mod:`paulisched.partition` calls it once
 per block and carries the rows to the writer as they are.
 :func:`weighted_strings`, the one builder of weighted strings, turns rows
 into :class:`~paulisched.pauli.WeightedPauliString` values: the view of a
@@ -21,10 +23,13 @@ sign or phase is hand-coded, which is what the dense-matrix oracles in
 A term is the product of its creates side and its annihilates side, and
 each side is expanded once per process by the one phase rule
 :func:`_product_phase`: ``_SIDES`` maps a side's ``(modes, dagger)`` to its
-product paths, which do not depend on the register size.  A path stores
-its exponent in the X^x Z^z normal form, k + popcount(x & z), so that the
-phase of a product of two paths takes two popcounts.  A two-body term then
-takes 16 phases, one per pair of side paths, instead of the 30 of a
+product paths.  A path stores its masks, its exponent in the X^x Z^z
+normal form, k + popcount(x & z), so that the phase of a product of two
+paths takes two popcounts, and its digits: the digit rule is linear over
+GF(2), so the digits of a product of two paths are the XOR of theirs.  No
+part of a path depends on the register size, as a digit int has no width:
+a text is padded to n digits only when it is formatted.  A two-body term
+then takes 16 phases, one per pair of side paths, instead of the 30 of a
 factor-by-factor expansion.  A side names one mode or two distinct
 descending ones, so for modes below M the memo holds at most
 2 * (M + C(M, 2)) keys.  Its lists are never changed once stored, so two
@@ -41,7 +46,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .pauli import ExactComplex, PauliString, WeightedPauliString, pauli_text
+from .pauli import ExactComplex, PauliString, WeightedPauliString, pauli_digits, pauli_text
 
 __all__ = [
     "FermionicTerm",
@@ -114,7 +119,7 @@ def _product_phase(px: int, pz: int, qx: int, qz: int) -> int:
     ) & 3
 
 
-_SIDES: dict[tuple[tuple[int, ...], bool], list[tuple[int, int, int]]] = {}
+_SIDES: dict[tuple[tuple[int, ...], bool], list[tuple[int, int, int, int]]] = {}
 
 
 def jw_image(entries) -> tuple[int, list[tuple[str, int, int, int, int]]]:
@@ -132,7 +137,7 @@ def jw_image(entries) -> tuple[int, list[tuple[str, int, int, int, int]]]:
     """
     denominator = lcm(*(value.denominator for _, value in entries))
     denominator <<= max(len(term.creates) + len(term.annihilates) for term, _ in entries)
-    sums: dict[tuple[int, int], list[int]] = {}
+    sums: dict[int, list[int]] = {}  # per string's digits, [re, im, x, z]
     for term, value in entries:
         sides = []
         for side in ((term.creates, True), (term.annihilates, False)):
@@ -146,23 +151,26 @@ def jw_image(entries) -> tuple[int, list[tuple[str, int, int, int, int]]]:
                         for x, z, k in paths
                         for fx, fz, fk in _ladder(mode, dagger)
                     ]
-                paths = _SIDES[side] = [(x, z, k + (x & z).bit_count()) for x, z, k in paths]
+                paths = _SIDES[side] = [
+                    (x, z, k + (x & z).bit_count(), pauli_digits(x, z)) for x, z, k in paths
+                ]
             sides.append(paths)
         creates, annihilates = sides
         ladders = len(term.creates) + len(term.annihilates)
         scale = value.numerator * (denominator // (value.denominator << ladders))
-        for cx, cz, ce in creates:
-            for ax, az, ae in annihilates:
+        for cx, cz, ce, cd in creates:
+            for ax, az, ae, ad in annihilates:
                 # normal-form exponents add, Z^cz X^ax = (-1)^|cz & ax| X^ax Z^cz,
                 # and the product's own Y letters leave the normal form
                 x, z = cx ^ ax, cz ^ az
                 k = ce + ae + 2 * (cz & ax).bit_count() - (x & z).bit_count()
-                re_im = sums.get((x, z))
-                if re_im is None:
-                    re_im = sums[x, z] = [0, 0]
-                re_im[k & 1] += -scale if k & 2 else scale  # i**k is 1, i, -1 or -i
+                digits = cd ^ ad  # the digit rule is XOR-linear
+                entry = sums.get(digits)
+                if entry is None:
+                    entry = sums[digits] = [0, 0, x, z]
+                entry[k & 1] += -scale if k & 2 else scale  # i**k is 1, i, -1 or -i
     n = entries[0][0].n
-    rows = [(pauli_text(n, x, z), x, z, re, im) for (x, z), (re, im) in sums.items() if re or im]
+    rows = [(pauli_text(n, digits), x, z, re, im) for digits, (re, im, x, z) in sums.items() if re or im]
     rows.sort()
     return denominator, rows
 

@@ -51,6 +51,7 @@ import threading
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import lcm
 from pathlib import Path
@@ -96,6 +97,7 @@ class FamiliesWriteError(ValueError):
 
 
 _FLOAT_MAX = sys.float_info.max
+_dumps = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def _shown(value: Fraction) -> str:  # a float for a message, if it has one
@@ -415,35 +417,45 @@ def _family_chunks(families, path):
 
     Each coefficient part is its numerator over the family's denominator by
     int true division, which is correctly rounded, as ``float(Fraction)`` is.
+    A family's rows often repeat a numerator pair, so each distinct pair is
+    divided, checked and encoded once per family, at its first row: its
+    ``[real,imag]`` text holds the ``repr`` of each float, which is what
+    ``json`` writes.  The mode tuple of each term side is encoded once per
+    file.  A record is joined from such encoded parts, and its bytes are
+    those of ``json.dumps(record, separators=(",", ":"))``.
     """
+    modes = cache(_dumps)
     yield "["
     for i, family in enumerate(families):
         denominator = family.denominator
+        encoded: dict[tuple[int, int], str] = {}
         coefficients = []
         try:
             for text, _, _, re, im in family.rows:
-                real, imag = re / denominator, im / denominator
-                if not (real or imag) and (re or im):  # it would read as a cancelled string
-                    raise FamiliesWriteError(
-                        f"cannot write families to {path}: the summed coefficient of {text} is "
-                        "nonzero but rounds to zero as a float; scale the Hamiltonian coefficients up"
-                    )
-                coefficients.append([real, imag])
+                pair = encoded.get((re, im))
+                if pair is None:
+                    real, imag = re / denominator, im / denominator
+                    if not (real or imag) and (re or im):  # it would read as a cancelled string
+                        raise FamiliesWriteError(
+                            f"cannot write families to {path}: the summed coefficient of {text} is "
+                            "nonzero but rounds to zero as a float; scale the Hamiltonian coefficients up"
+                        )
+                    pair = encoded[re, im] = f"[{real!r},{imag!r}]"
+                coefficients.append(pair)
         except OverflowError:
             raise FamiliesWriteError(
                 f"cannot write families to {path}: the summed coefficient of {text} is "
                 "outside the float range; scale the Hamiltonian coefficients down"
             ) from None
-        record = {
-            "origin": family.origin,
-            "strings": [row[0] for row in family.rows],
-            "coefficients": coefficients,
-            "terms": [
-                {"creates": list(t.creates), "annihilates": list(t.annihilates)}
-                for t in family.provenance
-            ],
-        }
-        yield ("," if i else "") + json.dumps(record, separators=(",", ":"))
+        strings = _dumps([row[0] for row in family.rows])
+        terms = ",".join([
+            f'{{"creates":{modes(t.creates)},"annihilates":{modes(t.annihilates)}}}'
+            for t in family.provenance
+        ])
+        yield (
+            f'{"," if i else ""}{{"origin":{_dumps(family.origin)},"strings":{strings},'
+            f'"coefficients":[{",".join(coefficients)}],"terms":[{terms}]}}'
+        )
     yield "]\n"
 
 

@@ -5,15 +5,22 @@ qubit 0 of a three-qubit register.
 
 A string is a pair of bitmasks (x, z); bit t encodes qubit t as I=(0,0),
 X=(1,0), Y=(1,1), Z=(0,1).  The compile carries strings as those ints and
-their text, never as objects: :func:`pauli_text` is the one text rule, so
-the sort of a Jordan-Wigner image, the writer of a families file and
-:class:`PauliString` read the same text.  One integer rule on the masks
-decides commutation: the parity of the popcount of the symplectic product
-(a.x & b.z) ^ (a.z & b.x).  That product is bilinear over GF(2), so a list
-commutes pairwise exactly when a basis of its (x, z) vectors does
-(Aaronson and Gottesman, quant-ph/0406196).  :func:`anticommuting_indices`
-certifies a list of masks on such a basis, picked out of the list itself;
-the certification in :mod:`paulisched.partition` calls it once per family.
+their text, never as objects.  The text is read from one more int, the
+string's digits (:func:`pauli_digits`): qubit t sits in hex digit t as
+I=0, X=1, Y=2, Z=3.  That rule is linear over GF(2), so the digits of a
+product of strings are the XOR of its factors' digits, and the
+Jordan-Wigner kernel builds each string's digits from those of its two
+sides without reading its masks.  :func:`pauli_text` formats digits as
+text, the one text rule, so the sort of a Jordan-Wigner image, the writer
+of a families file and :class:`PauliString` read the same text.
+
+One integer rule on the masks decides commutation: the parity of the
+popcount of the symplectic product (a.x & b.z) ^ (a.z & b.x).  That
+product is bilinear over GF(2), so a list commutes pairwise exactly when a
+basis of its (x, z) vectors does (Aaronson and Gottesman,
+quant-ph/0406196).  :func:`anticommuting_indices` certifies a list of
+masks on such a basis, picked out of the list itself; the certification in
+:mod:`paulisched.partition` calls it once per family.
 :func:`anticommuting_pair` is its spelling on :class:`PauliString` values
 and :func:`commutes` its two-string case.
 
@@ -46,20 +53,31 @@ __all__ = [
     "anticommuting_pair",
     "commutes",
     "parse_pauli",
+    "pauli_digits",
     "pauli_text",
 ]
 
 _CHAR_TO_XZ = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
-_DIGIT_TO_CHAR = str.maketrans("0123", "IXZY")  # digit x + 2z per qubit
+_DIGIT_TO_CHAR = str.maketrans("0123", "IXYZ")
 
 
-def pauli_text(n: int, x: int, z: int) -> str:
-    """The text of the n-qubit string with masks (x, z), qubit 0 leftmost."""
-    # Reading each mask's binary digits as hex digits puts qubit t in hex
-    # digit t as x_t + 2 z_t (no carries: every digit stays below 4).
-    # Base 16, unlike base 10, has no int/str digit limit.
-    digits = int(format(x, "b"), 16) + 2 * int(format(z, "b"), 16)
-    return format(digits, "x").zfill(n)[::-1].translate(_DIGIT_TO_CHAR)
+def pauli_digits(x: int, z: int) -> int:
+    """The digits of the string with masks (x, z): qubit t in hex digit t,
+    as I=0, X=1, Y=2, Z=3.
+
+    Bit 0 of a digit is x_t ^ z_t and bit 1 is z_t, so the rule is linear
+    over GF(2): the digits of ``(x1 ^ x2, z1 ^ z2)`` are the XOR of the two
+    strings' digits.
+    """
+    # Reading a mask's binary digits as hex digits puts bit t in hex digit
+    # t.  Base 16, unlike base 10, has no int/str digit limit.
+    return int(format(x ^ z, "b"), 16) | int(format(z, "b"), 16) << 1
+
+
+def pauli_text(n: int, digits: int) -> str:
+    """The text of the n-qubit string with :func:`pauli_digits` ``digits``, qubit 0 leftmost."""
+    # "%0*x" takes the width n as an argument: no format spec is built per call
+    return ("%0*x" % (n, digits))[::-1].translate(_DIGIT_TO_CHAR)
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,7 +127,7 @@ class PauliString:
         limit = 1 << self.n
         if not (0 <= self.x < limit and 0 <= self.z < limit):
             raise ValueError(f"bitmasks out of range for n={self.n}")
-        object.__setattr__(self, "_text", pauli_text(self.n, self.x, self.z))
+        object.__setattr__(self, "_text", pauli_text(self.n, pauli_digits(self.x, self.z)))
 
     def text(self) -> str:
         return self._text

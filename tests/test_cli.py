@@ -577,6 +577,8 @@ FAMILIES_12_WEIGHTED_SHA256 = "bc5f2791306cb2783e5a3f9cbda12a709c172a47460df00c8
 SCHEDULE_23_SHA256 = "7fea85f0b698773882317754e6b7b9efb94a3d6eefb818b1d8c90670fc0b5f8d"
 # odd N: a last round of one subset, hub edges, and the residual families after the rounds
 FAMILIES_13_OUT_SHA256 = "466db8446f90dff035e09aa36e4684e3e2de34d7836369e2e84040b971ca2cc2"
+# the output of the benchmark's families-cold workload
+FAMILIES_20_OUT_SHA256 = "36fea8ca949d5f1ea0bb264d6e86bc5a3af7c6e3c9f08e0a90d5cb2eb12a2cb0"
 
 
 def test_output_bytes_pinned(capsys, tmp_path):
@@ -591,6 +593,9 @@ def test_output_bytes_pinned(capsys, tmp_path):
     path = tmp_path / "families13.json"
     assert run(capsys, "families", "--n", "13", "--format", "json", "--out", str(path))[0] == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == FAMILIES_13_OUT_SHA256
+    path = tmp_path / "families20.json"
+    assert run(capsys, "families", "--n", "20", "--format", "json", "--out", str(path))[0] == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == FAMILIES_20_OUT_SHA256
 
 
 def test_weighted_output_bytes_pinned(capsys, tmp_path):

@@ -802,6 +802,58 @@ class TestWriterDivision:
         (record,) = json.loads("".join(_family_chunks([family], "F")))
         assert repr(record["coefficients"]) == repr([want])  # the sign of a zero too
 
+    # numerator pairs over 2**1100: a normal float, an overflow, a nonzero
+    # value that rounds to zero, and a signed zero beside a one
+    _PAIRS = st.one_of(
+        st.tuples(st.integers(-(2**1160), 2**1160), st.integers(-(2**1160), 2**1160)),
+        st.tuples(st.sampled_from([2**2125, -(2**2125)]), st.integers(-(2**1100), 2**1100)),
+        st.tuples(st.sampled_from([1, -1, 0]), st.sampled_from([1, -1])),
+        st.tuples(st.sampled_from([1, -1]), st.sampled_from([2**1100, -(2**1100)])),
+    )
+
+    @given(st.lists(_PAIRS, min_size=1, max_size=4), st.lists(st.integers(0, 3), min_size=1, max_size=12))
+    def test_rows_that_repeat_pairs(self, pool, picks):
+        denominator = 2**1100
+        rows = [(f"{'I' * i}X", 0, 0, *pool[k % len(pool)]) for i, k in enumerate(picks)]
+        family = CommutingFamily(len(rows), denominator, tuple(rows), (), "residual")
+        want = []
+        for text, _, _, re, im in rows:
+            try:
+                coefficient = [float(Fraction(re, denominator)), float(Fraction(im, denominator))]
+            except OverflowError:
+                with pytest.raises(FamiliesWriteError, match=f"of {text} is outside the float range"):
+                    "".join(_family_chunks([family], "F"))
+                return
+            if coefficient == [0.0, 0.0] and (re or im):
+                with pytest.raises(FamiliesWriteError, match=f"of {text} is nonzero but rounds to zero"):
+                    "".join(_family_chunks([family], "F"))
+                return
+            want.append(coefficient)
+        (record,) = json.loads("".join(_family_chunks([family], "F")))
+        assert repr(record["coefficients"]) == repr(want)  # the sign of a zero too
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [((2**2125, 0), "outside the float range"), ((0, -1), "nonzero but rounds to zero as a float")],
+    )
+    def test_a_repeated_bad_pair_is_named_at_its_first_row(self, bad, message):
+        good = (2**1100, -1)
+        rows = [(f"{'I' * i}X", 0, 0, *pair) for i, pair in enumerate([good, bad, good, bad, (3, 0)])]
+        family = CommutingFamily(5, 2**1100, tuple(rows), (), "residual")
+        with pytest.raises(FamiliesWriteError, match=f"the summed coefficient of IX is {message}"):
+            "".join(_family_chunks([family], "F"))
+        first = CommutingFamily(5, 2**1100, (rows[0], rows[0], rows[2]), (), "residual")
+        with pytest.raises(FamiliesWriteError, match=f"the summed coefficient of IX is {message}"):
+            "".join(_family_chunks([first, family], "F"))
+
+    def test_each_family_divides_over_its_own_denominator(self):
+        # one numerator pair is 1.0 in one family and rounds to zero in the next
+        one = CommutingFamily(1, 1, (("X", 1, 0, 1, 0), ("Z", 0, 1, 1, 0)), (), "residual")
+        tiny = CommutingFamily(1, 2**1100, (("Y", 1, 1, 1, 0),), (), "residual")
+        assert json.loads("".join(_family_chunks([one, one], "F")))[1]["coefficients"] == [[1.0, 0.0]] * 2
+        with pytest.raises(FamiliesWriteError, match="the summed coefficient of Y is nonzero but rounds to zero"):
+            "".join(_family_chunks([one, tiny], "F"))
+
     def test_a_round_joins_blocks_over_different_denominators(self, tmp_path):
         # round 0 of the N=8 schedule holds the subsets (7, 2, 1, 0) and
         # (6, 5, 4, 3): their blocks fold over 3 * 16 and 5 * 16

@@ -4,7 +4,7 @@ from functools import cache
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from conftest import letter, multiply, string_product, times_i_power
 from paulisched.oracles import anticommuting_pair_by_scan, string_matrix
@@ -17,6 +17,8 @@ from paulisched.pauli import (
     anticommuting_pair,
     commutes,
     parse_pauli,
+    pauli_digits,
+    pauli_text,
 )
 
 
@@ -71,6 +73,29 @@ class TestParseFormat:
     @given(pauli_strings(max_n=28))
     def test_text_equals_letters(self, p):
         assert p.text() == "".join(letter(p, t) for t in range(p.n))
+
+
+class TestDigits:
+    """The one digit rule: qubit t in hex digit t as I=0, X=1, Y=2, Z=3."""
+
+    @given(*[st.integers(0, 2**70 - 1)] * 4)
+    def test_digits_of_a_product_are_the_xor_of_the_factors(self, x1, z1, x2, z2):
+        assert pauli_digits(x1 ^ x2, z1 ^ z2) == pauli_digits(x1, z1) ^ pauli_digits(x2, z2)
+
+    @pytest.mark.parametrize("x, z", [(0, 0), (1, 0), (1, 1), (0, 1)])
+    def test_text_from_digits_of_one_qubit(self, x, z):
+        p = PauliString(1, x, z)
+        assert pauli_text(1, pauli_digits(x, z)) == letter(p, 0)
+
+    @given(pauli_strings(max_n=70))
+    @example(PauliString(70, 2**70 - 1, 2**70 - 1))
+    @example(PauliString(65, 2**64, 0))
+    def test_text_from_digits_equals_letters(self, p):
+        digits = pauli_digits(p.x, p.z)
+        letters = [letter(p, t) for t in range(p.n)]
+        assert [digits >> 4 * t & 15 for t in range(p.n)] == ["IXYZ".index(c) for c in letters]
+        assert digits >> 4 * p.n == 0
+        assert pauli_text(p.n, digits) == "".join(letters)
 
 
 class TestCommutation:
