@@ -83,9 +83,10 @@ class FermionicTerm:
         if shape not in ((1, 1), (2, 2)):
             raise UnsupportedTermError(f"unsupported operator shape {shape}")
         for side in (self.creates, self.annihilates):
-            if any(not 0 <= m < self.n for m in side):
+            # a side holds one or two modes, so its ends are all of them
+            if not (0 <= side[0] < self.n and 0 <= side[-1] < self.n):
                 raise ValueError(f"mode index out of range [0, {self.n}) in {side}")
-            if any(a <= b for a, b in zip(side, side[1:])):
+            if len(side) == 2 and side[0] <= side[1]:
                 raise UnsupportedTermError(f"indices must be strictly descending, got {side}")
 
     @classmethod

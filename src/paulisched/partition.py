@@ -183,7 +183,7 @@ def _blocks(n: int, coeffs: "HamiltonianCoefficients | None") -> dict[int, list]
             FermionicTerm((q, p), (s, r), n)  # descending
             for p, q in combinations(range(n), 2)
             for r, s in combinations(range(n), 2)
-            if {p, q} & {r, s}
+            if p == r or p == s or q == r or q == s
         ]
         # one term per 4-subset, creating its two largest modes
         terms += [FermionicTerm.two_body(d, c, b, a, n) for a, b, c, d in combinations(range(n), 4)]
@@ -193,8 +193,10 @@ def _blocks(n: int, coeffs: "HamiltonianCoefficients | None") -> dict[int, list]
         table += [(FermionicTerm.two_body(*key, n), value) for key, value in sorted(coeffs.two_body.items())]
     blocks: dict[int, list] = {}
     for term, value in table:
-        # each side's modes are distinct, so its bits sum to their XOR
-        mask = sum(1 << m for m in term.creates) ^ sum(1 << m for m in term.annihilates)
+        # the XOR of both sides' mode bits, as each side's modes are distinct
+        mask = 0
+        for m in term.creates + term.annihilates:
+            mask ^= 1 << m
         blocks.setdefault(mask, []).append((term, value))
     return blocks
 

@@ -19,8 +19,9 @@ class TestFermionicTerm:
         FermionicTerm.two_body(3, 1, 3, 0, 4)  # repeat across kinds is fine
 
     def test_ascending_indices_rejected(self):
-        with pytest.raises(UnsupportedTermError):
-            FermionicTerm.two_body(1, 3, 2, 0, 4)
+        for creates, annihilates in [((1, 3), (2, 0)), ((3, 2), (0, 1))]:
+            with pytest.raises(UnsupportedTermError, match="descending"):
+                FermionicTerm(creates, annihilates, 4)
 
     def test_repeat_within_kind_rejected(self):
         with pytest.raises(UnsupportedTermError):
@@ -31,8 +32,14 @@ class TestFermionicTerm:
             FermionicTerm((3, 2, 1), (2, 1, 0), 4)
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            FermionicTerm.one_body(4, 0, 4)
+        # each mode of each side, at either end of the range
+        for creates, annihilates in [
+            ((4,), (0,)), ((0,), (4,)), ((-1,), (0,)), ((0,), (-1,)),
+            ((4, 0), (1, 0)), ((3, -1), (1, 0)), ((3, 2), (4, 0)), ((3, 2), (1, -1)),
+        ]:
+            with pytest.raises(ValueError, match="out of range") as info:
+                FermionicTerm(creates, annihilates, 4)
+            assert type(info.value) is ValueError
 
 
 class TestLadder:
