@@ -14,19 +14,44 @@ State invariants (PartialState, after inserting elements 0..i-1):
   * every partial subset S occurs in exactly C(n-i, 4-|S|) slots.
 
 With d = n-i elements left, round r must take element i when R_r = d and
-may take it when 0 < R_r < d.  The network has a source, one node per
-round, one per distinct partial subset S with |S| < 4, a sink and a hub.
-Round r's in-edge (capacity 1) comes from the source when the round must
-take the element and from the hub when it may; a complete round's has
-capacity 0.  The source feeds the hub C(n-1,3) minus the forced rounds.
-Round->S edges carry the slot multiplicity, S->sink edges
+may take it when 0 < R_r < d.  The insertion network has a source, one
+node per round, one per distinct partial subset S with |S| < 4, a sink and
+a hub.  Round r's in-edge (capacity 1) comes from the source when the
+round must take the element and from the hub when it may; a complete
+round's has capacity 0.  The source feeds the hub C(n-1,3) minus the
+forced rounds.  Round->S edges carry the slot multiplicity, S->sink edges
 C(n-i-1, 3-|S|).  Sending (4-|S|)/d through each slot, so R_r/d into
 round r, is a flow of value C(n-1,3), all the source can send.  So an
-integral flow of that value exists (Dinic finds it), and any such flow
-serves every forced round and gives each other round at most one element.
-Inserting the element into the chosen slots restores every invariant.
-When 4 | n every round is forced at every step and the hub edge has
-capacity 0.
+integral flow of that value exists, and any such flow serves every forced
+round and gives each other round at most one element.  Its sink edges
+then sum to C(n-1,3) = sum over S of C(n-i-1, 3-|S|) (Vandermonde), so
+every one is saturated.  Inserting the element into the chosen slots
+restores every invariant.  When 4 | n every round is forced at every
+step and the hub edge has capacity 0.
+
+The network is never built.  Its edges, in declaration order, are the
+round in-edges, each round's middle edges in row order, the sink edges and
+the source->hub edge.  Dinic's algorithm on it (kept in the tests as the
+oracle, with the network builder) is run on the slot table instead, and
+augments along the same paths in the same order:
+  * every path starts on a capacity-1 arc into a round, from the source
+    (the forced rounds, in round order, then the hub edge) or from the hub
+    (the other rounds, in round order), so it carries one unit, and the
+    walk resumes at the source or the hub, the tail of the first arc it
+    saturates;
+  * a round holds at most one unit, so its flow is one matched slot; its
+    arcs are its reverse in-edge (live when it is matched, and of use only
+    when the hub feeds it) and then its row;
+  * a subset's live arcs are the reverse edges of the rounds matched to it,
+    in round order, and then its sink edge;
+  * a matched round is reached only from the subset it feeds, one level
+    down, so no row arc needs a capacity check and the multiplicities
+    never decide a path;
+  * Dinic's paths depend only on that arc order and on the breadth-first
+    levels below the sink's, and within a phase an arc can only leave the
+    level graph (an augmentation gives capacity only to reverse arcs, which
+    run a level back down), so a node's current arc may skip the arcs of
+    capacity 0, most of a subset's, and still land where Dinic's does.
 
 The state is kept in the order the network needs and updated at each step,
 not re-derived.  Each round keeps a slot row: its open slots in (size,
@@ -36,21 +61,17 @@ so the slot grown at step i is (i,) + S: every element of S is below i, so
 this is already descending, and it sorts last among the round's slots of
 its size, since every other slot holds only elements below i.  Inserting
 it at the end of its size group keeps the row in order with no sort.
-Filled 4-subsets leave the row.  A step lays the rows end to end as the
-middle edges and numbers each type node by its first appearance there;
-Dinic never scans the sink's edges, so that numbering does not change the
-flow on any round or middle edge.
+Filled 4-subsets leave the row.
 
 Construction is sequential across insertions; schedules for distinct n may
 be built concurrently, and finished Schedule values are immutable.
 """
 
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, compress, repeat
+from itertools import chain, count
 from math import comb
-
-from .flows import FlowNetwork, max_flow_integral
 
 __all__ = [
     "PartialState",
@@ -128,62 +149,217 @@ class PartialState:
         )
 
 
-def _step_parts(state: PartialState):
-    """Network (edges: round in-edges, middle, sink, source->hub) and the
-    (round, subset) map of its middle edges."""
+HUB = -1  # the hub, where the node a round's arc leads to is otherwise a type id
+
+
+def _levels(trows, pos, holders, room, starts, optional, hub_fed, hub_room):
+    """Dinic's breadth-first levels on the insertion network of the slot table.
+
+    Returns (round levels, type levels, hub level, sink level), -1 for a
+    node not levelled; the sink level is -1 when the sink is unreachable.
+    Levels are exact below the sink's; like Dinic's search, the walk stops
+    once the sink has its level, so nothing at or past it is levelled.
+    """
+    round_level = [-1] * len(trows)
+    type_level = [-1] * len(room)
+    for r in starts:
+        round_level[r] = 1
+    hub_level = 1 if hub_room else -1
+    rounds, types, hub_now, level = starts, [], hub_level == 1, 1
+    while True:
+        if any(map(room.__getitem__, types)):
+            return round_level, type_level, hub_level, level + 1
+        level += 1
+        next_rounds, next_types = [], []
+        if hub_now:
+            for r in optional:
+                if not pos[r] and round_level[r] < 0:
+                    round_level[r] = level
+                    next_rounds.append(r)
+        for s in types:
+            for r in holders[s]:
+                if round_level[r] < 0:
+                    round_level[r] = level
+                    next_rounds.append(r)
+        hub_now = False
+        for r in rounds:
+            if pos[r] and hub_level < 0 and hub_fed[r]:
+                hub_level, hub_now = level, True
+            for s in trows[r]:
+                if type_level[s] < 0:
+                    type_level[s] = level
+                    next_types.append(s)
+        if not (next_rounds or next_types or hub_now):
+            return round_level, type_level, hub_level, -1
+        rounds, types = next_rounds, next_types
+
+
+def _insertion_choice(state: PartialState) -> dict[int, tuple[int, ...]]:
+    """The slot each round takes element i in, as {round: subset}.
+
+    Exactly the choice of Dinic's algorithm on the step's insertion
+    network, run on the slot table (see the module docstring).  Subsets
+    are numbered as types, 0 up, by their first appearance in the rows.
+    """
     n, i = state.n, state.inserted
     if i >= n:
         raise ValueError("all elements already inserted")
     d = n - i
-    m = len(state.rows)
-    subsets = list(chain.from_iterable(state.rows))
-    types = dict.fromkeys(subsets)
-    sink = 1 + m + len(types)
-    hub = sink + 1
-    type_node = dict(zip(types, range(1 + m, sink)))
-    sink_cap = [comb(d - 1, SUBSET_SIZE - 1 - size) for size in range(SUBSET_SIZE)]
-    row_sizes = list(map(len, state.rows))
-    rounds = list(chain.from_iterable(map(repeat, range(m), row_sizes)))
+    rows, needed = state.rows, state.needed
+    m = len(rows)
+    type_id = dict(zip(dict.fromkeys(chain.from_iterable(rows)), count()))
+    trows = [list(map(type_id.__getitem__, row)) for row in rows]
+    room = [comb(d - 1, SUBSET_SIZE - 1 - len(s)) for s in type_id]  # sink edge left
+    forced = [r for r in range(m) if needed[r] == d]
+    optional = [r for r in range(m) if 0 < needed[r] < d]
+    hub_fed = [0 < r_needed < d for r_needed in needed]
+    hub_room = comb(n - 1, 3) - len(forced)
+    # pos[r]: 1 + row position of the slot round r feeds, 0 if none; feeds[r]
+    # is that slot's type, -1 if none
+    pos = [0] * m
+    feeds = [-1] * m
 
-    needed = state.needed
-    tails = [hub if 0 < r_needed < d else 0 for r_needed in needed]
-    heads = list(range(1, 1 + m))
-    caps = [1 if r_needed else 0 for r_needed in needed]
-    # one int object per round node, repeated, not one per middle edge
-    tails += chain.from_iterable(map(repeat, range(1, 1 + m), row_sizes))
-    heads += map(type_node.__getitem__, subsets)
-    caps += chain.from_iterable(state.mults)
-    tails += type_node.values()
-    heads += [sink] * len(types)
-    caps += [sink_cap[len(s)] for s in types]
-    tails.append(0)
-    heads.append(hub)
-    caps.append(comb(n - 1, 3) - needed.count(d))
+    while True:
+        holders = [[] for _ in room]  # rounds matched to each type, in round order
+        for r, s in enumerate(feeds):
+            if s >= 0:
+                holders[s].append(r)
+        starts = [r for r in forced if not pos[r]]
+        round_level, type_level, hub_level, sink_level = _levels(
+            trows, pos, holders, room, starts, optional, hub_fed, hub_room
+        )
+        if sink_level < 0:
+            break
 
-    return FlowNetwork(hub + 1, 0, sink, tails, heads, caps), list(zip(rounds, subsets))
+        # Blocking flow.  Current arcs: round_arc[r] is -1 for the reverse
+        # in-edge and k for row position k; type_arc[s] indexes holders[s],
+        # with the sink edge at its end; hub_arc indexes via_hub.
+        round_arc = [-1] * m
+        type_arc = [0] * len(room)
+        via_hub = [r for r in optional if not pos[r] and round_level[r] == hub_level + 1]
+        hub_arc = 0
+        from_source = len(starts)
+        if hub_level == 1:
+            starts += via_hub  # the source's hub edge comes after every round's
+        for first, r in enumerate(starts):
+            from_hub = first >= from_source
+            if from_hub and not hub_room:
+                break
+            path = [r]
+            at = None  # the node round r's current arc leads to, once found
+            while True:
+                if at is None:
+                    # round r: its reverse in-edge, then its row; no row arc
+                    # needs a capacity check, since a matched round is only
+                    # reached from the type it feeds, one level down
+                    next_level = round_level[r] + 1
+                    k = round_arc[r]
+                    if k < 0 and hub_level == next_level and pos[r] and hub_fed[r]:
+                        at = HUB
+                    else:
+                        row = trows[r]
+                        for k in range(max(k, 0), len(row)):
+                            if type_level[row[k]] == next_level:
+                                at = row[k]
+                                break
+                        else:
+                            k = len(row)
+                        round_arc[r] = k
+                    if at is None:
+                        # dead end, for the rest of the phase: unlevel it, so
+                        # no scan enters it again, and step the node that led
+                        # here past it
+                        round_level[r] = -1
+                        path.pop()
+                        if not path:
+                            break
+                        r = path[-1]
+                        k = round_arc[r]
+                        if k < 0:
+                            at = HUB
+                            hub_arc += 1
+                        else:
+                            at = trows[r][k]
+                            type_arc[at] += 1
+                if at == HUB:
+                    for j in range(hub_arc, len(via_hub)):
+                        x = via_hub[j]
+                        if not pos[x] and round_level[x] > 0:
+                            break
+                    else:
+                        j = len(via_hub)
+                    hub_arc = j
+                    if j < len(via_hub):
+                        r = x
+                        path.append(r)
+                        at = None
+                        continue
+                    hub_level = -1
+                else:
+                    s = at
+                    held = holders[s]
+                    next_level = type_level[s] + 1
+                    for j in range(type_arc[s], len(held)):
+                        x = held[j]
+                        if feeds[x] == s and round_level[x] == next_level:
+                            break
+                    else:
+                        j = len(held)
+                    type_arc[s] = j
+                    if j < len(held):
+                        r = x
+                        path.append(r)
+                        at = None
+                        continue
+                    if room[s] and sink_level == next_level:
+                        # augment one unit: each round on the path now feeds
+                        # the slot its current arc leads to, or none via the hub
+                        room[s] -= 1
+                        if from_hub:
+                            hub_room -= 1
+                        for x in path:
+                            k = round_arc[x]
+                            pos[x] = k + 1
+                            feeds[x] = trows[x][k] if k >= 0 else -1
+                        break
+                    type_level[s] = -1
+                # dead end at the type or the hub, unlevelled above: step
+                # round r past it
+                round_arc[r] += 1
+                at = None
+    return {r: rows[r][k - 1] for r, k in enumerate(pos) if k}
 
 
-def _apply(state: PartialState, flow: tuple[int, ...], middle_map) -> PartialState:
-    """The state after inserting element i into the slots the flow chose.
+def _apply(state: PartialState, chosen: dict[int, tuple[int, ...]]) -> PartialState:
+    """The state after inserting element i into the slot each chosen round
+    takes it in, ``chosen`` being {round: subset}.
 
-    Every check runs before anything is built, so a rejected flow leaves no
-    trace; ``state`` itself is never changed.
+    The choice must serve the step's insertion network at full value: every
+    subset is an open slot of its round, C(n-1,3) rounds take the element,
+    every forced round among them, and each subset S is taken C(d-1, 3-|S|)
+    times, the capacity of its sink edge.  Every check runs before anything
+    is built, so a rejected choice leaves no trace; ``state`` itself is
+    never changed.
     """
     n, i = state.n, state.inserted
     m = len(state.rows)
-    if sum(flow[:m]) != comb(n - 1, 3):
-        raise ValueError("integral flow does not have full value")
-    middle = flow[m : m + len(middle_map)]
-    chosen: dict[int, tuple[int, ...]] = {}
-    for k in compress(range(len(middle)), middle):
-        r, s = middle_map[k]
-        if middle[k] != 1 or r in chosen:
-            raise ValueError(f"round {r} must take at most one unit of flow")
-        chosen[r] = s
+    for r, s in chosen.items():
+        if not (0 <= r < m and s in state.rows[r]):
+            raise ValueError(f"round {r} has no open slot {s}")
+    if len(chosen) != comb(n - 1, 3):
+        raise ValueError("choice does not have full value")
     d = n - i
     for r, r_needed in enumerate(state.needed):
         if r_needed == d and r not in chosen:
             raise ValueError(f"round {r} must take element {i} but received none")
+    # The sink edges sum to the full value, so once every subset taken fills
+    # its own, every open subset is taken (see the module docstring).
+    for s, taken in Counter(chosen.values()).items():
+        if taken != comb(d - 1, SUBSET_SIZE - 1 - len(s)):
+            raise ValueError(
+                f"subset {s} taken {taken} times, its sink edge holds "
+                f"{comb(d - 1, SUBSET_SIZE - 1 - len(s))}"
+            )
 
     rows, mults, needed = state.rows.copy(), state.mults.copy(), state.needed.copy()
     closed = state.closed.copy()
@@ -211,13 +387,9 @@ def _apply(state: PartialState, flow: tuple[int, ...], middle_map) -> PartialSta
 def build_schedule(n: int) -> Schedule:
     """The schedule of round_sizes(n) rounds for any n >= 4; deterministic.
 
-    Each insertion network is solved with Dinic's algorithm.
+    Each insertion is Dinic's choice on its network, made on the slot table.
     """
     state = PartialState.initial(n)
     for _ in range(n):
-        net, middle_map = _step_parts(state)
-        state = _apply(state, max_flow_integral(net), middle_map)
-        # Free this step's network before the next one is built: holding
-        # both raises the peak RSS of an n=28 build by about 3.5 MB.
-        del net, middle_map
+        state = _apply(state, _insertion_choice(state))
     return Schedule.from_rounds(n, state.closed)

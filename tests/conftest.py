@@ -3,8 +3,9 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count
 from math import comb, lcm
+from operator import sub
 
 import pytest
 from hypothesis import settings
@@ -14,7 +15,6 @@ settings.load_profile("det")
 
 from paulisched.baranyai import round_sizes
 from paulisched.fermion import FermionicTerm, UnsupportedTermError, _product_phase
-from paulisched.flows import FlowNetwork
 from paulisched.partition import CommutingFamily, HamiltonianCoefficients
 from paulisched.pauli import ExactComplex, PauliString, WeightedPauliString
 
@@ -301,6 +301,141 @@ def seeded_hermitian_entries(n, seed):
     return one, two
 
 
+@dataclass(frozen=True, slots=True)
+class FlowNetwork:
+    """Directed network with integer capacities: the explicit form of an
+    insertion network (:func:`reference_step_parts`), which ``baranyai``
+    never builds, and of the hand-made and random networks of the tests.
+
+    Edge k runs from ``tails[k]`` to ``heads[k]`` with capacity ``caps[k]``;
+    the columns are stored as tuples.  ``edges`` zips them into
+    (tail, head, capacity) triples, built anew on each access.  A rejected
+    network names its first bad edge.
+    """
+
+    node_count: int
+    source: int
+    sink: int
+    tails: tuple[int, ...]
+    heads: tuple[int, ...]
+    caps: tuple[int, ...]
+
+    def __post_init__(self):
+        tails, heads, caps = tuple(self.tails), tuple(self.heads), tuple(self.caps)
+        object.__setattr__(self, "tails", tails)
+        object.__setattr__(self, "heads", heads)
+        object.__setattr__(self, "caps", caps)
+        if self.node_count < 2:
+            raise ValueError("network needs at least a source and a sink")
+        for name, node in (("source", self.source), ("sink", self.sink)):
+            if not 0 <= node < self.node_count:
+                raise ValueError(f"{name} id {node} out of range")
+        if self.source == self.sink:
+            raise ValueError("source and sink must differ")
+        if not len(tails) == len(heads) == len(caps):
+            raise ValueError(
+                f"edge columns differ in length: {len(tails)} tails, "
+                f"{len(heads)} heads, {len(caps)} capacities"
+            )
+        for u, v, c in zip(tails, heads, caps):
+            if u == v:
+                raise ValueError(f"self-loop at node {u}")
+            if not (0 <= u < self.node_count and 0 <= v < self.node_count):
+                raise ValueError(f"edge ({u}, {v}) out of range")
+            if not isinstance(c, int) or c < 0:
+                raise ValueError(f"capacity of edge ({u}, {v}) must be a non-negative integer")
+
+    @property
+    def edges(self) -> tuple[tuple[int, int, int], ...]:
+        """The edges as (tail, head, capacity) triples, in declaration order."""
+        return tuple(zip(self.tails, self.heads, self.caps))
+
+
+def max_flow_integral(net: FlowNetwork) -> tuple[int, ...]:
+    """Maximum integral flow via Dinic's algorithm, one flow per edge.
+
+    The oracle for ``baranyai``'s solver, which must make the same choice
+    on every insertion network.  Deterministic: adjacency follows edge
+    declaration order.
+
+    Each phase levels the residual graph breadth-first and stops once the
+    sink has its level: a node no nearer the source than the sink cannot
+    lie on a shortest augmenting path.  The blocking flow is found by an
+    iterative depth-first walk that keeps the current path as a list of
+    edge ids and, after each augmentation, backs up to the tail of the
+    first saturated edge.  That is exactly where the recursive walk would
+    resume, so both augment along the same paths in the same order.  No
+    closure or self-reference is built, so a solve leaves no cyclic
+    garbage: everything it allocates is freed by reference counting.
+    """
+    # Arc 2k is edge k and arc 2k+1 its reverse; each node lists the arcs
+    # leaving it in id order.
+    head = [0] * (2 * len(net.caps))
+    head[0::2] = net.heads
+    head[1::2] = net.tails
+    cap = [0] * len(head)
+    cap[0::2] = net.caps
+    adj: list[list[int]] = [[] for _ in range(net.node_count)]
+    for eid, u, v in zip(count(0, 2), net.tails, net.heads):
+        adj[u].append(eid)
+        adj[v].append(eid + 1)
+
+    s, t = net.source, net.sink
+    while True:
+        level = [-1] * net.node_count
+        level[s] = 0
+        queue = [s]
+        for node in queue:
+            nxt_level = level[node] + 1
+            for eid in adj[node]:
+                nxt = head[eid]
+                if cap[eid] and level[nxt] < 0:
+                    level[nxt] = nxt_level
+                    if nxt == t:
+                        break
+                    queue.append(nxt)
+            if level[t] >= 0:
+                break
+        if level[t] < 0:
+            break
+
+        it = [0] * net.node_count
+        path: list[int] = []  # edge ids from s to node
+        node = s
+        while True:
+            if node == t:
+                got = min(cap[eid] for eid in path)
+                for eid in path:
+                    cap[eid] -= got
+                    cap[eid ^ 1] += got
+                saturated = next(k for k, eid in enumerate(path) if not cap[eid])
+                del path[saturated:]
+                node = head[path[-1]] if path else s
+                continue
+            edges = adj[node]
+            end = len(edges)
+            nxt_level = level[node] + 1
+            i = it[node]
+            while i < end:
+                eid = edges[i]
+                if cap[eid] and level[head[eid]] == nxt_level:
+                    break
+                i += 1
+            it[node] = i
+            if i < end:
+                path.append(eid)
+                node = head[eid]
+            elif path:
+                # dead end: step the tail of the edge that led here past it
+                node = head[path.pop() ^ 1]
+                it[node] += 1
+            else:
+                break
+
+    return tuple(map(sub, net.caps, cap[0::2]))
+
+
+
 def network(node_count: int, source: int, sink: int, edges) -> FlowNetwork:
     """A ``FlowNetwork`` from (tail, head, capacity) triples, for hand-made cases."""
     edges = tuple(edges)
@@ -488,9 +623,10 @@ def check_invariants(state) -> None:
 
 
 def reference_step_parts(state) -> tuple[FlowNetwork, list[tuple[int, tuple[int, ...]]]]:
-    """The insertion network built from scratch, the reference for
-    ``baranyai._step_parts``: it re-derives every round's R_r and re-sorts
-    every partial subset at each step.
+    """The insertion network of the ``baranyai`` module docstring, built
+    from scratch: it re-derives every round's R_r and re-sorts every
+    partial subset at each step.  ``baranyai`` solves this network without
+    building it; :func:`max_flow_integral` on it is the oracle.
 
     Edges: round in-edges, each round's middle edges in (size, subset)
     order, one sink edge per type in (size, subset) order, then the
@@ -534,10 +670,32 @@ def reference_step_parts(state) -> tuple[FlowNetwork, list[tuple[int, tuple[int,
     return network(hub + 1, 0, sink, edges), middle_map
 
 
+def flow_choice(state, flow, middle_map) -> dict[int, tuple[int, ...]]:
+    """The {round: subset} choice an integral flow on
+    ``reference_step_parts(state)`` makes, as ``baranyai._apply`` takes it.
+
+    Raises ValueError on a flow no choice can spell: a round sending more
+    than one unit, or sending what its in-edge does not carry.
+    """
+    m = len(state.rows)
+    sent = [0] * m
+    chosen: dict[int, tuple[int, ...]] = {}
+    for (r, s), f in zip(middle_map, flow[m : m + len(middle_map)]):
+        if f:
+            if f != 1 or r in chosen:
+                raise ValueError(f"round {r} must take at most one unit of flow")
+            chosen[r] = s
+            sent[r] = 1
+    for r in range(m):
+        if flow[r] != sent[r]:
+            raise ValueError(f"flow not conserved at round {r}")
+    return chosen
+
+
 def insertion_seed(state, net: FlowNetwork, middle_map) -> ScaledFlow:
     """The fractional flow of value C(n-1,3) that proves an insertion network solvable.
 
-    ``net`` and ``middle_map`` are ``baranyai._step_parts(state)``.  With d
+    ``net`` and ``middle_map`` are ``reference_step_parts(state)``.  With d
     elements left, each slot S sends (4-|S|)/d, so round r's in-edge
     carries R_r/d, the elements the round still needs over d; each sink
     edge is saturated and the hub edge, the last, carries the in-edges it
@@ -562,8 +720,8 @@ def round_flow(net: FlowNetwork, fractional: ScaledFlow) -> ScaledFlow:
     """Round a feasible fractional flow into an integral flow of equal value.
 
     The paper's rounding construction, the reference for Dinic: the
-    schedule itself is built with ``max_flow_integral``, and the tests
-    check both on every insertion network.  It repeatedly finds an
+    schedule itself takes Dinic's choice (``max_flow_integral``'s, made on
+    the slot table), and the tests check both on every insertion network.  It repeatedly finds an
     undirected cycle among the edges with non-integral flow and pushes the
     smallest slack around it until at least one edge lands on a multiple of
     the denominator; each push strictly shrinks the fractional edge set, so the loop

@@ -16,17 +16,19 @@ import pytest
 
 from conftest import (
     abs_squared,
+    flow_choice,
     flow_value,
     insertion_seed,
     make_fractional_case,
+    max_flow_integral,
     pattern_of,
+    reference_step_parts,
     round_flow,
 )
 from paulisched import partition
-from paulisched.baranyai import PartialState, _apply, _step_parts, build_schedule
+from paulisched.baranyai import PartialState, _apply, _insertion_choice, build_schedule
 from paulisched.cli import main as cli_main
 from paulisched.fermion import FermionicTerm, jw_term
-from paulisched.flows import max_flow_integral
 from paulisched.oracles import (
     anticommuting_chain_fixture,
     validate_families,
@@ -188,13 +190,15 @@ def test_criterion_5_scaling(capsys):
 def test_criterion_6_flow_engine_equivalence(capsys):
     state = PartialState.initial(8)
     for _ in range(8):
-        net, mapping = _step_parts(state)
+        net, mapping = reference_step_parts(state)
         rounded = round_flow(net, insertion_seed(state, net, mapping))
         recomputed = max_flow_integral(net)
         assert flow_value(net, rounded) == flow_value(net, recomputed) == 35
-        state = _apply(state, rounded.numerators, mapping)
+        assert _insertion_choice(state) == flow_choice(state, recomputed, mapping)
+        state = _apply(state, flow_choice(state, rounded.numerators, mapping))
     with capsys.disabled():
-        note(6, "all 8 insertion networks: rounded value == recomputed value == 35")
+        note(6, "all 8 insertion networks: rounded value == recomputed value == 35, "
+                "solver choice == Dinic's")
 
 
 def test_criterion_7_rounding_contract(capsys):

@@ -7,8 +7,10 @@ import pytest
 from conftest import (
     check_flow,
     check_invariants,
+    flow_choice,
     flow_value,
     insertion_seed,
+    max_flow_integral,
     reference_max_flow,
     reference_step_parts,
     round_flow,
@@ -18,10 +20,9 @@ from paulisched.baranyai import (
     PartialState,
     Schedule,
     _apply,
-    _step_parts,
+    _insertion_choice,
     build_schedule,
 )
-from paulisched.flows import max_flow_integral
 from paulisched.oracles import validate_schedule
 
 
@@ -69,14 +70,14 @@ class TestPartialState:
         n = 8
         state = PartialState.initial(n)
         for i in range(n):
-            net, mapping = _step_parts(state)
+            net, mapping = reference_step_parts(state)
             seed = insertion_seed(state, net, mapping)
             # the seed is exactly conservative and saturates both terminal layers
             assert flow_value(net, seed) == comb(n - 1, 3)
             for r, slots in enumerate(slot_table(state)):
                 spread = sum((4 - len(s)) * m for s, m in slots.items() if len(s) < 4)
                 assert spread == n - i == seed.denominator
-            state = _apply(state, round_flow(net, seed).numerators, mapping)
+            state = _apply(state, flow_choice(state, round_flow(net, seed).numerators, mapping))
             check_invariants(state)
             # every grown subset now appears the freshly required number of times
             mult = Counter()
@@ -89,7 +90,7 @@ class TestPartialState:
 
     def test_first_insertion_network_shape(self):
         state = PartialState.initial(8)
-        net, mapping = _step_parts(state)
+        net, mapping = reference_step_parts(state)
         seed = insertion_seed(state, net, mapping)
         type_nodes = net.node_count - 3 - len(state.rows)  # source, sink and hub
         assert type_nodes == 1  # only the empty slot type exists
@@ -97,50 +98,51 @@ class TestPartialState:
 
     def test_apply_step_requires_single_unit_per_round(self):
         state = PartialState.initial(4)
-        net, mapping = _step_parts(state)
+        net, mapping = reference_step_parts(state)
         # doctor a flow that routes nothing
         zero = tuple(0 for _ in net.edges)
         with pytest.raises(ValueError, match="full value"):
-            _apply(state, zero, mapping)
+            _apply(state, flow_choice(state, zero, mapping))
 
     def test_apply_step_rejects_two_units_into_one_round(self):
         # keep the full value on the in-edges but route two middle units into
-        # round 0: once down one middle edge, once down each of two
+        # round 0: once down one middle edge, once down each of two.  A
+        # {round: subset} choice holds one slot per round, so such a flow is
+        # rejected on its way to _apply.
         n = 8
         state = PartialState.initial(n)
-        net, mapping = _step_parts(state)
+        net, mapping = reference_step_parts(state)
         m = len(state.rows)
         flow = list(max_flow_integral(net))
         assert [r for r, _ in mapping] == list(range(m))  # one slot type per round
         flow[m], flow[m + 1] = 2, 0
         with pytest.raises(ValueError, match="at most one unit"):
-            _apply(state, tuple(flow), mapping)
+            _apply(state, flow_choice(state, flow, mapping))
 
-        state = _apply(state, max_flow_integral(net), mapping)
-        net, mapping = _step_parts(state)
+        state = _apply(state, flow_choice(state, max_flow_integral(net), mapping))
+        net, mapping = reference_step_parts(state)
         flow = list(max_flow_integral(net))
         round0 = [m + k for k, (r, _) in enumerate(mapping) if r == 0]
         assert len(round0) == 2 and sum(flow[e] for e in round0) == 1
         for e in round0:
             flow[e] = 1
         with pytest.raises(ValueError, match="at most one unit"):
-            _apply(state, tuple(flow), mapping)
+            _apply(state, flow_choice(state, flow, mapping))
 
     def test_apply_step_full_run_matches_build(self):
         state = PartialState.initial(4)
         for _ in range(4):
-            net, mapping = _step_parts(state)
+            net, mapping = reference_step_parts(state)
             seed = insertion_seed(state, net, mapping)
-            state = _apply(state, round_flow(net, seed).numerators, mapping)
+            state = _apply(state, flow_choice(state, round_flow(net, seed).numerators, mapping))
         assert list(slot_table(state)[0]) == [(3, 2, 1, 0)]
 
     def test_apply_step_rejects_a_starved_forced_round(self):
         # n=5: one round misses element 0, so it must take element 1; hand its
         # unit to a round that may take element 1 but did not
         state = PartialState.initial(5)
-        net, mapping = _step_parts(state)
-        state = _apply(state, max_flow_integral(net), mapping)
-        net, mapping = _step_parts(state)
+        state = _apply(state, _insertion_choice(state))
+        net, mapping = reference_step_parts(state)
         m = len(state.rows)
         flow = list(max_flow_integral(net))
         forced = [r for r in range(m) if net.tails[r] == net.source and net.caps[r]]
@@ -152,18 +154,18 @@ class TestPartialState:
         flow[forced[0]] = 0
         flow[idle[0]] = flow[m + next(k for k, (r, _) in enumerate(mapping) if r == idle[0])] = 1
         with pytest.raises(ValueError, match="must take element 1"):
-            _apply(state, tuple(flow), mapping)
+            _apply(state, flow_choice(state, flow, mapping))
 
     @pytest.mark.parametrize("n", range(4, 15))
     def test_hub_network_has_full_fractional_flow(self, n):
         # the seed proves that an integral flow of full value exists
         state = PartialState.initial(n)
         for _ in range(n):
-            net, mapping = _step_parts(state)
+            net, mapping = reference_step_parts(state)
             seed = insertion_seed(state, net, mapping)
             check_flow(net, seed)
             assert flow_value(net, seed) == comb(n - 1, 3)
-            state = _apply(state, max_flow_integral(net), mapping)
+            state = _apply(state, _insertion_choice(state))
             check_invariants(state)
 
 
@@ -174,75 +176,41 @@ def _snapshot(state):
 
 
 class TestIncrementalNetwork:
-    """``_step_parts`` keeps its state in network order; the conftest
-    ``reference_step_parts`` rebuilds each network from scratch."""
+    """``_insertion_choice`` solves each insertion network on the slot table
+    kept from step to step; the conftest ``reference_step_parts`` builds the
+    network from scratch and ``max_flow_integral`` solves it, the oracle."""
 
     @pytest.mark.parametrize("n", range(4, 18))
     def test_every_step_matches_the_reference(self, n):
         state = PartialState.initial(n)
         for _ in range(n):
-            net, mapping = _step_parts(state)
-            ref, ref_mapping = reference_step_parts(state)
-            self._assert_same_network(net, mapping, ref, ref_mapping, len(state.rows))
+            net, mapping = reference_step_parts(state)
             flow = max_flow_integral(net)
             assert flow == reference_max_flow(net)
-            state = _apply(state, flow, mapping)
+            chosen = _insertion_choice(state)
+            assert chosen == flow_choice(state, flow, mapping)
+            state = _apply(state, chosen)
             check_invariants(state)
         assert not any(state.rows)
 
-    @staticmethod
-    def _assert_same_network(net, mapping, ref, ref_mapping, m):
-        assert (net.node_count, net.source, net.sink) == (ref.node_count, ref.source, ref.sink)
-        assert len(net.caps) == len(ref.caps)
-        assert mapping == ref_mapping
-        # round in-edges and the hub edge, node for node
-        edges, ref_edges = net.edges, ref.edges
-        assert edges[:m] == ref_edges[:m]
-        assert edges[-1] == ref_edges[-1]
-        # middle edges in order, with type nodes read as their subsets
-        subset_of: dict[int, tuple[int, ...]] = {}
-        ref_subset_of: dict[int, tuple[int, ...]] = {}
-        middle = slice(m, m + len(mapping))
-        for (r, s), u, v, c, ref_u, ref_v, ref_c in zip(
-            mapping,
-            net.tails[middle],
-            net.heads[middle],
-            net.caps[middle],
-            ref.tails[middle],
-            ref.heads[middle],
-            ref.caps[middle],
-        ):
-            assert u == ref_u == 1 + r
-            assert c == ref_c
-            assert subset_of.setdefault(v, s) == s
-            assert ref_subset_of.setdefault(ref_v, s) == s
-        type_nodes = range(1 + m, net.sink)
-        assert sorted(subset_of) == sorted(ref_subset_of) == list(type_nodes)
-        # one sink edge per type, with the same capacity
-        sink_edges = edges[m + len(mapping) : -1]
-        ref_sink_edges = ref_edges[m + len(mapping) : -1]
-        assert all(v == net.sink for _, v, _ in sink_edges + ref_sink_edges)
-        sink_cap = {subset_of[u]: c for u, _, c in sink_edges}
-        assert len(sink_cap) == len(sink_edges) == len(type_nodes)
-        assert sink_cap == {ref_subset_of[u]: c for u, _, c in ref_sink_edges}
-
 
 class TestApplyIsAllOrNothing:
-    """A rejected flow leaves the state exactly as it was."""
+    """A rejected choice leaves the state exactly as it was."""
 
     @staticmethod
     def _midway(n, steps):
         state = PartialState.initial(n)
         for _ in range(steps):
-            net, mapping = _step_parts(state)
-            state = _apply(state, max_flow_integral(net), mapping)
-        net, mapping = _step_parts(state)
+            state = _apply(state, _insertion_choice(state))
+        net, mapping = reference_step_parts(state)
         return state, net, mapping, list(max_flow_integral(net))
 
-    def _assert_rejected(self, state, flow, mapping, match):
+    def _assert_rejected(self, state, choose, match):
+        # choose() runs inside the check: a flow that no choice can spell
+        # is rejected on its way to _apply
         before = _snapshot(state)
         with pytest.raises(ValueError, match=match):
-            _apply(state, tuple(flow), mapping)
+            _apply(state, choose())
         assert _snapshot(state) == before
         check_invariants(state)
 
@@ -257,7 +225,9 @@ class TestApplyIsAllOrNothing:
                 flow[m + k] = 0
         flow[forced] = 0
         flow[idle] = flow[m + next(k for k, (r, _) in enumerate(mapping) if r == idle)] = 1
-        self._assert_rejected(state, flow, mapping, f"round {forced} must take element")
+        self._assert_rejected(
+            state, lambda: flow_choice(state, flow, mapping), f"round {forced} must take element"
+        )
 
     def test_two_units_into_one_round(self):
         state, net, mapping, flow = self._midway(9, 3)
@@ -266,19 +236,37 @@ class TestApplyIsAllOrNothing:
         assert len(taken) >= 2 and sum(flow[e] for e in taken) == 1
         for e in taken:
             flow[e] = 1
-        self._assert_rejected(state, flow, mapping, "at most one unit")
+        self._assert_rejected(state, lambda: flow_choice(state, flow, mapping), "at most one unit")
 
     def test_flow_not_of_full_value(self):
+        # one round's unit dropped from its in-edge and its middle edge
         state, net, mapping, flow = self._midway(10, 4)
         m = len(state.rows)
         r = next(r for r in range(m) if flow[r])
         flow[r] = 0
-        self._assert_rejected(state, flow, mapping, "full value")
+        flow[m + next(k for k, (q, _) in enumerate(mapping) if q == r and flow[m + k])] = 0
+        self._assert_rejected(state, lambda: flow_choice(state, flow, mapping), "full value")
+
+    def test_round_moved_to_another_slot_of_its_row(self):
+        # full value and every forced round served, but the subset the round
+        # left is taken once too rarely and the one it moved to once too often
+        state = self._midway(10, 4)[0]
+        chosen = _insertion_choice(state)
+        r, s = next((r, s) for r, s in chosen.items() if len(state.rows[r]) > 1)
+        chosen[r] = next(t for t in state.rows[r] if t != s)
+        self._assert_rejected(state, lambda: chosen, r"^subset \(.*\) taken \d+ times, its sink edge holds \d+$")
+
+    def test_subset_that_is_not_an_open_slot_of_its_round(self):
+        state = self._midway(9, 3)[0]
+        chosen = _insertion_choice(state)
+        r = next(iter(chosen))
+        chosen[r] = next(s for row in state.rows for s in row if s not in state.rows[r])
+        self._assert_rejected(state, lambda: chosen, f"^round {r} has no open slot")
 
     def test_accepted_flow_leaves_its_input_unchanged(self):
         state, net, mapping, flow = self._midway(11, 5)
         before = _snapshot(state)
-        grown = _apply(state, tuple(flow), mapping)
+        grown = _apply(state, flow_choice(state, flow, mapping))
         assert _snapshot(state) == before
         assert grown.inserted == state.inserted + 1
         check_invariants(grown)

@@ -579,6 +579,8 @@ SCHEDULE_23_SHA256 = "7fea85f0b698773882317754e6b7b9efb94a3d6eefb818b1d8c90670fc
 FAMILIES_13_OUT_SHA256 = "466db8446f90dff035e09aa36e4684e3e2de34d7836369e2e84040b971ca2cc2"
 # the output of the benchmark's families-cold workload
 FAMILIES_20_OUT_SHA256 = "36fea8ca949d5f1ea0bb264d6e86bc5a3af7c6e3c9f08e0a90d5cb2eb12a2cb0"
+# the output of the benchmark's schedule-large workload; 4 | 28, so no hub
+SCHEDULE_28_OUT_SHA256 = "54c5d55aae4373970842ae23499a81e915d9e40b7756f7c20b5aab9c4bf6216a"
 
 
 def test_output_bytes_pinned(capsys, tmp_path):
@@ -596,6 +598,9 @@ def test_output_bytes_pinned(capsys, tmp_path):
     path = tmp_path / "families20.json"
     assert run(capsys, "families", "--n", "20", "--format", "json", "--out", str(path))[0] == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == FAMILIES_20_OUT_SHA256
+    path = tmp_path / "schedule28.json"
+    assert run(capsys, "schedule", "--n", "28", "--format", "json", "--out", str(path))[0] == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SCHEDULE_28_OUT_SHA256
 
 
 def test_weighted_output_bytes_pinned(capsys, tmp_path):

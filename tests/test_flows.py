@@ -6,16 +6,19 @@ from math import comb
 import pytest
 
 from conftest import (
+    FlowNetwork,
     ScaledFlow,
     check_flow,
+    flow_choice,
     flow_value,
     insertion_seed,
+    max_flow_integral,
     network,
     reference_max_flow,
+    reference_step_parts,
     round_flow,
 )
-from paulisched.baranyai import PartialState, _apply, _step_parts
-from paulisched.flows import FlowNetwork, max_flow_integral
+from paulisched.baranyai import PartialState, _apply
 
 
 def test_network_validation():
@@ -93,19 +96,20 @@ class TestMaxFlow:
         assert flow_value(net, max_flow_integral(net)) == 3
 
     def test_scheduler_networks_reach_full_value(self):
-        # Dinic, the construction's solver, against rounding of the seed, the
-        # reference: both must reach the seed's full value and be insertable.
+        # Dinic, whose choice the construction makes, against rounding of
+        # the seed, the reference: both must reach the seed's full value and
+        # be insertable.
         for n in (8, 12):
             state = PartialState.initial(n)
             for _ in range(n):
-                net, mapping = _step_parts(state)
+                net, mapping = reference_step_parts(state)
                 seed = insertion_seed(state, net, mapping)
                 flow = max_flow_integral(net)
                 rounded = round_flow(net, seed)
                 assert flow_value(net, flow) == flow_value(net, rounded) == comb(n - 1, 3)
                 assert flow_value(net, seed) == comb(n - 1, 3)
-                _apply(state, rounded.numerators, mapping)
-                state = _apply(state, flow, mapping)
+                _apply(state, flow_choice(state, rounded.numerators, mapping))
+                state = _apply(state, flow_choice(state, flow, mapping))
 
 
 class TestSameFlowsAsRecursiveDinic:
@@ -115,10 +119,10 @@ class TestSameFlowsAsRecursiveDinic:
     def test_insertion_networks(self, n):
         state = PartialState.initial(n)
         for _ in range(n):
-            net, mapping = _step_parts(state)
+            net, mapping = reference_step_parts(state)
             flow = max_flow_integral(net)
             assert flow == reference_max_flow(net)
-            state = _apply(state, flow, mapping)
+            state = _apply(state, flow_choice(state, flow, mapping))
 
     def test_random_two_layer_networks(self, fractional_case_maker):
         rng = random.Random(7)
@@ -207,12 +211,12 @@ class TestRoundFlow:
     def test_scheduler_seeds_round_to_full_value(self):
         state = PartialState.initial(8)
         for _ in range(8):
-            net, mapping = _step_parts(state)
+            net, mapping = reference_step_parts(state)
             seed = insertion_seed(state, net, mapping)
             rounded = round_flow(net, seed)
             check_flow(net, rounded)
             assert flow_value(net, rounded) == flow_value(net, seed) == comb(7, 3)
-            state = _apply(state, rounded.numerators, mapping)
+            state = _apply(state, flow_choice(state, rounded.numerators, mapping))
 
     def test_deterministic(self, fractional_case_maker):
         rng = random.Random(5)
