@@ -6,7 +6,7 @@ behind the grouping depends only on n, so it can be computed once and
 cached per register size.
 """
 
-from .baranyai import PartialState, Schedule, build_schedule
+from .baranyai import Schedule, build_schedule
 from .fermion import FermionicTerm, UnsupportedTermError, jw_image, jw_term
 from .partition import (
     CommutingFamily,

@@ -53,15 +53,22 @@ augments along the same paths in the same order:
     run a level back down), so a node's current arc may skip the arcs of
     capacity 0, most of a subset's, and still land where Dinic's does.
 
-The state is kept in the order the network needs and updated at each step,
-not re-derived.  Each round keeps a slot row: its open slots in (size,
-subset) order, one entry per distinct subset with its multiplicity, and
-R_r is stored and decremented.  Elements are inserted in increasing order,
+The state is kept in the order the network needs and updated in place at
+each step, not re-derived.  Each round keeps a slot row: one entry per
+open slot, in (size, subset) order, so the empty slot repeats at its head,
+and R_r is stored and decremented.  Elements are inserted in increasing order,
 so the slot grown at step i is (i,) + S: every element of S is below i, so
 this is already descending, and it sorts last among the round's slots of
 its size, since every other slot holds only elements below i.  Inserting
 it at the end of its size group keeps the row in order with no sort.
 Filled 4-subsets leave the row.
+
+Each repeat of the empty slot is one more arc from the round to the same
+subset node, where the network has one arc carrying the multiplicity.
+The walk skips it either way: once the first arc has carried a unit the
+round is matched, and it is reached only from that node, one level down,
+so no arc back to the node leads a level on; once the first arc is found
+dead, the node is unlevelled.  So the repeats move no augmenting path.
 
 Construction is sequential across insertions; schedules for distinct n may
 be built concurrently, and finished Schedule values are immutable.
@@ -74,7 +81,6 @@ from itertools import chain, count
 from math import comb
 
 __all__ = [
-    "PartialState",
     "Schedule",
     "build_schedule",
     "round_sizes",
@@ -121,18 +127,16 @@ class Schedule:
 class PartialState:
     """Slot table during construction; see the module docstring for invariants.
 
-    ``rows[r]`` is round r's slot row, its open slots (|S| < 4) in (size,
-    subset) order, and ``mults[r]`` their multiplicities (only the empty
-    slot repeats); ``needed[r]`` is R_r, and ``closed[r]`` lists the
-    round's 4-subsets filled so far.  A state is not changed once built:
-    ``_apply`` returns a new one that shares the rows it did not touch.
+    ``rows[r]`` is round r's slot row, one entry per open slot (|S| < 4) in
+    (size, subset) order, so the empty slot repeats at its head;
+    ``needed[r]`` is R_r, and ``closed[r]`` lists the round's 4-subsets
+    filled so far.  ``_apply`` updates the state in place.
     """
 
-    def __init__(self, n, inserted, rows, mults, needed, closed):
+    def __init__(self, n, inserted, rows, needed, closed):
         self.n = n
         self.inserted = inserted
         self.rows: list[list[tuple[int, ...]]] = rows
-        self.mults: list[list[int]] = mults
         self.needed: list[int] = needed
         self.closed: list[list[tuple[int, ...]]] = closed
 
@@ -142,8 +146,7 @@ class PartialState:
         return cls(
             n,
             0,
-            [[()] for _ in sizes],
-            [[size] for size in sizes],
+            [[()] * size for size in sizes],
             [SUBSET_SIZE * size for size in sizes],
             [[] for _ in sizes],
         )
@@ -330,26 +333,26 @@ def _insertion_choice(state: PartialState) -> dict[int, tuple[int, ...]]:
     return {r: rows[r][k - 1] for r, k in enumerate(pos) if k}
 
 
-def _apply(state: PartialState, chosen: dict[int, tuple[int, ...]]) -> PartialState:
-    """The state after inserting element i into the slot each chosen round
-    takes it in, ``chosen`` being {round: subset}.
+def _apply(state: PartialState, chosen: dict[int, tuple[int, ...]]) -> None:
+    """Insert element i, in place, into the slot each chosen round takes it
+    in, ``chosen`` being {round: subset}.
 
     The choice must serve the step's insertion network at full value: every
     subset is an open slot of its round, C(n-1,3) rounds take the element,
     every forced round among them, and each subset S is taken C(d-1, 3-|S|)
-    times, the capacity of its sink edge.  Every check runs before anything
-    is built, so a rejected choice leaves no trace; ``state`` itself is
-    never changed.
+    times, the capacity of its sink edge.  Every check runs before the state
+    is touched, so a rejected choice leaves no trace.
     """
     n, i = state.n, state.inserted
-    m = len(state.rows)
+    rows, needed, closed = state.rows, state.needed, state.closed
+    m = len(rows)
     for r, s in chosen.items():
-        if not (0 <= r < m and s in state.rows[r]):
+        if not (0 <= r < m and s in rows[r]):
             raise ValueError(f"round {r} has no open slot {s}")
     if len(chosen) != comb(n - 1, 3):
         raise ValueError("choice does not have full value")
     d = n - i
-    for r, r_needed in enumerate(state.needed):
+    for r, r_needed in enumerate(needed):
         if r_needed == d and r not in chosen:
             raise ValueError(f"round {r} must take element {i} but received none")
     # The sink edges sum to the full value, so once every subset taken fills
@@ -361,27 +364,18 @@ def _apply(state: PartialState, chosen: dict[int, tuple[int, ...]]) -> PartialSt
                 f"{comb(d - 1, SUBSET_SIZE - 1 - len(s))}"
             )
 
-    rows, mults, needed = state.rows.copy(), state.mults.copy(), state.needed.copy()
-    closed = state.closed.copy()
     for r, s in chosen.items():
-        row, mult = rows[r].copy(), mults[r].copy()
-        k = row.index(s)
-        if mult[k] == 1:
-            del row[k], mult[k]
-        else:
-            mult[k] -= 1
+        row = rows[r]
+        row.remove(s)
         # Every other slot holds only elements below i, so (i,) + s is
         # descending and sorts last among the round's slots of its size.
         grown = (i,) + s
         if len(grown) == SUBSET_SIZE:
-            closed[r] = closed[r] + [grown]
+            closed[r].append(grown)
         else:
-            k = bisect_right(row, len(grown), key=len)
-            row.insert(k, grown)
-            mult.insert(k, 1)
-        rows[r], mults[r] = row, mult
+            row.insert(bisect_right(row, len(grown), key=len), grown)
         needed[r] -= 1
-    return PartialState(n, i + 1, rows, mults, needed, closed)
+    state.inserted = i + 1
 
 
 def build_schedule(n: int) -> Schedule:
@@ -391,5 +385,5 @@ def build_schedule(n: int) -> Schedule:
     """
     state = PartialState.initial(n)
     for _ in range(n):
-        state = _apply(state, _insertion_choice(state))
+        _apply(state, _insertion_choice(state))
     return Schedule.from_rounds(n, state.closed)

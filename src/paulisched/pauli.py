@@ -36,12 +36,11 @@ integer rows, and no compile builds one.  All values are immutable and
 all operations pure, so everything here can be shared freely across
 threads.  The value types are slotted frozen dataclasses, as are the other
 value types of the package: an instance has no ``__dict__``, and
-attributes cannot be added to it.  So a :class:`PauliString` builds its
-text once, at construction, into a field of its own that takes no part in
-``==``, ``hash`` or ``repr``.
+attributes cannot be added to it.  A :class:`PauliString` builds its text
+when it is read.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
@@ -119,7 +118,6 @@ class PauliString:
     n: int
     x: int = 0
     z: int = 0
-    _text: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -127,16 +125,14 @@ class PauliString:
         limit = 1 << self.n
         if not (0 <= self.x < limit and 0 <= self.z < limit):
             raise ValueError(f"bitmasks out of range for n={self.n}")
-        object.__setattr__(self, "_text", pauli_text(self.n, pauli_digits(self.x, self.z)))
 
     def text(self) -> str:
-        return self._text
+        return pauli_text(self.n, pauli_digits(self.x, self.z))
 
-    def __str__(self) -> str:
-        return self._text
+    __str__ = text
 
     def __repr__(self) -> str:
-        return f"PauliString({self._text!r})"
+        return f"PauliString({self.text()!r})"
 
 
 @dataclass(frozen=True, slots=True)

@@ -1,6 +1,7 @@
 import heapq
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, count
@@ -560,7 +561,7 @@ def slot_table(state) -> list[dict[tuple[int, ...], int]]:
     """Each round's slots, open and closed, as a multiplicity map keyed by
     the descending partial subset: the per-round view that the network
     build and the invariant recount are written against."""
-    table = [dict(zip(row, mult)) for row, mult in zip(state.rows, state.mults)]
+    table = [Counter(row) for row in state.rows]
     for slots, filled in zip(table, state.closed):
         for subset in filled:
             slots[subset] = slots.get(subset, 0) + 1
@@ -572,17 +573,15 @@ def check_invariants(state) -> None:
     module docstring; raises ValueError on the first breach.
 
     Also checks the stored form: each round's open slots in (size, subset)
-    order with positive multiplicities, closed slots of size 4 only, and
-    each stored R_r equal to its recount.
+    order, closed slots of size 4 only, and each stored R_r equal to its
+    recount.
     """
     n, i = state.n, state.inserted
     sizes = round_sizes(n)
-    if not len(state.rows) == len(state.mults) == len(state.needed) == len(state.closed) == len(sizes):
+    if not len(state.rows) == len(state.needed) == len(state.closed) == len(sizes):
         raise ValueError("wrong round count")
-    for r, (row, mult) in enumerate(zip(state.rows, state.mults)):
-        if len(row) != len(mult):
-            raise ValueError(f"round {r} has {len(row)} open slots and {len(mult)} multiplicities")
-        if list(row) != sorted(row, key=lambda s: (len(s), s)) or len(set(row)) != len(row):
+    for r, row in enumerate(state.rows):
+        if list(row) != sorted(row, key=lambda s: (len(s), s)):
             raise ValueError(f"round {r} open slots {row} are not in (size, subset) order")
         if any(len(s) >= 4 for s in row):
             raise ValueError(f"round {r} keeps a full slot open")

@@ -195,7 +195,7 @@ def test_criterion_6_flow_engine_equivalence(capsys):
         recomputed = max_flow_integral(net)
         assert flow_value(net, rounded) == flow_value(net, recomputed) == 35
         assert _insertion_choice(state) == flow_choice(state, recomputed, mapping)
-        state = _apply(state, flow_choice(state, rounded.numerators, mapping))
+        _apply(state, flow_choice(state, rounded.numerators, mapping))
     with capsys.disabled():
         note(6, "all 8 insertion networks: rounded value == recomputed value == 35, "
                 "solver choice == Dinic's")

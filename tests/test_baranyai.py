@@ -77,7 +77,7 @@ class TestPartialState:
             for r, slots in enumerate(slot_table(state)):
                 spread = sum((4 - len(s)) * m for s, m in slots.items() if len(s) < 4)
                 assert spread == n - i == seed.denominator
-            state = _apply(state, flow_choice(state, round_flow(net, seed).numerators, mapping))
+            _apply(state, flow_choice(state, round_flow(net, seed).numerators, mapping))
             check_invariants(state)
             # every grown subset now appears the freshly required number of times
             mult = Counter()
@@ -119,7 +119,7 @@ class TestPartialState:
         with pytest.raises(ValueError, match="at most one unit"):
             _apply(state, flow_choice(state, flow, mapping))
 
-        state = _apply(state, flow_choice(state, max_flow_integral(net), mapping))
+        _apply(state, flow_choice(state, max_flow_integral(net), mapping))
         net, mapping = reference_step_parts(state)
         flow = list(max_flow_integral(net))
         round0 = [m + k for k, (r, _) in enumerate(mapping) if r == 0]
@@ -134,14 +134,14 @@ class TestPartialState:
         for _ in range(4):
             net, mapping = reference_step_parts(state)
             seed = insertion_seed(state, net, mapping)
-            state = _apply(state, flow_choice(state, round_flow(net, seed).numerators, mapping))
+            _apply(state, flow_choice(state, round_flow(net, seed).numerators, mapping))
         assert list(slot_table(state)[0]) == [(3, 2, 1, 0)]
 
     def test_apply_step_rejects_a_starved_forced_round(self):
         # n=5: one round misses element 0, so it must take element 1; hand its
         # unit to a round that may take element 1 but did not
         state = PartialState.initial(5)
-        state = _apply(state, _insertion_choice(state))
+        _apply(state, _insertion_choice(state))
         net, mapping = reference_step_parts(state)
         m = len(state.rows)
         flow = list(max_flow_integral(net))
@@ -165,13 +165,13 @@ class TestPartialState:
             seed = insertion_seed(state, net, mapping)
             check_flow(net, seed)
             assert flow_value(net, seed) == comb(n - 1, 3)
-            state = _apply(state, _insertion_choice(state))
+            _apply(state, _insertion_choice(state))
             check_invariants(state)
 
 
 def _snapshot(state):
     return copy.deepcopy(
-        (state.n, state.inserted, state.rows, state.mults, state.needed, state.closed)
+        (state.n, state.inserted, state.rows, state.needed, state.closed)
     )
 
 
@@ -189,7 +189,7 @@ class TestIncrementalNetwork:
             assert flow == reference_max_flow(net)
             chosen = _insertion_choice(state)
             assert chosen == flow_choice(state, flow, mapping)
-            state = _apply(state, chosen)
+            _apply(state, chosen)
             check_invariants(state)
         assert not any(state.rows)
 
@@ -201,7 +201,7 @@ class TestApplyIsAllOrNothing:
     def _midway(n, steps):
         state = PartialState.initial(n)
         for _ in range(steps):
-            state = _apply(state, _insertion_choice(state))
+            _apply(state, _insertion_choice(state))
         net, mapping = reference_step_parts(state)
         return state, net, mapping, list(max_flow_integral(net))
 
@@ -263,13 +263,21 @@ class TestApplyIsAllOrNothing:
         chosen[r] = next(s for row in state.rows for s in row if s not in state.rows[r])
         self._assert_rejected(state, lambda: chosen, f"^round {r} has no open slot")
 
-    def test_accepted_flow_leaves_its_input_unchanged(self):
+    def test_accepted_flow_advances_the_state_in_place(self):
         state, net, mapping, flow = self._midway(11, 5)
-        before = _snapshot(state)
-        grown = _apply(state, flow_choice(state, flow, mapping))
-        assert _snapshot(state) == before
-        assert grown.inserted == state.inserted + 1
-        check_invariants(grown)
+        assert _apply(state, flow_choice(state, flow, mapping)) is None
+        assert state.inserted == 6
+        check_invariants(state)
+
+    def test_stale_choice_is_rejected(self):
+        # once applied, a step's choice does not serve the next step's
+        # network, so applying it again is refused and changes nothing
+        for n in range(4, 20):
+            state = PartialState.initial(n)
+            for _ in range(n):
+                chosen = _insertion_choice(state)
+                _apply(state, chosen)
+                self._assert_rejected(state, lambda: chosen, None)
 
 
 class TestPadding:

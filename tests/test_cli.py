@@ -581,11 +581,15 @@ FAMILIES_13_OUT_SHA256 = "466db8446f90dff035e09aa36e4684e3e2de34d7836369e2e84040
 FAMILIES_20_OUT_SHA256 = "36fea8ca949d5f1ea0bb264d6e86bc5a3af7c6e3c9f08e0a90d5cb2eb12a2cb0"
 # the output of the benchmark's schedule-large workload; 4 | 28, so no hub
 SCHEDULE_28_OUT_SHA256 = "54c5d55aae4373970842ae23499a81e915d9e40b7756f7c20b5aab9c4bf6216a"
+# 4 does not divide 30, so the hub is used, and each round has 7 slots, so
+# each row starts as the empty slot 7 times; no other pin has both
+SCHEDULE_30_SHA256 = "d9f0016263e972c86b60fab94fe254f823c2c044131994a29ac29b6b39069a9d"
 
 
 def test_output_bytes_pinned(capsys, tmp_path):
     assert hashlib.sha256(schedule_json(build_schedule(16)).encode()).hexdigest() == SCHEDULE_16_SHA256
     assert hashlib.sha256(schedule_json(build_schedule(23)).encode()).hexdigest() == SCHEDULE_23_SHA256
+    assert hashlib.sha256(schedule_json(build_schedule(30)).encode()).hexdigest() == SCHEDULE_30_SHA256
     path = tmp_path / "families.json"
     assert run(capsys, "families", "--n", "8", "--format", "json", "--out", str(path))[0] == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == FAMILIES_8_OUT_SHA256

@@ -1,3 +1,4 @@
+import copy
 import random
 import re
 from fractions import Fraction
@@ -108,8 +109,8 @@ class TestMaxFlow:
                 rounded = round_flow(net, seed)
                 assert flow_value(net, flow) == flow_value(net, rounded) == comb(n - 1, 3)
                 assert flow_value(net, seed) == comb(n - 1, 3)
-                _apply(state, flow_choice(state, rounded.numerators, mapping))
-                state = _apply(state, flow_choice(state, flow, mapping))
+                _apply(copy.deepcopy(state), flow_choice(state, rounded.numerators, mapping))
+                _apply(state, flow_choice(state, flow, mapping))
 
 
 class TestSameFlowsAsRecursiveDinic:
@@ -122,7 +123,7 @@ class TestSameFlowsAsRecursiveDinic:
             net, mapping = reference_step_parts(state)
             flow = max_flow_integral(net)
             assert flow == reference_max_flow(net)
-            state = _apply(state, flow_choice(state, flow, mapping))
+            _apply(state, flow_choice(state, flow, mapping))
 
     def test_random_two_layer_networks(self, fractional_case_maker):
         rng = random.Random(7)
@@ -216,7 +217,7 @@ class TestRoundFlow:
             rounded = round_flow(net, seed)
             check_flow(net, rounded)
             assert flow_value(net, rounded) == flow_value(net, seed) == comb(7, 3)
-            state = _apply(state, flow_choice(state, rounded.numerators, mapping))
+            _apply(state, flow_choice(state, rounded.numerators, mapping))
 
     def test_deterministic(self, fractional_case_maker):
         rng = random.Random(5)

@@ -279,10 +279,6 @@ class TestStoredText:
         with pytest.raises(ValueError):
             replace(p, x=1 << 4)
 
-    def test_text_is_built_once(self):
-        p = parse_pauli("XIZY")
-        assert p.text() is p.text() is str(p)
-
 
 class TestMultiply:
     def test_xy_is_iz(self):
