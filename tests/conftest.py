@@ -557,11 +557,18 @@ def reference_max_flow(net: FlowNetwork) -> tuple[int, ...]:
     return tuple(edges[i][2] - cap[2 * i] for i in range(m))
 
 
+def named_rows(state) -> list[list[tuple[int, ...]]]:
+    """Each round's open slots as subset tuples, in row order: the
+    ``PartialState`` rows with every slot id replaced by its subset."""
+    subsets = state.subsets
+    return [[subsets[s] for s in row] for row in state.rows]
+
+
 def slot_table(state) -> list[dict[tuple[int, ...], int]]:
     """Each round's slots, open and closed, as a multiplicity map keyed by
     the descending partial subset: the per-round view that the network
     build and the invariant recount are written against."""
-    table = [Counter(row) for row in state.rows]
+    table = [Counter(row) for row in named_rows(state)]
     for slots, filled in zip(table, state.closed):
         for subset in filled:
             slots[subset] = slots.get(subset, 0) + 1
@@ -572,15 +579,22 @@ def check_invariants(state) -> None:
     """Full recount of every ``PartialState`` invariant of the ``baranyai``
     module docstring; raises ValueError on the first breach.
 
-    Also checks the stored form: each round's open slots in (size, subset)
-    order, closed slots of size 4 only, and each stored R_r equal to its
-    recount.
+    Also checks the stored form: one slot id per distinct subset, each
+    id's stored size, each round's open slots in (size, subset) order,
+    closed slots of size 4 only, and each stored R_r equal to its recount.
     """
     n, i = state.n, state.inserted
     sizes = round_sizes(n)
     if not len(state.rows) == len(state.needed) == len(state.closed) == len(sizes):
         raise ValueError("wrong round count")
+    if len(set(state.subsets)) != len(state.subsets):
+        raise ValueError("a subset has more than one slot id")
+    if list(state.sizes) != [len(s) for s in state.subsets]:
+        raise ValueError("a slot id's stored size is not its subset's")
     for r, row in enumerate(state.rows):
+        if not all(type(s) is int and 0 <= s < len(state.subsets) for s in row):
+            raise ValueError(f"round {r} holds an unknown slot id")
+    for r, row in enumerate(named_rows(state)):
         if list(row) != sorted(row, key=lambda s: (len(s), s)):
             raise ValueError(f"round {r} open slots {row} are not in (size, subset) order")
         if any(len(s) >= 4 for s in row):
@@ -669,21 +683,22 @@ def reference_step_parts(state) -> tuple[FlowNetwork, list[tuple[int, tuple[int,
     return network(hub + 1, 0, sink, edges), middle_map
 
 
-def flow_choice(state, flow, middle_map) -> dict[int, tuple[int, ...]]:
-    """The {round: subset} choice an integral flow on
+def flow_choice(state, flow, middle_map) -> dict[int, int]:
+    """The {round: slot id} choice an integral flow on
     ``reference_step_parts(state)`` makes, as ``baranyai._apply`` takes it.
 
     Raises ValueError on a flow no choice can spell: a round sending more
     than one unit, or sending what its in-edge does not carry.
     """
     m = len(state.rows)
+    slot_id = {s: k for k, s in enumerate(state.subsets)}
     sent = [0] * m
-    chosen: dict[int, tuple[int, ...]] = {}
+    chosen: dict[int, int] = {}
     for (r, s), f in zip(middle_map, flow[m : m + len(middle_map)]):
         if f:
             if f != 1 or r in chosen:
                 raise ValueError(f"round {r} must take at most one unit of flow")
-            chosen[r] = s
+            chosen[r] = slot_id[s]
             sent[r] = 1
     for r in range(m):
         if flow[r] != sent[r]:

@@ -1,4 +1,6 @@
 import copy
+import hashlib
+import re
 from collections import Counter
 from math import comb
 
@@ -24,6 +26,12 @@ from paulisched.baranyai import (
     build_schedule,
 )
 from paulisched.oracles import validate_schedule
+from paulisched.partition import schedule_json
+
+# sha256 of schedule_json(build_schedule(n)) for n = 4..24 written one
+# after another, recorded before the insertion step took slot ids: every
+# hub, no-forced-round and short-last-round shape up to n = 24 in one pin
+SCHEDULES_4_TO_24_SHA256 = "03e410f012a3cab97e047ae06dafa364786f8c206b8b48eb357448276c8b573e"
 
 
 def all_subsets_once(schedule: Schedule) -> bool:
@@ -52,6 +60,12 @@ class TestBuildSchedule:
 
     def test_deterministic(self):
         assert build_schedule(8) == build_schedule(8)
+
+    def test_schedules_4_to_24_match_the_pinned_digest(self):
+        digest = hashlib.sha256()
+        for n in range(4, 25):
+            digest.update(schedule_json(build_schedule(n)).encode())
+        assert digest.hexdigest() == SCHEDULES_4_TO_24_SHA256
 
     def test_rejects_bad_sizes(self):
         for n in (3, 0, -4):
@@ -107,7 +121,7 @@ class TestPartialState:
     def test_apply_step_rejects_two_units_into_one_round(self):
         # keep the full value on the in-edges but route two middle units into
         # round 0: once down one middle edge, once down each of two.  A
-        # {round: subset} choice holds one slot per round, so such a flow is
+        # {round: slot id} choice holds one slot per round, so such a flow is
         # rejected on its way to _apply.
         n = 8
         state = PartialState.initial(n)
@@ -171,7 +185,7 @@ class TestPartialState:
 
 def _snapshot(state):
     return copy.deepcopy(
-        (state.n, state.inserted, state.rows, state.needed, state.closed)
+        (state.n, state.inserted, state.rows, state.needed, state.closed, state.subsets, state.sizes)
     )
 
 
@@ -249,19 +263,51 @@ class TestApplyIsAllOrNothing:
 
     def test_round_moved_to_another_slot_of_its_row(self):
         # full value and every forced round served, but the subset the round
-        # left is taken once too rarely and the one it moved to once too often
+        # left is taken once too rarely and the one it moved to once too
+        # often; the message names the subset, not its slot id
         state = self._midway(10, 4)[0]
         chosen = _insertion_choice(state)
+        want = Counter(chosen.values())
         r, s = next((r, s) for r, s in chosen.items() if len(state.rows[r]) > 1)
         chosen[r] = next(t for t in state.rows[r] if t != s)
-        self._assert_rejected(state, lambda: chosen, r"^subset \(.*\) taken \d+ times, its sink edge holds \d+$")
+        taken = Counter(chosen.values())
+        first = next(t for t in taken if taken[t] != want[t])
+        subset = re.escape(str(state.subsets[first]))
+        self._assert_rejected(
+            state, lambda: chosen, rf"^subset {subset} taken {taken[first]} times, its sink edge holds \d+$"
+        )
 
     def test_subset_that_is_not_an_open_slot_of_its_round(self):
         state = self._midway(9, 3)[0]
         chosen = _insertion_choice(state)
         r = next(iter(chosen))
         chosen[r] = next(s for row in state.rows for s in row if s not in state.rows[r])
-        self._assert_rejected(state, lambda: chosen, f"^round {r} has no open slot")
+        subset = re.escape(str(state.subsets[chosen[r]]))
+        self._assert_rejected(state, lambda: chosen, rf"^round {r} has no open slot {subset}$")
+
+    @pytest.mark.parametrize(
+        "slot", ["past_the_table", -1, (), None], ids=["past_the_table", "negative", "tuple", "none"]
+    )
+    def test_unknown_slot_id(self, slot):
+        # an id that names no subset, or a subset where an id belongs, is a
+        # ValueError, never an IndexError or a TypeError
+        state = self._midway(9, 3)[0]
+        if slot == "past_the_table":
+            slot = len(state.subsets)
+        chosen = _insertion_choice(state)
+        r = next(iter(chosen))
+        chosen[r] = slot
+        self._assert_rejected(
+            state, lambda: chosen, rf"^round {r} has no open slot \(no subset has id {re.escape(repr(slot))}\)$"
+        )
+
+    def test_round_out_of_range(self):
+        state = self._midway(9, 3)[0]
+        chosen = _insertion_choice(state)
+        slot = chosen.pop(next(iter(chosen)))
+        chosen[len(state.rows)] = slot
+        subset = re.escape(str(state.subsets[slot]))
+        self._assert_rejected(state, lambda: chosen, rf"^round {len(state.rows)} has no open slot {subset}$")
 
     def test_accepted_flow_advances_the_state_in_place(self):
         state, net, mapping, flow = self._midway(11, 5)

@@ -469,7 +469,7 @@ def test_no_module_imports_a_private_name_of_another():
     assert imported == set()
 
 
-def test_weighted_strings_are_built_only_in_jw_image():
+def test_only_weighted_strings_builds_and_only_jw_image_calls_product_phase():
     # one Jordan-Wigner kernel: jw_image is the only place that multiplies
     # out product paths, and weighted_strings, which reads the kernel's
     # rows, the only place that makes weighted strings
@@ -584,6 +584,9 @@ SCHEDULE_28_OUT_SHA256 = "54c5d55aae4373970842ae23499a81e915d9e40b7756f7c20b5aab
 # 4 does not divide 30, so the hub is used, and each round has 7 slots, so
 # each row starts as the empty slot 7 times; no other pin has both
 SCHEDULE_30_SHA256 = "d9f0016263e972c86b60fab94fe254f823c2c044131994a29ac29b6b39069a9d"
+# the deepest Dinic phases of any pin: up to 51 phases in one insertion
+# step and sink levels past 1,000 (n = 28: 33 phases, levels up to 465)
+SCHEDULE_36_OUT_SHA256 = "11b39c7b9b6201286552a853c672d8e355e9ad40b7c6b6017e3d65377c7feebe"
 
 
 def test_output_bytes_pinned(capsys, tmp_path):
@@ -605,6 +608,9 @@ def test_output_bytes_pinned(capsys, tmp_path):
     path = tmp_path / "schedule28.json"
     assert run(capsys, "schedule", "--n", "28", "--format", "json", "--out", str(path))[0] == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == SCHEDULE_28_OUT_SHA256
+    path = tmp_path / "schedule36.json"
+    assert run(capsys, "schedule", "--n", "36", "--format", "json", "--out", str(path))[0] == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SCHEDULE_36_OUT_SHA256
 
 
 def test_weighted_output_bytes_pinned(capsys, tmp_path):
