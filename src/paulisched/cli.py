@@ -108,12 +108,7 @@ def _cmd_families(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    try:
-        from . import oracles  # the one command that loads numpy
-    except ModuleNotFoundError as exc:
-        if exc.name != "numpy":
-            raise
-        return _err(f"verify cannot load its dense-matrix checks: {exc}")
+    from . import oracles  # imported here, so no other command pays for loading it
 
     reports = [oracles.verify_disjoint_term_commutation()]
     dense_sizes = (4, 5, 6) if args.deep else (4, 5)

@@ -1,7 +1,8 @@
 """Brute-force checks for the algebra, the encoding and the schedules.
 
-Dense matrices are assembled from 2x2 constants and the occupation-number
-action of ladder operators, coverage is recounted from scratch, and
+Dense matrices are exact: each maps a basis state to one basis state times
+a power of i, or to 0 (Aaronson and Gottesman, quant-ph/0406196), so they
+are compared by equality.  Coverage is recounted from scratch, and
 commutation audits cover all pairs: :func:`validate_families` scans every
 pair of each family with :func:`anticommuting_pair_by_scan`, its own rule,
 not the compile's basis certifier.  The checks read a family through its
@@ -18,17 +19,14 @@ per-term check compares each of them with its own matrix.
 Validators return :class:`OracleReport` values and never raise on bad
 input; reports serialize to plain dicts for CI consumption.
 
-No compile imports this module, and with it numpy: only ``paulisched
-verify`` and the tests do.
+No compile imports this module: only ``paulisched verify`` and the tests do.
 """
 
 import random
 from dataclasses import dataclass, field
-from functools import lru_cache
+from fractions import Fraction
 from itertools import combinations
-from math import comb
-
-import numpy as np
+from math import comb, lcm
 
 from .baranyai import SUBSET_SIZE, Schedule
 from .fermion import FermionicTerm, jw_term
@@ -46,7 +44,6 @@ __all__ = [
     "anticommuting_chain_fixture",
     "anticommuting_pair_by_scan",
     "ladder_matrix",
-    "string_matrix",
     "term_matrix",
     "validate_families",
     "validate_partition",
@@ -73,68 +70,78 @@ class OracleReport:
 
 
 # ---------------------------------------------------------------------------
-# Dense-matrix constructions (qubit 0 = first Kronecker factor / MSB)
+# Exact matrices: {(row, column): ExactComplex}, qubit and mode t in bit t
 
 
-# shared by every string_matrix call, so read-only
-_PAULI_2X2 = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-for _matrix in _PAULI_2X2.values():
-    _matrix.setflags(write=False)
+# column v of each letter's 2x2 matrix as (u, k): its one nonzero entry, i**k, in row u
+_ACTION = {"I": ((0, 0), (1, 0)), "X": ((1, 0), (0, 0)), "Y": ((1, 1), (0, 3)), "Z": ((0, 0), (1, 2))}
+_SIGNS = (ExactComplex(1), ExactComplex(-1))
 
 
-def string_matrix(p: PauliString) -> np.ndarray:
-    out = np.eye(1, dtype=complex)
-    for char in p.text():
-        out = np.kron(out, _PAULI_2X2[char])
-    return out
+def weighted_sum_matrix(strings: list[WeightedPauliString], n: int) -> dict:
+    """The exact sum of the weighted strings on n qubits; no strings give ``{}``.
 
-
-def weighted_sum_matrix(strings: list[WeightedPauliString], n: int) -> np.ndarray:
-    """The dense sum of the weighted strings on n qubits; no strings give zero."""
-    out = np.zeros((1 << n, 1 << n), dtype=complex)
+    A string maps each basis state to one basis state times i**k: the
+    Kronecker product of its letters' actions, read off its text.  The sum
+    is made on numerators over the lcm of the coefficients' denominators.
+    """
+    denominator = lcm(*(part.denominator for w in strings for part in (w.coefficient.real, w.coefficient.imag)))
+    real, imag = {}, {}  # per (row, column), numerators over the denominator
     for w in strings:
-        out += w.coefficient.as_complex() * string_matrix(w.string)
-    return out
+        if w.string.n != n:
+            raise ValueError(f"{w.string} acts on {w.string.n} qubits, not {n}")
+        re, im = (int(part * denominator) for part in (w.coefficient.real, w.coefficient.imag))
+        turns = ((re, im), (-im, re), (-re, -im), (im, -re))  # the coefficient times i**k
+        phases = {(0, 0): 0}
+        for t, letter in enumerate(w.string.text()):
+            phases = {
+                (row | u << t, column | v << t): k + dk
+                for (row, column), k in phases.items()
+                for v, (u, dk) in enumerate(_ACTION[letter])
+            }
+        for key, k in phases.items():
+            real[key] = real.get(key, 0) + turns[k & 3][0]
+            imag[key] = imag.get(key, 0) + turns[k & 3][1]
+    return {
+        key: ExactComplex(Fraction(a, denominator), Fraction(imag[key], denominator))
+        for key, a in real.items()
+        if a or imag[key]
+    }
 
 
-@lru_cache(maxsize=64)
-def ladder_matrix(mode: int, dagger: bool, n: int) -> np.ndarray:
+def ladder_matrix(mode: int, dagger: bool, n: int) -> dict:
     """Ladder operator in the occupation basis, built from its defining action.
 
-    Basis state b has mode t occupied iff bit (n-1-t) of b is set, matching
-    the Kronecker order of :func:`string_matrix`.  Annihilating mode m maps
-    an occupied state to the cleared state with sign (-1)^(number of
-    occupied modes below m); creation is the transpose action.
-
-    Each (mode, dagger, n) matrix is built once per process and shared, so
-    it is returned read-only.
+    Basis state b has mode t occupied iff bit t of b is set, as qubit t of
+    :func:`weighted_sum_matrix`.  Annihilating mode m maps an occupied state
+    to the cleared state with sign (-1)^(number of occupied modes below m);
+    creation is the transpose action.
     """
-    dim = 1 << n
-    out = np.zeros((dim, dim), dtype=complex)
-    bit = 1 << (n - 1 - mode)
-    below_mask = ((1 << mode) - 1) << (n - mode)  # bits of modes 0..mode-1
-    for b in range(dim):
-        occupied = bool(b & bit)
-        if occupied == dagger:
-            continue
-        sign = -1 if (b & below_mask).bit_count() % 2 else 1
-        out[b ^ bit, b] = sign
-    out.setflags(write=False)
-    return out
+    bit = 1 << mode
+    return {
+        (b ^ bit, b): _SIGNS[(b & (bit - 1)).bit_count() & 1] for b in range(1 << n) if bool(b & bit) != dagger
+    }
 
 
-def term_matrix(term: FermionicTerm) -> np.ndarray:
-    out = np.eye(1 << term.n, dtype=complex)
-    for m in term.creates:
-        out = out @ ladder_matrix(m, True, term.n)
-    for m in term.annihilates:
-        out = out @ ladder_matrix(m, False, term.n)
-    return out
+def term_matrix(term: FermionicTerm) -> dict:
+    """The product of the term's ladder matrices, creates then annihilates.
+
+    Each ladder matrix holds at most one sign per column, so the product is
+    followed column by column, from the rightmost factor.
+    """
+    columns = {b: (b, 0) for b in range(1 << term.n)}  # column: (row, odd sign)
+    for mode, dagger in reversed([(m, True) for m in term.creates] + [(m, False) for m in term.annihilates]):
+        step = {c: (r, entry.real < 0) for (r, c), entry in ladder_matrix(mode, dagger, term.n).items()}
+        columns = {b: (step[r][0], odd ^ step[r][1]) for b, (r, odd) in columns.items() if r in step}
+    return {(r, b): _SIGNS[odd] for b, (r, odd) in columns.items()}
+
+
+def _max_deviation(got: dict, want: dict) -> float:
+    """The largest entrywise |got - want| of two exact matrices, 0.0 when they are equal."""
+    zero = ExactComplex()
+    pairs = ((got.get(key, zero), want.get(key, zero)) for key in got.keys() | want.keys())
+    deviations = [abs(complex(float(g.real - w.real), float(g.imag - w.imag))) for g, w in pairs if g != w]
+    return max(deviations, default=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -154,28 +161,27 @@ def _canonical_terms(n: int) -> list[FermionicTerm]:
 def verify_jw_against_matrices(n: int) -> OracleReport:
     """Check every canonical term at size n, repeated-index two-body terms included.
 
-    Each term's weighted string expansion must reproduce its occupation-basis
-    ladder-operator product matrix; with exact coefficients the match is
-    expected to be exact, and anything above 1e-12 elementwise fails.
+    Each term's weighted string expansion must equal its occupation-basis
+    ladder-operator product matrix exactly; ``max_deviation`` is the largest
+    entrywise difference, as a float.  Raises ValueError unless 1 <= n <= 8.
     """
-    if n > 8:
-        raise ValueError("dense check is meant for small registers")
+    if not 1 <= n <= 8:
+        raise ValueError(f"the dense check is meant for 1 to 8 modes, got {n}")
+    terms = _canonical_terms(n)
     worst = 0.0
-    checked = 0
     exact = 0
     bad: str | None = None
-    for term in _canonical_terms(n):
-        diff = float(np.max(np.abs(weighted_sum_matrix(jw_term(term), n) - term_matrix(term))))
-        checked += 1
-        if diff == 0.0:
-            exact += 1
+    for term in terms:
+        got, want = weighted_sum_matrix(jw_term(term), n), term_matrix(term)
+        diff = _max_deviation(got, want)
         worst = max(worst, diff)
-        if diff > 1e-12 and bad is None:
+        exact += got == want
+        if got != want and bad is None:
             bad = f"term {term.creates}/{term.annihilates}: max deviation {diff}"
     return OracleReport(
         name=f"jw-dense-n{n}",
         passed=bad is None,
-        details={"n": n, "terms_checked": checked, "exact_matches": exact, "max_deviation": worst},
+        details={"n": n, "terms_checked": len(terms), "exact_matches": exact, "max_deviation": worst},
         counterexample=bad,
     )
 
@@ -406,8 +412,8 @@ def validate_partition(families, n: int, coeffs=None) -> OracleReport:
     ``two_body`` tables) when given, else over every canonical term at
     value 1, the terms :func:`verify_jw_against_matrices` checks.  Every
     string must act on n qubits, no string may appear twice, and the family
-    strings must sum exactly to that image.  For n <= 6 the families are also summed as dense matrices
-    against the occupation-basis terms.
+    strings must sum exactly to that image.  For n <= 6 the families also
+    sum to the same matrix as the occupation-basis terms.
     """
     families = list(families)
     if coeffs is None:
@@ -443,12 +449,13 @@ def validate_partition(families, n: int, coeffs=None) -> OracleReport:
     details = {"n": n, "families": len(families), "string_slots": slots, "image_strings": len(image)}
 
     if n <= 6 and foreign is None:
-        want = np.zeros((1 << n, 1 << n), dtype=complex)
+        sums: dict[tuple[int, int], Fraction] = {}
         for term, value in table:
-            want += float(value) * term_matrix(term)
+            for key, sign in term_matrix(term).items():
+                sums[key] = sums.get(key, 0) + value * sign.real  # a term's entries are real signs
+        want = {key: ExactComplex(v) for key, v in sums.items() if v}
         got = weighted_sum_matrix([w for family in families for w in family.strings], n)
-        deviation = float(np.max(np.abs(got - want)))
-        details["dense_max_deviation"] = deviation
-        if deviation > 1e-12 * (1 + float(np.max(np.abs(want)))) and bad is None:
+        details["dense_max_deviation"] = deviation = _max_deviation(got, want)
+        if got != want and bad is None:
             bad = f"dense sum of the families deviates from the Hamiltonian by {deviation}"
     return OracleReport(name="partition-validation", passed=bad is None, details=details, counterexample=bad)

@@ -107,9 +107,6 @@ class ExactComplex:
     def __bool__(self) -> bool:
         return bool(self.real) or bool(self.imag)
 
-    def as_complex(self) -> complex:
-        return complex(float(self.real), float(self.imag))
-
 
 @dataclass(frozen=True, slots=True)
 class PauliString:

@@ -16,6 +16,7 @@ settings.load_profile("det")
 
 from paulisched.baranyai import round_sizes
 from paulisched.fermion import FermionicTerm, UnsupportedTermError, _product_phase
+from paulisched.oracles import weighted_sum_matrix
 from paulisched.partition import CommutingFamily, HamiltonianCoefficients
 from paulisched.pauli import ExactComplex, PauliString, WeightedPauliString
 
@@ -52,6 +53,40 @@ def multiply(p: WeightedPauliString, q: WeightedPauliString) -> WeightedPauliStr
     """Product of two weighted strings with the global phase folded into the coefficient."""
     product, k = string_product(p.string, q.string)
     return WeightedPauliString(times_i_power(p.coefficient * q.coefficient, k), product)
+
+
+def string_matrix(p: PauliString) -> dict:
+    """The exact matrix of one string: the oracle's weighted sum at coefficient 1."""
+    return weighted_sum_matrix([WeightedPauliString(ExactComplex(1), p)], p.n)
+
+
+def identity_matrix(n: int) -> dict:
+    return {(b, b): ExactComplex(1) for b in range(1 << n)}
+
+
+def matrix_sum(*matrices: dict) -> dict:
+    """The sum of exact matrices, dicts ``{(row, column): ExactComplex}`` of nonzero entries."""
+    out: dict = {}
+    for matrix in matrices:
+        for key, value in matrix.items():
+            out[key] = out[key] + value if key in out else value
+    return {key: value for key, value in out.items() if value}
+
+
+def matrix_product(a: dict, b: dict) -> dict:
+    """The product a @ b of two exact matrices."""
+    rows_of_b: dict = {}
+    for (k, column), value in b.items():
+        rows_of_b.setdefault(k, []).append((column, value))
+    return matrix_sum(*(
+        {(row, column): value * other}
+        for (row, k), value in a.items()
+        for column, other in rows_of_b.get(k, ())
+    ))
+
+
+def conjugate_transpose(matrix: dict) -> dict:
+    return {(column, row): ExactComplex(v.real, -v.imag) for (row, column), v in matrix.items()}
 
 
 _BITS_TO_LETTER = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}

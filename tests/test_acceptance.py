@@ -146,7 +146,7 @@ def test_criterion_3_jw_correctness(capsys):
     for n in (4, 5):
         report = verify_jw_against_matrices(n)
         assert report.passed, report.counterexample
-        assert report.details["max_deviation"] <= 1e-12
+        assert report.details["max_deviation"] == 0.0
         for subset in combinations(range(n), 4):
             term = FermionicTerm.two_body(*sorted(subset, reverse=True), n)
             strings = jw_term(term)

@@ -2,7 +2,6 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-import numpy as np
 import pytest
 
 from conftest import abs_squared, jw_ladder, letter, pattern_of, reference_jw_term, times_i_power
@@ -66,7 +65,7 @@ class TestLadder:
             WeightedPauliString(times_i_power(half, k), PauliString(3, x, z))
             for x, z, k in _ladder(mode, dagger)
         ]
-        assert np.array_equal(weighted_sum_matrix(parts, 3), ladder_matrix(mode, dagger, 3))
+        assert weighted_sum_matrix(parts, 3) == ladder_matrix(mode, dagger, 3)
 
 
 class TestExcitation:
@@ -89,7 +88,7 @@ class TestExcitation:
 
     def test_sum_equals_dense_operator(self):
         term = FermionicTerm.two_body(3, 2, 1, 0, 4)
-        assert np.array_equal(weighted_sum_matrix(jw_term(term), 4), term_matrix(term))
+        assert weighted_sum_matrix(jw_term(term), 4) == term_matrix(term)
 
     def test_noncanonical_distinct_arrangement_also_16_strings(self):
         # creation modes need not dominate the annihilation modes
@@ -98,7 +97,7 @@ class TestExcitation:
         assert len(strings) == 16
         pattern = pattern_of(term)
         assert all(pattern.matches(w.string) for w in strings)
-        assert np.array_equal(weighted_sum_matrix(strings, 6), term_matrix(term))
+        assert weighted_sum_matrix(strings, 6) == term_matrix(term)
 
 
 class TestPattern:
@@ -180,7 +179,7 @@ class TestGeneralTerms:
         n = 5
         term = FermionicTerm.one_body(p, q, n)
         strings = jw_term(term)
-        assert np.array_equal(weighted_sum_matrix(strings, n), term_matrix(term))
+        assert weighted_sum_matrix(strings, n) == term_matrix(term)
         if p != q:
             assert len(strings) == 4
 
@@ -198,7 +197,7 @@ class TestGeneralTerms:
     def test_overlapping_two_body_against_dense(self, creates, annihilates):
         n = 4
         term = FermionicTerm(creates, annihilates, n)
-        assert np.array_equal(weighted_sum_matrix(jw_term(term), n), term_matrix(term))
+        assert weighted_sum_matrix(jw_term(term), n) == term_matrix(term)
 
     def test_equals_reference_expansion_exactly(self):
         # strings, exact coefficients and order, for every canonical one-body
@@ -215,9 +214,7 @@ class TestGeneralTerms:
                 for sub in combinations(range(n), 4)
             ]
             for term in terms:
-                assert np.array_equal(
-                    weighted_sum_matrix(jw_term(term), n), term_matrix(term)
-                ), term
+                assert weighted_sum_matrix(jw_term(term), n) == term_matrix(term), term
 
 
 class TestSideMemo:

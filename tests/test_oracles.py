@@ -1,11 +1,20 @@
 from dataclasses import replace
+from fractions import Fraction
 from itertools import combinations
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 
-from conftest import adjoint, family_of, seeded_hermitian_entries
+from conftest import (
+    adjoint,
+    conjugate_transpose,
+    family_of,
+    identity_matrix,
+    matrix_product,
+    matrix_sum,
+    seeded_hermitian_entries,
+    string_matrix,
+)
 from paulisched import fermion, oracles
 from paulisched.baranyai import Schedule, build_schedule, round_sizes
 from paulisched.fermion import FermionicTerm
@@ -18,7 +27,6 @@ from paulisched.pauli import ExactComplex, WeightedPauliString, commutes, parse_
 from paulisched.oracles import (
     anticommuting_chain_fixture,
     ladder_matrix,
-    string_matrix,
     term_matrix,
     validate_families,
     validate_partition,
@@ -35,34 +43,22 @@ class TestLadderMatrixOracle:
 
     def test_canonical_anticommutation_relations(self):
         n = 4
-        eye = np.eye(1 << n)
         for p in range(n):
             for q in range(n):
                 a_p = ladder_matrix(p, False, n)
                 adag_q = ladder_matrix(q, True, n)
-                anti = a_p @ adag_q + adag_q @ a_p
-                want = eye if p == q else np.zeros_like(eye)
-                assert np.array_equal(anti, want)
+                anti = matrix_sum(matrix_product(a_p, adag_q), matrix_product(adag_q, a_p))
+                assert anti == (identity_matrix(n) if p == q else {})
                 a_q = ladder_matrix(q, False, n)
-                assert np.array_equal(a_p @ a_q + a_q @ a_p, np.zeros_like(eye))
+                assert matrix_sum(matrix_product(a_p, a_q), matrix_product(a_q, a_p)) == {}
 
     def test_creation_is_adjoint_of_annihilation(self):
         for mode in range(3):
-            assert np.array_equal(
-                ladder_matrix(mode, True, 3), ladder_matrix(mode, False, 3).conj().T
-            )
-
-    def test_built_once_and_read_only(self):
-        a = ladder_matrix(1, True, 3)
-        assert ladder_matrix(1, True, 3) is a
-        assert not a.flags.writeable
-        with pytest.raises(ValueError):
-            a[0, 0] = 1
-        assert np.array_equal(a, ladder_matrix(1, False, 3).conj().T)
+            assert ladder_matrix(mode, True, 3) == conjugate_transpose(ladder_matrix(mode, False, 3))
 
     def test_number_operator_is_diagonal(self):
-        n_op = ladder_matrix(1, True, 2) @ ladder_matrix(1, False, 2)
-        assert np.array_equal(n_op, np.diag(np.diag(n_op)))
+        n_op = matrix_product(ladder_matrix(1, True, 2), ladder_matrix(1, False, 2))
+        assert n_op and all(row == column for row, column in n_op)
 
 
 class TestDenseChecks:
@@ -87,15 +83,27 @@ class TestDenseChecks:
         assert len(terms) == len(set(terms))
         assert set(terms) == want
 
+    @pytest.mark.parametrize("n", [-3, 0, 9])
+    def test_register_out_of_range_raises(self, n):
+        # a register of no modes has no terms, so it would pass having checked none
+        with pytest.raises(ValueError, match=f"got {n}$"):
+            verify_jw_against_matrices(n)
+
     def test_term_plus_adjoint_is_hermitian(self):
         term = FermionicTerm.two_body(3, 2, 1, 0, 4)
-        total = term_matrix(term) + term_matrix(adjoint(term))
-        assert np.array_equal(total, total.conj().T)
+        total = matrix_sum(term_matrix(term), term_matrix(adjoint(term)))
+        assert total and total == conjugate_transpose(total)
 
-    def test_string_matrix_uses_qubit0_as_first_factor(self):
-        got = string_matrix(parse_pauli("XI"))
-        want = np.kron(np.array([[0, 1], [1, 0]]), np.eye(2))
-        assert np.array_equal(got, want)
+    def test_qubit_and_mode_t_are_bit_t_of_the_basis_index(self):
+        one, i = ExactComplex(1), ExactComplex(0, 1)
+        minus_one, minus_i = ExactComplex(-1), ExactComplex(0, -1)
+        assert string_matrix(parse_pauli("XI")) == {(b ^ 1, b): one for b in range(4)}
+        # Y|0> = i|1> and Y|1> = -i|0> on qubit 1
+        assert string_matrix(parse_pauli("IY")) == {
+            (0b10, 0b00): i, (0b11, 0b01): i, (0b00, 0b10): minus_i, (0b01, 0b11): minus_i,
+        }
+        # annihilating mode 1 of |11> passes the occupied mode 0: sign -1
+        assert ladder_matrix(1, False, 2) == {(0b00, 0b10): one, (0b01, 0b11): minus_one}
 
 
 class TestExhaustiveDisjointCheck:
@@ -284,7 +292,7 @@ class TestValidatePartition:
         strings = [w.string for f in families for w in f.strings]
         assert len(strings) == len(set(strings)) == report.details["image_strings"]
         assert ("dense_max_deviation" in report.details) == (n <= 6)
-        assert report.details.get("dense_max_deviation", 0.0) < 1e-12
+        assert report.details.get("dense_max_deviation", 0.0) == 0.0
 
     @pytest.fixture(scope="class", params=[6, 8])
     def built(self, request):
@@ -343,6 +351,21 @@ class TestOraclesFail:
         report = verify_jw_against_matrices(4)
         assert report.passed is False
         assert report.counterexample == "term (0,)/(0,): max deviation 0.5"
+        assert report.details["exact_matches"] == 0
+
+    def test_jw_dense_check_is_exact(self, monkeypatch):
+        # a float tolerance of 1e-12 would pass an error of 2**-60
+        expand = oracles.jw_term
+
+        def off_by_a_little(term):
+            first, *rest = expand(term)
+            nudged = ExactComplex(first.coefficient.real + Fraction(1, 2**60), first.coefficient.imag)
+            return [replace(first, coefficient=nudged), *rest]
+
+        monkeypatch.setattr(oracles, "jw_term", off_by_a_little)
+        report = verify_jw_against_matrices(4)
+        assert report.passed is False
+        assert report.counterexample == f"term (0,)/(0,): max deviation {2.0**-60}"
         assert report.details["exact_matches"] == 0
 
     def test_disjoint_check_catches_an_odd_count(self, monkeypatch):

@@ -2,12 +2,11 @@ from dataclasses import replace
 from fractions import Fraction
 from functools import cache
 
-import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from conftest import letter, multiply, string_product, times_i_power
-from paulisched.oracles import anticommuting_pair_by_scan, string_matrix
+from conftest import letter, matrix_product, multiply, string_matrix, string_product, times_i_power
+from paulisched.oracles import anticommuting_pair_by_scan, weighted_sum_matrix
 from paulisched.partition import build_partition
 from paulisched.pauli import (
     ExactComplex,
@@ -118,7 +117,7 @@ class TestCommutation:
         assert anticommuting_index_count(p, q) == 2
         assert commutes(p, q)
         pm, qm = string_matrix(p), string_matrix(q)
-        assert np.array_equal(pm @ qm - qm @ pm, np.zeros_like(pm))
+        assert matrix_product(pm, qm) == matrix_product(qm, pm)
 
     def test_interleaved_encodings_anticommute_at_four_indices(self):
         # two fully interleaved two-body patterns: every endpoint of one
@@ -147,7 +146,7 @@ class TestCommutation:
     def test_agrees_with_dense_commutator(self, pair):
         p, q = pair
         pm, qm = string_matrix(p), string_matrix(q)
-        assert commutes(p, q) == bool(np.array_equal(pm @ qm, qm @ pm))
+        assert commutes(p, q) == (matrix_product(pm, qm) == matrix_product(qm, pm))
 
 
 class TestAnticommutingPair:
@@ -304,9 +303,8 @@ class TestMultiply:
         wp = WeightedPauliString(c1, p)
         wq = WeightedPauliString(c2, q)
         w = multiply(wp, wq)
-        got = w.coefficient.as_complex() * string_matrix(w.string)
-        want = (c1.as_complex() * string_matrix(p)) @ (c2.as_complex() * string_matrix(q))
-        assert np.allclose(got, want, atol=0, rtol=0)
+        got = weighted_sum_matrix([w], p.n)
+        assert got == matrix_product(weighted_sum_matrix([wp], p.n), weighted_sum_matrix([wq], p.n))
 
     @given(pauli_strings(), st.sampled_from([Fraction(1), Fraction(-1, 2), Fraction(3)]))
     def test_involution(self, p, c):
