@@ -64,16 +64,21 @@ Three shortcuts keep the walk on those paths:
     round, subset, sink, and the walk takes each round in round order the
     same way: the hub edge holds C(n-1,3), as much as all the sink edges
     together, so it is never full first;
-  * before each later walk, every node that cannot reach the sink in the
-    level graph is unlevelled, from the sink down: a subset one level
-    below it with no room left; further down, a round whose row holds no
-    live subset one level up and that does not feed a live hub there, a
-    subset none of whose matched rounds one level up is live, and a hub
-    none of whose free rounds is.  The rounds and the hub one level below
-    the sink are dead, since nothing at the sink's level is levelled.  A
-    node dead at the start of a phase stays dead through it, so the walk
-    would enter each one, find it dead and step past it; skipping it moves
-    no path;
+  * each later phase levels the network from the sink: one breadth-first
+    search over the reversed arcs gives each node its distance d to the
+    sink and stops once the source has its distance L.  A node lies on a
+    shortest path exactly when its level and d sum to L, and between two
+    such nodes the level-graph arcs u->v are exactly those with
+    d(v) = d(u) - 1.  So the walk, which starts on the source's arcs into
+    nodes at L-1 and steps only to a node one closer to the sink, enters
+    just the nodes Dinic's walk would not find dead at the phase's start;
+    a node dead then stays dead through the phase, so Dinic's would enter
+    it, find it dead and step past it, and skipping it moves no path.  The
+    search enters a subset from every round whose row holds it, also from
+    a round feeding it through its only slot of it, an arc with no room;
+    the walk enters such a round only from that subset, and the extra arc
+    can give the round only a distance one above the subset's, never the
+    one below that the walk looks for;
   * the rounds matched to each subset are kept from phase to phase: a
     phase records each augmentation's (round, old slot, new slot) and
     replays them once it is over, so every phase, like Dinic's, reads them
@@ -185,48 +190,56 @@ class PartialState:
 HUB = -1  # the hub, where the node a round's arc leads to is otherwise a slot id
 
 
-def _levels(rows, pos, holders, room, starts, free_optional, hub_fed, hub_room):
-    """Dinic's breadth-first levels on the insertion network of the slot table.
+def _distances(pos, feeds, rounds_of, room, optional, hub_fed, hub_room):
+    """Breadth-first distances to the sink on the insertion network of the
+    slot table, searched from the sink over the reversed arcs.
 
-    Returns (round levels, type levels, hub level, sink level, layers), -1
-    for a node not levelled; the sink level is -1 when the sink is
-    unreachable, and ``layers[k]`` lists level k's (rounds, types).  Levels
-    are exact below the sink's; like Dinic's search, the walk stops once
-    the sink has its level, so nothing at or past it is levelled.
+    Returns (round distances, type distances, hub distance, source
+    distance), -1 for a node not reached; the source distance L is -1 when
+    the source cannot reach the sink.  The search stops once the source
+    has its distance, so only the distances below L are complete.
     """
-    round_level = [-1] * len(rows)
-    type_level = [-1] * len(room)
-    for r in starts:
-        round_level[r] = 1
-    hub_level = 1 if hub_room else -1
-    layers, rounds, types, hub_now, level = [None], starts, [], hub_level == 1, 1
-    while True:
-        layers.append((rounds, types))
-        if any(map(room.__getitem__, types)):
-            return round_level, type_level, hub_level, level + 1, layers
-        level += 1
+    round_dist = [-1] * len(pos)
+    type_dist = [-1] * len(room)
+    hub_dist = -1
+    rounds, hub_now = [], False
+    types = [s for s, held in enumerate(rounds_of) if held and room[s]]
+    for s in types:
+        type_dist[s] = 1
+    k = 1
+    while rounds or types or hub_now:
+        k += 1
         next_rounds, next_types = [], []
+        # the hub is entered from the source and from every matched
+        # optional round
         if hub_now:
-            # a free optional round is reached only through the hub
-            for r in free_optional:
-                round_level[r] = level
-            next_rounds += free_optional
-        for s in types:
-            for r in holders[s]:
-                if round_level[r] < 0:
-                    round_level[r] = level
+            if hub_room:
+                return round_dist, type_dist, hub_dist, k
+            for r in optional:
+                if pos[r] and round_dist[r] < 0:
+                    round_dist[r] = k
                     next_rounds.append(r)
-        hub_now = False
+            hub_now = False
+        # a matched round from the type it feeds, a free optional round from
+        # the hub and a free forced round from the source
         for r in rounds:
-            if pos[r] and hub_level < 0 and hub_fed[r]:
-                hub_level, hub_now = level, True
-            for s in rows[r]:
-                if type_level[s] < 0:
-                    type_level[s] = level
+            if pos[r]:
+                s = feeds[r]
+                if type_dist[s] < 0:
+                    type_dist[s] = k
                     next_types.append(s)
-        if not (next_rounds or next_types or hub_now):
-            return round_level, type_level, hub_level, -1, layers
+            elif not hub_fed[r]:
+                return round_dist, type_dist, hub_dist, k
+            elif hub_dist < 0:
+                hub_dist, hub_now = k, True
+        # a type from every round whose row holds it
+        for s in types:
+            for r in rounds_of[s]:
+                if round_dist[r] < 0:
+                    round_dist[r] = k
+                    next_rounds.append(r)
         rounds, types = next_rounds, next_types
+    return round_dist, type_dist, hub_dist, -1
 
 
 def _insertion_choice(state: PartialState) -> dict[int, int]:
@@ -234,9 +247,10 @@ def _insertion_choice(state: PartialState) -> dict[int, int]:
 
     Exactly the choice of Dinic's algorithm on the step's insertion
     network, run on the slot table (see the module docstring): the first
-    phase as the greedy pass it is, then phases that unlevel every node
-    with no path to the sink before they walk, with the rounds each type
-    feeds kept from one phase to the next.
+    phase as the greedy pass it is, then phases levelled by one
+    breadth-first search from the sink, whose walk steps only one closer to
+    the sink at a time, with the rounds each type feeds kept from one phase
+    to the next.
     """
     n, i = state.n, state.inserted
     if i >= n:
@@ -272,44 +286,19 @@ def _insertion_choice(state: PartialState) -> dict[int, int]:
     free_forced = [r for r in forced if not pos[r]]
     free_optional = [r for r in optional if not pos[r]]
 
+    # rounds_of[s]: the rounds whose row holds type s, in round order; the
+    # rows do not change before _apply
+    rounds_of = [[] for _ in room]
+    for r, row in enumerate(rows):
+        for s in row:
+            rounds_of[s].append(r)
+
     while True:
-        round_level, type_level, hub_level, sink_level, layers = _levels(
-            rows, pos, holders, room, free_forced, free_optional, hub_fed, hub_room
+        round_dist, type_dist, hub_dist, source_dist = _distances(
+            pos, feeds, rounds_of, room, optional, hub_fed, hub_room
         )
-        if sink_level < 0:
+        if source_dist < 0:
             break
-        # Prune, from the sink down, every node with no path to the sink
-        # (see the module docstring): one level below it a type without
-        # room; further down a round whose row holds no live type and that
-        # does not feed a live hub, a type none of whose rounds is live, and
-        # a hub none of whose free rounds is.  Nothing at the sink's level is
-        # levelled, so the rounds and the hub one below it are dead too.
-        live_rounds, live_types = set(), set()
-        for s in layers[-1][1]:
-            if room[s]:
-                live_types.add(s)
-            else:
-                type_level[s] = -1
-        if hub_level == sink_level - 1:
-            hub_level = -1
-        for level in range(sink_level - 2, 0, -1):
-            rounds, types = layers[level]
-            hub_next = hub_level == level + 1
-            next_rounds = set()
-            for r in rounds:
-                if live_types.isdisjoint(rows[r]) and not (hub_next and pos[r] and hub_fed[r]):
-                    round_level[r] = -1
-                else:
-                    next_rounds.add(r)
-            next_types = set()
-            for s in types:
-                if live_rounds.isdisjoint(holders[s]):
-                    type_level[s] = -1
-                else:
-                    next_types.add(s)
-            if hub_level == level and live_rounds.isdisjoint(free_optional):
-                hub_level = -1
-            live_rounds, live_types = next_rounds, next_types
 
         # Blocking flow.  Current arcs: round_arc[r] is -1 for the reverse
         # in-edge and k for row position k; type_arc[s] indexes holders[s],
@@ -318,33 +307,34 @@ def _insertion_choice(state: PartialState) -> dict[int, int]:
         # and reach holders and the free lists only once the phase is over.
         round_arc = [-1] * m
         type_arc = [0] * len(room)
-        via_hub = [r for r in free_optional if round_level[r] == hub_level + 1]
+        via_hub = [r for r in free_optional if round_dist[r] == hub_dist - 1]
         hub_arc = 0
         moves = []
-        from_source = len(free_forced)
-        # the source's hub edge comes after every round's
-        starts = free_forced + via_hub if hub_level == 1 else free_forced
+        # the source's arcs on a shortest path: its free forced rounds, then
+        # its hub edge, which comes after every round's
+        starts = [r for r in free_forced if round_dist[r] == source_dist - 1]
+        from_source = len(starts)
+        if hub_room and hub_dist == source_dist - 1:
+            starts += via_hub
         for first, r in enumerate(starts):
             from_hub = first >= from_source
             if from_hub and not hub_room:
                 break
-            if round_level[r] < 0:
-                continue  # pruned
             path = [r]
             at = None  # the node round r's current arc leads to, once found
             while True:
                 if at is None:
                     # round r: its reverse in-edge, then its row; no row arc
                     # needs a capacity check, since a matched round is only
-                    # reached from the type it feeds, one level down
-                    next_level = round_level[r] + 1
+                    # reached from the type it feeds, one farther from the sink
+                    next_dist = round_dist[r] - 1
                     k = round_arc[r]
-                    if k < 0 and hub_level == next_level and pos[r] and hub_fed[r]:
+                    if k < 0 and hub_dist == next_dist and pos[r] and hub_fed[r]:
                         at = HUB
                     else:
                         row = rows[r]
                         for k in range(max(k, 0), len(row)):
-                            if type_level[row[k]] == next_level:
+                            if type_dist[row[k]] == next_dist:
                                 at = row[k]
                                 break
                         else:
@@ -354,7 +344,7 @@ def _insertion_choice(state: PartialState) -> dict[int, int]:
                         # dead end, for the rest of the phase: unlevel it, so
                         # no scan enters it again, and step the node that led
                         # here past it
-                        round_level[r] = -1
+                        round_dist[r] = -1
                         path.pop()
                         if not path:
                             break
@@ -369,7 +359,7 @@ def _insertion_choice(state: PartialState) -> dict[int, int]:
                 if at == HUB:
                     for j in range(hub_arc, len(via_hub)):
                         x = via_hub[j]
-                        if not pos[x] and round_level[x] > 0:
+                        if not pos[x] and round_dist[x] > 0:
                             break
                     else:
                         j = len(via_hub)
@@ -379,14 +369,14 @@ def _insertion_choice(state: PartialState) -> dict[int, int]:
                         path.append(r)
                         at = None
                         continue
-                    hub_level = -1
+                    hub_dist = -1
                 else:
                     s = at
                     held = holders[s]
-                    next_level = type_level[s] + 1
+                    next_dist = type_dist[s] - 1
                     for j in range(type_arc[s], len(held)):
                         x = held[j]
-                        if feeds[x] == s and round_level[x] == next_level:
+                        if feeds[x] == s and round_dist[x] == next_dist:
                             break
                     else:
                         j = len(held)
@@ -396,7 +386,7 @@ def _insertion_choice(state: PartialState) -> dict[int, int]:
                         path.append(r)
                         at = None
                         continue
-                    if room[s] and sink_level == next_level:
+                    if room[s] and next_dist == 0:  # the sink
                         # augment one unit: each round on the path now feeds
                         # the slot its current arc leads to, or none via the hub
                         room[s] -= 1
@@ -409,13 +399,13 @@ def _insertion_choice(state: PartialState) -> dict[int, int]:
                             pos[x] = k + 1
                             feeds[x] = new
                         break
-                    type_level[s] = -1
+                    type_dist[s] = -1
                 # dead end at the type or the hub, unlevelled above: step
                 # round r past it
                 round_arc[r] += 1
                 at = None
         if not moves:
-            # a phase that levels the sink always augments; should a fault
+            # a phase that reaches the source always augments; should a fault
             # break that, stop here and let _apply refuse the short choice
             break
         for x, old, new in moves:

@@ -269,13 +269,13 @@ class HamiltonianCoefficients:
     def from_entries(cls, n, one_body_entries, two_body_entries) -> "HamiltonianCoefficients":
         one: dict[tuple[int, int], list[tuple[int, int]]] = {}
         for (p, q), value in one_body_entries:
-            if not (0 <= p < n and 0 <= q < n):
-                raise ValueError(f"one-body index ({p}, {q}) out of range for n={n}")
+            if not (type(p) is int and type(q) is int and 0 <= p < n and 0 <= q < n):
+                raise _index_error("one-body", (p, q), n)
             one.setdefault((p, q), []).append(_ratio(value))
         two: dict[tuple[int, int, int, int], list[tuple[int, int]]] = {}
         for (p, q, r, s), value in two_body_entries:
-            if not all(0 <= t < n for t in (p, q, r, s)):
-                raise ValueError(f"two-body index ({p}, {q}, {r}, {s}) out of range for n={n}")
+            if not all(type(t) is int and 0 <= t < n for t in (p, q, r, s)):
+                raise _index_error("two-body", (p, q, r, s), n)
             if p == q or r == s:
                 continue  # the operator vanishes
             num, den = _ratio(value)
@@ -285,6 +285,14 @@ class HamiltonianCoefficients:
                 r, s, num = s, r, -num
             two.setdefault((p, q, r, s), []).append((num, den))
         return cls(n, _summed(one), _summed(two))
+
+
+def _index_error(body, key, n) -> ValueError:
+    """The error for a key holding a mode index that is not an int (bool is
+    not one), else one out of range for n."""
+    if any(type(t) is not int for t in key):
+        return ValueError(f"mode indices must be integers, got {list(key)!r}")
+    return ValueError(f"{body} index {key} out of range for n={n}")
 
 
 def _ratio(value) -> tuple[int, int]:
@@ -324,9 +332,6 @@ def load_coefficients(path) -> HamiltonianCoefficients:
         # bool is a subclass of int, but true/false are not JSON integers
         if type(n) is not int:
             raise ValueError(f"n must be an integer, got {n!r}")
-        for key, _ in one + two:
-            if any(type(t) is not int for t in key):
-                raise ValueError(f"mode indices must be integers, got {list(key)!r}")
         if any(len(k) != 2 for k, _ in one) or any(len(k) != 4 for k, _ in two):
             raise ValueError("index lists must have 2 (pq) or 4 (pqrs) entries")
         for _, value in one + two:

@@ -240,12 +240,16 @@ def reference_from_entries(n, one_body_entries, two_body_entries) -> Hamiltonian
     """
     one: dict[tuple[int, int], Fraction] = {}
     for (p, q), value in one_body_entries:
+        if not (type(p) is int and type(q) is int):
+            raise ValueError(f"mode indices must be integers, got {[p, q]!r}")
         if not (0 <= p < n and 0 <= q < n):
             raise ValueError(f"one-body index ({p}, {q}) out of range for n={n}")
         key = (p, q)
         one[key] = one.get(key, Fraction(0)) + Fraction(value)
     two: dict[tuple[int, int, int, int], Fraction] = {}
     for (p, q, r, s), value in two_body_entries:
+        if not all(type(t) is int for t in (p, q, r, s)):
+            raise ValueError(f"mode indices must be integers, got {[p, q, r, s]!r}")
         if not all(0 <= t < n for t in (p, q, r, s)):
             raise ValueError(f"two-body index ({p}, {q}, {r}, {s}) out of range for n={n}")
         if p == q or r == s:

@@ -194,7 +194,7 @@ class TestIncrementalNetwork:
     kept from step to step; the conftest ``reference_step_parts`` builds the
     network from scratch and ``max_flow_integral`` solves it, the oracle."""
 
-    @pytest.mark.parametrize("n", range(4, 18))
+    @pytest.mark.parametrize("n", range(4, 24))
     def test_every_step_matches_the_reference(self, n):
         state = PartialState.initial(n)
         for _ in range(n):

@@ -1,5 +1,6 @@
 import gc
 import json
+import re
 import threading
 from collections import Counter
 from fractions import Fraction
@@ -526,6 +527,19 @@ class TestIntegerCoefficientSums:
         with pytest.raises(ValueError) as want:
             reference_from_entries(4, [((1, 0), 1)], two)
         assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("index", [1.0, True])
+    def test_mode_index_that_is_not_an_int(self, index):
+        # 1.0 used to fail only in the JW kernel, True to compile as mode 1;
+        # an out-of-range index beside it does not change the message
+        for one, two, shown in [
+            ([((index, 0), 1)], [], [index, 0]),
+            ([], [((3, 2, index, 7), 1)], [3, 2, index, 7]),
+        ]:
+            message = re.escape(f"mode indices must be integers, got {shown!r}")
+            for build in (HamiltonianCoefficients.from_entries, reference_from_entries):
+                with pytest.raises(ValueError, match=message):
+                    build(4, one, two)
 
 
 class TestPersistence:
