@@ -293,7 +293,9 @@ def _insertion_choice(state: PartialState) -> dict[int, int]:
         for s in row:
             rounds_of[s].append(r)
 
-    while True:
+    # with no free forced round and no hub room the source has no residual
+    # arc left, so no search could reach it
+    while free_forced or hub_room:
         round_dist, type_dist, hub_dist, source_dist = _distances(
             pos, feeds, rounds_of, room, optional, hub_fed, hub_room
         )

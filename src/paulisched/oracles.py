@@ -5,7 +5,7 @@ a power of i, or to 0 (Aaronson and Gottesman, quant-ph/0406196), so they
 are compared by equality.  Coverage is recounted from scratch, and
 commutation audits cover all pairs: :func:`validate_families` scans every
 pair of each family with :func:`anticommuting_pair_by_scan`, its own rule,
-not the compile's basis certifier.  The checks read a family through its
+not the compile's certifier.  The checks read a family through its
 ``strings`` view, the :class:`~paulisched.pauli.WeightedPauliString`
 values built from its integer rows.  Not every check is independent of the
 compile: :func:`validate_partition` builds its reference image with

@@ -31,6 +31,16 @@ modes of the pair or on neither and carry only I or Z elsewhere, so they
 commute.  A family is labelled "dominant" when its blocks have four-mode
 X-support, else "residual".
 
+Each family is certified on its rows' masks by that block structure
+(:func:`_commute_by_blocks`): rows of one X mask commute iff their Y
+parities agree, and blocks with disjoint X masks, each with one Z chain
+outside its mask, are decided block pair by block pair.  That proves every
+family the compile builds, at one lookup and two compares per string.  A
+family the block test cannot prove goes to the GF(2) basis check
+:func:`~paulisched.pauli.anticommuting_indices`, which also names the first
+anticommuting pair in the :class:`FamilyCertificationError` of a family
+that fails.
+
 Since each block is taken out of the table once, each distinct string sits
 in exactly one family, whose provenance is every term of each block that
 puts a string into it.  A schedule only decides how the four-mode blocks
@@ -127,8 +137,55 @@ class CommutingFamily:
         return tuple(weighted_strings(self.n, self.denominator, self.rows))
 
 
+def _commute_by_blocks(rows) -> bool:
+    """True if the rows' block structure proves them pairwise commuting;
+    False proves nothing.
+
+    Rows of one X mask x form a block; write each z as its Y part z & x and
+    its chain z & ~x.  Two strings of one block anticommute iff their Y
+    parities |x & z| mod 2 differ.  Across blocks A and B whose masks are
+    disjoint, x_A & z_b is x_A & chain_b, so every cross pair gives
+    |x_A & chain_B| + |chain_A & x_B| mod 2 once each block has one chain:
+    the symplectic product of the two blocks' first rows decides all their
+    pairs.  A multi-block family whose masks overlap or whose block has two
+    chains is not decided here.
+    """
+    first: dict[int, int] = {}  # the z of each block's first row
+    chained = True
+    for _, x, z, _, _ in rows:
+        d = first.setdefault(x, z) ^ z
+        y = x & d  # where the Y parts differ; the chains differ iff y != d
+        if y.bit_count() & 1:
+            return False
+        if y != d:
+            chained = False
+    if len(first) == 1:
+        return True
+    if not chained:
+        return False
+    blocks = list(first.items())
+    union = 0
+    for x, _ in blocks:
+        if union & x:
+            return False
+        union |= x
+    for k, (ax, az) in enumerate(blocks):
+        for bx, bz in blocks[k + 1:]:
+            if ((ax & bz) ^ (az & bx)).bit_count() & 1:
+                return False
+    return True
+
+
 def _certified(family: CommutingFamily) -> CommutingFamily:
+    """The family, once its strings are shown to commute pairwise.
+
+    The block test proves every family the compile builds; whatever it
+    leaves undecided goes to the GF(2) basis check, which also names the
+    first anticommuting pair of a family that fails.
+    """
     rows = family.rows
+    if _commute_by_blocks(rows):
+        return family
     bad = anticommuting_indices(family.n, [(x, z) for _, x, z, _, _ in rows])
     if bad is not None:
         i, j = bad

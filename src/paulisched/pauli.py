@@ -20,7 +20,8 @@ product is bilinear over GF(2), so a list commutes pairwise exactly when a
 basis of its (x, z) vectors does (Aaronson and Gottesman,
 quant-ph/0406196).  :func:`anticommuting_indices` certifies a list of
 masks on such a basis, picked out of the list itself; the certification in
-:mod:`paulisched.partition` calls it once per family.
+:mod:`paulisched.partition` calls it only for a family that its block test
+leaves undecided, and so for every family that fails.
 :func:`anticommuting_pair` is its spelling on :class:`PauliString` values
 and :func:`commutes` its two-string case.
 

@@ -185,16 +185,16 @@ class TestStreamedFamilies:
     def test_failure_mid_stream_keeps_the_existing_out(self, capsys, tmp_path, monkeypatch):
         out = tmp_path / "families.json"
         out.write_bytes(b"earlier output\n")
-        certify, calls, temporaries = partition.anticommuting_indices, [], []
+        certify, calls, temporaries = partition._certified, [], []
 
-        def reject_tenth(n, masks):
-            calls.append(len(masks))
+        def reject_tenth(family):
+            calls.append(len(family))
             if len(calls) < 10:
-                return certify(n, masks)
+                return certify(family)
             temporaries.extend(p.name for p in tmp_path.glob(".paulisched-*.tmp"))
-            return 0, len(masks) - 1
+            raise partition.FamilyCertificationError("the tenth family is rejected")
 
-        monkeypatch.setattr(partition, "anticommuting_indices", reject_tenth)
+        monkeypatch.setattr(partition, "_certified", reject_tenth)
         with pytest.raises(partition.FamilyCertificationError):
             main(["families", "--n", "8", "--format", "json", "--out", str(out)])
         assert capsys.readouterr().out == ""

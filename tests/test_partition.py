@@ -1,11 +1,15 @@
 import gc
 import json
+import random
 import re
+import runpy
 import threading
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -23,6 +27,7 @@ from conftest import (
     support,
     write_coefficients,
 )
+from paulisched import partition
 from paulisched.baranyai import Schedule, build_schedule
 from paulisched.cli import build_parser
 from paulisched.fermion import FermionicTerm, jw_image, jw_term, weighted_strings
@@ -36,6 +41,7 @@ from paulisched.partition import (
     ScheduleLoadError,
     _blocks,
     _certified,
+    _commute_by_blocks,
     _family_chunks,
     _y_parity,
     build_partition,
@@ -47,7 +53,15 @@ from paulisched.partition import (
     schedule_json,
     write_replacing,
 )
-from paulisched.pauli import ExactComplex, WeightedPauliString, commutes, parse_pauli
+from paulisched.pauli import (
+    ExactComplex,
+    WeightedPauliString,
+    anticommuting_indices,
+    commutes,
+    parse_pauli,
+    pauli_digits,
+    pauli_text,
+)
 
 
 def _dominant(schedule, coeffs=None):
@@ -168,6 +182,142 @@ class TestResidualFamilies:
     def test_requires_positive_n(self):
         with pytest.raises(ValueError):
             commuting_families(Schedule(0, ()))
+
+
+# a round of two blocks, A and B, over all eight modes (the library's first at N=8)
+_ROUND_8 = ((7, 2, 1, 0), (6, 5, 4, 3))
+_MASK_A = 0b10000111
+_MASK_B = 0b01111000
+
+
+def _doctor_block(monkeypatch, mask, change):
+    """Pass partition's JW image of the block with X mask ``mask`` through
+    ``change``, a map of its (x, z, re, im) rows; the texts follow the masks."""
+    image = partition.jw_image
+
+    def doctored(block):
+        denominator, rows = image(block)
+        if rows[0][1] == mask:
+            changed = change([(x, z, re, im) for _, x, z, re, im in rows])
+            rows = [(pauli_text(8, pauli_digits(x, z)), x, z, re, im) for x, z, re, im in changed]
+        return denominator, rows
+
+    monkeypatch.setattr(partition, "jw_image", doctored)
+
+
+def _rejected(monkeypatch, schedule) -> CommutingFamily:
+    """The family whose certification fails in the compile of ``schedule``,
+    once its error is seen to name the pair the basis check picks."""
+    seen = []
+    certify = partition._certified
+    monkeypatch.setattr(partition, "_certified", lambda family: certify(seen.append(family) or family))
+    with pytest.raises(FamilyCertificationError) as raised:
+        list(commuting_families(schedule))
+    family = seen[-1]
+    assert not _commute_by_blocks(family.rows)
+    i, j = anticommuting_indices(family.n, [(x, z) for _, x, z, _, _ in family.rows])
+    assert str(raised.value) == (
+        f"{family.rows[i][0]} and {family.rows[j][0]} do not commute in a {family.origin} family"
+    )
+    return family
+
+
+@cache
+def _benchmark_coefficients() -> HamiltonianCoefficients:
+    """``perfbench/hamiltonian.generate(12, 1, 0)``, an input of the weighted benchmark."""
+    # the generator is stdlib-only and is read, not imported as a module
+    hamiltonian = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "hamiltonian.py"))
+    doc = hamiltonian["generate"](12, 1, 0)
+    return HamiltonianCoefficients.from_entries(
+        12,
+        [(tuple(e["pq"]), e["value"]) for e in doc["one_body"]],
+        [(tuple(e["pqrs"]), e["value"]) for e in doc["two_body"]],
+    )
+
+
+_COMPILES = {
+    "unweighted-8": lambda: (build_schedule(8), None),
+    "unweighted-12": lambda: (schedule_for(12), None),
+    "unweighted-13": lambda: (schedule_for(13), None),  # a last round of one subset
+    "weighted-12": lambda: (schedule_for(12), _benchmark_coefficients()),
+}
+
+
+class TestBlockCertification:
+    """The block test proves every family the compile builds; what it cannot
+    prove goes to the basis check, which names the pair in the error."""
+
+    def test_mismatched_y_parity_in_one_block(self, monkeypatch):
+        # one row of block A is put in the half of the other Y parity
+        y_parity, lied = partition._y_parity, []
+
+        def lying(x, z):
+            if x == _MASK_A and not lied:
+                lied.append(z)
+                return y_parity(x, z) ^ 1
+            return y_parity(x, z)
+
+        monkeypatch.setattr(partition, "_y_parity", lying)
+        family = _rejected(monkeypatch, Schedule(8, (_ROUND_8,)))
+        parities = {y_parity(x, z) for _, x, z, _, _ in family.rows if x == _MASK_A}
+        assert parities == {0, 1}
+
+    @pytest.mark.parametrize("flipped", [slice(-1, None), slice(None)], ids=["last-string", "every-string"])
+    def test_flipped_chain_bit_in_a_multi_block_family(self, monkeypatch, flipped):
+        # mode 3 lies outside block A's X mask and inside block B's.  Flipped
+        # in the last string, block A has two chains; flipped in every
+        # string, it has one, and the block pair test finds A and B anticommute.
+        def flip(rows):
+            rows[flipped] = [(x, z ^ 1 << 3, re, im) for x, z, re, im in rows[flipped]]
+            return rows
+
+        _doctor_block(monkeypatch, _MASK_A, flip)
+        family = _rejected(monkeypatch, Schedule(8, (_ROUND_8,)))
+        assert {x for _, x, _, _, _ in family.rows} == {_MASK_A, _MASK_B}
+        chains = {z & ~x for _, x, z, _, _ in family.rows if x == _MASK_A}
+        assert len(chains) == (2 if flipped.start else 1)
+
+    def test_overlapping_x_masks(self, monkeypatch):
+        # every string of block A also takes an X or Y on mode 3, inside block B's mask
+        _doctor_block(monkeypatch, _MASK_A, lambda rows: [(x | 1 << 3, z, re, im) for x, z, re, im in rows])
+        family = _rejected(monkeypatch, Schedule(8, (_ROUND_8,)))
+        assert {x for _, x, _, _, _ in family.rows} == {_MASK_A | 1 << 3, _MASK_B}
+
+    def test_a_commuting_family_outside_the_rules_still_passes(self):
+        # overlapping X masks: the block test proves nothing, the basis check passes it
+        strings = [WeightedPauliString(ExactComplex(1), parse_pauli(t)) for t in ("XXI", "IXX", "ZZZ")]
+        family = family_of(strings)
+        assert not _commute_by_blocks(family.rows)
+        assert _certified(family) is family
+
+    @pytest.mark.parametrize("case", sorted(_COMPILES))
+    def test_never_accepts_what_the_basis_check_rejects(self, case):
+        # 1-3 random x or z bit flips per copy of each compiled family
+        rng = random.Random(case)
+        origins, verdicts = Counter(), Counter()
+        for family in commuting_families(*_COMPILES[case]()):
+            origins[family.origin] += 1
+            for _ in range(8):
+                rows = list(family.rows)
+                for _ in range(rng.randint(1, 3)):
+                    k, bit = rng.randrange(len(rows)), 1 << rng.randrange(family.n)
+                    text, x, z, re, im = rows[k]
+                    rows[k] = (text, x ^ bit, z, re, im) if rng.random() < 0.5 else (text, x, z ^ bit, re, im)
+                accepted = _commute_by_blocks(rows)
+                commuting = anticommuting_indices(family.n, [(x, z) for _, x, z, _, _ in rows]) is None
+                assert commuting or not accepted, rows
+                verdicts[accepted, commuting] += 1
+        assert origins["dominant"] and origins["residual"]
+        # faults that break commutation and faults that keep it are both seen
+        assert verdicts[True, True] and verdicts[False, False]
+
+    @pytest.mark.parametrize("case", sorted(_COMPILES))
+    def test_the_compile_never_falls_back(self, case, monkeypatch):
+        calls = []
+        basis = partition.anticommuting_indices
+        monkeypatch.setattr(partition, "anticommuting_indices", lambda n, masks: calls.append(n) or basis(n, masks))
+        assert list(commuting_families(*_COMPILES[case]()))
+        assert calls == []
 
 
 class TestOnePass:
