@@ -23,7 +23,6 @@ from .pauli import (
     PauliString,
     WeightedPauliString,
     anticommuting_index_count,
-    anticommuting_pair,
     commutes,
     parse_pauli,
 )

@@ -3,7 +3,10 @@
 A ladder operator on mode m maps to (X_m + iY_m)/2 (annihilation) or
 (X_m - iY_m)/2 (creation), times a Z chain on all lower modes.  The
 integer ladder table :func:`_ladder` is the one source of that encoding:
-each part is a pair of masks (x, z) and a weight i**k / 2.
+each part is a pair of masks (x, z) and an exponent e, for the weight
+i**e X^x Z^z / 2 in the X^x Z^z normal form (Aaronson and Gottesman,
+quant-ph/0406196), in which Y = iXZ.  One rule multiplies two such parts:
+exponents add, and moving Z^z past X^x' adds 2 popcount(z & x').
 :func:`jw_image` expands each term's ladder product exactly on integers in
 one pass: every coefficient is (a + ib) / 2**f for Gaussian integers a + ib
 and f ladder factors, so each product path carries an i-power and is added
@@ -21,14 +24,14 @@ sign or phase is hand-coded, which is what the dense-matrix oracles in
 :mod:`paulisched.oracles` verify.
 
 A term is the product of its creates side and its annihilates side, and
-each side is expanded once per process by the one phase rule
-:func:`_product_phase`: ``_SIDES`` maps a side's ``(modes, dagger)`` to its
-product paths.  A path stores its masks, its exponent in the X^x Z^z
-normal form, k + popcount(x & z), so that the phase of a product of two
-paths takes two popcounts, and its digits: the digit rule is linear over
-GF(2), so the digits of a product of two paths are the XOR of theirs.  No
-part of a path depends on the register size, as a digit int has no width:
-a text is padded to n digits only when it is formatted.  A two-body term
+each side is expanded once per process by that rule: ``_SIDES`` maps a
+side's ``(modes, dagger)`` to its product paths.  A path stores its masks,
+its normal-form exponent and its digits: the digit rule is linear over
+GF(2), so the digits of a product of two paths are the XOR of theirs.  The
+same rule joins the two sides, and only the product leaves the normal
+form: each of its Y letters takes one factor i back.  No part of a path
+depends on the register size, as a digit int has no width: a text is
+padded to n digits only when it is formatted.  A two-body term
 then takes 16 phases, one per pair of side paths, instead of the 30 of a
 factor-by-factor expansion.  A side names one mode or two distinct
 descending ones, so for modes below M the memo holds at most
@@ -99,25 +102,11 @@ class FermionicTerm:
 
 
 def _ladder(mode: int, dagger: bool) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
-    """A ladder operator's parts (x, z, k), each weighted i**k / 2: X_mode, and
-    Y_mode with k = 3 (creation) or 1, times the Z chain below ``mode``."""
+    """A ladder operator's parts (x, z, e) in normal form, each weighted
+    i**e X^x Z^z / 2: X_mode, and X_mode Z_mode with e = 0 (creation) or 2,
+    times the Z chain below ``mode``."""
     chain = (1 << mode) - 1
-    return ((1 << mode, chain, 0), (1 << mode, chain | 1 << mode, 3 if dagger else 1))
-
-
-def _product_phase(px: int, pz: int, qx: int, qz: int) -> int:
-    """Exponent k in 0..3 with P*Q = i**k R for the IXYZ-letter strings P, Q, R.
-
-    Uses the X^x Z^z normal form: each letter is i^(x*z) X^x Z^z, commuting
-    Z past X contributes (-1)^(z1*x2) per position, and the result R, with
-    masks (px ^ qx, pz ^ qz), is folded back into the IXYZ alphabet.
-    """
-    return (
-        (px & pz).bit_count()
-        + (qx & qz).bit_count()
-        + 2 * (pz & qx).bit_count()
-        - ((px ^ qx) & (pz ^ qz)).bit_count()
-    ) & 3
+    return ((1 << mode, chain, 0), (1 << mode, chain | 1 << mode, 0 if dagger else 2))
 
 
 _SIDES: dict[tuple[tuple[int, ...], bool], list[tuple[int, int, int, int]]] = {}
@@ -148,13 +137,11 @@ def jw_image(entries) -> tuple[int, list[tuple[str, int, int, int, int]]]:
                 paths = [(0, 0, 0)]
                 for mode in modes:
                     paths = [
-                        (x ^ fx, z ^ fz, k + fk + _product_phase(x, z, fx, fz))
-                        for x, z, k in paths
-                        for fx, fz, fk in _ladder(mode, dagger)
+                        (x ^ fx, z ^ fz, e + fe + 2 * (z & fx).bit_count())
+                        for x, z, e in paths
+                        for fx, fz, fe in _ladder(mode, dagger)
                     ]
-                paths = _SIDES[side] = [
-                    (x, z, k + (x & z).bit_count(), pauli_digits(x, z)) for x, z, k in paths
-                ]
+                paths = _SIDES[side] = [(x, z, e, pauli_digits(x, z)) for x, z, e in paths]
             sides.append(paths)
         creates, annihilates = sides
         ladders = len(term.creates) + len(term.annihilates)

@@ -359,8 +359,9 @@ def anticommuting_pair_by_scan(strings) -> tuple[PauliString, PauliString] | Non
     """The first pair (a, b), a before b, of ``strings`` that anticommutes, or None,
     by a plain scan of every (i, j), i < j.
 
-    The audit's own rule: it shares no code with the basis certifier of
-    the compile, :func:`pauli.anticommuting_pair`, and returns the same pair.
+    The audit's own rule on :class:`PauliString` values: it shares no code
+    with the compile's certifier, :func:`pauli.anticommuting_indices` on
+    masks, and names the same pair.
 
     Raises:
         ValueError: if the strings act on different registers.

@@ -36,7 +36,7 @@ Each family is certified on its rows' masks by that block structure
 parities agree, and blocks with disjoint X masks, each with one Z chain
 outside its mask, are decided block pair by block pair.  That proves every
 family the compile builds, at one lookup and two compares per string.  A
-family the block test cannot prove goes to the GF(2) basis check
+family the block test cannot prove goes to the plain pairwise scan
 :func:`~paulisched.pauli.anticommuting_indices`, which also names the first
 anticommuting pair in the :class:`FamilyCertificationError` of a family
 that fails.
@@ -180,13 +180,13 @@ def _certified(family: CommutingFamily) -> CommutingFamily:
     """The family, once its strings are shown to commute pairwise.
 
     The block test proves every family the compile builds; whatever it
-    leaves undecided goes to the GF(2) basis check, which also names the
-    first anticommuting pair of a family that fails.
+    leaves undecided goes to the pairwise scan, which also names the first
+    anticommuting pair of a family that fails.
     """
     rows = family.rows
     if _commute_by_blocks(rows):
         return family
-    bad = anticommuting_indices(family.n, [(x, z) for _, x, z, _, _ in rows])
+    bad = anticommuting_indices([(x, z) for _, x, z, _, _ in rows])
     if bad is not None:
         i, j = bad
         raise FamilyCertificationError(f"{rows[i][0]} and {rows[j][0]} do not commute in a {family.origin} family")
@@ -315,7 +315,9 @@ class HamiltonianCoefficients:
     term; ``two_body`` maps descending-canonical (p, q, r, s) with p > q and
     r > s.  Use :func:`load_coefficients` or :meth:`from_entries` so raw
     index orders are normalized (with antisymmetry signs) and duplicate
-    entries accumulate.
+    entries accumulate.  Each entry is checked in turn: its key's length,
+    then its value, an int, float or Fraction in the float range (bool is
+    none of them), then its mode indices, ints in range(n).
     """
 
     n: int
@@ -325,17 +327,20 @@ class HamiltonianCoefficients:
     @classmethod
     def from_entries(cls, n, one_body_entries, two_body_entries) -> "HamiltonianCoefficients":
         one: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        for (p, q), value in one_body_entries:
+        for key, value in one_body_entries:
+            ratio = _ratio(key, 2, value)
+            p, q = key
             if not (type(p) is int and type(q) is int and 0 <= p < n and 0 <= q < n):
                 raise _index_error("one-body", (p, q), n)
-            one.setdefault((p, q), []).append(_ratio(value))
+            one.setdefault((p, q), []).append(ratio)
         two: dict[tuple[int, int, int, int], list[tuple[int, int]]] = {}
-        for (p, q, r, s), value in two_body_entries:
+        for key, value in two_body_entries:
+            num, den = _ratio(key, 4, value)
+            p, q, r, s = key
             if not all(type(t) is int and 0 <= t < n for t in (p, q, r, s)):
                 raise _index_error("two-body", (p, q, r, s), n)
             if p == q or r == s:
                 continue  # the operator vanishes
-            num, den = _ratio(value)
             if p < q:
                 p, q, num = q, p, -num
             if r < s:
@@ -352,9 +357,16 @@ def _index_error(body, key, n) -> ValueError:
     return ValueError(f"{body} index {key} out of range for n={n}")
 
 
-def _ratio(value) -> tuple[int, int]:
-    """A value's exact (numerator, denominator); a non-float non-int goes through Fraction."""
-    return (value if type(value) in (int, float) else Fraction(value)).as_integer_ratio()
+def _ratio(key, size: int, value) -> tuple[int, int]:
+    """The exact (numerator, denominator) of an entry's value, once its key
+    holds ``size`` indices and the value is a number in the float range."""
+    if len(key) != size:
+        raise ValueError("index lists must have 2 (pq) or 4 (pqrs) entries")
+    # JSON Infinity and NaN parse as floats, integers can exceed the float
+    # range, and strings or booleans would convert silently
+    if not (type(value) in (int, float, Fraction) and abs(value) <= _FLOAT_MAX):
+        raise ValueError(f"coefficient values must be finite numbers in float range, got {value!r}")
+    return value.as_integer_ratio()
 
 
 def _summed(table: dict) -> dict:
@@ -368,6 +380,24 @@ def _summed(table: dict) -> dict:
     return out
 
 
+def _read_json(path, kind: str, error: type[ValueError]) -> tuple[dict, int]:
+    """A ``kind`` JSON file's data and its integer n, or ``error`` naming
+    the file that cannot be read or whose n is not an integer."""
+    try:
+        data = json.loads(Path(path).read_text())
+    # ValueError covers JSONDecodeError and integer literals too long to parse
+    except (OSError, ValueError) as exc:
+        raise error(f"cannot read {kind} file {path}: {exc}") from exc
+    try:
+        n = data["n"]
+        # bool is a subclass of int, but true/false are not JSON integers
+        if type(n) is not int:
+            raise ValueError(f"n must be an integer, got {n!r}")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise error(f"malformed {kind} file {path}: {exc}") from exc
+    return data, n
+
+
 def load_coefficients(path) -> HamiltonianCoefficients:
     """Read a coefficients JSON file.
 
@@ -377,25 +407,10 @@ def load_coefficients(path) -> HamiltonianCoefficients:
          "one_body": [{"pq": [p, q], "value": v}, ...],
          "two_body": [{"pqrs": [p, q, r, s], "value": v}, ...]}
     """
+    data, n = _read_json(path, "coefficients", CoefficientsLoadError)
     try:
-        data = json.loads(Path(path).read_text())
-    # ValueError covers JSONDecodeError and integer literals too long to parse
-    except (OSError, ValueError) as exc:
-        raise CoefficientsLoadError(f"cannot read coefficients file {path}: {exc}") from exc
-    try:
-        n = data["n"]
         one = [(tuple(entry["pq"]), entry["value"]) for entry in data.get("one_body", [])]
         two = [(tuple(entry["pqrs"]), entry["value"]) for entry in data.get("two_body", [])]
-        # bool is a subclass of int, but true/false are not JSON integers
-        if type(n) is not int:
-            raise ValueError(f"n must be an integer, got {n!r}")
-        if any(len(k) != 2 for k, _ in one) or any(len(k) != 4 for k, _ in two):
-            raise ValueError("index lists must have 2 (pq) or 4 (pqrs) entries")
-        for _, value in one + two:
-            # JSON Infinity and NaN parse as floats, integers can exceed the
-            # float range, and strings or booleans would convert silently
-            if not (type(value) in (int, float) and abs(value) <= _FLOAT_MAX):
-                raise ValueError(f"coefficient values must be finite numbers in float range, got {value!r}")
         coeffs = HamiltonianCoefficients.from_entries(n, one, two)
         # With real values, H is Hermitian iff every normal-ordered entry
         # equals the entry of its adjoint, whose key swaps the create and
@@ -426,17 +441,9 @@ def schedule_json(schedule: Schedule) -> str:
 
 def read_schedule_file(path) -> Schedule:
     """Parse a schedule JSON file without validating its combinatorics."""
+    data, n = _read_json(path, "schedule", ScheduleLoadError)
     try:
-        data = json.loads(Path(path).read_text())
-    # ValueError covers JSONDecodeError and integer literals too long to parse
-    except (OSError, ValueError) as exc:
-        raise ScheduleLoadError(f"cannot read schedule file {path}: {exc}") from exc
-    try:
-        n = data["n"]
         rounds = [[tuple(s) for s in rnd] for rnd in data["rounds"]]
-        # bool is a subclass of int, but true/false are not JSON integers
-        if type(n) is not int:
-            raise ValueError(f"n must be an integer, got {n!r}")
         if n < 1:
             raise ValueError(f"n must be positive, got {n}")
         for rnd in rounds:

@@ -15,15 +15,13 @@ text, the one text rule, so the sort of a Jordan-Wigner image, the writer
 of a families file and :class:`PauliString` read the same text.
 
 One integer rule on the masks decides commutation: the parity of the
-popcount of the symplectic product (a.x & b.z) ^ (a.z & b.x).  That
-product is bilinear over GF(2), so a list commutes pairwise exactly when a
-basis of its (x, z) vectors does (Aaronson and Gottesman,
-quant-ph/0406196).  :func:`anticommuting_indices` certifies a list of
-masks on such a basis, picked out of the list itself; the certification in
-:mod:`paulisched.partition` calls it only for a family that its block test
-leaves undecided, and so for every family that fails.
-:func:`anticommuting_pair` is its spelling on :class:`PauliString` values
-and :func:`commutes` its two-string case.
+popcount of the symplectic product (a.x & b.z) ^ (a.z & b.x) (Aaronson and
+Gottesman, quant-ph/0406196).  :func:`anticommuting_index_count` counts it
+for two strings and :func:`commutes` reads its parity;
+:func:`anticommuting_indices` scans a list of masks for its first
+anticommuting pair.  The certification in :mod:`paulisched.partition`
+calls that scan only for a family that its block test leaves undecided,
+and so for every family that fails.
 
 Coefficients are exact complex numbers with rational real/imaginary parts
 (:class:`ExactComplex`); every value the encoding pipeline produces is a
@@ -50,7 +48,6 @@ __all__ = [
     "WeightedPauliString",
     "anticommuting_index_count",
     "anticommuting_indices",
-    "anticommuting_pair",
     "commutes",
     "parse_pauli",
     "pauli_digits",
@@ -164,67 +161,35 @@ def parse_pauli(text: str) -> PauliString:
     return PauliString(len(text), x, z)
 
 
-def _require_same_length(p: PauliString, q: PauliString) -> None:
-    if p.n != q.n:
-        raise ValueError(f"Pauli strings act on different registers: {p.n} != {q.n}")
-
-
 def anticommuting_index_count(p: PauliString, q: PauliString) -> int:
     """Number of qubit positions where p and q carry different non-identity letters.
 
     Per-qubit, two Pauli letters anticommute exactly when both are
     non-identity and unequal; in the (x, z) encoding that is the symplectic
     product x1*z2 XOR z1*x2 of the two bit pairs.
+
+    Raises:
+        ValueError: if the strings act on different registers.
     """
-    _require_same_length(p, q)
+    if p.n != q.n:
+        raise ValueError(f"Pauli strings act on different registers: {p.n} != {q.n}")
     return ((p.x & q.z) ^ (p.z & q.x)).bit_count()
 
 
-def anticommuting_indices(n: int, masks) -> tuple[int, int] | None:
-    """The first pair (i, j), i < j, of the (x, z) ``masks`` of n-qubit strings
-    that anticommutes, or None.
-
-    Pairs are taken in (i, j) order.  Each string's vector ``(x << n) | z``
-    is reduced against pivots keyed by their leading bit, so the strings
-    that do not reduce to zero are a basis of the list, each independent of
-    the strings before it.  Only the pairs of that basis are tested.  This
-    is exact because the symplectic product is bilinear: a string that is a
-    sum of earlier strings commutes with every string that all of those
-    commute with.  So the first anticommuting pair of the list joins two
-    basis strings (any pair before it commutes), and it is also the first
-    pair of the basis.
-    """
-    pivots: dict[int, int] = {}
-    basis = []
-    for i, (x, z) in enumerate(masks):
-        v = x << n | z
-        while v and (pivot := pivots.get(v.bit_length())):
-            v ^= pivot
-        if v:
-            pivots[v.bit_length()] = v
-            basis.append((i, x, z))
-    for k, (i, ax, az) in enumerate(basis):
-        for j, bx, bz in basis[k + 1:]:
+def anticommuting_indices(masks) -> tuple[int, int] | None:
+    """The first pair (i, j), i < j, of the (x, z) ``masks`` that
+    anticommutes, or None; pairs are taken in (i, j) order."""
+    for i, (ax, az) in enumerate(masks):
+        for j, (bx, bz) in enumerate(masks[i + 1:], i + 1):
             if ((ax & bz) ^ (az & bx)).bit_count() & 1:
                 return i, j
     return None
 
 
-def anticommuting_pair(strings) -> tuple[PauliString, PauliString] | None:
-    """The first pair (a, b), a before b, of ``strings`` that anticommutes, or None.
-
-    Every register is checked against the first, then the masks go through
-    :func:`anticommuting_indices`.
+def commutes(p: PauliString, q: PauliString) -> bool:
+    """True iff the two strings commute, i.e. the anticommuting-index count is even.
 
     Raises:
         ValueError: if the strings act on different registers.
     """
-    for s in strings[1:]:
-        _require_same_length(strings[0], s)
-    pair = strings and anticommuting_indices(strings[0].n, [(s.x, s.z) for s in strings])
-    return (strings[pair[0]], strings[pair[1]]) if pair else None
-
-
-def commutes(p: PauliString, q: PauliString) -> bool:
-    """True iff the two strings commute, i.e. the anticommuting-index count is even."""
-    return anticommuting_pair((p, q)) is None
+    return not anticommuting_index_count(p, q) & 1

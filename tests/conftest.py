@@ -1,11 +1,12 @@
 import heapq
 import json
 import random
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, count
-from math import comb, lcm
+from math import comb, isfinite, lcm
 from operator import sub
 
 import pytest
@@ -15,10 +16,10 @@ settings.register_profile("det", derandomize=True, deadline=None)
 settings.load_profile("det")
 
 from paulisched.baranyai import round_sizes
-from paulisched.fermion import FermionicTerm, UnsupportedTermError, _product_phase
+from paulisched.fermion import FermionicTerm, UnsupportedTermError
 from paulisched.oracles import weighted_sum_matrix
 from paulisched.partition import CommutingFamily, HamiltonianCoefficients
-from paulisched.pauli import ExactComplex, PauliString, WeightedPauliString
+from paulisched.pauli import ExactComplex, PauliString, WeightedPauliString, parse_pauli
 
 
 def times_i_power(c: ExactComplex, k: int) -> ExactComplex:
@@ -37,16 +38,33 @@ def abs_squared(c: ExactComplex) -> Fraction:
     return c.real * c.real + c.imag * c.imag
 
 
+# products of two distinct non-identity letters: XY = iZ, YZ = iX and
+# ZX = iY, and the reverse products take -i
+_LETTER_PRODUCTS = {
+    ("X", "Y"): ("Z", 1), ("Y", "Z"): ("X", 1), ("Z", "X"): ("Y", 1),
+    ("Y", "X"): ("Z", 3), ("Z", "Y"): ("X", 3), ("X", "Z"): ("Y", 3),
+}
+
+
 def string_product(p: PauliString, q: PauliString) -> tuple[PauliString, int]:
     """Positionwise product p*q, returned as (string, k) with global phase i**k.
 
-    The test reference for ``fermion._product_phase``, the phase rule the
-    Jordan-Wigner kernel takes per product path; the dense-matrix tests of
+    Multiplies letter by letter on its own table, so it shares no rule with
+    the Jordan-Wigner kernel's normal-form phase; the dense-matrix tests of
     :func:`multiply` check it.
     """
     if p.n != q.n:
         raise ValueError(f"Pauli strings act on different registers: {p.n} != {q.n}")
-    return PauliString(p.n, p.x ^ q.x, p.z ^ q.z), _product_phase(p.x, p.z, q.x, q.z)
+    letters, k = [], 0
+    for t in range(p.n):
+        a, b = letter(p, t), letter(q, t)
+        if (a, b) in _LETTER_PRODUCTS:
+            c, e = _LETTER_PRODUCTS[a, b]
+        else:  # a letter squares to I, and I leaves the other letter
+            c, e = "I" if a == b else a if b == "I" else b, 0
+        letters.append(c)
+        k += e
+    return parse_pauli("".join(letters)), k % 4
 
 
 def multiply(p: WeightedPauliString, q: WeightedPauliString) -> WeightedPauliString:
@@ -232,22 +250,38 @@ def reference_fold(entries) -> list[WeightedPauliString]:
     return folded
 
 
+def _reference_value(key, size, value) -> Fraction:
+    """An entry's value as a Fraction, once its key and value pass the entry rules."""
+    if len(key) != size:
+        raise ValueError("index lists must have 2 (pq) or 4 (pqrs) entries")
+    number = isinstance(value, (int, float, Fraction)) and not isinstance(value, bool)
+    finite = number and not (isinstance(value, float) and not isfinite(value))
+    if not (finite and abs(Fraction(value)) <= Fraction(sys.float_info.max)):
+        raise ValueError(f"coefficient values must be finite numbers in float range, got {value!r}")
+    return Fraction(value)
+
+
 def reference_from_entries(n, one_body_entries, two_body_entries) -> HamiltonianCoefficients:
     """The one-``Fraction``-per-entry accumulation that ``from_entries`` must match.
 
-    Same index checks in the same order, same antisymmetry signs, same key
-    insertion order and the same zero-sum filter.
+    Same entry checks in the same order (key length, value, index type,
+    index range), same antisymmetry signs, same key insertion order and the
+    same zero-sum filter.
     """
     one: dict[tuple[int, int], Fraction] = {}
-    for (p, q), value in one_body_entries:
+    for key, value in one_body_entries:
+        value = _reference_value(key, 2, value)
+        p, q = key
         if not (type(p) is int and type(q) is int):
             raise ValueError(f"mode indices must be integers, got {[p, q]!r}")
         if not (0 <= p < n and 0 <= q < n):
             raise ValueError(f"one-body index ({p}, {q}) out of range for n={n}")
         key = (p, q)
-        one[key] = one.get(key, Fraction(0)) + Fraction(value)
+        one[key] = one.get(key, Fraction(0)) + value
     two: dict[tuple[int, int, int, int], Fraction] = {}
-    for (p, q, r, s), value in two_body_entries:
+    for key, value in two_body_entries:
+        value = _reference_value(key, 4, value)
+        p, q, r, s = key
         if not all(type(t) is int for t in (p, q, r, s)):
             raise ValueError(f"mode indices must be integers, got {[p, q, r, s]!r}")
         if not all(0 <= t < n for t in (p, q, r, s)):
@@ -260,7 +294,7 @@ def reference_from_entries(n, one_body_entries, two_body_entries) -> Hamiltonian
         if r < s:
             r, s, sign = s, r, -sign
         key = (p, q, r, s)
-        two[key] = two.get(key, Fraction(0)) + sign * Fraction(value)
+        two[key] = two.get(key, Fraction(0)) + sign * value
     return HamiltonianCoefficients(
         n,
         {k: v for k, v in one.items() if v},

@@ -486,11 +486,11 @@ def test_no_module_imports_a_private_name_of_another():
     assert imported == set()
 
 
-def test_only_weighted_strings_builds_and_only_jw_image_calls_product_phase():
-    # one Jordan-Wigner kernel: jw_image is the only place that multiplies
-    # out product paths, and weighted_strings, which reads the kernel's
-    # rows, the only place that makes weighted strings
-    owners = {"_product_phase": "jw_image", "WeightedPauliString": "weighted_strings"}
+def test_only_weighted_strings_builds_and_only_jw_image_calls_ladder():
+    # one Jordan-Wigner kernel: jw_image is the only place that reads the
+    # ladder table and multiplies out product paths, and weighted_strings,
+    # which reads the kernel's rows, the only place that makes weighted strings
+    owners = {"_ladder": "jw_image", "WeightedPauliString": "weighted_strings"}
 
     def calls(tree):
         return [
@@ -590,6 +590,9 @@ SCHEDULE_10_OUT_SHA256 = "f333fff09e4845d152e060917c8614208362fc1de9abc8cc3ba79c
 # families --n 12 --hamiltonian H for H = perfbench/hamiltonian.generate(12, 1, 0),
 # an input of the benchmark's weighted-batch workload
 FAMILIES_12_WEIGHTED_SHA256 = "bc5f2791306cb2783e5a3f9cbda12a709c172a47460df00c8d086de97a359a01"
+# the same command for each generate(12, s, i), s and i in 0..2: one sha256
+# of the nine outputs concatenated, with s the outer loop
+FAMILIES_12_WEIGHTED_NINE_SHA256 = "09d3701d561e2506e3e25056a7b6b4b52115a8c9f3236e7dc7b24c8ec8eb3b74"
 # n % 4 == 3: hub edges and long augmenting paths in every insertion network
 SCHEDULE_23_SHA256 = "7fea85f0b698773882317754e6b7b9efb94a3d6eefb818b1d8c90670fc0b5f8d"
 # odd N: a last round of one subset, hub edges, and the residual families after the rounds
@@ -641,12 +644,18 @@ def test_weighted_output_bytes_pinned(capsys, tmp_path):
 def test_benchmark_weighted_output_bytes_pinned(capsys, tmp_path):
     # the generator is stdlib-only and is read, not imported as a module
     hamiltonian = runpy.run_path(str(SRC.parent / "perfbench" / "hamiltonian.py"))
-    coeffs = tmp_path / "h.json"
-    coeffs.write_text(json.dumps(hamiltonian["generate"](12, 1, 0)))
-    path = tmp_path / "families.json"
+    coeffs, path = tmp_path / "h.json", tmp_path / "families.json"
     argv = ["families", "--n", "12", "--hamiltonian", str(coeffs), "--format", "json", "--out", str(path)]
-    assert run(capsys, *argv)[0] == 0
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == FAMILIES_12_WEIGHTED_SHA256
+    nine = hashlib.sha256()
+    for seed in range(3):
+        for index in range(3):
+            coeffs.write_text(json.dumps(hamiltonian["generate"](12, seed, index)))
+            assert run(capsys, *argv)[0] == 0
+            output = path.read_bytes()
+            if (seed, index) == (1, 0):
+                assert hashlib.sha256(output).hexdigest() == FAMILIES_12_WEIGHTED_SHA256
+            nine.update(output)
+    assert nine.hexdigest() == FAMILIES_12_WEIGHTED_NINE_SHA256
 
 
 def test_no_pauli_objects_on_the_compile_path(capsys, tmp_path, monkeypatch):

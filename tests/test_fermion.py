@@ -62,8 +62,9 @@ class TestLadder:
     def test_matches_occupation_basis_matrix(self, mode, dagger):
         half = ExactComplex(Fraction(1, 2))
         parts = [
-            WeightedPauliString(times_i_power(half, k), PauliString(3, x, z))
-            for x, z, k in _ladder(mode, dagger)
+            # i**e X^x Z^z is i**(e - |x & z|) times the string of masks (x, z)
+            WeightedPauliString(times_i_power(half, e - (x & z).bit_count()), PauliString(3, x, z))
+            for x, z, e in _ladder(mode, dagger)
         ]
         assert weighted_sum_matrix(parts, 3) == ladder_matrix(mode, dagger, 3)
 

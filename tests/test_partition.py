@@ -207,7 +207,7 @@ def _doctor_block(monkeypatch, mask, change):
 
 def _rejected(monkeypatch, schedule) -> CommutingFamily:
     """The family whose certification fails in the compile of ``schedule``,
-    once its error is seen to name the pair the basis check picks."""
+    once its error is seen to name the pair the scan picks."""
     seen = []
     certify = partition._certified
     monkeypatch.setattr(partition, "_certified", lambda family: certify(seen.append(family) or family))
@@ -215,7 +215,7 @@ def _rejected(monkeypatch, schedule) -> CommutingFamily:
         list(commuting_families(schedule))
     family = seen[-1]
     assert not _commute_by_blocks(family.rows)
-    i, j = anticommuting_indices(family.n, [(x, z) for _, x, z, _, _ in family.rows])
+    i, j = anticommuting_indices([(x, z) for _, x, z, _, _ in family.rows])
     assert str(raised.value) == (
         f"{family.rows[i][0]} and {family.rows[j][0]} do not commute in a {family.origin} family"
     )
@@ -245,7 +245,7 @@ _COMPILES = {
 
 class TestBlockCertification:
     """The block test proves every family the compile builds; what it cannot
-    prove goes to the basis check, which names the pair in the error."""
+    prove goes to the scan, which names the pair in the error."""
 
     def test_mismatched_y_parity_in_one_block(self, monkeypatch):
         # one row of block A is put in the half of the other Y parity
@@ -284,14 +284,14 @@ class TestBlockCertification:
         assert {x for _, x, _, _, _ in family.rows} == {_MASK_A | 1 << 3, _MASK_B}
 
     def test_a_commuting_family_outside_the_rules_still_passes(self):
-        # overlapping X masks: the block test proves nothing, the basis check passes it
+        # overlapping X masks: the block test proves nothing, the scan passes it
         strings = [WeightedPauliString(ExactComplex(1), parse_pauli(t)) for t in ("XXI", "IXX", "ZZZ")]
         family = family_of(strings)
         assert not _commute_by_blocks(family.rows)
         assert _certified(family) is family
 
     @pytest.mark.parametrize("case", sorted(_COMPILES))
-    def test_never_accepts_what_the_basis_check_rejects(self, case):
+    def test_never_accepts_what_the_scan_rejects(self, case):
         # 1-3 random x or z bit flips per copy of each compiled family
         rng = random.Random(case)
         origins, verdicts = Counter(), Counter()
@@ -304,7 +304,7 @@ class TestBlockCertification:
                     text, x, z, re, im = rows[k]
                     rows[k] = (text, x ^ bit, z, re, im) if rng.random() < 0.5 else (text, x, z ^ bit, re, im)
                 accepted = _commute_by_blocks(rows)
-                commuting = anticommuting_indices(family.n, [(x, z) for _, x, z, _, _ in rows]) is None
+                commuting = anticommuting_indices([(x, z) for _, x, z, _, _ in rows]) is None
                 assert commuting or not accepted, rows
                 verdicts[accepted, commuting] += 1
         assert origins["dominant"] and origins["residual"]
@@ -314,8 +314,8 @@ class TestBlockCertification:
     @pytest.mark.parametrize("case", sorted(_COMPILES))
     def test_the_compile_never_falls_back(self, case, monkeypatch):
         calls = []
-        basis = partition.anticommuting_indices
-        monkeypatch.setattr(partition, "anticommuting_indices", lambda n, masks: calls.append(n) or basis(n, masks))
+        scan = partition.anticommuting_indices
+        monkeypatch.setattr(partition, "anticommuting_indices", lambda masks: calls.append(masks) or scan(masks))
         assert list(commuting_families(*_COMPILES[case]()))
         assert calls == []
 
@@ -659,7 +659,7 @@ class TestIntegerCoefficientSums:
 
     def test_mixed_value_types(self):
         one = [((0, 0), 1), ((0, 0), 0.1), ((0, 0), Fraction(1, 3)), ((1, 2), Fraction(-2, 7)),
-               ((1, 2), 3), ((2, 1), 2.5e-300), ((2, 1), 10**300), ((3, 3), True)]
+               ((1, 2), 3), ((2, 1), 2.5e-300), ((2, 1), 10**300)]
         two = [((3, 2, 1, 0), 0.1), ((2, 3, 1, 0), Fraction(1, 10)), ((3, 2, 0, 1), -7),
                ((3, 1, 1, 0), 1.7e308), ((1, 3, 1, 0), 1.7e308)]
         self._assert_matches_reference(4, one, two)
@@ -669,6 +669,33 @@ class TestIntegerCoefficientSums:
         two = [((3, 2, 1, 0), -0.0), ((2, 2, 1, 0), -0.0)]
         self._assert_matches_reference(4, one, two)
         assert HamiltonianCoefficients.from_entries(4, one, two).one_body == {(1, 1): Fraction(1, 2)}
+
+    def test_bad_values_and_keys_are_rejected(self):
+        # the entry rules of the coefficients file: a key of the wrong length,
+        # then a value that is not an int, float or Fraction in the float
+        # range, and a bad value even on a vanishing two-body key
+        values = [True, False, "0.5", None, [1], float("inf"), float("-inf"), float("nan"),
+                  10**400, -10**400, Fraction(10**400), Fraction(-10**400, 3)]
+        cases = []
+        for value in values:
+            message = f"coefficient values must be finite numbers in float range, got {value!r}"
+            cases += [
+                ([((3, 3), value)], [], message),
+                ([], [((3, 2, 1, 0), value)], message),
+                ([], [((2, 2, 1, 0), value)], message),
+                # the value is checked before the indices of its own entry
+                ([((4, 0), value)], [], message),
+                ([((1, 0), 1)], [((1, 0, 1.5, 0), value)], message),
+            ]
+        length = "index lists must have 2 (pq) or 4 (pqrs) entries"
+        for key in [(), (0,), (0, 0, 0)]:
+            cases += [([((1, 0), 1), (key, True)], [], length)]
+        for key in [(3, 2, 1), (3, 2, 1, 0, 0), (2, 2)]:
+            cases += [([], [((3, 2, 1, 0), 1), (key, None)], length)]
+        for one, two, message in cases:
+            for build in (HamiltonianCoefficients.from_entries, reference_from_entries):
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    build(4, one, two)
 
     def test_same_error_for_a_bad_index(self):
         two = [((3, 2, 1, 0), 0.5), ((3, 2, 1, 4), 0.5)]

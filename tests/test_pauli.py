@@ -13,7 +13,7 @@ from paulisched.pauli import (
     PauliString,
     WeightedPauliString,
     anticommuting_index_count,
-    anticommuting_pair,
+    anticommuting_indices,
     commutes,
     parse_pauli,
     pauli_digits,
@@ -128,9 +128,13 @@ class TestCommutation:
         assert commutes(a, b)
 
     def test_length_mismatch_raises(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^Pauli strings act on different registers: 2 != 1$"):
             commutes(parse_pauli("XX"), parse_pauli("X"))
-        with pytest.raises(ValueError):
+        # read on one register, the longer string's x and z bits would
+        # overlap: the registers are checked before the masks are read
+        with pytest.raises(ValueError, match=r"^Pauli strings act on different registers: 1 != 3$"):
+            commutes(parse_pauli("Z"), parse_pauli("XZX"))
+        with pytest.raises(ValueError, match=r"^Pauli strings act on different registers: 2 != 1$"):
             anticommuting_index_count(parse_pauli("XX"), parse_pauli("X"))
 
     @given(pauli_pairs())
@@ -149,24 +153,22 @@ class TestCommutation:
         assert commutes(p, q) == (matrix_product(pm, qm) == matrix_product(qm, pm))
 
 
+def _indexed_pair(strings):
+    """The pair of ``strings`` that ``anticommuting_indices`` names on their masks, or None."""
+    pair = anticommuting_indices([(s.x, s.z) for s in strings])
+    return pair and (strings[pair[0]], strings[pair[1]])
+
+
 class TestAnticommutingPair:
     def test_first_pair_in_index_order(self):
         # (0, 3) and (1, 2) both anticommute; (i, j) order reaches (0, 3) first
-        strings = [parse_pauli(t) for t in ("ZI", "IZ", "IX", "XI")]
-        assert anticommuting_pair(strings) == (strings[0], strings[3])
-        assert anticommuting_pair(strings[1:]) == (strings[1], strings[2])
+        masks = [(s.x, s.z) for s in map(parse_pauli, ("ZI", "IZ", "IX", "XI"))]
+        assert anticommuting_indices(masks) == (0, 3)
+        assert anticommuting_indices(masks[1:]) == (0, 1)
 
     def test_none_for_zero_and_one_string(self):
-        assert anticommuting_pair([]) is None
-        assert anticommuting_pair([parse_pauli("XYZ")]) is None
-
-    def test_length_mismatch_raises(self):
-        with pytest.raises(ValueError, match=r"^Pauli strings act on different registers: 2 != 1$"):
-            anticommuting_pair([parse_pauli("XX"), parse_pauli("ZZ"), parse_pauli("X")])
-        # read on the first register, the longer string's x and z bits would
-        # overlap: the registers are checked before elimination
-        with pytest.raises(ValueError, match=r"^Pauli strings act on different registers: 1 != 3$"):
-            anticommuting_pair([parse_pauli("Z"), parse_pauli("Z"), parse_pauli("XZX")])
+        assert anticommuting_indices([]) is None
+        assert anticommuting_indices([(0b011, 0b110)]) is None
 
 
 def _same_pair(got, want) -> bool:
@@ -208,22 +210,23 @@ def _families(n):
 
 
 class TestAnticommutingPairReference:
-    """``anticommuting_pair`` certifies on a basis and returns the plain scan's pair."""
+    """``anticommuting_indices`` on masks names the pair the audit's scan finds
+    on :class:`PauliString` values."""
 
     @given(st.lists(pauli_strings(n=4), max_size=10))
     def test_random_lists(self, strings):
-        got = anticommuting_pair(strings)
+        got = _indexed_pair(strings)
         assert _same_pair(got, anticommuting_pair_by_scan(strings))
 
     @given(rank_deficient_lists())
     def test_rank_deficient_lists(self, strings):
-        got = anticommuting_pair(strings)
+        got = _indexed_pair(strings)
         assert _same_pair(got, anticommuting_pair_by_scan(strings))
 
     @pytest.mark.parametrize("n", [8, 12])
     def test_compiled_families(self, n):
         for family in _families(n):
-            assert anticommuting_pair(family) is None is anticommuting_pair_by_scan(family)
+            assert _indexed_pair(family) is None is anticommuting_pair_by_scan(family)
 
     @given(st.sampled_from([8, 12, 20]), st.data())
     def test_compiled_families_with_one_letter_changed(self, n, data):
@@ -235,25 +238,27 @@ class TestAnticommutingPairReference:
         x = s.x & ~(1 << qubit) | bx << qubit
         z = s.z & ~(1 << qubit) | bz << qubit
         changed = family[:at] + [PauliString(n, x, z)] + family[at + 1:]
-        assert _same_pair(anticommuting_pair(changed), anticommuting_pair_by_scan(changed))
+        assert _same_pair(_indexed_pair(changed), anticommuting_pair_by_scan(changed))
 
     def test_the_largest_residual_family(self):
         family = _diagonal_family(20)
         assert len(family) == 211
-        assert anticommuting_pair(family) is None
+        assert _indexed_pair(family) is None
         changed = family + [parse_pauli("X" + "I" * 19)]
-        assert _same_pair(anticommuting_pair(changed), (family[1], changed[-1]))
+        assert _same_pair(_indexed_pair(changed), (family[1], changed[-1]))
 
     @given(st.lists(pauli_strings(max_n=4), min_size=2, max_size=8))
     def test_mixed_registers_raise_first(self, strings):
-        registers = {s.n for s in strings}
-        if len(registers) == 1:
-            assert _same_pair(anticommuting_pair(strings), anticommuting_pair_by_scan(strings))
+        # the scan checks every register against the first before any pair,
+        # as commutes does for the first string of another register
+        other = [s for s in strings if s.n != strings[0].n]
+        if not other:
+            assert _same_pair(_indexed_pair(strings), anticommuting_pair_by_scan(strings))
             return
         with pytest.raises(ValueError) as want:
             anticommuting_pair_by_scan(strings)
         with pytest.raises(ValueError) as got:
-            anticommuting_pair(strings)
+            commutes(strings[0], other[0])
         assert str(got.value) == str(want.value)
 
 
