@@ -170,6 +170,16 @@ class TestAnticommutingPair:
         assert anticommuting_indices([]) is None
         assert anticommuting_indices([(0b011, 0b110)]) is None
 
+    def test_length_mismatch_raises(self):
+        # masks carry no register: a list of strings is checked by the
+        # audit's scan, every register against the first, before any pair
+        with pytest.raises(ValueError, match=r"^Pauli strings act on different registers: 2 != 1$"):
+            anticommuting_pair_by_scan([parse_pauli("XX"), parse_pauli("ZZ"), parse_pauli("X")])
+        # read on the first register, the longer string's x and z bits would
+        # overlap: the registers are checked before the pairs are read
+        with pytest.raises(ValueError, match=r"^Pauli strings act on different registers: 1 != 3$"):
+            anticommuting_pair_by_scan([parse_pauli("Z"), parse_pauli("Z"), parse_pauli("XZX")])
+
 
 def _same_pair(got, want) -> bool:
     """The same pair of list entries: equal strings at other positions do not count."""
