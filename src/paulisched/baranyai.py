@@ -34,19 +34,24 @@ round in-edges, each round's middle edges in row order, the sink edges and
 the source->hub edge.  Dinic's algorithm on it (kept in the tests as the
 oracle, with the network builder) is run on the slot table instead, and
 augments along the same paths in the same order:
+  * the walk takes the source and the hub for two more nodes beside the
+    subsets.  Each round's in-edge comes from its origin, the source when
+    the round must take the element and the hub when it may, and a round
+    that takes no slot is said to feed its origin.  So every node's live
+    arcs toward the rounds are to the rounds that feed it, in round order:
+    a subset's are the reverse edges of the rounds matched to it, the
+    source's and the hub's the in-edges of their free rounds.  After them
+    comes the node's sink edge; a subset has room on it, the source and
+    the hub none, and the source's hub edge is its last arc;
   * every path starts on a capacity-1 arc into a round, from the source
-    (the forced rounds, in round order, then the hub edge) or from the hub
-    (the other rounds, in round order), so it carries one unit, and the
-    walk resumes at the source or the hub, the tail of the first arc it
-    saturates;
+    or from the hub, so it carries one unit, and the walk resumes at the
+    source or the hub, the tail of the first arc it saturates;
   * a round holds at most one unit, so its flow is one matched slot; its
-    arcs are its reverse in-edge (live when it is matched, and of use only
-    when the hub feeds it) and then its row;
-  * a subset's live arcs are the reverse edges of the rounds matched to it,
-    in round order, and then its sink edge;
+    arcs are its reverse in-edge to its origin (live when it is matched,
+    and of use only when the hub is its origin) and then its row;
   * a matched round is reached only from the subset it feeds, one level
-    down, so no row arc needs a capacity check and the multiplicities
-    never decide a path;
+    down, and a free round only from its origin, so no row arc needs a
+    capacity check and the multiplicities never decide a path;
   * Dinic's paths depend only on that arc order and on the breadth-first
     levels below the sink's, and within a phase an arc can only leave the
     level graph (an augmentation gives capacity only to reverse arcs, which
@@ -75,12 +80,14 @@ Three shortcuts keep the walk on those paths:
     a node dead then stays dead through the phase, so Dinic's would enter
     it, find it dead and step past it, and skipping it moves no path.  The
     search enters a subset from every round whose row holds it, also from
-    a round feeding it through its only slot of it, an arc with no room;
-    the walk enters such a round only from that subset, and the extra arc
-    can give the round only a distance one above the subset's, never the
-    one below that the walk looks for;
-  * the rounds matched to each subset are kept from phase to phase: a
-    phase records each augmentation's (round, old slot, new slot) and
+    a round feeding it through its only slot of it, an arc with no room,
+    and the hub from every round it may feed, also from a free one, whose
+    reverse in-edge has no room; the walk enters such a round only from
+    the node it feeds, and the extra arc can give the round only a
+    distance one above that node's, never the one below that the walk
+    looks for;
+  * the rounds feeding each node are kept from phase to phase: a
+    phase records each augmentation's (round, old node, new node) and
     replays them once it is over, so every phase, like Dinic's, reads them
     as they were at its start and skips a round that moved since.
 
@@ -187,59 +194,54 @@ class PartialState:
         )
 
 
-HUB = -1  # the hub, where the node a round's arc leads to is otherwise a slot id
+HUB = -1  # the hub, as a node: the last entry of every per-node list
+SOURCE = -2  # the source, as a node: the entry before the hub's
 
 
-def _distances(pos, feeds, rounds_of, room, optional, hub_fed, hub_room):
+def _distances(feeds, rounds_of, room, hub_room):
     """Breadth-first distances to the sink on the insertion network of the
     slot table, searched from the sink over the reversed arcs.
 
-    Returns (round distances, type distances, hub distance, source
-    distance), -1 for a node not reached; the source distance L is -1 when
-    the source cannot reach the sink.  The search stops once the source
-    has its distance, so only the distances below L are complete.
+    The other nodes are the types, then the source and the hub, indexed as
+    in ``room``, the room left on each node's sink edge.  The search steps
+    from round r to the node it feeds, ``feeds[r]``, from node s to the
+    rounds in ``rounds_of[s]``, and from the hub to the source while
+    ``hub_room`` is left on the source's hub edge.  Returns (round
+    distances, node distances, source distance), -1 for a node not
+    reached; the source distance L is -1 when the source cannot reach the
+    sink.  The search stops once the source has its distance, so only the
+    distances below L are complete.
     """
-    round_dist = [-1] * len(pos)
-    type_dist = [-1] * len(room)
-    hub_dist = -1
-    rounds, hub_now = [], False
-    types = [s for s, held in enumerate(rounds_of) if held and room[s]]
-    for s in types:
-        type_dist[s] = 1
+    round_dist = [-1] * len(feeds)
+    node_dist = [-1] * len(room)
+    rounds = []
+    nodes = [s for s, held in enumerate(rounds_of) if held and room[s]]
+    for s in nodes:
+        node_dist[s] = 1
     k = 1
-    while rounds or types or hub_now:
+    while rounds or nodes:
         k += 1
-        next_rounds, next_types = [], []
-        # the hub is entered from the source and from every matched
-        # optional round
-        if hub_now:
-            if hub_room:
-                return round_dist, type_dist, hub_dist, k
-            for r in optional:
-                if pos[r] and round_dist[r] < 0:
-                    round_dist[r] = k
-                    next_rounds.append(r)
-            hub_now = False
-        # a matched round from the type it feeds, a free optional round from
-        # the hub and a free forced round from the source
+        next_rounds, next_nodes = [], []
+        # a round from the node it feeds: a matched round from its type, a
+        # free round from its origin
         for r in rounds:
-            if pos[r]:
-                s = feeds[r]
-                if type_dist[s] < 0:
-                    type_dist[s] = k
-                    next_types.append(s)
-            elif not hub_fed[r]:
-                return round_dist, type_dist, hub_dist, k
-            elif hub_dist < 0:
-                hub_dist, hub_now = k, True
-        # a type from every round whose row holds it
-        for s in types:
+            s = feeds[r]
+            if s == SOURCE:
+                return round_dist, node_dist, k
+            if node_dist[s] < 0:
+                node_dist[s] = k
+                next_nodes.append(s)
+        # a type from every round whose row holds it, the hub from the
+        # source and from every optional round
+        for s in nodes:
+            if s == HUB and hub_room:
+                return round_dist, node_dist, k
             for r in rounds_of[s]:
                 if round_dist[r] < 0:
                     round_dist[r] = k
                     next_rounds.append(r)
-        rounds, types = next_rounds, next_types
-    return round_dist, type_dist, hub_dist, -1
+        rounds, nodes = next_rounds, next_nodes
+    return round_dist, node_dist, -1
 
 
 def _insertion_choice(state: PartialState) -> dict[int, int]:
@@ -249,8 +251,10 @@ def _insertion_choice(state: PartialState) -> dict[int, int]:
     network, run on the slot table (see the module docstring): the first
     phase as the greedy pass it is, then phases levelled by one
     breadth-first search from the sink, whose walk steps only one closer to
-    the sink at a time, with the rounds each type feeds kept from one phase
-    to the next.
+    the sink at a time, with the rounds each node feeds kept from one phase
+    to the next.  The source and the hub are two more nodes after the
+    types, the last two entries of every per-node list, and the walk steps
+    from any node to the rounds it feeds by one rule.
     """
     n, i = state.n, state.inserted
     if i >= n:
@@ -259,65 +263,65 @@ def _insertion_choice(state: PartialState) -> dict[int, int]:
     rows, needed = state.rows, state.needed
     m = len(rows)
     room_by_size = [comb(d - 1, SUBSET_SIZE - 1 - k) for k in range(SUBSET_SIZE)]
-    room = list(map(room_by_size.__getitem__, state.sizes))  # sink edge left
+    # room[s]: what is left on node s's sink edge; the source and the hub,
+    # the last two nodes, have none
+    room = [room_by_size[size] for size in state.sizes] + [0, 0]
     forced = [r for r in range(m) if needed[r] == d]
     optional = [r for r in range(m) if 0 < needed[r] < d]
-    hub_fed = [0 < r_needed < d for r_needed in needed]
     hub_room = comb(n - 1, 3) - len(forced)
-    # pos[r]: 1 + row position of the slot round r feeds, 0 if none; feeds[r]
-    # is that slot's id, -1 if none; holders[s]: the rounds feeding s, in
-    # round order
-    pos = [0] * m
-    feeds = [-1] * m
-    holders = [[] for _ in room]
+    # origin[r]: the node round r's in-edge comes from; feeds[r]: the slot
+    # round r takes the element in, or its origin while it takes none
+    origin = [HUB if 0 < r_needed < d else SOURCE for r_needed in needed]
+    feeds = origin.copy()
 
     # The first phase: each forced round in round order, or with none
     # forced each optional round through the hub, takes the first slot of
     # its row whose sink edge has room.
     for r in forced or optional:
-        for k, s in enumerate(rows[r]):
+        for s in rows[r]:
             if room[s]:
                 room[s] -= 1
-                pos[r], feeds[r] = k + 1, s
-                holders[s].append(r)
+                feeds[r] = s
                 if not forced:
                     hub_room -= 1
                 break
-    free_forced = [r for r in forced if not pos[r]]
-    free_optional = [r for r in optional if not pos[r]]
 
-    # rounds_of[s]: the rounds whose row holds type s, in round order; the
-    # rows do not change before _apply
+    # holders[s]: the rounds feeding node s, in round order, so the source
+    # holds the free forced rounds and the hub the free optional ones (a
+    # complete round, whose in-edge has no room, is held by none);
+    # rounds_of[s]: the rounds with an arc into node s, those whose row
+    # holds type s and, for the hub, the optional rounds.  The rows do not
+    # change before _apply.
+    holders = [[] for _ in room]
     rounds_of = [[] for _ in room]
     for r, row in enumerate(rows):
+        if needed[r]:
+            holders[feeds[r]].append(r)
         for s in row:
             rounds_of[s].append(r)
+    rounds_of[HUB] = optional
 
     # with no free forced round and no hub room the source has no residual
     # arc left, so no search could reach it
-    while free_forced or hub_room:
-        round_dist, type_dist, hub_dist, source_dist = _distances(
-            pos, feeds, rounds_of, room, optional, hub_fed, hub_room
-        )
+    while holders[SOURCE] or hub_room:
+        round_dist, node_dist, source_dist = _distances(feeds, rounds_of, room, hub_room)
         if source_dist < 0:
             break
 
         # Blocking flow.  Current arcs: round_arc[r] is -1 for the reverse
-        # in-edge and k for row position k; type_arc[s] indexes holders[s],
-        # with the sink edge at its end; hub_arc indexes via_hub.  Each
-        # augmentation's moves, (round, old slot, new slot), are recorded
-        # and reach holders and the free lists only once the phase is over.
+        # in-edge and k for row position k; node_arc[s] indexes holders[s],
+        # with the sink edge at its end.  Each augmentation's moves, (round,
+        # old node, new node), are recorded and reach holders only once the
+        # phase is over.
         round_arc = [-1] * m
-        type_arc = [0] * len(room)
-        via_hub = [r for r in free_optional if round_dist[r] == hub_dist - 1]
-        hub_arc = 0
+        node_arc = [0] * len(room)
         moves = []
         # the source's arcs on a shortest path: its free forced rounds, then
         # its hub edge, which comes after every round's
-        starts = [r for r in free_forced if round_dist[r] == source_dist - 1]
+        starts = [r for r in holders[SOURCE] if round_dist[r] == source_dist - 1]
         from_source = len(starts)
-        if hub_room and hub_dist == source_dist - 1:
-            starts += via_hub
+        if hub_room and node_dist[HUB] == source_dist - 1:
+            starts += [r for r in holders[HUB] if round_dist[r] == source_dist - 2]
         for first, r in enumerate(starts):
             from_hub = first >= from_source
             if from_hub and not hub_room:
@@ -327,16 +331,17 @@ def _insertion_choice(state: PartialState) -> dict[int, int]:
             while True:
                 if at is None:
                     # round r: its reverse in-edge, then its row; no row arc
-                    # needs a capacity check, since a matched round is only
-                    # reached from the type it feeds, one farther from the sink
+                    # needs a capacity check, since only the arc to the slot
+                    # a round feeds can be full, and a matched round is only
+                    # reached from that type, one farther from the sink
                     next_dist = round_dist[r] - 1
                     k = round_arc[r]
-                    if k < 0 and hub_dist == next_dist and pos[r] and hub_fed[r]:
-                        at = HUB
+                    if k < 0 and node_dist[origin[r]] == next_dist:
+                        at = origin[r]
                     else:
                         row = rows[r]
                         for k in range(max(k, 0), len(row)):
-                            if type_dist[row[k]] == next_dist:
+                            if node_dist[row[k]] == next_dist:
                                 at = row[k]
                                 break
                         else:
@@ -352,58 +357,37 @@ def _insertion_choice(state: PartialState) -> dict[int, int]:
                             break
                         r = path[-1]
                         k = round_arc[r]
-                        if k < 0:
-                            at = HUB
-                            hub_arc += 1
-                        else:
-                            at = rows[r][k]
-                            type_arc[at] += 1
-                if at == HUB:
-                    for j in range(hub_arc, len(via_hub)):
-                        x = via_hub[j]
-                        if not pos[x] and round_dist[x] > 0:
-                            break
-                    else:
-                        j = len(via_hub)
-                    hub_arc = j
-                    if j < len(via_hub):
-                        r = x
-                        path.append(r)
-                        at = None
-                        continue
-                    hub_dist = -1
-                else:
-                    s = at
-                    held = holders[s]
-                    next_dist = type_dist[s] - 1
-                    for j in range(type_arc[s], len(held)):
-                        x = held[j]
-                        if feeds[x] == s and round_dist[x] == next_dist:
-                            break
-                    else:
-                        j = len(held)
-                    type_arc[s] = j
-                    if j < len(held):
-                        r = x
-                        path.append(r)
-                        at = None
-                        continue
-                    if room[s] and next_dist == 0:  # the sink
-                        # augment one unit: each round on the path now feeds
-                        # the slot its current arc leads to, or none via the hub
-                        room[s] -= 1
-                        if from_hub:
-                            hub_room -= 1
-                        for x in path:
-                            k = round_arc[x]
-                            new = rows[x][k] if k >= 0 else -1
-                            moves.append((x, feeds[x], new))
-                            pos[x] = k + 1
-                            feeds[x] = new
+                        at = rows[r][k] if k >= 0 else origin[r]
+                        node_arc[at] += 1
+                held = holders[at]
+                next_dist = node_dist[at] - 1
+                for j in range(node_arc[at], len(held)):
+                    x = held[j]
+                    if feeds[x] == at and round_dist[x] == next_dist:
                         break
-                    type_dist[s] = -1
-                # dead end at the type or the hub, unlevelled above: step
+                else:
+                    j = len(held)
+                node_arc[at] = j
+                if j < len(held):
+                    r = x
+                    path.append(r)
+                    at = None
+                    continue
+                if room[at] and next_dist == 0:  # the sink
+                    # augment one unit: each round on the path now feeds the
+                    # node its current arc leads to
+                    room[at] -= 1
+                    if from_hub:
+                        hub_room -= 1
+                    for x in path:
+                        k = round_arc[x]
+                        new = rows[x][k] if k >= 0 else origin[x]
+                        moves.append((x, feeds[x], new))
+                        feeds[x] = new
+                    break
+                # dead end, for the rest of the phase: unlevel it and step
                 # round r past it
+                node_dist[at] = -1
                 round_arc[r] += 1
                 at = None
         if not moves:
@@ -411,14 +395,9 @@ def _insertion_choice(state: PartialState) -> dict[int, int]:
             # break that, stop here and let _apply refuse the short choice
             break
         for x, old, new in moves:
-            if old >= 0:
-                holders[old].remove(x)
-            elif hub_fed[x]:
-                free_optional.remove(x)
-            else:
-                free_forced.remove(x)
-            insort(holders[new] if new >= 0 else free_optional, x)
-    return {r: rows[r][k - 1] for r, k in enumerate(pos) if k}
+            holders[old].remove(x)
+            insort(holders[new], x)
+    return {r: s for r, s in enumerate(feeds) if s >= 0}
 
 
 def _apply(state: PartialState, chosen: dict[int, int]) -> None:

@@ -315,9 +315,10 @@ class HamiltonianCoefficients:
     term; ``two_body`` maps descending-canonical (p, q, r, s) with p > q and
     r > s.  Use :func:`load_coefficients` or :meth:`from_entries` so raw
     index orders are normalized (with antisymmetry signs) and duplicate
-    entries accumulate.  Each entry is checked in turn: its key's length,
-    then its value, an int, float or Fraction in the float range (bool is
-    none of them), then its mode indices, ints in range(n).
+    entries accumulate.  n must be an int (bool is not one).  Each entry
+    is checked in turn: its key's length, then its value, an int, float or
+    Fraction in the float range (bool is none of them), then its mode
+    indices, ints in range(n).
     """
 
     n: int
@@ -326,6 +327,7 @@ class HamiltonianCoefficients:
 
     @classmethod
     def from_entries(cls, n, one_body_entries, two_body_entries) -> "HamiltonianCoefficients":
+        _check_n(n)
         one: dict[tuple[int, int], list[tuple[int, int]]] = {}
         for key, value in one_body_entries:
             ratio = _ratio(key, 2, value)
@@ -347,6 +349,13 @@ class HamiltonianCoefficients:
                 r, s, num = s, r, -num
             two.setdefault((p, q, r, s), []).append((num, den))
         return cls(n, _summed(one), _summed(two))
+
+
+def _check_n(n) -> None:
+    """Raise ValueError unless n is an int; bool is a subclass of int, but
+    true/false are not JSON integers."""
+    if type(n) is not int:
+        raise ValueError(f"n must be an integer, got {n!r}")
 
 
 def _index_error(body, key, n) -> ValueError:
@@ -390,9 +399,7 @@ def _read_json(path, kind: str, error: type[ValueError]) -> tuple[dict, int]:
         raise error(f"cannot read {kind} file {path}: {exc}") from exc
     try:
         n = data["n"]
-        # bool is a subclass of int, but true/false are not JSON integers
-        if type(n) is not int:
-            raise ValueError(f"n must be an integer, got {n!r}")
+        _check_n(n)
     except (KeyError, TypeError, ValueError) as exc:
         raise error(f"malformed {kind} file {path}: {exc}") from exc
     return data, n

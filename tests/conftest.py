@@ -264,10 +264,12 @@ def _reference_value(key, size, value) -> Fraction:
 def reference_from_entries(n, one_body_entries, two_body_entries) -> HamiltonianCoefficients:
     """The one-``Fraction``-per-entry accumulation that ``from_entries`` must match.
 
-    Same entry checks in the same order (key length, value, index type,
-    index range), same antisymmetry signs, same key insertion order and the
-    same zero-sum filter.
+    Same checks in the same order (n, then per entry key length, value,
+    index type, index range), same antisymmetry signs, same key insertion
+    order and the same zero-sum filter.
     """
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError(f"n must be an integer, got {n!r}")
     one: dict[tuple[int, int], Fraction] = {}
     for key, value in one_body_entries:
         value = _reference_value(key, 2, value)

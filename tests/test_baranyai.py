@@ -18,6 +18,7 @@ from conftest import (
     round_flow,
     slot_table,
 )
+from paulisched import baranyai
 from paulisched.baranyai import (
     PartialState,
     Schedule,
@@ -32,6 +33,14 @@ from paulisched.partition import schedule_json
 # after another, recorded before the insertion step took slot ids: every
 # hub, no-forced-round and short-last-round shape up to n = 24 in one pin
 SCHEDULES_4_TO_24_SHA256 = "03e410f012a3cab97e047ae06dafa364786f8c206b8b48eb357448276c8b573e"
+# sha256 of schedule_json(build_schedule(38)): the one n in 4..40 whose
+# schedule breaks when the hub may re-enter a round that is no longer free
+SCHEDULE_38_SHA256 = "5864e5d02f785fa21cdf9d78c4f7774c7215ae758ce249a1fd36a08a33190501"
+# sha256 of the `schedule --n N --format json --out` files for n = 25..40
+# written one after another: the deep flow phases and hub shapes between
+# the pinned n.  Only CI checks it (tier1.yml reads it from here); the
+# builds take several seconds.
+SCHEDULES_25_TO_40_SHA256 = "0c4c59fd6f43608f63f5149bf3390fd6a4f190e83b570ff7e19a20de96211d89"
 
 
 def all_subsets_once(schedule: Schedule) -> bool:
@@ -66,6 +75,10 @@ class TestBuildSchedule:
         for n in range(4, 25):
             digest.update(schedule_json(build_schedule(n)).encode())
         assert digest.hexdigest() == SCHEDULES_4_TO_24_SHA256
+
+    def test_schedule_38_matches_the_pinned_digest(self):
+        digest = hashlib.sha256(schedule_json(build_schedule(38)).encode()).hexdigest()
+        assert digest == SCHEDULE_38_SHA256
 
     def test_rejects_bad_sizes(self):
         for n in (3, 0, -4):
@@ -208,6 +221,63 @@ class TestIncrementalNetwork:
         assert not any(state.rows)
 
 
+class TestInsertionChoiceChecks:
+    @staticmethod
+    def _record_searches(monkeypatch):
+        # the source distance of each phase's search, in order; a step that
+        # keeps searching fails here instead of running on
+        levels, search = [], baranyai._distances
+
+        def distances(*args):
+            assert len(levels) < 10, "the step keeps searching"
+            found = search(*args)
+            levels.append(found[-1])
+            return found
+
+        monkeypatch.setattr(baranyai, "_distances", distances)
+        return levels
+
+    def test_finished_state_is_refused(self):
+        state = PartialState.initial(6)
+        for _ in range(6):
+            _apply(state, _insertion_choice(state))
+        with pytest.raises(ValueError, match="^all elements already inserted$"):
+            _insertion_choice(state)
+
+    @pytest.mark.parametrize("n, steps", [(8, 3), (9, 4), (13, 5)])
+    def test_forced_round_with_no_slot_ends_the_step_short(self, n, steps, monkeypatch):
+        # a forced round whose row is emptied has no path to the sink: the
+        # search cannot reach the source, the step stops with the units it
+        # has, and _apply refuses the short choice
+        state = PartialState.initial(n)
+        for _ in range(steps):
+            _apply(state, _insertion_choice(state))
+        d = n - state.inserted
+        r = next(r for r, r_needed in enumerate(state.needed) if r_needed == d)
+        state.rows[r] = []
+        levels = self._record_searches(monkeypatch)
+        chosen = _insertion_choice(state)
+        assert levels and levels[-1] == -1
+        assert r not in chosen and len(chosen) < comb(n - 1, 3)
+        with pytest.raises(ValueError, match="^choice does not have full value$"):
+            _apply(state, chosen)
+
+    def test_phase_with_no_augmenting_path_ends_the_step(self, monkeypatch):
+        # round 0 doctored to need nothing while its row is open: the search
+        # reaches the source through it, but no phase starts on a round that
+        # needs nothing, so the phase augments no unit and the step stops
+        # there instead of searching again
+        state = PartialState.initial(5)
+        _apply(state, _insertion_choice(state))
+        state.needed[0] = 0
+        levels = self._record_searches(monkeypatch)
+        chosen = _insertion_choice(state)
+        assert levels == [3]
+        assert chosen == {4: 0}
+        with pytest.raises(ValueError, match="^choice does not have full value$"):
+            _apply(state, chosen)
+
+
 class TestApplyIsAllOrNothing:
     """A rejected choice leaves the state exactly as it was."""
 
@@ -286,7 +356,9 @@ class TestApplyIsAllOrNothing:
         self._assert_rejected(state, lambda: chosen, rf"^round {r} has no open slot {subset}$")
 
     @pytest.mark.parametrize(
-        "slot", ["past_the_table", -1, (), None], ids=["past_the_table", "negative", "tuple", "none"]
+        "slot",
+        ["past_the_table", -1, -2, (), None],
+        ids=["past_the_table", "negative", "negative_two", "tuple", "none"],
     )
     def test_unknown_slot_id(self, slot):
         # an id that names no subset, or a subset where an id belongs, is a

@@ -35,6 +35,7 @@ from paulisched.oracles import (
     verify_disjoint_term_commutation,
     verify_jw_against_matrices,
     verify_sliding_invariance,
+    weighted_sum_matrix,
 )
 
 
@@ -88,6 +89,11 @@ class TestDenseChecks:
         # a register of no modes has no terms, so it would pass having checked none
         with pytest.raises(ValueError, match=f"got {n}$"):
             verify_jw_against_matrices(n)
+
+    def test_weighted_sum_of_another_register_raises(self):
+        strings = [WeightedPauliString(ExactComplex(1), parse_pauli(t)) for t in ("XYZ", "XY")]
+        with pytest.raises(ValueError, match=r"^XY acts on 2 qubits, not 3$"):
+            weighted_sum_matrix(strings, 3)
 
     def test_term_plus_adjoint_is_hermitian(self):
         term = FermionicTerm.two_body(3, 2, 1, 0, 4)
@@ -144,6 +150,11 @@ class TestChains:
 
     def test_single_qubit(self):
         assert [str(p) for p in anticommuting_chain_fixture(1)] == ["X", "Y"]
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_no_qubits_rejected(self, n):
+        with pytest.raises(ValueError, match="^need at least one qubit$"):
+            anticommuting_chain_fixture(n)
 
     def test_no_pair_commutes_up_to_five(self):
         chain = anticommuting_chain_fixture(5)
@@ -205,6 +216,19 @@ class TestValidateSchedule:
         assert report.details["checks"]["exact_cover"]
         assert not report.details["checks"]["round_shape"]
         assert "126 rounds, expected 63" in report.counterexample
+
+    def test_oversized_round_detected(self):
+        # the right round count and an exact cover, but round 0 takes round
+        # 1's subsets: four in a round of n=8, which can hold two
+        rounds = [list(r) for r in build_schedule(8).rounds]
+        rounds[0] += rounds[1]
+        rounds[1] = []
+        report = validate_schedule(Schedule(8, tuple(map(tuple, rounds))))
+        assert not report.passed
+        checks = report.details["checks"]
+        assert checks["exact_cover"]
+        assert not checks["round_disjoint"]
+        assert not checks["round_shape"]
 
     @pytest.mark.parametrize("n", [0, -4])
     def test_non_positive_n_fails_without_raising(self, n):

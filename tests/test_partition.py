@@ -696,6 +696,14 @@ class TestIntegerCoefficientSums:
             for build in (HamiltonianCoefficients.from_entries, reference_from_entries):
                 with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                     build(4, one, two)
+        # the loader's rule for n, checked before any entry: 8.5 used to build
+        # a table holding mode 8, True one with n=True
+        for n in [8.5, True, False, "8", None, Fraction(8)]:
+            message = f"n must be an integer, got {n!r}"
+            for one, two in [([((8, 8), 1)], []), ([((0, 0), 1)], []), ([((0, 0), None)], [((9,), 1)])]:
+                for build in (HamiltonianCoefficients.from_entries, reference_from_entries):
+                    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                        build(n, one, two)
 
     def test_same_error_for_a_bad_index(self):
         two = [((3, 2, 1, 0), 0.5), ((3, 2, 1, 4), 0.5)]

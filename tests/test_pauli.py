@@ -63,6 +63,11 @@ class TestParseFormat:
     def test_identity_constructor(self):
         assert str(PauliString(4)) == "IIII"
 
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_no_qubits_rejected(self, n):
+        with pytest.raises(ValueError, match=f"^qubit count must be positive, got {n}$"):
+            PauliString(n)
+
     def test_text_equals_letters_for_all_four_qubit_strings(self):
         for x in range(16):
             for z in range(16):
