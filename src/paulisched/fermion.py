@@ -15,10 +15,12 @@ denominator and a list of rows ``(text, x, z, re, im)``: a string's text,
 its masks and the numerators of its coefficient.  The sums are keyed by a
 string's digits (:func:`paulisched.pauli.pauli_digits`), and each row's
 text is formatted from them by :func:`paulisched.pauli.pauli_text`, the
-one text rule.  The block fold in :mod:`paulisched.partition` calls it once
-per block and carries the rows to the writer as they are.
-:func:`weighted_strings`, the one builder of weighted strings, turns rows
-into :class:`~paulisched.pauli.WeightedPauliString` values: the view of a
+one text rule; a four-mode block's rows are spliced from text halves in
+the same letters instead (below).  The block fold in
+:mod:`paulisched.partition` calls it once per block and carries the rows to
+the writer as they are.  :func:`weighted_strings`, the one builder of
+weighted strings, turns rows into
+:class:`~paulisched.pauli.WeightedPauliString` values: the view of a
 family, and :func:`jw_term`, the single-term image, read through it.  No
 sign or phase is hand-coded, which is what the dense-matrix oracles in
 :mod:`paulisched.oracles` verify.
@@ -31,22 +33,35 @@ GF(2), so the digits of a product of two paths are the XOR of theirs.  The
 same rule joins the two sides, and only the product leaves the normal
 form: each of its Y letters takes one factor i back.  No part of a path
 depends on the register size, as a digit int has no width: a text is
-padded to n digits only when it is formatted.  A two-body term
-then takes 16 phases, one per pair of side paths, instead of the 30 of a
-factor-by-factor expansion.  A side names one mode or two distinct
+padded to n digits only when it is formatted.  A two-body term expanded
+this way takes 16 phases, one per pair of side paths, instead of the 30
+of a factor-by-factor expansion.  A side names one mode or two distinct
 descending ones, so for modes below M the memo holds at most
 2 * (M + C(M, 2)) keys.  Its lists are never changed once stored, so two
 threads that fill one key store equal values.
 
-For a two-body term with four distinct mode indices the expansion is always
-16 strings of coefficient magnitude 1/16, each matching a fixed shape: X or
-Y at the four endpoint modes, Z on the two open intervals between the first
-and second and between the third and fourth endpoint (in increasing order),
-identity elsewhere; the test suite checks this shape.
+A two-body term on four distinct modes a < b < c < d always expands to 16
+strings of coefficient magnitude 1/16: X or Y at the four modes, Z on the
+open gaps (a, b) and (c, d), identity elsewhere; the test suite checks this
+shape.  Its coefficients depend only on its shape, which two of the four
+sorted positions it creates, of which there are six: the gap Z's sit on no
+X position, so they add no phase.  So a block whose terms all name the
+same four modes, as every block of a 4-bit X mask does, takes no product
+path.  ``_SHAPES`` maps each shape to its 16 numerators over 2**4 in text
+order, expanded once per process by the product rule on the register of
+the modes 0..3.  The block's sums are each term's value, scaled to the
+common denominator, times its shape's table, so a weighted block of up to
+six terms and an unweighted one of one term take the same code.  Each row
+is one of four left texts ``I*a L_a Z*(b-a-1) L_b`` and one of four right
+texts, and its z is the gap chain and its Y bits.  The Y pattern read from
+a to d counts up in text order, as X < Y and qubit 0 is leftmost, so the
+rows come out sorted.  The table, like the memo, is filled on first use
+and never changed once stored.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import lcm
 
 from .pauli import ExactComplex, PauliString, WeightedPauliString, pauli_digits, pauli_text
@@ -110,6 +125,8 @@ def _ladder(mode: int, dagger: bool) -> tuple[tuple[int, int, int], tuple[int, i
 
 
 _SIDES: dict[tuple[tuple[int, ...], bool], list[tuple[int, int, int, int]]] = {}
+# per shape, the 16 (re, im) numerators over 2**4 of its term on four modes, in text order
+_SHAPES: dict[tuple[int, ...], list[tuple[int, int]]] = {}
 
 
 def jw_image(entries) -> tuple[int, list[tuple[str, int, int, int, int]]]:
@@ -120,15 +137,36 @@ def jw_image(entries) -> tuple[int, list[tuple[str, int, int, int, int]]]:
     denominator D: the lcm of the values' denominators times 2**f for the
     largest ladder count f among the terms.  Each product path of a term's
     ladder factors adds its value, scaled to D, times its phase i**k to the
-    numerators of its string.  Returns D and one row ``(text, x, z, re,
+    numerators of its string.  A block whose terms all name the same four
+    distinct modes is summed from the shape table instead: each term adds
+    its scaled value times the table of its shape, which the same product
+    rule fills once per process on the register of just those four modes
+    (:func:`_four_mode_rows`).  Returns D and one row ``(text, x, z, re,
     im)`` per string whose sum (re + i im) / D is nonzero; strings that sum
     to zero drop out.  The rows are sorted by text, which makes downstream
     output reproducible; texts are unique, so that is plain tuple order.
     """
-    denominator = lcm(*(value.denominator for _, value in entries))
-    denominator <<= max(len(term.creates) + len(term.annihilates) for term, _ in entries)
-    sums: dict[int, list[int]] = {}  # per string's digits, [re, im, x, z]
-    for term, value in entries:
+    first = entries[0][0]
+    denominator = lcm(*[value.denominator for _, value in entries])
+    ends = sorted({*first.creates, *first.annihilates})
+    if len(ends) == 4 and all(sorted(term.creates + term.annihilates) == ends for term, _ in entries):
+        # every term names the same four distinct modes; its shape is which
+        # two of the four sorted positions it creates, and a shape the table
+        # lacks is expanded once, at value 1 on the modes 0..3
+        denominator <<= 4
+        shapes = [tuple([ends.index(m) for m in term.creates]) for term, _ in entries]
+        expand = [
+            (FermionicTerm(shape, tuple(p for p in (3, 2, 1, 0) if p not in shape), 4), 1, {})
+            for shape in set(shapes).difference(_SHAPES)
+        ]
+    else:
+        denominator <<= max(len(term.creates) + len(term.annihilates) for term, _ in entries)
+        ends, sums = None, {}  # per string's digits, [re, im, x, z]
+        expand = []
+        for term, value in entries:
+            ladders = len(term.creates) + len(term.annihilates)
+            expand.append((term, value.numerator * (denominator // (value.denominator << ladders)), sums))
+    for term, scale, into in expand:
         sides = []
         for side in ((term.creates, True), (term.annihilates, False)):
             paths = _SIDES.get(side)
@@ -144,8 +182,6 @@ def jw_image(entries) -> tuple[int, list[tuple[str, int, int, int, int]]]:
                 paths = _SIDES[side] = [(x, z, e, pauli_digits(x, z)) for x, z, e in paths]
             sides.append(paths)
         creates, annihilates = sides
-        ladders = len(term.creates) + len(term.annihilates)
-        scale = value.numerator * (denominator // (value.denominator << ladders))
         for cx, cz, ce, cd in creates:
             for ax, az, ae, ad in annihilates:
                 # normal-form exponents add, Z^cz X^ax = (-1)^|cz & ax| X^ax Z^cz,
@@ -153,14 +189,56 @@ def jw_image(entries) -> tuple[int, list[tuple[str, int, int, int, int]]]:
                 x, z = cx ^ ax, cz ^ az
                 k = ce + ae + 2 * (cz & ax).bit_count() - (x & z).bit_count()
                 digits = cd ^ ad  # the digit rule is XOR-linear
-                entry = sums.get(digits)
+                entry = into.get(digits)
                 if entry is None:
-                    entry = sums[digits] = [0, 0, x, z]
+                    entry = into[digits] = [0, 0, x, z]
                 entry[k & 1] += -scale if k & 2 else scale  # i**k is 1, i, -1 or -i
-    n = entries[0][0].n
-    rows = [(pauli_text(n, digits), x, z, re, im) for digits, (re, im, x, z) in sums.items() if re or im]
-    rows.sort()
-    return denominator, rows
+    if ends is None:
+        rows = [(pauli_text(first.n, digits), x, z, re, im) for digits, (re, im, x, z) in sums.items() if re or im]
+        rows.sort()
+        return denominator, rows
+    for term, _, into in expand:
+        table = [(0, 0)] * 16
+        for re, im, _, z in into.values():
+            # z holds the Y bits of positions 0..3; read from position 0 with
+            # X = 0 and Y = 1 they count up in text order
+            table[int(format(z, "04b")[::-1], 2)] = (re, im)
+        _SHAPES[term.creates] = table
+    sums = None
+    for (_, value), shape in zip(entries, shapes):
+        scale, table = value.numerator * (denominator // (value.denominator << 4)), _SHAPES[shape]
+        if sums is not None:
+            sums = [(re + scale * tre, im + scale * tim) for (re, im), (tre, tim) in zip(sums, table)]
+        else:  # a scale of 1 takes the table as it is
+            sums = table if scale == 1 else [(scale * re, scale * im) for re, im in table]
+    return denominator, _four_mode_rows(first.n, ends, sums)
+
+
+def _four_mode_rows(n: int, ends, sums) -> list[tuple[str, int, int, int, int]]:
+    """The rows, in text order, of a block on the sorted modes a < b < c < d
+    whose 16 strings sum to ``sums`` in text order; rows that sum to zero drop.
+
+    A row's text is one of four left halves ``I*a L_a Z*(b-a-1) L_b`` and
+    one of four right halves, and its z is the gaps' chain and the Y bits
+    of both halves.
+    """
+    a, b, c, d = ends
+    ya, yb, yc, yd = 1 << a, 1 << b, 1 << c, 1 << d
+    chain = yb - (ya << 1) | yd - (yc << 1)
+    head, inner, middle, outer = "I" * a, "Z" * (b - a - 1), "I" * (c - b - 1), "Z" * (d - c - 1)
+    tail = "I" * (n - d - 1)
+    # the text after the previous endpoint up to each endpoint, as X and as Y
+    ax, ay, bx, by = head + "X", head + "Y", inner + "X", inner + "Y"
+    cx, cy, dx, dy = middle + "X", middle + "Y", outer + "X" + tail, outer + "Y" + tail
+    # each half's text and z bits, for the letters XX, XY, YX and YY in turn
+    lefts = ((ax + bx, chain), (ax + by, chain | yb), (ay + bx, chain | ya), (ay + by, chain | ya | yb))
+    rights = ((cx + dx, 0), (cx + dy, yd), (cy + dx, yc), (cy + dy, yc | yd))
+    x = ya | yb | yc | yd
+    return [
+        (left + right, x, lz | rz, re, im)
+        for ((left, lz), (right, rz)), (re, im) in zip(product(lefts, rights), sums)
+        if re or im
+    ]
 
 
 def weighted_strings(n: int, denominator: int, rows) -> list[WeightedPauliString]:

@@ -14,7 +14,8 @@ compile: :func:`validate_partition` builds its reference image with
 :func:`validate_partition`, test that kernel independently.  Both read one
 list of canonical terms (every one-body term, every two-body term whose
 create and annihilate pairs overlap, and one term per 4-subset), and the
-per-term check compares each of them with its own matrix.
+per-term check compares each of them, and each 4-subset in its five other
+create/annihilate splits, with its own matrix.
 
 Validators return :class:`OracleReport` values and never raise on bad
 input; reports serialize to plain dicts for CI consumption.
@@ -25,7 +26,7 @@ No compile imports this module: only ``paulisched verify`` and the tests do.
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb, lcm
 
 from .baranyai import SUBSET_SIZE, Schedule
@@ -159,15 +160,22 @@ def _canonical_terms(n: int) -> list[FermionicTerm]:
 
 
 def verify_jw_against_matrices(n: int) -> OracleReport:
-    """Check every canonical term at size n, repeated-index two-body terms included.
+    """Check every canonical term at size n, repeated-index two-body terms
+    included, and each 4-subset in all six create/annihilate splits.
 
     Each term's weighted string expansion must equal its occupation-basis
     ladder-operator product matrix exactly; ``max_deviation`` is the largest
-    entrywise difference, as a float.  Raises ValueError unless 1 <= n <= 8.
+    entrywise difference, as a float.  The canonical list holds one split
+    per 4-subset; the other five follow it, as a weighted compile reads
+    them all.  Raises ValueError unless 1 <= n <= 8.
     """
     if not 1 <= n <= 8:
         raise ValueError(f"the dense check is meant for 1 to 8 modes, got {n}")
-    terms = _canonical_terms(n)
+    terms = _canonical_terms(n) + [
+        FermionicTerm(creates, tuple(m for m in sub if m not in creates), n)
+        for sub in combinations(range(n - 1, -1, -1), 4)
+        for creates in islice(combinations(sub, 2), 1, None)  # the first is the canonical split
+    ]
     worst = 0.0
     exact = 0
     bad: str | None = None
@@ -411,9 +419,9 @@ def validate_partition(families, n: int, coeffs=None) -> OracleReport:
     Recomputes the sum over terms of c_t * jw_term(t) in exact arithmetic:
     over the entries of ``coeffs`` (normal-ordered ``one_body`` and
     ``two_body`` tables) when given, else over every canonical term at
-    value 1, the terms :func:`verify_jw_against_matrices` checks.  Every
-    string must act on n qubits, no string may appear twice, and the family
-    strings must sum exactly to that image.  For n <= 6 the families also
+    value 1, the list that :func:`verify_jw_against_matrices` extends.
+    Every string must act on n qubits, no string may appear twice, and the
+    family strings must sum exactly to that image.  For n <= 6 the families also
     sum to the same matrix as the occupation-basis terms.
     """
     families = list(families)

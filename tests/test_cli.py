@@ -601,6 +601,10 @@ FAMILIES_13_OUT_SHA256 = "466db8446f90dff035e09aa36e4684e3e2de34d7836369e2e84040
 FAMILIES_20_OUT_SHA256 = "36fea8ca949d5f1ea0bb264d6e86bc5a3af7c6e3c9f08e0a90d5cb2eb12a2cb0"
 # the output of the benchmark's schedule-large workload; 4 | 28, so no hub
 SCHEDULE_28_OUT_SHA256 = "54c5d55aae4373970842ae23499a81e915d9e40b7756f7c20b5aab9c4bf6216a"
+# families --n 28 --format json --out: the longest gaps between the four
+# modes of a block of any families pin.  Only CI checks it (tier1.yml reads
+# it from here); the compile takes about a second.
+FAMILIES_28_OUT_SHA256 = "35f4fdb04c4b311765e16eb6ec5e6a440aaa8a901699610fba2304c2589332fd"
 # 4 does not divide 30, so the hub is used, and each round has 7 slots, so
 # each row starts as the empty slot 7 times; no other pin has both
 SCHEDULE_30_SHA256 = "d9f0016263e972c86b60fab94fe254f823c2c044131994a29ac29b6b39069a9d"

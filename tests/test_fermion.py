@@ -1,10 +1,23 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import pytest
 
-from conftest import abs_squared, jw_ladder, letter, pattern_of, reference_jw_term, times_i_power
+from conftest import (
+    abs_squared,
+    adjoint,
+    jw_ladder,
+    letter,
+    pattern_of,
+    reference_fold,
+    reference_jw_term,
+    times_i_power,
+)
 from paulisched import fermion
 from paulisched.cli import main
 from paulisched.fermion import FermionicTerm, UnsupportedTermError, _ladder, jw_image, jw_term, weighted_strings
@@ -216,6 +229,85 @@ class TestGeneralTerms:
             ]
             for term in terms:
                 assert weighted_sum_matrix(jw_term(term), n) == term_matrix(term), term
+
+
+def _splits(modes, n):
+    """The six two-body terms on four distinct modes: each pair of them created, the other pair annihilated."""
+    modes = sorted(modes, reverse=True)
+    return [FermionicTerm(creates, tuple(m for m in modes if m not in creates), n) for creates in combinations(modes, 2)]
+
+
+class TestFourModeTemplate:
+    """Blocks on four distinct modes, summed from the per-shape table rather than the product paths."""
+
+    def test_every_split_equals_the_reference(self, monkeypatch):
+        # strings, coefficients and order; each shape is filled in the test
+        monkeypatch.setattr(fermion, "_SHAPES", {})
+        for n in range(4, 9):
+            for modes in combinations(range(n), 4):
+                for term in _splits(modes, n):
+                    denominator, rows = jw_image([(term, 1)])
+                    assert len(rows) == 16 and rows == sorted(rows), term
+                    assert weighted_strings(n, denominator, rows) == reference_jw_term(term), term
+        # one table per shape, and only those
+        assert sorted(fermion._SHAPES) == [(1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)]
+
+    @pytest.mark.parametrize("modes,n", [((0, 1, 2, 3), 4), ((0, 2, 3, 5), 6), ((1, 4, 5, 7), 9)])
+    def test_weighted_block_is_the_summed_reference(self, modes, n):
+        # int and Fraction values over differing denominators
+        values = [1, Fraction(1, 3), -2, Fraction(5, 7), Fraction(-1, 6), Fraction(3, 10**9 + 7)]
+        block = list(zip(_splits(modes, n), values))
+        want = reference_fold([(reference_jw_term(term), value) for term, value in block])
+        denominator, rows = jw_image(block)
+        assert denominator == 3 * 7 * 2 * (10**9 + 7) * 16
+        assert weighted_strings(n, denominator, rows) == want
+
+    def test_cancelled_rows_drop(self):
+        n = 6
+        term = FermionicTerm((5, 2), (3, 0), n)
+        third = Fraction(1, 3)
+        # a term and its adjoint: the imaginary coefficients cancel, half the rows stay
+        for block in ([(term, third), (adjoint(term), third)], [(term, 1), (adjoint(term), -1)]):
+            want = reference_fold([(reference_jw_term(t), value) for t, value in block])
+            denominator, rows = jw_image(block)
+            assert len(rows) == len(want) == 8
+            assert weighted_strings(n, denominator, rows) == want
+        # values that cancel every row, in one shape and across the six
+        assert jw_image([(term, third), (term, -third)])[1] == []
+        splits = _splits((0, 2, 3, 5), n)
+        assert jw_image([(t, 2) for t in splits] + [(t, -2) for t in splits])[1] == []
+
+    def test_mixed_blocks_take_the_product_path(self):
+        # terms on different four modes, or a term on fewer modes, share no shape table
+        n = 6
+        for block in (
+            [(FermionicTerm((3, 2), (1, 0), n), 1), (FermionicTerm((5, 4), (1, 0), n), Fraction(1, 3))],
+            [(FermionicTerm((3, 2), (1, 0), n), 1), (FermionicTerm.one_body(3, 0, n), -1)],
+            [(FermionicTerm((3, 2), (1, 0), n), 1), (FermionicTerm((3, 2), (3, 0), n), 2)],
+        ):
+            want = reference_fold([(reference_jw_term(t), value) for t, value in block])
+            assert weighted_strings(n, *jw_image(block)) == want
+
+    def test_the_table_is_filled_on_first_use(self, tmp_path):
+        # importing the package, or compiling a schedule, fills no table
+        code = (
+            "from paulisched import fermion\n"
+            "from paulisched.cli import main\n"
+            "assert fermion._SHAPES == {}\n"
+            "main(['schedule', '--n', '8', '--format', 'json', '--out', 'S'])\n"
+            "assert fermion._SHAPES == {}\n"
+            "main(['families', '--n', '8', '--format', 'json', '--out', 'F'])\n"
+            "print(sorted(fermion._SHAPES))"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", code], cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True, text=True, timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        # the unweighted build only creates the two largest of the four modes
+        assert result.stdout.splitlines()[-1] == "[(3, 2)]"
 
 
 class TestSideMemo:

@@ -67,7 +67,7 @@ class TestDenseChecks:
     def test_jw_matches_matrices(self, n):
         report = verify_jw_against_matrices(n)
         assert report.passed, report.counterexample
-        assert report.details["terms_checked"] == {4: 47, 5: 100, 6: 186}[n]
+        assert report.details["terms_checked"] == {4: 52, 5: 125, 6: 261}[n]
         assert report.details["exact_matches"] == report.details["terms_checked"]
         assert report.details["max_deviation"] == 0.0
 
@@ -420,6 +420,7 @@ class TestOraclesFail:
         ladder = fermion._ladder
         monkeypatch.setattr(fermion, "_ladder", lambda mode, dagger: ladder(mode, not dagger))
         monkeypatch.setattr(fermion, "_SIDES", {})
+        monkeypatch.setattr(fermion, "_SHAPES", {})
         report = validate_partition(build_partition(4).families, 4)
         assert report.passed is False
         assert report.counterexample == "dense sum of the families deviates from the Hamiltonian by 4.0"
