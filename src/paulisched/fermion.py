@@ -207,10 +207,13 @@ def jw_image(entries) -> tuple[int, list[tuple[str, int, int, int, int]]]:
     sums = None
     for (_, value), shape in zip(entries, shapes):
         scale, table = value.numerator * (denominator // (value.denominator << 4)), _SHAPES[shape]
-        if sums is not None:
-            sums = [(re + scale * tre, im + scale * tim) for (re, im), (tre, tim) in zip(sums, table)]
-        else:  # a scale of 1 takes the table as it is
+        if sums is None:
+            # the unweighted build's one term has scale 1 and reads its table,
+            # which nothing changes, as it is: scaling it anyway costs about 2%
+            # of the wall time of families --n 20
             sums = table if scale == 1 else [(scale * re, scale * im) for re, im in table]
+        else:
+            sums = [(re + scale * tre, im + scale * tim) for (re, im), (tre, tim) in zip(sums, table)]
     return denominator, _four_mode_rows(first.n, ends, sums)
 
 

@@ -9,19 +9,19 @@ trees are measured in one session, so that their ratios do not depend on
 machine drift.  The file records:
 
 - the machine: ``nproc``, the CPU model and the Python version;
-- per tree and per N in 8, 12, 16, 20, 24 and 28 (``--sizes``), the best
-  of K in-process times (``--repeat``) of each stage of the unweighted
-  ``families --n N`` compile, in a fresh interpreter per tree:
+- per tree and per N in ``SIZES``, the best of ``REPEAT`` in-process
+  times of each stage of the unweighted ``families --n N`` compile, in a
+  fresh interpreter per tree:
   ``build_schedule``, the block table (``partition._blocks``), the whole
   families pass, ``jw_image`` over the four-mode blocks and over the rest,
   certification (``partition._certified`` of each family), these two
   dropping each result as it comes, and the writer
   (``save_families``); and the counts: rounds, families and strings per
   class, string slots, output bytes and the sha256 of the output;
-- per tree, ``families --n 20``, ``families --n 28`` and ``schedule --n
-  28`` (each ``--format json --out``) run R times (``--runs``) from a
-  fork-and-exec launcher, trees alternating which goes first: the median
-  and quartiles of wall time and of peak RSS, read with ``os.wait4``.
+- per tree, each of ``COMMANDS`` (``--format json --out``) run ``RUNS``
+  times from a fork-and-exec launcher, trees alternating which goes
+  first: the median and quartiles of wall time and of peak RSS, read with
+  ``os.wait4``.
 
 The stage times reach into two private functions of ``partition``, so a
 tree that renames them needs this script changed too.
@@ -40,13 +40,15 @@ import time
 from pathlib import Path
 
 SIZES = (8, 12, 16, 20, 24, 28)
+REPEAT = 5  # the stage times are the best of this many
 COMMANDS = (("families", 20), ("families", 28), ("schedule", 28))
+RUNS = 10  # launches of each command per tree
 
 
-def best_of(repeat: int, work) -> float:
-    """The least wall time, in seconds, of ``repeat`` calls of ``work()``."""
+def best_of(work) -> float:
+    """The least wall time, in seconds, of ``REPEAT`` calls of ``work()``."""
     best = float("inf")
-    for _ in range(repeat):
+    for _ in range(REPEAT):
         start = time.perf_counter()
         work()
         best = min(best, time.perf_counter() - start)
@@ -60,7 +62,7 @@ def each(function, items) -> None:
         function(item)
 
 
-def measure_size(n: int, repeat: int, scratch: Path) -> dict:
+def measure_size(n: int, scratch: Path) -> dict:
     """The stage times and counts of the unweighted compile at n modes, in this interpreter."""
     from paulisched import partition
     from paulisched.baranyai import build_schedule
@@ -73,13 +75,13 @@ def measure_size(n: int, repeat: int, scratch: Path) -> dict:
     families = list(partition.commuting_families(schedule))
     path = scratch / f"families{n}.json"
     times = {
-        "schedule_s": best_of(repeat, lambda: build_schedule(n)),
-        "block_table_s": best_of(repeat, lambda: partition._blocks(n, None)),
-        "families_pass_s": best_of(repeat, lambda: list(partition.commuting_families(schedule))),
-        "jw_image_four_mode_s": best_of(repeat, lambda: each(jw_image, four)),
-        "jw_image_rest_s": best_of(repeat, lambda: each(jw_image, rest)),
-        "certification_s": best_of(repeat, lambda: each(partition._certified, families)),
-        "writer_s": best_of(repeat, lambda: partition.save_families(families, path)),
+        "schedule_s": best_of(lambda: build_schedule(n)),
+        "block_table_s": best_of(lambda: partition._blocks(n, None)),
+        "families_pass_s": best_of(lambda: list(partition.commuting_families(schedule))),
+        "jw_image_four_mode_s": best_of(lambda: each(jw_image, four)),
+        "jw_image_rest_s": best_of(lambda: each(jw_image, rest)),
+        "certification_s": best_of(lambda: each(partition._certified, families)),
+        "writer_s": best_of(lambda: partition.save_families(families, path)),
     }
     output = path.read_bytes()
     dominant = [len(family) for family in families if family.origin == "dominant"]
@@ -131,11 +133,11 @@ def spread(values: list[float]) -> dict:
     return {"median": round(median, 4), "q1": round(low, 4), "q3": round(high, 4)}
 
 
-def cli_runs(trees: dict[str, Path], runs: int, scratch: Path) -> dict:
-    """Each command run ``runs`` times per tree, the trees alternating which goes first."""
+def cli_runs(trees: dict[str, Path], scratch: Path) -> dict:
+    """Each command run ``RUNS`` times per tree, the trees alternating which goes first."""
     samples = {label: {f"{cmd} --n {n}": ([], []) for cmd, n in COMMANDS} for label in trees}
     digests: dict[str, set] = {}
-    for run in range(runs):
+    for run in range(RUNS):
         labels = list(trees) if run % 2 == 0 else list(reversed(trees))
         for cmd, n in COMMANDS:
             key = f"{cmd} --n {n}"
@@ -171,22 +173,22 @@ def machine() -> dict:
     return {"nproc": os.cpu_count(), "cpu": model, "python": platform.python_version()}
 
 
-def measure_tree(src: Path, sizes: list[int], repeat: int) -> dict:
+def measure_tree(src: Path) -> dict:
     """The stage table of one tree, from a fresh interpreter that imports it."""
     code = (
         "import json, sys\n"
         f"sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})\n"
         "import stages\n"
-        f"print(json.dumps(stages.child({sizes!r}, {repeat})))"
+        "print(json.dumps(stages.child()))"
     )
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     return json.loads(result.stdout)
 
 
-def child(sizes: list[int], repeat: int) -> dict:
+def child() -> dict:
     with tempfile.TemporaryDirectory() as scratch:
-        return {str(n): measure_size(n, repeat, Path(scratch)) for n in sizes}
+        return {str(n): measure_size(n, Path(scratch)) for n in SIZES}
 
 
 def main(argv=None) -> int:
@@ -194,9 +196,6 @@ def main(argv=None) -> int:
     parser.add_argument("--tree", action="append", required=True, metavar="LABEL=SRC",
                         help="a source tree to measure, by label; repeat for each tree")
     parser.add_argument("--out", required=True, type=Path, help="the BENCH JSON file to write")
-    parser.add_argument("--sizes", default=",".join(map(str, SIZES)), help="comma-separated N of the stage table")
-    parser.add_argument("--repeat", type=int, default=5, help="K of the best-of-K stage times")
-    parser.add_argument("--runs", type=int, default=10, help="launches of each command per tree")
     args = parser.parse_args(argv)
     trees = {}
     for spec in args.tree:
@@ -204,17 +203,16 @@ def main(argv=None) -> int:
         if not (label and src and Path(src, "paulisched").is_dir()):
             parser.error(f"--tree {spec!r}: want LABEL=SRC, with SRC holding the paulisched package")
         trees[label] = Path(src).resolve()
-    sizes = [int(n) for n in args.sizes.split(",")]
     report = {
         "machine": machine(),
         "method": {
-            "stages": f"best of {args.repeat} in process, a fresh interpreter per tree, unweighted compile",
-            "cli": f"{args.runs} launches per command and tree, trees alternating first; median and quartiles",
+            "stages": f"best of {REPEAT} in process, a fresh interpreter per tree, unweighted compile",
+            "cli": f"{RUNS} launches per command and tree, trees alternating first; median and quartiles",
         },
-        "stages": {label: measure_tree(src, sizes, args.repeat) for label, src in trees.items()},
+        "stages": {label: measure_tree(src) for label, src in trees.items()},
     }
     with tempfile.TemporaryDirectory() as scratch:
-        report["cli"] = cli_runs(trees, args.runs, Path(scratch))
+        report["cli"] = cli_runs(trees, Path(scratch))
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
 
