@@ -49,13 +49,14 @@ fewer strings.
 
 Grouping depends only on n.  Coefficients are brought to normal order
 (descending indices per operator kind, with the antisymmetry sign) and
-summed once per canonical term, on integer numerators over one common
-denominator.  Output is bit-identical between runs.
+summed per canonical term as they are read, on integer numerators over
+one denominator per term.  Output is bit-identical between runs.
 """
 
 import errno
 import json
 import os
+import re
 import sys
 import threading
 from collections.abc import Iterable, Iterator
@@ -63,7 +64,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 from pathlib import Path
 
 from .baranyai import Schedule, build_schedule, round_sizes
@@ -107,11 +108,8 @@ class FamiliesWriteError(ValueError):
 
 
 _FLOAT_MAX = sys.float_info.max
+_NUMBERS = frozenset((int, float, Fraction))  # the value types of an entry; bool is none
 _dumps = json.JSONEncoder(separators=(",", ":")).encode
-
-
-def _shown(value: Fraction) -> str:  # a float for a message, if it has one
-    return repr(float(value)) if abs(value) <= _FLOAT_MAX else str(value)
 
 
 @dataclass(frozen=True, slots=True)
@@ -315,10 +313,14 @@ class HamiltonianCoefficients:
     term; ``two_body`` maps descending-canonical (p, q, r, s) with p > q and
     r > s.  Use :func:`load_coefficients` or :meth:`from_entries` so raw
     index orders are normalized (with antisymmetry signs) and duplicate
-    entries accumulate.  n must be an int (bool is not one).  Each entry
-    is checked in turn: its key's length, then its value, an int, float or
-    Fraction in the float range (bool is none of them), then its mode
-    indices, ints in range(n).
+    entries accumulate.  Both apply one rule, entry by entry: n must be an
+    int (bool is not one), and is checked first; then each entry is checked
+    in turn: its key's length, then its value, an int, float or Fraction in
+    the float range (bool is none of them), then its mode indices, ints in
+    range(n).  A two-body entry whose creates or annihilates repeat a mode
+    vanishes once it passes these checks.  Each key sums its values'
+    integer numerators over one denominator, and holds one Fraction if the
+    sum is nonzero, in the order of the key's first entry.
     """
 
     n: int
@@ -327,28 +329,7 @@ class HamiltonianCoefficients:
 
     @classmethod
     def from_entries(cls, n, one_body_entries, two_body_entries) -> "HamiltonianCoefficients":
-        _check_n(n)
-        one: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        for key, value in one_body_entries:
-            ratio = _ratio(key, 2, value)
-            p, q = key
-            if not (type(p) is int and type(q) is int and 0 <= p < n and 0 <= q < n):
-                raise _index_error("one-body", (p, q), n)
-            one.setdefault((p, q), []).append(ratio)
-        two: dict[tuple[int, int, int, int], list[tuple[int, int]]] = {}
-        for key, value in two_body_entries:
-            num, den = _ratio(key, 4, value)
-            p, q, r, s = key
-            if not all(type(t) is int and 0 <= t < n for t in (p, q, r, s)):
-                raise _index_error("two-body", (p, q, r, s), n)
-            if p == q or r == s:
-                continue  # the operator vanishes
-            if p < q:
-                p, q, num = q, p, -num
-            if r < s:
-                r, s, num = s, r, -num
-            two.setdefault((p, q, r, s), []).append((num, den))
-        return cls(n, _summed(one), _summed(two))
+        return cls(n, *map(_fractions, _tables(n, one_body_entries, two_body_entries)))
 
 
 def _check_n(n) -> None:
@@ -366,36 +347,191 @@ def _index_error(body, key, n) -> ValueError:
     return ValueError(f"{body} index {key} out of range for n={n}")
 
 
-def _ratio(key, size: int, value) -> tuple[int, int]:
-    """The exact (numerator, denominator) of an entry's value, once its key
-    holds ``size`` indices and the value is a number in the float range."""
+def _fold(sums: dict, size: int, key, value, n: int) -> None:
+    """Check one entry of a body whose keys hold ``size`` indices, and add it
+    to ``sums``, the (numerator, denominator) of each canonical key.
+
+    The checks run in the order of :class:`HamiltonianCoefficients`.  A
+    two-body key is brought to descending order on each side, each swap
+    flipping the sign.  A value joins its key's numerator when the
+    denominators agree; only when they differ is their lcm taken.
+    """
     if len(key) != size:
         raise ValueError("index lists must have 2 (pq) or 4 (pqrs) entries")
     # JSON Infinity and NaN parse as floats, integers can exceed the float
     # range, and strings or booleans would convert silently
-    if not (type(value) in (int, float, Fraction) and abs(value) <= _FLOAT_MAX):
+    if not (type(value) in _NUMBERS and abs(value) <= _FLOAT_MAX):
         raise ValueError(f"coefficient values must be finite numbers in float range, got {value!r}")
-    return value.as_integer_ratio()
+    num, den = value.as_integer_ratio()
+    if size == 2:
+        p, q = key
+        if not (type(p) is int and type(q) is int and 0 <= p < n and 0 <= q < n):
+            raise _index_error("one-body", (p, q), n)
+        key = p, q
+    else:
+        p, q, r, s = key
+        if not (
+            type(p) is int and type(q) is int and type(r) is int and type(s) is int
+            and 0 <= p < n and 0 <= q < n and 0 <= r < n and 0 <= s < n
+        ):
+            raise _index_error("two-body", (p, q, r, s), n)
+        if p == q or r == s:
+            return  # the operator vanishes
+        if p < q:
+            p, q, num = q, p, -num
+        if r < s:
+            r, s, num = s, r, -num
+        key = p, q, r, s
+    held = sums.get(key)
+    if held is None:
+        sums[key] = [num, den]
+    elif held[1] == den:
+        held[0] += num
+    else:
+        common = lcm(held[1], den)
+        held[0] = held[0] * (common // held[1]) + num * (common // den)
+        held[1] = common
 
 
-def _summed(table: dict) -> dict:
-    """Each key's ratios summed over their lcm denominator, one Fraction per key; zeros drop."""
-    out = {}
-    for key, ratios in table.items():
-        denominator = lcm(*(den for _, den in ratios))
-        total = sum(num * (denominator // den) for num, den in ratios)
-        if total:
-            out[key] = Fraction(total, denominator)
-    return out
+def _reduced(sums: dict) -> dict:
+    """Each key's sum as a (numerator, denominator) pair in lowest terms; zero sums drop."""
+    table = {}
+    for key, (num, den) in sums.items():
+        if num:
+            common = gcd(num, den)
+            table[key] = num // common, den // common
+    return table
 
 
-def _read_json(path, kind: str, error: type[ValueError]) -> tuple[dict, int]:
-    """A ``kind`` JSON file's data and its integer n, or ``error`` naming
-    the file that cannot be read or whose n is not an integer."""
+def _tables(n, one_body_entries, two_body_entries) -> tuple[dict, dict]:
+    """The reduced one- and two-body tables of the entries, n checked first."""
+    _check_n(n)
+    one: dict = {}
+    for key, value in one_body_entries:
+        _fold(one, 2, key, value, n)
+    two: dict = {}
+    for key, value in two_body_entries:
+        _fold(two, 4, key, value, n)
+    return _reduced(one), _reduced(two)
+
+
+def _fractions(table: dict) -> dict:
+    """A reduced table's values as Fractions."""
+    return {key: Fraction(num, den) for key, (num, den) in table.items()}
+
+
+def _check_hermitian(one: dict, two: dict) -> None:
+    """Raise ValueError unless the reduced tables are Hermitian.
+
+    With real values, H is Hermitian iff every normal-ordered entry equals
+    the entry of its adjoint, whose key swaps the create and annihilate
+    halves; an absent entry is 0.  As the pairs are in lowest terms, one
+    comparison of each table with its adjoint-keyed copy decides; only then
+    is the first failing key sought, in sorted order, to be named.
+    """
+    for table, half in ((one, 1), (two, 2)):
+        if {key[half:] + key[:half]: value for key, value in table.items()} == table:
+            continue
+        for key in sorted(table):
+            adjoint = key[half:] + key[:half]
+            if table.get(adjoint) != table[key]:
+                raise ValueError(
+                    f"not Hermitian: entry {list(key)} is {_shown(table, key)} but its adjoint "
+                    f"{list(adjoint)} is {_shown(table, adjoint)}"
+                )
+
+
+def _shown(table: dict, key) -> str:
+    """The value of a reduced table at ``key`` for a message: a float, if it has one."""
+    value = Fraction(*table.get(key, (0, 1)))
+    return repr(float(value)) if abs(value) <= _FLOAT_MAX else str(value)
+
+
+# What the parse holds in place of each entry folded, per body
+_FOLDED = {"pq": object(), "pqrs": object()}
+# "n" as the first member of the document, read before the parse; the
+# parsed document must agree with it.  A pattern, not a compiled one: re
+# compiles it at the first load, so no import pays for it.
+_HEAD = r'\s*\{\s*"n"\s*:\s*(-?[0-9]{1,18})\s*[,}]'
+
+
+class _Unsure(Exception):
+    """The streamed fold cannot stand for the document, which is then read whole."""
+
+
+def _streamed(text: str, path) -> tuple[int, dict, dict]:
+    """n and the reduced tables of a coefficients text, each entry folded as it is parsed.
+
+    ``json`` hands each object to a hook as it closes.  An object of the
+    shape the files are written in, ``{"pq": key, "value": v}`` or
+    ``{"pqrs": key, "value": v}``, is an entry of the body its first member
+    names (the name's length is the key's): the hook folds it by
+    :func:`_fold`, against the n that opens the text, and the parse keeps
+    a marker in its place, so the document never holds the entries.  Any
+    other object stays a dict.  The fold stands for the document only if n
+    opens the text and is the document's n, every entry passed its checks,
+    and each body is a list of exactly the entries folded for it; else
+    :class:`_Unsure` is raised, and the caller reads the document whole.
+    """
+    head = re.match(_HEAD, text)
+    if head is None:
+        raise _Unsure
+    n = int(head[1])
+    sums: dict[str, dict] = {"pq": {}, "pqrs": {}}
+    folded = dict.fromkeys(sums, 0)
+
+    def entry(pairs):
+        if len(pairs) == 2 and pairs[1][0] == "value":
+            (name, key), (_, value) = pairs
+            if name in sums:
+                try:
+                    _fold(sums[name], len(name), key, value, n)
+                except (TypeError, ValueError):
+                    raise _Unsure from None
+                folded[name] += 1
+                return _FOLDED[name]
+        return dict(pairs)
+
+    data, parsed_n = _parse_json(text, path, "coefficients", CoefficientsLoadError, entry)
+    for body, name in (("one_body", "pq"), ("two_body", "pqrs")):
+        entries = data.get(body, [])
+        if not (type(entries) is list and entries.count(_FOLDED[name]) == len(entries) == folded[name]):
+            raise _Unsure
+    if parsed_n != n:
+        raise _Unsure
+    return n, _reduced(sums["pq"]), _reduced(sums["pqrs"])
+
+
+def _listed(text: str, path) -> tuple[int, dict, dict]:
+    """n and the reduced tables of a coefficients text parsed whole, its
+    entries listed: any layout a dict reads, and every fault in the order
+    of the rules, each body's entries listed before any is checked."""
+    data, n = _parse_json(text, path, "coefficients", CoefficientsLoadError)
     try:
-        data = json.loads(Path(path).read_text())
-    # ValueError covers JSONDecodeError and integer literals too long to parse
+        one = [(tuple(entry["pq"]), entry["value"]) for entry in data.get("one_body", [])]
+        two = [(tuple(entry["pqrs"]), entry["value"]) for entry in data.get("two_body", [])]
+        return n, *_tables(n, one, two)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CoefficientsLoadError(f"malformed coefficients file {path}: {exc}") from exc
+
+
+def _read_text(path, kind: str, error: type[ValueError]) -> str:
+    """The text of a ``kind`` file, or ``error`` naming the file that cannot be read."""
+    try:
+        return Path(path).read_text()
+    # ValueError covers text that is not in the locale's encoding
     except (OSError, ValueError) as exc:
+        raise error(f"cannot read {kind} file {path}: {exc}") from exc
+
+
+def _parse_json(text: str, path, kind: str, error: type[ValueError], hook=None) -> tuple[dict, int]:
+    """A ``kind`` JSON text's data and its integer n, or ``error`` naming
+    the file that cannot be parsed or whose n is not an integer.  ``hook``
+    is ``json``'s ``object_pairs_hook``."""
+    try:
+        data = json.loads(text, object_pairs_hook=hook)
+    # ValueError covers JSONDecodeError and integer literals too long to parse
+    except ValueError as exc:
         raise error(f"cannot read {kind} file {path}: {exc}") from exc
     try:
         n = data["n"]
@@ -413,26 +549,28 @@ def load_coefficients(path) -> HamiltonianCoefficients:
         {"n": 8,
          "one_body": [{"pq": [p, q], "value": v}, ...],
          "two_body": [{"pqrs": [p, q, r, s], "value": v}, ...]}
+
+    Entries follow the rules of :class:`HamiltonianCoefficients`, and H
+    must be Hermitian.  In a file laid out as above, each entry is folded
+    into its key's sum as it is parsed, so no entry is held: the memory
+    is the text and the sums.  A file in any other layout that ``json``
+    reads to the same data, and a file with a fault, is parsed whole
+    and its entries listed, so it loads to the same tables, or fails with
+    :class:`CoefficientsLoadError` and the same message, as the same data
+    in the layout above.  Hermiticity is one comparison of each reduced
+    table with its adjoint-keyed copy; on a mismatch the first failing key
+    in sorted order is named.
     """
-    data, n = _read_json(path, "coefficients", CoefficientsLoadError)
+    text = _read_text(path, "coefficients", CoefficientsLoadError)
     try:
-        one = [(tuple(entry["pq"]), entry["value"]) for entry in data.get("one_body", [])]
-        two = [(tuple(entry["pqrs"]), entry["value"]) for entry in data.get("two_body", [])]
-        coeffs = HamiltonianCoefficients.from_entries(n, one, two)
-        # With real values, H is Hermitian iff every normal-ordered entry
-        # equals the entry of its adjoint, whose key swaps the create and
-        # annihilate halves; an absent entry is 0.
-        for table in (coeffs.one_body, coeffs.two_body):
-            for key, value in sorted(table.items()):
-                adjoint = key[len(key) // 2:] + key[:len(key) // 2]
-                if table.get(adjoint, 0) != value:
-                    raise ValueError(
-                        f"not Hermitian: entry {list(key)} is {_shown(value)} but its adjoint "
-                        f"{list(adjoint)} is {_shown(table.get(adjoint, 0))}"
-                    )
-        return coeffs
-    except (KeyError, TypeError, ValueError) as exc:
+        n, one, two = _streamed(text, path)
+    except _Unsure:
+        n, one, two = _listed(text, path)
+    try:
+        _check_hermitian(one, two)
+    except ValueError as exc:
         raise CoefficientsLoadError(f"malformed coefficients file {path}: {exc}") from exc
+    return HamiltonianCoefficients(n, _fractions(one), _fractions(two))
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +586,7 @@ def schedule_json(schedule: Schedule) -> str:
 
 def read_schedule_file(path) -> Schedule:
     """Parse a schedule JSON file without validating its combinatorics."""
-    data, n = _read_json(path, "schedule", ScheduleLoadError)
+    data, n = _parse_json(_read_text(path, "schedule", ScheduleLoadError), path, "schedule", ScheduleLoadError)
     try:
         rounds = [[tuple(s) for s in rnd] for rnd in data["rounds"]]
         if n < 1:

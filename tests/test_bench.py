@@ -1,26 +1,33 @@
 """The committed BENCH files that ``tools/stages.py`` writes: their counts are a build's.
 
 Times are not tested; counts are deterministic.  Every N the file records
-is held to the paper's counts, and every N <= 16 to a fresh build.  The
+is held to the paper's counts, and every N <= 16 to a fresh build; the
+weighted rows at N = 12 are held to a fresh weighted build.  The
 output's bytes and sha256 are a record of the build measured, not held to
 the current code: the output pins in the other tests hold those.
 """
 
 import json
+import runpy
 from math import ceil, comb
 from pathlib import Path
 
 import pytest
 
 from paulisched.baranyai import build_schedule
-from paulisched.partition import commuting_families
+from paulisched.partition import commuting_families, load_coefficients, schedule_for
 
 ROOT = Path(__file__).resolve().parents[1]
 STAGE_FILES = [path for path in sorted(ROOT.glob("BENCH_*.json")) if "stages" in json.loads(path.read_text())]
+WEIGHTED_FILES = [path for path in STAGE_FILES if "weighted" in json.loads(path.read_text())]
 
 
 def test_a_stage_file_is_committed():
     assert STAGE_FILES
+
+
+def test_a_weighted_file_is_committed():
+    assert WEIGHTED_FILES
 
 
 def fresh_counts(n: int) -> dict:
@@ -59,3 +66,29 @@ def test_counts_are_the_paper_s_and_a_fresh_build_s(path):
                 if n not in fresh:
                     fresh[n] = fresh_counts(n)
                 assert {name: counts[name] for name in fresh[n]} == fresh[n], (label, n)
+
+
+def fresh_weighted_counts(path: Path) -> dict:
+    """The counts of ``tools/stages.py`` for the weighted build of
+    ``perfbench/hamiltonian.generate(12, 1, 0)``, but for the output's bytes and sha256."""
+    # the generator is stdlib-only and is read, not imported as a module
+    document = runpy.run_path(str(ROOT / "perfbench" / "hamiltonian.py"))["generate"](12, 1, 0)
+    path.write_text(json.dumps(document))
+    coeffs = load_coefficients(path)
+    families = list(commuting_families(schedule_for(12), coeffs))
+    return {
+        "entries": len(document["one_body"]) + len(document["two_body"]),
+        "one_body_keys": len(coeffs.one_body),
+        "two_body_keys": len(coeffs.two_body),
+        "dominant_families": sum(family.origin == "dominant" for family in families),
+        "residual_families": sum(family.origin == "residual" for family in families),
+        "string_slots": sum(len(family) for family in families),
+    }
+
+
+@pytest.mark.parametrize("path", WEIGHTED_FILES, ids=lambda path: path.name)
+def test_weighted_counts_are_a_fresh_build_s(path, tmp_path):
+    fresh = fresh_weighted_counts(tmp_path / "h12.json")
+    for label, sizes in json.loads(path.read_text())["weighted"].items():
+        counts = sizes["12"]["counts"]
+        assert {name: counts[name] for name in fresh} == fresh, label

@@ -140,6 +140,23 @@ class TestFamiliesCommand:
             assert out.read_bytes() == b"earlier output\n"
             assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json", "families.json"]
 
+    def test_entry_outside_its_body(self, capsys, tmp_path):
+        coeffs = tmp_path / "bad.json"
+        one = {"pq": [0, 0], "value": 1}
+        two = {"pqrs": [1, 0, 1, 0], "value": 1}
+        for data in [
+            {"n": 8, "two_body": [two, one]},
+            {"n": 8, "one_body": [one, two]},
+            {"n": 8, "one_body": one},
+            {"n": 8, "one_body": [one], "two_body": two},
+            {"n": 8, "two_body": "pqrs"},
+            {"n": 8, "one_body": 3},
+        ]:
+            coeffs.write_text(json.dumps(data))
+            code, out, err = run(capsys, "families", "--n", "8", "--hamiltonian", str(coeffs))
+            assert (code, out) == (2, ""), data
+            assert err.startswith(f"error: malformed coefficients file {coeffs}: "), data
+
     def test_wrong_n_in_coefficients(self, capsys, tmp_path):
         coeffs = tmp_path / "small.json"
         coeffs.write_text(json.dumps({"n": 4, "one_body": [], "two_body": []}))
@@ -605,6 +622,10 @@ SCHEDULE_28_OUT_SHA256 = "54c5d55aae4373970842ae23499a81e915d9e40b7756f7c20b5aab
 # modes of a block of any families pin.  Only CI checks it (tier1.yml reads
 # it from here); the compile takes about a second.
 FAMILIES_28_OUT_SHA256 = "35f4fdb04c4b311765e16eb6ec5e6a440aaa8a901699610fba2304c2589332fd"
+# families --n 20 --hamiltonian H for H = perfbench/hamiltonian.generate(20, 1, 0):
+# 183,810 entries, where the N = 12 pins fold about 24,000.  Only CI checks
+# it (tier1.yml reads it from here).
+FAMILIES_20_WEIGHTED_SHA256 = "450d115defcd7fd25ce6894aec1820a29c28428dad36efbf6ba48e12efbecc2d"
 # 4 does not divide 30, so the hub is used, and each round has 7 slots, so
 # each row starts as the empty slot 7 times; no other pin has both
 SCHEDULE_30_SHA256 = "d9f0016263e972c86b60fab94fe254f823c2c044131994a29ac29b6b39069a9d"

@@ -4,6 +4,7 @@ import random
 import re
 import runpy
 import threading
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from functools import cache
@@ -664,6 +665,17 @@ class TestIntegerCoefficientSums:
                ((3, 1, 1, 0), 1.7e308), ((1, 3, 1, 0), 1.7e308)]
         self._assert_matches_reference(4, one, two)
 
+    def test_one_key_of_int_float_and_third(self):
+        # three value types on one key, through every raw order of its
+        # sides, between other keys: denominators 1, 2 and 3 meet in one sum
+        one = [((2, 1), 1), ((1, 1), 0.5), ((2, 1), 0.5), ((2, 1), Fraction(1, 3)), ((1, 1), Fraction(1, 3))]
+        two = [((3, 2, 1, 0), Fraction(1, 3)), ((1, 0, 3, 2), 2), ((2, 3, 1, 0), 0.5),
+               ((3, 2, 0, 1), 1), ((2, 3, 0, 1), Fraction(1, 3)), ((1, 0, 3, 2), -2)]
+        self._assert_matches_reference(4, one, two)
+        coeffs = HamiltonianCoefficients.from_entries(4, one, two)
+        assert list(coeffs.one_body.items()) == [((2, 1), Fraction(11, 6)), ((1, 1), Fraction(5, 6))]
+        assert coeffs.two_body == {(3, 2, 1, 0): Fraction(1, 3) - Fraction(1, 2) - 1 + Fraction(1, 3)}
+
     def test_negative_zero(self):
         one = [((0, 1), -0.0), ((1, 1), -0.0), ((1, 1), 0.5)]
         two = [((3, 2, 1, 0), -0.0), ((2, 2, 1, 0), -0.0)]
@@ -847,6 +859,77 @@ class TestPersistence:
         path.write_text('{"n": 8, "one_body": [{"pq": [0, 0], "value": ' + "1" * 5000 + "}]}")
         with pytest.raises(CoefficientsLoadError, match="cannot read"):
             load_coefficients(path)
+
+    def test_coefficients_file_in_other_layouts(self, tmp_path):
+        # n after the entries, entry members in the other order or with an
+        # extra member, an entry-shaped object outside the bodies, indented
+        # text: each loads equal to the file as written
+        one, two = seeded_hermitian_entries(6, seed=3)
+        path = write_coefficients(tmp_path / "h.json", 6, one, two)
+        want = load_coefficients(path)
+        assert want == HamiltonianCoefficients.from_entries(6, one, two)
+        assert want.one_body and want.two_body
+        data = json.loads(path.read_text())
+        ones, twos = data["one_body"], data["two_body"]
+        for variant in [
+            {"one_body": ones, "two_body": twos, "n": 6},
+            {"two_body": twos, "n": 6, "one_body": ones},
+            {"n": 6, "one_body": [{"value": e["value"], "pq": e["pq"]} for e in ones], "two_body": twos},
+            {"n": 6, "one_body": ones, "two_body": twos[:3] + [{"value": e["value"], "pqrs": e["pqrs"]} for e in twos[3:]]},
+            {"n": 6, "one_body": [dict(e, note="x") for e in ones], "two_body": twos},
+            {"n": 6, "one_body": ones, "two_body": [{"note": [1], **e} for e in twos]},
+            {"n": 6, "note": {"pq": [0, 0], "value": 1}, "one_body": ones, "two_body": twos},
+            {"n": 6, "one_body": ones, "two_body": twos, "note": [{"pqrs": [1, 0, 1, 0], "value": 2}]},
+        ]:
+            path.write_text(json.dumps(variant))
+            assert load_coefficients(path) == want, variant
+        path.write_text(json.dumps(data, indent=2))
+        assert load_coefficients(path) == want
+        # a second n, after the entries, is the one that holds
+        path.write_text(json.dumps(data)[:-1] + ', "n": 7}')
+        assert load_coefficients(path) == HamiltonianCoefficients.from_entries(7, one, two)
+
+    def test_entry_faults_read_as_malformed(self, tmp_path):
+        path = tmp_path / "bad.json"
+        malformed = re.escape(f"malformed coefficients file {path}: ")
+        for text, message in [
+            ('{"n": 4, "two_body": [{"pqrs": [1, 0, 1, 0], "value": 1}, {"pqrs": [1, 0, 1, 0], "value": "1"}]}',
+             "coefficient values must be finite numbers in float range, got '1'"),
+            ('{"n": 4, "one_body": [{"pq": [0, 1.0], "value": 1}]}', "mode indices must be integers, got [0, 1.0]"),
+            ('{"n": 4, "one_body": [{"pq": [0, 1, 2], "value": 1}]}', "index lists must have 2 (pq) or 4 (pqrs) entries"),
+            # a vanishing entry's indices are checked all the same
+            ('{"n": 4, "two_body": [{"pqrs": [4, 4, 1, 0], "value": 1}]}', "two-body index (4, 4, 1, 0) out of range for n=4"),
+            ('{"n": 4, "two_body": [{"pqrs": [1, 0, 5, 5], "value": 0}]}', "two-body index (1, 0, 5, 5) out of range for n=4"),
+            ('{"n": 4, "one_body": [{"pq": [0, 4], "value": 0}]}', "one-body index (0, 4) out of range for n=4"),
+            # a file with several faults reports the first one of the rules' order:
+            # n before any entry, the one-body entries before the two-body ones
+            ('{"two_body": [{"pqrs": [1, 0, 1, 0], "value": null}], "n": 4.5}', "n must be an integer, got 4.5"),
+            ('{"n": 4, "two_body": [{"pqrs": [1, 0, 1], "value": 1}], "one_body": [{"pq": [0, 9], "value": 1}]}',
+             "one-body index (0, 9) out of range for n=4"),
+            ('{"n": 4, "one_body": [{"pq": [0, 0], "value": true}, {"pq": [0, 0]}]}', "'value'"),
+        ]:
+            path.write_text(text)
+            with pytest.raises(CoefficientsLoadError, match=f"^{malformed}{re.escape(message)}$"):
+                load_coefficients(path)
+        # a fault in an entry before a break in the JSON: the text cannot be read
+        path.write_text('{"n": 4, "one_body": [{"pq": [0, 0], "value": "x"}], "two_body": [}')
+        with pytest.raises(CoefficientsLoadError, match=f"^{re.escape(f'cannot read coefficients file {path}: ')}"):
+            load_coefficients(path)
+
+    def test_coefficients_load_holds_no_entries(self, tmp_path):
+        # the entries are folded as they are parsed: the traced peak is the
+        # text and the sums, not a parsed document of every entry
+        hamiltonian = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "hamiltonian.py"))
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps(hamiltonian["generate"](12, 1, 0)))
+        tracemalloc.start()
+        try:
+            coeffs = load_coefficients(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert coeffs == _benchmark_coefficients()
+        assert peak < 4 * path.stat().st_size, (peak, path.stat().st_size)
 
     def test_sum_outside_float_range_is_a_write_error(self, tmp_path):
         # every value fits a float, but the I/Z block folds them into an

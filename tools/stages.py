@@ -18,10 +18,17 @@ machine drift.  The file records:
   dropping each result as it comes, and the writer
   (``save_families``); and the counts: rounds, families and strings per
   class, string slots, output bytes and the sha256 of the output;
+- per tree and per N in ``WEIGHTED_SIZES``, the same for the weighted
+  compile of ``perfbench/hamiltonian.generate(N, 1, 0)``, in the same
+  interpreter: the best of ``REPEAT`` times of ``load_coefficients``, the
+  block table, the families pass and the writer; and the counts: raw
+  entries, one- and two-body keys, families per class, string slots,
+  output bytes and sha256;
 - per tree, each of ``COMMANDS`` (``--format json --out``) run ``RUNS``
   times from a fork-and-exec launcher, trees alternating which goes
   first: the median and quartiles of wall time and of peak RSS, read with
-  ``os.wait4``.
+  ``os.wait4``.  ``H20`` in a command is ``generate(20, 1, 0)``, written
+  by a child process, so the launcher never holds it.
 
 The stage times reach into two private functions of ``partition``, so a
 tree that renames them needs this script changed too.
@@ -32,6 +39,7 @@ import hashlib
 import json
 import os
 import platform
+import runpy
 import statistics
 import subprocess
 import sys
@@ -40,9 +48,11 @@ import time
 from pathlib import Path
 
 SIZES = (8, 12, 16, 20, 24, 28)
+WEIGHTED_SIZES = (12, 20)
 REPEAT = 5  # the stage times are the best of this many
-COMMANDS = (("families", 20), ("families", 28), ("schedule", 28))
+COMMANDS = ("families --n 20", "families --n 28", "schedule --n 28", "families --n 20 --hamiltonian H20")
 RUNS = 10  # launches of each command per tree
+GENERATOR = Path(__file__).resolve().parents[1] / "perfbench" / "hamiltonian.py"
 
 
 def best_of(work) -> float:
@@ -101,6 +111,46 @@ def measure_size(n: int, scratch: Path) -> dict:
     return {"times": {name: round(seconds, 5) for name, seconds in times.items()}, "counts": counts}
 
 
+def write_hamiltonian(path: Path, n: int) -> int:
+    """Write ``generate(n, 1, 0)``, an input of the weighted benchmark's
+    kind, to ``path``; returns its number of raw entries."""
+    # stdlib-only, and read rather than imported: perfbench is not a package
+    document = runpy.run_path(str(GENERATOR))["generate"](n, 1, 0)
+    path.write_text(json.dumps(document))
+    return len(document["one_body"]) + len(document["two_body"])
+
+
+def measure_weighted(n: int, scratch: Path) -> dict:
+    """The stage times and counts of the weighted compile at n modes, in this interpreter."""
+    from paulisched import partition
+
+    source, path = scratch / f"h{n}.json", scratch / f"weighted{n}.json"
+    entries = write_hamiltonian(source, n)
+    schedule = partition.schedule_for(n)
+    coeffs = partition.load_coefficients(source)
+    families = list(partition.commuting_families(schedule, coeffs))
+    times = {
+        "load_coefficients_s": best_of(lambda: partition.load_coefficients(source)),
+        "block_table_s": best_of(lambda: partition._blocks(n, coeffs)),
+        "families_pass_s": best_of(lambda: list(partition.commuting_families(schedule, coeffs))),
+        "writer_s": best_of(lambda: partition.save_families(families, path)),
+    }
+    output = path.read_bytes()
+    dominant = [len(family) for family in families if family.origin == "dominant"]
+    residual = [len(family) for family in families if family.origin == "residual"]
+    counts = {
+        "entries": entries,
+        "one_body_keys": len(coeffs.one_body),
+        "two_body_keys": len(coeffs.two_body),
+        "dominant_families": len(dominant),
+        "residual_families": len(residual),
+        "string_slots": sum(dominant) + sum(residual),
+        "output_bytes": len(output),
+        "output_sha256": hashlib.sha256(output).hexdigest(),
+    }
+    return {"times": {name: round(seconds, 5) for name, seconds in times.items()}, "counts": counts}
+
+
 def launch(argv: list[str], env: dict, cwd: Path) -> tuple[float, float]:
     """Wall seconds and peak RSS in MB of one child, which must exit 0.
 
@@ -135,29 +185,33 @@ def spread(values: list[float]) -> dict:
 
 def cli_runs(trees: dict[str, Path], scratch: Path) -> dict:
     """Each command run ``RUNS`` times per tree, the trees alternating which goes first."""
-    samples = {label: {f"{cmd} --n {n}": ([], []) for cmd, n in COMMANDS} for label in trees}
+    # a child writes the input, so that the launcher's peak, which wait4
+    # counts in every child's, stays small
+    code = f"import sys; sys.path.insert(0, {str(Path(__file__).resolve().parent)!r}); import stages; "
+    code += "from pathlib import Path; stages.write_hamiltonian(Path('H20'), 20)"
+    subprocess.run([sys.executable, "-c", code], cwd=scratch, check=True)
+    samples = {label: {command: ([], []) for command in COMMANDS} for label in trees}
     digests: dict[str, set] = {}
     for run in range(RUNS):
         labels = list(trees) if run % 2 == 0 else list(reversed(trees))
-        for cmd, n in COMMANDS:
-            key = f"{cmd} --n {n}"
+        for command in COMMANDS:
             for label in labels:
                 env = dict(os.environ, PYTHONPATH=str(trees[label]), PYTHONDONTWRITEBYTECODE="1")
-                out = scratch / f"{label}-{cmd}{n}.json"
-                argv = [sys.executable, "-m", "paulisched", cmd, "--n", str(n), "--format", "json", "--out", str(out)]
+                out = scratch / f"{label}-{command.replace(' ', '')}.json"
+                argv = [sys.executable, "-m", "paulisched", *command.split(), "--format", "json", "--out", str(out)]
                 seconds, rss = launch(argv, env, scratch)
-                walls, peaks = samples[label][key]
+                walls, peaks = samples[label][command]
                 walls.append(seconds)
                 peaks.append(rss)
-                digests.setdefault(key, set()).add(sha256(out))
+                digests.setdefault(command, set()).add(sha256(out))
     table = {
         label: {
-            key: {"wall_s": spread(walls), "peak_rss_mb": spread(peaks), "runs": len(walls)}
-            for key, (walls, peaks) in commands.items()
+            command: {"wall_s": spread(walls), "peak_rss_mb": spread(peaks), "runs": len(walls)}
+            for command, (walls, peaks) in commands.items()
         }
         for label, commands in samples.items()
     }
-    table["identical_outputs"] = {key: len(found) == 1 for key, found in digests.items()}
+    table["identical_outputs"] = {command: len(found) == 1 for command, found in digests.items()}
     return table
 
 
@@ -188,7 +242,10 @@ def measure_tree(src: Path) -> dict:
 
 def child() -> dict:
     with tempfile.TemporaryDirectory() as scratch:
-        return {str(n): measure_size(n, Path(scratch)) for n in SIZES}
+        return {
+            "stages": {str(n): measure_size(n, Path(scratch)) for n in SIZES},
+            "weighted": {str(n): measure_weighted(n, Path(scratch)) for n in WEIGHTED_SIZES},
+        }
 
 
 def main(argv=None) -> int:
@@ -207,10 +264,13 @@ def main(argv=None) -> int:
         "machine": machine(),
         "method": {
             "stages": f"best of {REPEAT} in process, a fresh interpreter per tree, unweighted compile",
+            "weighted": f"best of {REPEAT} in process, the same interpreter, on generate(n, 1, 0); collector on",
             "cli": f"{RUNS} launches per command and tree, trees alternating first; median and quartiles",
         },
-        "stages": {label: measure_tree(src) for label, src in trees.items()},
     }
+    measured = {label: measure_tree(src) for label, src in trees.items()}
+    for part in ("stages", "weighted"):
+        report[part] = {label: tables[part] for label, tables in measured.items()}
     with tempfile.TemporaryDirectory() as scratch:
         report["cli"] = cli_runs(trees, Path(scratch))
     args.out.write_text(json.dumps(report, indent=1) + "\n")
