@@ -7,18 +7,19 @@ each part is a pair of masks (x, z) and an exponent e, for the weight
 i**e X^x Z^z / 2 in the X^x Z^z normal form (Aaronson and Gottesman,
 quant-ph/0406196), in which Y = iXZ.  One rule multiplies two such parts:
 exponents add, and moving Z^z past X^x' adds 2 popcount(z & x').
-:func:`jw_image` expands each term's ladder product exactly on integers in
-one pass: every coefficient is (a + ib) / 2**f for Gaussian integers a + ib
-and f ladder factors, so each product path carries an i-power and is added
-straight into the sums of the whole weighted set.  The image is one
-denominator and a list of rows ``(text, x, z, re, im)``: a string's text,
-its masks and the numerators of its coefficient.  The sums are keyed by a
-string's digits (:func:`paulisched.pauli.pauli_digits`), and each row's
-text is formatted from them by :func:`paulisched.pauli.pauli_text`, the
-one text rule; a four-mode block's rows are spliced from text halves in
-the same letters instead (below).  The block fold in
-:mod:`paulisched.partition` calls it once per block and carries the rows to
-the writer as they are.  :func:`weighted_strings`, the one builder of
+:func:`_product_rows`, the one expansion routine, expands each term's
+ladder product exactly on integers in one pass: every coefficient is
+(a + ib) / 2**f for Gaussian integers a + ib and f ladder factors, so each
+product path carries an i-power and is added straight into the sums of the
+whole weighted set.  :func:`jw_image` returns one denominator and a list of
+rows ``(text, x, z, re, im)``: a string's text, its masks and the
+numerators of its coefficient.  The sums are keyed by a string's digits
+(:func:`paulisched.pauli.pauli_digits`), and each row's text is formatted
+from them by :func:`paulisched.pauli.pauli_text`, the one text rule; a
+four-mode block's rows are spliced from text halves in the same letters
+instead (below).  The block fold in :mod:`paulisched.partition` calls
+:func:`jw_image` once per block and carries the rows to the writer as
+they are.  :func:`weighted_strings`, the one builder of
 weighted strings, turns rows into
 :class:`~paulisched.pauli.WeightedPauliString` values: the view of a
 family, and :func:`jw_term`, the single-term image, read through it.  No
@@ -26,8 +27,9 @@ sign or phase is hand-coded, which is what the dense-matrix oracles in
 :mod:`paulisched.oracles` verify.
 
 A term is the product of its creates side and its annihilates side, and
-each side is expanded once per process by that rule: ``_SIDES`` maps a
-side's ``(modes, dagger)`` to its product paths.  A path stores its masks,
+each side is expanded once per process by that rule: :func:`_side`, a
+cached function, maps a side's ``(modes, dagger)`` to its product paths,
+and is the one reader of the ladder table.  A path stores its masks,
 its normal-form exponent and its digits: the digit rule is linear over
 GF(2), so the digits of a product of two paths are the XOR of theirs.  The
 same rule joins the two sides, and only the product leaves the normal
@@ -36,9 +38,10 @@ depends on the register size, as a digit int has no width: a text is
 padded to n digits only when it is formatted.  A two-body term expanded
 this way takes 16 phases, one per pair of side paths, instead of the 30
 of a factor-by-factor expansion.  A side names one mode or two distinct
-descending ones, so for modes below M the memo holds at most
-2 * (M + C(M, 2)) keys.  Its lists are never changed once stored, so two
-threads that fill one key store equal values.
+descending ones, so for modes below M its cache holds at most
+2 * (M + C(M, 2)) keys.  Both caches here are filled on first use, and
+they hold tuples, which no caller can change: two threads that miss one
+key at once both expand it and store equal values, and either serves.
 
 A two-body term on four distinct modes a < b < c < d always expands to 16
 strings of coefficient magnitude 1/16: X or Y at the four modes, Z on the
@@ -47,20 +50,21 @@ shape.  Its coefficients depend only on its shape, which two of the four
 sorted positions it creates, of which there are six: the gap Z's sit on no
 X position, so they add no phase.  So a block whose terms all name the
 same four modes, as every block of a 4-bit X mask does, takes no product
-path.  ``_SHAPES`` maps each shape to its 16 numerators over 2**4 in text
-order, expanded once per process by the product rule on the register of
-the modes 0..3.  The block's sums are each term's value, scaled to the
-common denominator, times its shape's table, so a weighted block of up to
-six terms and an unweighted one of one term take the same code.  Each row
-is one of four left texts ``I*a L_a Z*(b-a-1) L_b`` and one of four right
-texts, and its z is the gap chain and its Y bits.  The Y pattern read from
-a to d counts up in text order, as X < Y and qubit 0 is leftmost, so the
-rows come out sorted.  The table, like the memo, is filled on first use
-and never changed once stored.
+path.  :func:`_shape`, the second cached function, maps each shape to its
+16 numerators over 2**4: the rows of that term on the register of the
+modes 0..3, read in order, as the expansion routine sorts them by text.
+The block's sums are each term's value, scaled to the common denominator,
+times its shape's table, so a weighted block of up to six terms and an
+unweighted one of one term take the same code.  Each row is one of four
+left texts ``I*a L_a Z*(b-a-1) L_b`` and one of four right texts, and its
+z is the gap chain and its Y bits.  The Y pattern read from a to d counts
+up in text order, as X < Y and qubit 0 is leftmost, so the rows come out
+sorted, in the order of the table.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from math import lcm
 
@@ -124,9 +128,48 @@ def _ladder(mode: int, dagger: bool) -> tuple[tuple[int, int, int], tuple[int, i
     return ((1 << mode, chain, 0), (1 << mode, chain | 1 << mode, 0 if dagger else 2))
 
 
-_SIDES: dict[tuple[tuple[int, ...], bool], list[tuple[int, int, int, int]]] = {}
-# per shape, the 16 (re, im) numerators over 2**4 of its term on four modes, in text order
-_SHAPES: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+@cache
+def _side(modes: tuple[int, ...], dagger: bool) -> tuple[tuple[int, int, int, int], ...]:
+    """The product paths (x, z, e, digits) of one side's ladder factors, in
+    normal form; a tuple, as every caller shares it."""
+    paths = [(0, 0, 0)]
+    for mode in modes:
+        paths = [
+            (x ^ fx, z ^ fz, e + fe + 2 * (z & fx).bit_count())
+            for x, z, e in paths
+            for fx, fz, fe in _ladder(mode, dagger)
+        ]
+    return tuple([(x, z, e, pauli_digits(x, z)) for x, z, e in paths])
+
+
+def _product_rows(n: int, scaled) -> list[tuple[str, int, int, int, int]]:
+    """The text-sorted rows of sum(scale * term) over (term, scale) pairs
+    with integer scales, each product path of a term adding its scale times
+    its phase; rows that sum to zero drop."""
+    sums = {}  # per string's digits, [re, im, x, z]
+    for term, scale in scaled:
+        annihilates = _side(term.annihilates, False)
+        for cx, cz, ce, cd in _side(term.creates, True):
+            for ax, az, ae, ad in annihilates:
+                # normal-form exponents add, Z^cz X^ax = (-1)^|cz & ax| X^ax Z^cz,
+                # and the product's own Y letters leave the normal form
+                x, z = cx ^ ax, cz ^ az
+                k = ce + ae + 2 * (cz & ax).bit_count() - (x & z).bit_count()
+                digits = cd ^ ad  # the digit rule is XOR-linear
+                entry = sums.get(digits)
+                if entry is None:
+                    entry = sums[digits] = [0, 0, x, z]
+                entry[k & 1] += -scale if k & 2 else scale  # i**k is 1, i, -1 or -i
+    return sorted([(pauli_text(n, digits), x, z, re, im) for digits, (re, im, x, z) in sums.items() if re or im])
+
+
+@cache
+def _shape(creates: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """The 16 (re, im) numerators over 2**4, in text order, of the term on
+    the modes 0..3 that creates the positions ``creates``; a tuple, as
+    every caller shares it."""
+    term = FermionicTerm(creates, tuple(p for p in (3, 2, 1, 0) if p not in creates), 4)
+    return tuple([(re, im) for _, _, _, re, im in _product_rows(4, [(term, 1)])])
 
 
 def jw_image(entries) -> tuple[int, list[tuple[str, int, int, int, int]]]:
@@ -135,78 +178,33 @@ def jw_image(entries) -> tuple[int, list[tuple[str, int, int, int, int]]]:
     ``entries`` is a non-empty list; values are ints or Fractions and all
     terms share one register.  The sum is made on integers over one common
     denominator D: the lcm of the values' denominators times 2**f for the
-    largest ladder count f among the terms.  Each product path of a term's
-    ladder factors adds its value, scaled to D, times its phase i**k to the
-    numerators of its string.  A block whose terms all name the same four
-    distinct modes is summed from the shape table instead: each term adds
-    its scaled value times the table of its shape, which the same product
-    rule fills once per process on the register of just those four modes
-    (:func:`_four_mode_rows`).  Returns D and one row ``(text, x, z, re,
-    im)`` per string whose sum (re + i im) / D is nonzero; strings that sum
-    to zero drop out.  The rows are sorted by text, which makes downstream
-    output reproducible; texts are unique, so that is plain tuple order.
+    largest ladder count f among the terms.  Each value is scaled once to
+    its numerator over D / 2**f for its own term's f.  Each product path of
+    a term's ladder factors adds its scaled value times its phase i**k to
+    the numerators of its string.  A block whose terms all name the same
+    four distinct modes is summed from the shape tables instead: each term
+    adds its scaled value times the table of its shape (:func:`_shape`),
+    and the rows are spliced from text halves (:func:`_four_mode_rows`).
+    Returns D and one row ``(text, x, z, re, im)`` per string whose sum
+    (re + i im) / D is nonzero; strings that sum to zero drop out.  The
+    rows are sorted by text, which makes downstream output reproducible;
+    texts are unique, so that is plain tuple order.
     """
     first = entries[0][0]
-    denominator = lcm(*[value.denominator for _, value in entries])
+    ladders = [len(term.creates) + len(term.annihilates) for term, _ in entries]
+    denominator = lcm(*[value.denominator for _, value in entries]) << max(ladders)
+    scaled = [
+        (term, value.numerator * (denominator // (value.denominator << f)))
+        for (term, value), f in zip(entries, ladders)
+    ]
     ends = sorted({*first.creates, *first.annihilates})
-    if len(ends) == 4 and all(sorted(term.creates + term.annihilates) == ends for term, _ in entries):
-        # every term names the same four distinct modes; its shape is which
-        # two of the four sorted positions it creates, and a shape the table
-        # lacks is expanded once, at value 1 on the modes 0..3
-        denominator <<= 4
-        shapes = [tuple([ends.index(m) for m in term.creates]) for term, _ in entries]
-        expand = [
-            (FermionicTerm(shape, tuple(p for p in (3, 2, 1, 0) if p not in shape), 4), 1, {})
-            for shape in set(shapes).difference(_SHAPES)
-        ]
-    else:
-        denominator <<= max(len(term.creates) + len(term.annihilates) for term, _ in entries)
-        ends, sums = None, {}  # per string's digits, [re, im, x, z]
-        expand = []
-        for term, value in entries:
-            ladders = len(term.creates) + len(term.annihilates)
-            expand.append((term, value.numerator * (denominator // (value.denominator << ladders)), sums))
-    for term, scale, into in expand:
-        sides = []
-        for side in ((term.creates, True), (term.annihilates, False)):
-            paths = _SIDES.get(side)
-            if paths is None:
-                modes, dagger = side
-                paths = [(0, 0, 0)]
-                for mode in modes:
-                    paths = [
-                        (x ^ fx, z ^ fz, e + fe + 2 * (z & fx).bit_count())
-                        for x, z, e in paths
-                        for fx, fz, fe in _ladder(mode, dagger)
-                    ]
-                paths = _SIDES[side] = [(x, z, e, pauli_digits(x, z)) for x, z, e in paths]
-            sides.append(paths)
-        creates, annihilates = sides
-        for cx, cz, ce, cd in creates:
-            for ax, az, ae, ad in annihilates:
-                # normal-form exponents add, Z^cz X^ax = (-1)^|cz & ax| X^ax Z^cz,
-                # and the product's own Y letters leave the normal form
-                x, z = cx ^ ax, cz ^ az
-                k = ce + ae + 2 * (cz & ax).bit_count() - (x & z).bit_count()
-                digits = cd ^ ad  # the digit rule is XOR-linear
-                entry = into.get(digits)
-                if entry is None:
-                    entry = into[digits] = [0, 0, x, z]
-                entry[k & 1] += -scale if k & 2 else scale  # i**k is 1, i, -1 or -i
-    if ends is None:
-        rows = [(pauli_text(first.n, digits), x, z, re, im) for digits, (re, im, x, z) in sums.items() if re or im]
-        rows.sort()
-        return denominator, rows
-    for term, _, into in expand:
-        table = [(0, 0)] * 16
-        for re, im, _, z in into.values():
-            # z holds the Y bits of positions 0..3; read from position 0 with
-            # X = 0 and Y = 1 they count up in text order
-            table[int(format(z, "04b")[::-1], 2)] = (re, im)
-        _SHAPES[term.creates] = table
+    if len(ends) != 4 or any(sorted(term.creates + term.annihilates) != ends for term, _ in entries):
+        return denominator, _product_rows(first.n, scaled)
+    # every term names the same four distinct modes; its shape is which two
+    # of the four sorted positions it creates
     sums = None
-    for (_, value), shape in zip(entries, shapes):
-        scale, table = value.numerator * (denominator // (value.denominator << 4)), _SHAPES[shape]
+    for term, scale in scaled:
+        table = _shape(tuple([ends.index(m) for m in term.creates]))
         if sums is None:
             # the unweighted build's one term has scale 1 and reads its table,
             # which nothing changes, as it is: scaling it anyway costs about 2%

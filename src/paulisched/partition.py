@@ -191,12 +191,6 @@ def _certified(family: CommutingFamily) -> CommutingFamily:
     return family
 
 
-def _y_parity(x: int, z: int) -> int:
-    # Y letters only ever sit on endpoint positions, so total Y parity is
-    # exactly the endpoint Y parity the split needs.
-    return (x & z).bit_count() & 1
-
-
 def _split(n: int, unit, origin: str) -> list[CommutingFamily]:
     """The certified even-Y and odd-Y families of a unit of blocks.
 
@@ -212,7 +206,9 @@ def _split(n: int, unit, origin: str) -> list[CommutingFamily]:
         denominator, rows = jw_image(block)
         halves: tuple[list, list] = ([], [])
         for row in rows:
-            halves[_y_parity(row[1], row[2])].append(row)
+            # Y letters only ever sit on endpoint positions, so the Y parity
+            # |x & z| mod 2 of the whole string is the endpoint Y parity
+            halves[(row[1] & row[2]).bit_count() & 1].append(row)
         for half, part, provenance in zip(halves, parts, terms):
             if half:
                 part.append((denominator, half))

@@ -4,7 +4,10 @@ Times are not tested; counts are deterministic.  Every N the file records
 is held to the paper's counts, and every N <= 16 to a fresh build; the
 weighted rows at N = 12 are held to a fresh weighted build.  The
 output's bytes and sha256 are a record of the build measured, not held to
-the current code: the output pins in the other tests hold those.
+the current code: the output pins in the other tests hold those.  The
+tool itself reaches into private functions of ``partition``, so its
+in-process stages run here on the current tree at N = 8, and their counts
+are held to a fresh build.
 """
 
 import json
@@ -68,14 +71,14 @@ def test_counts_are_the_paper_s_and_a_fresh_build_s(path):
                 assert {name: counts[name] for name in fresh[n]} == fresh[n], (label, n)
 
 
-def fresh_weighted_counts(path: Path) -> dict:
+def fresh_weighted_counts(n: int, path: Path) -> dict:
     """The counts of ``tools/stages.py`` for the weighted build of
-    ``perfbench/hamiltonian.generate(12, 1, 0)``, but for the output's bytes and sha256."""
+    ``perfbench/hamiltonian.generate(n, 1, 0)``, but for the output's bytes and sha256."""
     # the generator is stdlib-only and is read, not imported as a module
-    document = runpy.run_path(str(ROOT / "perfbench" / "hamiltonian.py"))["generate"](12, 1, 0)
+    document = runpy.run_path(str(ROOT / "perfbench" / "hamiltonian.py"))["generate"](n, 1, 0)
     path.write_text(json.dumps(document))
     coeffs = load_coefficients(path)
-    families = list(commuting_families(schedule_for(12), coeffs))
+    families = list(commuting_families(schedule_for(n), coeffs))
     return {
         "entries": len(document["one_body"]) + len(document["two_body"]),
         "one_body_keys": len(coeffs.one_body),
@@ -88,7 +91,19 @@ def fresh_weighted_counts(path: Path) -> dict:
 
 @pytest.mark.parametrize("path", WEIGHTED_FILES, ids=lambda path: path.name)
 def test_weighted_counts_are_a_fresh_build_s(path, tmp_path):
-    fresh = fresh_weighted_counts(tmp_path / "h12.json")
+    fresh = fresh_weighted_counts(12, tmp_path / "h12.json")
     for label, sizes in json.loads(path.read_text())["weighted"].items():
         counts = sizes["12"]["counts"]
         assert {name: counts[name] for name in fresh} == fresh, label
+
+
+def test_the_tool_measures_the_current_tree(tmp_path):
+    # the tool's in-process stages, read as a script, run on this tree at N = 8
+    tool = runpy.run_path(str(ROOT / "tools" / "stages.py"))
+    for measure, fresh in (
+        (tool["measure_size"], fresh_counts(8)),
+        (tool["measure_weighted"], fresh_weighted_counts(8, tmp_path / "fresh8.json")),
+    ):
+        table = measure(8, tmp_path)
+        assert all(seconds >= 0 for seconds in table["times"].values()), table["times"]
+        assert {name: table["counts"][name] for name in fresh} == fresh

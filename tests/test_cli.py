@@ -503,11 +503,12 @@ def test_no_module_imports_a_private_name_of_another():
     assert imported == set()
 
 
-def test_only_weighted_strings_builds_and_only_jw_image_calls_ladder():
-    # one Jordan-Wigner kernel: jw_image is the only place that reads the
-    # ladder table and multiplies out product paths, and weighted_strings,
-    # which reads the kernel's rows, the only place that makes weighted strings
-    owners = {"_ladder": "jw_image", "WeightedPauliString": "weighted_strings"}
+def test_only_weighted_strings_builds_and_only_side_calls_ladder():
+    # one Jordan-Wigner kernel: _side, which expands each side of a term
+    # once, is the only place that reads the ladder table, and
+    # weighted_strings, which reads the kernel's rows, the only place that
+    # makes weighted strings
+    owners = {"_ladder": "_side", "WeightedPauliString": "weighted_strings"}
 
     def calls(tree):
         return [

@@ -240,17 +240,21 @@ def _splits(modes, n):
 class TestFourModeTemplate:
     """Blocks on four distinct modes, summed from the per-shape table rather than the product paths."""
 
-    def test_every_split_equals_the_reference(self, monkeypatch):
+    def test_every_split_equals_the_reference(self):
         # strings, coefficients and order; each shape is filled in the test
-        monkeypatch.setattr(fermion, "_SHAPES", {})
+        fermion._shape.cache_clear()
         for n in range(4, 9):
             for modes in combinations(range(n), 4):
                 for term in _splits(modes, n):
                     denominator, rows = jw_image([(term, 1)])
                     assert len(rows) == 16 and rows == sorted(rows), term
                     assert weighted_strings(n, denominator, rows) == reference_jw_term(term), term
-        # one table per shape, and only those
-        assert sorted(fermion._SHAPES) == [(1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)]
+        # one table per shape, and only those: each is a hit now
+        assert fermion._shape.cache_info().currsize == 6
+        hits = fermion._shape.cache_info().hits
+        for shape in [(1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)]:
+            assert len(fermion._shape(shape)) == 16
+        assert fermion._shape.cache_info().hits == hits + 6
 
     @pytest.mark.parametrize("modes,n", [((0, 1, 2, 3), 4), ((0, 2, 3, 5), 6), ((1, 4, 5, 7), 9)])
     def test_weighted_block_is_the_summed_reference(self, modes, n):
@@ -293,11 +297,13 @@ class TestFourModeTemplate:
         code = (
             "from paulisched import fermion\n"
             "from paulisched.cli import main\n"
-            "assert fermion._SHAPES == {}\n"
+            "assert fermion._shape.cache_info().currsize == 0\n"
             "main(['schedule', '--n', '8', '--format', 'json', '--out', 'S'])\n"
-            "assert fermion._SHAPES == {}\n"
+            "assert fermion._shape.cache_info().currsize == 0\n"
             "main(['families', '--n', '8', '--format', 'json', '--out', 'F'])\n"
-            "print(sorted(fermion._SHAPES))"
+            "stored, hits = fermion._shape.cache_info().currsize, fermion._shape.cache_info().hits\n"
+            "fermion._shape((3, 2))\n"
+            "print(stored, fermion._shape.cache_info().hits - hits)"
         )
         src = Path(__file__).resolve().parents[1] / "src"
         path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
@@ -306,20 +312,21 @@ class TestFourModeTemplate:
             capture_output=True, text=True, timeout=300,
         )
         assert result.returncode == 0, result.stderr
-        # the unweighted build only creates the two largest of the four modes
-        assert result.stdout.splitlines()[-1] == "[(3, 2)]"
+        # the unweighted build only creates the two largest of the four
+        # modes: one table is stored, and (3, 2) is a hit
+        assert result.stdout.splitlines()[-1] == "1 1"
 
 
 class TestSideMemo:
     """Each (modes, dagger) side is expanded once per process, whatever the register."""
 
-    def test_bounded_after_a_compile_and_reused_at_every_size(self, capsys, monkeypatch):
-        monkeypatch.setattr(fermion, "_SIDES", {})
+    def test_bounded_after_a_compile_and_reused_at_every_size(self, capsys):
+        fermion._side.cache_clear()
         assert main(["families", "--n", "20"]) == 0
         capsys.readouterr()
         # every one- and two-mode side of either kind appears once
-        assert len(fermion._SIDES) == 2 * (20 + comb(20, 2))
+        assert fermion._side.cache_info().currsize == 2 * (20 + comb(20, 2))
         for n in range(1, 7):
             for term in _all_terms(n):
                 assert jw_term(term) == reference_jw_term(term), term
-        assert len(fermion._SIDES) == 2 * (20 + comb(20, 2))
+        assert fermion._side.cache_info().currsize == 2 * (20 + comb(20, 2))

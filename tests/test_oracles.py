@@ -366,6 +366,12 @@ class TestValidatePartition:
         assert "dense_max_deviation" not in report.details
 
 
+def _clear_kernel_memos() -> None:
+    """Empty the JW kernel's side paths and shape tables."""
+    fermion._side.cache_clear()
+    fermion._shape.cache_clear()
+
+
 class TestOraclesFail:
     """A fault in what an oracle checks fails its report with a counterexample."""
 
@@ -417,11 +423,16 @@ class TestOraclesFail:
     def test_partition_dense_sum_catches_a_kernel_fault(self, monkeypatch):
         # swapping creation and annihilation changes the compile and the
         # exact reference image alike, so only the dense sum can see it
+        # the kernel's memos are cleared before the fault, so it reaches
+        # them, and after, so no faulty side or table outlives this test
         ladder = fermion._ladder
         monkeypatch.setattr(fermion, "_ladder", lambda mode, dagger: ladder(mode, not dagger))
-        monkeypatch.setattr(fermion, "_SIDES", {})
-        monkeypatch.setattr(fermion, "_SHAPES", {})
-        report = validate_partition(build_partition(4).families, 4)
-        assert report.passed is False
-        assert report.counterexample == "dense sum of the families deviates from the Hamiltonian by 4.0"
-        assert not verify_jw_against_matrices(4).passed
+        _clear_kernel_memos()
+        try:
+            report = validate_partition(build_partition(4).families, 4)
+            assert report.passed is False
+            assert report.counterexample == "dense sum of the families deviates from the Hamiltonian by 4.0"
+            assert not verify_jw_against_matrices(4).passed
+        finally:
+            monkeypatch.undo()
+            _clear_kernel_memos()

@@ -30,6 +30,12 @@ machine drift.  The file records:
   ``os.wait4``.  ``H20`` in a command is ``generate(20, 1, 0)``, written
   by a child process, so the launcher never holds it.
 
+Every child runs from cached bytecode, as ``perfbench/run.py`` does: each
+tree has its own ``PYTHONPYCACHEPREFIX`` in a temporary directory, filled
+by one untimed launch per tree before the timed ones, so no timed launch
+compiles a module and no tree gains a ``__pycache__``.  Whether a tree
+holds stray bytecode beside its sources then moves no row.
+
 The stage times reach into two private functions of ``partition``, so a
 tree that renames them needs this script changed too.
 """
@@ -48,9 +54,17 @@ import time
 from pathlib import Path
 
 SIZES = (8, 12, 16, 20, 24, 28)
-WEIGHTED_SIZES = (12, 20)
+WEIGHTED_SIZES = (12, 20, 28)
 REPEAT = 5  # the stage times are the best of this many
-COMMANDS = ("families --n 20", "families --n 28", "schedule --n 28", "families --n 20 --hamiltonian H20")
+COMMANDS = (
+    "families --n 16",
+    "families --n 20",
+    "families --n 24",
+    "families --n 28",
+    "families --n 36",
+    "schedule --n 28",
+    "families --n 20 --hamiltonian H20",
+)
 RUNS = 10  # launches of each command per tree
 GENERATOR = Path(__file__).resolve().parents[1] / "perfbench" / "hamiltonian.py"
 
@@ -183,23 +197,36 @@ def spread(values: list[float]) -> dict:
     return {"median": round(median, 4), "q1": round(low, 4), "q3": round(high, 4)}
 
 
-def cli_runs(trees: dict[str, Path], scratch: Path) -> dict:
-    """Each command run ``RUNS`` times per tree, the trees alternating which goes first."""
+def tree_env(src: Path, scratch: Path, label: str) -> dict:
+    """The environment of a child that imports the tree at ``src``, with its
+    bytecode cached in its own directory under ``scratch``."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONPYCACHEPREFIX=str(scratch / f"pycache-{label}"))
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    return env
+
+
+def cli_argv(command: str, out: Path) -> list[str]:
+    return [sys.executable, "-m", "paulisched", *command.split(), "--format", "json", "--out", str(out)]
+
+
+def cli_runs(envs: dict[str, dict], scratch: Path) -> dict:
+    """Each command run ``RUNS`` times per tree, the trees alternating which
+    goes first, after one untimed launch per tree that caches its bytecode."""
     # a child writes the input, so that the launcher's peak, which wait4
     # counts in every child's, stays small
     code = f"import sys; sys.path.insert(0, {str(Path(__file__).resolve().parent)!r}); import stages; "
     code += "from pathlib import Path; stages.write_hamiltonian(Path('H20'), 20)"
     subprocess.run([sys.executable, "-c", code], cwd=scratch, check=True)
-    samples = {label: {command: ([], []) for command in COMMANDS} for label in trees}
+    for label, env in envs.items():
+        launch(cli_argv(COMMANDS[0], scratch / "warm-up.json"), env, scratch)
+    samples = {label: {command: ([], []) for command in COMMANDS} for label in envs}
     digests: dict[str, set] = {}
     for run in range(RUNS):
-        labels = list(trees) if run % 2 == 0 else list(reversed(trees))
+        labels = list(envs) if run % 2 == 0 else list(reversed(envs))
         for command in COMMANDS:
             for label in labels:
-                env = dict(os.environ, PYTHONPATH=str(trees[label]), PYTHONDONTWRITEBYTECODE="1")
                 out = scratch / f"{label}-{command.replace(' ', '')}.json"
-                argv = [sys.executable, "-m", "paulisched", *command.split(), "--format", "json", "--out", str(out)]
-                seconds, rss = launch(argv, env, scratch)
+                seconds, rss = launch(cli_argv(command, out), envs[label], scratch)
                 walls, peaks = samples[label][command]
                 walls.append(seconds)
                 peaks.append(rss)
@@ -227,7 +254,7 @@ def machine() -> dict:
     return {"nproc": os.cpu_count(), "cpu": model, "python": platform.python_version()}
 
 
-def measure_tree(src: Path) -> dict:
+def measure_tree(env: dict) -> dict:
     """The stage table of one tree, from a fresh interpreter that imports it."""
     code = (
         "import json, sys\n"
@@ -235,7 +262,6 @@ def measure_tree(src: Path) -> dict:
         "import stages\n"
         "print(json.dumps(stages.child()))"
     )
-    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     return json.loads(result.stdout)
 
@@ -265,14 +291,19 @@ def main(argv=None) -> int:
         "method": {
             "stages": f"best of {REPEAT} in process, a fresh interpreter per tree, unweighted compile",
             "weighted": f"best of {REPEAT} in process, the same interpreter, on generate(n, 1, 0); collector on",
-            "cli": f"{RUNS} launches per command and tree, trees alternating first; median and quartiles",
+            "cli": (
+                f"{RUNS} launches per command and tree, trees alternating first; median and quartiles; "
+                "launched from cached bytecode, one PYTHONPYCACHEPREFIX per tree, "
+                "filled by one untimed launch per tree"
+            ),
         },
     }
-    measured = {label: measure_tree(src) for label, src in trees.items()}
-    for part in ("stages", "weighted"):
-        report[part] = {label: tables[part] for label, tables in measured.items()}
     with tempfile.TemporaryDirectory() as scratch:
-        report["cli"] = cli_runs(trees, Path(scratch))
+        envs = {label: tree_env(src, Path(scratch), label) for label, src in trees.items()}
+        measured = {label: measure_tree(env) for label, env in envs.items()}
+        for part in ("stages", "weighted"):
+            report[part] = {label: tables[part] for label, tables in measured.items()}
+        report["cli"] = cli_runs(envs, Path(scratch))
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
 
