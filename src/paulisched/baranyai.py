@@ -35,17 +35,18 @@ the source->hub edge.  Dinic's algorithm on it (kept in the tests as the
 oracle, with the network builder) is run on the slot table instead, and
 augments along the same paths in the same order:
   * the walk takes the source and the hub for two more nodes beside the
-    subsets.  Each round's in-edge comes from its origin, the source when
-    the round must take the element and the hub when it may, and a round
-    that takes no slot is said to feed its origin.  So every node's live
-    arcs toward the rounds are to the rounds that feed it, in round order:
-    a subset's are the reverse edges of the rounds matched to it, the
-    source's and the hub's the in-edges of their free rounds.  After them
-    comes the node's sink edge; a subset has room on it, the source and
-    the hub none, and the source's hub edge is its last arc;
+    subsets, and walks every path from the source.  Each round's in-edge
+    comes from its origin, the source when the round must take the
+    element and the hub when it may, and a round that takes no slot is
+    said to feed its origin.  So every node's live arcs toward the rounds
+    are to the rounds that feed it, in round order: a subset's are the
+    reverse edges of the rounds matched to it, the source's and the hub's
+    the in-edges of their free rounds.  After them comes the node's last
+    arc: a subset's sink edge, the source's hub edge; the hub has none;
   * every path starts on a capacity-1 arc into a round, from the source
-    or from the hub, so it carries one unit, and the walk resumes at the
-    source or the hub, the tail of the first arc it saturates;
+    or, past the hub edge, from the hub, so it carries one unit; the walk
+    then starts again at the source, every current arc kept, as Dinic's
+    does;
   * a round holds at most one unit, so its flow is one matched slot; its
     arcs are its reverse in-edge to its origin (live when it is matched,
     and of use only when the hub is its origin) and then its row;
@@ -86,10 +87,15 @@ Three shortcuts keep the walk on those paths:
     the node it feeds, and the extra arc can give the round only a
     distance one above that node's, never the one below that the walk
     looks for;
-  * the rounds feeding each node are kept from phase to phase: a
-    phase records each augmentation's (round, old node, new node) and
-    replays them once it is over, so every phase, like Dinic's, reads them
-    as they were at its start and skips a round that moved since.
+  * each node reads the rounds feeding it live, scanning in round order
+    the rounds with an arc into it, and no snapshot taken at a phase's
+    start is needed.  A round that comes to feed a node during a phase
+    gets there along an arc that runs one level down, so it sits one level
+    above the node, where the node's arcs look one level below; and a
+    round that left the node no longer feeds it.  A matched forced round
+    is never freed again, since its only way back is its reverse in-edge
+    to the source, so the source scans only the forced rounds the first
+    phase left free.
 
 The state is kept in the order the network needs and updated in place at
 each step, not re-derived.  Each partial subset has an int slot id, given
@@ -111,7 +117,7 @@ Construction is sequential across insertions; schedules for distinct n may
 be built concurrently, and finished Schedule values are immutable.
 """
 
-from bisect import bisect_right, insort
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from math import comb
@@ -250,11 +256,11 @@ def _insertion_choice(state: PartialState) -> dict[int, int]:
     Exactly the choice of Dinic's algorithm on the step's insertion
     network, run on the slot table (see the module docstring): the first
     phase as the greedy pass it is, then phases levelled by one
-    breadth-first search from the sink, whose walk steps only one closer to
-    the sink at a time, with the rounds each node feeds kept from one phase
-    to the next.  The source and the hub are two more nodes after the
-    types, the last two entries of every per-node list, and the walk steps
-    from any node to the rounds it feeds by one rule.
+    breadth-first search from the sink, each walked from the source one
+    step closer to the sink at a time.  The source and the hub are two
+    more nodes after the types, the last two entries of every per-node
+    list, and the walk steps from any node to the rounds that feed it now
+    by one rule.
     """
     n, i = state.n, state.inserted
     if i >= n:
@@ -286,117 +292,100 @@ def _insertion_choice(state: PartialState) -> dict[int, int]:
                     hub_room -= 1
                 break
 
-    # holders[s]: the rounds feeding node s, in round order, so the source
-    # holds the free forced rounds and the hub the free optional ones (a
-    # complete round, whose in-edge has no room, is held by none);
-    # rounds_of[s]: the rounds with an arc into node s, those whose row
-    # holds type s and, for the hub, the optional rounds.  The rows do not
-    # change before _apply.
-    holders = [[] for _ in room]
+    # rounds_of[s]: the rounds with an arc into node s, in round order:
+    # those whose row holds type s, for the source the forced rounds the
+    # first phase left free, for the hub the optional rounds.  A node's
+    # arcs toward the rounds are those of its rounds that feed it now.  The
+    # rows do not change before _apply.
     rounds_of = [[] for _ in room]
     for r, row in enumerate(rows):
-        if needed[r]:
-            holders[feeds[r]].append(r)
         for s in row:
             rounds_of[s].append(r)
+    rounds_of[SOURCE] = [r for r in forced if feeds[r] == SOURCE]
     rounds_of[HUB] = optional
+    # what the source can still send: a unit to each free forced round and
+    # what is left on its hub edge
+    left = len(rounds_of[SOURCE]) + hub_room
 
-    # with no free forced round and no hub room the source has no residual
-    # arc left, so no search could reach it
-    while holders[SOURCE] or hub_room:
+    while left:
         round_dist, node_dist, source_dist = _distances(feeds, rounds_of, room, hub_room)
         if source_dist < 0:
             break
+        node_dist[SOURCE] = source_dist
 
-        # Blocking flow.  Current arcs: round_arc[r] is -1 for the reverse
-        # in-edge and k for row position k; node_arc[s] indexes holders[s],
-        # with the sink edge at its end.  Each augmentation's moves, (round,
-        # old node, new node), are recorded and reach holders only once the
-        # phase is over.
-        round_arc = [-1] * m
+        # Blocking flow, walked from the source.  Current arcs: node_arc[s]
+        # indexes rounds_of[s], with the node's last arc (the source's hub
+        # edge, a type's sink edge) at its end; round_arc[r] is -1 for the
+        # reverse in-edge and k for row position k.  path holds the rounds
+        # from the source to node at, each entered from the node it feeds.
         node_arc = [0] * len(room)
-        moves = []
-        # the source's arcs on a shortest path: its free forced rounds, then
-        # its hub edge, which comes after every round's
-        starts = [r for r in holders[SOURCE] if round_dist[r] == source_dist - 1]
-        from_source = len(starts)
-        if hub_room and node_dist[HUB] == source_dist - 1:
-            starts += [r for r in holders[HUB] if round_dist[r] == source_dist - 2]
-        for first, r in enumerate(starts):
-            from_hub = first >= from_source
-            if from_hub and not hub_room:
-                break
-            path = [r]
-            at = None  # the node round r's current arc leads to, once found
-            while True:
-                if at is None:
-                    # round r: its reverse in-edge, then its row; no row arc
-                    # needs a capacity check, since only the arc to the slot
-                    # a round feeds can be full, and a matched round is only
-                    # reached from that type, one farther from the sink
-                    next_dist = round_dist[r] - 1
-                    k = round_arc[r]
-                    if k < 0 and node_dist[origin[r]] == next_dist:
-                        at = origin[r]
-                    else:
-                        row = rows[r]
-                        for k in range(max(k, 0), len(row)):
-                            if node_dist[row[k]] == next_dist:
-                                at = row[k]
-                                break
-                        else:
-                            k = len(row)
-                        round_arc[r] = k
-                    if at is None:
-                        # dead end, for the rest of the phase: unlevel it, so
-                        # no scan enters it again, and step the node that led
-                        # here past it
-                        round_dist[r] = -1
-                        path.pop()
-                        if not path:
-                            break
-                        r = path[-1]
-                        k = round_arc[r]
-                        at = rows[r][k] if k >= 0 else origin[r]
-                        node_arc[at] += 1
-                held = holders[at]
-                next_dist = node_dist[at] - 1
-                for j in range(node_arc[at], len(held)):
-                    x = held[j]
-                    if feeds[x] == at and round_dist[x] == next_dist:
-                        break
-                else:
-                    j = len(held)
-                node_arc[at] = j
-                if j < len(held):
-                    r = x
-                    path.append(r)
-                    at = None
-                    continue
-                if room[at] and next_dist == 0:  # the sink
-                    # augment one unit: each round on the path now feeds the
-                    # node its current arc leads to
-                    room[at] -= 1
-                    if from_hub:
-                        hub_room -= 1
-                    for x in path:
-                        k = round_arc[x]
-                        new = rows[x][k] if k >= 0 else origin[x]
-                        moves.append((x, feeds[x], new))
-                        feeds[x] = new
+        round_arc = [-1] * m
+        path, at, sent = [], SOURCE, left
+        while True:
+            next_dist = node_dist[at] - 1
+            # a node one from the sink has no round one closer
+            arcs = rounds_of[at] if next_dist else ()
+            for j in range(node_arc[at], len(arcs)):
+                r = arcs[j]
+                if feeds[r] == at and round_dist[r] == next_dist:
                     break
+            else:
+                j = len(arcs)
+            node_arc[at] = j
+            if j < len(arcs):
+                path.append(r)
+            elif at == SOURCE:
+                if not hub_room or node_dist[HUB] != next_dist:
+                    break  # the source is dead: the phase is over
+                at = HUB
+                continue
+            elif room[at] and next_dist == 0:  # the sink
+                # augment one unit: each round on the path now feeds the
+                # node its current arc leads to, and the walk starts again
+                # at the source
+                room[at] -= 1
+                left -= 1
+                for r in reversed(path):
+                    feeds[r], at = at, feeds[r]
+                if at == HUB:  # the node the path's first round fed
+                    hub_room -= 1
+                path, at = [], SOURCE
+                continue
+            else:
                 # dead end, for the rest of the phase: unlevel it and step
-                # round r past it
+                # the round that led here past it; with no round, it is the
+                # hub, entered by the source's hub edge
                 node_dist[at] = -1
+                if not path:
+                    at = SOURCE
+                    continue
+                r = path[-1]
                 round_arc[r] += 1
-                at = None
-        if not moves:
+            # round r, from its current arc: its reverse in-edge, then its
+            # row; no row arc needs a capacity check, since only the arc to
+            # the slot a round feeds can be full, and a matched round is
+            # only reached from that type, one farther from the sink
+            next_dist = round_dist[r] - 1
+            k = round_arc[r]
+            if k < 0 and node_dist[origin[r]] == next_dist:
+                at = origin[r]
+                continue
+            row = rows[r]
+            for k in range(max(k, 0), len(row)):
+                if node_dist[row[k]] == next_dist:
+                    round_arc[r], at = k, row[k]
+                    break
+            else:
+                # dead end: unlevel it and step the node it feeds, which
+                # led here, past it
+                round_dist[r] = -1
+                path.pop()
+                at = feeds[r]
+                node_arc[at] += 1
+        if left == sent:
             # a phase that reaches the source always augments; should a fault
             # break that, stop here and let _apply refuse the short choice
             break
-        for x, old, new in moves:
-            holders[old].remove(x)
-            insort(holders[new], x)
     return {r: s for r, s in enumerate(feeds) if s >= 0}
 
 

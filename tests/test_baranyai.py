@@ -237,6 +237,33 @@ class TestInsertionChoiceChecks:
         monkeypatch.setattr(baranyai, "_distances", distances)
         return levels
 
+    @pytest.mark.parametrize("n", [13, 23, 28, 30])
+    def test_each_search_finds_the_source_farther_than_the_last(self, n, monkeypatch):
+        # Dinic's phase rule: a blocking flow leaves no augmenting path as
+        # short as its own, so within a step each search finds the source
+        # farther from the sink, and only the step's last search may miss
+        # it.  A walk that ends a phase before its blocking flow is complete
+        # breaks this; the byte pins would only show different bytes.  The
+        # deepest steps here search 32 times, so _record_searches, which
+        # stops a step at ten, cannot serve.
+        steps, search = [], baranyai._distances
+
+        def distances(*args):
+            found = search(*args)
+            steps[-1].append(found[-1])
+            return found
+
+        monkeypatch.setattr(baranyai, "_distances", distances)
+        state = PartialState.initial(n)
+        for _ in range(n):
+            steps.append([])
+            _apply(state, _insertion_choice(state))
+        for levels in steps:
+            assert -1 not in levels[:-1], levels
+            reached = [level for level in levels if level >= 0]
+            assert all(a < b for a, b in zip(reached, reached[1:])), levels
+        assert max(len(levels) for levels in steps) > 1
+
     def test_finished_state_is_refused(self):
         state = PartialState.initial(6)
         for _ in range(6):

@@ -20,15 +20,16 @@ machine drift.  The file records:
   class, string slots, output bytes and the sha256 of the output;
 - per tree and per N in ``WEIGHTED_SIZES``, the same for the weighted
   compile of ``perfbench/hamiltonian.generate(N, 1, 0)``, in the same
-  interpreter: the best of ``REPEAT`` times of ``load_coefficients``, the
-  block table, the families pass and the writer; and the counts: raw
+  interpreter, which only reads the input a child process wrote: the
+  best of ``REPEAT`` times of ``load_coefficients``, the block table,
+  the families pass and the writer; and the counts: raw
   entries, one- and two-body keys, families per class, string slots,
   output bytes and sha256;
 - per tree, each of ``COMMANDS`` (``--format json --out``) run ``RUNS``
   times from a fork-and-exec launcher, trees alternating which goes
   first: the median and quartiles of wall time and of peak RSS, read with
   ``os.wait4``.  ``H20`` in a command is ``generate(20, 1, 0)``, written
-  by a child process, so the launcher never holds it.
+  the same way, so the launcher never holds it.
 
 Every child runs from cached bytecode, as ``perfbench/run.py`` does: each
 tree has its own ``PYTHONPYCACHEPREFIX`` in a temporary directory, filled
@@ -45,7 +46,6 @@ import hashlib
 import json
 import os
 import platform
-import runpy
 import statistics
 import subprocess
 import sys
@@ -63,6 +63,8 @@ COMMANDS = (
     "families --n 28",
     "families --n 36",
     "schedule --n 28",
+    "schedule --n 30",
+    "schedule --n 36",
     "families --n 20 --hamiltonian H20",
 )
 RUNS = 10  # launches of each command per tree
@@ -127,11 +129,23 @@ def measure_size(n: int, scratch: Path) -> dict:
 
 def write_hamiltonian(path: Path, n: int) -> int:
     """Write ``generate(n, 1, 0)``, an input of the weighted benchmark's
-    kind, to ``path``; returns its number of raw entries."""
+    kind, to ``path``; returns its number of raw entries.
+
+    A child process builds and writes the document, so no measuring
+    interpreter holds it: at N = 28 the write alone peaks at about twice
+    what loading the file and compiling its families take.
+    """
     # stdlib-only, and read rather than imported: perfbench is not a package
-    document = runpy.run_path(str(GENERATOR))["generate"](n, 1, 0)
-    path.write_text(json.dumps(document))
-    return len(document["one_body"]) + len(document["two_body"])
+    code = (
+        "import json, runpy, sys\n"
+        "from pathlib import Path\n"
+        "generator, path, n = sys.argv[1:]\n"
+        "document = runpy.run_path(generator)['generate'](int(n), 1, 0)\n"
+        "Path(path).write_text(json.dumps(document))\n"
+        "print(len(document['one_body']) + len(document['two_body']))\n"
+    )
+    argv = [sys.executable, "-c", code, str(GENERATOR), str(path), str(n)]
+    return int(subprocess.run(argv, capture_output=True, text=True, check=True).stdout)
 
 
 def measure_weighted(n: int, scratch: Path) -> dict:
@@ -212,11 +226,9 @@ def cli_argv(command: str, out: Path) -> list[str]:
 def cli_runs(envs: dict[str, dict], scratch: Path) -> dict:
     """Each command run ``RUNS`` times per tree, the trees alternating which
     goes first, after one untimed launch per tree that caches its bytecode."""
-    # a child writes the input, so that the launcher's peak, which wait4
-    # counts in every child's, stays small
-    code = f"import sys; sys.path.insert(0, {str(Path(__file__).resolve().parent)!r}); import stages; "
-    code += "from pathlib import Path; stages.write_hamiltonian(Path('H20'), 20)"
-    subprocess.run([sys.executable, "-c", code], cwd=scratch, check=True)
+    # written by a child, so that the launcher's peak, which wait4 counts in
+    # every child's, stays small
+    write_hamiltonian(scratch / "H20", 20)
     for label, env in envs.items():
         launch(cli_argv(COMMANDS[0], scratch / "warm-up.json"), env, scratch)
     samples = {label: {command: ([], []) for command in COMMANDS} for label in envs}
