@@ -11,20 +11,24 @@ exponents add, and moving Z^z past X^x' adds 2 popcount(z & x').
 ladder product exactly on integers in one pass: every coefficient is
 (a + ib) / 2**f for Gaussian integers a + ib and f ladder factors, so each
 product path carries an i-power and is added straight into the sums of the
-whole weighted set.  :func:`jw_image` returns one denominator and a list of
-rows ``(text, x, z, re, im)``: a string's text, its masks and the
-numerators of its coefficient.  The sums are keyed by a string's digits
-(:func:`paulisched.pauli.pauli_digits`), and each row's text is formatted
-from them by :func:`paulisched.pauli.pauli_text`, the one text rule; a
-four-mode block's rows are spliced from text halves in the same letters
-instead (below).  The block fold in :mod:`paulisched.partition` calls
-:func:`jw_image` once per block and carries the rows to the writer as
-they are.  :func:`weighted_strings`, the one builder of
-weighted strings, turns rows into
+whole weighted set.  :func:`jw_image` takes the register size n and
+``(key, value)`` entries, a key being a term's ``(creates, annihilates)``,
+the two mode tuples that :class:`FermionicTerm` checks; it builds no term.
+It returns one denominator and a list of rows ``(text, x, z, re, im)``: a
+string's text, its masks and the numerators of its coefficient.  The sums
+are keyed by a string's digits (:func:`paulisched.pauli.pauli_digits`),
+and each row's text is formatted from them by
+:func:`paulisched.pauli.pauli_text`, the one text rule; a four-mode
+block's rows are spliced from text halves in the same letters instead
+(below).  The block fold in :mod:`paulisched.partition` calls
+:func:`jw_image` once per block, on the keys its block table holds, and
+carries the rows to the writer as they are.  :func:`weighted_strings`, the
+one builder of weighted strings, turns rows into
 :class:`~paulisched.pauli.WeightedPauliString` values: the view of a
-family, and :func:`jw_term`, the single-term image, read through it.  No
-sign or phase is hand-coded, which is what the dense-matrix oracles in
-:mod:`paulisched.oracles` verify.
+family, and :func:`jw_term`, the single-term image of a checked
+:class:`FermionicTerm`, read through it.  No sign or phase is hand-coded,
+which is what the dense-matrix oracles in :mod:`paulisched.oracles`
+verify.
 
 A term is the product of its creates side and its annihilates side, and
 each side is expanded once per process by that rule: :func:`_side`, a
@@ -52,7 +56,8 @@ X position, so they add no phase.  So a block whose terms all name the
 same four modes, as every block of a 4-bit X mask does, takes no product
 path.  :func:`_shape`, the second cached function, maps each shape to its
 16 numerators over 2**4: the rows of that term on the register of the
-modes 0..3, read in order, as the expansion routine sorts them by text.
+modes 0..3, expanded from its key by the expansion routine, which sorts
+them by text, and read in order.
 The block's sums are each term's value, scaled to the common denominator,
 times its shape's table, so a weighted block of up to six terms and an
 unweighted one of one term take the same code.  Each row is one of four
@@ -143,14 +148,14 @@ def _side(modes: tuple[int, ...], dagger: bool) -> tuple[tuple[int, int, int, in
 
 
 def _product_rows(n: int, scaled) -> list[tuple[str, int, int, int, int]]:
-    """The text-sorted rows of sum(scale * term) over (term, scale) pairs
+    """The text-sorted rows of sum(scale * term) over (key, scale) pairs
     with integer scales, each product path of a term adding its scale times
     its phase; rows that sum to zero drop."""
     sums = {}  # per string's digits, [re, im, x, z]
-    for term, scale in scaled:
-        annihilates = _side(term.annihilates, False)
-        for cx, cz, ce, cd in _side(term.creates, True):
-            for ax, az, ae, ad in annihilates:
+    for (creates, annihilates), scale in scaled:
+        annihilated = _side(annihilates, False)
+        for cx, cz, ce, cd in _side(creates, True):
+            for ax, az, ae, ad in annihilated:
                 # normal-form exponents add, Z^cz X^ax = (-1)^|cz & ax| X^ax Z^cz,
                 # and the product's own Y letters leave the normal form
                 x, z = cx ^ ax, cz ^ az
@@ -168,43 +173,46 @@ def _shape(creates: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     """The 16 (re, im) numerators over 2**4, in text order, of the term on
     the modes 0..3 that creates the positions ``creates``; a tuple, as
     every caller shares it."""
-    term = FermionicTerm(creates, tuple(p for p in (3, 2, 1, 0) if p not in creates), 4)
-    return tuple([(re, im) for _, _, _, re, im in _product_rows(4, [(term, 1)])])
+    key = creates, tuple(p for p in (3, 2, 1, 0) if p not in creates)
+    return tuple([(re, im) for _, _, _, re, im in _product_rows(4, [(key, 1)])])
 
 
-def jw_image(entries) -> tuple[int, list[tuple[str, int, int, int, int]]]:
-    """The exact JW image of sum(value * term) over (term, value) entries.
+def jw_image(n: int, entries) -> tuple[int, list[tuple[str, int, int, int, int]]]:
+    """The exact JW image of sum(value * term) over (key, value) entries.
 
-    ``entries`` is a non-empty list; values are ints or Fractions and all
-    terms share one register.  The sum is made on integers over one common
-    denominator D: the lcm of the values' denominators times 2**f for the
-    largest ladder count f among the terms.  Each value is scaled once to
-    its numerator over D / 2**f for its own term's f.  Each product path of
-    a term's ladder factors adds its scaled value times its phase i**k to
-    the numerators of its string.  A block whose terms all name the same
-    four distinct modes is summed from the shape tables instead: each term
-    adds its scaled value times the table of its shape (:func:`_shape`),
-    and the rows are spliced from text halves (:func:`_four_mode_rows`).
+    ``entries`` is a non-empty list.  A key is a term's ``(creates,
+    annihilates)``: two strictly descending tuples of modes in range(n),
+    one mode each or two each, as :class:`FermionicTerm` checks them; the
+    key is not checked again here.  Values are ints or Fractions.  The sum
+    is made on integers over one common denominator D: the lcm of the
+    values' denominators times 2**f for the largest ladder count f among
+    the terms.  Each value is scaled once to its numerator over D / 2**f
+    for its own term's f.  Each product path of a term's ladder factors
+    adds its scaled value times its phase i**k to the numerators of its
+    string.  A block whose terms all name the same four distinct modes is
+    summed from the shape tables instead: each term adds its scaled value
+    times the table of its shape (:func:`_shape`), and the rows are
+    spliced from text halves (:func:`_four_mode_rows`).
     Returns D and one row ``(text, x, z, re, im)`` per string whose sum
     (re + i im) / D is nonzero; strings that sum to zero drop out.  The
     rows are sorted by text, which makes downstream output reproducible;
     texts are unique, so that is plain tuple order.
     """
-    first = entries[0][0]
-    ladders = [len(term.creates) + len(term.annihilates) for term, _ in entries]
+    first, _ = entries[0]
+    ladders = [len(c) + len(a) for (c, a), _ in entries]
     denominator = lcm(*[value.denominator for _, value in entries]) << max(ladders)
     scaled = [
-        (term, value.numerator * (denominator // (value.denominator << f)))
-        for (term, value), f in zip(entries, ladders)
+        (key, value.numerator * (denominator // (value.denominator << f)))
+        for (key, value), f in zip(entries, ladders)
     ]
-    ends = sorted({*first.creates, *first.annihilates})
-    if len(ends) != 4 or any(sorted(term.creates + term.annihilates) != ends for term, _ in entries):
-        return denominator, _product_rows(first.n, scaled)
+    ends = sorted({*first[0], *first[1]})
+    if len(ends) != 4 or any(sorted(c + a) != ends for (c, a), _ in entries):
+        return denominator, _product_rows(n, scaled)
     # every term names the same four distinct modes; its shape is which two
     # of the four sorted positions it creates
     sums = None
-    for term, scale in scaled:
-        table = _shape(tuple([ends.index(m) for m in term.creates]))
+    for (creates, _), scale in scaled:
+        table = _shape(tuple([ends.index(m) for m in creates]))
         if sums is None:
             # the unweighted build's one term has scale 1 and reads its table,
             # which nothing changes, as it is: scaling it anyway costs about 2%
@@ -212,7 +220,7 @@ def jw_image(entries) -> tuple[int, list[tuple[str, int, int, int, int]]]:
             sums = table if scale == 1 else [(scale * re, scale * im) for re, im in table]
         else:
             sums = [(re + scale * tre, im + scale * tim) for (re, im), (tre, tim) in zip(sums, table)]
-    return denominator, _four_mode_rows(first.n, ends, sums)
+    return denominator, _four_mode_rows(n, ends, sums)
 
 
 def _four_mode_rows(n: int, ends, sums) -> list[tuple[str, int, int, int, int]]:
@@ -260,9 +268,9 @@ def weighted_strings(n: int, denominator: int, rows) -> list[WeightedPauliString
 def jw_term(term: FermionicTerm) -> list[WeightedPauliString]:
     """Expand a term's full ladder product into weighted Pauli strings.
 
-    This is ``jw_image([(term, 1)])`` read through :func:`weighted_strings`:
-    equal strings arising from index repetition are combined and zero
-    coefficients dropped, so nilpotent products come back empty, and the
-    result is sorted by string text.
+    This is :func:`jw_image` of the term's key at value 1, read through
+    :func:`weighted_strings`: equal strings arising from index repetition
+    are combined and zero coefficients dropped, so nilpotent products come
+    back empty, and the result is sorted by string text.
     """
-    return weighted_strings(term.n, *jw_image([(term, 1)]))
+    return weighted_strings(term.n, *jw_image(term.n, [((term.creates, term.annihilates), 1)]))

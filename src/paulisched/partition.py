@@ -2,20 +2,23 @@
 
 One pass yields the partition unit by unit.  Every JW string of a term
 has the same X mask, the XOR of the term's mode bits, so all terms are
-grouped into *blocks* keyed by that X-support, in one table.  Each block is
-folded once, by :func:`~paulisched.fermion.jw_image`, into the exact JW
-image of its weighted terms: one denominator and a row ``(text, x, z, re,
-im)`` per string.  :mod:`paulisched.fermion` sums the integer numerators,
-this module only groups and splits the rows, certifies them on their
-masks and writes their text and numerators: no Pauli object is built
-between the kernel and the file.  A family's ``strings`` view builds them
-for the oracles and the tests, and ``len(family)`` counts its strings
-without it.  Each unit of blocks is then split into an even-Y and an odd-Y
-family, and
-both are yielded before the next unit is folded: a caller that writes the
-families as they come, as the command line does, holds the block table and
-one unit's families, never the whole partition, and the table shrinks as
-its blocks are taken.
+grouped into *blocks* keyed by that X-support, in one table.  A term is
+carried as its key ``(creates, annihilates)``, its two descending mode
+tuples, checked where the input arrived: the table's entries are ``(key,
+value)`` pairs.  Each block is folded once, by
+:func:`~paulisched.fermion.jw_image`, into the exact JW image of its
+weighted terms: one denominator and a row ``(text, x, z, re, im)`` per
+string.  :mod:`paulisched.fermion` sums the integer numerators, this
+module only groups and splits the rows, certifies them on their masks and
+writes their text, their numerators and the keys: no term object and no
+Pauli object is built between the block table and the file.  A family's
+``strings`` view builds the Pauli objects for the oracles and the tests,
+and ``len(family)`` counts its strings without it.  Each unit of blocks is
+then split into an even-Y and an odd-Y family, and both are yielded
+before the next unit is folded: a caller that writes the families as they
+come, as the command line does, holds the block table and one unit's
+families, never the whole partition, and the table shrinks as its blocks
+are taken.
 
 The units are the schedule's rounds first, then every block the rounds
 leave, one unit each in ascending X-mask order.  A round takes the block
@@ -42,10 +45,10 @@ anticommuting pair in the :class:`FamilyCertificationError` of a family
 that fails.
 
 Since each block is taken out of the table once, each distinct string sits
-in exactly one family, whose provenance is every term of each block that
-puts a string into it.  A schedule only decides how the four-mode blocks
-are packed into families: an incomplete one leaves more units, never
-fewer strings.
+in exactly one family, whose provenance is the key of every term of each
+block that puts a string into it, the block table's own key tuples.  A
+schedule only decides how the four-mode blocks are packed into families:
+an incomplete one leaves more units, never fewer strings.
 
 Grouping depends only on n.  Coefficients are brought to normal order
 (descending indices per operator kind, with the antisymmetry sign) and
@@ -68,7 +71,7 @@ from math import gcd, lcm
 from pathlib import Path
 
 from .baranyai import Schedule, build_schedule, round_sizes
-from .fermion import FermionicTerm, jw_image, weighted_strings
+from .fermion import jw_image, weighted_strings
 from .pauli import WeightedPauliString, anticommuting_indices
 
 __all__ = [
@@ -117,13 +120,15 @@ class CommutingFamily:
     """Pauli strings certified pairwise-commuting, with the terms they came from.
 
     Each row ``(text, x, z, re, im)`` is an n-qubit string, its masks and
-    the numerators of its coefficient (re + i im) / ``denominator``.
+    the numerators of its coefficient (re + i im) / ``denominator``.  Each
+    provenance entry is a term's key ``(creates, annihilates)``, its two
+    descending mode tuples, as the block table holds it.
     """
 
     n: int
     denominator: int
     rows: tuple[tuple[str, int, int, int, int], ...]
-    provenance: tuple[FermionicTerm, ...]
+    provenance: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
     origin: str  # "dominant" or "residual"
 
     def __len__(self) -> int:
@@ -194,8 +199,8 @@ def _certified(family: CommutingFamily) -> CommutingFamily:
 def _split(n: int, unit, origin: str) -> list[CommutingFamily]:
     """The certified even-Y and odd-Y families of a unit of blocks.
 
-    A block is a list of (term, value) entries, folded here into its
-    :func:`~paulisched.fermion.jw_image`; all its terms are provenance of
+    A block is a list of (key, value) entries, folded here into its
+    :func:`~paulisched.fermion.jw_image`; all its keys are provenance of
     each half it puts a string into.  A half's denominator is the lcm of
     the denominators of those blocks, and each block's numerators are
     scaled up to it.  Empty halves drop.
@@ -203,7 +208,7 @@ def _split(n: int, unit, origin: str) -> list[CommutingFamily]:
     parts: tuple[list, list] = ([], [])  # per half, (denominator, rows) of each block
     terms: tuple[list, list] = ([], [])
     for block in unit:
-        denominator, rows = jw_image(block)
+        denominator, rows = jw_image(n, block)
         halves: tuple[list, list] = ([], [])
         for row in rows:
             # Y letters only ever sit on endpoint positions, so the Y parity
@@ -212,7 +217,7 @@ def _split(n: int, unit, origin: str) -> list[CommutingFamily]:
         for half, part, provenance in zip(halves, parts, terms):
             if half:
                 part.append((denominator, half))
-                provenance += [term for term, _ in block]
+                provenance += [key for key, _ in block]
     families = []
     for part, provenance in zip(parts, terms):
         if part:
@@ -226,29 +231,32 @@ def _split(n: int, unit, origin: str) -> list[CommutingFamily]:
 
 
 def _blocks(n: int, coeffs: "HamiltonianCoefficients | None") -> dict[int, list]:
-    """Every (term, value) entry keyed by X mask: without coefficients every
-    canonical non-vanishing term at value 1, else the entries by sorted key."""
+    """Every (key, value) entry keyed by X mask: without coefficients every
+    canonical non-vanishing term at value 1, else the entries by sorted key.
+    A key is a term's ``(creates, annihilates)``, two descending mode
+    tuples, canonical as enumerated here or checked as the coefficients
+    were read, so none is checked again."""
     if coeffs is None:
-        terms = [FermionicTerm.one_body(p, q, n) for p in range(n) for q in range(n)]
-        terms += [
-            FermionicTerm((q, p), (s, r), n)  # descending
+        keys = [((p,), (q,)) for p in range(n) for q in range(n)]
+        keys += [
+            ((q, p), (s, r))  # descending
             for p, q in combinations(range(n), 2)
             for r, s in combinations(range(n), 2)
             if p == r or p == s or q == r or q == s
         ]
         # one term per 4-subset, creating its two largest modes
-        terms += [FermionicTerm.two_body(d, c, b, a, n) for a, b, c, d in combinations(range(n), 4)]
-        table = [(term, 1) for term in terms]
+        keys += [((d, c), (b, a)) for a, b, c, d in combinations(range(n), 4)]
+        table = [(key, 1) for key in keys]
     else:
-        table = [(FermionicTerm.one_body(*key, n), value) for key, value in sorted(coeffs.one_body.items())]
-        table += [(FermionicTerm.two_body(*key, n), value) for key, value in sorted(coeffs.two_body.items())]
+        table = [(((p,), (q,)), value) for (p, q), value in sorted(coeffs.one_body.items())]
+        table += [(((p, q), (r, s)), value) for (p, q, r, s), value in sorted(coeffs.two_body.items())]
     blocks: dict[int, list] = {}
-    for term, value in table:
+    for key, value in table:
         # the XOR of both sides' mode bits, as each side's modes are distinct
         mask = 0
-        for m in term.creates + term.annihilates:
+        for m in key[0] + key[1]:
             mask ^= 1 << m
-        blocks.setdefault(mask, []).append((term, value))
+        blocks.setdefault(mask, []).append((key, value))
     return blocks
 
 
@@ -661,8 +669,8 @@ def _family_chunks(families, path):
             ) from None
         strings = _dumps([row[0] for row in family.rows])
         terms = ",".join([
-            f'{{"creates":{modes(t.creates)},"annihilates":{modes(t.annihilates)}}}'
-            for t in family.provenance
+            f'{{"creates":{modes(creates)},"annihilates":{modes(annihilates)}}}'
+            for creates, annihilates in family.provenance
         ])
         yield (
             f'{"," if i else ""}{{"origin":{_dumps(family.origin)},"strings":{strings},'

@@ -157,6 +157,16 @@ def reference_jw_term(term: FermionicTerm) -> list[WeightedPauliString]:
     ]
 
 
+def key(term: FermionicTerm) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """A term's key ``(creates, annihilates)``, the form the compile carries it in."""
+    return term.creates, term.annihilates
+
+
+def keyed(entries) -> list:
+    """(term, value) entries as the (key, value) entries of a block."""
+    return [(key(term), value) for term, value in entries]
+
+
 def is_two_body(term: FermionicTerm) -> bool:
     return len(term.creates) == 2
 
@@ -307,7 +317,8 @@ def reference_from_entries(n, one_body_entries, two_body_entries) -> Hamiltonian
 def family_of(strings, provenance=(), origin="residual") -> CommutingFamily:
     """The family whose ``strings`` view reads back ``strings``, in order: each
     coefficient's numerators over the lcm of every denominator, the register
-    of the first string.  For hand-made and doctored families."""
+    of the first string, and the term keys ``provenance``.  For hand-made
+    and doctored families."""
     denominator = lcm(*(
         part.denominator for w in strings for part in (w.coefficient.real, w.coefficient.imag)
     ))
@@ -329,8 +340,8 @@ def reference_save_families(families, path) -> None:
                 [float(w.coefficient.real), float(w.coefficient.imag)] for w in family.strings
             ],
             "terms": [
-                {"creates": list(t.creates), "annihilates": list(t.annihilates)}
-                for t in family.provenance
+                {"creates": list(creates), "annihilates": list(annihilates)}
+                for creates, annihilates in family.provenance
             ],
         }
         for family in families

@@ -20,6 +20,8 @@ from conftest import (
     family_of,
     has_distinct_indices,
     is_two_body,
+    key,
+    keyed,
     reference_fold,
     reference_from_entries,
     reference_jw_term,
@@ -28,9 +30,9 @@ from conftest import (
     support,
     write_coefficients,
 )
-from paulisched import partition
+from paulisched import fermion, partition
 from paulisched.baranyai import Schedule, build_schedule
-from paulisched.cli import build_parser
+from paulisched.cli import build_parser, main
 from paulisched.fermion import FermionicTerm, jw_image, jw_term, weighted_strings
 from paulisched.oracles import validate_families, validate_partition, validate_schedule
 from paulisched.partition import (
@@ -102,8 +104,8 @@ class TestDominantFamilies:
     def test_provenance_terms_create_top_modes(self):
         families = _dominant(build_schedule(8))
         for family in families:
-            for term in family.provenance:
-                assert term.creates > term.annihilates
+            for creates, annihilates in family.provenance:
+                assert creates > annihilates
 
     def test_bit_identical_between_runs(self):
         first = list(commuting_families(build_schedule(8)))
@@ -132,20 +134,20 @@ class TestResidualFamilies:
         # to (XX + YY) / 2: the odd-Y half cancels
         (pair,) = [f for f in _residual(Schedule(2, ())) if f.strings[0].string.x == 0b11]
         assert [str(w.string) for w in pair.strings] == ["XX", "YY"]
-        assert [(t.creates, t.annihilates) for t in pair.provenance] == [((0,), (1,)), ((1,), (0,))]
+        assert list(pair.provenance) == [((0,), (1,)), ((1,), (0,))]
         # the hopping on its own keeps both halves
         coeffs = HamiltonianCoefficients.from_entries(2, [((1, 0), 1)], [])
         halves = _residual(Schedule(2, ()), coeffs)
         assert [len(f.strings) for f in halves] == [2, 2]
         texts = {str(w.string) for f in halves for w in f.strings}
         assert texts == {"XX", "YY", "XY", "YX"}
-        assert all([(t.creates, t.annihilates) for t in f.provenance] == [((1,), (0,))] for f in halves)
+        assert all(list(f.provenance) == [((1,), (0,))] for f in halves)
 
     def test_diagonal_terms_pool_into_one_family(self):
         families = _residual(Schedule(3, ()))
         pooled = [f for f in families if all(w.string.x == 0 for w in f.strings)]
         assert len(pooled) == 1
-        diag_terms = {t.creates for t in pooled[0].provenance if len(t.creates) == 1}
+        diag_terms = {creates for creates, _ in pooled[0].provenance if len(creates) == 1}
         assert diag_terms == {(0,), (1,), (2,)}
 
     def test_count_bound_and_frozen_count_at_8(self):
@@ -168,15 +170,15 @@ class TestResidualFamilies:
     def test_every_string_of_a_block_has_its_x_mask(self, n):
         for mask, entries in _blocks(n, None).items():
             assert mask.bit_count() in (0, 2, 4)
-            for term, _ in entries:
-                assert all(w.string.x == mask for w in jw_term(term))
+            for (creates, annihilates), _ in entries:
+                assert all(w.string.x == mask for w in jw_term(FermionicTerm(creates, annihilates, n)))
 
     def test_zero_filter(self):
         coeffs = HamiltonianCoefficients.from_entries(
             4, [((1, 0), 0.5)], [(((3, 2, 2, 0)), 1.0)]
         )
         families = _residual(build_schedule(4), coeffs)
-        kinds = sorted((t.creates, t.annihilates) for f in families for t in f.provenance)
+        kinds = sorted(k for f in families for k in f.provenance)
         assert kinds == [((1,), (0,)), ((1,), (0,)), ((3, 2), (2, 0)), ((3, 2), (2, 0))]
 
     def test_requires_positive_n(self):
@@ -195,8 +197,8 @@ def _doctor_block(monkeypatch, mask, change):
     ``change``, a map of its (x, z, re, im) rows; the texts follow the masks."""
     image = partition.jw_image
 
-    def doctored(block):
-        denominator, rows = image(block)
+    def doctored(n, block):
+        denominator, rows = image(n, block)
         if rows[0][1] == mask:
             changed = change([(x, z, re, im) for _, x, z, re, im in rows])
             rows = [(pauli_text(8, pauli_digits(x, z)), x, z, re, im) for x, z, re, im in changed]
@@ -258,8 +260,8 @@ class TestBlockCertification:
 
         image = partition.jw_image
 
-        def doctored(block):
-            denominator, rows = image(block)
+        def doctored(n, block):
+            denominator, rows = image(n, block)
             if rows[0][1] == _MASK_A:
                 rows = [Lying(rows[0]), *rows[1:]]
             return denominator, rows
@@ -404,7 +406,7 @@ class TestCoefficients:
         assert all(w.string.x == 0b10101001 for w in strings)
         assert all(abs_squared(w.coefficient) == Fraction(1, 1024) for w in strings)
         for family in families:
-            assert [support(t) for t in family.provenance] == [(0, 3, 5, 7)]
+            assert [support(FermionicTerm(*k, 8)) for k in family.provenance] == [(0, 3, 5, 7)]
 
     def test_all_zero_filter_drops_everything(self):
         coeffs = HamiltonianCoefficients.from_entries(8, [], [])
@@ -461,7 +463,7 @@ class TestWeightedFold:
         hop = FermionicTerm.one_body(1, 0, 2)
         n0, n1 = FermionicTerm.one_body(0, 0, 2), FermionicTerm.one_body(1, 1, 2)
         entries = [(hop, Fraction(2)), (n0, Fraction(1, 3)), (n1, Fraction(1)), (n0, Fraction(-1, 3))]
-        folded = weighted_strings(2, *jw_image(entries))
+        folded = weighted_strings(2, *jw_image(2, keyed(entries)))
         # n0 cancels, so ZI sums to zero; strings of later entries sort first
         assert [str(w.string) for w in folded] == ["II", "IZ", "XX", "XY", "YX", "YY"]
         want = {}
@@ -469,7 +471,7 @@ class TestWeightedFold:
             for string, c in _scaled(term, value):
                 want[string] = want.get(string, ExactComplex()) + c
         assert all(w.coefficient == want[w.string] for w in folded)
-        assert weighted_strings(2, *jw_image([(hop, 1)])) == jw_term(hop)
+        assert weighted_strings(2, *jw_image(2, [(key(hop), 1)])) == jw_term(hop)
 
     @pytest.fixture(scope="class", params=["hermitian", "one-sided"])
     def case(self, request):
@@ -523,7 +525,7 @@ class TestWeightedFold:
                             key=_table_key,
                         )
                 if strings:
-                    rows.append((strings, terms))
+                    rows.append((strings, [key(t) for t in terms]))
         dominant = [f for f in families if f.origin == "dominant"]
         assert [([w.string for w in f.strings], list(f.provenance)) for f in dominant] == rows
 
@@ -553,7 +555,7 @@ class TestWeightedFold:
                     rows.append((mask, parity, [(s, folded[s]) for s in mine], blocks[mask]))
         residual = [f for f in families if f.origin == "residual"]
         got = [([(w.string, w.coefficient) for w in f.strings], list(f.provenance)) for f in residual]
-        assert got == [(strings, terms) for _, _, strings, terms in rows]
+        assert got == [(strings, [key(t) for t in terms]) for _, _, strings, terms in rows]
         halves = Counter(mask for mask, _, _, _ in rows)
         if kind == "hermitian":
             # a real Hermitian sum has no odd-Y string
@@ -561,8 +563,8 @@ class TestWeightedFold:
         else:
             # the one-sided table keeps both Y halves per pair
             assert all(halves[mask] == 2 for mask in blocks if mask)
-        listed = {t for f in residual for t in f.provenance}
-        assert listed == {t for t in values if not (is_two_body(t) and has_distinct_indices(t))}
+        listed = {k for f in residual for k in f.provenance}
+        assert listed == {key(t) for t in values if not (is_two_body(t) and has_distinct_indices(t))}
 
 
 def _one_sided(one, two):
@@ -574,11 +576,12 @@ class TestIntegerFold:
     """``jw_image`` on integer numerators against the per-string Fraction fold, exactly."""
 
     @staticmethod
-    def _assert_matches_reference(block):
-        # the symbolic expansions, so a block of one term at value 1 checks
-        # the builder too, not jw_term against itself
-        want = reference_fold([(reference_jw_term(term), value) for term, value in block])
-        assert weighted_strings(block[0][0].n, *jw_image(block)) == want
+    def _assert_matches_reference(n, block):
+        # the symbolic expansions of terms built from the block's keys, so a
+        # block of one term at value 1 checks the builder too, not jw_term
+        # against itself
+        want = reference_fold([(reference_jw_term(FermionicTerm(*k, n)), value) for k, value in block])
+        assert weighted_strings(n, *jw_image(n, block)) == want
 
     @pytest.mark.parametrize("n", range(4, 9))
     @pytest.mark.parametrize("kind", ["unweighted", "hermitian", "one-sided"])
@@ -592,7 +595,7 @@ class TestIntegerFold:
         blocks = _blocks(n, coeffs)
         assert blocks
         for block in blocks.values():
-            self._assert_matches_reference(block)
+            self._assert_matches_reference(n, block)
 
     def _pair_block(self, values):
         """Terms of X mask 0b11 on four modes, paired with ``values`` in turn."""
@@ -603,34 +606,34 @@ class TestIntegerFold:
             FermionicTerm.two_body(3, 0, 3, 1, 4),
         ]
         assert {_x_mask(t) for t in terms} == {0b11}
-        return list(zip(terms, values))
+        return keyed(zip(terms, values))
 
     @pytest.mark.parametrize("values", [
         [Fraction(1, 3), Fraction(-1, 6), Fraction(5, 7), Fraction(2)],
         [Fraction(-1, 6), Fraction(1, 3), 1, Fraction(1, 10**9 + 7)],
     ])
     def test_non_dyadic_values(self, values):
-        self._assert_matches_reference(self._pair_block(values))
+        self._assert_matches_reference(4, self._pair_block(values))
 
     @pytest.mark.parametrize("big", [Fraction(1.7e308), Fraction(10**300)])
     def test_values_at_the_float_range(self, big):
-        self._assert_matches_reference(self._pair_block([big, -big, big, Fraction(1, 3)]))
+        self._assert_matches_reference(4, self._pair_block([big, -big, big, Fraction(1, 3)]))
         coeffs = HamiltonianCoefficients.from_entries(
             6, [((1, 0), big), ((0, 1), -big)], [((4, 1, 4, 0), big), ((5, 3, 2, 0), -big)]
         )
         for block in _blocks(6, coeffs).values():
-            self._assert_matches_reference(block)
+            self._assert_matches_reference(6, block)
 
     def test_entries_that_cancel(self):
         hop, dressed = FermionicTerm.one_body(1, 0, 4), FermionicTerm.two_body(2, 1, 2, 0, 4)
         third = Fraction(1, 3)
-        assert jw_image([(hop, third), (hop, -third)])[1] == [] == reference_fold(
+        assert jw_image(4, [(key(hop), third), (key(hop), -third)])[1] == [] == reference_fold(
             [(jw_term(hop), third), (jw_term(hop), -third)]
         )
         # a dressed hopping minus the bare one: only the Z-dressed part stays
-        self._assert_matches_reference([(hop, third), (dressed, third), (hop, -third)])
+        self._assert_matches_reference(4, keyed([(hop, third), (dressed, third), (hop, -third)]))
         number = FermionicTerm.one_body(2, 2, 4)
-        assert jw_image([(number, Fraction(1, 6)), (number, Fraction(-1, 6))])[1] == []
+        assert jw_image(4, [(key(number), Fraction(1, 6)), (key(number), Fraction(-1, 6))])[1] == []
 
 
 class TestIntegerCoefficientSums:
@@ -1201,6 +1204,34 @@ def test_compile_leaves_no_cyclic_garbage(capsys, tmp_path):
     finally:
         gc.set_debug(flags)
         gc.garbage.clear()
+
+
+def test_a_compile_builds_no_term_object(monkeypatch, tmp_path):
+    # the compile carries each term as its key (creates, annihilates), checked
+    # where the input arrived, from the block table to the file: no term is
+    # built, and so checked, again on the way, not even for a shape table
+    built = []
+    check = FermionicTerm.__post_init__
+    monkeypatch.setattr(FermionicTerm, "__post_init__", lambda term: check(built.append(term) or term))
+    fermion._shape.cache_clear()
+    monkeypatch.chdir(tmp_path)
+    assert main(["families", "--n", "8", "--format", "json", "--out", "F"]) == 0
+    hamiltonian = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "hamiltonian.py"))
+    source = tmp_path / "h8.json"
+    source.write_text(json.dumps(hamiltonian["generate"](8, 1, 0)))
+    coeffs = load_coefficients(source)
+    families = list(commuting_families(schedule_for(8), coeffs))
+    save_families(families, tmp_path / "weighted.json")
+    assert families and fermion._shape.cache_info().currsize == 6
+    assert built == []
+    # and the provenance is the block table's own key tuples, not copies
+    blocks = _blocks(8, coeffs)
+    held = [k for block in blocks.values() for k, _ in block]  # alive, so no id is reused
+    ids = {id(k) for k in held}
+    assert all(id(k) in ids for f in partition._units(schedule_for(8), blocks) for k in f.provenance)
+    # the counter sees a term that is built
+    FermionicTerm.one_body(1, 0, 8)
+    assert len(built) == 1
 
 
 class TestReport:

@@ -5,13 +5,16 @@ Usage, from the root of a checkout:
     python3 tools/stages.py --tree parent=OTHER/src --tree change=src --out BENCH_label.json
 
 Each ``--tree LABEL=SRC`` names the ``src`` directory of a checkout; the
-trees are measured in one session, so that their ratios do not depend on
-machine drift.  The file records:
+trees are measured in one session, each kind of run alternating the trees,
+so that their ratios do not depend on machine drift.  The file records:
 
 - the machine: ``nproc``, the CPU model and the Python version;
-- per tree and per N in ``SIZES``, the best of ``REPEAT`` in-process
-  times of each stage of the unweighted ``families --n N`` compile, in a
-  fresh interpreter per tree:
+- per tree and per N in ``SIZES``, the in-process times of each stage of
+  the unweighted ``families --n N`` compile, from ``TREE_RUNS`` fresh
+  interpreters per tree, trees alternating which goes first; each stage
+  keeps its least time over a tree's interpreters, each of which takes
+  the best of ``REPEAT``, and its spread, the largest time less the
+  least; the counts must agree between them:
   ``build_schedule``, the block table (``partition._blocks``), the whole
   families pass, ``jw_image`` over the four-mode blocks and over the rest,
   certification (``partition._certified`` of each family), these two
@@ -20,22 +23,25 @@ machine drift.  The file records:
   class, string slots, output bytes and the sha256 of the output;
 - per tree and per N in ``WEIGHTED_SIZES``, the same for the weighted
   compile of ``perfbench/hamiltonian.generate(N, 1, 0)``, in the same
-  interpreter, which only reads the input a child process wrote: the
-  best of ``REPEAT`` times of ``load_coefficients``, the block table,
-  the families pass and the writer; and the counts: raw
-  entries, one- and two-body keys, families per class, string slots,
-  output bytes and sha256;
+  interpreters, which only read the input a child process wrote: the
+  times of ``load_coefficients``, the block table, the families pass and
+  the writer, each timed before a second copy of its result could be
+  held; and the counts: raw entries, one- and two-body keys, families per
+  class, string slots, output bytes and sha256;
 - per tree, each of ``COMMANDS`` (``--format json --out``) run ``RUNS``
   times from a fork-and-exec launcher, trees alternating which goes
   first: the median and quartiles of wall time and of peak RSS, read with
   ``os.wait4``.  ``H20`` in a command is ``generate(20, 1, 0)``, written
-  the same way, so the launcher never holds it.
+  the same way, so the launcher never holds it;
+- per tree, each of ``SETUPS`` timed inside ``SETUP_RUNS`` fresh
+  processes, trees alternating which goes first, with the collector on,
+  as ``perfbench/run.py`` times its ``setup_s``: the median and quartiles.
 
 Every child runs from cached bytecode, as ``perfbench/run.py`` does: each
 tree has its own ``PYTHONPYCACHEPREFIX`` in a temporary directory, filled
-by one untimed launch per tree before the timed ones, so no timed launch
-compiles a module and no tree gains a ``__pycache__``.  Whether a tree
-holds stray bytecode beside its sources then moves no row.
+by one untimed launch per tree before the timed CLI and set-up ones, so
+no timed launch compiles a module and no tree gains a ``__pycache__``.
+Whether a tree holds stray bytecode beside its sources then moves no row.
 
 The stage times reach into two private functions of ``partition``, so a
 tree that renames them needs this script changed too.
@@ -51,11 +57,14 @@ import subprocess
 import sys
 import tempfile
 import time
+from functools import partial
+from inspect import signature
 from pathlib import Path
 
 SIZES = (8, 12, 16, 20, 24, 28)
 WEIGHTED_SIZES = (12, 20, 28)
 REPEAT = 5  # the stage times are the best of this many
+TREE_RUNS = 3  # fresh interpreters per tree for the stage tables
 COMMANDS = (
     "families --n 16",
     "families --n 20",
@@ -68,6 +77,11 @@ COMMANDS = (
     "families --n 20 --hamiltonian H20",
 )
 RUNS = 10  # launches of each command per tree
+SETUPS = {
+    "cli_import": "import paulisched.cli",
+    "schedule_for_12": "import paulisched.cli; import paulisched; paulisched.schedule_for(12)",
+}
+SETUP_RUNS = 15  # fresh processes of each set-up per tree
 GENERATOR = Path(__file__).resolve().parents[1] / "perfbench" / "hamiltonian.py"
 
 
@@ -96,6 +110,8 @@ def measure_size(n: int, scratch: Path) -> dict:
 
     schedule = build_schedule(n)
     blocks = partition._blocks(n, None)
+    # a tree whose kernel takes a block alone, as it did before it took n, is measured too
+    image = partial(jw_image, n) if "n" in signature(jw_image).parameters else jw_image
     four = [block for mask, block in blocks.items() if mask.bit_count() == 4]
     rest = [block for mask, block in blocks.items() if mask.bit_count() != 4]
     families = list(partition.commuting_families(schedule))
@@ -104,8 +120,8 @@ def measure_size(n: int, scratch: Path) -> dict:
         "schedule_s": best_of(lambda: build_schedule(n)),
         "block_table_s": best_of(lambda: partition._blocks(n, None)),
         "families_pass_s": best_of(lambda: list(partition.commuting_families(schedule))),
-        "jw_image_four_mode_s": best_of(lambda: each(jw_image, four)),
-        "jw_image_rest_s": best_of(lambda: each(jw_image, rest)),
+        "jw_image_four_mode_s": best_of(lambda: each(image, four)),
+        "jw_image_rest_s": best_of(lambda: each(image, rest)),
         "certification_s": best_of(lambda: each(partition._certified, families)),
         "writer_s": best_of(lambda: partition.save_families(families, path)),
     }
@@ -149,20 +165,22 @@ def write_hamiltonian(path: Path, n: int) -> int:
 
 
 def measure_weighted(n: int, scratch: Path) -> dict:
-    """The stage times and counts of the weighted compile at n modes, in this interpreter."""
+    """The stage times and counts of the weighted compile at n modes, in this interpreter.
+
+    Each result is timed before it is held, so no timing builds a second
+    copy of one: at N = 28 the load and the families are most of the peak.
+    """
     from paulisched import partition
 
     source, path = scratch / f"h{n}.json", scratch / f"weighted{n}.json"
     entries = write_hamiltonian(source, n)
     schedule = partition.schedule_for(n)
+    times = {"load_coefficients_s": best_of(lambda: partition.load_coefficients(source))}
     coeffs = partition.load_coefficients(source)
+    times["block_table_s"] = best_of(lambda: partition._blocks(n, coeffs))
+    times["families_pass_s"] = best_of(lambda: list(partition.commuting_families(schedule, coeffs)))
     families = list(partition.commuting_families(schedule, coeffs))
-    times = {
-        "load_coefficients_s": best_of(lambda: partition.load_coefficients(source)),
-        "block_table_s": best_of(lambda: partition._blocks(n, coeffs)),
-        "families_pass_s": best_of(lambda: list(partition.commuting_families(schedule, coeffs))),
-        "writer_s": best_of(lambda: partition.save_families(families, path)),
-    }
+    times["writer_s"] = best_of(lambda: partition.save_families(families, path))
     output = path.read_bytes()
     dominant = [len(family) for family in families if family.origin == "dominant"]
     residual = [len(family) for family in families if family.origin == "residual"]
@@ -254,6 +272,30 @@ def cli_runs(envs: dict[str, dict], scratch: Path) -> dict:
     return table
 
 
+def setup_seconds(code: str, env: dict, cwd: Path) -> float:
+    """The seconds of ``code`` timed inside a fresh child, interpreter start-up and exit left out."""
+    timed = f"import time; start = time.perf_counter(); {code}; print(time.perf_counter() - start)"
+    argv = [sys.executable, "-c", timed]
+    return float(subprocess.run(argv, env=env, cwd=cwd, capture_output=True, text=True, check=True).stdout)
+
+
+def setup_runs(envs: dict[str, dict], scratch: Path) -> dict:
+    """Each of ``SETUPS`` timed in ``SETUP_RUNS`` fresh processes per tree, the
+    trees alternating which goes first, after one untimed launch per tree
+    that caches its bytecode."""
+    for env in envs.values():
+        setup_seconds(SETUPS["schedule_for_12"], env, scratch)
+    samples = {label: {name: [] for name in SETUPS} for label in envs}
+    for run in range(SETUP_RUNS):
+        for label in list(envs) if run % 2 == 0 else list(reversed(envs)):
+            for name, code in SETUPS.items():
+                samples[label][name].append(setup_seconds(code, envs[label], scratch))
+    return {
+        label: {name: {"setup_s": spread(seconds), "runs": len(seconds)} for name, seconds in setups.items()}
+        for label, setups in samples.items()
+    }
+
+
 def machine() -> dict:
     model = "unknown"
     try:
@@ -276,6 +318,23 @@ def measure_tree(env: dict) -> dict:
     )
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     return json.loads(result.stdout)
+
+
+def least(tables: list[dict]) -> dict:
+    """One tree's table of a part from its interpreters' tables: each stage's
+    least time, and its spread, the largest time less the least; the
+    counts, which must agree between them."""
+    merged = {}
+    for size, first in tables[0].items():
+        entries = [table[size] for table in tables]
+        if any(entry["counts"] != first["counts"] for entry in entries):
+            raise RuntimeError(f"the counts at N = {size} differ between interpreters of one tree")
+        times = {stage: min(entry["times"][stage] for entry in entries) for stage in first["times"]}
+        widths = {
+            stage: round(max(entry["times"][stage] for entry in entries) - low, 5) for stage, low in times.items()
+        }
+        merged[size] = {"times": times, "spread": widths, "counts": first["counts"]}
+    return merged
 
 
 def child() -> dict:
@@ -301,21 +360,37 @@ def main(argv=None) -> int:
     report = {
         "machine": machine(),
         "method": {
-            "stages": f"best of {REPEAT} in process, a fresh interpreter per tree, unweighted compile",
-            "weighted": f"best of {REPEAT} in process, the same interpreter, on generate(n, 1, 0); collector on",
+            "stages": (
+                f"best of {REPEAT} in process per interpreter, least over {TREE_RUNS} fresh interpreters "
+                "per tree, trees alternating first, spread the largest less the least; counts agree; "
+                "unweighted compile"
+            ),
+            "weighted": (
+                f"best of {REPEAT} in process, the same interpreters, on generate(n, 1, 0); collector on; "
+                "each result timed before it is held"
+            ),
             "cli": (
                 f"{RUNS} launches per command and tree, trees alternating first; median and quartiles; "
                 "launched from cached bytecode, one PYTHONPYCACHEPREFIX per tree, "
                 "filled by one untimed launch per tree"
             ),
+            "setup": (
+                f"{SETUP_RUNS} fresh processes per set-up and tree, trees alternating first, "
+                "timed inside the child with the collector on; median and quartiles; "
+                "cached bytecode filled by one untimed launch per tree"
+            ),
         },
     }
     with tempfile.TemporaryDirectory() as scratch:
         envs = {label: tree_env(src, Path(scratch), label) for label, src in trees.items()}
-        measured = {label: measure_tree(env) for label, env in envs.items()}
+        measured: dict[str, list] = {label: [] for label in envs}
+        for run in range(TREE_RUNS):
+            for label in list(envs) if run % 2 == 0 else list(reversed(envs)):
+                measured[label].append(measure_tree(envs[label]))
         for part in ("stages", "weighted"):
-            report[part] = {label: tables[part] for label, tables in measured.items()}
+            report[part] = {label: least([tables[part] for tables in runs]) for label, runs in measured.items()}
         report["cli"] = cli_runs(envs, Path(scratch))
+        report["setup"] = setup_runs(envs, Path(scratch))
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
 
