@@ -11,18 +11,22 @@ exponents add, and moving Z^z past X^x' adds 2 popcount(z & x').
 ladder product exactly on integers in one pass: every coefficient is
 (a + ib) / 2**f for Gaussian integers a + ib and f ladder factors, so each
 product path carries an i-power and is added straight into the sums of the
-whole weighted set.  :func:`jw_image` takes the register size n and
-``(key, value)`` entries, a key being a term's ``(creates, annihilates)``,
-the two mode tuples that :class:`FermionicTerm` checks; it builds no term.
-It returns one denominator and a list of rows ``(text, x, z, re, im)``: a
-string's text, its masks and the numerators of its coefficient.  The sums
-are keyed by a string's digits (:func:`paulisched.pauli.pauli_digits`),
-and each row's text is formatted from them by
-:func:`paulisched.pauli.pauli_text`, the one text rule; a four-mode
-block's rows are spliced from text halves in the same letters instead
-(below).  The block fold in :mod:`paulisched.partition` calls
-:func:`jw_image` once per block, on the keys its block table holds, and
-carries the rows to the writer as they are.  :func:`weighted_strings`, the
+whole weighted set.  :func:`jw_image` folds one unit of blocks: it takes
+the register size n and the blocks, each a list of ``(key, value)``
+entries, a key being a term's ``(creates, annihilates)``, the two mode
+tuples that :class:`FermionicTerm` checks; it builds no term.  It returns
+the unit's one denominator and, per block, its even-Y and its odd-Y rows
+``(text, x, z, re, im)``: a string's text, its masks and the numerators
+of its coefficient.  So the kernel makes both decisions of a family's
+rows, the denominator and the Y half, and a family only joins halves.
+The sums are keyed by a string's digits
+(:func:`paulisched.pauli.pauli_digits`), and each row's text is formatted
+from them by :func:`paulisched.pauli.pauli_text`, the one text rule; a
+four-mode block's rows are spliced from text halves in the same letters
+instead (below).  The split in :mod:`paulisched.partition` calls
+:func:`jw_image` once per unit, a schedule round or a leftover block, on
+the keys its block table holds, and carries the rows to the writer as
+they are.  :func:`weighted_strings`, the
 one builder of weighted strings, turns rows into
 :class:`~paulisched.pauli.WeightedPauliString` values: the view of a
 family, and :func:`jw_term`, the single-term image of a checked
@@ -58,13 +62,17 @@ path.  :func:`_shape`, the second cached function, maps each shape to its
 16 numerators over 2**4: the rows of that term on the register of the
 modes 0..3, expanded from its key by the expansion routine, which sorts
 them by text, and read in order.
-The block's sums are each term's value, scaled to the common denominator,
+The block's sums are each term's value, scaled to the unit's denominator,
 times its shape's table, so a weighted block of up to six terms and an
 unweighted one of one term take the same code.  Each row is one of four
 left texts ``I*a L_a Z*(b-a-1) L_b`` and one of four right texts, and its
 z is the gap chain and its Y bits.  The Y pattern read from a to d counts
 up in text order, as X < Y and qubit 0 is leftmost, so the rows come out
-sorted, in the order of the table.
+sorted, in the order of the table.  A row's Y parity is that of its left
+text plus that of its right text, so each table position belongs to one
+half, and each half keeps text order.  Every other block's rows come from
+the expansion routine, sorted by text, and go to the half of their Y
+count |x & z|.
 """
 
 from dataclasses import dataclass
@@ -147,10 +155,10 @@ def _side(modes: tuple[int, ...], dagger: bool) -> tuple[tuple[int, int, int, in
     return tuple([(x, z, e, pauli_digits(x, z)) for x, z, e in paths])
 
 
-def _product_rows(n: int, scaled) -> list[tuple[str, int, int, int, int]]:
-    """The text-sorted rows of sum(scale * term) over (key, scale) pairs
-    with integer scales, each product path of a term adding its scale times
-    its phase; rows that sum to zero drop."""
+def _product_rows(n: int, scaled) -> tuple[list, list]:
+    """The even-Y and the odd-Y rows, each in text order, of sum(scale *
+    term) over (key, scale) pairs with integer scales, each product path of
+    a term adding its scale times its phase; rows that sum to zero drop."""
     sums = {}  # per string's digits, [re, im, x, z]
     for (creates, annihilates), scale in scaled:
         annihilated = _side(annihilates, False)
@@ -165,7 +173,10 @@ def _product_rows(n: int, scaled) -> list[tuple[str, int, int, int, int]]:
                 if entry is None:
                     entry = sums[digits] = [0, 0, x, z]
                 entry[k & 1] += -scale if k & 2 else scale  # i**k is 1, i, -1 or -i
-    return sorted([(pauli_text(n, digits), x, z, re, im) for digits, (re, im, x, z) in sums.items() if re or im])
+    halves: tuple[list, list] = ([], [])
+    for row in sorted([(pauli_text(n, digits), x, z, re, im) for digits, (re, im, x, z) in sums.items() if re or im]):
+        halves[(row[1] & row[2]).bit_count() & 1].append(row)
+    return halves
 
 
 @cache
@@ -174,63 +185,74 @@ def _shape(creates: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     the modes 0..3 that creates the positions ``creates``; a tuple, as
     every caller shares it."""
     key = creates, tuple(p for p in (3, 2, 1, 0) if p not in creates)
-    return tuple([(re, im) for _, _, _, re, im in _product_rows(4, [(key, 1)])])
+    even, odd = _product_rows(4, [(key, 1)])
+    return tuple([(re, im) for _, _, _, re, im in sorted(even + odd)])
 
 
-def jw_image(n: int, entries) -> tuple[int, list[tuple[str, int, int, int, int]]]:
-    """The exact JW image of sum(value * term) over (key, value) entries.
+def jw_image(n: int, blocks) -> tuple[int, list[tuple[list, list]]]:
+    """The exact JW images of the blocks of one unit, over one denominator.
 
-    ``entries`` is a non-empty list.  A key is a term's ``(creates,
-    annihilates)``: two strictly descending tuples of modes in range(n),
-    one mode each or two each, as :class:`FermionicTerm` checks them; the
-    key is not checked again here.  Values are ints or Fractions.  The sum
-    is made on integers over one common denominator D: the lcm of the
-    values' denominators times 2**f for the largest ladder count f among
-    the terms.  Each value is scaled once to its numerator over D / 2**f
-    for its own term's f.  Each product path of a term's ladder factors
-    adds its scaled value times its phase i**k to the numerators of its
-    string.  A block whose terms all name the same four distinct modes is
-    summed from the shape tables instead: each term adds its scaled value
-    times the table of its shape (:func:`_shape`), and the rows are
-    spliced from text halves (:func:`_four_mode_rows`).
-    Returns D and one row ``(text, x, z, re, im)`` per string whose sum
-    (re + i im) / D is nonzero; strings that sum to zero drop out.  The
-    rows are sorted by text, which makes downstream output reproducible;
-    texts are unique, so that is plain tuple order.
+    ``blocks`` is a list of non-empty lists of (key, value) entries, each
+    block standing for sum(value * term) over its entries.  A key is a
+    term's ``(creates, annihilates)``: two strictly descending tuples of
+    modes in range(n), one mode each or two each, as
+    :class:`FermionicTerm` checks them; the key is not checked again
+    here.  Values are ints or Fractions.  Every block is summed on
+    integers over the unit's one denominator D: the lcm of every value's
+    denominator in the unit times 2**f for the largest ladder count f
+    among its terms.  Each value is scaled once to its numerator over
+    D / 2**f for its own term's f.  Each product path of a term's ladder
+    factors adds its scaled value times its phase i**k to the numerators
+    of its string.  A block whose terms all name the same four distinct
+    modes is summed from the shape tables instead: each term adds its
+    scaled value times the table of its shape (:func:`_shape`), and the
+    rows are spliced from text halves (:func:`_four_mode_rows`).
+    Returns D and, per block in order, its even-Y rows and its odd-Y rows
+    ``(text, x, z, re, im)``, one per string whose sum (re + i im) / D is
+    nonzero and whose Y count |x & z| has that parity; strings that sum to
+    zero drop out.  Each half is sorted by text, which makes downstream
+    output reproducible; texts are unique, so that is plain tuple order.
+    An empty unit has no images, and D is 1.
     """
-    first, _ = entries[0]
-    ladders = [len(c) + len(a) for (c, a), _ in entries]
-    denominator = lcm(*[value.denominator for _, value in entries]) << max(ladders)
-    scaled = [
-        (key, value.numerator * (denominator // (value.denominator << f)))
-        for (key, value), f in zip(entries, ladders)
-    ]
-    ends = sorted({*first[0], *first[1]})
-    if len(ends) != 4 or any(sorted(c + a) != ends for (c, a), _ in entries):
-        return denominator, _product_rows(n, scaled)
-    # every term names the same four distinct modes; its shape is which two
-    # of the four sorted positions it creates
+    ladders = [len(c) + len(a) for block in blocks for (c, a), _ in block]
+    denominator = lcm(*[value.denominator for block in blocks for _, value in block]) << max(ladders, default=0)
+    images = []
+    for block in blocks:
+        scaled = [
+            (key, value.numerator * (denominator // (value.denominator << len(key[0]) + len(key[1]))))
+            for key, value in block
+        ]
+        first, _ = block[0]
+        ends = sorted({*first[0], *first[1]})
+        four = len(ends) == 4 and all(sorted(c + a) == ends for (c, a), _ in block)
+        images.append(_four_mode_rows(n, ends, scaled) if four else _product_rows(n, scaled))
+    return denominator, images
+
+
+def _four_mode_rows(n: int, ends, scaled) -> tuple[list, list]:
+    """The even-Y and the odd-Y rows, each in text order, of sum(scale *
+    term) over (key, scale) pairs whose terms all name the sorted modes
+    a < b < c < d; rows that sum to zero drop.
+
+    The 16 strings' sums, in text order, are each term's scale times the
+    table of its shape.  A row's text is one of four left halves
+    ``I*a L_a Z*(b-a-1) L_b`` and one of four right halves, and its z is
+    the gaps' chain and the Y bits of both halves.  Its Y count is that of
+    its left half plus that of its right half, so its position in the
+    table fixes its half.
+    """
+    # a term's shape is which two of the four sorted positions it creates
     sums = None
     for (creates, _), scale in scaled:
         table = _shape(tuple([ends.index(m) for m in creates]))
         if sums is None:
             # the unweighted build's one term has scale 1 and reads its table,
-            # which nothing changes, as it is: scaling it anyway costs about 2%
-            # of the wall time of families --n 20
+            # which nothing changes, as it is: scaling it anyway took the
+            # in-process N = 20 families pass from 0.179 to 0.186 s (medians
+            # of 14 fresh interpreters, best of 5, collector off, 2-core Xeon)
             sums = table if scale == 1 else [(scale * re, scale * im) for re, im in table]
         else:
             sums = [(re + scale * tre, im + scale * tim) for (re, im), (tre, tim) in zip(sums, table)]
-    return denominator, _four_mode_rows(n, ends, sums)
-
-
-def _four_mode_rows(n: int, ends, sums) -> list[tuple[str, int, int, int, int]]:
-    """The rows, in text order, of a block on the sorted modes a < b < c < d
-    whose 16 strings sum to ``sums`` in text order; rows that sum to zero drop.
-
-    A row's text is one of four left halves ``I*a L_a Z*(b-a-1) L_b`` and
-    one of four right halves, and its z is the gaps' chain and the Y bits
-    of both halves.
-    """
     a, b, c, d = ends
     ya, yb, yc, yd = 1 << a, 1 << b, 1 << c, 1 << d
     chain = yb - (ya << 1) | yd - (yc << 1)
@@ -239,15 +261,15 @@ def _four_mode_rows(n: int, ends, sums) -> list[tuple[str, int, int, int, int]]:
     # the text after the previous endpoint up to each endpoint, as X and as Y
     ax, ay, bx, by = head + "X", head + "Y", inner + "X", inner + "Y"
     cx, cy, dx, dy = middle + "X", middle + "Y", outer + "X" + tail, outer + "Y" + tail
-    # each half's text and z bits, for the letters XX, XY, YX and YY in turn
-    lefts = ((ax + bx, chain), (ax + by, chain | yb), (ay + bx, chain | ya), (ay + by, chain | ya | yb))
-    rights = ((cx + dx, 0), (cx + dy, yd), (cy + dx, yc), (cy + dy, yc | yd))
+    # each half's text, z bits and Y parity, for the letters XX, XY, YX and YY in turn
+    lefts = ((ax + bx, chain, 0), (ax + by, chain | yb, 1), (ay + bx, chain | ya, 1), (ay + by, chain | ya | yb, 0))
+    rights = ((cx + dx, 0, 0), (cx + dy, yd, 1), (cy + dx, yc, 1), (cy + dy, yc | yd, 0))
     x = ya | yb | yc | yd
-    return [
-        (left + right, x, lz | rz, re, im)
-        for ((left, lz), (right, rz)), (re, im) in zip(product(lefts, rights), sums)
-        if re or im
-    ]
+    halves: tuple[list, list] = ([], [])
+    for ((left, lz, ly), (right, rz, ry)), (re, im) in zip(product(lefts, rights), sums):
+        if re or im:
+            halves[ly ^ ry].append((left + right, x, lz | rz, re, im))
+    return halves
 
 
 def weighted_strings(n: int, denominator: int, rows) -> list[WeightedPauliString]:
@@ -268,9 +290,11 @@ def weighted_strings(n: int, denominator: int, rows) -> list[WeightedPauliString
 def jw_term(term: FermionicTerm) -> list[WeightedPauliString]:
     """Expand a term's full ladder product into weighted Pauli strings.
 
-    This is :func:`jw_image` of the term's key at value 1, read through
+    This is :func:`jw_image` of a unit of one block, the term's key at
+    value 1, its two Y halves merged back into text order and read through
     :func:`weighted_strings`: equal strings arising from index repetition
     are combined and zero coefficients dropped, so nilpotent products come
     back empty, and the result is sorted by string text.
     """
-    return weighted_strings(term.n, *jw_image(term.n, [((term.creates, term.annihilates), 1)]))
+    denominator, [(even, odd)] = jw_image(term.n, [[((term.creates, term.annihilates), 1)]])
+    return weighted_strings(term.n, denominator, sorted(even + odd))

@@ -5,20 +5,21 @@ has the same X mask, the XOR of the term's mode bits, so all terms are
 grouped into *blocks* keyed by that X-support, in one table.  A term is
 carried as its key ``(creates, annihilates)``, its two descending mode
 tuples, checked where the input arrived: the table's entries are ``(key,
-value)`` pairs.  Each block is folded once, by
-:func:`~paulisched.fermion.jw_image`, into the exact JW image of its
-weighted terms: one denominator and a row ``(text, x, z, re, im)`` per
-string.  :mod:`paulisched.fermion` sums the integer numerators, this
-module only groups and splits the rows, certifies them on their masks and
-writes their text, their numerators and the keys: no term object and no
-Pauli object is built between the block table and the file.  A family's
-``strings`` view builds the Pauli objects for the oracles and the tests,
-and ``len(family)`` counts its strings without it.  Each unit of blocks is
-then split into an even-Y and an odd-Y family, and both are yielded
-before the next unit is folded: a caller that writes the families as they
-come, as the command line does, holds the block table and one unit's
-families, never the whole partition, and the table shrinks as its blocks
-are taken.
+value)`` pairs.  Each unit of blocks is folded once, by one call of
+:func:`~paulisched.fermion.jw_image`, into the exact JW images of its
+blocks' weighted terms: the unit's one denominator and, per block, a row
+``(text, x, z, re, im)`` per string, already split into the block's
+even-Y and odd-Y halves.  :mod:`paulisched.fermion` sums the integer
+numerators over that denominator and picks each row's half; this module
+only joins the halves into an even-Y and an odd-Y family, certifies them
+on their rows' masks and writes their text, their numerators and the
+keys: no term object and no Pauli object is built between the block
+table and the file.  A family's ``strings`` view builds the Pauli objects
+for the oracles and the tests, and ``len(family)`` counts its strings
+without it.  Both families of a unit are yielded before the next unit is
+folded: a caller that writes the families as they come, as the command
+line does, holds the block table and one unit's families, never the
+whole partition, and the table shrinks as its blocks are taken.
 
 The units are the schedule's rounds first, then every block the rounds
 leave, one unit each in ascending X-mask order.  A round takes the block
@@ -199,33 +200,25 @@ def _certified(family: CommutingFamily) -> CommutingFamily:
 def _split(n: int, unit, origin: str) -> list[CommutingFamily]:
     """The certified even-Y and odd-Y families of a unit of blocks.
 
-    A block is a list of (key, value) entries, folded here into its
-    :func:`~paulisched.fermion.jw_image`; all its keys are provenance of
-    each half it puts a string into.  A half's denominator is the lcm of
-    the denominators of those blocks, and each block's numerators are
-    scaled up to it.  Empty halves drop.
+    A block is a list of (key, value) entries.  The unit is folded by one
+    :func:`~paulisched.fermion.jw_image` call, which returns its one
+    denominator and each block's rows already split into its even-Y and
+    odd-Y halves; a family joins one half of every block, in unit order,
+    and all the keys of a block are provenance of each half it puts a
+    string into.  Empty halves drop, and an empty unit has no family.  A
+    family's denominator is the unit's, which can exceed what its own rows
+    need; the writer divides by it with correct rounding, so the bytes do
+    not depend on it.
     """
-    parts: tuple[list, list] = ([], [])  # per half, (denominator, rows) of each block
-    terms: tuple[list, list] = ([], [])
-    for block in unit:
-        denominator, rows = jw_image(n, block)
-        halves: tuple[list, list] = ([], [])
-        for row in rows:
-            # Y letters only ever sit on endpoint positions, so the Y parity
-            # |x & z| mod 2 of the whole string is the endpoint Y parity
-            halves[(row[1] & row[2]).bit_count() & 1].append(row)
-        for half, part, provenance in zip(halves, parts, terms):
-            if half:
-                part.append((denominator, half))
-                provenance += [key for key, _ in block]
+    denominator, images = jw_image(n, unit)
     families = []
-    for part, provenance in zip(parts, terms):
-        if part:
-            denominator = lcm(*(d for d, _ in part))
-            rows = []
-            for d, half in part:
-                scale = denominator // d
-                rows += half if scale == 1 else [(t, x, z, re * scale, im * scale) for t, x, z, re, im in half]
+    for half in (0, 1):
+        rows, provenance = [], []
+        for block, image in zip(unit, images):
+            if image[half]:
+                rows += image[half]
+                provenance += [key for key, _ in block]
+        if rows:
             families.append(_certified(CommutingFamily(n, denominator, tuple(rows), tuple(provenance), origin)))
     return families
 

@@ -16,7 +16,7 @@ settings.register_profile("det", derandomize=True, deadline=None)
 settings.load_profile("det")
 
 from paulisched.baranyai import round_sizes
-from paulisched.fermion import FermionicTerm, UnsupportedTermError
+from paulisched.fermion import FermionicTerm, UnsupportedTermError, jw_image
 from paulisched.oracles import weighted_sum_matrix
 from paulisched.partition import CommutingFamily, HamiltonianCoefficients
 from paulisched.pauli import ExactComplex, PauliString, WeightedPauliString, parse_pauli
@@ -165,6 +165,17 @@ def key(term: FermionicTerm) -> tuple[tuple[int, ...], tuple[int, ...]]:
 def keyed(entries) -> list:
     """(term, value) entries as the (key, value) entries of a block."""
     return [(key(term), value) for term, value in entries]
+
+
+def block_image(n: int, block) -> tuple[int, list]:
+    """``jw_image`` of a unit of one block: its denominator and its rows in
+    text order, once each half is seen to be text-sorted and to hold only
+    rows of its own Y parity."""
+    denominator, [(even, odd)] = jw_image(n, [block])
+    for parity, half in enumerate((even, odd)):
+        assert half == sorted(half)
+        assert all((x & z).bit_count() % 2 == parity for _, x, z, _, _ in half)
+    return denominator, sorted(even + odd)
 
 
 def is_two_body(term: FermionicTerm) -> bool:

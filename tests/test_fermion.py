@@ -11,6 +11,7 @@ import pytest
 from conftest import (
     abs_squared,
     adjoint,
+    block_image,
     jw_ladder,
     key,
     keyed,
@@ -159,7 +160,7 @@ class TestImage:
         # jw_term reads back the rows: text, masks and numerators over one denominator
         for n in range(1, 7):
             for term in _all_terms(n):
-                denominator, rows = jw_image(n, [(key(term), 1)])
+                denominator, rows = block_image(n, [(key(term), 1)])
                 read = [
                     (w.string.text(), w.string.x, w.string.z,
                      w.coefficient.real * denominator, w.coefficient.imag * denominator)
@@ -174,7 +175,7 @@ class TestImage:
         for n in range(1, 7):
             terms = _all_terms(n)
             for entries in [[(key(term), 1)] for term in terms] + [[(key(term), 1) for term in terms]]:
-                denominator, rows = jw_image(n, entries)
+                denominator, rows = block_image(n, entries)
                 strings = [w.string for w in weighted_strings(n, denominator, rows)]
                 assert strings == sorted(strings, key=text)
                 assert [row[0] for row in rows] == [text(s) for s in strings]
@@ -184,9 +185,9 @@ class TestImage:
         for n in (2, 4):
             for term in _all_terms(n):
                 want = reference_jw_term(term)
-                image = jw_image(n, [(key(term), 1)])
-                assert image == jw_image(n, [(key(term), Fraction(1))]), term
-                assert weighted_strings(n, *image) == want, term
+                image = jw_image(n, [[(key(term), 1)]])
+                assert image == jw_image(n, [[(key(term), Fraction(1))]]), term
+                assert weighted_strings(n, *block_image(n, [(key(term), 1)])) == want, term
 
 
 class TestGeneralTerms:
@@ -248,7 +249,7 @@ class TestFourModeTemplate:
         for n in range(4, 9):
             for modes in combinations(range(n), 4):
                 for term in _splits(modes, n):
-                    denominator, rows = jw_image(n, [(key(term), 1)])
+                    denominator, rows = block_image(n, [(key(term), 1)])
                     assert len(rows) == 16 and rows == sorted(rows), term
                     assert weighted_strings(n, denominator, rows) == reference_jw_term(term), term
         # one table per shape, and only those: each is a hit now
@@ -264,7 +265,7 @@ class TestFourModeTemplate:
         values = [1, Fraction(1, 3), -2, Fraction(5, 7), Fraction(-1, 6), Fraction(3, 10**9 + 7)]
         block = list(zip(_splits(modes, n), values))
         want = reference_fold([(reference_jw_term(term), value) for term, value in block])
-        denominator, rows = jw_image(n, keyed(block))
+        denominator, rows = block_image(n, keyed(block))
         assert denominator == 3 * 7 * 2 * (10**9 + 7) * 16
         assert weighted_strings(n, denominator, rows) == want
 
@@ -275,13 +276,13 @@ class TestFourModeTemplate:
         # a term and its adjoint: the imaginary coefficients cancel, half the rows stay
         for block in ([(term, third), (adjoint(term), third)], [(term, 1), (adjoint(term), -1)]):
             want = reference_fold([(reference_jw_term(t), value) for t, value in block])
-            denominator, rows = jw_image(n, keyed(block))
+            denominator, rows = block_image(n, keyed(block))
             assert len(rows) == len(want) == 8
             assert weighted_strings(n, denominator, rows) == want
         # values that cancel every row, in one shape and across the six
-        assert jw_image(n, [(key(term), third), (key(term), -third)])[1] == []
+        assert jw_image(n, [[(key(term), third), (key(term), -third)]])[1] == [([], [])]
         splits = _splits((0, 2, 3, 5), n)
-        assert jw_image(n, [(key(t), 2) for t in splits] + [(key(t), -2) for t in splits])[1] == []
+        assert jw_image(n, [[(key(t), 2) for t in splits] + [(key(t), -2) for t in splits]])[1] == [([], [])]
 
     def test_mixed_blocks_take_the_product_path(self):
         # terms on different four modes, or a term on fewer modes, share no shape table
@@ -292,7 +293,7 @@ class TestFourModeTemplate:
             [(FermionicTerm((3, 2), (1, 0), n), 1), (FermionicTerm((3, 2), (3, 0), n), 2)],
         ):
             want = reference_fold([(reference_jw_term(t), value) for t, value in block])
-            assert weighted_strings(n, *jw_image(n, keyed(block))) == want
+            assert weighted_strings(n, *block_image(n, keyed(block))) == want
 
     def test_the_table_is_filled_on_first_use(self, tmp_path):
         # importing the package, or compiling a schedule, fills no table

@@ -17,6 +17,7 @@ from hypothesis import given, strategies as st
 
 from conftest import (
     abs_squared,
+    block_image,
     family_of,
     has_distinct_indices,
     is_two_body,
@@ -193,16 +194,20 @@ _MASK_B = 0b01111000
 
 
 def _doctor_block(monkeypatch, mask, change):
-    """Pass partition's JW image of the block with X mask ``mask`` through
-    ``change``, a map of its (x, z, re, im) rows; the texts follow the masks."""
+    """Pass each Y half of the block with X mask ``mask``, in partition's JW
+    image of a unit, through ``change``, a map of its (x, z, re, im) rows;
+    the texts follow the masks."""
     image = partition.jw_image
 
-    def doctored(n, block):
-        denominator, rows = image(n, block)
-        if rows[0][1] == mask:
-            changed = change([(x, z, re, im) for _, x, z, re, im in rows])
-            rows = [(pauli_text(8, pauli_digits(x, z)), x, z, re, im) for x, z, re, im in changed]
-        return denominator, rows
+    def doctor(rows):
+        if not rows or rows[0][1] != mask:
+            return rows
+        changed = change([(x, z, re, im) for _, x, z, re, im in rows])
+        return [(pauli_text(8, pauli_digits(x, z)), x, z, re, im) for x, z, re, im in changed]
+
+    def doctored(n, blocks):
+        denominator, images = image(n, blocks)
+        return denominator, [(doctor(even), doctor(odd)) for even, odd in images]
 
     monkeypatch.setattr(partition, "jw_image", doctored)
 
@@ -250,21 +255,16 @@ class TestBlockCertification:
     prove goes to the scan, which names the pair in the error."""
 
     def test_mismatched_y_parity_in_one_block(self, monkeypatch):
-        # one row of block A is put in the half of the other Y parity: the
-        # split reads a row's masks by index, and there the first row of
-        # block A shows one Y letter more; unpacked, it is the true row
-        class Lying(tuple):
-            def __getitem__(self, i):
-                value = tuple.__getitem__(self, i)
-                return value ^ 1 << 7 if i == 2 else value  # mode 7 is in block A's X mask
-
+        # the kernel puts the first even-Y row of block A in its odd-Y half:
+        # the split joins the halves as they come, and certification reads
+        # the rows' own masks, not the half they came in
         image = partition.jw_image
 
-        def doctored(n, block):
-            denominator, rows = image(n, block)
-            if rows[0][1] == _MASK_A:
-                rows = [Lying(rows[0]), *rows[1:]]
-            return denominator, rows
+        def doctored(n, blocks):
+            denominator, images = image(n, blocks)
+            return denominator, [
+                (even[1:], [even[0], *odd]) if even[0][1] == _MASK_A else (even, odd) for even, odd in images
+            ]
 
         monkeypatch.setattr(partition, "jw_image", doctored)
         family = _rejected(monkeypatch, Schedule(8, (_ROUND_8,)))
@@ -463,7 +463,7 @@ class TestWeightedFold:
         hop = FermionicTerm.one_body(1, 0, 2)
         n0, n1 = FermionicTerm.one_body(0, 0, 2), FermionicTerm.one_body(1, 1, 2)
         entries = [(hop, Fraction(2)), (n0, Fraction(1, 3)), (n1, Fraction(1)), (n0, Fraction(-1, 3))]
-        folded = weighted_strings(2, *jw_image(2, keyed(entries)))
+        folded = weighted_strings(2, *block_image(2, keyed(entries)))
         # n0 cancels, so ZI sums to zero; strings of later entries sort first
         assert [str(w.string) for w in folded] == ["II", "IZ", "XX", "XY", "YX", "YY"]
         want = {}
@@ -471,7 +471,7 @@ class TestWeightedFold:
             for string, c in _scaled(term, value):
                 want[string] = want.get(string, ExactComplex()) + c
         assert all(w.coefficient == want[w.string] for w in folded)
-        assert weighted_strings(2, *jw_image(2, [(key(hop), 1)])) == jw_term(hop)
+        assert weighted_strings(2, *block_image(2, [(key(hop), 1)])) == jw_term(hop)
 
     @pytest.fixture(scope="class", params=["hermitian", "one-sided"])
     def case(self, request):
@@ -581,7 +581,12 @@ class TestIntegerFold:
         # block of one term at value 1 checks the builder too, not jw_term
         # against itself
         want = reference_fold([(reference_jw_term(FermionicTerm(*k, n)), value) for k, value in block])
-        assert weighted_strings(n, *jw_image(n, block)) == want
+        assert weighted_strings(n, *block_image(n, block)) == want
+        # and each Y half is the reference's strings of that parity, in order
+        denominator, [halves] = jw_image(n, [block])
+        for parity, half in enumerate(halves):
+            mine = [w for w in want if (w.string.x & w.string.z).bit_count() % 2 == parity]
+            assert weighted_strings(n, denominator, half) == mine
 
     @pytest.mark.parametrize("n", range(4, 9))
     @pytest.mark.parametrize("kind", ["unweighted", "hermitian", "one-sided"])
@@ -627,13 +632,13 @@ class TestIntegerFold:
     def test_entries_that_cancel(self):
         hop, dressed = FermionicTerm.one_body(1, 0, 4), FermionicTerm.two_body(2, 1, 2, 0, 4)
         third = Fraction(1, 3)
-        assert jw_image(4, [(key(hop), third), (key(hop), -third)])[1] == [] == reference_fold(
+        assert block_image(4, [(key(hop), third), (key(hop), -third)])[1] == [] == reference_fold(
             [(jw_term(hop), third), (jw_term(hop), -third)]
         )
         # a dressed hopping minus the bare one: only the Z-dressed part stays
         self._assert_matches_reference(4, keyed([(hop, third), (dressed, third), (hop, -third)]))
         number = FermionicTerm.one_body(2, 2, 4)
-        assert jw_image(4, [(key(number), Fraction(1, 6)), (key(number), Fraction(-1, 6))])[1] == []
+        assert block_image(4, [(key(number), Fraction(1, 6)), (key(number), Fraction(-1, 6))])[1] == []
 
 
 class TestIntegerCoefficientSums:
@@ -1147,10 +1152,15 @@ class TestWriterDivision:
 
     def test_a_round_joins_blocks_over_different_denominators(self, tmp_path):
         # round 0 of the N=8 schedule holds the subsets (7, 2, 1, 0) and
-        # (6, 5, 4, 3): their blocks fold over 3 * 16 and 5 * 16
+        # (6, 5, 4, 3): alone, their blocks would fold over 3 * 16 and 5 * 16,
+        # and the unit of both folds over their lcm, which both families carry
         assert schedule_for(8).rounds[0] == ((7, 2, 1, 0), (6, 5, 4, 3))
         values = {(7, 2, 1, 0): Fraction(1, 3), (6, 5, 4, 3): Fraction(1, 5)}
         coeffs = HamiltonianCoefficients.from_entries(8, [], list(values.items()))
+        blocks = _blocks(8, coeffs)
+        unit = [blocks[sum(1 << m for m in subset)] for subset in schedule_for(8).rounds[0]]
+        assert [jw_image(8, [block])[0] for block in unit] == [48, 80]
+        assert jw_image(8, unit)[0] == 240
         families = list(commuting_families(schedule_for(8), coeffs))
         assert [(f.origin, f.denominator, len(f)) for f in families] == [("dominant", 240, 16)] * 2
         expected = {}

@@ -17,9 +17,10 @@ so that their ratios do not depend on machine drift.  The file records:
   least; the counts must agree between them:
   ``build_schedule``, the block table (``partition._blocks``), the whole
   families pass, ``jw_image`` over the four-mode blocks and over the rest,
-  certification (``partition._certified`` of each family), these two
-  dropping each result as it comes, and the writer
-  (``save_families``); and the counts: rounds, families and strings per
+  each block a unit of its own, certification (``partition._certified``
+  of each family), these three dropping each result as it comes, and the
+  writer (``save_families``), each timed before a second copy of its
+  result could be held; and the counts: rounds, families and strings per
   class, string slots, output bytes and the sha256 of the output;
 - per tree and per N in ``WEIGHTED_SIZES``, the same for the weighted
   compile of ``perfbench/hamiltonian.generate(N, 1, 0)``, in the same
@@ -44,7 +45,10 @@ no timed launch compiles a module and no tree gains a ``__pycache__``.
 Whether a tree holds stray bytecode beside its sources then moves no row.
 
 The stage times reach into two private functions of ``partition``, so a
-tree that renames them needs this script changed too.
+tree that renames them needs this script changed too.  The ``jw_image``
+stages call the kernel by the name of its second parameter: ``blocks``,
+a unit of blocks, gets ``jw_image(n, [block])``, and ``entries``, one
+block, gets ``jw_image(n, block)``.
 """
 
 import argparse
@@ -57,7 +61,6 @@ import subprocess
 import sys
 import tempfile
 import time
-from functools import partial
 from inspect import signature
 from pathlib import Path
 
@@ -103,42 +106,56 @@ def each(function, items) -> None:
 
 
 def measure_size(n: int, scratch: Path) -> dict:
-    """The stage times and counts of the unweighted compile at n modes, in this interpreter."""
+    """The stage times and counts of the unweighted compile at n modes, in this interpreter.
+
+    The interpreter holds one result at a time, as in
+    :func:`measure_weighted`: the block table and the families pass are
+    timed before either result is held, the block table is dropped once
+    the ``jw_image`` stages are timed, before the families are built, and
+    the output file is hashed in chunks, not read whole.
+    """
     from paulisched import partition
     from paulisched.baranyai import build_schedule
     from paulisched.fermion import jw_image
 
+    # a kernel that folds a unit of blocks takes each block as a unit of its
+    # own; the older kernel, whose second parameter is ``entries``, one block
+    unit = list(signature(jw_image).parameters)[1] == "blocks"
+
+    def image(block):
+        return jw_image(n, [block] if unit else block)
+
     schedule = build_schedule(n)
-    blocks = partition._blocks(n, None)
-    # a tree whose kernel takes a block alone, as it did before it took n, is measured too
-    image = partial(jw_image, n) if "n" in signature(jw_image).parameters else jw_image
-    four = [block for mask, block in blocks.items() if mask.bit_count() == 4]
-    rest = [block for mask, block in blocks.items() if mask.bit_count() != 4]
-    families = list(partition.commuting_families(schedule))
-    path = scratch / f"families{n}.json"
     times = {
         "schedule_s": best_of(lambda: build_schedule(n)),
         "block_table_s": best_of(lambda: partition._blocks(n, None)),
         "families_pass_s": best_of(lambda: list(partition.commuting_families(schedule))),
-        "jw_image_four_mode_s": best_of(lambda: each(image, four)),
-        "jw_image_rest_s": best_of(lambda: each(image, rest)),
-        "certification_s": best_of(lambda: each(partition._certified, families)),
-        "writer_s": best_of(lambda: partition.save_families(families, path)),
     }
-    output = path.read_bytes()
+    blocks = partition._blocks(n, None)
+    four = [block for mask, block in blocks.items() if mask.bit_count() == 4]
+    rest = [block for mask, block in blocks.items() if mask.bit_count() != 4]
+    del blocks
+    times["jw_image_four_mode_s"] = best_of(lambda: each(image, four))
+    times["jw_image_rest_s"] = best_of(lambda: each(image, rest))
+    four_mode_blocks, other_blocks = len(four), len(rest)
+    del four, rest
+    families = list(partition.commuting_families(schedule))
+    path = scratch / f"families{n}.json"
+    times["certification_s"] = best_of(lambda: each(partition._certified, families))
+    times["writer_s"] = best_of(lambda: partition.save_families(families, path))
     dominant = [len(family) for family in families if family.origin == "dominant"]
     residual = [len(family) for family in families if family.origin == "residual"]
     counts = {
         "rounds": len(schedule.rounds),
-        "four_mode_blocks": len(four),
-        "other_blocks": len(rest),
+        "four_mode_blocks": four_mode_blocks,
+        "other_blocks": other_blocks,
         "dominant_families": len(dominant),
         "residual_families": len(residual),
         "dominant_strings": sum(dominant),
         "residual_strings": sum(residual),
         "string_slots": sum(dominant) + sum(residual),
-        "output_bytes": len(output),
-        "output_sha256": hashlib.sha256(output).hexdigest(),
+        "output_bytes": path.stat().st_size,
+        "output_sha256": sha256(path),
     }
     return {"times": {name: round(seconds, 5) for name, seconds in times.items()}, "counts": counts}
 
@@ -181,7 +198,6 @@ def measure_weighted(n: int, scratch: Path) -> dict:
     times["families_pass_s"] = best_of(lambda: list(partition.commuting_families(schedule, coeffs)))
     families = list(partition.commuting_families(schedule, coeffs))
     times["writer_s"] = best_of(lambda: partition.save_families(families, path))
-    output = path.read_bytes()
     dominant = [len(family) for family in families if family.origin == "dominant"]
     residual = [len(family) for family in families if family.origin == "residual"]
     counts = {
@@ -191,8 +207,8 @@ def measure_weighted(n: int, scratch: Path) -> dict:
         "dominant_families": len(dominant),
         "residual_families": len(residual),
         "string_slots": sum(dominant) + sum(residual),
-        "output_bytes": len(output),
-        "output_sha256": hashlib.sha256(output).hexdigest(),
+        "output_bytes": path.stat().st_size,
+        "output_sha256": sha256(path),
     }
     return {"times": {name: round(seconds, 5) for name, seconds in times.items()}, "counts": counts}
 
