@@ -100,11 +100,13 @@ class UnsupportedTermError(ValueError):
 class FermionicTerm:
     """A normal-ordered product of creation then annihilation operators.
 
-    ``creates`` and ``annihilates`` are strictly descending mode-index
-    tuples, either one index each (one-body) or two each (two-body).
-    Repeats between the two tuples are allowed (those are the residual
-    terms); repeats within a tuple would make the operator vanish and are
-    rejected.
+    Built from its two sides only: ``creates`` and ``annihilates`` are
+    strictly descending mode-index tuples, either one index each
+    (one-body) or two each (two-body), so ``(creates, annihilates)`` is
+    the term's key, the one form in which the compile carries a term from
+    the loader to the writer.  Repeats between the two tuples are allowed
+    (those are the residual terms); repeats within a tuple would make the
+    operator vanish and are rejected.
     """
 
     creates: tuple[int, ...]
@@ -123,14 +125,6 @@ class FermionicTerm:
                 raise ValueError(f"mode index out of range [0, {self.n}) in {side}")
             if len(side) == 2 and side[0] <= side[1]:
                 raise UnsupportedTermError(f"indices must be strictly descending, got {side}")
-
-    @classmethod
-    def one_body(cls, p: int, q: int, n: int) -> "FermionicTerm":
-        return cls((p,), (q,), n)
-
-    @classmethod
-    def two_body(cls, p: int, q: int, r: int, s: int, n: int) -> "FermionicTerm":
-        return cls((p, q), (r, s), n)
 
 
 def _ladder(mode: int, dagger: bool) -> tuple[tuple[int, int, int], tuple[int, int, int]]:

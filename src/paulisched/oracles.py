@@ -153,10 +153,10 @@ def _canonical_terms(n: int) -> list[FermionicTerm]:
     """Every canonical non-vanishing term on n modes: each one-body term, each
     two-body term whose create and annihilate pairs overlap, and per 4-subset
     the term creating its two largest modes."""
-    pairs = [(a, b) for a in range(n) for b in range(a)]
-    terms = [FermionicTerm.one_body(p, q, n) for p in range(n) for q in range(n)]
-    terms += [FermionicTerm.two_body(*c, *d, n) for c in pairs for d in pairs if set(c) & set(d)]
-    return terms + [FermionicTerm.two_body(*sorted(sub, reverse=True), n) for sub in combinations(range(n), 4)]
+    pairs = [(a, b) for a in range(n) for b in range(a)]  # descending
+    terms = [FermionicTerm((p,), (q,), n) for p in range(n) for q in range(n)]
+    terms += [FermionicTerm(c, d, n) for c in pairs for d in pairs if set(c) & set(d)]
+    return terms + [FermionicTerm((d, c), (b, a), n) for a, b, c, d in combinations(range(n), 4)]
 
 
 def verify_jw_against_matrices(n: int) -> OracleReport:
@@ -207,8 +207,8 @@ def verify_disjoint_term_commutation() -> OracleReport:
     bad: str | None = None
     for picked in combinations(range(8), 4):
         rest = tuple(sorted(set(range(8)) - set(picked)))
-        term_a = FermionicTerm.two_body(*sorted(picked, reverse=True), 8)
-        term_b = FermionicTerm.two_body(*sorted(rest, reverse=True), 8)
+        (a, b, c, d), (e, f, g, h) = picked, rest
+        term_a, term_b = FermionicTerm((d, c), (b, a), 8), FermionicTerm((h, g), (f, e), 8)
         cross = _cross_counts(term_a, term_b)
         pairs += len(cross)
         case_counts.extend(sorted({c for _, _, c in cross}))
@@ -231,10 +231,12 @@ def verify_disjoint_term_commutation() -> OracleReport:
     )
 
 
-def verify_sliding_invariance(trials: int = 200, max_n: int = 12, seed: int = 7) -> OracleReport:
+def verify_sliding_invariance() -> OracleReport:
     """Moving one endpoint without crossing the other term's endpoints keeps
-    every cross pair's anticommuting parity unchanged (and even)."""
-    rng = random.Random(seed)
+    every cross pair's anticommuting parity unchanged (and even), over 200
+    seeded random cases of two disjoint two-body terms on 8 to 12 modes."""
+    trials, max_n = 200, 12
+    rng = random.Random(7)
     bad: str | None = None
     done = 0
     while done < trials and bad is None:
@@ -252,9 +254,10 @@ def verify_sliding_invariance(trials: int = 200, max_n: int = 12, seed: int = 7)
             continue
         target = rng.choice(free)
         slid = sorted((set(a) - {moving}) | {target}, reverse=True)
-        term_b = FermionicTerm.two_body(*b, n)
+        # each side's modes are descending: the term creates the first two
+        term_b = FermionicTerm(b[:2], b[2:], n)
         before, after = (
-            [c % 2 for _, _, c in _cross_counts(FermionicTerm.two_body(*modes, n), term_b)]
+            [c % 2 for _, _, c in _cross_counts(FermionicTerm(modes[:2], modes[2:], n), term_b)]
             for modes in (a, slid)
         )
         if before != after or any(p % 2 for p in before):
@@ -290,7 +293,10 @@ def anticommuting_chain_fixture(n: int) -> list[PauliString]:
     ]
 
 
-def verify_anticommuting_chains(max_n: int = 8) -> OracleReport:
+def verify_anticommuting_chains() -> OracleReport:
+    """No two distinct members of :func:`anticommuting_chain_fixture`
+    commute, for every n up to 8."""
+    max_n = 8
     bad: str | None = None
     pairs = 0
     for n in range(1, max_n + 1):
@@ -417,9 +423,10 @@ def validate_partition(families, n: int, coeffs=None) -> OracleReport:
     """The families are an exact partition of the Hamiltonian's JW image.
 
     Recomputes the sum over terms of c_t * jw_term(t) in exact arithmetic:
-    over the entries of ``coeffs`` (normal-ordered ``one_body`` and
-    ``two_body`` tables) when given, else over every canonical term at
-    value 1, the list that :func:`verify_jw_against_matrices` extends.
+    over the ``terms`` of ``coeffs`` when given, each term built straight
+    from its key ``(creates, annihilates)``, else over every canonical
+    term at value 1, the list that :func:`verify_jw_against_matrices`
+    extends.
     Every string must act on n qubits, no string may appear twice, and the
     family strings must sum exactly to that image.  For n <= 6 the families also
     sum to the same matrix as the occupation-basis terms.
@@ -428,8 +435,7 @@ def validate_partition(families, n: int, coeffs=None) -> OracleReport:
     if coeffs is None:
         table = [(term, 1) for term in _canonical_terms(n)]
     else:
-        table = [(FermionicTerm.one_body(p, q, n), v) for (p, q), v in coeffs.one_body.items()]
-        table += [(FermionicTerm.two_body(*key, n), v) for key, v in coeffs.two_body.items()]
+        table = [(FermionicTerm(creates, annihilates, n), v) for (creates, annihilates), v in coeffs.terms.items()]
     image: dict[PauliString, ExactComplex] = {}
     for term, value in table:
         for w in jw_term(term):

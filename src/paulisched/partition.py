@@ -4,8 +4,9 @@ One pass yields the partition unit by unit.  Every JW string of a term
 has the same X mask, the XOR of the term's mode bits, so all terms are
 grouped into *blocks* keyed by that X-support, in one table.  A term is
 carried as its key ``(creates, annihilates)``, its two descending mode
-tuples, checked where the input arrived: the table's entries are ``(key,
-value)`` pairs.  Each unit of blocks is folded once, by one call of
+tuples, checked where the input arrived: the coefficients' one table is
+keyed by it, and the block table's entries are ``(key, value)`` pairs.
+Each unit of blocks is folded once, by one call of
 :func:`~paulisched.fermion.jw_image`, into the exact JW images of its
 blocks' weighted terms: the unit's one denominator and, per block, a row
 ``(text, x, z, re, im)`` per string, already split into the block's
@@ -13,13 +14,13 @@ even-Y and odd-Y halves.  :mod:`paulisched.fermion` sums the integer
 numerators over that denominator and picks each row's half; this module
 only joins the halves into an even-Y and an odd-Y family, certifies them
 on their rows' masks and writes their text, their numerators and the
-keys: no term object and no Pauli object is built between the block
-table and the file.  A family's ``strings`` view builds the Pauli objects
-for the oracles and the tests, and ``len(family)`` counts its strings
-without it.  Both families of a unit are yielded before the next unit is
-folded: a caller that writes the families as they come, as the command
-line does, holds the block table and one unit's families, never the
-whole partition, and the table shrinks as its blocks are taken.
+keys: no term object and no Pauli object is built between the loader and
+the file.  A family's ``strings`` view builds the Pauli objects for the
+oracles and the tests, and ``len(family)`` counts its strings without
+it.  Both families of a unit are yielded before the next unit is folded:
+a caller that writes the families as they come, as the command line
+does, holds the block table and one unit's families, never the whole
+partition, and the table shrinks as its blocks are taken.
 
 The units are the schedule's rounds first, then every block the rounds
 leave, one unit each in ascending X-mask order.  A round takes the block
@@ -54,7 +55,10 @@ an incomplete one leaves more units, never fewer strings.
 Grouping depends only on n.  Coefficients are brought to normal order
 (descending indices per operator kind, with the antisymmetry sign) and
 summed per canonical term as they are read, on integer numerators over
-one denominator per term.  Output is bit-identical between runs.
+one denominator per term, under the file's flat index tuples; each
+distinct sum then gets its term's key once, in canonical order, which
+does not depend on the order of the file's entries.  The weighted block
+table reads that table as it is.  Output is bit-identical between runs.
 """
 
 import errno
@@ -225,10 +229,11 @@ def _split(n: int, unit, origin: str) -> list[CommutingFamily]:
 
 def _blocks(n: int, coeffs: "HamiltonianCoefficients | None") -> dict[int, list]:
     """Every (key, value) entry keyed by X mask: without coefficients every
-    canonical non-vanishing term at value 1, else the entries by sorted key.
-    A key is a term's ``(creates, annihilates)``, two descending mode
-    tuples, canonical as enumerated here or checked as the coefficients
-    were read, so none is checked again."""
+    canonical non-vanishing term at value 1, else the coefficients' terms
+    in their table's own order.  A key is a term's ``(creates,
+    annihilates)``, two descending mode tuples, canonical as enumerated
+    here or checked as the coefficients were read, so none is checked
+    again."""
     if coeffs is None:
         keys = [((p,), (q,)) for p in range(n) for q in range(n)]
         keys += [
@@ -241,8 +246,7 @@ def _blocks(n: int, coeffs: "HamiltonianCoefficients | None") -> dict[int, list]
         keys += [((d, c), (b, a)) for a, b, c, d in combinations(range(n), 4)]
         table = [(key, 1) for key in keys]
     else:
-        table = [(((p,), (q,)), value) for (p, q), value in sorted(coeffs.one_body.items())]
-        table += [(((p, q), (r, s)), value) for (p, q, r, s), value in sorted(coeffs.two_body.items())]
+        table = coeffs.terms.items()
     blocks: dict[int, list] = {}
     for key, value in table:
         # the XOR of both sides' mode bits, as each side's modes are distinct
@@ -304,29 +308,35 @@ def _units(schedule: Schedule, blocks: dict[int, list]) -> Iterator[CommutingFam
 
 @dataclass(frozen=True, slots=True)
 class HamiltonianCoefficients:
-    """Normal-ordered coefficient tables; absent entries mean zero.
+    """A normal-ordered Hamiltonian's one coefficient table; absent terms mean zero.
 
-    ``one_body`` maps (p, q) to the weight of the p-create/q-annihilate
-    term; ``two_body`` maps descending-canonical (p, q, r, s) with p > q and
-    r > s.  Use :func:`load_coefficients` or :meth:`from_entries` so raw
-    index orders are normalized (with antisymmetry signs) and duplicate
-    entries accumulate.  Both apply one rule, entry by entry: n must be an
-    int (bool is not one), and is checked first; then each entry is checked
-    in turn: its key's length, then its value, an int, float or Fraction in
-    the float range (bool is none of them), then its mode indices, ints in
-    range(n).  A two-body entry whose creates or annihilates repeat a mode
-    vanishes once it passes these checks.  Each key sums its values'
-    integer numerators over one denominator, and holds one Fraction if the
-    sum is nonzero, in the order of the key's first entry.
+    ``terms`` maps each term's key ``(creates, annihilates)`` to its
+    Fraction weight: ``((p,), (q,))`` for the p-create/q-annihilate
+    one-body term, ``((p, q), (r, s))`` with p > q and r > s for a
+    two-body term.  Its order is canonical: one-body keys ascending, then
+    two-body keys ascending, whatever the order of the entries read.  Use
+    :func:`load_coefficients` or :meth:`from_entries`, the two builders
+    that give that order, so raw index orders are normalized (with
+    antisymmetry signs) and duplicate entries accumulate.  Both apply one
+    rule, entry by entry: n must be an int (bool is not one), and is
+    checked first; then each entry is checked in turn: its key's length,
+    then its value, an int, float or Fraction in the float range (bool is
+    none of them), then its mode indices, ints in range(n).  A two-body
+    entry whose creates or annihilates repeat a mode vanishes once it
+    passes these checks.  Each key sums its values' integer numerators
+    over one denominator, and holds one Fraction if the sum is nonzero.
+
+    The compile checks no key of a table and folds ``terms`` in the
+    dict's own order: a table built by hand must hold canonical keys, and
+    gives the canonical bytes only in the canonical order.
     """
 
     n: int
-    one_body: dict[tuple[int, int], Fraction]
-    two_body: dict[tuple[int, int, int, int], Fraction]
+    terms: dict[tuple[tuple[int, ...], tuple[int, ...]], Fraction]
 
     @classmethod
     def from_entries(cls, n, one_body_entries, two_body_entries) -> "HamiltonianCoefficients":
-        return cls(n, *map(_fractions, _tables(n, one_body_entries, two_body_entries)))
+        return cls(n, _fractions(_tables(n, one_body_entries, two_body_entries)))
 
 
 def _check_n(n) -> None:
@@ -390,18 +400,32 @@ def _fold(sums: dict, size: int, key, value, n: int) -> None:
         held[1] = common
 
 
-def _reduced(sums: dict) -> dict:
-    """Each key's sum as a (numerator, denominator) pair in lowest terms; zero sums drop."""
+def _reduced(one: dict, two: dict) -> dict:
+    """The reduced table of the flat one- and two-body sums: each nonzero
+    sum as a (numerator, denominator) pair in lowest terms, under its
+    term's key ``(creates, annihilates)``; zero sums drop.
+
+    Each body's flat keys are sorted once, and each distinct key is split
+    into its two sides once, so the table is in canonical order: one-body
+    keys ascending, then two-body keys ascending, as sorting the flat keys
+    sorts their sides.  Keys share their side tuples, and each sum leaves
+    ``one`` or ``two`` as it is reduced, so building the table does not
+    raise the loader's peak memory.
+    """
     table = {}
-    for key, (num, den) in sums.items():
-        if num:
-            common = gcd(num, den)
-            table[key] = num // common, den // common
+    for sums, half in ((one, 1), (two, 2)):
+        sides: dict = {}
+        for key in sorted(sums):
+            num, den = sums.pop(key)
+            if num:
+                common = gcd(num, den)
+                c, a = key[:half], key[half:]
+                table[sides.setdefault(c, c), sides.setdefault(a, a)] = num // common, den // common
     return table
 
 
-def _tables(n, one_body_entries, two_body_entries) -> tuple[dict, dict]:
-    """The reduced one- and two-body tables of the entries, n checked first."""
+def _tables(n, one_body_entries, two_body_entries) -> dict:
+    """The reduced table of the entries, n checked first."""
     _check_n(n)
     one: dict = {}
     for key, value in one_body_entries:
@@ -409,7 +433,7 @@ def _tables(n, one_body_entries, two_body_entries) -> tuple[dict, dict]:
     two: dict = {}
     for key, value in two_body_entries:
         _fold(two, 4, key, value, n)
-    return _reduced(one), _reduced(two)
+    return _reduced(one, two)
 
 
 def _fractions(table: dict) -> dict:
@@ -417,25 +441,25 @@ def _fractions(table: dict) -> dict:
     return {key: Fraction(num, den) for key, (num, den) in table.items()}
 
 
-def _check_hermitian(one: dict, two: dict) -> None:
-    """Raise ValueError unless the reduced tables are Hermitian.
+def _check_hermitian(table: dict) -> None:
+    """Raise ValueError unless the reduced table is Hermitian.
 
-    With real values, H is Hermitian iff every normal-ordered entry equals
-    the entry of its adjoint, whose key swaps the create and annihilate
-    halves; an absent entry is 0.  As the pairs are in lowest terms, one
-    comparison of each table with its adjoint-keyed copy decides; only then
-    is the first failing key sought, in sorted order, to be named.
+    With real values, H is Hermitian iff every normal-ordered term equals
+    the term of its adjoint: the adjoint of ``(c, a)`` is ``(a, c)``, for
+    both bodies, and an absent term is 0.  As the pairs are in lowest
+    terms, one comparison of the table with its adjoint-keyed copy
+    decides; only then is the first failing key sought, in the table's
+    canonical order, to be named.  The message names the keys as the
+    file's flat index lists, such as ``[2, 1]``.
     """
-    for table, half in ((one, 1), (two, 2)):
-        if {key[half:] + key[:half]: value for key, value in table.items()} == table:
-            continue
-        for key in sorted(table):
-            adjoint = key[half:] + key[:half]
-            if table.get(adjoint) != table[key]:
-                raise ValueError(
-                    f"not Hermitian: entry {list(key)} is {_shown(table, key)} but its adjoint "
-                    f"{list(adjoint)} is {_shown(table, adjoint)}"
-                )
+    if {(a, c): value for (c, a), value in table.items()} == table:
+        return
+    for (c, a), value in table.items():
+        if table.get((a, c)) != value:
+            raise ValueError(
+                f"not Hermitian: entry {list(c + a)} is {_shown(table, (c, a))} but its adjoint "
+                f"{list(a + c)} is {_shown(table, (a, c))}"
+            )
 
 
 def _shown(table: dict, key) -> str:
@@ -456,8 +480,8 @@ class _Unsure(Exception):
     """The streamed fold cannot stand for the document, which is then read whole."""
 
 
-def _streamed(text: str, path) -> tuple[int, dict, dict]:
-    """n and the reduced tables of a coefficients text, each entry folded as it is parsed.
+def _streamed(text: str, path) -> tuple[int, dict]:
+    """n and the reduced table of a coefficients text, each entry folded as it is parsed.
 
     ``json`` hands each object to a hook as it closes.  An object of the
     shape the files are written in, ``{"pq": key, "value": v}`` or
@@ -496,18 +520,18 @@ def _streamed(text: str, path) -> tuple[int, dict, dict]:
             raise _Unsure
     if parsed_n != n:
         raise _Unsure
-    return n, _reduced(sums["pq"]), _reduced(sums["pqrs"])
+    return n, _reduced(sums["pq"], sums["pqrs"])
 
 
-def _listed(text: str, path) -> tuple[int, dict, dict]:
-    """n and the reduced tables of a coefficients text parsed whole, its
+def _listed(text: str, path) -> tuple[int, dict]:
+    """n and the reduced table of a coefficients text parsed whole, its
     entries listed: any layout a dict reads, and every fault in the order
     of the rules, each body's entries listed before any is checked."""
     data, n = _parse_json(text, path, "coefficients", CoefficientsLoadError)
     try:
         one = [(tuple(entry["pq"]), entry["value"]) for entry in data.get("one_body", [])]
         two = [(tuple(entry["pqrs"]), entry["value"]) for entry in data.get("two_body", [])]
-        return n, *_tables(n, one, two)
+        return n, _tables(n, one, two)
     except (KeyError, TypeError, ValueError) as exc:
         raise CoefficientsLoadError(f"malformed coefficients file {path}: {exc}") from exc
 
@@ -552,22 +576,25 @@ def load_coefficients(path) -> HamiltonianCoefficients:
     into its key's sum as it is parsed, so no entry is held: the memory
     is the text and the sums.  A file in any other layout that ``json``
     reads to the same data, and a file with a fault, is parsed whole
-    and its entries listed, so it loads to the same tables, or fails with
+    and its entries listed, so it loads to the same table, or fails with
     :class:`CoefficientsLoadError` and the same message, as the same data
-    in the layout above.  Hermiticity is one comparison of each reduced
-    table with its adjoint-keyed copy; on a mismatch the first failing key
-    in sorted order is named.
+    in the layout above.  The table is keyed by each term's ``(creates,
+    annihilates)`` in canonical order, so files that list the same
+    entries in other orders load to equal tables in the same key order.
+    Hermiticity is one comparison of the reduced table with its
+    adjoint-keyed copy; on a mismatch the first failing key in canonical
+    order is named.
     """
     text = _read_text(path, "coefficients", CoefficientsLoadError)
     try:
-        n, one, two = _streamed(text, path)
+        n, table = _streamed(text, path)
     except _Unsure:
-        n, one, two = _listed(text, path)
+        n, table = _listed(text, path)
     try:
-        _check_hermitian(one, two)
+        _check_hermitian(table)
     except ValueError as exc:
         raise CoefficientsLoadError(f"malformed coefficients file {path}: {exc}") from exc
-    return HamiltonianCoefficients(n, _fractions(one), _fractions(two))
+    return HamiltonianCoefficients(n, _fractions(table))
 
 
 # ---------------------------------------------------------------------------

@@ -286,8 +286,9 @@ def reference_from_entries(n, one_body_entries, two_body_entries) -> Hamiltonian
     """The one-``Fraction``-per-entry accumulation that ``from_entries`` must match.
 
     Same checks in the same order (n, then per entry key length, value,
-    index type, index range), same antisymmetry signs, same key insertion
-    order and the same zero-sum filter.
+    index type, index range), same antisymmetry signs and the same zero-sum
+    filter; the table is keyed by each term's ``(creates, annihilates)`` in
+    canonical order: one-body keys ascending, then two-body keys ascending.
     """
     if not isinstance(n, int) or isinstance(n, bool):
         raise ValueError(f"n must be an integer, got {n!r}")
@@ -318,11 +319,9 @@ def reference_from_entries(n, one_body_entries, two_body_entries) -> Hamiltonian
             r, s, sign = s, r, -sign
         key = (p, q, r, s)
         two[key] = two.get(key, Fraction(0)) + sign * value
-    return HamiltonianCoefficients(
-        n,
-        {k: v for k, v in one.items() if v},
-        {k: v for k, v in two.items() if v},
-    )
+    terms = {((p,), (q,)): v for (p, q), v in sorted(one.items()) if v}
+    terms.update({((p, q), (r, s)): v for (p, q, r, s), v in sorted(two.items()) if v})
+    return HamiltonianCoefficients(n, terms)
 
 
 def family_of(strings, provenance=(), origin="residual") -> CommutingFamily:

@@ -147,8 +147,8 @@ def test_criterion_3_jw_correctness(capsys):
         report = verify_jw_against_matrices(n)
         assert report.passed, report.counterexample
         assert report.details["max_deviation"] == 0.0
-        for subset in combinations(range(n), 4):
-            term = FermionicTerm.two_body(*sorted(subset, reverse=True), n)
+        for a, b, c, d in combinations(range(n), 4):
+            term = FermionicTerm((d, c), (b, a), n)
             strings = jw_term(term)
             assert len(strings) == 16
             assert all(abs_squared(w.coefficient) == Fraction(1, 256) for w in strings)

@@ -81,8 +81,8 @@ def fresh_weighted_counts(n: int, path: Path) -> dict:
     families = list(commuting_families(schedule_for(n), coeffs))
     return {
         "entries": len(document["one_body"]) + len(document["two_body"]),
-        "one_body_keys": len(coeffs.one_body),
-        "two_body_keys": len(coeffs.two_body),
+        "one_body_keys": sum(len(creates) == 1 for creates, _ in coeffs.terms),
+        "two_body_keys": sum(len(creates) == 2 for creates, _ in coeffs.terms),
         "dominant_families": sum(family.origin == "dominant" for family in families),
         "residual_families": sum(family.origin == "residual" for family in families),
         "string_slots": sum(len(family) for family in families),

@@ -562,6 +562,19 @@ def test_every_exported_name_is_used_in_the_package():
     batch = ast.parse((SRC.parent / "perfbench" / "batch.py").read_text())
     assert any(isinstance(node, ast.Attribute) and node.attr == "build_partition" for node in ast.walk(batch))
     assert unused == ["partition.build_partition"]
+    # the package root re-exports a name only for a caller outside the
+    # package that reads it through the root, in code or in the code it
+    # hands a child: the benchmark and the tools
+    reexported = {
+        alias.asname or alias.name
+        for node in trees["__init__"].body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    outside = [path.read_text() for folder in ("perfbench", "tools") for path in (SRC.parent / folder).glob("*.py")]
+    read = {name for text in outside for name in re.findall(r"\bpaulisched\.(\w+)", text)}
+    assert reexported, "the root re-exports nothing"
+    assert sorted(reexported - read) == []
 
 
 class TestCollectorPause:

@@ -30,8 +30,8 @@ from paulisched.pauli import ExactComplex, PauliString, WeightedPauliString
 
 class TestFermionicTerm:
     def test_shapes(self):
-        FermionicTerm.one_body(3, 3, 4)
-        FermionicTerm.two_body(3, 1, 3, 0, 4)  # repeat across kinds is fine
+        FermionicTerm((3,), (3,), 4)
+        FermionicTerm((3, 1), (3, 0), 4)  # repeat across kinds is fine
 
     def test_ascending_indices_rejected(self):
         for creates, annihilates in [((1, 3), (2, 0)), ((3, 2), (0, 1))]:
@@ -87,7 +87,7 @@ class TestLadder:
 
 class TestExcitation:
     def test_adjacent_endpoints_have_no_z(self):
-        term = FermionicTerm.two_body(3, 2, 1, 0, 4)
+        term = FermionicTerm((3, 2), (1, 0), 4)
         strings = jw_term(term)
         assert len(strings) == 16
         assert {len(strings)} == {16}
@@ -97,14 +97,14 @@ class TestExcitation:
         assert all(abs_squared(w.coefficient) == Fraction(1, 256) for w in strings)
 
     def test_interior_z_segments(self):
-        term = FermionicTerm.two_body(5, 3, 2, 0, 6)
+        term = FermionicTerm((5, 3), (2, 0), 6)
         for w in jw_term(term):
             text = str(w.string)
             assert text[1] == "Z" and text[4] == "Z"
             assert all(text[t] in "XY" for t in (0, 2, 3, 5))
 
     def test_sum_equals_dense_operator(self):
-        term = FermionicTerm.two_body(3, 2, 1, 0, 4)
+        term = FermionicTerm((3, 2), (1, 0), 4)
         assert weighted_sum_matrix(jw_term(term), 4) == term_matrix(term)
 
     def test_noncanonical_distinct_arrangement_also_16_strings(self):
@@ -119,19 +119,19 @@ class TestExcitation:
 
 class TestPattern:
     def test_segments_of_spread_term(self):
-        pattern = pattern_of(FermionicTerm.two_body(7, 5, 3, 0, 8))
+        pattern = pattern_of(FermionicTerm((7, 5), (3, 0), 8))
         assert pattern.endpoints == (0, 3, 5, 7)
         assert pattern.z_segments == ((0, 3), (5, 7))
         assert pattern.z_mask() == (1 << 1) | (1 << 2) | (1 << 6)
 
     def test_segments_empty_for_adjacent_endpoints(self):
-        pattern = pattern_of(FermionicTerm.two_body(3, 2, 1, 0, 4))
+        pattern = pattern_of(FermionicTerm((3, 2), (1, 0), 4))
         assert pattern.z_mask() == 0
 
     def test_exactly_16_of_all_length8_strings_match(self):
         from paulisched.pauli import PauliString
 
-        term = FermionicTerm.two_body(7, 5, 3, 0, 8)
+        term = FermionicTerm((7, 5), (3, 0), 8)
         pattern = pattern_of(term)
         matching = [
             PauliString(8, x, z)
@@ -149,7 +149,7 @@ def _all_terms(n):
     descending pairs, repeated indices included.  Unlike the canonical list of
     the oracles, it keeps all six terms of each 4-subset, not one."""
     pairs = list(combinations(range(n), 2))
-    terms = [FermionicTerm.one_body(p, q, n) for p in range(n) for q in range(n)]
+    terms = [FermionicTerm((p,), (q,), n) for p in range(n) for q in range(n)]
     return terms + [FermionicTerm((q, p), (s, r), n) for p, q in pairs for r, s in pairs]
 
 
@@ -194,14 +194,14 @@ class TestGeneralTerms:
     @pytest.mark.parametrize("p,q", [(1, 0), (0, 1), (2, 2), (4, 0)])
     def test_one_body_against_dense(self, p, q):
         n = 5
-        term = FermionicTerm.one_body(p, q, n)
+        term = FermionicTerm((p,), (q,), n)
         strings = jw_term(term)
         assert weighted_sum_matrix(strings, n) == term_matrix(term)
         if p != q:
             assert len(strings) == 4
 
     def test_diagonal_one_body_collapses_to_two_strings(self):
-        strings = jw_term(FermionicTerm.one_body(1, 1, 3))
+        strings = jw_term(FermionicTerm((1,), (1,), 3))
         assert [(str(w.string), w.coefficient) for w in strings] == [
             ("III", ExactComplex(Fraction(1, 2))),
             ("IZI", ExactComplex(Fraction(-1, 2))),
@@ -225,10 +225,10 @@ class TestGeneralTerms:
 
     def test_all_terms_dense_at_small_sizes(self):
         for n in (4, 5):
-            terms = [FermionicTerm.one_body(p, q, n) for p in range(n) for q in range(n)]
+            terms = [FermionicTerm((p,), (q,), n) for p in range(n) for q in range(n)]
             terms += [
-                FermionicTerm.two_body(*sorted(sub, reverse=True), n)
-                for sub in combinations(range(n), 4)
+                FermionicTerm((d, c), (b, a), n)
+                for a, b, c, d in combinations(range(n), 4)
             ]
             for term in terms:
                 assert weighted_sum_matrix(jw_term(term), n) == term_matrix(term), term
@@ -289,7 +289,7 @@ class TestFourModeTemplate:
         n = 6
         for block in (
             [(FermionicTerm((3, 2), (1, 0), n), 1), (FermionicTerm((5, 4), (1, 0), n), Fraction(1, 3))],
-            [(FermionicTerm((3, 2), (1, 0), n), 1), (FermionicTerm.one_body(3, 0, n), -1)],
+            [(FermionicTerm((3, 2), (1, 0), n), 1), (FermionicTerm((3,), (0,), n), -1)],
             [(FermionicTerm((3, 2), (1, 0), n), 1), (FermionicTerm((3, 2), (3, 0), n), 2)],
         ):
             want = reference_fold([(reference_jw_term(t), value) for t, value in block])

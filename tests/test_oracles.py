@@ -76,7 +76,7 @@ class TestDenseChecks:
         # one-body terms, two-body terms whose sides share a mode, and the
         # distinct-index terms that create their two largest modes
         sides = [(a, b) for a in range(n) for b in range(a)]
-        want = {FermionicTerm.one_body(p, q, n) for p in range(n) for q in range(n)}
+        want = {FermionicTerm((p,), (q,), n) for p in range(n) for q in range(n)}
         want |= {
             FermionicTerm(c, d, n) for c in sides for d in sides if set(c) & set(d) or min(c) > max(d)
         }
@@ -96,7 +96,7 @@ class TestDenseChecks:
             weighted_sum_matrix(strings, 3)
 
     def test_term_plus_adjoint_is_hermitian(self):
-        term = FermionicTerm.two_body(3, 2, 1, 0, 4)
+        term = FermionicTerm((3, 2), (1, 0), 4)
         total = matrix_sum(term_matrix(term), term_matrix(adjoint(term)))
         assert total and total == conjugate_transpose(total)
 
@@ -127,8 +127,8 @@ class TestExhaustiveDisjointCheck:
         from paulisched.fermion import jw_term
         from paulisched.pauli import anticommuting_index_count
 
-        upper = FermionicTerm.two_body(7, 6, 5, 4, 8)
-        lower = FermionicTerm.two_body(3, 2, 1, 0, 8)
+        upper = FermionicTerm((7, 6), (5, 4), 8)
+        lower = FermionicTerm((3, 2), (1, 0), 8)
         all_x = {
             str(w.string): w.string
             for w in jw_term(upper) + jw_term(lower)
@@ -138,9 +138,9 @@ class TestExhaustiveDisjointCheck:
 
 class TestSliding:
     def test_invariance_holds(self):
-        report = verify_sliding_invariance(trials=100, max_n=12, seed=3)
+        report = verify_sliding_invariance()
         assert report.passed, report.counterexample
-        assert report.details["trials"] == 100
+        assert report.details == {"trials": 200, "max_n": 12}
 
 
 class TestChains:
@@ -168,8 +168,9 @@ class TestChains:
         assert clashes == []
 
     def test_report(self):
-        report = verify_anticommuting_chains(max_n=8)
+        report = verify_anticommuting_chains()
         assert report.passed
+        assert report.details["max_n"] == 8
         assert report.details["pairs_checked"] == sum(
             (2 * n) * (2 * n - 1) // 2 for n in range(1, 9)
         )
@@ -409,14 +410,14 @@ class TestOraclesFail:
     def test_sliding_check_catches_an_odd_parity(self, monkeypatch):
         count = oracles.anticommuting_index_count
         monkeypatch.setattr(oracles, "anticommuting_index_count", lambda p, q: count(p, q) + 1)
-        report = verify_sliding_invariance(trials=100, max_n=12, seed=3)
+        report = verify_sliding_invariance()
         assert report.passed is False
         assert report.counterexample.endswith("changed parity")
         assert report.details["trials"] == 1
 
     def test_chain_check_catches_a_commuting_pair(self, monkeypatch):
         monkeypatch.setattr(oracles, "commutes", lambda p, q: True)
-        report = verify_anticommuting_chains(max_n=3)
+        report = verify_anticommuting_chains()
         assert report.passed is False
         assert report.counterexample == "n=1: X and Y commute"
 

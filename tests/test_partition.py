@@ -91,7 +91,7 @@ class TestDominantFamilies:
         assert validate_families(families).passed
 
     def test_parity_halves_of_one_term_each_commute(self):
-        term = FermionicTerm.two_body(7, 5, 3, 0, 8)
+        term = FermionicTerm((7, 5), (3, 0), 8)
         halves = ([], [])
         for w in jw_term(term):
             y_count = (w.string.x & w.string.z).bit_count()
@@ -384,14 +384,13 @@ class TestCoefficients:
             8, [], [((5, 7, 3, 0), 1.0), ((7, 5, 0, 3), 2.0)]
         )
         # both reorder into (7,5,3,0): the first with one swap, the second too
-        assert coeffs.two_body == {(7, 5, 3, 0): Fraction(-3)}
+        assert coeffs.terms == {((7, 5), (3, 0)): Fraction(-3)}
 
     def test_vanishing_and_cancelling_entries_drop(self):
         coeffs = HamiltonianCoefficients.from_entries(
             8, [((1, 1), 0.0)], [((7, 7, 3, 0), 5.0), ((7, 5, 3, 0), 1.0), ((5, 7, 3, 0), 1.0)]
         )
-        assert coeffs.one_body == {}
-        assert coeffs.two_body == {}
+        assert coeffs.terms == {}
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
@@ -460,8 +459,8 @@ class TestWeightedFold:
     """Weighted families against the symbolic reference expansion, exactly."""
 
     def test_fold_sums_drops_zeros_and_sorts(self):
-        hop = FermionicTerm.one_body(1, 0, 2)
-        n0, n1 = FermionicTerm.one_body(0, 0, 2), FermionicTerm.one_body(1, 1, 2)
+        hop = FermionicTerm((1,), (0,), 2)
+        n0, n1 = FermionicTerm((0,), (0,), 2), FermionicTerm((1,), (1,), 2)
         entries = [(hop, Fraction(2)), (n0, Fraction(1, 3)), (n1, Fraction(1)), (n0, Fraction(-1, 3))]
         folded = weighted_strings(2, *block_image(2, keyed(entries)))
         # n0 cancels, so ZI sums to zero; strings of later entries sort first
@@ -480,8 +479,7 @@ class TestWeightedFold:
             # every other entry, so odd-Y strings survive in both classes
             one, two = one[::2], two[::2]
         coeffs = HamiltonianCoefficients.from_entries(8, one, two)
-        values = {FermionicTerm.one_body(p, q, 8): v for (p, q), v in coeffs.one_body.items()}
-        values.update({FermionicTerm.two_body(*k, 8): v for k, v in coeffs.two_body.items()})
+        values = {FermionicTerm(creates, annihilates, 8): v for (creates, annihilates), v in coeffs.terms.items()}
         return request.param, values, build_partition(8, coeffs).families
 
     def test_hermitian_table_loads(self, tmp_path):
@@ -605,10 +603,10 @@ class TestIntegerFold:
     def _pair_block(self, values):
         """Terms of X mask 0b11 on four modes, paired with ``values`` in turn."""
         terms = [
-            FermionicTerm.one_body(1, 0, 4),
-            FermionicTerm.one_body(0, 1, 4),
-            FermionicTerm.two_body(2, 1, 2, 0, 4),
-            FermionicTerm.two_body(3, 0, 3, 1, 4),
+            FermionicTerm((1,), (0,), 4),
+            FermionicTerm((0,), (1,), 4),
+            FermionicTerm((2, 1), (2, 0), 4),
+            FermionicTerm((3, 0), (3, 1), 4),
         ]
         assert {_x_mask(t) for t in terms} == {0b11}
         return keyed(zip(terms, values))
@@ -630,14 +628,14 @@ class TestIntegerFold:
             self._assert_matches_reference(6, block)
 
     def test_entries_that_cancel(self):
-        hop, dressed = FermionicTerm.one_body(1, 0, 4), FermionicTerm.two_body(2, 1, 2, 0, 4)
+        hop, dressed = FermionicTerm((1,), (0,), 4), FermionicTerm((2, 1), (2, 0), 4)
         third = Fraction(1, 3)
         assert block_image(4, [(key(hop), third), (key(hop), -third)])[1] == [] == reference_fold(
             [(jw_term(hop), third), (jw_term(hop), -third)]
         )
         # a dressed hopping minus the bare one: only the Z-dressed part stays
         self._assert_matches_reference(4, keyed([(hop, third), (dressed, third), (hop, -third)]))
-        number = FermionicTerm.one_body(2, 2, 4)
+        number = FermionicTerm((2,), (2,), 4)
         assert block_image(4, [(key(number), Fraction(1, 6)), (key(number), Fraction(-1, 6))])[1] == []
 
 
@@ -648,9 +646,8 @@ class TestIntegerCoefficientSums:
     def _assert_matches_reference(n, one, two):
         got = HamiltonianCoefficients.from_entries(n, one, two)
         want = reference_from_entries(n, one, two)
-        for table, reference in ((got.one_body, want.one_body), (got.two_body, want.two_body)):
-            assert list(table.items()) == list(reference.items())  # insertion order too
-            assert all(type(v) is Fraction for v in table.values())
+        assert list(got.terms.items()) == list(want.terms.items())  # key order too
+        assert all(type(v) is Fraction for v in got.terms.values())
         assert got == want
 
     @pytest.mark.parametrize("n", [4, 8, 12])
@@ -662,15 +659,14 @@ class TestIntegerCoefficientSums:
         two = [((3, 2, 1, 0), Fraction(1, 3)), ((3, 2, 1, 0), Fraction(-1, 3)), ((3, 1, 2, 0), 2)]
         self._assert_matches_reference(4, one, two)
         coeffs = HamiltonianCoefficients.from_entries(4, one, two)
-        assert coeffs.one_body == {(2, 2): Fraction(3, 2)}
-        assert coeffs.two_body == {(3, 1, 2, 0): Fraction(2)}
+        assert coeffs.terms == {((2,), (2,)): Fraction(3, 2), ((3, 1), (2, 0)): Fraction(2)}
 
     def test_antisymmetric_orders_that_cancel(self):
         two = [((3, 2, 1, 0), 0.5), ((2, 3, 1, 0), 0.5), ((3, 1, 2, 0), 0.75), ((3, 1, 0, 2), 0.75),
                ((1, 3, 0, 2), 0.75), ((2, 1, 3, 1), 1)]
         self._assert_matches_reference(4, [], two)
         coeffs = HamiltonianCoefficients.from_entries(4, [], two)
-        assert coeffs.two_body == {(3, 1, 2, 0): Fraction(3, 4), (2, 1, 3, 1): Fraction(1)}
+        assert coeffs.terms == {((3, 1), (2, 0)): Fraction(3, 4), ((2, 1), (3, 1)): Fraction(1)}
 
     def test_mixed_value_types(self):
         one = [((0, 0), 1), ((0, 0), 0.1), ((0, 0), Fraction(1, 3)), ((1, 2), Fraction(-2, 7)),
@@ -687,14 +683,18 @@ class TestIntegerCoefficientSums:
                ((3, 2, 0, 1), 1), ((2, 3, 0, 1), Fraction(1, 3)), ((1, 0, 3, 2), -2)]
         self._assert_matches_reference(4, one, two)
         coeffs = HamiltonianCoefficients.from_entries(4, one, two)
-        assert list(coeffs.one_body.items()) == [((2, 1), Fraction(11, 6)), ((1, 1), Fraction(5, 6))]
-        assert coeffs.two_body == {(3, 2, 1, 0): Fraction(1, 3) - Fraction(1, 2) - 1 + Fraction(1, 3)}
+        # in canonical order: one-body keys ascending, then two-body keys
+        assert list(coeffs.terms.items()) == [
+            (((1,), (1,)), Fraction(5, 6)),
+            (((2,), (1,)), Fraction(11, 6)),
+            (((3, 2), (1, 0)), Fraction(1, 3) - Fraction(1, 2) - 1 + Fraction(1, 3)),
+        ]
 
     def test_negative_zero(self):
         one = [((0, 1), -0.0), ((1, 1), -0.0), ((1, 1), 0.5)]
         two = [((3, 2, 1, 0), -0.0), ((2, 2, 1, 0), -0.0)]
         self._assert_matches_reference(4, one, two)
-        assert HamiltonianCoefficients.from_entries(4, one, two).one_body == {(1, 1): Fraction(1, 2)}
+        assert HamiltonianCoefficients.from_entries(4, one, two).terms == {((1,), (1,)): Fraction(1, 2)}
 
     def test_bad_values_and_keys_are_rejected(self):
         # the entry rules of the coefficients file: a key of the wrong length,
@@ -819,8 +819,37 @@ class TestPersistence:
         )
         coeffs = load_coefficients(path)
         assert coeffs.n == 8
-        assert coeffs.one_body == {(1, 0): Fraction(1, 4), (0, 1): Fraction(1, 4)}
-        assert coeffs.two_body == {(7, 5, 3, 0): Fraction(1, 2), (3, 0, 7, 5): Fraction(1, 2)}
+        assert coeffs.terms == {
+            ((1,), (0,)): Fraction(1, 4),
+            ((0,), (1,)): Fraction(1, 4),
+            ((7, 5), (3, 0)): Fraction(1, 2),
+            ((3, 0), (7, 5)): Fraction(1, 2),
+        }
+
+    def test_entry_order_does_not_change_the_table(self, tmp_path):
+        # the same entries in another order load to an equal table in the
+        # same key order, the canonical one, whether the file is folded as
+        # it is parsed or, members swapped, read whole; and so does from_entries
+        one, two = seeded_hermitian_entries(6, seed=3)
+        rng = random.Random(5)
+        moved_one, moved_two = rng.sample(one, len(one)), rng.sample(two, len(two))
+        assert (moved_one, moved_two) != (one, two)
+        want = load_coefficients(write_coefficients(tmp_path / "h.json", 6, one, two))
+        path = write_coefficients(tmp_path / "moved.json", 6, moved_one, moved_two)
+        swapped = tmp_path / "swapped.json"
+        swapped.write_text(json.dumps({
+            "n": 6,
+            "one_body": [{"value": v, "pq": list(k)} for k, v in moved_one],
+            "two_body": [{"value": v, "pqrs": list(k)} for k, v in moved_two],
+        }))
+        for got in (
+            load_coefficients(path),
+            load_coefficients(swapped),
+            HamiltonianCoefficients.from_entries(6, moved_one, moved_two),
+        ):
+            assert got == want
+            assert list(got.terms) == list(want.terms)
+        assert list(want.terms) == sorted(want.terms, key=lambda k: (len(k[0]), k))
 
     def test_malformed_coefficients_file(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -882,7 +911,7 @@ class TestPersistence:
         path = write_coefficients(tmp_path / "h.json", 6, one, two)
         want = load_coefficients(path)
         assert want == HamiltonianCoefficients.from_entries(6, one, two)
-        assert want.one_body and want.two_body
+        assert {len(creates) for creates, _ in want.terms} == {1, 2}  # both bodies
         data = json.loads(path.read_text())
         ones, twos = data["one_body"], data["two_body"]
         for variant in [
@@ -1165,7 +1194,7 @@ class TestWriterDivision:
         assert [(f.origin, f.denominator, len(f)) for f in families] == [("dominant", 240, 16)] * 2
         expected = {}
         for key, value in values.items():
-            for string, c in _scaled(FermionicTerm.two_body(*key, 8), value):
+            for string, c in _scaled(FermionicTerm(key[:2], key[2:], 8), value):
                 expected[string] = c
         assert {w.string: w.coefficient for f in families for w in f.strings} == expected
         out = tmp_path / "families.json"
@@ -1218,7 +1247,7 @@ def test_compile_leaves_no_cyclic_garbage(capsys, tmp_path):
 
 def test_a_compile_builds_no_term_object(monkeypatch, tmp_path):
     # the compile carries each term as its key (creates, annihilates), checked
-    # where the input arrived, from the block table to the file: no term is
+    # where the input arrived, from the loader to the file: no term is
     # built, and so checked, again on the way, not even for a shape table
     built = []
     check = FermionicTerm.__post_init__
@@ -1234,13 +1263,15 @@ def test_a_compile_builds_no_term_object(monkeypatch, tmp_path):
     save_families(families, tmp_path / "weighted.json")
     assert families and fermion._shape.cache_info().currsize == 6
     assert built == []
-    # and the provenance is the block table's own key tuples, not copies
+    # and the provenance is the block table's own key tuples, not copies,
+    # which are the coefficient table's own keys
     blocks = _blocks(8, coeffs)
     held = [k for block in blocks.values() for k, _ in block]  # alive, so no id is reused
     ids = {id(k) for k in held}
+    assert ids == {id(k) for k in coeffs.terms}
     assert all(id(k) in ids for f in partition._units(schedule_for(8), blocks) for k in f.provenance)
     # the counter sees a term that is built
-    FermionicTerm.one_body(1, 0, 8)
+    FermionicTerm((1,), (0,), 8)
     assert len(built) == 1
 
 

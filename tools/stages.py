@@ -16,9 +16,10 @@ so that their ratios do not depend on machine drift.  The file records:
   the best of ``REPEAT``, and its spread, the largest time less the
   least; the counts must agree between them:
   ``build_schedule``, the block table (``partition._blocks``), the whole
-  families pass, ``jw_image`` over the four-mode blocks and over the rest,
-  each block a unit of its own, certification (``partition._certified``
-  of each family), these three dropping each result as it comes, and the
+  families pass, ``jw_image`` over the units the compile folds: once per
+  schedule round, on that round's blocks, and once per other block, each
+  a unit of its own; certification (``partition._certified`` of each
+  family), these three dropping each result as it comes, and the
   writer (``save_families``), each timed before a second copy of its
   result could be held; and the counts: rounds, families and strings per
   class, string slots, output bytes and the sha256 of the output;
@@ -27,8 +28,9 @@ so that their ratios do not depend on machine drift.  The file records:
   interpreters, which only read the input a child process wrote: the
   times of ``load_coefficients``, the block table, the families pass and
   the writer, each timed before a second copy of its result could be
-  held; and the counts: raw entries, one- and two-body keys, families per
-  class, string slots, output bytes and sha256;
+  held; and the counts: raw entries, one- and two-body keys, read off the
+  block table's keys, families per class, string slots, output bytes and
+  sha256;
 - per tree, each of ``COMMANDS`` (``--format json --out``) run ``RUNS``
   times from a fork-and-exec launcher, trees alternating which goes
   first: the median and quartiles of wall time and of peak RSS, read with
@@ -45,10 +47,7 @@ no timed launch compiles a module and no tree gains a ``__pycache__``.
 Whether a tree holds stray bytecode beside its sources then moves no row.
 
 The stage times reach into two private functions of ``partition``, so a
-tree that renames them needs this script changed too.  The ``jw_image``
-stages call the kernel by the name of its second parameter: ``blocks``,
-a unit of blocks, gets ``jw_image(n, [block])``, and ``entries``, one
-block, gets ``jw_image(n, block)``.
+tree that renames them needs this script changed too.
 """
 
 import argparse
@@ -61,7 +60,6 @@ import subprocess
 import sys
 import tempfile
 import time
-from inspect import signature
 from pathlib import Path
 
 SIZES = (8, 12, 16, 20, 24, 28)
@@ -112,18 +110,16 @@ def measure_size(n: int, scratch: Path) -> dict:
     :func:`measure_weighted`: the block table and the families pass are
     timed before either result is held, the block table is dropped once
     the ``jw_image`` stages are timed, before the families are built, and
-    the output file is hashed in chunks, not read whole.
+    the output file is hashed in chunks, not read whole.  The ``jw_image``
+    stages fold the compile's units: each round's blocks, in round order,
+    and then each block the rounds leave, as one unit each.
     """
     from paulisched import partition
     from paulisched.baranyai import build_schedule
     from paulisched.fermion import jw_image
 
-    # a kernel that folds a unit of blocks takes each block as a unit of its
-    # own; the older kernel, whose second parameter is ``entries``, one block
-    unit = list(signature(jw_image).parameters)[1] == "blocks"
-
-    def image(block):
-        return jw_image(n, [block] if unit else block)
+    def image(unit):
+        return jw_image(n, unit)
 
     schedule = build_schedule(n)
     times = {
@@ -132,13 +128,15 @@ def measure_size(n: int, scratch: Path) -> dict:
         "families_pass_s": best_of(lambda: list(partition.commuting_families(schedule))),
     }
     blocks = partition._blocks(n, None)
-    four = [block for mask, block in blocks.items() if mask.bit_count() == 4]
-    rest = [block for mask, block in blocks.items() if mask.bit_count() != 4]
+    four_mode_blocks = sum(mask.bit_count() == 4 for mask in blocks)
+    other_blocks = len(blocks) - four_mode_blocks
+    # a library schedule names each 4-subset once, with distinct modes
+    rounds = [[blocks.pop(sum(1 << m for m in subset)) for subset in rnd] for rnd in schedule.rounds]
+    rest = [[block] for block in blocks.values()]
     del blocks
-    times["jw_image_four_mode_s"] = best_of(lambda: each(image, four))
+    times["jw_image_four_mode_s"] = best_of(lambda: each(image, rounds))
     times["jw_image_rest_s"] = best_of(lambda: each(image, rest))
-    four_mode_blocks, other_blocks = len(four), len(rest)
-    del four, rest
+    del rounds, rest
     families = list(partition.commuting_families(schedule))
     path = scratch / f"families{n}.json"
     times["certification_s"] = best_of(lambda: each(partition._certified, families))
@@ -195,6 +193,9 @@ def measure_weighted(n: int, scratch: Path) -> dict:
     times = {"load_coefficients_s": best_of(lambda: partition.load_coefficients(source))}
     coeffs = partition.load_coefficients(source)
     times["block_table_s"] = best_of(lambda: partition._blocks(n, coeffs))
+    # counted off the block table's keys, which every tree builds alike,
+    # whatever the layout of its coefficients
+    sides = [len(creates) for block in partition._blocks(n, coeffs).values() for (creates, _), _ in block]
     times["families_pass_s"] = best_of(lambda: list(partition.commuting_families(schedule, coeffs)))
     families = list(partition.commuting_families(schedule, coeffs))
     times["writer_s"] = best_of(lambda: partition.save_families(families, path))
@@ -202,8 +203,8 @@ def measure_weighted(n: int, scratch: Path) -> dict:
     residual = [len(family) for family in families if family.origin == "residual"]
     counts = {
         "entries": entries,
-        "one_body_keys": len(coeffs.one_body),
-        "two_body_keys": len(coeffs.two_body),
+        "one_body_keys": sides.count(1),
+        "two_body_keys": sides.count(2),
         "dominant_families": len(dominant),
         "residual_families": len(residual),
         "string_slots": sum(dominant) + sum(residual),
