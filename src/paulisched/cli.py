@@ -111,7 +111,7 @@ def _cmd_verify(args) -> int:
     from . import oracles  # imported here, so no other command pays for loading it
 
     reports = [oracles.verify_disjoint_term_commutation()]
-    dense_sizes = (4, 5, 6) if args.deep else (4, 5)
+    dense_sizes = (4, 5, 6, 7) if args.deep else (4, 5)
     reports += [oracles.verify_jw_against_matrices(n) for n in dense_sizes]
     reports.append(oracles.verify_anticommuting_chains())
 
@@ -209,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fam.set_defaults(func=_cmd_families)
 
     p_ver = sub.add_parser("verify", help="run the brute-force oracle suite")
-    p_ver.add_argument("--deep", action="store_true", help="add 6-mode dense checks and sliding tests")
+    p_ver.add_argument("--deep", action="store_true", help="add 6- and 7-mode dense checks and sliding tests")
     p_ver.add_argument("--n", type=int, default=8, help="schedule size to validate")
     p_ver.add_argument("--schedule-file", type=_path, help="validate this schedule file instead of building one")
     p_ver.add_argument("--format", choices=("text", "json"), default="text")

@@ -55,10 +55,12 @@ an incomplete one leaves more units, never fewer strings.
 Grouping depends only on n.  Coefficients are brought to normal order
 (descending indices per operator kind, with the antisymmetry sign) and
 summed per canonical term as they are read, on integer numerators over
-one denominator per term, under the file's flat index tuples; each
-distinct sum then gets its term's key once, in canonical order, which
-does not depend on the order of the file's entries.  The weighted block
-table reads that table as it is.  Output is bit-identical between runs.
+one denominator per term, under the file's flat index tuples, both bodies
+in one dict; each nonzero sum then becomes one Fraction under its term's
+key, in canonical order, which does not depend on the order of the
+file's entries.  That table is the coefficients' only form: Hermiticity
+is one scan of it, and the weighted block table reads it as it is.
+Output is bit-identical between runs.
 """
 
 import errno
@@ -72,7 +74,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
-from math import gcd, lcm
+from math import lcm
 from pathlib import Path
 
 from .baranyai import Schedule, build_schedule, round_sizes
@@ -324,7 +326,10 @@ class HamiltonianCoefficients:
     none of them), then its mode indices, ints in range(n).  A two-body
     entry whose creates or annihilates repeat a mode vanishes once it
     passes these checks.  Each key sums its values' integer numerators
-    over one denominator, and holds one Fraction if the sum is nonzero.
+    over one denominator, and holds one Fraction if the sum is nonzero:
+    both builders fold both bodies into one dict of flat sums, which
+    :func:`_reduced` turns into this table in one canonical walk, and hand
+    that table to the constructor as it is.
 
     The compile checks no key of a table and folds ``terms`` in the
     dict's own order: a table built by hand must hold canonical keys, and
@@ -336,7 +341,7 @@ class HamiltonianCoefficients:
 
     @classmethod
     def from_entries(cls, n, one_body_entries, two_body_entries) -> "HamiltonianCoefficients":
-        return cls(n, _fractions(_tables(n, one_body_entries, two_body_entries)))
+        return cls(n, _tables(n, one_body_entries, two_body_entries))
 
 
 def _check_n(n) -> None:
@@ -356,7 +361,8 @@ def _index_error(body, key, n) -> ValueError:
 
 def _fold(sums: dict, size: int, key, value, n: int) -> None:
     """Check one entry of a body whose keys hold ``size`` indices, and add it
-    to ``sums``, the (numerator, denominator) of each canonical key.
+    to ``sums``, the [numerator, denominator] of each canonical flat key of
+    either body.
 
     The checks run in the order of :class:`HamiltonianCoefficients`.  A
     two-body key is brought to descending order on each side, each swap
@@ -400,71 +406,61 @@ def _fold(sums: dict, size: int, key, value, n: int) -> None:
         held[1] = common
 
 
-def _reduced(one: dict, two: dict) -> dict:
-    """The reduced table of the flat one- and two-body sums: each nonzero
-    sum as a (numerator, denominator) pair in lowest terms, under its
-    term's key ``(creates, annihilates)``; zero sums drop.
+def _reduced(sums: dict) -> dict:
+    """The coefficient table of the flat sums of both bodies: each nonzero
+    sum as one Fraction, under its term's key ``(creates, annihilates)``;
+    zero sums drop.
 
-    Each body's flat keys are sorted once, and each distinct key is split
-    into its two sides once, so the table is in canonical order: one-body
-    keys ascending, then two-body keys ascending, as sorting the flat keys
-    sorts their sides.  Keys share their side tuples, and each sum leaves
-    ``one`` or ``two`` as it is reduced, so building the table does not
-    raise the loader's peak memory.
+    A flat key of 2 indices is a one-body sum and one of 4 a two-body sum,
+    so the bodies share ``sums``.  Its keys are sorted once, by length and
+    then ascending, and each is split into its two sides once, so the
+    table is in canonical order: one-body keys ascending, then two-body
+    keys ascending, as sorting the flat keys sorts their sides.  Keys share
+    their side tuples, and each sum leaves ``sums`` as it becomes a
+    Fraction, which reduces itself, so building the table does not raise
+    the loader's peak memory.
     """
-    table = {}
-    for sums, half in ((one, 1), (two, 2)):
-        sides: dict = {}
-        for key in sorted(sums):
-            num, den = sums.pop(key)
-            if num:
-                common = gcd(num, den)
-                c, a = key[:half], key[half:]
-                table[sides.setdefault(c, c), sides.setdefault(a, a)] = num // common, den // common
+    table, sides = {}, {}
+    for key in sorted(sorted(sums), key=len):
+        num, den = sums.pop(key)
+        if num:
+            half = len(key) // 2
+            c, a = key[:half], key[half:]
+            table[sides.setdefault(c, c), sides.setdefault(a, a)] = Fraction(num, den)
     return table
 
 
 def _tables(n, one_body_entries, two_body_entries) -> dict:
-    """The reduced table of the entries, n checked first."""
+    """The coefficient table of the entries, n checked first."""
     _check_n(n)
-    one: dict = {}
+    sums: dict = {}
     for key, value in one_body_entries:
-        _fold(one, 2, key, value, n)
-    two: dict = {}
+        _fold(sums, 2, key, value, n)
     for key, value in two_body_entries:
-        _fold(two, 4, key, value, n)
-    return _reduced(one, two)
-
-
-def _fractions(table: dict) -> dict:
-    """A reduced table's values as Fractions."""
-    return {key: Fraction(num, den) for key, (num, den) in table.items()}
+        _fold(sums, 4, key, value, n)
+    return _reduced(sums)
 
 
 def _check_hermitian(table: dict) -> None:
-    """Raise ValueError unless the reduced table is Hermitian.
+    """Raise ValueError unless the coefficient table is Hermitian.
 
     With real values, H is Hermitian iff every normal-ordered term equals
     the term of its adjoint: the adjoint of ``(c, a)`` is ``(a, c)``, for
-    both bodies, and an absent term is 0.  As the pairs are in lowest
-    terms, one comparison of the table with its adjoint-keyed copy
-    decides; only then is the first failing key sought, in the table's
-    canonical order, to be named.  The message names the keys as the
-    file's flat index lists, such as ``[2, 1]``.
+    both bodies, and an absent term is 0.  One scan in the table's
+    canonical order decides, and names the first failing key as the
+    file's flat index list, such as ``[2, 1]``.
     """
-    if {(a, c): value for (c, a), value in table.items()} == table:
-        return
     for (c, a), value in table.items():
-        if table.get((a, c)) != value:
+        adjoint = table.get((a, c), 0)
+        if adjoint != value:
             raise ValueError(
-                f"not Hermitian: entry {list(c + a)} is {_shown(table, (c, a))} but its adjoint "
-                f"{list(a + c)} is {_shown(table, (a, c))}"
+                f"not Hermitian: entry {list(c + a)} is {_shown(value)} but its adjoint "
+                f"{list(a + c)} is {_shown(adjoint)}"
             )
 
 
-def _shown(table: dict, key) -> str:
-    """The value of a reduced table at ``key`` for a message: a float, if it has one."""
-    value = Fraction(*table.get(key, (0, 1)))
+def _shown(value) -> str:
+    """A table value for a message: a float, if it has one."""
     return repr(float(value)) if abs(value) <= _FLOAT_MAX else str(value)
 
 
@@ -481,7 +477,7 @@ class _Unsure(Exception):
 
 
 def _streamed(text: str, path) -> tuple[int, dict]:
-    """n and the reduced table of a coefficients text, each entry folded as it is parsed.
+    """n and the coefficient table of a text, each entry folded as it is parsed.
 
     ``json`` hands each object to a hook as it closes.  An object of the
     shape the files are written in, ``{"pq": key, "value": v}`` or
@@ -498,15 +494,15 @@ def _streamed(text: str, path) -> tuple[int, dict]:
     if head is None:
         raise _Unsure
     n = int(head[1])
-    sums: dict[str, dict] = {"pq": {}, "pqrs": {}}
-    folded = dict.fromkeys(sums, 0)
+    sums: dict = {}
+    folded = {"pq": 0, "pqrs": 0}
 
     def entry(pairs):
         if len(pairs) == 2 and pairs[1][0] == "value":
             (name, key), (_, value) = pairs
-            if name in sums:
+            if name in folded:
                 try:
-                    _fold(sums[name], len(name), key, value, n)
+                    _fold(sums, len(name), key, value, n)
                 except (TypeError, ValueError):
                     raise _Unsure from None
                 folded[name] += 1
@@ -520,11 +516,11 @@ def _streamed(text: str, path) -> tuple[int, dict]:
             raise _Unsure
     if parsed_n != n:
         raise _Unsure
-    return n, _reduced(sums["pq"], sums["pqrs"])
+    return n, _reduced(sums)
 
 
 def _listed(text: str, path) -> tuple[int, dict]:
-    """n and the reduced table of a coefficients text parsed whole, its
+    """n and the coefficient table of a text parsed whole, its
     entries listed: any layout a dict reads, and every fault in the order
     of the rules, each body's entries listed before any is checked."""
     data, n = _parse_json(text, path, "coefficients", CoefficientsLoadError)
@@ -581,9 +577,9 @@ def load_coefficients(path) -> HamiltonianCoefficients:
     in the layout above.  The table is keyed by each term's ``(creates,
     annihilates)`` in canonical order, so files that list the same
     entries in other orders load to equal tables in the same key order.
-    Hermiticity is one comparison of the reduced table with its
-    adjoint-keyed copy; on a mismatch the first failing key in canonical
-    order is named.
+    Both layouts fold into one dict of flat sums, which becomes the
+    table once; Hermiticity is one scan of the table in canonical order,
+    which names the first failing key.
     """
     text = _read_text(path, "coefficients", CoefficientsLoadError)
     try:
@@ -594,7 +590,7 @@ def load_coefficients(path) -> HamiltonianCoefficients:
         _check_hermitian(table)
     except ValueError as exc:
         raise CoefficientsLoadError(f"malformed coefficients file {path}: {exc}") from exc
-    return HamiltonianCoefficients(n, _fractions(table))
+    return HamiltonianCoefficients(n, table)
 
 
 # ---------------------------------------------------------------------------

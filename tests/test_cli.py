@@ -330,9 +330,12 @@ class TestVerifyCommand:
     def test_deep_suite_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--deep", "--format", "json")
         assert code == 0
-        names = {r["name"] for r in json.loads(out)}
-        assert "jw-dense-n6" in names
-        assert "endpoint-sliding" in names
+        details = {r["name"]: r["details"] for r in json.loads(out)}
+        assert "jw-dense-n6" in details
+        assert "endpoint-sliding" in details
+        # the per-term dense check at n = 7: every canonical term, each
+        # 4-subset in all six splits, equal to its matrix
+        assert details["jw-dense-n7"]["terms_checked"] == details["jw-dense-n7"]["exact_matches"] == 490
 
 
 class TestStatsCommand:
@@ -693,6 +696,13 @@ def test_benchmark_weighted_output_bytes_pinned(capsys, tmp_path):
             output = path.read_bytes()
             if (seed, index) == (1, 0):
                 assert hashlib.sha256(output).hexdigest() == FAMILIES_12_WEIGHTED_SHA256
+                # n last: the file is read whole, not folded as it is
+                # parsed, and compiles to the same bytes
+                data = hamiltonian["generate"](12, seed, index)
+                data["n"] = data.pop("n")
+                coeffs.write_text(json.dumps(data))
+                assert run(capsys, *argv)[0] == 0
+                assert hashlib.sha256(path.read_bytes()).hexdigest() == FAMILIES_12_WEIGHTED_SHA256
             nine.update(output)
     assert nine.hexdigest() == FAMILIES_12_WEIGHTED_NINE_SHA256
 

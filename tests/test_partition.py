@@ -849,7 +849,9 @@ class TestPersistence:
         ):
             assert got == want
             assert list(got.terms) == list(want.terms)
+            assert all(type(value) is Fraction and value for value in got.terms.values())
         assert list(want.terms) == sorted(want.terms, key=lambda k: (len(k[0]), k))
+        assert all(type(value) is Fraction and value for value in want.terms.values())
 
     def test_malformed_coefficients_file(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -880,24 +882,38 @@ class TestPersistence:
             path.write_text(f'{{"n": 8, "two_body": [{{"pqrs": [1, 0, 1, 0], "value": {value}}}]}}')
             with pytest.raises(CoefficientsLoadError, match="finite numbers"):
                 load_coefficients(path)
-        # H must be Hermitian: each entry needs its adjoint, with the same value
-        for data in [
-            {"n": 8, "one_body": [{"pq": [1, 0], "value": 0.25}]},
-            {"n": 8, "one_body": [{"pq": [1, 0], "value": 0.25}, {"pq": [0, 1], "value": 0.5}]},
-            {"n": 8, "two_body": [{"pqrs": [7, 5, 3, 0], "value": 0.5}]},
+        # H must be Hermitian: each entry needs its adjoint, with the same value.
+        # The message names the first failing key in canonical order, as the
+        # file's flat list, both values as floats (an absent adjoint is 0.0),
+        # whether the file is folded as it is parsed or, n last, read whole
+        for bodies, message in [
+            ({"one_body": [{"pq": [1, 0], "value": 0.25}]}, "entry [1, 0] is 0.25 but its adjoint [0, 1] is 0.0"),
+            ({"one_body": [{"pq": [1, 0], "value": 0.25}, {"pq": [0, 1], "value": 0.5}]},
+             "entry [0, 1] is 0.5 but its adjoint [1, 0] is 0.25"),
+            ({"two_body": [{"pqrs": [7, 5, 3, 0], "value": 0.5}]},
+             "entry [7, 5, 3, 0] is 0.5 but its adjoint [3, 0, 7, 5] is 0.0"),
             # normal ordering turns [3, 0, 5, 7] into [3, 0, 7, 5] with a sign
             # flip: the adjoint of [7, 5, 3, 0] with the opposite value
-            {"n": 8, "two_body": [
+            ({"two_body": [
                 {"pqrs": [7, 5, 3, 0], "value": 0.5},
                 {"pqrs": [3, 0, 5, 7], "value": 0.5},
-            ]},
-            {"n": 8, "two_body": [{"pqrs": [7, 5, 5, 0], "value": 1}]},
-            # duplicates sum past the float range, which the message survives
-            {"n": 8, "one_body": [{"pq": [1, 0], "value": 1.7e308}, {"pq": [1, 0], "value": 1.7e308}]},
+            ]}, "entry [3, 0, 7, 5] is -0.5 but its adjoint [7, 5, 3, 0] is 0.5"),
+            ({"two_body": [{"pqrs": [7, 5, 5, 0], "value": 1}]},
+             "entry [7, 5, 5, 0] is 1.0 but its adjoint [5, 0, 7, 5] is 0.0"),
+            # [5, 4] fails first in the file and [1, 0, 7, 5] first as a flat
+            # tuple, but canonical order puts the one-body keys first
+            ({"one_body": [{"pq": [5, 4], "value": 2}, {"pq": [3, 2], "value": 1}],
+              "two_body": [{"pqrs": [1, 0, 7, 5], "value": 0.5}]},
+             "entry [3, 2] is 1.0 but its adjoint [2, 3] is 0.0"),
+            # duplicates sum past the float range, which the message gives exactly
+            ({"one_body": [{"pq": [1, 0], "value": 1.7e308}, {"pq": [1, 0], "value": 1.7e308}]},
+             f"entry [1, 0] is {2 * Fraction(1.7e308)} but its adjoint [0, 1] is 0.0"),
         ]:
-            path.write_text(json.dumps(data))
-            with pytest.raises(CoefficientsLoadError, match="not Hermitian"):
-                load_coefficients(path)
+            want = f"^{re.escape(f'malformed coefficients file {path}: not Hermitian: {message}')}$"
+            for data in ({"n": 8, **bodies}, {**bodies, "n": 8}):
+                path.write_text(json.dumps(data))
+                with pytest.raises(CoefficientsLoadError, match=want):
+                    load_coefficients(path)
         # an integer literal too long for int() is unreadable, not a crash
         path.write_text('{"n": 8, "one_body": [{"pq": [0, 0], "value": ' + "1" * 5000 + "}]}")
         with pytest.raises(CoefficientsLoadError, match="cannot read"):
