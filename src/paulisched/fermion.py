@@ -1,4 +1,4 @@
-"""Fermionic terms and their Jordan-Wigner images as integer rows.
+"""The Jordan-Wigner images of fermionic terms, as integer rows.
 
 A ladder operator on mode m maps to (X_m + iY_m)/2 (annihilation) or
 (X_m - iY_m)/2 (creation), times a Z chain on all lower modes.  The
@@ -13,9 +13,9 @@ ladder product exactly on integers in one pass: every coefficient is
 product path carries an i-power and is added straight into the sums of the
 whole weighted set.  :func:`jw_image` folds one unit of blocks: it takes
 the register size n and the blocks, each a list of ``(key, value)``
-entries, a key being a term's ``(creates, annihilates)``, the two mode
-tuples that :class:`FermionicTerm` checks; it builds no term.  It returns
-the unit's one denominator and, per block, its even-Y and its odd-Y rows
+entries, a key being a term's ``(creates, annihilates)``, its two
+descending mode tuples; it builds no term.  It returns the unit's one
+denominator and, per block, its even-Y and its odd-Y rows
 ``(text, x, z, re, im)``: a string's text, its masks and the numerators
 of its coefficient.  So the kernel makes both decisions of a family's
 rows, the denominator and the Y half, and a family only joins halves.
@@ -26,13 +26,9 @@ four-mode block's rows are spliced from text halves in the same letters
 instead (below).  The split in :mod:`paulisched.partition` calls
 :func:`jw_image` once per unit, a schedule round or a leftover block, on
 the keys its block table holds, and carries the rows to the writer as
-they are.  :func:`weighted_strings`, the
-one builder of weighted strings, turns rows into
-:class:`~paulisched.pauli.WeightedPauliString` values: the view of a
-family, and :func:`jw_term`, the single-term image of a checked
-:class:`FermionicTerm`, read through it.  No sign or phase is hand-coded,
-which is what the dense-matrix oracles in :mod:`paulisched.oracles`
-verify.
+they are.  No sign or phase is hand-coded, which is what the dense-matrix
+oracles in :mod:`paulisched.oracles` verify: their single-term image,
+``oracles.jw_term``, reads :func:`jw_image`.
 
 A term is the product of its creates side and its annihilates side, and
 each side is expanded once per process by that rule: :func:`_side`, a
@@ -75,56 +71,13 @@ the expansion routine, sorted by text, and go to the half of their Y
 count |x & z|.
 """
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from itertools import product
 from math import lcm
 
-from .pauli import ExactComplex, PauliString, WeightedPauliString, pauli_digits, pauli_text
+from .pauli import pauli_digits, pauli_text
 
-__all__ = [
-    "FermionicTerm",
-    "UnsupportedTermError",
-    "jw_image",
-    "jw_term",
-    "weighted_strings",
-]
-
-
-class UnsupportedTermError(ValueError):
-    """Raised for terms outside the supported one-body / two-body shapes."""
-
-
-@dataclass(frozen=True, slots=True)
-class FermionicTerm:
-    """A normal-ordered product of creation then annihilation operators.
-
-    Built from its two sides only: ``creates`` and ``annihilates`` are
-    strictly descending mode-index tuples, either one index each
-    (one-body) or two each (two-body), so ``(creates, annihilates)`` is
-    the term's key, the one form in which the compile carries a term from
-    the loader to the writer.  Repeats between the two tuples are allowed
-    (those are the residual terms); repeats within a tuple would make the
-    operator vanish and are rejected.
-    """
-
-    creates: tuple[int, ...]
-    annihilates: tuple[int, ...]
-    n: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "creates", tuple(self.creates))
-        object.__setattr__(self, "annihilates", tuple(self.annihilates))
-        shape = (len(self.creates), len(self.annihilates))
-        if shape not in ((1, 1), (2, 2)):
-            raise UnsupportedTermError(f"unsupported operator shape {shape}")
-        for side in (self.creates, self.annihilates):
-            # a side holds one or two modes, so its ends are all of them
-            if not (0 <= side[0] < self.n and 0 <= side[-1] < self.n):
-                raise ValueError(f"mode index out of range [0, {self.n}) in {side}")
-            if len(side) == 2 and side[0] <= side[1]:
-                raise UnsupportedTermError(f"indices must be strictly descending, got {side}")
+__all__ = ["jw_image"]
 
 
 def _ladder(mode: int, dagger: bool) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
@@ -189,12 +142,11 @@ def jw_image(n: int, blocks) -> tuple[int, list[tuple[list, list]]]:
     ``blocks`` is a list of non-empty lists of (key, value) entries, each
     block standing for sum(value * term) over its entries.  A key is a
     term's ``(creates, annihilates)``: two strictly descending tuples of
-    modes in range(n), one mode each or two each, as
-    :class:`FermionicTerm` checks them; the key is not checked again
-    here.  Values are ints or Fractions.  Every block is summed on
-    integers over the unit's one denominator D: the lcm of every value's
-    denominator in the unit times 2**f for the largest ladder count f
-    among its terms.  Each value is scaled once to its numerator over
+    modes in range(n), one mode each or two each, checked where the input
+    arrived; the key is not checked again here.  Values are ints or
+    Fractions.  Every block is summed on integers over the unit's one
+    denominator D: the lcm of every value's denominator in the unit times
+    2**f for the largest ladder count f among its terms.  Each value is scaled once to its numerator over
     D / 2**f for its own term's f.  Each product path of a term's ladder
     factors adds its scaled value times its phase i**k to the numerators
     of its string.  A block whose terms all name the same four distinct
@@ -264,31 +216,3 @@ def _four_mode_rows(n: int, ends, scaled) -> tuple[list, list]:
         if re or im:
             halves[ly ^ ry].append((left + right, x, lz | rz, re, im))
     return halves
-
-
-def weighted_strings(n: int, denominator: int, rows) -> list[WeightedPauliString]:
-    """The rows of an n-qubit image over ``denominator`` as weighted Pauli strings.
-
-    The one builder of weighted strings: each row ``(text, x, z, re, im)``
-    becomes ``PauliString(n, x, z)`` with the exact coefficient
-    (re + i im) / denominator, in row order.
-    """
-    return [
-        WeightedPauliString(
-            ExactComplex(Fraction(re, denominator), Fraction(im, denominator)), PauliString(n, x, z)
-        )
-        for _, x, z, re, im in rows
-    ]
-
-
-def jw_term(term: FermionicTerm) -> list[WeightedPauliString]:
-    """Expand a term's full ladder product into weighted Pauli strings.
-
-    This is :func:`jw_image` of a unit of one block, the term's key at
-    value 1, its two Y halves merged back into text order and read through
-    :func:`weighted_strings`: equal strings arising from index repetition
-    are combined and zero coefficients dropped, so nilpotent products come
-    back empty, and the result is sorted by string text.
-    """
-    denominator, [(even, odd)] = jw_image(term.n, [[((term.creates, term.annihilates), 1)]])
-    return weighted_strings(term.n, denominator, sorted(even + odd))

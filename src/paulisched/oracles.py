@@ -1,15 +1,26 @@
-"""Brute-force checks for the algebra, the encoding and the schedules.
+"""Brute-force checks for the algebra, the encoding and the schedules, and
+the exact object model they read.
+
+The object model is the view of the compile's integer rows that the
+checks and the tests read: :class:`ExactComplex` coefficients,
+:class:`PauliString` and :class:`WeightedPauliString` values, and the
+checked :class:`FermionicTerm`.  :func:`weighted_strings` is the one
+builder of weighted strings: a family's strings are
+``weighted_strings(f.n, f.denominator, f.rows)``.  :func:`jw_term`, the
+single-term image, lives here and reads the compile's own kernel,
+:func:`paulisched.fermion.jw_image`, so the dense checks test that
+kernel.  The model's values are immutable, slotted frozen dataclasses:
+an instance has no ``__dict__``, and attributes cannot be added to it.  A
+:class:`PauliString` builds its text when it is read.
 
 Dense matrices are exact: each maps a basis state to one basis state times
 a power of i, or to 0 (Aaronson and Gottesman, quant-ph/0406196), so they
 are compared by equality.  Coverage is recounted from scratch, and
 commutation audits cover all pairs: :func:`validate_families` scans every
 pair of each family with :func:`anticommuting_pair_by_scan`, its own rule,
-not the compile's certifier.  The checks read a family through its
-``strings`` view, the :class:`~paulisched.pauli.WeightedPauliString`
-values built from its integer rows.  Not every check is independent of the
+not the compile's certifier.  Not every check is independent of the
 compile: :func:`validate_partition` builds its reference image with
-:func:`fermion.jw_term`, the compile's kernel.  Only the dense checks,
+:func:`jw_term`, the compile's kernel.  Only the dense checks,
 :func:`verify_jw_against_matrices` and the n <= 6 sum of
 :func:`validate_partition`, test that kernel independently.  Both read one
 list of canonical terms (every one-body term, every two-body term whose
@@ -20,7 +31,8 @@ create/annihilate splits, with its own matrix.
 Validators return :class:`OracleReport` values and never raise on bad
 input; reports serialize to plain dicts for CI consumption.
 
-No compile imports this module: only ``paulisched verify`` and the tests do.
+No compile imports this module, and so no compile builds one of its
+objects: only ``paulisched verify`` and the tests do.
 """
 
 import random
@@ -30,21 +42,23 @@ from itertools import combinations, islice
 from math import comb, lcm
 
 from .baranyai import SUBSET_SIZE, Schedule
-from .fermion import FermionicTerm, jw_term
-from .pauli import (
-    ExactComplex,
-    PauliString,
-    WeightedPauliString,
-    anticommuting_index_count,
-    commutes,
-    parse_pauli,
-)
+from .fermion import jw_image
+from .pauli import pauli_digits, pauli_text
 
 __all__ = [
+    "ExactComplex",
+    "FermionicTerm",
     "OracleReport",
+    "PauliString",
+    "UnsupportedTermError",
+    "WeightedPauliString",
     "anticommuting_chain_fixture",
+    "anticommuting_index_count",
     "anticommuting_pair_by_scan",
+    "commutes",
+    "jw_term",
     "ladder_matrix",
+    "parse_pauli",
     "term_matrix",
     "validate_families",
     "validate_partition",
@@ -53,6 +67,7 @@ __all__ = [
     "verify_disjoint_term_commutation",
     "verify_jw_against_matrices",
     "verify_sliding_invariance",
+    "weighted_strings",
     "weighted_sum_matrix",
 ]
 
@@ -68,6 +83,184 @@ class OracleReport:
         if self.counterexample is not None:
             out["counterexample"] = self.counterexample
         return out
+
+
+# ---------------------------------------------------------------------------
+# The exact object model: coefficients, Pauli strings and terms
+
+
+_CHAR_TO_XZ = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
+
+
+@dataclass(frozen=True, slots=True)
+class ExactComplex:
+    """A complex number with exact rational real and imaginary parts.
+
+    Floats passed to the constructor are converted exactly (every binary
+    float is a rational), so feeding in coefficients read from JSON keeps
+    all subsequent arithmetic exact.
+    """
+
+    real: Fraction = Fraction(0)
+    imag: Fraction = Fraction(0)
+
+    def __post_init__(self):
+        object.__setattr__(self, "real", Fraction(self.real))
+        object.__setattr__(self, "imag", Fraction(self.imag))
+
+    def __add__(self, other: "ExactComplex") -> "ExactComplex":
+        return ExactComplex(self.real + other.real, self.imag + other.imag)
+
+    def __mul__(self, other: "ExactComplex") -> "ExactComplex":
+        return ExactComplex(
+            self.real * other.real - self.imag * other.imag,
+            self.real * other.imag + self.imag * other.real,
+        )
+
+    def __bool__(self) -> bool:
+        return bool(self.real) or bool(self.imag)
+
+
+@dataclass(frozen=True, slots=True)
+class PauliString:
+    """An N-qubit Pauli word stored as x/z bitmasks (bit t = qubit t)."""
+
+    n: int
+    x: int = 0
+    z: int = 0
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"qubit count must be positive, got {self.n}")
+        limit = 1 << self.n
+        if not (0 <= self.x < limit and 0 <= self.z < limit):
+            raise ValueError(f"bitmasks out of range for n={self.n}")
+
+    def text(self) -> str:
+        return pauli_text(self.n, pauli_digits(self.x, self.z))
+
+    __str__ = text
+
+    def __repr__(self) -> str:
+        return f"PauliString({self.text()!r})"
+
+
+@dataclass(frozen=True, slots=True)
+class WeightedPauliString:
+    """A Pauli string with a nonzero exact complex coefficient."""
+
+    coefficient: ExactComplex
+    string: PauliString
+
+    def __post_init__(self):
+        if not self.coefficient:
+            raise ValueError("weighted Pauli string requires a nonzero coefficient")
+
+
+def parse_pauli(text: str) -> PauliString:
+    """Parse a Pauli word such as "ZZX" (qubit 0 is the leftmost character).
+
+    Raises:
+        ValueError: if the text is empty or contains a character outside IXYZ.
+    """
+    if not text:
+        raise ValueError("empty Pauli string")
+    x = z = 0
+    for t, char in enumerate(text):
+        try:
+            xb, zb = _CHAR_TO_XZ[char]
+        except KeyError:
+            raise ValueError(f"invalid Pauli character {char!r} at position {t}") from None
+        x |= xb << t
+        z |= zb << t
+    return PauliString(len(text), x, z)
+
+
+def anticommuting_index_count(p: PauliString, q: PauliString) -> int:
+    """Number of qubit positions where p and q carry different non-identity letters.
+
+    Per-qubit, two Pauli letters anticommute exactly when both are
+    non-identity and unequal; in the (x, z) encoding that is the symplectic
+    product x1*z2 XOR z1*x2 of the two bit pairs.
+
+    Raises:
+        ValueError: if the strings act on different registers.
+    """
+    if p.n != q.n:
+        raise ValueError(f"Pauli strings act on different registers: {p.n} != {q.n}")
+    return ((p.x & q.z) ^ (p.z & q.x)).bit_count()
+
+
+def commutes(p: PauliString, q: PauliString) -> bool:
+    """True iff the two strings commute, i.e. the anticommuting-index count is even.
+
+    Raises:
+        ValueError: if the strings act on different registers.
+    """
+    return not anticommuting_index_count(p, q) & 1
+
+
+class UnsupportedTermError(ValueError):
+    """Raised for terms outside the supported one-body / two-body shapes."""
+
+
+@dataclass(frozen=True, slots=True)
+class FermionicTerm:
+    """A normal-ordered product of creation then annihilation operators.
+
+    Built from its two sides only: ``creates`` and ``annihilates`` are
+    strictly descending mode-index tuples, either one index each
+    (one-body) or two each (two-body), so ``(creates, annihilates)`` is
+    the term's key, the one form in which the compile carries a term from
+    the loader to the writer.  Repeats between the two tuples are allowed
+    (those are the residual terms); repeats within a tuple would make the
+    operator vanish and are rejected.
+    """
+
+    creates: tuple[int, ...]
+    annihilates: tuple[int, ...]
+    n: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "creates", tuple(self.creates))
+        object.__setattr__(self, "annihilates", tuple(self.annihilates))
+        shape = (len(self.creates), len(self.annihilates))
+        if shape not in ((1, 1), (2, 2)):
+            raise UnsupportedTermError(f"unsupported operator shape {shape}")
+        for side in (self.creates, self.annihilates):
+            # a side holds one or two modes, so its ends are all of them
+            if not (0 <= side[0] < self.n and 0 <= side[-1] < self.n):
+                raise ValueError(f"mode index out of range [0, {self.n}) in {side}")
+            if len(side) == 2 and side[0] <= side[1]:
+                raise UnsupportedTermError(f"indices must be strictly descending, got {side}")
+
+
+def weighted_strings(n: int, denominator: int, rows) -> list[WeightedPauliString]:
+    """The rows of an n-qubit image over ``denominator`` as weighted Pauli strings.
+
+    The one builder of weighted strings: each row ``(text, x, z, re, im)``
+    becomes ``PauliString(n, x, z)`` with the exact coefficient
+    (re + i im) / denominator, in row order.
+    """
+    return [
+        WeightedPauliString(
+            ExactComplex(Fraction(re, denominator), Fraction(im, denominator)), PauliString(n, x, z)
+        )
+        for _, x, z, re, im in rows
+    ]
+
+
+def jw_term(term: FermionicTerm) -> list[WeightedPauliString]:
+    """Expand a term's full ladder product into weighted Pauli strings.
+
+    This is :func:`~paulisched.fermion.jw_image` of a unit of one block, the term's key at
+    value 1, its two Y halves merged back into text order and read through
+    :func:`weighted_strings`: equal strings arising from index repetition
+    are combined and zero coefficients dropped, so nilpotent products come
+    back empty, and the result is sorted by string text.
+    """
+    denominator, [(even, odd)] = jw_image(term.n, [[((term.creates, term.annihilates), 1)]])
+    return weighted_strings(term.n, denominator, sorted(even + odd))
 
 
 # ---------------------------------------------------------------------------
@@ -373,9 +566,10 @@ def anticommuting_pair_by_scan(strings) -> tuple[PauliString, PauliString] | Non
     """The first pair (a, b), a before b, of ``strings`` that anticommutes, or None,
     by a plain scan of every (i, j), i < j.
 
-    The audit's own rule on :class:`PauliString` values: it shares no code
-    with the compile's certifier, :func:`pauli.anticommuting_indices` on
-    masks, and names the same pair.
+    The audit's own rule on :class:`PauliString` values, the parity of
+    :func:`anticommuting_index_count`: it shares no code with the
+    compile's certifier, :func:`pauli.anticommuting_indices` on masks, and
+    names the same pair.
 
     Raises:
         ValueError: if the strings act on different registers.
@@ -385,7 +579,7 @@ def anticommuting_pair_by_scan(strings) -> tuple[PauliString, PauliString] | Non
             raise ValueError(f"Pauli strings act on different registers: {strings[0].n} != {s.n}")
     for i, a in enumerate(strings):
         for b in strings[i + 1:]:
-            if ((a.x & b.z) ^ (a.z & b.x)).bit_count() & 1:
+            if anticommuting_index_count(a, b) & 1:
                 return a, b
     return None
 
@@ -393,19 +587,22 @@ def anticommuting_pair_by_scan(strings) -> tuple[PauliString, PauliString] | Non
 def validate_families(families) -> OracleReport:
     """Commutation audit of every pair of every family.
 
-    Each family's strings go through :func:`anticommuting_pair_by_scan`,
-    which tests every pair up to the first that anticommutes;
-    ``pairs_checked`` counts C(size, 2) pairs per family.
+    Each family's rows, read on its register by :func:`weighted_strings`,
+    go through :func:`anticommuting_pair_by_scan`, which tests every pair
+    up to the first that anticommutes; a row that does not fit the
+    register fails the family.  ``pairs_checked`` counts C(size, 2) pairs
+    per family.
     """
     families = list(families)
     bad: str | None = None
     pairs = 0
     for idx, family in enumerate(families):
-        strings = [w.string for w in family.strings]
-        pairs += comb(len(strings), 2)
+        pairs += comb(len(family.rows), 2)
         try:
-            pair = anticommuting_pair_by_scan(strings)
-        except ValueError as exc:  # the strings act on different registers
+            pair = anticommuting_pair_by_scan(
+                [w.string for w in weighted_strings(family.n, family.denominator, family.rows)]
+            )
+        except ValueError as exc:  # a row does not fit the family's register
             problem = str(exc)
         else:
             problem = pair and f"{pair[0]} and {pair[1]} do not commute"
@@ -432,6 +629,7 @@ def validate_partition(families, n: int, coeffs=None) -> OracleReport:
     sum to the same matrix as the occupation-basis terms.
     """
     families = list(families)
+    strings = [weighted_strings(f.n, f.denominator, f.rows) for f in families]
     if coeffs is None:
         table = [(term, 1) for term in _canonical_terms(n)]
     else:
@@ -443,14 +641,14 @@ def validate_partition(families, n: int, coeffs=None) -> OracleReport:
     image = {s: c for s, c in image.items() if c}
 
     foreign = next(
-        ((idx, w.string) for idx, family in enumerate(families) for w in family.strings if w.string.n != n),
+        ((idx, w.string) for idx, weighted in enumerate(strings) for w in weighted if w.string.n != n),
         None,
     )
     bad = foreign and f"family {foreign[0]}: {foreign[1]} acts on {foreign[1].n} qubits, not {n}"
     emitted: dict[PauliString, ExactComplex] = {}
     slots = 0
-    for idx, family in enumerate(families):
-        for w in family.strings:
+    for idx, weighted in enumerate(strings):
+        for w in weighted:
             slots += 1
             if w.string in emitted and bad is None:
                 bad = f"family {idx}: {w.string} appears in an earlier family too"
@@ -469,7 +667,7 @@ def validate_partition(families, n: int, coeffs=None) -> OracleReport:
             for key, sign in term_matrix(term).items():
                 sums[key] = sums.get(key, 0) + value * sign.real  # a term's entries are real signs
         want = {key: ExactComplex(v) for key, v in sums.items() if v}
-        got = weighted_sum_matrix([w for family in families for w in family.strings], n)
+        got = weighted_sum_matrix([w for weighted in strings for w in weighted], n)
         details["dense_max_deviation"] = deviation = _max_deviation(got, want)
         if got != want and bad is None:
             bad = f"dense sum of the families deviates from the Hamiltonian by {deviation}"

@@ -15,12 +15,13 @@ numerators over that denominator and picks each row's half; this module
 only joins the halves into an even-Y and an odd-Y family, certifies them
 on their rows' masks and writes their text, their numerators and the
 keys: no term object and no Pauli object is built between the loader and
-the file.  A family's ``strings`` view builds the Pauli objects for the
-oracles and the tests, and ``len(family)`` counts its strings without
-it.  Both families of a unit are yielded before the next unit is folded:
-a caller that writes the families as they come, as the command line
-does, holds the block table and one unit's families, never the whole
-partition, and the table shrinks as its blocks are taken.
+the file.  A family is its rows, its provenance and its origin, and
+``len(family)`` counts its strings; the checks in
+:mod:`paulisched.oracles` read its rows as objects.  Both families of a
+unit are yielded before the next unit is folded: a caller that writes the
+families as they come, as the command line does, holds the block table
+and one unit's families, never the whole partition, and the table shrinks
+as its blocks are taken.
 
 The units are the schedule's rounds first, then every block the rounds
 leave, one unit each in ascending X-mask order.  A round takes the block
@@ -78,8 +79,8 @@ from math import lcm
 from pathlib import Path
 
 from .baranyai import Schedule, build_schedule, round_sizes
-from .fermion import jw_image, weighted_strings
-from .pauli import WeightedPauliString, anticommuting_indices
+from .fermion import jw_image
+from .pauli import anticommuting_indices
 
 __all__ = [
     "CommutingFamily",
@@ -140,11 +141,6 @@ class CommutingFamily:
 
     def __len__(self) -> int:
         return len(self.rows)
-
-    @property
-    def strings(self) -> tuple[WeightedPauliString, ...]:
-        """The rows as weighted Pauli strings, built anew at each read."""
-        return tuple(weighted_strings(self.n, self.denominator, self.rows))
 
 
 def _commute_by_blocks(rows) -> bool:

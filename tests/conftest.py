@@ -16,10 +16,18 @@ settings.register_profile("det", derandomize=True, deadline=None)
 settings.load_profile("det")
 
 from paulisched.baranyai import round_sizes
-from paulisched.fermion import FermionicTerm, UnsupportedTermError, jw_image
-from paulisched.oracles import weighted_sum_matrix
+from paulisched.fermion import jw_image
+from paulisched.oracles import (
+    ExactComplex,
+    FermionicTerm,
+    PauliString,
+    UnsupportedTermError,
+    WeightedPauliString,
+    parse_pauli,
+    weighted_strings,
+    weighted_sum_matrix,
+)
 from paulisched.partition import CommutingFamily, HamiltonianCoefficients
-from paulisched.pauli import ExactComplex, PauliString, WeightedPauliString, parse_pauli
 
 
 def times_i_power(c: ExactComplex, k: int) -> ExactComplex:
@@ -324,8 +332,13 @@ def reference_from_entries(n, one_body_entries, two_body_entries) -> Hamiltonian
     return HamiltonianCoefficients(n, terms)
 
 
+def strings_of(family: CommutingFamily) -> list[WeightedPauliString]:
+    """A family's rows as weighted Pauli strings, as the oracles read them."""
+    return weighted_strings(family.n, family.denominator, family.rows)
+
+
 def family_of(strings, provenance=(), origin="residual") -> CommutingFamily:
-    """The family whose ``strings`` view reads back ``strings``, in order: each
+    """The family that :func:`strings_of` reads back as ``strings``, in order: each
     coefficient's numerators over the lcm of every denominator, the register
     of the first string, and the term keys ``provenance``.  For hand-made
     and doctored families."""
@@ -345,9 +358,9 @@ def reference_save_families(families, path) -> None:
     payload = [
         {
             "origin": family.origin,
-            "strings": [str(w.string) for w in family.strings],
+            "strings": [str(w.string) for w in strings_of(family)],
             "coefficients": [
-                [float(w.coefficient.real), float(w.coefficient.imag)] for w in family.strings
+                [float(w.coefficient.real), float(w.coefficient.imag)] for w in strings_of(family)
             ],
             "terms": [
                 {"creates": list(creates), "annihilates": list(annihilates)}

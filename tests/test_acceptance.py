@@ -24,13 +24,16 @@ from conftest import (
     pattern_of,
     reference_step_parts,
     round_flow,
+    strings_of,
 )
 from paulisched import partition
 from paulisched.baranyai import PartialState, _apply, _insertion_choice, build_schedule
 from paulisched.cli import main as cli_main
-from paulisched.fermion import FermionicTerm, jw_term
 from paulisched.oracles import (
+    FermionicTerm,
     anticommuting_chain_fixture,
+    commutes,
+    jw_term,
     validate_families,
     validate_partition,
     validate_schedule,
@@ -39,7 +42,6 @@ from paulisched.oracles import (
 )
 from paulisched.partition import commuting_families, schedule_for
 from paulisched.baranyai import Schedule
-from paulisched.pauli import commutes
 
 # Hand-entered reference pairing for n = 8: every round couples a 4-subset
 # with its complement, covering all 70 subsets in 35 rounds.  Used as an
@@ -168,7 +170,7 @@ def test_criterion_4_family_certification(capsys):
         timings[n] = perf_counter() - begin
         assert report.passed, report.counterexample
         assert len(families) == 2 * comb(n - 1, 3)
-        assert all(len(f.strings) == 2 * n for f in families)
+        assert all(len(strings_of(f)) == 2 * n for f in families)
     assert timings[12] < 60.0, f"n=12 took {timings[12]:.1f}s"
     with capsys.disabled():
         note(4, f"counts 2*C(N-1,3), sizes 2N, all pairs commute; n=12 in {timings[12]:.1f}s")

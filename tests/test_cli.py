@@ -13,11 +13,11 @@ from pathlib import Path
 
 import pytest
 
-from conftest import seeded_hermitian_entries, write_coefficients
+from conftest import seeded_hermitian_entries, strings_of, write_coefficients
 from paulisched import partition
 from paulisched.cli import main
 from paulisched.partition import HamiltonianCoefficients, read_schedule_file, schedule_json
-from paulisched.pauli import ExactComplex, PauliString, WeightedPauliString, parse_pauli
+from paulisched.oracles import ExactComplex, PauliString, WeightedPauliString, parse_pauli
 from paulisched.baranyai import build_schedule
 
 TERM = re.compile(r"^a\+(\d+) a\+(\d+) a-(\d+) a-(\d+)$")
@@ -466,7 +466,10 @@ def _loads(code: str, module: str, cwd) -> bool:
 
 
 def test_partition_does_not_load_the_oracles(tmp_path):
-    # nor does any compile: only verify loads the oracles
+    # nor does any compile, weighted or not: only verify loads the oracles,
+    # and so no compile builds one of their view objects
+    hamiltonian = runpy.run_path(str(SRC.parent / "perfbench" / "hamiltonian.py"))
+    (tmp_path / "H").write_text(json.dumps(hamiltonian["generate"](8, 1, 0)))
     codes = [
         "import paulisched.partition",
         "import paulisched.cli",
@@ -474,6 +477,7 @@ def test_partition_does_not_load_the_oracles(tmp_path):
             f"from paulisched.cli import main\nstatus = main({argv!r})\nassert status == 0, status"
             for argv in (
                 ["families", "--n", "8", "--format", "json", "--out", "F"],
+                ["families", "--n", "8", "--hamiltonian", "H", "--format", "json", "--out", "F"],
                 ["schedule", "--n", "8", "--format", "json", "--out", "S"],
                 ["stats", "--n-list", "8"],
             )
@@ -511,7 +515,7 @@ def test_only_weighted_strings_builds_and_only_side_calls_ladder():
     # once, is the only place that reads the ladder table, and
     # weighted_strings, which reads the kernel's rows, the only place that
     # makes weighted strings
-    owners = {"_ladder": "_side", "WeightedPauliString": "weighted_strings"}
+    owners = {"_ladder": ("fermion", "_side"), "WeightedPauliString": ("oracles", "weighted_strings")}
 
     def calls(tree):
         return [
@@ -522,11 +526,11 @@ def test_only_weighted_strings_builds_and_only_side_calls_ladder():
 
     trees = _module_trees()
     inside = {
-        node.name: calls(node) for node in trees["fermion"].body
-        if isinstance(node, ast.FunctionDef) and node.name in owners.values()
+        node.name: calls(node) for module, owner in owners.values() for node in trees[module].body
+        if isinstance(node, ast.FunctionDef) and node.name == owner
     }
     assert {owner: {ast.unparse(call.func) for call in found} for owner, found in inside.items()} == {
-        owner: {name} for name, owner in owners.items()
+        owner: {name} for name, (_, owner) in owners.items()
     }
     outside = [
         f"{module}:{call.lineno} {ast.unparse(call.func)}"
@@ -541,18 +545,24 @@ def test_every_exported_name_is_used_in_the_package():
     # a name only the tests call belongs in the tests; the package
     # __init__ re-exports names and does not count as a use
     trees = _module_trees()
-    unused = []
-    for module, tree in trees.items():
-        exported = [
+    exports = {
+        module: [
             elt.value
             for node in tree.body
             if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["__all__"]
             for elt in node.value.elts
         ]
-        for name in exported:
+        for module, tree in trees.items()
+    }
+
+    def read(node, name):
+        return (isinstance(node, ast.Name) and node.id == name) or (isinstance(node, ast.Attribute) and node.attr == name)
+
+    unused = []
+    for module, tree in trees.items():
+        for name in exports[module]:
             used = any(
-                (isinstance(node, ast.Name) and node.id == name)
-                or (isinstance(node, ast.Attribute) and node.attr == name)
+                read(node, name)
                 or (isinstance(node, ast.alias) and node.name == name and other != module)
                 for other, other_tree in trees.items() if other != "__init__"
                 for node in ast.walk(other_tree)
@@ -565,6 +575,19 @@ def test_every_exported_name_is_used_in_the_package():
     batch = ast.parse((SRC.parent / "perfbench" / "batch.py").read_text())
     assert any(isinstance(node, ast.Attribute) and node.attr == "build_partition" for node in ast.walk(batch))
     assert unused == ["partition.build_partition"]
+    # the compile's modules hold only what the compile reads: each public
+    # name of baranyai, pauli, fermion and partition is read in one of them
+    # or in cli; a reader in the oracles or the tests does not count, so the
+    # view they read lives in the oracles
+    compile_path = ("baranyai", "pauli", "fermion", "partition")
+    readers = [node for module in (*compile_path, "cli") for node in ast.walk(trees[module])]
+    unread = [
+        f"{module}.{name}"
+        for module in compile_path
+        for name in exports[module]
+        if not any(read(node, name) for node in readers)
+    ]
+    assert unread == ["partition.build_partition"]
     # the package root re-exports a name only for a caller outside the
     # package that reads it through the root, in code or in the code it
     # hands a child: the benchmark and the tools
@@ -709,7 +732,7 @@ def test_benchmark_weighted_output_bytes_pinned(capsys, tmp_path):
 
 def test_no_pauli_objects_on_the_compile_path(capsys, tmp_path, monkeypatch):
     # the compile carries ints and texts from the kernel to the file; only
-    # a family's strings view builds Pauli objects
+    # the oracles' builder of a family's strings makes Pauli objects
     built = Counter()
     for cls in (PauliString, WeightedPauliString, ExactComplex):
         def counted(self, name=cls.__name__, post_init=cls.__post_init__):
@@ -730,5 +753,5 @@ def test_no_pauli_objects_on_the_compile_path(capsys, tmp_path, monkeypatch):
     assert built == {}
 
     family = report.families[0]
-    assert len(family.strings) == len(family)
+    assert len(strings_of(family)) == len(family)
     assert built == {"PauliString": len(family), "WeightedPauliString": len(family), "ExactComplex": len(family)}

@@ -23,9 +23,19 @@ from conftest import (
 )
 from paulisched import fermion
 from paulisched.cli import main
-from paulisched.fermion import FermionicTerm, UnsupportedTermError, _ladder, jw_image, jw_term, weighted_strings
-from paulisched.oracles import ladder_matrix, term_matrix, weighted_sum_matrix
-from paulisched.pauli import ExactComplex, PauliString, WeightedPauliString
+from paulisched.fermion import _ladder, jw_image
+from paulisched.oracles import (
+    ExactComplex,
+    FermionicTerm,
+    PauliString,
+    UnsupportedTermError,
+    WeightedPauliString,
+    jw_term,
+    ladder_matrix,
+    term_matrix,
+    weighted_strings,
+    weighted_sum_matrix,
+)
 
 
 class TestFermionicTerm:
@@ -129,7 +139,7 @@ class TestPattern:
         assert pattern.z_mask() == 0
 
     def test_exactly_16_of_all_length8_strings_match(self):
-        from paulisched.pauli import PauliString
+        from paulisched.oracles import PauliString
 
         term = FermionicTerm((7, 5), (3, 0), 8)
         pattern = pattern_of(term)

@@ -1,7 +1,6 @@
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
-from types import SimpleNamespace
 
 import pytest
 
@@ -14,19 +13,23 @@ from conftest import (
     matrix_sum,
     seeded_hermitian_entries,
     string_matrix,
+    strings_of,
 )
 from paulisched import fermion, oracles
 from paulisched.baranyai import Schedule, build_schedule, round_sizes
-from paulisched.fermion import FermionicTerm
 from paulisched.partition import (
     HamiltonianCoefficients,
     build_partition,
     commuting_families,
 )
-from paulisched.pauli import ExactComplex, WeightedPauliString, commutes, parse_pauli
 from paulisched.oracles import (
+    ExactComplex,
+    FermionicTerm,
+    WeightedPauliString,
     anticommuting_chain_fixture,
+    commutes,
     ladder_matrix,
+    parse_pauli,
     term_matrix,
     validate_families,
     validate_partition,
@@ -124,8 +127,7 @@ class TestExhaustiveDisjointCheck:
         assert report.details["max_count"] == 6
 
     def test_non_interleaved_case_has_zero_count(self):
-        from paulisched.fermion import jw_term
-        from paulisched.pauli import anticommuting_index_count
+        from paulisched.oracles import anticommuting_index_count, jw_term
 
         upper = FermionicTerm((7, 6), (5, 4), 8)
         lower = FermionicTerm((3, 2), (1, 0), 8)
@@ -289,12 +291,12 @@ class TestValidateFamilies:
         assert report.details["pairs_checked"] == 21  # C(7, 2)
 
     def test_mixed_registers_fail_without_raising(self):
-        # a CommutingFamily holds one register, but the audit reads any
-        # family through its strings
+        # a family holds one register, the first string's, and the audit
+        # reads its rows on it: a row of a wider register fails the family
         strings = tuple(WeightedPauliString(ExactComplex(1), parse_pauli(t)) for t in ("X", "XX"))
-        report = validate_families([SimpleNamespace(strings=strings)])
+        report = validate_families([family_of(strings)])
         assert not report.passed
-        assert report.counterexample == "family 0: Pauli strings act on different registers: 1 != 2"
+        assert report.counterexample == "family 0: bitmasks out of range for n=1"
 
 
 class TestValidatePartition:
@@ -314,7 +316,7 @@ class TestValidatePartition:
         families = build_partition(n, coeffs).families
         report = validate_partition(families, n, coeffs)
         assert report.passed, report.counterexample
-        strings = [w.string for f in families for w in f.strings]
+        strings = [w.string for f in families for w in strings_of(f)]
         assert len(strings) == len(set(strings)) == report.details["image_strings"]
         assert ("dense_max_deviation" in report.details) == (n <= 6)
         assert report.details.get("dense_max_deviation", 0.0) == 0.0
@@ -328,8 +330,8 @@ class TestValidatePartition:
     def test_duplicated_string_fails(self, built):
         n, coeffs, families = built
         families = list(families)  # each test edits its own copy
-        first = families[0].strings[0]
-        families[1] = family_of(families[1].strings + (first,), families[1].provenance, families[1].origin)
+        first = strings_of(families[0])[0]
+        families[1] = family_of(strings_of(families[1]) + [first], families[1].provenance, families[1].origin)
         report = validate_partition(families, n, coeffs)
         assert not report.passed
         assert f"{first.string} appears in an earlier family" in report.counterexample
@@ -337,8 +339,8 @@ class TestValidatePartition:
     def test_dropped_string_fails(self, built):
         n, coeffs, families = built
         families = list(families)  # each test edits its own copy
-        dropped = families[-1].strings[-1]
-        families[-1] = family_of(families[-1].strings[:-1], families[-1].provenance, families[-1].origin)
+        dropped = strings_of(families[-1])[-1]
+        families[-1] = family_of(strings_of(families[-1])[:-1], families[-1].provenance, families[-1].origin)
         report = validate_partition(families, n, coeffs)
         assert not report.passed
         assert report.counterexample.startswith(f"{dropped.string}: families sum to None")
@@ -346,9 +348,9 @@ class TestValidatePartition:
     def test_reweighted_string_fails(self, built):
         n, coeffs, families = built
         families = list(families)  # each test edits its own copy
-        w = families[0].strings[0]
+        w = strings_of(families[0])[0]
         doubled = replace(w, coefficient=w.coefficient + w.coefficient)
-        families[0] = family_of((doubled,) + families[0].strings[1:], families[0].provenance, families[0].origin)
+        families[0] = family_of([doubled] + strings_of(families[0])[1:], families[0].provenance, families[0].origin)
         report = validate_partition(families, n, coeffs)
         assert not report.passed
         assert report.counterexample.startswith(f"{w.string}: ")

@@ -28,14 +28,26 @@ from conftest import (
     reference_jw_term,
     reference_save_families,
     seeded_hermitian_entries,
+    strings_of,
     support,
     write_coefficients,
 )
 from paulisched import fermion, partition
 from paulisched.baranyai import Schedule, build_schedule
 from paulisched.cli import build_parser, main
-from paulisched.fermion import FermionicTerm, jw_image, jw_term, weighted_strings
-from paulisched.oracles import validate_families, validate_partition, validate_schedule
+from paulisched.fermion import jw_image
+from paulisched.oracles import (
+    ExactComplex,
+    FermionicTerm,
+    WeightedPauliString,
+    commutes,
+    jw_term,
+    parse_pauli,
+    validate_families,
+    validate_partition,
+    validate_schedule,
+    weighted_strings,
+)
 from paulisched.partition import (
     CoefficientsLoadError,
     CommutingFamily,
@@ -56,15 +68,7 @@ from paulisched.partition import (
     schedule_json,
     write_replacing,
 )
-from paulisched.pauli import (
-    ExactComplex,
-    WeightedPauliString,
-    anticommuting_indices,
-    commutes,
-    parse_pauli,
-    pauli_digits,
-    pauli_text,
-)
+from paulisched.pauli import anticommuting_indices, pauli_digits, pauli_text
 
 
 def _dominant(schedule, coeffs=None):
@@ -79,14 +83,14 @@ class TestDominantFamilies:
     def test_single_round_register(self):
         families = _dominant(build_schedule(4))
         assert len(families) == 2
-        assert all(len(f.strings) == 8 for f in families)
+        assert all(len(strings_of(f)) == 8 for f in families)
         assert validate_families(families).passed
 
     def test_eight_modes_counts_and_coverage(self):
         families = _dominant(build_schedule(8))
         assert len(families) == 2 * comb(7, 3) == 70
-        assert all(len(f.strings) == 16 for f in families)
-        covered = [w.string for f in families for w in f.strings]
+        assert all(len(strings_of(f)) == 16 for f in families)
+        covered = [w.string for f in families for w in strings_of(f)]
         assert len(covered) == len(set(covered)) == 16 * comb(8, 4)
         assert validate_families(families).passed
 
@@ -133,20 +137,20 @@ class TestResidualFamilies:
     def test_off_diagonal_one_body_splits_into_two_pairs(self):
         # unweighted, the hopping and its adjoint share one block and fold
         # to (XX + YY) / 2: the odd-Y half cancels
-        (pair,) = [f for f in _residual(Schedule(2, ())) if f.strings[0].string.x == 0b11]
-        assert [str(w.string) for w in pair.strings] == ["XX", "YY"]
+        (pair,) = [f for f in _residual(Schedule(2, ())) if strings_of(f)[0].string.x == 0b11]
+        assert [str(w.string) for w in strings_of(pair)] == ["XX", "YY"]
         assert list(pair.provenance) == [((0,), (1,)), ((1,), (0,))]
         # the hopping on its own keeps both halves
         coeffs = HamiltonianCoefficients.from_entries(2, [((1, 0), 1)], [])
         halves = _residual(Schedule(2, ()), coeffs)
-        assert [len(f.strings) for f in halves] == [2, 2]
-        texts = {str(w.string) for f in halves for w in f.strings}
+        assert [len(strings_of(f)) for f in halves] == [2, 2]
+        texts = {str(w.string) for f in halves for w in strings_of(f)}
         assert texts == {"XX", "YY", "XY", "YX"}
         assert all(list(f.provenance) == [((1,), (0,))] for f in halves)
 
     def test_diagonal_terms_pool_into_one_family(self):
         families = _residual(Schedule(3, ()))
-        pooled = [f for f in families if all(w.string.x == 0 for w in f.strings)]
+        pooled = [f for f in families if all(w.string.x == 0 for w in strings_of(f))]
         assert len(pooled) == 1
         diag_terms = {creates for creates, _ in pooled[0].provenance if len(creates) == 1}
         assert diag_terms == {(0,), (1,), (2,)}
@@ -159,10 +163,10 @@ class TestResidualFamilies:
         assert len(families) <= 1 + 2 * comb(8, 2)
         masks, strings = [], []
         for family in families:
-            assert len({w.string.x for w in family.strings}) == 1
-            assert {(w.string.x & w.string.z).bit_count() & 1 for w in family.strings} == {0}
-            masks.append(family.strings[0].string.x)
-            strings += [w.string for w in family.strings]
+            assert len({w.string.x for w in strings_of(family)}) == 1
+            assert {(w.string.x & w.string.z).bit_count() & 1 for w in strings_of(family)} == {0}
+            masks.append(strings_of(family)[0].string.x)
+            strings += [w.string for w in strings_of(family)]
         assert masks == sorted(masks) and len(set(masks)) == len(masks)  # ascending X mask
         assert {m.bit_count() for m in masks} == {0, 2}
         assert len(strings) == len(set(strings)) == 419
@@ -338,10 +342,10 @@ class TestOnePass:
         assert len(families) == 2 * comb(8, 4) + 29 == 169
         dominant = [f for f in families if f.origin == "dominant"]
         assert len(dominant) == 140
-        masks = [f.strings[0].string.x for f in families]
+        masks = [strings_of(f)[0].string.x for f in families]
         assert masks == sorted(masks)  # one block per unit, ascending X mask
-        assert all(len({w.string.x for w in f.strings}) == 1 for f in families)
-        assert {f.strings[0].string.x.bit_count() for f in dominant} == {4}
+        assert all(len({w.string.x for w in strings_of(f)}) == 1 for f in families)
+        assert {strings_of(f)[0].string.x.bit_count() for f in dominant} == {4}
         assert validate_families(families).passed
         report = validate_partition(families, 8)
         assert report.passed, report.counterexample
@@ -362,7 +366,7 @@ class TestOnePass:
         report = validate_partition(families, 8)
         assert report.passed, report.counterexample
         dominant = [f for f in families if f.origin == "dominant"]
-        assert all({w.string.x.bit_count() for w in f.strings} == {4} for f in dominant)
+        assert all({w.string.x.bit_count() for w in strings_of(f)} == {4} for f in dominant)
         # every 4-subset block is in exactly two dominant families
         assert len(dominant) == 2 * comb(8, 4)
 
@@ -400,7 +404,7 @@ class TestCoefficients:
         coeffs = HamiltonianCoefficients.from_entries(8, [], [((7, 5, 3, 0), 0.5)])
         families = list(commuting_families(build_schedule(8), coeffs))
         assert len(families) == 2
-        strings = [w for f in families for w in f.strings]
+        strings = [w for f in families for w in strings_of(f)]
         assert len(strings) == 16
         assert all(w.string.x == 0b10101001 for w in strings)
         assert all(abs_squared(w.coefficient) == Fraction(1, 1024) for w in strings)
@@ -417,7 +421,7 @@ class TestCoefficients:
             8, [], [((7, 5, 3, 0), 1.0), ((7, 3, 5, 0), 1.0)]
         )
         families = list(commuting_families(build_schedule(8), coeffs))
-        strings = [w for f in families for w in f.strings]
+        strings = [w for f in families for w in strings_of(f)]
         # the two expansions share the 16-string support but interfere, so
         # some strings may cancel; whatever remains must still be certified
         assert 0 < len(strings) <= 16
@@ -499,7 +503,7 @@ class TestWeightedFold:
             if is_two_body(term) and has_distinct_indices(term):
                 for string, c in _scaled(term, value):
                     expected[string] = expected.get(string, ExactComplex()) + c
-        emitted = [(w.string, w.coefficient) for f in families if f.origin == "dominant" for w in f.strings]
+        emitted = [(w.string, w.coefficient) for f in families if f.origin == "dominant" for w in strings_of(f)]
         assert dict(emitted) == {s: c for s, c in expected.items() if c}
         assert len(dict(emitted)) == len(emitted)  # one slot per string
         assert any(not c for c in expected.values())  # some strings do sum to zero
@@ -525,7 +529,7 @@ class TestWeightedFold:
                 if strings:
                     rows.append((strings, [key(t) for t in terms]))
         dominant = [f for f in families if f.origin == "dominant"]
-        assert [([w.string for w in f.strings], list(f.provenance)) for f in dominant] == rows
+        assert [([w.string for w in strings_of(f)], list(f.provenance)) for f in dominant] == rows
 
     def test_residual_coefficients_are_exact_term_multiples(self, case):
         kind, values, families = case
@@ -552,7 +556,7 @@ class TestWeightedFold:
                 if mine:
                     rows.append((mask, parity, [(s, folded[s]) for s in mine], blocks[mask]))
         residual = [f for f in families if f.origin == "residual"]
-        got = [([(w.string, w.coefficient) for w in f.strings], list(f.provenance)) for f in residual]
+        got = [([(w.string, w.coefficient) for w in strings_of(f)], list(f.provenance)) for f in residual]
         assert got == [(strings, [key(t) for t in terms]) for _, _, strings, terms in rows]
         halves = Counter(mask for mask, _, _, _ in rows)
         if kind == "hermitian":
@@ -1019,7 +1023,7 @@ class TestPersistence:
         # be zero, and the strings would read as cancelled ones
         path = write_coefficients(tmp_path / "h.json", 4, [((0, 0), 5e-324)], [])
         report = build_partition(4, load_coefficients(path))
-        assert [str(w.string) for f in report.families for w in f.strings] == ["IIII", "ZIII"]
+        assert [str(w.string) for f in report.families for w in strings_of(f)] == ["IIII", "ZIII"]
         out = tmp_path / "families.json"
         with pytest.raises(FamiliesWriteError, match="IIII is nonzero but rounds to zero as a float"):
             save_families(report.families, out)
@@ -1212,12 +1216,12 @@ class TestWriterDivision:
         for key, value in values.items():
             for string, c in _scaled(FermionicTerm(key[:2], key[2:], 8), value):
                 expected[string] = c
-        assert {w.string: w.coefficient for f in families for w in f.strings} == expected
+        assert {w.string: w.coefficient for f in families for w in strings_of(f)} == expected
         out = tmp_path / "families.json"
         save_families(families, out)
         written = [record["coefficients"] for record in json.loads(out.read_text())]
         assert written == [
-            [[float(w.coefficient.real), float(w.coefficient.imag)] for w in f.strings] for f in families
+            [[float(w.coefficient.real), float(w.coefficient.imag)] for w in strings_of(f)] for f in families
         ]
         streamed, reference = _written_both_ways(families, tmp_path)
         assert streamed == reference

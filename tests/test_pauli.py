@@ -5,20 +5,19 @@ from functools import cache
 import pytest
 from hypothesis import example, given, strategies as st
 
-from conftest import letter, matrix_product, multiply, string_matrix, string_product, times_i_power
-from paulisched.oracles import anticommuting_pair_by_scan, weighted_sum_matrix
-from paulisched.partition import build_partition
-from paulisched.pauli import (
+from conftest import letter, matrix_product, multiply, string_matrix, string_product, strings_of, times_i_power
+from paulisched.oracles import (
     ExactComplex,
     PauliString,
     WeightedPauliString,
     anticommuting_index_count,
-    anticommuting_indices,
+    anticommuting_pair_by_scan,
     commutes,
     parse_pauli,
-    pauli_digits,
-    pauli_text,
+    weighted_sum_matrix,
 )
+from paulisched.partition import build_partition
+from paulisched.pauli import anticommuting_indices, pauli_digits, pauli_text
 
 
 @st.composite
@@ -221,7 +220,7 @@ def _diagonal_family(n):
 @cache
 def _families(n):
     """The compile's families at n: the dominant ones have rank n."""
-    return [[w.string for w in f.strings] for f in build_partition(n).families]
+    return [[w.string for w in strings_of(f)] for f in build_partition(n).families]
 
 
 class TestAnticommutingPairReference:
