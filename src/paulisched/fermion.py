@@ -13,51 +13,51 @@ ladder product exactly on integers in one pass: every coefficient is
 product path carries an i-power and is added straight into the sums of the
 whole weighted set.  :func:`jw_image` folds one unit of blocks: it takes
 the register size n and the blocks, each a list of ``(key, value)``
-entries, a key being a term's ``(creates, annihilates)``, its two
-descending mode tuples; it builds no term.  It returns the unit's one
-denominator and, per block, its even-Y and its odd-Y rows
-``(text, x, z, re, im)``: a string's text, its masks and the numerators
-of its coefficient.  So the kernel makes both decisions of a family's
-rows, the denominator and the Y half, and a family only joins halves.
-The sums are keyed by a string's digits
-(:func:`paulisched.pauli.pauli_digits`), and each row's text is formatted
-from them by :func:`paulisched.pauli.pauli_text`, the one text rule; a
-four-mode block's rows are spliced from text halves in the same letters
-instead (below).  The split in :mod:`paulisched.partition` calls
-:func:`jw_image` once per unit, a schedule round or a leftover block, on
-the keys its block table holds, and carries the rows to the writer as
-they are.  No sign or phase is hand-coded, which is what the dense-matrix
-oracles in :mod:`paulisched.oracles` verify: their single-term image,
+entries whose terms share one X mask, a key being a term's ``(creates,
+annihilates)``, its two descending mode tuples; it builds no term.  It
+returns the unit's one denominator and, per block, its even-Y and its
+odd-Y rows ``(text, x, z, re, im)``: a string's text, its masks and the
+numerators of its coefficient.  So the kernel makes both decisions of a
+family's rows, the denominator and the Y half, and a family only joins
+halves.  Every string of a term has the term's X mask, the XOR of its
+mode bits, so every string of a block has the block's: the sums are keyed
+by a string's z alone, and each distinct string's text is formatted once
+from its masks by :func:`_text`; a four-mode block's rows are spliced
+from text halves in the same letters instead (below).  The split in
+:mod:`paulisched.partition` calls :func:`jw_image` once per unit, a
+schedule round or a leftover block, on the blocks its table holds, keyed
+by X mask, and carries the rows to the writer as they are.  No sign or
+phase is hand-coded, which is what the dense-matrix oracles in
+:mod:`paulisched.oracles` verify: their single-term image,
 ``oracles.jw_term``, reads :func:`jw_image`.
 
 A term is the product of its creates side and its annihilates side, and
 each side is expanded once per process by that rule: :func:`_side`, a
-cached function, maps a side's ``(modes, dagger)`` to its product paths,
-and is the one reader of the ladder table.  A path stores its masks,
-its normal-form exponent and its digits: the digit rule is linear over
-GF(2), so the digits of a product of two paths are the XOR of theirs.  The
-same rule joins the two sides, and only the product leaves the normal
-form: each of its Y letters takes one factor i back.  No part of a path
-depends on the register size, as a digit int has no width: a text is
-padded to n digits only when it is formatted.  A two-body term expanded
-this way takes 16 phases, one per pair of side paths, instead of the 30
-of a factor-by-factor expansion.  A side names one mode or two distinct
-descending ones, so for modes below M its cache holds at most
-2 * (M + C(M, 2)) keys.  Both caches here are filled on first use, and
-they hold tuples, which no caller can change: two threads that miss one
-key at once both expand it and store equal values, and either serves.
+cached function, maps a side's ``(modes, dagger)`` to its product paths
+``(x, z, e)``, and is the one reader of the ladder table.  The same rule
+joins the two sides, and only the product leaves the normal form: each of
+its Y letters takes one factor i back.  No part of a path depends on the
+register size: a text is padded to n letters only when it is formatted.
+A two-body term expanded this way takes 16 phases, one per pair of side
+paths, instead of the 30 of a factor-by-factor expansion.  A side names
+one mode or two distinct descending ones, so for modes below M its cache
+holds at most 2 * (M + C(M, 2)) keys.  Both caches here are filled on
+first use, and they hold tuples, which no caller can change: two threads
+that miss one key at once both expand it and store equal values, and
+either serves.
 
 A two-body term on four distinct modes a < b < c < d always expands to 16
 strings of coefficient magnitude 1/16: X or Y at the four modes, Z on the
 open gaps (a, b) and (c, d), identity elsewhere; the test suite checks this
 shape.  Its coefficients depend only on its shape, which two of the four
 sorted positions it creates, of which there are six: the gap Z's sit on no
-X position, so they add no phase.  So a block whose terms all name the
-same four modes, as every block of a 4-bit X mask does, takes no product
-path.  :func:`_shape`, the second cached function, maps each shape to its
-16 numerators over 2**4: the rows of that term on the register of the
-modes 0..3, expanded from its key by the expansion routine, which sorts
-them by text, and read in order.
+X position, so they add no phase.  A block whose first term names four
+distinct modes has a 4-bit X mask, and every term of such a block names
+those four modes, so it takes no product path.  :func:`_shape`, the
+second cached function, maps each shape to its 16 numerators over 2**4:
+the rows of that term on the register of the modes 0..3, expanded from
+its key by the expansion routine, which sorts them by text, and read in
+order.
 The block's sums are each term's value, scaled to the unit's denominator,
 times its shape's table, so a weighted block of up to six terms and an
 unweighted one of one term take the same code.  Each row is one of four
@@ -75,9 +75,18 @@ from functools import cache
 from itertools import product
 from math import lcm
 
-from .pauli import pauli_digits, pauli_text
-
 __all__ = ["jw_image"]
+
+_LETTERS = str.maketrans("0123", "IXZY")
+
+
+def _text(n: int, x: int, z: int) -> str:
+    """The text of the n-qubit string with masks (x, z), qubit 0 leftmost:
+    qubit t reads "IXZY"[x_t | z_t << 1]."""
+    # a mask's binary digits read as hex put bit t in hex digit t, so hex
+    # digit t of the sum is x_t | z_t << 1; base 16, unlike base 10, has no
+    # int/str digit limit, and "%0*x" takes the width n as an argument
+    return ("%0*x" % (n, int(format(x, "b"), 16) | int(format(z, "b"), 16) << 1))[::-1].translate(_LETTERS)
 
 
 def _ladder(mode: int, dagger: bool) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
@@ -89,9 +98,9 @@ def _ladder(mode: int, dagger: bool) -> tuple[tuple[int, int, int], tuple[int, i
 
 
 @cache
-def _side(modes: tuple[int, ...], dagger: bool) -> tuple[tuple[int, int, int, int], ...]:
-    """The product paths (x, z, e, digits) of one side's ladder factors, in
-    normal form; a tuple, as every caller shares it."""
+def _side(modes: tuple[int, ...], dagger: bool) -> tuple[tuple[int, int, int], ...]:
+    """The product paths (x, z, e) of one side's ladder factors, in normal
+    form; a tuple, as every caller shares it."""
     paths = [(0, 0, 0)]
     for mode in modes:
         paths = [
@@ -99,30 +108,35 @@ def _side(modes: tuple[int, ...], dagger: bool) -> tuple[tuple[int, int, int, in
             for x, z, e in paths
             for fx, fz, fe in _ladder(mode, dagger)
         ]
-    return tuple([(x, z, e, pauli_digits(x, z)) for x, z, e in paths])
+    return tuple(paths)
 
 
 def _product_rows(n: int, scaled) -> tuple[list, list]:
     """The even-Y and the odd-Y rows, each in text order, of sum(scale *
-    term) over (key, scale) pairs with integer scales, each product path of
-    a term adding its scale times its phase; rows that sum to zero drop."""
-    sums = {}  # per string's digits, [re, im, x, z]
+    term) over (key, scale) pairs with integer scales and one X mask, each
+    product path of a term adding its scale times its phase; rows that sum
+    to zero drop."""
+    # every string of the block has its X mask, the XOR of a term's mode bits
+    (creates, annihilates), _ = scaled[0]
+    x = 0
+    for m in creates + annihilates:
+        x ^= 1 << m
+    sums = {}  # per string's z, [re, im]
     for (creates, annihilates), scale in scaled:
         annihilated = _side(annihilates, False)
-        for cx, cz, ce, cd in _side(creates, True):
-            for ax, az, ae, ad in annihilated:
+        for _, cz, ce in _side(creates, True):
+            for ax, az, ae in annihilated:
                 # normal-form exponents add, Z^cz X^ax = (-1)^|cz & ax| X^ax Z^cz,
                 # and the product's own Y letters leave the normal form
-                x, z = cx ^ ax, cz ^ az
+                z = cz ^ az
                 k = ce + ae + 2 * (cz & ax).bit_count() - (x & z).bit_count()
-                digits = cd ^ ad  # the digit rule is XOR-linear
-                entry = sums.get(digits)
+                entry = sums.get(z)
                 if entry is None:
-                    entry = sums[digits] = [0, 0, x, z]
+                    entry = sums[z] = [0, 0]
                 entry[k & 1] += -scale if k & 2 else scale  # i**k is 1, i, -1 or -i
     halves: tuple[list, list] = ([], [])
-    for row in sorted([(pauli_text(n, digits), x, z, re, im) for digits, (re, im, x, z) in sums.items() if re or im]):
-        halves[(row[1] & row[2]).bit_count() & 1].append(row)
+    for row in sorted([(_text(n, x, z), x, z, re, im) for z, (re, im) in sums.items() if re or im]):
+        halves[(x & row[2]).bit_count() & 1].append(row)
     return halves
 
 
@@ -140,19 +154,24 @@ def jw_image(n: int, blocks) -> tuple[int, list[tuple[list, list]]]:
     """The exact JW images of the blocks of one unit, over one denominator.
 
     ``blocks`` is a list of non-empty lists of (key, value) entries, each
-    block standing for sum(value * term) over its entries.  A key is a
-    term's ``(creates, annihilates)``: two strictly descending tuples of
-    modes in range(n), one mode each or two each, checked where the input
-    arrived; the key is not checked again here.  Values are ints or
-    Fractions.  Every block is summed on integers over the unit's one
-    denominator D: the lcm of every value's denominator in the unit times
-    2**f for the largest ladder count f among its terms.  Each value is scaled once to its numerator over
-    D / 2**f for its own term's f.  Each product path of a term's ladder
-    factors adds its scaled value times its phase i**k to the numerators
-    of its string.  A block whose terms all name the same four distinct
-    modes is summed from the shape tables instead: each term adds its
-    scaled value times the table of its shape (:func:`_shape`), and the
-    rows are spliced from text halves (:func:`_four_mode_rows`).
+    block standing for sum(value * term) over its entries, and every entry
+    of a block sharing one X mask, the XOR of its term's mode bits.  A key
+    is a term's ``(creates, annihilates)``: two strictly descending tuples
+    of modes in range(n), one mode each or two each, checked where the
+    input arrived; the key is not checked again here, and no check reads
+    the shared mask, which the callers build by.  Values are ints or
+    Fractions.  Every block is summed on integers
+    over the unit's one denominator D: the lcm of every value's denominator
+    in the unit times 2**f for the largest ladder count f among its terms.
+    Each value is scaled once to its numerator over D / 2**f for its own
+    term's f.  Each product path of a term's ladder factors adds its scaled
+    value times its phase i**k to the numerators of its string, keyed by
+    its z, as the block's X mask is every string's.  A block whose first
+    term names four distinct modes has a 4-bit mask, so every term of it
+    names those four modes, and it is summed from the shape tables
+    instead: each term adds its scaled value times the table of its shape
+    (:func:`_shape`), and the rows are spliced from text halves
+    (:func:`_four_mode_rows`).
     Returns D and, per block in order, its even-Y rows and its odd-Y rows
     ``(text, x, z, re, im)``, one per string whose sum (re + i im) / D is
     nonzero and whose Y count |x & z| has that parity; strings that sum to
@@ -168,10 +187,9 @@ def jw_image(n: int, blocks) -> tuple[int, list[tuple[list, list]]]:
             (key, value.numerator * (denominator // (value.denominator << len(key[0]) + len(key[1]))))
             for key, value in block
         ]
-        first, _ = block[0]
-        ends = sorted({*first[0], *first[1]})
-        four = len(ends) == 4 and all(sorted(c + a) == ends for (c, a), _ in block)
-        images.append(_four_mode_rows(n, ends, scaled) if four else _product_rows(n, scaled))
+        (creates, annihilates), _ = block[0]
+        ends = sorted({*creates, *annihilates})
+        images.append(_four_mode_rows(n, ends, scaled) if len(ends) == 4 else _product_rows(n, scaled))
     return denominator, images
 
 

@@ -9,17 +9,21 @@ builder of weighted strings: a family's strings are
 ``weighted_strings(f.n, f.denominator, f.rows)``.  :func:`jw_term`, the
 single-term image, lives here and reads the compile's own kernel,
 :func:`paulisched.fermion.jw_image`, so the dense checks test that
-kernel.  The model's values are immutable, slotted frozen dataclasses:
-an instance has no ``__dict__``, and attributes cannot be added to it.  A
-:class:`PauliString` builds its text when it is read.
+kernel; it is the one name this module reads from
+:mod:`paulisched.fermion`.  The model's values are immutable, slotted
+frozen dataclasses: an instance has no ``__dict__``, and attributes
+cannot be added to it.  A :class:`PauliString` builds its text when it is
+read, by its own per-qubit rule, the inverse of :func:`parse_pauli`, so
+the dense checks read letters without going through compile code.
 
 Dense matrices are exact: each maps a basis state to one basis state times
 a power of i, or to 0 (Aaronson and Gottesman, quant-ph/0406196), so they
 are compared by equality.  Coverage is recounted from scratch, and
 commutation audits cover all pairs: :func:`validate_families` scans every
 pair of each family with :func:`anticommuting_pair_by_scan`, its own rule,
-not the compile's certifier.  Not every check is independent of the
-compile: :func:`validate_partition` builds its reference image with
+not the compile's certifier, once each row's text is seen to spell its
+masks, as the writer writes the text.  Not every check is independent of
+the compile: :func:`validate_partition` builds its reference image with
 :func:`jw_term`, the compile's kernel.  Only the dense checks,
 :func:`verify_jw_against_matrices` and the n <= 6 sum of
 :func:`validate_partition`, test that kernel independently.  Both read one
@@ -43,7 +47,6 @@ from math import comb, lcm
 
 from .baranyai import SUBSET_SIZE, Schedule
 from .fermion import jw_image
-from .pauli import pauli_digits, pauli_text
 
 __all__ = [
     "ExactComplex",
@@ -137,7 +140,8 @@ class PauliString:
             raise ValueError(f"bitmasks out of range for n={self.n}")
 
     def text(self) -> str:
-        return pauli_text(self.n, pauli_digits(self.x, self.z))
+        # the inverse of parse_pauli: qubit t reads "IXZY"[x_t | z_t << 1]
+        return "".join(["IXZY"[(self.x >> t & 1) | (self.z >> t & 1) << 1] for t in range(self.n)])
 
     __str__ = text
 
@@ -568,7 +572,7 @@ def anticommuting_pair_by_scan(strings) -> tuple[PauliString, PauliString] | Non
 
     The audit's own rule on :class:`PauliString` values, the parity of
     :func:`anticommuting_index_count`: it shares no code with the
-    compile's certifier, :func:`pauli.anticommuting_indices` on masks, and
+    compile's certifier, ``partition._anticommuting_indices`` on masks, and
     names the same pair.
 
     Raises:
@@ -584,14 +588,31 @@ def anticommuting_pair_by_scan(strings) -> tuple[PauliString, PauliString] | Non
     return None
 
 
+def _family_strings(family) -> list[WeightedPauliString]:
+    """The family's rows as weighted strings on its register, by
+    :func:`weighted_strings`, once each row's text is seen to be its
+    string's text: ``parse_pauli(text)`` is the string, as the text rule is
+    the inverse of :func:`parse_pauli`.
+
+    Raises:
+        ValueError: if a row does not fit the register, or its text is not
+            the text of its masks.
+    """
+    strings = weighted_strings(family.n, family.denominator, family.rows)
+    for (text, *_), w in zip(family.rows, strings):
+        if w.string.text() != text:
+            raise ValueError(f"row text {text!r} does not spell {w.string}")
+    return strings
+
+
 def validate_families(families) -> OracleReport:
     """Commutation audit of every pair of every family.
 
-    Each family's rows, read on its register by :func:`weighted_strings`,
-    go through :func:`anticommuting_pair_by_scan`, which tests every pair
-    up to the first that anticommutes; a row that does not fit the
-    register fails the family.  ``pairs_checked`` counts C(size, 2) pairs
-    per family.
+    Each family's rows, read by :func:`_family_strings`, go through
+    :func:`anticommuting_pair_by_scan`, which tests every pair up to the
+    first that anticommutes; a row that does not fit the register, or
+    whose text does not spell its masks, fails the family.
+    ``pairs_checked`` counts C(size, 2) pairs per family.
     """
     families = list(families)
     bad: str | None = None
@@ -599,10 +620,8 @@ def validate_families(families) -> OracleReport:
     for idx, family in enumerate(families):
         pairs += comb(len(family.rows), 2)
         try:
-            pair = anticommuting_pair_by_scan(
-                [w.string for w in weighted_strings(family.n, family.denominator, family.rows)]
-            )
-        except ValueError as exc:  # a row does not fit the family's register
+            pair = anticommuting_pair_by_scan([w.string for w in _family_strings(family)])
+        except ValueError as exc:  # a row does not fit the family's register or its text
             problem = str(exc)
         else:
             problem = pair and f"{pair[0]} and {pair[1]} do not commute"
@@ -624,12 +643,21 @@ def validate_partition(families, n: int, coeffs=None) -> OracleReport:
     from its key ``(creates, annihilates)``, else over every canonical
     term at value 1, the list that :func:`verify_jw_against_matrices`
     extends.
-    Every string must act on n qubits, no string may appear twice, and the
-    family strings must sum exactly to that image.  For n <= 6 the families also
-    sum to the same matrix as the occupation-basis terms.
+    Each family's rows are read by :func:`_family_strings`, as
+    :func:`validate_families` reads them: a family that does not read
+    fails.  Every string must act on n qubits, no string may appear twice,
+    and the family strings must sum exactly to that image.  For n <= 6 the
+    families also sum to the same matrix as the occupation-basis terms.
+    Never raises on bad families.
     """
     families = list(families)
-    strings = [weighted_strings(f.n, f.denominator, f.rows) for f in families]
+    strings, unread = [], None
+    for idx, family in enumerate(families):
+        try:
+            strings.append(_family_strings(family))
+        except ValueError as exc:  # a row does not fit the family's register or its text
+            strings.append([])
+            unread = unread or f"family {idx}: {exc}"
     if coeffs is None:
         table = [(term, 1) for term in _canonical_terms(n)]
     else:
@@ -644,7 +672,7 @@ def validate_partition(families, n: int, coeffs=None) -> OracleReport:
         ((idx, w.string) for idx, weighted in enumerate(strings) for w in weighted if w.string.n != n),
         None,
     )
-    bad = foreign and f"family {foreign[0]}: {foreign[1]} acts on {foreign[1].n} qubits, not {n}"
+    bad = unread or (foreign and f"family {foreign[0]}: {foreign[1]} acts on {foreign[1].n} qubits, not {n}")
     emitted: dict[PauliString, ExactComplex] = {}
     slots = 0
     for idx, weighted in enumerate(strings):
@@ -661,7 +689,7 @@ def validate_partition(families, n: int, coeffs=None) -> OracleReport:
         bad = f"{string}: families sum to {emitted.get(string)}, the JW image is {image.get(string)}"
     details = {"n": n, "families": len(families), "string_slots": slots, "image_strings": len(image)}
 
-    if n <= 6 and foreign is None:
+    if n <= 6 and foreign is None and unread is None:
         sums: dict[tuple[int, int], Fraction] = {}
         for term, value in table:
             for key, sign in term_matrix(term).items():

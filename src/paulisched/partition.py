@@ -7,12 +7,13 @@ carried as its key ``(creates, annihilates)``, its two descending mode
 tuples, checked where the input arrived: the coefficients' one table is
 keyed by it, and the block table's entries are ``(key, value)`` pairs.
 Each unit of blocks is folded once, by one call of
-:func:`~paulisched.fermion.jw_image`, into the exact JW images of its
-blocks' weighted terms: the unit's one denominator and, per block, a row
-``(text, x, z, re, im)`` per string, already split into the block's
-even-Y and odd-Y halves.  :mod:`paulisched.fermion` sums the integer
-numerators over that denominator and picks each row's half; this module
-only joins the halves into an even-Y and an odd-Y family, certifies them
+:func:`~paulisched.fermion.jw_image`, which takes blocks of one X mask
+each, into the exact JW images of its blocks' weighted terms: the unit's
+one denominator and, per block, a row ``(text, x, z, re, im)`` per
+string, already split into the block's even-Y and odd-Y halves.
+:mod:`paulisched.fermion` sums the integer numerators over that
+denominator and picks each row's half; this module only joins the halves
+into an even-Y and an odd-Y family, certifies them
 on their rows' masks and writes their text, their numerators and the
 keys: no term object and no Pauli object is built between the loader and
 the file.  A family is its rows, its provenance and its origin, and
@@ -43,9 +44,10 @@ parities agree, and blocks with disjoint X masks, each with one Z chain
 outside its mask, are decided block pair by block pair.  That proves every
 family the compile builds, at one lookup and two compares per string.  A
 family the block test cannot prove goes to the plain pairwise scan
-:func:`~paulisched.pauli.anticommuting_indices`, which also names the first
-anticommuting pair in the :class:`FamilyCertificationError` of a family
-that fails.
+:func:`_anticommuting_indices`, the parity of the popcount of the
+symplectic product (x_a & z_b) ^ (z_a & x_b) of every pair (Aaronson and
+Gottesman, quant-ph/0406196), which also names the first anticommuting
+pair in the :class:`FamilyCertificationError` of a family that fails.
 
 Since each block is taken out of the table once, each distinct string sits
 in exactly one family, whose provenance is the key of every term of each
@@ -80,7 +82,6 @@ from pathlib import Path
 
 from .baranyai import Schedule, build_schedule, round_sizes
 from .fermion import jw_image
-from .pauli import anticommuting_indices
 
 __all__ = [
     "CommutingFamily",
@@ -182,6 +183,16 @@ def _commute_by_blocks(rows) -> bool:
     return True
 
 
+def _anticommuting_indices(masks) -> tuple[int, int] | None:
+    """The first pair (i, j), i < j, of the (x, z) ``masks`` that
+    anticommutes, or None; pairs are taken in (i, j) order."""
+    for i, (ax, az) in enumerate(masks):
+        for j, (bx, bz) in enumerate(masks[i + 1:], i + 1):
+            if ((ax & bz) ^ (az & bx)).bit_count() & 1:
+                return i, j
+    return None
+
+
 def _certified(family: CommutingFamily) -> CommutingFamily:
     """The family, once its strings are shown to commute pairwise.
 
@@ -192,7 +203,7 @@ def _certified(family: CommutingFamily) -> CommutingFamily:
     rows = family.rows
     if _commute_by_blocks(rows):
         return family
-    bad = anticommuting_indices([(x, z) for _, x, z, _, _ in rows])
+    bad = _anticommuting_indices([(x, z) for _, x, z, _, _ in rows])
     if bad is not None:
         i, j = bad
         raise FamilyCertificationError(f"{rows[i][0]} and {rows[j][0]} do not commute in a {family.origin} family")

@@ -175,10 +175,30 @@ def keyed(entries) -> list:
     return [(key(term), value) for term, value in entries]
 
 
+def x_mask(key) -> int:
+    """The X mask of every JW string of the term with ``key``: the XOR of its mode bits."""
+    mask = 0
+    for m in key[0] + key[1]:
+        mask ^= 1 << m
+    return mask
+
+
+def x_blocks(entries) -> list[list]:
+    """(key, value) entries as blocks of one X mask each, in ascending mask
+    order, each keeping its entries' order, as the compile's block table
+    holds them."""
+    blocks: dict[int, list] = {}
+    for entry in entries:
+        blocks.setdefault(x_mask(entry[0]), []).append(entry)
+    return [blocks[mask] for mask in sorted(blocks)]
+
+
 def block_image(n: int, block) -> tuple[int, list]:
     """``jw_image`` of a unit of one block: its denominator and its rows in
-    text order, once each half is seen to be text-sorted and to hold only
+    text order, once the block's entries are seen to share one X mask, as
+    ``jw_image`` requires, and each half to be text-sorted and to hold only
     rows of its own Y parity."""
+    assert len({x_mask(k) for k, _ in block}) == 1, "a block holds one X mask"
     denominator, [(even, odd)] = jw_image(n, [block])
     for parity, half in enumerate((even, odd)):
         assert half == sorted(half)

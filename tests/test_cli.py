@@ -576,10 +576,10 @@ def test_every_exported_name_is_used_in_the_package():
     assert any(isinstance(node, ast.Attribute) and node.attr == "build_partition" for node in ast.walk(batch))
     assert unused == ["partition.build_partition"]
     # the compile's modules hold only what the compile reads: each public
-    # name of baranyai, pauli, fermion and partition is read in one of them
-    # or in cli; a reader in the oracles or the tests does not count, so the
-    # view they read lives in the oracles
-    compile_path = ("baranyai", "pauli", "fermion", "partition")
+    # name of baranyai, fermion and partition is read in one of them or in
+    # cli; a reader in the oracles or the tests does not count, so the view
+    # they read lives in the oracles
+    compile_path = ("baranyai", "fermion", "partition")
     readers = [node for module in (*compile_path, "cli") for node in ast.walk(trees[module])]
     unread = [
         f"{module}.{name}"
@@ -601,6 +601,20 @@ def test_every_exported_name_is_used_in_the_package():
     read = {name for text in outside for name in re.findall(r"\bpaulisched\.(\w+)", text)}
     assert reexported, "the root re-exports nothing"
     assert sorted(reexported - read) == []
+
+
+def test_the_oracles_read_only_jw_image_from_fermion():
+    # the dense checks read letters by the oracles' own text rule: of the
+    # compile's kernel they take the single-term image and nothing else,
+    # by no relative or plain import of the module either
+    taken = [
+        (getattr(node, "module", None), alias.name)
+        for node in ast.walk(_module_trees()["oracles"])
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+        if "fermion" in f"{getattr(node, 'module', None)}.{alias.name}"
+    ]
+    assert taken == [("fermion", "jw_image")]
 
 
 class TestCollectorPause:

@@ -20,6 +20,7 @@ from conftest import (
     reference_fold,
     reference_jw_term,
     times_i_power,
+    x_blocks,
 )
 from paulisched import fermion
 from paulisched.cli import main
@@ -184,7 +185,7 @@ class TestImage:
 
         for n in range(1, 7):
             terms = _all_terms(n)
-            for entries in [[(key(term), 1)] for term in terms] + [[(key(term), 1) for term in terms]]:
+            for entries in [[(key(term), 1)] for term in terms] + x_blocks([(key(term), 1) for term in terms]):
                 denominator, rows = block_image(n, entries)
                 strings = [w.string for w in weighted_strings(n, denominator, rows)]
                 assert strings == sorted(strings, key=text)
@@ -293,17 +294,6 @@ class TestFourModeTemplate:
         assert jw_image(n, [[(key(term), third), (key(term), -third)]])[1] == [([], [])]
         splits = _splits((0, 2, 3, 5), n)
         assert jw_image(n, [[(key(t), 2) for t in splits] + [(key(t), -2) for t in splits]])[1] == [([], [])]
-
-    def test_mixed_blocks_take_the_product_path(self):
-        # terms on different four modes, or a term on fewer modes, share no shape table
-        n = 6
-        for block in (
-            [(FermionicTerm((3, 2), (1, 0), n), 1), (FermionicTerm((5, 4), (1, 0), n), Fraction(1, 3))],
-            [(FermionicTerm((3, 2), (1, 0), n), 1), (FermionicTerm((3,), (0,), n), -1)],
-            [(FermionicTerm((3, 2), (1, 0), n), 1), (FermionicTerm((3, 2), (3, 0), n), 2)],
-        ):
-            want = reference_fold([(reference_jw_term(t), value) for t, value in block])
-            assert weighted_strings(n, *block_image(n, keyed(block))) == want
 
     def test_the_table_is_filled_on_first_use(self, tmp_path):
         # importing the package, or compiling a schedule, fills no table

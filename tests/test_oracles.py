@@ -298,6 +298,28 @@ class TestValidateFamilies:
         assert not report.passed
         assert report.counterexample == "family 0: bitmasks out of range for n=1"
 
+    @pytest.mark.parametrize("fault", ["non-pauli", "x-to-y", "length"])
+    def test_a_row_text_that_does_not_spell_its_masks_fails(self, fault):
+        # the writer writes each row's text, which weighted_strings drops: both
+        # validators read it against the row's masks
+        families = list(build_partition(6).families)
+        family = families[3]
+        text = family.rows[0][0]
+        at = next(t for t, c in enumerate(text) if c in "XY")
+        wrong = {
+            "non-pauli": "Q" * len(text),
+            "x-to-y": text[:at] + {"X": "Y", "Y": "X"}[text[at]] + text[at + 1:],
+            "length": text + "I",
+        }[fault]
+        doctored = families[:3] + [replace(family, rows=((wrong, *family.rows[0][1:]),) + family.rows[1:])]
+        doctored += families[4:]
+        for report in (validate_families(doctored), validate_partition(doctored, 6)):
+            assert not report.passed
+            assert report.counterexample == (
+                f"family 3: row text {wrong!r} does not spell {parse_pauli(text)}"
+            )
+        assert validate_families(families).passed and validate_partition(families, 6).passed
+
 
 class TestValidatePartition:
     @staticmethod
@@ -366,6 +388,14 @@ class TestValidatePartition:
         report = validate_partition([family], n)
         assert not report.passed
         assert report.counterexample == f"family 0: XXIIIIIIII acts on 10 qubits, not {n}"
+        assert "dense_max_deviation" not in report.details
+
+    def test_mixed_registers_fail_without_raising(self):
+        # a row of a wider register than its family's fails the family, as in validate_families
+        strings = tuple(WeightedPauliString(ExactComplex(1), parse_pauli(t)) for t in ("Z", "ZZ"))
+        report = validate_partition([family_of(strings)], 1)
+        assert not report.passed
+        assert report.counterexample == "family 0: bitmasks out of range for n=1"
         assert "dense_max_deviation" not in report.details
 
 

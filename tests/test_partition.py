@@ -31,6 +31,7 @@ from conftest import (
     strings_of,
     support,
     write_coefficients,
+    x_blocks,
 )
 from paulisched import fermion, partition
 from paulisched.baranyai import Schedule, build_schedule
@@ -55,6 +56,7 @@ from paulisched.partition import (
     FamilyCertificationError,
     HamiltonianCoefficients,
     ScheduleLoadError,
+    _anticommuting_indices,
     _blocks,
     _certified,
     _commute_by_blocks,
@@ -68,7 +70,6 @@ from paulisched.partition import (
     schedule_json,
     write_replacing,
 )
-from paulisched.pauli import anticommuting_indices, pauli_digits, pauli_text
 
 
 def _dominant(schedule, coeffs=None):
@@ -207,7 +208,7 @@ def _doctor_block(monkeypatch, mask, change):
         if not rows or rows[0][1] != mask:
             return rows
         changed = change([(x, z, re, im) for _, x, z, re, im in rows])
-        return [(pauli_text(8, pauli_digits(x, z)), x, z, re, im) for x, z, re, im in changed]
+        return [(fermion._text(8, x, z), x, z, re, im) for x, z, re, im in changed]
 
     def doctored(n, blocks):
         denominator, images = image(n, blocks)
@@ -226,7 +227,7 @@ def _rejected(monkeypatch, schedule) -> CommutingFamily:
         list(commuting_families(schedule))
     family = seen[-1]
     assert not _commute_by_blocks(family.rows)
-    i, j = anticommuting_indices([(x, z) for _, x, z, _, _ in family.rows])
+    i, j = _anticommuting_indices([(x, z) for _, x, z, _, _ in family.rows])
     assert str(raised.value) == (
         f"{family.rows[i][0]} and {family.rows[j][0]} do not commute in a {family.origin} family"
     )
@@ -317,7 +318,7 @@ class TestBlockCertification:
                     text, x, z, re, im = rows[k]
                     rows[k] = (text, x ^ bit, z, re, im) if rng.random() < 0.5 else (text, x, z ^ bit, re, im)
                 accepted = _commute_by_blocks(rows)
-                commuting = anticommuting_indices([(x, z) for _, x, z, _, _ in rows]) is None
+                commuting = _anticommuting_indices([(x, z) for _, x, z, _, _ in rows]) is None
                 assert commuting or not accepted, rows
                 verdicts[accepted, commuting] += 1
         assert origins["dominant"] and origins["residual"]
@@ -327,8 +328,8 @@ class TestBlockCertification:
     @pytest.mark.parametrize("case", sorted(_COMPILES))
     def test_the_compile_never_falls_back(self, case, monkeypatch):
         calls = []
-        scan = partition.anticommuting_indices
-        monkeypatch.setattr(partition, "anticommuting_indices", lambda masks: calls.append(masks) or scan(masks))
+        scan = partition._anticommuting_indices
+        monkeypatch.setattr(partition, "_anticommuting_indices", lambda masks: calls.append(masks) or scan(masks))
         assert list(commuting_families(*_COMPILES[case]()))
         assert calls == []
 
@@ -466,8 +467,9 @@ class TestWeightedFold:
         hop = FermionicTerm((1,), (0,), 2)
         n0, n1 = FermionicTerm((0,), (0,), 2), FermionicTerm((1,), (1,), 2)
         entries = [(hop, Fraction(2)), (n0, Fraction(1, 3)), (n1, Fraction(1)), (n0, Fraction(-1, 3))]
-        folded = weighted_strings(2, *block_image(2, keyed(entries)))
-        # n0 cancels, so ZI sums to zero; strings of later entries sort first
+        # one block per X mask: the number terms' block, then the hop's
+        folded = [w for block in x_blocks(keyed(entries)) for w in weighted_strings(2, *block_image(2, block))]
+        # n0 cancels, so ZI sums to zero; each block's strings come in text order
         assert [str(w.string) for w in folded] == ["II", "IZ", "XX", "XY", "YX", "YY"]
         want = {}
         for term, value in entries:

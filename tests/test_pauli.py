@@ -16,8 +16,8 @@ from paulisched.oracles import (
     parse_pauli,
     weighted_sum_matrix,
 )
-from paulisched.partition import build_partition
-from paulisched.pauli import anticommuting_indices, pauli_digits, pauli_text
+from paulisched.fermion import _text
+from paulisched.partition import _anticommuting_indices, build_partition
 
 
 @st.composite
@@ -79,26 +79,20 @@ class TestParseFormat:
 
 
 class TestDigits:
-    """The one digit rule: qubit t in hex digit t as I=0, X=1, Y=2, Z=3."""
-
-    @given(*[st.integers(0, 2**70 - 1)] * 4)
-    def test_digits_of_a_product_are_the_xor_of_the_factors(self, x1, z1, x2, z2):
-        assert pauli_digits(x1 ^ x2, z1 ^ z2) == pauli_digits(x1, z1) ^ pauli_digits(x2, z2)
+    """The compile's text rule, ``fermion._text``, which formats a string
+    from the hex digits its masks spread to, qubit t in hex digit t,
+    against the ``letter`` reference."""
 
     @pytest.mark.parametrize("x, z", [(0, 0), (1, 0), (1, 1), (0, 1)])
     def test_text_from_digits_of_one_qubit(self, x, z):
         p = PauliString(1, x, z)
-        assert pauli_text(1, pauli_digits(x, z)) == letter(p, 0)
+        assert _text(1, x, z) == letter(p, 0)
 
     @given(pauli_strings(max_n=70))
     @example(PauliString(70, 2**70 - 1, 2**70 - 1))
     @example(PauliString(65, 2**64, 0))
     def test_text_from_digits_equals_letters(self, p):
-        digits = pauli_digits(p.x, p.z)
-        letters = [letter(p, t) for t in range(p.n)]
-        assert [digits >> 4 * t & 15 for t in range(p.n)] == ["IXYZ".index(c) for c in letters]
-        assert digits >> 4 * p.n == 0
-        assert pauli_text(p.n, digits) == "".join(letters)
+        assert _text(p.n, p.x, p.z) == "".join(letter(p, t) for t in range(p.n))
 
 
 class TestCommutation:
@@ -158,8 +152,8 @@ class TestCommutation:
 
 
 def _indexed_pair(strings):
-    """The pair of ``strings`` that ``anticommuting_indices`` names on their masks, or None."""
-    pair = anticommuting_indices([(s.x, s.z) for s in strings])
+    """The pair of ``strings`` that ``partition._anticommuting_indices`` names on their masks, or None."""
+    pair = _anticommuting_indices([(s.x, s.z) for s in strings])
     return pair and (strings[pair[0]], strings[pair[1]])
 
 
@@ -167,12 +161,12 @@ class TestAnticommutingPair:
     def test_first_pair_in_index_order(self):
         # (0, 3) and (1, 2) both anticommute; (i, j) order reaches (0, 3) first
         masks = [(s.x, s.z) for s in map(parse_pauli, ("ZI", "IZ", "IX", "XI"))]
-        assert anticommuting_indices(masks) == (0, 3)
-        assert anticommuting_indices(masks[1:]) == (0, 1)
+        assert _anticommuting_indices(masks) == (0, 3)
+        assert _anticommuting_indices(masks[1:]) == (0, 1)
 
     def test_none_for_zero_and_one_string(self):
-        assert anticommuting_indices([]) is None
-        assert anticommuting_indices([(0b011, 0b110)]) is None
+        assert _anticommuting_indices([]) is None
+        assert _anticommuting_indices([(0b011, 0b110)]) is None
 
     def test_length_mismatch_raises(self):
         # masks carry no register: a list of strings is checked by the
@@ -224,7 +218,7 @@ def _families(n):
 
 
 class TestAnticommutingPairReference:
-    """``anticommuting_indices`` on masks names the pair the audit's scan finds
+    """``partition._anticommuting_indices`` on masks names the pair the audit's scan finds
     on :class:`PauliString` values."""
 
     @given(st.lists(pauli_strings(n=4), max_size=10))
