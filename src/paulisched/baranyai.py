@@ -161,10 +161,6 @@ class Schedule:
         canon.sort()
         return cls(n, tuple(canon))
 
-    @property
-    def subset_count(self) -> int:
-        return sum(len(rnd) for rnd in self.rounds)
-
 
 class PartialState:
     """Slot table during construction; see the module docstring for invariants.

@@ -232,6 +232,3 @@ def main(argv=None) -> int:
         if was_enabled:
             gc.enable()
 
-
-if __name__ == "__main__":
-    sys.exit(main())

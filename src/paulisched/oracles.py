@@ -526,8 +526,10 @@ def validate_schedule(schedule: Schedule) -> OracleReport:
             bad = message
 
     seen: dict[frozenset, int] = {}
+    subsets = 0
     for r, rnd in enumerate(schedule.rounds):
         used: set[int] = set()
+        subsets += len(rnd)
         for subset in rnd:
             members = frozenset(subset)
             if len(subset) != SUBSET_SIZE or len(members) != SUBSET_SIZE or not all(
@@ -559,7 +561,7 @@ def validate_schedule(schedule: Schedule) -> OracleReport:
         details={
             "n": n,
             "rounds": len(schedule.rounds),
-            "subsets": schedule.subset_count,
+            "subsets": subsets,
             "checks": checks,
         },
         counterexample=bad,

@@ -70,6 +70,7 @@ import errno
 import json
 import os
 import re
+import stat
 import sys
 import threading
 from collections.abc import Iterable, Iterator
@@ -630,25 +631,39 @@ def read_schedule_file(path) -> Schedule:
 
 
 def write_replacing(path, chunks) -> None:
-    """Write the text ``chunks`` to ``path``, replacing the file only once it is whole.
+    """Write the text ``chunks`` to ``path``, replacing a regular file only once it is whole.
 
     A symbolic link is followed, so the file it names is written and the
-    link stays; a loop of links is an error.  The chunks go to a temporary
-    file beside that file, named by the process and thread ids, which then
-    replaces it: a failed write, also one raised while the chunks are
-    produced, leaves an existing file as it was, creates none and leaves no
-    temporary file.  Concurrent calls from distinct threads or processes
-    never share a temporary file, and its name does not grow with the
-    target's.
+    link stays; a loop of links is an error.  An existing file that is not
+    a regular one, a device or a FIFO, is written through, so a failed
+    write can leave part of the text there; an existing directory fails
+    before any chunk is produced.  Otherwise the chunks go to a temporary
+    file beside the target, with an existing file's permission bits, named
+    by the process and thread ids, which then replaces it: a failed write,
+    also one raised while the chunks are produced, leaves an existing file
+    as it was, creates none and leaves no temporary file.  Concurrent calls
+    from distinct threads or processes never share a temporary file, and
+    its name does not grow with the target's.
     """
     target = os.path.realpath(path)
     if os.path.islink(target):  # resolution stopped in a loop
         raise OSError(errno.ELOOP, os.strerror(errno.ELOOP), path)
+    try:
+        mode = os.stat(target).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        # renaming over a device or a FIFO would replace it; open refuses a directory
+        with open(target, "w") as fh:
+            fh.writelines(chunks)
+        return
     tmp = os.path.join(
         os.path.dirname(target), f".paulisched-{os.getpid()}-{threading.get_ident()}.tmp"
     )
     try:
         with open(tmp, "w") as fh:
+            if mode is not None:
+                os.chmod(tmp, mode & 0o777)  # before the text goes in, so a private file stays private
             fh.writelines(chunks)
         os.replace(tmp, target)
     finally:

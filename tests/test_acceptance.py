@@ -232,7 +232,7 @@ def test_criterion_9_padding(capsys):
         schedule = build_schedule(n)
         report = validate_schedule(schedule)
         assert report.passed, report.counterexample
-        assert schedule.subset_count == comb(n, 4)
+        assert sum(len(r) for r in schedule.rounds) == comb(n, 4)
     with capsys.disabled():
         note(9, "builds for n in {5,6,7,9} exact-cover with disjoint rounds")
 
@@ -244,7 +244,7 @@ def test_criterion_9_counting_bound(capsys, n):
     assert len(schedule.rounds) == math.ceil(comb(n, 4) / (n // 4))
     report = validate_schedule(schedule)
     assert report.passed, report.counterexample
-    assert schedule.subset_count == comb(n, 4)
+    assert sum(len(r) for r in schedule.rounds) == comb(n, 4)
     if n <= 14:
         partition_report = validate_partition(commuting_families(schedule), n)
         assert partition_report.passed, partition_report.counterexample

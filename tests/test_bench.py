@@ -7,7 +7,8 @@ output's bytes and sha256 are a record of the build measured, not held to
 the current code: the output pins in the other tests hold those.  The
 tool itself reaches into private functions of ``partition``, so its
 in-process stages run here on the current tree at N = 8, and their counts
-are held to a fresh build.
+are held to a fresh build; its one rule of which tree each run measures
+first is held to alternating.
 """
 
 import json
@@ -107,3 +108,10 @@ def test_the_tool_measures_the_current_tree(tmp_path):
         table = measure(8, tmp_path)
         assert all(seconds >= 0 for seconds in table["times"].values()), table["times"]
         assert {name: table["counts"][name] for name in fresh} == fresh
+
+
+def test_each_run_alternates_which_tree_goes_first():
+    in_turn = runpy.run_path(str(ROOT / "tools" / "stages.py"))["in_turn"]
+    trees = {"parent": None, "change": None}
+    orders = [in_turn(trees, run) for run in range(3)]
+    assert orders == [["parent", "change"], ["change", "parent"], ["parent", "change"]]

@@ -5,6 +5,7 @@ import json
 import os
 import re
 import runpy
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -223,14 +224,22 @@ class TestStreamedFamilies:
 
 @pytest.mark.parametrize("command", [["schedule", "--n", "8"], ["families", "--n", "8"]])
 @pytest.mark.parametrize("target", ["missing/out.json", "a-directory"])
-def test_unwritable_out_is_usage_error(capsys, tmp_path, command, target):
+def test_unwritable_out_is_usage_error(capsys, tmp_path, monkeypatch, command, target):
     (tmp_path / "a-directory").mkdir()
+    certify, certified = partition._certified, []
+
+    def counted(family):
+        certified.append(len(family))
+        return certify(family)
+
+    monkeypatch.setattr(partition, "_certified", counted)
     out = tmp_path / target
     code, stdout, err = run(capsys, *command, "--out", str(out))
     assert code == 2
+    assert certified == []  # the target fails before any family is compiled
     assert stdout == ""
-    assert err.startswith(f"error: cannot write {out}: ")
-    assert ".tmp" not in err
+    reason = {"missing/out.json": "No such file or directory", "a-directory": "Is a directory"}[target]
+    assert err == f"error: cannot write {out}: {reason}\n"
     # nothing is left behind: no output and no temporary file
     assert [p.name for p in tmp_path.iterdir()] == ["a-directory"]
     assert list((tmp_path / "a-directory").iterdir()) == []
@@ -263,6 +272,35 @@ class TestOutPath:
         # the temporary file sat beside the resolved file and is gone
         assert sorted(p.name for p in tmp_path.iterdir()) == ["expected.json", "link.json", "real"]
         assert [p.name for p in (tmp_path / "real").iterdir()] == ["out.json"]
+
+    def test_existing_file_keeps_its_permission_bits(self, capsys, tmp_path, command):
+        out = tmp_path / "out.json"
+        out.write_text("stale\n")
+        out.chmod(0o600)
+        code, _, err = run(capsys, *command, "--format", "json", "--out", str(out))
+        assert (code, err) == (0, "")
+        assert json.loads(out.read_text())
+        assert stat.S_IMODE(out.stat().st_mode) == 0o600
+        assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+
+def test_fifo_out_is_written_through(capsys, tmp_path):
+    expected = tmp_path / "expected.json"
+    run(capsys, "schedule", "--n", "8", "--format", "json", "--out", str(expected))
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+    # a reader is open before the write, so opening the FIFO to write does
+    # not block, and the 789 bytes fit in its buffer
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        code, _, err = run(capsys, "schedule", "--n", "8", "--format", "json", "--out", str(fifo))
+        received = os.read(reader, 1 << 16)
+    finally:
+        os.close(reader)
+    assert (code, err) == (0, "")
+    assert fifo.is_fifo()
+    assert received == expected.read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["expected.json", "out.fifo"]
 
 
 class TestVerifyCommand:

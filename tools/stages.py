@@ -41,10 +41,10 @@ so that their ratios do not depend on machine drift.  The file records:
   as ``perfbench/run.py`` times its ``setup_s``: the median and quartiles.
 
 Every child runs from cached bytecode, as ``perfbench/run.py`` does: each
-tree has its own ``PYTHONPYCACHEPREFIX`` in a temporary directory, filled
-by one untimed launch per tree before the timed CLI and set-up ones, so
-no timed launch compiles a module and no tree gains a ``__pycache__``.
-Whether a tree holds stray bytecode beside its sources then moves no row.
+tree has its own ``PYTHONPYCACHEPREFIX`` in a temporary directory, which
+its stage interpreters and then one untimed CLI launch fill, so no timed
+launch compiles a module and no tree gains a ``__pycache__``.  Whether a
+tree holds stray bytecode beside its sources then moves no row.
 
 The stage times reach into two private functions of ``partition``, so a
 tree that renames them needs this script changed too.
@@ -87,13 +87,13 @@ GENERATOR = Path(__file__).resolve().parents[1] / "perfbench" / "hamiltonian.py"
 
 
 def best_of(work) -> float:
-    """The least wall time, in seconds, of ``REPEAT`` calls of ``work()``."""
+    """The least wall time, in seconds to five places, of ``REPEAT`` calls of ``work()``."""
     best = float("inf")
     for _ in range(REPEAT):
         start = time.perf_counter()
         work()
         best = min(best, time.perf_counter() - start)
-    return best
+    return round(best, 5)
 
 
 def each(function, items) -> None:
@@ -141,21 +141,20 @@ def measure_size(n: int, scratch: Path) -> dict:
     path = scratch / f"families{n}.json"
     times["certification_s"] = best_of(lambda: each(partition._certified, families))
     times["writer_s"] = best_of(lambda: partition.save_families(families, path))
-    dominant = [len(family) for family in families if family.origin == "dominant"]
-    residual = [len(family) for family in families if family.origin == "residual"]
+    summary = partition.summarize(n, False, [(family.origin, len(family)) for family in families])
     counts = {
         "rounds": len(schedule.rounds),
         "four_mode_blocks": four_mode_blocks,
         "other_blocks": other_blocks,
-        "dominant_families": len(dominant),
-        "residual_families": len(residual),
-        "dominant_strings": sum(dominant),
-        "residual_strings": sum(residual),
-        "string_slots": sum(dominant) + sum(residual),
+        "dominant_families": summary["dominant_families"],
+        "residual_families": summary["residual_families"],
+        "dominant_strings": summary["dominant_strings"],
+        "residual_strings": summary["residual_strings"],
+        "string_slots": summary["dominant_strings"] + summary["residual_strings"],
         "output_bytes": path.stat().st_size,
         "output_sha256": sha256(path),
     }
-    return {"times": {name: round(seconds, 5) for name, seconds in times.items()}, "counts": counts}
+    return {"times": times, "counts": counts}
 
 
 def write_hamiltonian(path: Path, n: int) -> int:
@@ -175,8 +174,7 @@ def write_hamiltonian(path: Path, n: int) -> int:
         "Path(path).write_text(json.dumps(document))\n"
         "print(len(document['one_body']) + len(document['two_body']))\n"
     )
-    argv = [sys.executable, "-c", code, str(GENERATOR), str(path), str(n)]
-    return int(subprocess.run(argv, capture_output=True, text=True, check=True).stdout)
+    return int(run_python(code, GENERATOR, path, n))
 
 
 def measure_weighted(n: int, scratch: Path) -> dict:
@@ -199,19 +197,30 @@ def measure_weighted(n: int, scratch: Path) -> dict:
     times["families_pass_s"] = best_of(lambda: list(partition.commuting_families(schedule, coeffs)))
     families = list(partition.commuting_families(schedule, coeffs))
     times["writer_s"] = best_of(lambda: partition.save_families(families, path))
-    dominant = [len(family) for family in families if family.origin == "dominant"]
-    residual = [len(family) for family in families if family.origin == "residual"]
+    summary = partition.summarize(n, True, [(family.origin, len(family)) for family in families])
     counts = {
         "entries": entries,
         "one_body_keys": sides.count(1),
         "two_body_keys": sides.count(2),
-        "dominant_families": len(dominant),
-        "residual_families": len(residual),
-        "string_slots": sum(dominant) + sum(residual),
+        "dominant_families": summary["dominant_families"],
+        "residual_families": summary["residual_families"],
+        "string_slots": summary["dominant_strings"] + summary["residual_strings"],
         "output_bytes": path.stat().st_size,
         "output_sha256": sha256(path),
     }
-    return {"times": {name: round(seconds, 5) for name, seconds in times.items()}, "counts": counts}
+    return {"times": times, "counts": counts}
+
+
+def in_turn(trees, run: int) -> list[str]:
+    """The tree labels in the order run ``run`` measures them: as given on even runs, reversed on odd ones."""
+    labels = list(trees)
+    return labels if run % 2 == 0 else labels[::-1]
+
+
+def run_python(code: str, *args, env: dict | None = None, cwd: Path | None = None) -> str:
+    """The stdout of a fresh ``python -c code args...``, which must exit 0."""
+    argv = [sys.executable, "-c", code, *map(str, args)]
+    return subprocess.run(argv, env=env, cwd=cwd, capture_output=True, text=True, check=True).stdout
 
 
 def launch(argv: list[str], env: dict, cwd: Path) -> tuple[float, float]:
@@ -259,19 +268,15 @@ def cli_argv(command: str, out: Path) -> list[str]:
 
 
 def cli_runs(envs: dict[str, dict], scratch: Path) -> dict:
-    """Each command run ``RUNS`` times per tree, the trees alternating which
-    goes first, after one untimed launch per tree that caches its bytecode."""
+    """Each command run ``RUNS`` times per tree, the trees alternating which goes first."""
     # written by a child, so that the launcher's peak, which wait4 counts in
     # every child's, stays small
     write_hamiltonian(scratch / "H20", 20)
-    for label, env in envs.items():
-        launch(cli_argv(COMMANDS[0], scratch / "warm-up.json"), env, scratch)
     samples = {label: {command: ([], []) for command in COMMANDS} for label in envs}
     digests: dict[str, set] = {}
     for run in range(RUNS):
-        labels = list(envs) if run % 2 == 0 else list(reversed(envs))
         for command in COMMANDS:
-            for label in labels:
+            for label in in_turn(envs, run):
                 out = scratch / f"{label}-{command.replace(' ', '')}.json"
                 seconds, rss = launch(cli_argv(command, out), envs[label], scratch)
                 walls, peaks = samples[label][command]
@@ -289,24 +294,15 @@ def cli_runs(envs: dict[str, dict], scratch: Path) -> dict:
     return table
 
 
-def setup_seconds(code: str, env: dict, cwd: Path) -> float:
-    """The seconds of ``code`` timed inside a fresh child, interpreter start-up and exit left out."""
-    timed = f"import time; start = time.perf_counter(); {code}; print(time.perf_counter() - start)"
-    argv = [sys.executable, "-c", timed]
-    return float(subprocess.run(argv, env=env, cwd=cwd, capture_output=True, text=True, check=True).stdout)
-
-
 def setup_runs(envs: dict[str, dict], scratch: Path) -> dict:
-    """Each of ``SETUPS`` timed in ``SETUP_RUNS`` fresh processes per tree, the
-    trees alternating which goes first, after one untimed launch per tree
-    that caches its bytecode."""
-    for env in envs.values():
-        setup_seconds(SETUPS["schedule_for_12"], env, scratch)
+    """Each of ``SETUPS`` timed in ``SETUP_RUNS`` fresh processes per tree, the trees
+    alternating which goes first: inside the child, interpreter start-up and exit left out."""
     samples = {label: {name: [] for name in SETUPS} for label in envs}
     for run in range(SETUP_RUNS):
-        for label in list(envs) if run % 2 == 0 else list(reversed(envs)):
+        for label in in_turn(envs, run):
             for name, code in SETUPS.items():
-                samples[label][name].append(setup_seconds(code, envs[label], scratch))
+                timed = f"import time; start = time.perf_counter(); {code}; print(time.perf_counter() - start)"
+                samples[label][name].append(float(run_python(timed, env=envs[label], cwd=scratch)))
     return {
         label: {name: {"setup_s": spread(seconds), "runs": len(seconds)} for name, seconds in setups.items()}
         for label, setups in samples.items()
@@ -333,8 +329,7 @@ def measure_tree(env: dict) -> dict:
         "import stages\n"
         "print(json.dumps(stages.child()))"
     )
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    return json.loads(result.stdout)
+    return json.loads(run_python(code, env=env))
 
 
 def least(tables: list[dict]) -> dict:
@@ -402,10 +397,13 @@ def main(argv=None) -> int:
         envs = {label: tree_env(src, Path(scratch), label) for label, src in trees.items()}
         measured: dict[str, list] = {label: [] for label in envs}
         for run in range(TREE_RUNS):
-            for label in list(envs) if run % 2 == 0 else list(reversed(envs)):
+            for label in in_turn(envs, run):
                 measured[label].append(measure_tree(envs[label]))
         for part in ("stages", "weighted"):
             report[part] = {label: least([tables[part] for tables in runs]) for label, runs in measured.items()}
+        # with the stage interpreters, this compiles every module a timed child imports
+        for env in envs.values():
+            launch(cli_argv(COMMANDS[0], Path(scratch, "warm-up.json")), env, Path(scratch))
         report["cli"] = cli_runs(envs, Path(scratch))
         report["setup"] = setup_runs(envs, Path(scratch))
     args.out.write_text(json.dumps(report, indent=1) + "\n")
