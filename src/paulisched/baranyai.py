@@ -119,8 +119,8 @@ be built concurrently, and finished Schedule values are immutable.
 
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 __all__ = [
     "Schedule",
@@ -141,8 +141,7 @@ def round_sizes(n: int) -> tuple[int, ...]:
     return (per_round,) * full + ((rest,) if rest else ())
 
 
-@dataclass(frozen=True, slots=True)
-class Schedule:
+class Schedule(NamedTuple):
     """Rounds of disjoint 4-subsets; subsets are descending tuples.
 
     Canonical form: within a round subsets are sorted in descending

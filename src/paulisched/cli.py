@@ -85,7 +85,7 @@ def _cmd_families(args) -> int:
     def recorded():
         # the summary needs only each family's origin and size, so no family is held
         for family in families:
-            shapes.append((family.origin, len(family)))
+            shapes.append((family.origin, len(family.rows)))
             yield family
 
     if args.out:

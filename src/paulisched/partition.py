@@ -16,8 +16,8 @@ denominator and picks each row's half; this module only joins the halves
 into an even-Y and an odd-Y family, certifies them
 on their rows' masks and writes their text, their numerators and the
 keys: no term object and no Pauli object is built between the loader and
-the file.  A family is its rows, its provenance and its origin, and
-``len(family)`` counts its strings; the checks in
+the file.  A family is a named tuple of its rows, its provenance and its
+origin, so ``len(family.rows)`` counts its strings; the checks in
 :mod:`paulisched.oracles` read its rows as objects.  Both families of a
 unit are yielded before the next unit is folded: a caller that writes the
 families as they come, as the command line does, holds the block table
@@ -74,12 +74,12 @@ import stat
 import sys
 import threading
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
 from math import lcm
 from pathlib import Path
+from typing import NamedTuple
 
 from .baranyai import Schedule, build_schedule, round_sizes
 from .fermion import jw_image
@@ -125,8 +125,7 @@ _NUMBERS = frozenset((int, float, Fraction))  # the value types of an entry; boo
 _dumps = json.JSONEncoder(separators=(",", ":")).encode
 
 
-@dataclass(frozen=True, slots=True)
-class CommutingFamily:
+class CommutingFamily(NamedTuple):
     """Pauli strings certified pairwise-commuting, with the terms they came from.
 
     Each row ``(text, x, z, re, im)`` is an n-qubit string, its masks and
@@ -140,9 +139,6 @@ class CommutingFamily:
     rows: tuple[tuple[str, int, int, int, int], ...]
     provenance: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
     origin: str  # "dominant" or "residual"
-
-    def __len__(self) -> int:
-        return len(self.rows)
 
 
 def _commute_by_blocks(rows) -> bool:
@@ -316,8 +312,7 @@ def _units(schedule: Schedule, blocks: dict[int, list]) -> Iterator[CommutingFam
 # Hamiltonian coefficients
 
 
-@dataclass(frozen=True, slots=True)
-class HamiltonianCoefficients:
+class HamiltonianCoefficients(NamedTuple):
     """A normal-ordered Hamiltonian's one coefficient table; absent terms mean zero.
 
     ``terms`` maps each term's key ``(creates, annihilates)`` to its
@@ -766,14 +761,13 @@ def summarize(n: int, weighted: bool, shapes: list[tuple[str, int]]) -> dict:
     }
 
 
-@dataclass(frozen=True, slots=True)
-class PartitionReport:
+class PartitionReport(NamedTuple):
     n: int
     families: tuple[CommutingFamily, ...]
     weighted: bool
 
     def summary(self) -> dict:
-        return summarize(self.n, self.weighted, [(f.origin, len(f)) for f in self.families])
+        return summarize(self.n, self.weighted, [(f.origin, len(f.rows)) for f in self.families])
 
 
 def build_partition(n: int, coeffs: HamiltonianCoefficients | None = None) -> PartitionReport:

@@ -181,7 +181,7 @@ def test_criterion_5_scaling(capsys):
         families = [f for f in commuting_families(schedule_for(n)) if f.origin == "dominant"]
         rounds = comb(n - 1, 3)
         assert len(families) / rounds == 2.0
-        strings = sum(len(f) for f in families)
+        strings = sum(len(f.rows) for f in families)
         assert strings == 16 * comb(n, 4)
         assert strings / len(families) == 2 * n
         assert Fraction(16 * comb(n, 4), 2 * comb(n - 1, 3)) == 2 * n

@@ -39,8 +39,8 @@ def fresh_counts(n: int) -> dict:
     but for the output's bytes and sha256."""
     schedule = build_schedule(n)
     families = list(commuting_families(schedule))
-    dominant = [len(family) for family in families if family.origin == "dominant"]
-    residual = [len(family) for family in families if family.origin == "residual"]
+    dominant = [len(family.rows) for family in families if family.origin == "dominant"]
+    residual = [len(family.rows) for family in families if family.origin == "residual"]
     return {
         "rounds": len(schedule.rounds),
         "four_mode_blocks": comb(n, 4),
@@ -86,7 +86,7 @@ def fresh_weighted_counts(n: int, path: Path) -> dict:
         "two_body_keys": sum(len(creates) == 2 for creates, _ in coeffs.terms),
         "dominant_families": sum(family.origin == "dominant" for family in families),
         "residual_families": sum(family.origin == "residual" for family in families),
-        "string_slots": sum(len(family) for family in families),
+        "string_slots": sum(len(family.rows) for family in families),
     }
 
 

@@ -311,7 +311,7 @@ class TestValidateFamilies:
             "x-to-y": text[:at] + {"X": "Y", "Y": "X"}[text[at]] + text[at + 1:],
             "length": text + "I",
         }[fault]
-        doctored = families[:3] + [replace(family, rows=((wrong, *family.rows[0][1:]),) + family.rows[1:])]
+        doctored = families[:3] + [family._replace(rows=((wrong, *family.rows[0][1:]),) + family.rows[1:])]
         doctored += families[4:]
         for report in (validate_families(doctored), validate_partition(doctored, 6)):
             assert not report.passed

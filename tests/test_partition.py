@@ -1213,7 +1213,7 @@ class TestWriterDivision:
         assert [jw_image(8, [block])[0] for block in unit] == [48, 80]
         assert jw_image(8, unit)[0] == 240
         families = list(commuting_families(schedule_for(8), coeffs))
-        assert [(f.origin, f.denominator, len(f)) for f in families] == [("dominant", 240, 16)] * 2
+        assert [(f.origin, f.denominator, len(f.rows)) for f in families] == [("dominant", 240, 16)] * 2
         expected = {}
         for key, value in values.items():
             for string, c in _scaled(FermionicTerm(key[:2], key[2:], 8), value):
@@ -1295,6 +1295,16 @@ def test_a_compile_builds_no_term_object(monkeypatch, tmp_path):
     # the counter sees a term that is built
     FermionicTerm((1,), (0,), 8)
     assert len(built) == 1
+
+
+def test_records_are_immutable_and_have_no_dict():
+    report = build_partition(8)
+    coeffs = HamiltonianCoefficients.from_entries(8, [], [])
+    for record in (schedule_for(8), report.families[0], coeffs, report):
+        with pytest.raises(AttributeError):
+            record.n = 9
+        assert not hasattr(record, "__dict__")
+        assert record.n == 8
 
 
 class TestReport:

@@ -141,7 +141,7 @@ def measure_size(n: int, scratch: Path) -> dict:
     path = scratch / f"families{n}.json"
     times["certification_s"] = best_of(lambda: each(partition._certified, families))
     times["writer_s"] = best_of(lambda: partition.save_families(families, path))
-    summary = partition.summarize(n, False, [(family.origin, len(family)) for family in families])
+    summary = partition.summarize(n, False, [(family.origin, len(family.rows)) for family in families])
     counts = {
         "rounds": len(schedule.rounds),
         "four_mode_blocks": four_mode_blocks,
@@ -197,7 +197,7 @@ def measure_weighted(n: int, scratch: Path) -> dict:
     times["families_pass_s"] = best_of(lambda: list(partition.commuting_families(schedule, coeffs)))
     families = list(partition.commuting_families(schedule, coeffs))
     times["writer_s"] = best_of(lambda: partition.save_families(families, path))
-    summary = partition.summarize(n, True, [(family.origin, len(family)) for family in families])
+    summary = partition.summarize(n, True, [(family.origin, len(family.rows)) for family in families])
     counts = {
         "entries": entries,
         "one_body_keys": sides.count(1),
